@@ -24,16 +24,15 @@ serial at 100 users; under pytest the speedup assertion engages only
 when enough cores are available, so the parity checks still run on
 constrained CI hosts.
 
-Part 3 benchmarks the :class:`~repro.devices.DevicePopulation`
-scheduler redesign: Algorithm 2 selection + Algorithm 3 DVFS at
-Q ∈ {10³, 10⁴} on both the per-device object path and the vectorized
-array path (asserting bitwise-identical picks and frequencies), plus a
-Q = 10⁵ sharded-selection smoke built via ``from_spec`` with no device
-objects at all. ``--scalability-snapshot PATH`` writes the composite
-``BENCH_scalability.json`` document — timings plus a traced quick-run
-analytics snapshot that ``python -m repro.obs.report --compare``
-consumes, so CI can fail on >10% regression against the committed
-baseline.
+Part 3 is a Q = 10⁵ sharded-selection smoke of the
+:class:`~repro.devices.DevicePopulation` scheduler (Algorithm 2
+selection + Algorithm 3 DVFS), built via ``from_spec`` with no device
+objects at all; scheduler timing proper is ``bench_layers``'
+``sched_q100k`` workload. ``--scalability-snapshot PATH`` writes the
+composite ``BENCH_scalability.json`` document — timings plus a traced
+quick-run analytics snapshot that ``python -m repro.obs.report
+--compare`` consumes, so CI can fail on >10% regression against the
+committed baseline.
 
 Part 4 isolates the round *transport*: one ``run_round`` over Q ∈
 {10³, 10⁴} lightweight clients with a ~10⁴-parameter model, through the
@@ -51,12 +50,8 @@ import time
 
 import numpy as np
 
-from repro.core.frequency import (
-    determine_frequencies,
-    determine_frequencies_population,
-)
+from repro.core.frequency import determine_frequencies_population
 from repro.core.selection import GreedyDecaySelection
-from repro.core.utility import _object_utility_scores
 from repro.data.dataset import ArrayDataset
 from repro.devices.fleet import FleetSpec, make_fleet
 from repro.devices.population import DevicePopulation
@@ -64,7 +59,6 @@ from repro.experiments.costmodel import run_cost_model_study
 from repro.experiments.runner import build_environment, run_strategy
 from repro.experiments.settings import ExperimentSettings
 from repro.fl.execution import BACKEND_NAMES
-from repro.fl.strategy import selection_count
 from repro.obs import RunObserver
 
 TIMER_STAGES = ("selection", "frequency_assignment", "run_round", "aggregation")
@@ -270,7 +264,7 @@ def test_backend_scaling(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Part 3: DevicePopulation scheduler scalability (Algorithms 2 + 3)
+# Part 3: DevicePopulation sharded-scheduler smoke (Algorithms 2 + 3)
 # ----------------------------------------------------------------------
 PAYLOAD_BITS = 1e6
 BANDWIDTH_HZ = 2e6
@@ -285,40 +279,6 @@ def _bench_spec() -> FleetSpec:
 def _bench_sizes(q: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.integers(20, 200, size=q)
-
-
-def _bench_fleet(q: int, seed: int = 7):
-    """Q lightweight devices (empty datasets fix only ``|D_q|``)."""
-    sizes = _bench_sizes(q, seed)
-    partitions = [
-        ArrayDataset(np.zeros((int(s), 1)), np.zeros(int(s), dtype=np.int64))
-        for s in sizes
-    ]
-    return make_fleet(partitions, _bench_spec(), seed=seed + 1)
-
-
-def _object_rounds(devices, rounds: int):
-    """The pre-redesign scalar scheduler: Eq. 20 loop, full sort, dict
-    DVFS chain. Kept verbatim as the timing and parity baseline."""
-    counts = {}
-    count = selection_count(len(devices), FRACTION)
-    picks, assignments = [], []
-    for _ in range(rounds):
-        scores = _object_utility_scores(
-            devices, counts, PAYLOAD_BITS, BANDWIDTH_HZ, DECAY
-        )
-        ranked = sorted(
-            devices, key=lambda d: (-scores[d.device_id], d.device_id)
-        )
-        selected = ranked[:count]
-        for device in selected:
-            counts[device.device_id] = counts.get(device.device_id, 0) + 1
-        frequencies = determine_frequencies(
-            selected, PAYLOAD_BITS, BANDWIDTH_HZ
-        )
-        picks.append([d.device_id for d in selected])
-        assignments.append(frequencies)
-    return picks, assignments
 
 
 def _vector_rounds(population, rounds: int, shard_size=None):
@@ -339,40 +299,6 @@ def _vector_rounds(population, rounds: int, shard_size=None):
             dict(zip(selected.device_ids.tolist(), assigned.tolist()))
         )
     return picks, assignments
-
-
-def run_population_study(q_values=(1_000, 10_000), rounds=3, seed=7):
-    """Time object vs vector selection+DVFS; assert bitwise parity.
-
-    Returns:
-        Mapping from Q to ``{"object_s", "vector_s", "speedup",
-        "rounds", "selected_per_round"}``.
-    """
-    study = {}
-    for q in q_values:
-        devices = _bench_fleet(q, seed=seed)
-        population = DevicePopulation.from_devices(devices)
-
-        start = time.perf_counter()
-        object_picks, object_freqs = _object_rounds(devices, rounds)
-        object_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        vector_picks, vector_freqs = _vector_rounds(population, rounds)
-        vector_s = time.perf_counter() - start
-
-        assert vector_picks == object_picks, f"selection drift at Q={q}"
-        for got, want in zip(vector_freqs, object_freqs):
-            assert got == want, f"frequency drift at Q={q}"
-
-        study[q] = {
-            "object_s": object_s,
-            "vector_s": vector_s,
-            "speedup": object_s / vector_s if vector_s > 0 else float("inf"),
-            "rounds": rounds,
-            "selected_per_round": selection_count(q, FRACTION),
-        }
-    return study
 
 
 def run_sharded_smoke(q=100_000, shard_size=8_192, rounds=1, seed=7):
@@ -518,21 +444,19 @@ def test_transport_study(benchmark):
 def write_scalability_snapshot(
     path,
     q_values=(1_000, 10_000),
-    rounds=3,
     smoke_q=100_000,
     trace_path="bench-scalability.trace.jsonl",
 ):
     """Write the composite ``BENCH_scalability.json`` document.
 
-    Carries the population-study timings, the pickle-vs-shm transport
-    study, the sharded smoke, and an ``analytics`` RunStats snapshot
+    Carries the pickle-vs-shm transport study, the sharded smoke, and
+    an ``analytics`` RunStats snapshot
     from a traced quick training run — the piece ``python -m
     repro.obs.report --compare`` reads, so a committed snapshot doubles
     as a CI regression baseline.
     """
     from repro.experiments.runner import run_traced
 
-    study = run_population_study(q_values=q_values, rounds=rounds)
     transport = run_transport_study(q_values=q_values)
     smoke = run_sharded_smoke(q=smoke_q)
     _, stats = run_traced(
@@ -547,7 +471,6 @@ def write_scalability_snapshot(
         "bandwidth_hz": BANDWIDTH_HZ,
         "fraction": FRACTION,
         "decay": DECAY,
-        "population_study": {str(q): entry for q, entry in study.items()},
         "transport_study": {
             str(q): entry for q, entry in transport.items()
         },
@@ -558,24 +481,6 @@ def write_scalability_snapshot(
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return document
-
-
-def test_population_scaling(benchmark):
-    study = benchmark.pedantic(
-        run_population_study, rounds=1, iterations=1
-    )
-    print()
-    print("  population scheduler study (selection + DVFS, C=0.1):")
-    for q, entry in study.items():
-        print(
-            f"    Q={q:6d}: object {entry['object_s']:7.3f}s  "
-            f"vector {entry['vector_s']:7.3f}s  "
-            f"speedup {entry['speedup']:6.1f}x"
-        )
-    # The committed BENCH_scalability.json shows >=10x at Q=1e4; the
-    # in-suite floor is deliberately lenient so loaded CI hosts don't
-    # flake. Parity is asserted inside run_population_study.
-    assert study[10_000]["speedup"] >= 3.0
 
 
 def test_sharded_smoke_completes_in_seconds(benchmark):
@@ -652,10 +557,9 @@ def _main() -> int:
         "--scalability-snapshot",
         metavar="PATH",
         default=None,
-        help="run the Part 3 population study (object vs vector "
-        "scheduler at Q=1e3/1e4 plus the Q=1e5 sharded smoke) and "
-        "write the composite BENCH_scalability.json document there; "
-        "skips the backend study",
+        help="run the Q=1e5 sharded smoke, the transport study and "
+        "the traced analytics run and write the composite "
+        "BENCH_scalability.json document there; skips the backend study",
     )
     parser.add_argument(
         "--compare-transport",
@@ -698,12 +602,6 @@ def _main() -> int:
 
     if args.scalability_snapshot:
         document = write_scalability_snapshot(args.scalability_snapshot)
-        for q, entry in document["population_study"].items():
-            print(
-                f"Q={q:>6s}: object {entry['object_s']:7.3f}s  "
-                f"vector {entry['vector_s']:7.3f}s  "
-                f"speedup {entry['speedup']:6.1f}x"
-            )
         for q, entry in document["transport_study"].items():
             print(
                 f"transport Q={q:>6s}: pickle {entry['pickle_s']:7.3f}s  "

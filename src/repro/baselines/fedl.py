@@ -76,29 +76,25 @@ class FedlClosedFormPolicy(FrequencyPolicy):
         population: Optional[DevicePopulation] = None,
     ) -> Dict[int, float]:
         del payload_bits, bandwidth_hz, round_index
-        if population is not None:
-            # Fleets share a handful of capacitance values, so evaluate
-            # the cube root once per distinct one with Python's scalar
-            # ``**`` (the object path's exact op) and broadcast —
-            # bitwise parity by construction.
-            cap = population.switched_capacitance
-            unique, inverse = np.unique(cap, return_inverse=True)
-            table = np.fromiter(
-                (
-                    (self.kappa / value) ** (1.0 / 3.0)
-                    for value in unique.tolist()
-                ),
-                dtype=np.float64,
-                count=unique.shape[0],
-            )
-            clamped = population.clamp(table[inverse])
-            return dict(
-                zip(population.device_ids.tolist(), clamped.tolist())
-            )
-        return {
-            device.device_id: fedl_optimal_frequency(device.cpu, self.kappa)
-            for device in selected
-        }
+        if population is None:
+            population = DevicePopulation.from_devices(selected)
+        # Fleets share a handful of capacitance values, so evaluate the
+        # cube root once per distinct one with Python's scalar ``**``
+        # (:func:`fedl_optimal_frequency`'s exact op) and broadcast.
+        cap = population.switched_capacitance
+        unique, inverse = np.unique(cap, return_inverse=True)
+        table = np.fromiter(
+            (
+                (self.kappa / value) ** (1.0 / 3.0)
+                for value in unique.tolist()
+            ),
+            dtype=np.float64,
+            count=unique.shape[0],
+        )
+        clamped = population.clamp(table[inverse])
+        return dict(
+            zip(population.device_ids.tolist(), clamped.tolist())
+        )
 
     def __repr__(self) -> str:
         return f"FedlClosedFormPolicy(kappa={self.kappa})"

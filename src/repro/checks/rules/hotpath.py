@@ -8,12 +8,13 @@ an O(Q) numpy expression back into O(Q) interpreter dispatch and
 silently undoes the struct-of-arrays redesign — the cost only shows up
 at population scale, which unit tests never reach.
 
-The vectorized paths iterate positions (``for rank in range(n)``) only
-where the math is inherently sequential (Algorithm 3's finish-time
+The hot paths iterate positions (``for rank in range(n)``) only where
+the math is inherently sequential (Algorithm 3's finish-time
 recursion); those are O(selected), not O(Q), and don't bind device
-objects. Deliberate scalar loops — the object-path oracles the parity
-tests diff the array paths against — carry an explicit
-``# repro: allow[REP006] <why>`` suppression.
+objects. The per-device pseudocode the parity tests diff the array
+code against lives in ``tests/oracles``, where this rule does not
+apply; the shipped hot paths carry no REP006 suppression, and a
+meta-test keeps it that way.
 """
 
 from __future__ import annotations
@@ -45,13 +46,13 @@ _HOT_MODULE_PREFIX = "repro.core."
 
 _MESSAGE = (
     "per-device Python loop over {what!r} in a population-scale hot "
-    "path; evaluate over DevicePopulation arrays instead, or mark a "
-    "deliberate scalar oracle with '# repro: allow[REP006] <why>'"
+    "path; evaluate over DevicePopulation arrays instead (scalar "
+    "reference code belongs in tests/oracles, not here)"
 )
 
 
 class HotPathLoopRule(Rule):
-    """Hot paths stay array-based; scalar device loops need a waiver."""
+    """Hot paths stay array-based; scalar oracles live in tests/."""
 
     rule_id = "REP006"
     title = "population scale: no per-device loops in scheduler hot paths"
@@ -60,7 +61,7 @@ class HotPathLoopRule(Rule):
         "whole fleet; a Python for-loop over devices there is O(Q) "
         "interpreter dispatch that defeats the DevicePopulation "
         "struct-of-arrays design at Q ~ 1e5-1e6. Scalar parity oracles "
-        "must carry an explicit justified suppression."
+        "live under tests/oracles, outside the rule's scope."
     )
 
     def applies(self, ctx: ModuleContext) -> bool:

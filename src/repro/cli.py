@@ -143,16 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the run, analyze the recorded trace and print the "
         "per-round/per-device report (requires --trace)",
     )
-    run_parser.add_argument(
-        "--scheduler",
-        choices=("vector", "object"),
-        default="vector",
-        help="scheduler implementation: 'vector' runs selection and "
-        "DVFS over the struct-of-arrays DevicePopulation (the "
-        "default), 'object' loops over UserDevice objects — results "
-        "are bitwise identical; 'object' exists as the parity oracle "
-        "and benchmarking baseline",
-    )
 
     for name, help_text in (
         ("fig2", "accuracy comparison of all schemes (paper Fig. 2)"),
@@ -418,7 +408,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             settings,
             iid=not args.noniid,
             observer=observer,
-            vectorized=args.scheduler != "object",
             **_backend_kwargs(args),
             **_chaos_kwargs(args),
         )

@@ -18,16 +18,11 @@ from repro.core.frequency import (
 from repro.core.framework import build_helcfl_trainer
 from repro.core.selection import GreedyDecaySelection, top_utility_positions
 from repro.core.slack import SlackReport, analyze_slack
-from repro.core.utility import (
-    decayed_utility,
-    utility_scores,
-    utility_scores_by_id,
-)
+from repro.core.utility import decayed_utility, utility_scores
 
 __all__ = [
     "decayed_utility",
     "utility_scores",
-    "utility_scores_by_id",
     "GreedyDecaySelection",
     "top_utility_positions",
     "determine_frequencies",

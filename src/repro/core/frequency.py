@@ -25,18 +25,20 @@ With clamping, the recursion tracks the *actual* upload-finish time
 (computed via the true queueing dynamics) rather than the idealized
 ``T_q``, so the assignment stays optimal when clamps bind.
 
-:func:`determine_frequencies_population` is the population-scale form:
-the O(Q) inputs of the recursion — Eq. (4) delays at ``f_max``, the
-sort, Eq. (7) upload delays — are array expressions over a
+:func:`determine_frequencies_population` is the implementation: the
+O(Q) inputs of the recursion — Eq. (4) delays at ``f_max``, the sort,
+Eq. (7) upload delays — are array expressions over a
 :class:`~repro.devices.DevicePopulation`, and only the inherently
 sequential Eq. (9) prefix scan over the sorted delay chain runs as a
-scalar loop (its operation order is the bitwise contract with the
-object path, and it is O(N selected), not O(Q)).
+scalar loop (O(N selected), not O(Q); its operation order is the
+bitwise contract with the reference in ``tests/oracles``).
+:func:`determine_frequencies` and :class:`HelcflDvfsPolicy` are
+adapters that return the same chain keyed by device id.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,11 +71,11 @@ def determine_frequencies(
     clamp: bool = True,
     quantize: bool = False,
 ) -> Dict[int, float]:
-    """Run Algorithm 3 on the selected user set (object path).
+    """Run Algorithm 3 on a selected set given as device objects.
 
-    This is the scalar per-device form, kept as the bitwise parity
-    oracle for :func:`determine_frequencies_population` (which the
-    trainer uses); both produce identical frequencies.
+    Thin adapter: snapshots ``selected`` into a
+    :class:`~repro.devices.DevicePopulation` and runs the one
+    implementation, :func:`determine_frequencies_population`.
 
     Args:
         selected: the round's selected user set ``Gamma_j``.
@@ -87,7 +89,8 @@ def determine_frequencies(
             discrete DVFS ladder when it has one.
 
     Returns:
-        Mapping from device id to its determined operating frequency.
+        Mapping from device id to its determined operating frequency,
+        keyed in ascending (``f_max`` compute delay, id) chain order.
 
     Raises:
         SelectionError: for an empty selection.
@@ -99,40 +102,90 @@ def determine_frequencies(
     _check_modes(clamp, quantize)
     if not selected:
         raise SelectionError("cannot determine frequencies for no devices")
-
-    # Line 1: ascending max-frequency compute delay (ties by id).
-    ordered = sorted(
-        selected,
-        key=lambda d: (d.compute_delay(d.cpu.f_max), d.device_id),
+    return _chain_frequencies_by_id(
+        DevicePopulation.from_devices(selected),
+        payload_bits,
+        bandwidth_hz,
+        clamp,
+        quantize,
     )
 
-    frequencies: Dict[int, float] = {}
+
+def _chain_frequencies(
+    population: DevicePopulation,
+    payload_bits: float,
+    bandwidth_hz: float,
+    clamp: bool,
+    quantize: bool,
+) -> Tuple[np.ndarray, List[float]]:
+    """Algorithm 3's chain: ``(order, frequencies)``.
+
+    ``order`` lists population positions in ascending (``f_max``
+    compute delay, id) order — line 1's sort — and ``frequencies[r]``
+    is the frequency of the device at ``order[r]``.
+    """
+    _check_modes(clamp, quantize)
+    order = np.lexsort((population.device_ids, population.compute_delay()))
+    upload = population.upload_delay(payload_bits, bandwidth_hz)
+
+    # Scalar chain state, pulled out of numpy so every +-*/ below is a
+    # plain CPython float op in the paper's order: the Eq. (9) prefix
+    # scan is inherently sequential, and O(N selected), not O(Q).
+    cycles = population.cycles[order].tolist()
+    f_min = population.f_min[order].tolist()
+    f_max = population.f_max[order].tolist()
+    uploads = upload[order].tolist()
+    ladder = population.ladder
+    ladder_rows = population.ladder_sizes[order].tolist() if ladder is not None else None
+
+    frequencies: List[float] = []
     previous_finish = 0.0
-    for position, device in enumerate(ordered):  # repro: allow[REP006] scalar oracle the parity tests diff the vector path against
-        if position == 0:
+    for rank in range(len(cycles)):
+        if rank == 0:
             # Lines 3-4: the first user has no slack.
-            freq = device.cpu.f_max
+            freq = f_max[0]
         else:
             # Line 9: finish computing when the previous upload ends.
-            target = device.frequency_for_compute_delay(previous_finish)
+            target = cycles[rank] / previous_finish
             if clamp:
-                freq = device.cpu.clamp(target)
+                freq = min(max(target, f_min[rank]), f_max[rank])
             else:
                 freq = target
         if quantize:
-            freq = device.cpu.quantize(freq)
-        frequencies[device.device_id] = freq
-
+            freq = min(max(freq, f_min[rank]), f_max[rank])
+            width = ladder_rows[rank] if ladder_rows is not None else 0
+            if width:
+                row = ladder[order[rank], :width]
+                idx = int(np.searchsorted(row, freq - _QUANTIZE_EPS))
+                freq = float(row[min(idx, width - 1)])
+        frequencies.append(freq)
         # Line 8 generalized: the user's actual upload-finish time under
         # FIFO channel queueing. Without clamping this reduces to the
         # paper's T_q = T_q^cal + T_q^com exactly (compute lands at the
         # previous finish, so upload_start == compute_end).
-        compute_end = device.cpu.cycles_for(device.num_samples) / freq
+        compute_end = cycles[rank] / freq
         upload_start = max(compute_end, previous_finish)
-        previous_finish = upload_start + device.upload_delay(
-            payload_bits, bandwidth_hz
-        )
-    return frequencies
+        previous_finish = upload_start + uploads[rank]
+    return order, frequencies
+
+
+def _chain_frequencies_by_id(
+    population: DevicePopulation,
+    payload_bits: float,
+    bandwidth_hz: float,
+    clamp: bool,
+    quantize: bool,
+) -> Dict[int, float]:
+    """Algorithm 3 as an id-keyed dict in chain order.
+
+    The one place the dict form is built: key order is what
+    ``FrequencyAssignmentEvent.frequencies`` serializes, so the adapter
+    and the policy must not each derive it.
+    """
+    order, frequencies = _chain_frequencies(
+        population, payload_bits, bandwidth_hz, clamp, quantize
+    )
+    return dict(zip(population.device_ids[order].tolist(), frequencies))
 
 
 def determine_frequencies_population(
@@ -144,11 +197,9 @@ def determine_frequencies_population(
 ) -> np.ndarray:
     """Run Algorithm 3 over a selected-set population slice.
 
-    Array form of :func:`determine_frequencies`: Eq. (4) delays, the
-    (delay, id) sort, and Eq. (7) upload delays are vectorized; the
-    Eq. (9) finish-time recursion walks the sorted chain with the exact
-    scalar operation order of the object path, so results are bitwise
-    identical.
+    Eq. (4) delays, the (delay, id) sort, and Eq. (7) upload delays are
+    array expressions; the Eq. (9) finish-time recursion walks the
+    sorted chain as scalar float ops in the paper's order.
 
     Args:
         population: the selected set ``Gamma_j`` as a population slice
@@ -163,43 +214,11 @@ def determine_frequencies_population(
         ``population`` order (position ``q`` serves
         ``population.device_ids[q]``).
     """
-    _check_modes(clamp, quantize)
-    size = len(population)
-    delay_fmax = population.compute_delay()
-    order = np.lexsort((population.device_ids, delay_fmax))
-    upload = population.upload_delay(payload_bits, bandwidth_hz)
-
-    # Scalar chain state, pulled out of numpy so every +-*/ below is
-    # the same CPython float op the object path performs.
-    cycles = population.cycles[order].tolist()
-    f_min = population.f_min[order].tolist()
-    f_max = population.f_max[order].tolist()
-    uploads = upload[order].tolist()
-    ladder = population.ladder
-    ladder_rows = population.ladder_sizes[order].tolist() if ladder is not None else None
-
-    assigned = np.empty(size, dtype=np.float64)
-    previous_finish = 0.0
-    for rank in range(size):
-        if rank == 0:
-            freq = f_max[0]
-        else:
-            target = cycles[rank] / previous_finish
-            if clamp:
-                freq = min(max(target, f_min[rank]), f_max[rank])
-            else:
-                freq = target
-        if quantize:
-            freq = min(max(freq, f_min[rank]), f_max[rank])
-            width = ladder_rows[rank] if ladder_rows is not None else 0
-            if width:
-                row = ladder[order[rank], :width]
-                idx = int(np.searchsorted(row, freq - _QUANTIZE_EPS))
-                freq = float(row[min(idx, width - 1)])
-        assigned[order[rank]] = freq
-        compute_end = cycles[rank] / freq
-        upload_start = max(compute_end, previous_finish)
-        previous_finish = upload_start + uploads[rank]
+    order, frequencies = _chain_frequencies(
+        population, payload_bits, bandwidth_hz, clamp, quantize
+    )
+    assigned = np.empty(len(population), dtype=np.float64)
+    assigned[order] = frequencies
     return assigned
 
 
@@ -228,28 +247,14 @@ class HelcflDvfsPolicy(FrequencyPolicy):
         population: Optional[DevicePopulation] = None,
     ) -> Dict[int, float]:
         del round_index  # Algorithm 3 is stateless across rounds.
-        if population is not None:
-            assigned = determine_frequencies_population(
-                population,
+        if population is None:
+            return determine_frequencies(
+                selected,
                 payload_bits,
                 bandwidth_hz,
                 clamp=self.clamp,
                 quantize=self.quantize,
             )
-            # Keyed in ascending (delay, id) chain order, matching the
-            # object path's insertion order byte-for-byte in traces.
-            order = np.lexsort(
-                (population.device_ids, population.compute_delay())
-            )
-            ids = population.device_ids[order].tolist()
-            return {
-                device_id: float(assigned[position])
-                for device_id, position in zip(ids, order.tolist())
-            }
-        return determine_frequencies(
-            selected,
-            payload_bits,
-            bandwidth_hz,
-            clamp=self.clamp,
-            quantize=self.quantize,
+        return _chain_frequencies_by_id(
+            population, payload_bits, bandwidth_hz, self.clamp, self.quantize
         )

@@ -13,18 +13,17 @@ the N-th largest score) instead of a full sort, with an optional
 merge the per-shard candidates, and re-rank — any globally top-N user
 is top-N within its own shard under the same (score, id) order, so the
 merge is exact, and peak working memory per ranking step drops to the
-shard size. Both paths reproduce the object-path ranking — descending
-utility, ties by ascending device id — bit for bit.
+shard size. Both paths reproduce the full ``sorted(key=(-score, id))``
+ranking — descending utility, ties by ascending device id — bit for bit.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.utility import _object_utility_scores, utility_scores
+from repro.core.utility import utility_scores
 from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
@@ -41,8 +40,8 @@ def top_utility_positions(
 ) -> np.ndarray:
     """Positions of the ``count`` best (score desc, id asc) entries.
 
-    The returned positions are in ranked order — exactly the order the
-    object path's ``sorted(key=(-score, id))[:count]`` produces.
+    The returned positions are in ranked order — exactly the order a
+    full ``sorted(key=(-score, id))[:count]`` produces.
 
     Args:
         scores: per-device utilities, aligned with ``device_ids``.
@@ -206,33 +205,10 @@ class GreedyDecaySelection(SelectionStrategy):
             self.decay,
         )
 
-    def scores_by_id(
-        self, devices: Sequence[UserDevice]
-    ) -> Dict[int, float]:
-        """Deprecated dict-keyed scores: use :meth:`scores`.
-
-        Shim for callers that still index utilities by device id; the
-        values come from the original scalar object path.
-        """
-        warnings.warn(
-            "GreedyDecaySelection.scores_by_id() is deprecated; use "
-            "scores(), which returns an ndarray aligned with "
-            "population order",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _object_utility_scores(
-            devices,
-            self.appearance_counts,
-            self.payload_bits,
-            self.bandwidth_hz,
-            self.decay,
-        )
-
     def select_population(
         self, round_index: int, population: DevicePopulation
     ) -> np.ndarray:
-        """Vector path: select and decay, returning ranked positions."""
+        """Select and decay, returning ranked population positions."""
         del round_index
         scores = self.scores(population)
         count = selection_count(len(population), self.fraction)

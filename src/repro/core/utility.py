@@ -16,16 +16,13 @@ selected users' data, Eq. 19).
 :func:`utility_scores` evaluates Eq. (20) for the whole population as
 one array expression over a :class:`~repro.devices.DevicePopulation`
 (or any device sequence, converted on the fly) and returns an ndarray
-aligned with population order. The retired dict-keyed form survives as
-the deprecated :func:`utility_scores_by_id` — it is the scalar
-object-path oracle the parity tests compare the arrays against, and a
-shim for extensions still indexing scores by device id.
+aligned with population order; ``population.position_of(device_id)``
+maps an id to its score.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -33,7 +30,7 @@ from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 
-__all__ = ["decayed_utility", "utility_scores", "utility_scores_by_id"]
+__all__ = ["decayed_utility", "utility_scores"]
 
 
 def decayed_utility(
@@ -107,9 +104,9 @@ def decay_powers(decay: float, alphas: np.ndarray) -> np.ndarray:
     """``eta^alpha`` per device, bitwise-equal to Python's scalar ``**``.
 
     Counters repeat heavily across a fleet, so the powers are evaluated
-    once per distinct ``alpha`` with Python's scalar ``**`` (the object
-    path's exact operation) and broadcast back — exactness by
-    construction rather than by trusting a numpy pow kernel.
+    once per distinct ``alpha`` with Python's scalar ``**`` (what
+    :func:`decayed_utility` computes) and broadcast back — exactness
+    by construction rather than by trusting a numpy pow kernel.
     """
     unique, inverse = np.unique(alphas, return_inverse=True)
     table = np.fromiter(
@@ -160,48 +157,3 @@ def utility_scores(
     if np.any(total_delay <= 0):
         raise ConfigurationError("total delay must be positive")
     return decay_powers(decay, alphas) / total_delay
-
-
-def utility_scores_by_id(
-    devices: Sequence[UserDevice],
-    appearance_counts: Mapping[int, int],
-    payload_bits: float,
-    bandwidth_hz: float,
-    decay: float,
-) -> Dict[int, float]:
-    """Deprecated dict-keyed Eq. (20): use :func:`utility_scores`.
-
-    Kept as the scalar object-path oracle for the population parity
-    tests and as a shim for extensions that index scores by device id.
-
-    Returns:
-        Mapping from device id to utility.
-    """
-    warnings.warn(
-        "utility_scores_by_id() is deprecated; use utility_scores(), "
-        "which returns an ndarray aligned with population order",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _object_utility_scores(
-        devices, appearance_counts, payload_bits, bandwidth_hz, decay
-    )
-
-
-def _object_utility_scores(
-    devices: Sequence[UserDevice],
-    appearance_counts: Mapping[int, int],
-    payload_bits: float,
-    bandwidth_hz: float,
-    decay: float,
-) -> Dict[int, float]:
-    """The original per-device scalar loop (bitwise parity oracle)."""
-    scores: Dict[int, float] = {}
-    for device in devices:  # repro: allow[REP006] scalar oracle the parity tests diff the array path against
-        scores[device.device_id] = decayed_utility(
-            appearance_count=int(appearance_counts.get(device.device_id, 0)),
-            compute_delay=device.compute_delay(device.cpu.f_max),
-            upload_delay=device.upload_delay(payload_bits, bandwidth_hz),
-            decay=decay,
-        )
-    return scores

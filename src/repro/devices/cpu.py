@@ -94,10 +94,12 @@ class DvfsCpu:
 
         Raises:
             FrequencyRangeError: when outside ``[f_min, f_max]`` (with a
-                small numeric tolerance).
+                small numeric tolerance) or not finite.
         """
         tolerance = 1e-9 * self.f_max
-        if frequency < self.f_min - tolerance or frequency > self.f_max + tolerance:
+        # Written as "not inside" so NaN, which fails every comparison,
+        # is rejected along with +-inf.
+        if not self.f_min - tolerance <= frequency <= self.f_max + tolerance:
             raise FrequencyRangeError(
                 f"frequency {frequency:.4g} Hz outside "
                 f"[{self.f_min:.4g}, {self.f_max:.4g}] Hz"

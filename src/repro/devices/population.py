@@ -9,11 +9,11 @@ expressions over the whole fleet instead of Python loops over
 :class:`~repro.devices.device.UserDevice` objects. This is what lets
 selection and DVFS scale to Q ≈ 10⁵–10⁶ users.
 
-Bitwise parity with the object path is a hard contract here: every
-array expression mirrors the exact floating-point operation order of
-the corresponding ``UserDevice``/``DvfsCpu``/``Radio`` scalar code, and
-the parity tests assert equality to the last bit. Two operations need
-care:
+Bitwise parity with the per-device scalar methods is a hard contract
+here: every array expression mirrors the exact floating-point
+operation order of the corresponding ``UserDevice``/``DvfsCpu``/``Radio``
+code, and the parity tests (against ``tests/oracles``) assert equality
+to the last bit. Two operations need care:
 
 * ``numpy.log2`` and ``math.log2`` round differently on some inputs,
   so the Eq. (6) term ``log2(1 + p h² / N0)`` is precomputed per device
@@ -428,9 +428,13 @@ class DevicePopulation:
         """Array twin of ``DvfsCpu.validate_frequency``."""
         freqs = np.asarray(frequencies, dtype=np.float64)
         tolerance = 1e-9 * self.f_max
-        bad = (freqs < self.f_min - tolerance) | (freqs > self.f_max + tolerance)
-        if np.any(bad):
-            position = int(np.flatnonzero(bad)[0])
+        # Tested as "inside" so NaN, which fails every comparison, is
+        # rejected along with +-inf.
+        inside = (freqs >= self.f_min - tolerance) & (
+            freqs <= self.f_max + tolerance
+        )
+        if not inside.all():
+            position = int(np.flatnonzero(~inside)[0])
             raise FrequencyRangeError(
                 f"frequency {freqs[position]:.4g} Hz outside "
                 f"[{self.f_min[position]:.4g}, {self.f_max[position]:.4g}] Hz"

@@ -119,7 +119,6 @@ def build_trainer(
     backend: Optional[ExecutionBackend] = None,
     observer: Optional[RunObserver] = None,
     faults=None,
-    vectorized: bool = True,
     checkpoint_path: Optional[str] = None,
 ) -> FederatedTrainer:
     """Assemble the :class:`FederatedTrainer` for one named scheme.
@@ -140,7 +139,6 @@ def build_trainer(
             lifetime); ``None`` runs serial.
         observer: optional observer receiving the run's events.
         faults: optional fault plan/injector.
-        vectorized: use the population array paths (the default).
         checkpoint_path: where ``checkpoint_every`` snapshots land
             (see :class:`~repro.fl.trainer.FederatedTrainer`).
     """
@@ -174,7 +172,6 @@ def build_trainer(
         backend=backend,
         observer=observer,
         faults=faults,
-        vectorized=vectorized,
         checkpoint_path=checkpoint_path,
     )
 
@@ -189,7 +186,6 @@ def run_strategy(
     workers: Optional[int] = None,
     observer: Optional[RunObserver] = None,
     faults=None,
-    vectorized: bool = True,
 ) -> TrainingHistory:
     """Run one named scheme end to end.
 
@@ -221,11 +217,6 @@ def run_strategy(
             pre-built :class:`repro.faults.FaultInjector`) injected
             into the run. Rejected for the ``sl`` baseline, whose loop
             has no round lifecycle to degrade.
-        vectorized: schedule via the
-            :class:`~repro.devices.DevicePopulation` array path (the
-            default); ``False`` forces the per-device object path —
-            bitwise-identical results, useful as the parity oracle and
-            for benchmarking. Ignored by the ``sl`` baseline.
 
     Returns:
         The run's :class:`~repro.fl.history.TrainingHistory`, labelled
@@ -264,7 +255,6 @@ def run_strategy(
         backend=backend,
         observer=observer,
         faults=faults,
-        vectorized=vectorized,
     )
     try:
         return trainer.run()

@@ -15,10 +15,11 @@ with max frequency.
 Both interfaces carry population-based signatures for fleet-scale
 runs: :meth:`SelectionStrategy.select_population` lets a strategy rank
 a :class:`~repro.devices.DevicePopulation` directly and return ranked
-array positions (the base returns ``None``, meaning "object path
-only", so existing strategies keep working unchanged), and
-:meth:`FrequencyPolicy.assign` accepts the selected set as a
-population slice via the kw-only ``population=`` parameter. Array
+array positions (the base returns ``None``, meaning "only
+:meth:`~SelectionStrategy.select` is implemented", so existing
+strategies keep working unchanged), and :meth:`FrequencyPolicy.assign`
+accepts the selected set as a population slice via the kw-only
+``population=`` parameter, which the trainer always passes. Array
 results are always indexed by population position; dict-of-id forms
 are adapters around them.
 """
@@ -39,7 +40,6 @@ __all__ = [
     "FullParticipation",
     "MaxFrequencyPolicy",
     "selection_count",
-    "over_selection_extras",
     "over_selection_extras_population",
 ]
 
@@ -61,48 +61,6 @@ def selection_count(num_users: int, fraction: float) -> int:
     return min(num_users, max(int(num_users * fraction), 1))
 
 
-def over_selection_extras(
-    devices: Sequence[UserDevice],
-    selected: Sequence[UserDevice],
-    margin: int,
-    payload_bits: float,
-    bandwidth_hz: float,
-) -> List[UserDevice]:
-    """FedCS-style over-selection padding for dropout resilience.
-
-    When the trainer expects dropouts it selects ``N + margin`` devices
-    and aggregates the first ``N`` survivors. The padding devices are
-    the *fastest* not-yet-selected ones by the Eq. (9) round delay at
-    ``f_max`` (ties by id) — the FedCS heuristic: devices most likely
-    to finish inside the round.
-
-    This is the object path, kept as the parity oracle for
-    :func:`over_selection_extras_population`.
-
-    Args:
-        devices: the full population ``V``.
-        selected: the strategy's own pick ``Gamma_j``.
-        margin: extra devices to add (capped by the remaining pool).
-        payload_bits: model payload ``C_model`` in bits.
-        bandwidth_hz: uplink resource blocks ``Z`` in Hz.
-
-    Returns:
-        Up to ``margin`` padding devices, deterministic for a fixed
-        population.
-    """
-    if margin < 0:
-        raise SelectionError(f"margin must be non-negative, got {margin}")
-    chosen = {device.device_id for device in selected}
-    pool = [device for device in devices if device.device_id not in chosen]
-    pool.sort(
-        key=lambda d: (
-            d.total_delay(payload_bits, bandwidth_hz),
-            d.device_id,
-        )
-    )
-    return pool[:margin]
-
-
 def over_selection_extras_population(
     population: DevicePopulation,
     selected_positions: np.ndarray,
@@ -110,7 +68,13 @@ def over_selection_extras_population(
     payload_bits: float,
     bandwidth_hz: float,
 ) -> np.ndarray:
-    """Vector form of :func:`over_selection_extras`.
+    """FedCS-style over-selection padding for dropout resilience.
+
+    When the trainer expects dropouts it selects ``N + margin`` devices
+    and aggregates the first ``N`` survivors. The padding devices are
+    the *fastest* not-yet-selected ones by the Eq. (9) round delay at
+    ``f_max`` (ties by id) — the FedCS heuristic: devices most likely
+    to finish inside the round.
 
     Args:
         population: the full fleet population.
@@ -121,8 +85,8 @@ def over_selection_extras_population(
 
     Returns:
         Up to ``margin`` padding positions, ordered by ascending
-        (Eq. 9 delay at ``f_max``, device id) — bitwise the object
-        path's pick.
+        (Eq. 9 delay at ``f_max``, device id); deterministic for a
+        fixed population.
     """
     if margin < 0:
         raise SelectionError(f"margin must be non-negative, got {margin}")
@@ -159,12 +123,13 @@ class SelectionStrategy:
     def select_population(
         self, round_index: int, population: DevicePopulation
     ) -> Optional[np.ndarray]:
-        """Vector path: select directly from a population view.
+        """Select directly from a population view.
 
         Returns ranked array positions into ``population`` (the same
         order :meth:`select` lists devices in), or ``None`` when the
-        strategy has no vectorized path — the trainer then falls back
-        to :meth:`select`. The base class returns ``None``.
+        strategy only implements :meth:`select` — the trainer then
+        calls that and maps the result back to positions. The base
+        class returns ``None``.
         """
         del round_index, population
         return None
@@ -236,9 +201,9 @@ class FrequencyPolicy:
                 another signature break.
             population: the selected set as a
                 :class:`~repro.devices.DevicePopulation` slice, aligned
-                with ``selected``. Policies with a vectorized path use
-                it instead of looping over the objects; the trainer
-                always provides it. ``None`` forces the object path.
+                with ``selected``. The trainer always provides it;
+                with ``None`` the shipped policies snapshot
+                ``selected`` themselves.
         """
         raise NotImplementedError
 
@@ -278,11 +243,8 @@ class MaxFrequencyPolicy(FrequencyPolicy):
         population: Optional[DevicePopulation] = None,
     ) -> Dict[int, float]:
         del payload_bits, bandwidth_hz, round_index
-        if population is not None:
-            return dict(
-                zip(
-                    population.device_ids.tolist(),
-                    population.f_max.tolist(),
-                )
-            )
-        return {device.device_id: device.cpu.f_max for device in selected}
+        if population is None:
+            population = DevicePopulation.from_devices(selected)
+        return dict(
+            zip(population.device_ids.tolist(), population.f_max.tolist())
+        )

@@ -39,7 +39,6 @@ from repro.fl.strategy import (
     FrequencyPolicy,
     MaxFrequencyPolicy,
     SelectionStrategy,
-    over_selection_extras,
     over_selection_extras_population,
 )
 from repro.network.tdma import RoundTimeline, simulate_tdma_round
@@ -265,14 +264,6 @@ class FederatedTrainer:
             ``None`` (the default) and an *empty* plan both take the
             exact faults-off code path, so they are bitwise identical
             to each other.
-        vectorized: when True (the default), :meth:`run` snapshots the
-            fleet into a :class:`~repro.devices.DevicePopulation` and
-            drives selection, frequency assignment (including
-            fault-triggered re-planning), over-selection, and TDMA
-            staging through the array paths — bitwise identical to the
-            object paths, O(Q) numpy instead of O(Q) Python per round.
-            False forces the scalar object paths everywhere (the
-            parity oracle and the benchmark baseline).
         checkpoint_path: where ``config.checkpoint_every`` snapshots
             are written (atomically; see
             :mod:`repro.fl.checkpoint`). ``None`` (the default)
@@ -306,7 +297,6 @@ class FederatedTrainer:
         backend: Optional[ExecutionBackend] = None,
         observer: Optional[RunObserver] = None,
         faults=None,
-        vectorized: bool = True,
         checkpoint_path: Optional[str] = None,
     ) -> None:
         if not devices:
@@ -332,7 +322,6 @@ class FederatedTrainer:
         self.channel_models = dict(channel_models or {})
         self.backend = backend or SerialBackend()
         self.observer = observer or RunObserver()
-        self.vectorized = bool(vectorized)
         self.population: Optional[DevicePopulation] = None
         from repro.energy.accounting import EnergyLedger
 
@@ -520,7 +509,7 @@ class FederatedTrainer:
 
         Called by :meth:`run` after ``selection.reset()`` and the
         ledger rebuild but before the population snapshot, so the
-        vectorized view is built from the restored device state.
+        array view is built from the restored device state.
         """
         from repro.energy.accounting import DeviceEnergy
         from repro.fl.checkpoint import TrainerCheckpoint
@@ -643,19 +632,13 @@ class FederatedTrainer:
                 resume_from.round_index,
             )
         # Population-scale array view of the fleet: built once, kept in
-        # sync with per-round fading, and sliced per round for the
-        # vectorized scheduler paths.
-        population = (
-            DevicePopulation.from_devices(self.devices)
-            if self.vectorized
-            else None
-        )
+        # sync with per-round fading, and sliced per round for
+        # selection, frequency assignment and TDMA staging.
+        population = DevicePopulation.from_devices(self.devices)
         self.population = population
-        position_by_id = (
-            {d.device_id: position for position, d in enumerate(self.devices)}
-            if population is not None
-            else {}
-        )
+        position_by_id = {
+            d.device_id: position for position, d in enumerate(self.devices)
+        }
         self.backend.observer = observer
         self.backend.bind(
             self.server.model, config.local_update_spec(), self.devices
@@ -705,10 +688,9 @@ class FederatedTrainer:
                     if device is not None:
                         gain = float(model.sample_gain())
                         device.radio.channel_gain = gain
-                        if population is not None:
-                            population.set_channel_gains(
-                                (position_by_id[device_id],), (gain,)
-                            )
+                        population.set_channel_gains(
+                            (position_by_id[device_id],), (gain,)
+                        )
 
                 with observer.timer("selection"), observer.span(
                     "selection",
@@ -716,11 +698,9 @@ class FederatedTrainer:
                     parent_id=f"round-{round_index}",
                     round_index=round_index,
                 ):
-                    positions: Optional[np.ndarray] = None
-                    if population is not None:
-                        positions = self.selection.select_population(
-                            round_index, population
-                        )
+                    positions = self.selection.select_population(
+                        round_index, population
+                    )
                     if positions is not None:
                         selected = [
                             self.devices[position]
@@ -734,9 +714,9 @@ class FederatedTrainer:
                     raise TrainingError(
                         f"selection produced no users in round {round_index}"
                     )
-                if population is not None and positions is None:
-                    # Strategy without a vector path: recover positions
-                    # so frequency assignment and TDMA still use arrays.
+                if positions is None:
+                    # Strategy implementing only select(): recover the
+                    # positions frequency assignment and TDMA slice by.
                     positions = np.fromiter(
                         (position_by_id[d.device_id] for d in selected),
                         dtype=np.int64,
@@ -744,35 +724,20 @@ class FederatedTrainer:
                     )
                 target_count = len(selected)
                 if config.over_select_margin > 0:
-                    if population is not None:
-                        extra_positions = over_selection_extras_population(
-                            population,
-                            positions,
-                            config.over_select_margin,
-                            self.server.payload_bits,
-                            config.bandwidth_hz,
-                        )
-                        selected = list(selected) + [
-                            self.devices[position]
-                            for position in extra_positions.tolist()
-                        ]
-                        positions = np.concatenate(
-                            (positions, extra_positions)
-                        )
-                    else:
-                        selected = list(selected) + over_selection_extras(
-                            self.devices,
-                            selected,
-                            config.over_select_margin,
-                            self.server.payload_bits,
-                            config.bandwidth_hz,
-                        )
+                    extra_positions = over_selection_extras_population(
+                        population,
+                        positions,
+                        config.over_select_margin,
+                        self.server.payload_bits,
+                        config.bandwidth_hz,
+                    )
+                    selected = list(selected) + [
+                        self.devices[position]
+                        for position in extra_positions.tolist()
+                    ]
+                    positions = np.concatenate((positions, extra_positions))
                 selected_ids = tuple(d.device_id for d in selected)
-                selected_population = (
-                    population.take(positions)
-                    if population is not None
-                    else None
-                )
+                selected_population = population.take(positions)
                 observer.emit(
                     SelectionEvent(
                         round_index=round_index, selected_ids=selected_ids
@@ -826,24 +791,19 @@ class FederatedTrainer:
                 active = [
                     d for d in selected if d.device_id not in pre_dropped
                 ]
-                if population is not None and pre_dropped and active:
+                active_population = selected_population
+                reassigned = False
+                if pre_dropped and active:
+                    # Algorithm 3's slack chain planned around the
+                    # dropped devices' uploads: recompute the schedule
+                    # over the survivors' population slice so successors
+                    # do not idle at stale frequencies.
                     keep = np.fromiter(
                         (d.device_id not in pre_dropped for d in selected),
                         dtype=bool,
                         count=len(selected),
                     )
                     active_population = population.take(positions[keep])
-                else:
-                    active_population = (
-                        selected_population if active else None
-                    )
-                reassigned = False
-                if pre_dropped and active:
-                    # Algorithm 3's slack chain planned around the
-                    # dropped devices' uploads: recompute the schedule
-                    # over the survivors so successors do not idle at
-                    # stale frequencies. The vector path replans off the
-                    # survivors' population slice.
                     with observer.timer("frequency_assignment"), observer.span(
                         "frequency_reassignment",
                         span_id=f"round-{round_index}/frequency_reassignment",

@@ -147,7 +147,7 @@ def _stage_population(
     frequencies: Dict[int, float],
     payloads: Dict[int, float],
 ) -> Tuple[List[int], List[float], List[float], List[float], List[float], List[float]]:
-    """Vectorized per-device staging quantities, in population order."""
+    """Per-device staging quantities as lists, in population order."""
     ids = population.device_ids.tolist()
     if frequencies:
         freqs = np.fromiter(
@@ -183,33 +183,6 @@ def _stage_population(
     )
 
 
-def _stage_objects(
-    devices: Sequence[UserDevice],
-    payload_bits: float,
-    bandwidth_hz: float,
-    frequencies: Dict[int, float],
-    payloads: Dict[int, float],
-) -> Tuple[List[int], List[float], List[float], List[float], List[float], List[float]]:
-    """Scalar per-device staging quantities (object-path oracle)."""
-    ids: List[int] = []
-    freqs: List[float] = []
-    compute_delay: List[float] = []
-    compute_energy: List[float] = []
-    upload_delay: List[float] = []
-    upload_energy: List[float] = []
-    for device in devices:  # repro: allow[REP006] scalar oracle for runs without a population snapshot
-        freq = frequencies.get(device.device_id, device.cpu.f_max)
-        freq = device.cpu.validate_frequency(freq)
-        payload = payloads.get(device.device_id, payload_bits)
-        ids.append(device.device_id)
-        freqs.append(freq)
-        compute_delay.append(device.compute_delay(freq))
-        compute_energy.append(device.compute_energy(freq))
-        upload_delay.append(device.upload_delay(payload, bandwidth_hz))
-        upload_energy.append(device.upload_energy(payload, bandwidth_hz))
-    return ids, freqs, compute_delay, compute_energy, upload_delay, upload_energy
-
-
 def simulate_tdma_round(
     devices: Sequence[UserDevice],
     payload_bits: float,
@@ -232,7 +205,9 @@ def simulate_tdma_round(
     computation finishes while the channel is busy waits (slack).
 
     Args:
-        devices: the selected user set ``Gamma_j``.
+        devices: the selected user set ``Gamma_j``. Snapshotted into
+            a :class:`~repro.devices.DevicePopulation` when
+            ``population`` is not given.
         payload_bits: model payload ``C_model`` in bits.
         bandwidth_hz: the MEC system's resource blocks ``Z`` in Hz.
         frequencies: mapping from device id to operating frequency;
@@ -241,11 +216,11 @@ def simulate_tdma_round(
         payloads: optional per-device payload override in bits (e.g.
             compressed updates); missing devices use ``payload_bits``.
         population: the selected set as a
-            :class:`~repro.devices.DevicePopulation` slice aligned with
-            ``devices``. When given, per-device staging (frequency
-            validation, Eq. 4/5/7/8) runs as array expressions instead
-            of object calls — bitwise identical, O(N) numpy instead of
-            O(N) Python — and ``devices`` is not touched.
+            :class:`~repro.devices.DevicePopulation` slice. When given
+            it is the single source of the round's users and
+            ``devices`` is not read — callers that hold no objects
+            (e.g. a ``from_spec`` fleet) pass an empty ``devices``;
+            a non-empty ``devices`` of another length is rejected.
         compute_scale: straggler multipliers ``>= 1`` per device id;
             the device's compute delay *and* energy stretch by the
             factor (the CPU stays busy at the operating frequency for
@@ -274,12 +249,23 @@ def simulate_tdma_round(
         bitwise identical to the unperturbed simulation.
 
     Raises:
-        NetworkError: for an empty selection or a non-positive
+        NetworkError: for an empty selection, a ``devices`` whose
+            length disagrees with ``population``, or a non-positive
             ``round_deadline``.
-        FrequencyRangeError: if an assigned frequency is out of range.
+        FrequencyRangeError: if an assigned frequency is out of range
+            or not finite.
     """
-    if population is None and not devices:
-        raise NetworkError("cannot simulate a round with no selected devices")
+    if population is None:
+        if not devices:
+            raise NetworkError(
+                "cannot simulate a round with no selected devices"
+            )
+        population = DevicePopulation.from_devices(devices)
+    elif devices and len(devices) != len(population):
+        raise NetworkError(
+            f"devices lists {len(devices)} users but population holds "
+            f"{len(population)}; population is the one simulated"
+        )
     if round_deadline is not None and round_deadline <= 0:
         raise NetworkError(
             f"round_deadline must be positive when set, got {round_deadline}"
@@ -293,18 +279,7 @@ def simulate_tdma_round(
 
     # Stage every device's base quantities — Eq. (4)/(5) at the
     # validated frequency and Eq. (7)/(8) at its payload — as parallel
-    # scalar lists. With a population snapshot the staging is one set
-    # of array expressions; without one, the object-path loop produces
-    # bitwise-identical values. The event loop below never touches a
-    # device object either way.
-    if population is not None:
-        staged_arrays = _stage_population(
-            population, payload_bits, bandwidth_hz, frequencies, payloads
-        )
-    else:
-        staged_arrays = _stage_objects(
-            devices, payload_bits, bandwidth_hz, frequencies, payloads
-        )
+    # scalar lists; the event loop below never touches a device object.
     (
         staged_ids,
         staged_freqs,
@@ -312,7 +287,9 @@ def simulate_tdma_round(
         staged_compute_energy,
         staged_upload_delay,
         staged_upload_energy,
-    ) = staged_arrays
+    ) = _stage_population(
+        population, payload_bits, bandwidth_hz, frequencies, payloads
+    )
     if compute_scale:
         for position, device_id in enumerate(staged_ids):
             slowdown = compute_scale.get(device_id)

@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.utility import (
-    decayed_utility,
-    utility_scores,
-    utility_scores_by_id,
-)
+from repro.core.utility import decayed_utility, utility_scores
 from repro.errors import ConfigurationError
 from tests.conftest import make_device, make_heterogeneous_devices
 
@@ -79,19 +75,6 @@ class TestUtilityScores:
         )
         without = utility_scores([device], {}, PAYLOAD, BANDWIDTH, 0.8)
         assert np.array_equal(with_counter, without)
-
-    def test_scores_by_id_shim_matches_and_warns(self):
-        devices = make_heterogeneous_devices(4)
-        counts = {0: 2, 2: 1}
-        scores = utility_scores(devices, counts, PAYLOAD, BANDWIDTH, 0.8)
-        with pytest.deprecated_call():
-            by_id = utility_scores_by_id(
-                devices, counts, PAYLOAD, BANDWIDTH, 0.8
-            )
-        assert by_id == {
-            d.device_id: scores[position]
-            for position, d in enumerate(devices)
-        }
 
     def test_faster_device_scores_higher(self):
         fast = make_device(device_id=0, f_max=2.0e9)

@@ -1,10 +1,11 @@
-"""Property-style parity suite: the vector scheduler paths are bitwise
-identical to the object paths.
+"""Property-style parity suite: the population scheduler is bitwise
+identical to the paper's per-device pseudocode.
 
-The DevicePopulation redesign's acceptance contract: on seeded random
-fleets, selection sets, frequency assignments, TDMA timelines, and
-per-round ledger energies must match the per-device object code to the
-last bit — plain and sharded, with and without a seeded fault plan, on
+``src/`` schedules over :class:`DevicePopulation` arrays only; the
+scalar reference lives in :mod:`tests.oracles.object_scheduler`. On
+seeded random fleets, selection sets, over-selection padding,
+frequency assignments and TDMA timelines must match it to the last
+bit — plain and sharded, with and without a seeded fault plan, on
 every execution backend.
 """
 
@@ -17,7 +18,7 @@ from repro.core.frequency import (
     determine_frequencies_population,
 )
 from repro.core.selection import GreedyDecaySelection
-from repro.core.utility import _object_utility_scores, utility_scores
+from repro.core.utility import utility_scores
 from repro.data.dataset import ArrayDataset
 from repro.devices.fleet import FleetSpec, make_fleet
 from repro.devices.population import DevicePopulation
@@ -29,10 +30,12 @@ from repro.faults import (
 )
 from repro.fl.execution import create_backend
 from repro.fl.server import FederatedServer
+from repro.fl.strategy import over_selection_extras_population
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.network.channel import RayleighFadingChannel
 from repro.network.tdma import simulate_tdma_round
 from repro.nn.architectures import build_mlp
+from tests.oracles import object_scheduler as oracle
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
@@ -65,7 +68,7 @@ class TestUtilityParity:
         counts = {
             d.device_id: int(rng.integers(0, 6)) for d in devices
         }
-        by_id = _object_utility_scores(
+        by_id = oracle.utility_scores(
             devices, counts, PAYLOAD, BANDWIDTH, 0.7
         )
         array = utility_scores(population, counts, PAYLOAD, BANDWIDTH, 0.7)
@@ -78,17 +81,38 @@ class TestSelectionParity:
     def test_rounds_of_selection_bitwise_equal(self, seed):
         devices = random_fleet(seed)
         population = DevicePopulation.from_devices(devices)
-        object_strategy = GreedyDecaySelection(0.2, 0.6, PAYLOAD, BANDWIDTH)
-        vector_strategy = GreedyDecaySelection(0.2, 0.6, PAYLOAD, BANDWIDTH)
+        strategy = GreedyDecaySelection(0.2, 0.6, PAYLOAD, BANDWIDTH)
+        counts = {}
         for round_index in range(1, 16):
             expected = [
                 d.device_id
-                for d in object_strategy.select(round_index, devices)
+                for d in oracle.greedy_decay_select(
+                    devices, counts, 0.2, PAYLOAD, BANDWIDTH, 0.6
+                )
             ]
-            positions = vector_strategy.select_population(
-                round_index, population
-            )
+            positions = strategy.select_population(round_index, population)
             assert population.device_ids[positions].tolist() == expected
+            assert strategy.appearance_counts == counts
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("margin", (0, 1, 5, 100))
+    def test_over_selection_padding_bitwise_equal(self, seed, margin):
+        devices = random_fleet(seed)
+        population = DevicePopulation.from_devices(devices)
+        positions = np.random.default_rng(seed).permutation(len(devices))[:8]
+        expected = oracle.over_selection_extras(
+            devices,
+            [devices[position] for position in positions.tolist()],
+            margin,
+            PAYLOAD,
+            BANDWIDTH,
+        )
+        extras = over_selection_extras_population(
+            population, positions, margin, PAYLOAD, BANDWIDTH
+        )
+        assert population.device_ids[extras].tolist() == [
+            d.device_id for d in expected
+        ]
 
     @pytest.mark.parametrize("shard_size", (1, 7, 16, 1000))
     def test_sharded_equals_plain(self, shard_size):
@@ -113,7 +137,7 @@ class TestFrequencyParity:
     def test_algorithm3_bitwise_equal(self, seed, clamp, quantize):
         devices = random_fleet(seed, ladders=quantize)
         population = DevicePopulation.from_devices(devices)
-        by_id = determine_frequencies(
+        by_id = oracle.determine_frequencies(
             devices, PAYLOAD, BANDWIDTH, clamp=clamp, quantize=quantize
         )
         array = determine_frequencies_population(
@@ -121,18 +145,26 @@ class TestFrequencyParity:
         )
         for position, device in enumerate(devices):
             assert array[position] == by_id[device.device_id]
+        adapter = determine_frequencies(
+            devices, PAYLOAD, BANDWIDTH, clamp=clamp, quantize=quantize
+        )
+        assert adapter == by_id
+        assert list(adapter) == list(by_id)
 
     def test_policy_dict_matches_object_path_exactly(self):
         devices = random_fleet(4, ladders=True)
         population = DevicePopulation.from_devices(devices)
         policy = HelcflDvfsPolicy(quantize=True)
-        via_objects = policy.assign(devices, PAYLOAD, BANDWIDTH)
-        via_population = policy.assign(
-            devices, PAYLOAD, BANDWIDTH, population=population
+        expected = oracle.determine_frequencies(
+            devices, PAYLOAD, BANDWIDTH, quantize=True
         )
-        assert via_population == via_objects
-        # Key order is part of the trace contract.
-        assert list(via_population) == list(via_objects)
+        for assigned in (
+            policy.assign(devices, PAYLOAD, BANDWIDTH),
+            policy.assign(devices, PAYLOAD, BANDWIDTH, population=population),
+        ):
+            assert assigned == expected
+            # Key order is part of the trace contract.
+            assert list(assigned) == list(expected)
 
 
 class TestTdmaParity:
@@ -141,13 +173,13 @@ class TestTdmaParity:
         devices = random_fleet(seed, count=20)
         population = DevicePopulation.from_devices(devices)
         frequencies = determine_frequencies(devices, PAYLOAD, BANDWIDTH)
-        plain = simulate_tdma_round(
+        plain = oracle.simulate_tdma_round(
             devices, PAYLOAD, BANDWIDTH, frequencies
         )
-        vector = simulate_tdma_round(
-            devices, PAYLOAD, BANDWIDTH, frequencies, population=population
-        )
-        assert vector == plain
+        for snapshot in (None, population):
+            assert plain == simulate_tdma_round(
+                devices, PAYLOAD, BANDWIDTH, frequencies, population=snapshot
+            )
 
     def test_timeline_with_faults_bitwise_equal(self):
         devices = random_fleet(5, count=16)
@@ -161,7 +193,7 @@ class TestTdmaParity:
             upload_scale={ids[3]: 0.5},
             round_deadline=30.0,
         )
-        plain = simulate_tdma_round(
+        plain = oracle.simulate_tdma_round(
             devices, PAYLOAD, BANDWIDTH, frequencies, **kwargs
         )
         vector = simulate_tdma_round(
@@ -175,8 +207,80 @@ class TestTdmaParity:
         assert vector == plain
 
 
-def run_training(seed, vectorized, backend=None, faults=None):
-    """One short seeded run; returns (history, trainer)."""
+FRACTION = 0.4
+DECAY = 0.7
+MARGIN = 1
+ROUNDS = 4
+
+
+class ShadowOracle:
+    """Re-derives each round of a live run from the scalar oracle.
+
+    Wraps the three scheduler calls ``FederatedTrainer.run`` makes —
+    ``selection.select_population``, ``frequency_policy.assign`` and
+    ``simulate_tdma_round`` — and asserts each result ``==`` the
+    oracle's, evaluated on ``trainer.devices``' live state (so per-round
+    fading must have reached the population snapshot too).
+    """
+
+    def __init__(self, trainer, monkeypatch):
+        self.trainer = trainer
+        self.counts = {}
+        self.expected_selected = None
+        self.selections = self.assignments = self.timelines = 0
+        self._select = trainer.selection.select_population
+        self._assign = trainer.frequency_policy.assign
+        monkeypatch.setattr(
+            trainer.selection, "select_population", self.select_population
+        )
+        monkeypatch.setattr(trainer.frequency_policy, "assign", self.assign)
+        monkeypatch.setattr(
+            "repro.fl.trainer.simulate_tdma_round", self.simulate_tdma_round
+        )
+
+    def select_population(self, round_index, population):
+        positions = self._select(round_index, population)
+        devices = self.trainer.devices
+        chosen = oracle.greedy_decay_select(
+            devices, self.counts, FRACTION, PAYLOAD, BANDWIDTH, DECAY
+        )
+        assert population.device_ids[positions].tolist() == [
+            d.device_id for d in chosen
+        ]
+        self.expected_selected = chosen + oracle.over_selection_extras(
+            devices, chosen, MARGIN, PAYLOAD, BANDWIDTH
+        )
+        self.selections += 1
+        return positions
+
+    def assign(self, selected, payload_bits, bandwidth_hz, **kwargs):
+        if self.expected_selected is not None:
+            # First assignment of the round: selection plus padding.
+            assert list(selected) == self.expected_selected
+            self.expected_selected = None
+        assigned = self._assign(selected, payload_bits, bandwidth_hz, **kwargs)
+        expected = oracle.determine_frequencies(
+            selected, payload_bits, bandwidth_hz
+        )
+        assert assigned == expected
+        assert list(assigned) == list(expected)
+        assert kwargs["population"].device_ids.tolist() == [
+            d.device_id for d in selected
+        ]
+        self.assignments += 1
+        return assigned
+
+    def simulate_tdma_round(self, devices, *args, population, **kwargs):
+        timeline = simulate_tdma_round(
+            devices, *args, population=population, **kwargs
+        )
+        assert timeline == oracle.simulate_tdma_round(devices, *args, **kwargs)
+        self.timelines += 1
+        return timeline
+
+
+def run_shadowed(seed, monkeypatch, backend=None, faults=None):
+    """One short seeded run under a :class:`ShadowOracle`."""
     devices = random_fleet(seed, count=12)
     rng = np.random.default_rng(seed + 77)
     test = ArrayDataset(
@@ -187,13 +291,13 @@ def run_training(seed, vectorized, backend=None, faults=None):
     trainer = FederatedTrainer(
         server=server,
         devices=devices,
-        selection=GreedyDecaySelection(0.4, 0.7, PAYLOAD, BANDWIDTH),
+        selection=GreedyDecaySelection(FRACTION, DECAY, PAYLOAD, BANDWIDTH),
         frequency_policy=HelcflDvfsPolicy(),
         config=TrainerConfig(
-            rounds=4,
+            rounds=ROUNDS,
             bandwidth_hz=BANDWIDTH,
             learning_rate=0.2,
-            over_select_margin=1,
+            over_select_margin=MARGIN,
             round_deadline_s=80.0,
         ),
         channel_models={
@@ -204,10 +308,11 @@ def run_training(seed, vectorized, backend=None, faults=None):
         },
         backend=backend,
         faults=faults,
-        vectorized=vectorized,
     )
+    shadow = ShadowOracle(trainer, monkeypatch)
     history = trainer.run()
-    return history, trainer
+    assert len(history) == shadow.selections == ROUNDS
+    return shadow
 
 
 def lossy_plan():
@@ -227,29 +332,19 @@ def lossy_plan():
 
 class TestTrainerParity:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_histories_and_ledgers_bitwise_equal(self, seed):
-        vector_history, vector_trainer = run_training(seed, vectorized=True)
-        object_history, object_trainer = run_training(seed, vectorized=False)
-        assert vector_history.to_json() == object_history.to_json()
-        assert (
-            vector_trainer.ledger.total_joules
-            == object_trainer.ledger.total_joules
-        )
+    def test_histories_and_ledgers_bitwise_equal(self, seed, monkeypatch):
+        shadow = run_shadowed(seed, monkeypatch)
+        assert shadow.assignments == shadow.timelines == ROUNDS
 
-    def test_parity_holds_under_seeded_faults(self):
-        plan = lossy_plan()
-        vector_history, _ = run_training(9, vectorized=True, faults=plan)
-        object_history, _ = run_training(9, vectorized=False, faults=plan)
-        assert vector_history.to_json() == object_history.to_json()
+    def test_parity_holds_under_seeded_faults(self, monkeypatch):
+        shadow = run_shadowed(9, monkeypatch, faults=lossy_plan())
+        # Pre-compute dropouts forced at least one Algorithm 3 replan.
+        assert shadow.assignments > ROUNDS
 
     @pytest.mark.parametrize("backend_name", ("serial", "thread", "process"))
-    def test_parity_on_every_backend(self, backend_name):
+    def test_parity_on_every_backend(self, backend_name, monkeypatch):
         with create_backend(backend_name, workers=2) as backend:
-            vector_history, _ = run_training(
-                2, vectorized=True, backend=backend, faults=lossy_plan()
+            shadow = run_shadowed(
+                2, monkeypatch, backend=backend, faults=lossy_plan()
             )
-        with create_backend(backend_name, workers=2) as backend:
-            object_history, _ = run_training(
-                2, vectorized=False, backend=backend, faults=lossy_plan()
-            )
-        assert vector_history.to_json() == object_history.to_json()
+        assert shadow.timelines > 0

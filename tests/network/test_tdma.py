@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NetworkError
+from repro.devices.population import DevicePopulation
+from repro.errors import FrequencyRangeError, NetworkError
 from repro.network.tdma import simulate_tdma_round
 from tests.conftest import make_device, make_heterogeneous_devices
 
@@ -107,16 +108,47 @@ class TestMultiUser:
 
     def test_out_of_range_frequency_raises(self):
         devices = make_heterogeneous_devices(2)
-        from repro.errors import FrequencyRangeError
-
         with pytest.raises(FrequencyRangeError):
             simulate_tdma_round(
                 devices, PAYLOAD, BANDWIDTH, {devices[0].device_id: 1e12}
             )
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"), float("-inf")))
+    def test_non_finite_frequency_raises(self, bad):
+        """NaN fails ``<`` and ``>`` alike, so the range test must be
+        written as "not inside" — on the scalar method, its array twin
+        and the TDMA entry point (where it used to poison the ledger)."""
+        devices = make_heterogeneous_devices(2)
+        population = DevicePopulation.from_devices(devices)
+        with pytest.raises(FrequencyRangeError):
+            devices[1].cpu.validate_frequency(bad)
+        with pytest.raises(FrequencyRangeError):
+            population.validate_frequencies([devices[0].cpu.f_max, bad])
+        for snapshot in (None, population):
+            with pytest.raises(FrequencyRangeError):
+                simulate_tdma_round(
+                    devices,
+                    PAYLOAD,
+                    BANDWIDTH,
+                    {devices[1].device_id: bad},
+                    population=snapshot,
+                )
+
     def test_empty_selection_raises(self):
         with pytest.raises(NetworkError):
             simulate_tdma_round([], PAYLOAD, BANDWIDTH)
+
+    def test_population_is_the_single_source_of_users(self):
+        devices = make_heterogeneous_devices(5)
+        population = DevicePopulation.from_devices(devices)
+        with pytest.raises(NetworkError, match="2 users .* holds 5"):
+            simulate_tdma_round(
+                devices[:2], PAYLOAD, BANDWIDTH, population=population
+            )
+        # Callers that hold no device objects pass none.
+        assert simulate_tdma_round(
+            (), PAYLOAD, BANDWIDTH, population=population
+        ) == simulate_tdma_round(devices, PAYLOAD, BANDWIDTH)
 
 
 class TestTimelineProperties:
