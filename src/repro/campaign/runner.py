@@ -28,7 +28,7 @@ from repro.campaign.spec import RunSpec
 from repro.errors import SerializationError
 from repro.experiments.runner import build_environment, build_trainer
 from repro.fl.checkpoint import TrainerCheckpoint, load_checkpoint
-from repro.fl.execution import ExecutionBackend, create_backend
+from repro.fl.execution import open_backend
 from repro.obs import JsonlTraceSink, RunObserver, configure_logging
 
 __all__ = ["execute_run"]
@@ -138,33 +138,27 @@ def execute_run(
     else:
         handle = open(trace_path, "w", encoding="utf-8")
 
-    backend: Optional[ExecutionBackend] = None
     observer = RunObserver(
         sink=JsonlTraceSink(handle),
         spans_enabled=spans,
         parent_span_id=parent_span_id,
     )
     try:
-        if run.backend != "serial":
-            backend = create_backend(
-                run.backend, workers=run.workers, log_level=log_level
+        with open_backend(run.backend, run.workers, log_level) as backend:
+            trainer = build_trainer(
+                run.strategy,
+                settings,
+                environment,
+                config_overrides=config_overrides,
+                backend=backend,
+                observer=observer,
+                faults=run.build_fault_plan(),
+                checkpoint_path=checkpoint_path,
             )
-        trainer = build_trainer(
-            run.strategy,
-            settings,
-            environment,
-            config_overrides=config_overrides,
-            backend=backend,
-            observer=observer,
-            faults=run.build_fault_plan(),
-            checkpoint_path=checkpoint_path,
-        )
-        history = trainer.run(resume_from=checkpoint)
+            history = trainer.run(resume_from=checkpoint)
     finally:
         observer.close()
         handle.close()
-        if backend is not None:
-            backend.close()
 
     from repro.obs.analysis import compute_run_stats, load_trace, split_runs
 

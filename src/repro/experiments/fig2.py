@@ -14,6 +14,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError
 from repro.experiments.runner import build_environment, run_strategy
 from repro.experiments.settings import ExperimentSettings
+from repro.fl.execution import open_backend
 from repro.fl.history import TrainingHistory
 
 __all__ = ["Fig2Result", "run_fig2", "DEFAULT_FIG2_STRATEGIES"]
@@ -106,27 +107,19 @@ def run_fig2(
     Returns:
         The panel's :class:`Fig2Result`.
     """
-    from repro.fl.execution import create_backend
-
     settings = settings or ExperimentSettings()
     environment = build_environment(settings, iid=iid)
-    owned_backend = None
-    if isinstance(backend, str):
-        backend = owned_backend = create_backend(backend, workers=workers)
     histories: Dict[str, TrainingHistory] = {}
-    try:
+    with open_backend(backend, workers=workers) as shared:
         for name in strategies:
             histories[name] = run_strategy(
                 name,
                 settings,
                 iid=iid,
                 environment=environment,
-                backend=backend,
+                backend=shared,
                 observer=observer,
                 faults=faults if name != "sl" else None,
                 config_overrides=config_overrides,
             )
-    finally:
-        if owned_backend is not None:
-            owned_backend.close()
     return Fig2Result(iid=iid, histories=histories)

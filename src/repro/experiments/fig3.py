@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.experiments.runner import build_environment, run_strategy
 from repro.experiments.settings import ExperimentSettings
+from repro.fl.execution import open_backend
 from repro.fl.history import TrainingHistory
 
 __all__ = ["Fig3Entry", "Fig3Result", "run_fig3"]
@@ -110,40 +111,23 @@ def run_fig3(
     Returns:
         The panel's :class:`Fig3Result`.
     """
-    from repro.fl.execution import create_backend
-
     settings = settings or ExperimentSettings()
     if histories is None:
         environment = build_environment(settings, iid=iid)
-        owned_backend = None
-        if isinstance(backend, str):
-            backend = owned_backend = create_backend(backend, workers=workers)
-        try:
+        with open_backend(backend, workers=workers) as shared:
             histories = {
-                "helcfl": run_strategy(
-                    "helcfl",
+                name: run_strategy(
+                    name,
                     settings,
                     iid=iid,
                     environment=environment,
-                    backend=backend,
+                    backend=shared,
                     observer=observer,
                     faults=faults,
                     config_overrides=config_overrides,
-                ),
-                "helcfl-nodvfs": run_strategy(
-                    "helcfl-nodvfs",
-                    settings,
-                    iid=iid,
-                    environment=environment,
-                    backend=backend,
-                    observer=observer,
-                    faults=faults,
-                    config_overrides=config_overrides,
-                ),
+                )
+                for name in ("helcfl", "helcfl-nodvfs")
             }
-        finally:
-            if owned_backend is not None:
-                owned_backend.close()
     for key in ("helcfl", "helcfl-nodvfs"):
         if key not in histories:
             raise ConfigurationError(f"fig 3 needs a {key!r} history")

@@ -84,57 +84,30 @@ class MultiSeedResult:
         return [h.time_to_accuracy(target) for h in self.histories[strategy]]
 
 
-def _run_multiseed_campaign(
-    strategies: Sequence[str],
+def _fill_from_campaign(
+    result: MultiSeedResult,
     settings: ExperimentSettings,
-    iid: bool,
-    seeds: Tuple[int, ...],
     campaign_dir: str,
     resume: bool,
     pool_workers: Optional[int],
-) -> MultiSeedResult:
-    """Execute the multi-seed matrix through the campaign pool."""
-    import json
-    import os
-
-    from repro.campaign import (
-        CampaignManifest,
-        CampaignPool,
-        CampaignSpec,
-        settings_to_overrides,
-        write_aggregate,
-    )
-    from repro.campaign.runner import HISTORY_FILE
+) -> None:
+    """Execute ``result``'s seed x strategy matrix through the campaign pool."""
+    from repro.campaign.pool import run_campaign_histories
+    from repro.campaign.spec import CampaignSpec, settings_to_overrides
 
     spec = CampaignSpec(
         name="multiseed",
         profile="default",
-        iid=iid,
-        seeds=seeds,
-        strategies=tuple(strategies),
+        iid=result.iid,
+        seeds=result.seeds,
+        strategies=tuple(result.histories),
         overrides=({"settings": settings_to_overrides(settings)},),
     )
-    manifest = CampaignManifest.create(campaign_dir, spec)
-    pool = CampaignPool(manifest, pool_workers=pool_workers)
-    statuses = pool.run(resume=resume)
-    unfinished = [r for r, s in statuses.items() if s != "done"]
-    if unfinished:
-        raise ConfigurationError(
-            f"multi-seed campaign left {len(unfinished)} run(s) "
-            f"unfinished: {', '.join(sorted(unfinished))}"
-        )
-    write_aggregate(manifest)
-    result = MultiSeedResult(iid=iid, seeds=seeds)
-    for strategy in strategies:
-        result.histories[strategy] = []
-    for seed in seeds:
-        for strategy in strategies:
-            run_id = f"s{seed}-{strategy}-c0-f0"
-            path = os.path.join(manifest.run_dir(run_id), HISTORY_FILE)
-            with open(path, "r", encoding="utf-8") as handle:
-                history = TrainingHistory.from_dict(json.load(handle))
-            result.histories[strategy].append(history)
-    return result
+    # Runs expand seeds-outermost, so each list fills in seed order.
+    for run, history in run_campaign_histories(
+        spec, campaign_dir, resume, pool_workers
+    ):
+        result.histories[run.strategy].append(history)
 
 
 def run_multiseed(
@@ -174,19 +147,16 @@ def run_multiseed(
     if not seeds:
         raise ConfigurationError("need at least one seed")
     settings = settings or ExperimentSettings()
+    result = MultiSeedResult(
+        iid=iid,
+        seeds=tuple(int(s) for s in seeds),
+        histories={strategy: [] for strategy in strategies},
+    )
     if campaign_dir is not None:
-        return _run_multiseed_campaign(
-            strategies,
-            settings,
-            iid,
-            tuple(int(s) for s in seeds),
-            campaign_dir,
-            resume,
-            pool_workers,
+        _fill_from_campaign(
+            result, settings, campaign_dir, resume, pool_workers
         )
-    result = MultiSeedResult(iid=iid, seeds=tuple(int(s) for s in seeds))
-    for strategy in strategies:
-        result.histories[strategy] = []
+        return result
     for seed in result.seeds:
         seeded = replace(settings, seed=seed)
         environment = build_environment(seeded, iid=iid)

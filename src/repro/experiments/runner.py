@@ -24,7 +24,7 @@ from repro.devices.device import UserDevice
 from repro.devices.fleet import make_fleet
 from repro.errors import ConfigurationError
 from repro.experiments.settings import ExperimentSettings
-from repro.fl.execution import ExecutionBackend, create_backend
+from repro.fl.execution import ExecutionBackend, open_backend
 from repro.fl.history import TrainingHistory
 from repro.fl.server import FederatedServer
 from repro.fl.trainer import FederatedTrainer
@@ -244,23 +244,16 @@ def run_strategy(
         )
         return runner.run()
 
-    owned_backend = None
-    if isinstance(backend, str):
-        backend = owned_backend = create_backend(backend, workers=workers)
-    trainer = build_trainer(
-        key,
-        settings,
-        env,
-        config_overrides=config_overrides,
-        backend=backend,
-        observer=observer,
-        faults=faults,
-    )
-    try:
-        return trainer.run()
-    finally:
-        if owned_backend is not None:
-            owned_backend.close()
+    with open_backend(backend, workers=workers) as ready:
+        return build_trainer(
+            key,
+            settings,
+            env,
+            config_overrides=config_overrides,
+            backend=ready,
+            observer=observer,
+            faults=faults,
+        ).run()
 
 
 def run_traced(

@@ -72,7 +72,28 @@ class SweepResult:
         return max(self.points, key=lambda p: getattr(p.history, metric))
 
 
-def _run_sweep_campaign(
+# The settings fields known *not* to reach ``build_environment`` (data,
+# partition, fleet, model inputs). Sweeping any other field rebuilds
+# the environment per point, so a field added to ExperimentSettings
+# later is handled correctly before anyone remembers this list.
+_ENVIRONMENT_FREE_FIELDS = frozenset(
+    {
+        "fraction",
+        "decay",
+        "rounds",
+        "bandwidth_hz",
+        "payload_bits",
+        "learning_rate",
+        "local_steps",
+        "eval_every",
+        "fedcs_target_count",
+        "fedcs_candidate_fraction",
+        "fedl_kappa",
+    }
+)
+
+
+def _campaign_histories(
     grid_points: List[Dict[str, object]],
     strategy: str,
     base: ExperimentSettings,
@@ -80,19 +101,10 @@ def _run_sweep_campaign(
     campaign_dir: str,
     resume: bool,
     pool_workers: Optional[int],
-) -> SweepResult:
+) -> List[TrainingHistory]:
     """Execute the grid through the campaign pool, one run per point."""
-    import json
-    import os
-
-    from repro.campaign import (
-        CampaignManifest,
-        CampaignPool,
-        CampaignSpec,
-        settings_to_overrides,
-        write_aggregate,
-    )
-    from repro.campaign.runner import HISTORY_FILE
+    from repro.campaign.pool import run_campaign_histories
+    from repro.campaign.spec import CampaignSpec, settings_to_overrides
 
     base_diff = settings_to_overrides(base)
     variants = []
@@ -109,29 +121,13 @@ def _run_sweep_campaign(
         strategies=(strategy,),
         overrides=tuple(variants),
     )
-    manifest = CampaignManifest.create(campaign_dir, spec)
-    pool = CampaignPool(manifest, pool_workers=pool_workers)
-    statuses = pool.run(resume=resume)
-    unfinished = [r for r, s in statuses.items() if s != "done"]
-    if unfinished:
-        raise ConfigurationError(
-            f"sweep campaign left {len(unfinished)} run(s) unfinished: "
-            f"{', '.join(sorted(unfinished))}"
+    # One seed, one strategy: the runs expand in grid order.
+    return [
+        history
+        for _, history in run_campaign_histories(
+            spec, campaign_dir, resume, pool_workers
         )
-    write_aggregate(manifest)
-    points: List[SweepPoint] = []
-    for index, overrides in enumerate(grid_points):
-        run_id = f"s{base.seed}-{strategy}-c{index}-f0"
-        path = os.path.join(manifest.run_dir(run_id), HISTORY_FILE)
-        with open(path, "r", encoding="utf-8") as handle:
-            history = TrainingHistory.from_dict(json.load(handle))
-        points.append(
-            SweepPoint(
-                overrides=tuple(sorted(overrides.items())),
-                history=history,
-            )
-        )
-    return SweepResult(strategy=strategy, iid=iid, points=points)
+    ]
 
 
 def run_sweep(
@@ -152,9 +148,9 @@ def run_sweep(
         strategy: the scheme to run at every point.
         base: base settings (quick profile recommended).
         iid: partition regime.
-        reuse_environment: when True and no swept field affects the
-            environment (data, partition, fleet), build it once. Fields
-            affecting the environment force a rebuild per point.
+        reuse_environment: when True and every swept field is known
+            not to affect the environment (data, partition, fleet),
+            build it once. Any other field forces a rebuild per point.
         campaign_dir: when set, execute through the crash-recoverable
             campaign orchestrator in this directory — one checkpointed
             worker-process run per grid point, with ``resume`` support
@@ -181,20 +177,18 @@ def run_sweep(
                 f"unknown settings field {name!r}; valid fields: "
                 f"{sorted(valid_fields)}"
             )
+    if campaign_dir is not None and "seed" in grid:
+        raise ConfigurationError(
+            "a campaign-routed sweep cannot sweep 'seed' (seeds are "
+            "a campaign matrix axis); use run_multiseed instead"
+        )
+    names = list(grid)
+    grid_points = [
+        dict(zip(names, combination))
+        for combination in itertools.product(*(list(grid[n]) for n in names))
+    ]
     if campaign_dir is not None:
-        if "seed" in grid:
-            raise ConfigurationError(
-                "a campaign-routed sweep cannot sweep 'seed' (seeds are "
-                "a campaign matrix axis); use run_multiseed instead"
-            )
-        names = list(grid)
-        grid_points = [
-            dict(zip(names, combination))
-            for combination in itertools.product(
-                *(list(grid[n]) for n in names)
-            )
-        ]
-        return _run_sweep_campaign(
+        histories = _campaign_histories(
             grid_points,
             strategy,
             base,
@@ -203,51 +197,23 @@ def run_sweep(
             resume,
             pool_workers,
         )
-
-    # Fields that change the generated environment.
-    environment_fields = {
-        "num_users",
-        "train_size",
-        "test_size",
-        "num_classes",
-        "image_shape",
-        "class_separation",
-        "within_class_std",
-        "noise_std",
-        "shards_per_user",
-        "seed",
-        "f_min_hz",
-        "f_max_low_hz",
-        "f_max_high_hz",
-        "cycles_per_sample",
-        "switched_capacitance",
-        "transmit_power_w",
-        "channel_gain",
-        "noise_power_w",
-        "model",
-    }
-    environment_static = reuse_environment and not (
-        set(grid) & environment_fields
-    )
-    shared_environment = (
-        build_environment(base, iid=iid) if environment_static else None
-    )
-
-    names = list(grid)
-    points: List[SweepPoint] = []
-    for combination in itertools.product(*(list(grid[n]) for n in names)):
-        overrides = dict(zip(names, combination))
-        settings = replace(base, **overrides)
-        environment = shared_environment
-        if environment is None:
-            environment = build_environment(settings, iid=iid)
-        history = run_strategy(
-            strategy, settings, iid=iid, environment=environment
-        )
-        points.append(
-            SweepPoint(
-                overrides=tuple(sorted(overrides.items())),
-                history=history,
+    else:
+        shared_environment = None
+        if reuse_environment and set(grid) <= _ENVIRONMENT_FREE_FIELDS:
+            shared_environment = build_environment(base, iid=iid)
+        histories = []
+        for overrides in grid_points:
+            settings = replace(base, **overrides)
+            environment = shared_environment or build_environment(
+                settings, iid=iid
             )
-        )
+            histories.append(
+                run_strategy(
+                    strategy, settings, iid=iid, environment=environment
+                )
+            )
+    points = [
+        SweepPoint(overrides=tuple(sorted(overrides.items())), history=history)
+        for overrides, history in zip(grid_points, histories)
+    ]
     return SweepResult(strategy=strategy, iid=iid, points=points)

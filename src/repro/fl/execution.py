@@ -36,8 +36,9 @@ energy ledger, and history recording.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from repro.obs.spans import (
     begin_task_sample,
     emit_task_span,
     end_task_sample,
+    round_span_id,
 )
 from repro.rng import derive_seed
 
@@ -66,6 +68,7 @@ __all__ = [
     "ProcessPoolBackend",
     "BACKEND_NAMES",
     "create_backend",
+    "open_backend",
 ]
 
 
@@ -402,7 +405,7 @@ class ExecutionBackend:
             observer.metrics.inc("clients_trained", float(len(updates)))
             if self._task_samples:
                 context = TaskSpanContext(
-                    parent_id=f"round-{round_index}/local_updates",
+                    parent_id=round_span_id(round_index, "local_updates"),
                     round_index=round_index,
                 )
                 for device_id, sample in self._task_samples:
@@ -460,23 +463,10 @@ class SerialBackend(ExecutionBackend):
         self._scratch = model_template.clone()
 
     def _run(self, round_index, global_params, selected, learning_rate):
-        if not self._sample_tasks:
-            return [
-                _train_one(
-                    self._scratch,
-                    self._spec,
-                    round_index,
-                    learning_rate,
-                    global_params,
-                    device.device_id,
-                    device.dataset,
-                    float(device.num_samples),
-                )
-                for device in selected
-            ]
+        sampling = self._sample_tasks
         updates = []
         for device in selected:
-            token = begin_task_sample()
+            token = begin_task_sample() if sampling else None
             updates.append(
                 _train_one(
                     self._scratch,
@@ -489,9 +479,10 @@ class SerialBackend(ExecutionBackend):
                     float(device.num_samples),
                 )
             )
-            self._task_samples.append(
-                (device.device_id, end_task_sample(token))
-            )
+            if token is not None:
+                self._task_samples.append(
+                    (device.device_id, end_task_sample(token))
+                )
         return updates
 
 
@@ -747,3 +738,22 @@ def create_backend(
             workers=workers, log_level=log_level
         )
     return ProcessPoolBackend(workers=workers, log_level=log_level)
+
+
+@contextmanager
+def open_backend(
+    backend: Union[ExecutionBackend, str, None],
+    workers: Optional[int] = None,
+    log_level=None,
+) -> Iterator[Optional[ExecutionBackend]]:
+    """Yield ``backend`` for the block, closing it only if made here.
+
+    A name is passed to :func:`create_backend` and the new backend is
+    closed on exit; an instance (or ``None``, which trainers read as
+    serial) passes through untouched — its owner closes it.
+    """
+    if isinstance(backend, str):
+        with create_backend(backend, workers, log_level) as owned:
+            yield owned
+    else:
+        yield backend

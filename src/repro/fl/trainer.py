@@ -9,13 +9,19 @@ and the server FedAvg-integrates the results (Eq. 18). The loop
 honours the total-training deadline (constraint 14) and optional
 convergence exits, and records everything into a
 :class:`~repro.fl.history.TrainingHistory`.
+
+Inside :meth:`FederatedTrainer.run` a round is a fixed sequence of
+private stage methods, each reading and writing one ``RoundState``
+that points at the run's ``RunState`` (what survives from round to
+round). A stage that owns a span opens it, and its timer, through
+``FederatedTrainer._stage``.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +29,7 @@ from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, TrainingError
 from repro.faults import FaultInjector, FaultPlan, RoundFaults
+from repro.fl.checkpoint import TrainerCheckpoint, save_checkpoint
 from repro.fl.client import LocalTrainer
 from repro.fl.execution import (
     STATUS_DROPPED,
@@ -43,7 +50,6 @@ from repro.fl.strategy import (
 )
 from repro.network.tdma import RoundTimeline, simulate_tdma_round
 from repro.obs import (
-    NOOP_SPAN,
     AggregationEvent,
     BatteryDropEvent,
     ClientDroppedEvent,
@@ -58,6 +64,7 @@ from repro.obs import (
     StopReason,
     TimelineEvent,
 )
+from repro.obs.spans import round_span_id
 
 __all__ = ["TrainerConfig", "FederatedTrainer"]
 
@@ -216,6 +223,83 @@ class TrainerConfig:
         )
 
 
+@dataclass
+class RunState:
+    """What one ``run()`` call carries from round to round (private).
+
+    ``history``, ``plateau``, ``round_index`` and the two totals are
+    what a checkpoint freezes; the rest is fixed when the run starts.
+    """
+
+    history: TrainingHistory
+    plateau: object  # the PlateauDetector, when one is configured
+    injector: FaultInjector  # over an empty plan when the trainer has none
+    device_index: Dict[int, UserDevice]
+    position_by_id: Dict[int, int]  # device id -> population position
+    round_index: int = 0  # the round in flight, or the last finished
+    cumulative_time: float = 0.0
+    cumulative_energy: float = 0.0
+    stop_reason: StopReason = StopReason.ROUNDS_EXHAUSTED
+
+
+@dataclass
+class RoundState:
+    """One round's values, filled in stage by stage (private).
+
+    Each group of fields is written by the stage named above it and
+    read by the later ones.
+    """
+
+    run: RunState
+    round_index: int
+    # select: Gamma_j plus any over-selected extras, their population
+    # positions and ids; target_count is the strategy's own N. The
+    # active devices are the ones that start computing — all of them
+    # until inject faults drops some — and active_population their slice.
+    selected: Sequence[UserDevice] = ()
+    positions: Optional[np.ndarray] = None
+    selected_ids: Tuple[int, ...] = ()
+    target_count: int = 0
+    active: Sequence[UserDevice] = ()
+    active_population: Optional[DevicePopulation] = None
+    # assign frequencies; replaced when inject faults re-assigns.
+    frequencies: Optional[Dict[int, float]] = None
+    # inject faults: the round's resolved faults, empty when none fire.
+    faults: Optional[RoundFaults] = None
+    reassigned: bool = False
+    # execute: the updates and the TDMA schedule; settle rewrites
+    # result with final statuses and picks what the server integrates.
+    result: Optional[RoundResult] = None
+    timeline: Optional[RoundTimeline] = None
+    integrated: Optional[RoundResult] = None
+    dropped_ids: Tuple[int, ...] = ()
+    timeout_ids: Tuple[int, ...] = ()
+    # record timeline: the delay/energy totals, under the names the
+    # timeline event and the history record share.
+    totals: Optional[Dict[str, float]] = None
+    # evaluate: the test pair stays None in a round without evaluation.
+    train_loss: float = 0.0
+    test_loss: Optional[float] = None
+    test_accuracy: Optional[float] = None
+
+
+class _TimedSpan:
+    """An open span and the timer its ``with`` block runs under."""
+
+    __slots__ = ("_timer", "_span")
+
+    def __init__(self, timer, span) -> None:
+        self._timer = timer
+        self._span = span
+
+    def __enter__(self) -> None:
+        self._timer.__enter__()
+
+    def __exit__(self, *exc_info) -> None:
+        self._span.end()
+        self._timer.__exit__(*exc_info)
+
+
 class FederatedTrainer:
     """Runs Algorithm 1 for a given selection strategy and policy.
 
@@ -323,9 +407,7 @@ class FederatedTrainer:
         self.backend = backend or SerialBackend()
         self.observer = observer or RunObserver()
         self.population: Optional[DevicePopulation] = None
-        from repro.energy.accounting import EnergyLedger
-
-        self.ledger = EnergyLedger(metrics=self.observer.metrics)
+        self.ledger = self._new_ledger()
         # Kept for introspection (e.g. the LR schedule is observable as
         # ``trainer.local_trainer.learning_rate``); the actual per-round
         # training happens inside the execution backend.
@@ -340,6 +422,12 @@ class FederatedTrainer:
         self.last_checkpoint = None
 
     # ------------------------------------------------------------------
+    def _new_ledger(self):
+        # Function-local: repro.energy's package init imports repro.fl.
+        from repro.energy.accounting import EnergyLedger
+
+        return EnergyLedger(metrics=self.observer.metrics)
+
     def _run_clients(
         self, round_index: int, selected: Sequence[UserDevice]
     ) -> RoundResult:
@@ -400,67 +488,64 @@ class FederatedTrainer:
         statuses = {device_id: STATUS_DROPPED for device_id in dropped}
         return result.with_statuses(statuses), tuple(dropped)
 
-    def _emit_client_drops(
-        self,
-        round_index: int,
-        fault_round: Optional[RoundFaults],
-        timeline: RoundTimeline,
-        battery_dropped: Tuple[int, ...],
-        dropped_ids: Tuple[int, ...],
-        timeout_ids: Tuple[int, ...],
+    def _emit_degradation(
+        self, state: RoundState, battery_dropped: Tuple[int, ...]
     ) -> None:
-        """Emit one :class:`ClientDroppedEvent` per lost client."""
+        """Emit one :class:`ClientDroppedEvent` per lost client, then
+        the round's :class:`RoundDegradedEvent` if it fell short."""
+        faults = state.faults
         causes = {}
-        if fault_round is not None:
-            for device_id in fault_round.drop_before:
-                causes[device_id] = ("dropout", "before_compute")
-            for device_id in fault_round.drop_during:
-                causes[device_id] = ("dropout", "compute")
-            for device_id in fault_round.upload_outage:
-                causes[device_id] = ("channel_outage", "upload")
+        for device_id in faults.drop_before:
+            causes[device_id] = ("dropout", "before_compute")
+        for device_id in faults.drop_during:
+            causes[device_id] = ("dropout", "compute")
+        for device_id in faults.upload_outage:
+            causes[device_id] = ("channel_outage", "upload")
         for device_id in battery_dropped:
             causes.setdefault(device_id, ("battery", "round"))
-        if fault_round is not None:
-            for device_id in fault_round.battery_death:
-                causes.setdefault(device_id, ("battery_death", "round"))
-        per_device = timeline.by_device()
-        for device_id in dropped_ids:
-            cause, phase = causes.get(device_id, ("dropout", "round"))
+        for device_id in faults.battery_death:
+            causes.setdefault(device_id, ("battery_death", "round"))
+        lost = [
+            (device_id, *causes.get(device_id, ("dropout", "round")))
+            for device_id in state.dropped_ids
+        ]
+        per_device = state.timeline.by_device()
+        for device_id in state.timeout_ids:
+            entry = per_device.get(device_id)
+            uploading = entry is not None and (
+                entry.slack > 0.0 or entry.upload_delay > 0.0
+            )
+            phase = "upload" if uploading else "compute"
+            lost.append((device_id, "round_deadline", phase))
+        for device_id, cause, phase in lost:
             self.observer.emit(
                 ClientDroppedEvent(
-                    round_index=round_index,
+                    round_index=state.round_index,
                     device_id=device_id,
                     cause=cause,
                     phase=phase,
                 )
             )
-        for device_id in timeout_ids:
-            entry = per_device.get(device_id)
-            phase = "compute"
-            if entry is not None and (
-                entry.slack > 0.0 or entry.upload_delay > 0.0
-            ):
-                phase = "upload"
+        if (
+            lost
+            or state.reassigned
+            or len(state.integrated) < state.target_count
+        ):
             self.observer.emit(
-                ClientDroppedEvent(
-                    round_index=round_index,
-                    device_id=device_id,
-                    cause="round_deadline",
-                    phase=phase,
+                RoundDegradedEvent(
+                    round_index=state.round_index,
+                    planned=len(state.selected),
+                    aggregated=len(state.integrated),
+                    dropped_ids=state.dropped_ids,
+                    timeout_ids=state.timeout_ids,
+                    reassigned_frequencies=state.reassigned,
                 )
             )
+            self.observer.metrics.inc("rounds_degraded")
 
-    def _capture_checkpoint(
-        self,
-        round_index: int,
-        history: TrainingHistory,
-        cumulative_time: float,
-        cumulative_energy: float,
-        plateau,
-    ):
-        """Freeze every piece of cross-round state after ``round_index``."""
-        from repro.fl.checkpoint import TrainerCheckpoint
-
+    def _capture_checkpoint(self, run: RunState) -> TrainerCheckpoint:
+        """Freeze every piece of cross-round state after ``run.round_index``."""
+        plateau = run.plateau
         ledger_state = {
             "rounds_recorded": self.ledger.rounds_recorded,
             "devices": {
@@ -474,13 +559,13 @@ class FederatedTrainer:
             },
         }
         return TrainerCheckpoint(
-            round_index=round_index,
+            round_index=run.round_index,
             label=self.label,
             strategy_class=type(self.selection).__name__,
             model_params=self.server.broadcast(),
-            history=history.to_dict(),
-            cumulative_time=cumulative_time,
-            cumulative_energy=cumulative_energy,
+            history=run.history.to_dict(),
+            cumulative_time=run.cumulative_time,
+            cumulative_energy=run.cumulative_energy,
             ledger=ledger_state,
             batteries={
                 d.device_id: d.battery.charge_joules
@@ -504,15 +589,15 @@ class FederatedTrainer:
             best_model_accuracy=self.best_model_accuracy,
         )
 
-    def _apply_checkpoint(self, checkpoint, plateau) -> TrainingHistory:
-        """Restore a checkpoint into this trainer; returns its history.
+    def _apply_checkpoint(self, checkpoint, run: RunState) -> None:
+        """Restore a checkpoint into this trainer and into ``run``.
 
         Called by :meth:`run` after ``selection.reset()`` and the
         ledger rebuild but before the population snapshot, so the
         array view is built from the restored device state.
         """
+        # Function-local: repro.energy's package init imports repro.fl.
         from repro.energy.accounting import DeviceEnergy
-        from repro.fl.checkpoint import TrainerCheckpoint
 
         if not isinstance(checkpoint, TrainerCheckpoint):
             raise ConfigurationError(
@@ -543,7 +628,7 @@ class FederatedTrainer:
             entry.slack_seconds = float(raw["slack_seconds"])
             entry.rounds = int(raw["rounds"])
             self.ledger.devices[int(device_id)] = entry
-        device_index = {d.device_id: d for d in self.devices}
+        device_index = run.device_index
         for device_id, charge in checkpoint.batteries.items():
             device = device_index.get(device_id)
             if device is not None and device.battery is not None:
@@ -552,6 +637,7 @@ class FederatedTrainer:
             device = device_index.get(device_id)
             if device is not None:
                 device.radio.channel_gain = float(gain)
+        plateau = run.plateau
         if plateau is not None and checkpoint.plateau is not None:
             plateau.best = checkpoint.plateau.get("best")
             plateau.stale_count = int(checkpoint.plateau.get("stale_count", 0))
@@ -562,8 +648,12 @@ class FederatedTrainer:
             else None
         )
         self.best_model_accuracy = checkpoint.best_model_accuracy
-        return TrainingHistory.from_dict(checkpoint.history)
+        run.history = TrainingHistory.from_dict(checkpoint.history)
+        run.cumulative_time = checkpoint.cumulative_time
+        run.cumulative_energy = checkpoint.cumulative_energy
+        run.round_index = checkpoint.round_index
 
+    # -- the run ---------------------------------------------------------
     def run(self, resume_from=None, stop_after=None) -> TrainingHistory:
         """Execute the full training loop and return its history.
 
@@ -582,18 +672,74 @@ class FederatedTrainer:
                 out of that round. Used by trace reconstruction
                 (:mod:`repro.campaign.resume`).
         """
-        config = self.config
         observer = self.observer
+        run = self._begin_run(resume_from, stop_after)
+        try:
+            # A resumed attempt continues a run whose first attempt
+            # already wrote the run span's start, so it only emits the
+            # close — the finished trace carries exactly one pair.
+            with observer.span(
+                "run",
+                parent_id=observer.parent_span_id,
+                resources=True,
+                emit_start=resume_from is None,
+            ):
+                for round_index in range(
+                    run.round_index + 1, self.config.rounds + 1
+                ):
+                    run.round_index = round_index
+                    with observer.span(
+                        "round",
+                        span_id=round_span_id(round_index),
+                        parent_id="run",
+                        round_index=round_index,
+                    ):
+                        state = RoundState(run, round_index)
+                        self._refresh_channels(state)
+                        self._select(state)
+                        self._assign_frequencies(state)
+                        self._inject_faults(state)
+                        self._execute(state)
+                        self._settle(state)
+                        self._aggregate(state)
+                        self._record_timeline(state)
+                        self._evaluate(state)
+                        self._record_history(state)
+                        self._checkpoint(state)
+                    if self._should_stop(state, stop_after):
+                        break
+        except Exception:
+            # Both spans are closed by now: a crashed chaos run's JSONL
+            # still pairs every span and ends with a typed run_stop
+            # instead of cutting off mid-round.
+            self._emit_run_stop(run, StopReason.ERROR)
+            raise
+        self.last_checkpoint = self._capture_checkpoint(run)
+        run.history.stop_reason = run.stop_reason.value
+        self._emit_run_stop(run, run.stop_reason)
+        _LOGGER.info(
+            "run %r stopped after %d rounds: %s (%.2fs simulated, %.2fJ)",
+            self.label,
+            run.round_index,
+            run.stop_reason.value,
+            run.cumulative_time,
+            run.cumulative_energy,
+        )
+        return run.history
+
+    def _begin_run(self, resume_from, stop_after) -> RunState:
+        """Reset the trainer, restore ``resume_from``, bind the backend."""
+        config = self.config
         if stop_after is not None and stop_after <= 0:
             raise ConfigurationError(
                 f"stop_after must be positive when set, got {stop_after}"
             )
-        history = TrainingHistory(label=self.label)
         self.selection.reset()
         if self.compression is not None:
             self.compression.reset()
         plateau = None
         if config.convergence_patience is not None:
+            # Function-local: repro.analysis imports repro.fl.
             from repro.analysis.convergence import PlateauDetector
 
             plateau = PlateauDetector(
@@ -601,13 +747,7 @@ class FederatedTrainer:
                 min_delta=config.convergence_min_delta,
                 mode="min",
             )
-        cumulative_time = 0.0
-        cumulative_energy = 0.0
-
-        from repro.energy.accounting import EnergyLedger
-
-        self.ledger = EnergyLedger(metrics=observer.metrics)
-        device_index = {d.device_id: d for d in self.devices}
+        self.ledger = self._new_ledger()
         checkpointing = (
             config.checkpoint_every is not None
             and self.checkpoint_path is not None
@@ -620,12 +760,21 @@ class FederatedTrainer:
                 "channel-model state; disable checkpointing or drop "
                 "those features"
             )
-        start_round = 1
+        # An empty plan resolves every round to the empty RoundFaults,
+        # so no injector, an empty plan and a plan that happens not to
+        # fire all run the same code and stay bitwise identical.
+        run = RunState(
+            history=TrainingHistory(label=self.label),
+            plateau=plateau,
+            injector=self.fault_injector or FaultInjector(FaultPlan()),
+            device_index={d.device_id: d for d in self.devices},
+            position_by_id={
+                d.device_id: position
+                for position, d in enumerate(self.devices)
+            },
+        )
         if resume_from is not None:
-            history = self._apply_checkpoint(resume_from, plateau)
-            cumulative_time = resume_from.cumulative_time
-            cumulative_energy = resume_from.cumulative_energy
-            start_round = resume_from.round_index + 1
+            self._apply_checkpoint(resume_from, run)
             _LOGGER.info(
                 "run %r resuming from checkpointed round %d",
                 self.label,
@@ -634,12 +783,8 @@ class FederatedTrainer:
         # Population-scale array view of the fleet: built once, kept in
         # sync with per-round fading, and sliced per round for
         # selection, frequency assignment and TDMA staging.
-        population = DevicePopulation.from_devices(self.devices)
-        self.population = population
-        position_by_id = {
-            d.device_id: position for position, d in enumerate(self.devices)
-        }
-        self.backend.observer = observer
+        self.population = DevicePopulation.from_devices(self.devices)
+        self.backend.observer = self.observer
         self.backend.bind(
             self.server.model, config.local_update_spec(), self.devices
         )
@@ -650,517 +795,404 @@ class FederatedTrainer:
             len(self.devices),
             self.backend.name,
         )
+        return run
 
-        # The run-level span. A resumed attempt continues a run whose
-        # first attempt already wrote the span_start, so it only emits
-        # the close — the finished trace carries exactly one pair.
-        run_span = observer.span(
-            "run",
-            parent_id=observer.parent_span_id,
-            resources=True,
-            emit_start=resume_from is None,
-        )
-        round_span = NOOP_SPAN
-
-        stop_reason = StopReason.ROUNDS_EXHAUSTED
-        round_index = start_round - 1
-        injector = self.fault_injector
-        if injector is not None and injector.plan.is_empty:
-            # An empty plan is contractually a no-op: take the exact
-            # faults-off code path so histories and traces stay bitwise
-            # identical to a run with no injector at all.
-            injector = None
-        chaos_active = (
-            injector is not None or config.round_deadline_s is not None
-        )
-        try:
-            for round_index in range(start_round, config.rounds + 1):
-                round_span = observer.span(
-                    "round",
-                    span_id=f"round-{round_index}",
-                    parent_id="run",
-                    round_index=round_index,
-                )
-                # Per-round fading: refresh mapped devices' channel gains
-                # before selection so the FLCC plans with current info.
-                for device_id, model in self.channel_models.items():
-                    device = device_index.get(device_id)
-                    if device is not None:
-                        gain = float(model.sample_gain())
-                        device.radio.channel_gain = gain
-                        population.set_channel_gains(
-                            (position_by_id[device_id],), (gain,)
-                        )
-
-                with observer.timer("selection"), observer.span(
-                    "selection",
-                    span_id=f"round-{round_index}/selection",
-                    parent_id=f"round-{round_index}",
-                    round_index=round_index,
-                ):
-                    positions = self.selection.select_population(
-                        round_index, population
-                    )
-                    if positions is not None:
-                        selected = [
-                            self.devices[position]
-                            for position in positions.tolist()
-                        ]
-                    else:
-                        selected = self.selection.select(
-                            round_index, self.devices
-                        )
-                if not selected:
-                    raise TrainingError(
-                        f"selection produced no users in round {round_index}"
-                    )
-                if positions is None:
-                    # Strategy implementing only select(): recover the
-                    # positions frequency assignment and TDMA slice by.
-                    positions = np.fromiter(
-                        (position_by_id[d.device_id] for d in selected),
-                        dtype=np.int64,
-                        count=len(selected),
-                    )
-                target_count = len(selected)
-                if config.over_select_margin > 0:
-                    extra_positions = over_selection_extras_population(
-                        population,
-                        positions,
-                        config.over_select_margin,
-                        self.server.payload_bits,
-                        config.bandwidth_hz,
-                    )
-                    selected = list(selected) + [
-                        self.devices[position]
-                        for position in extra_positions.tolist()
-                    ]
-                    positions = np.concatenate((positions, extra_positions))
-                selected_ids = tuple(d.device_id for d in selected)
-                selected_population = population.take(positions)
-                observer.emit(
-                    SelectionEvent(
-                        round_index=round_index, selected_ids=selected_ids
-                    )
-                )
-                self.local_trainer.learning_rate = config.learning_rate_at(
-                    round_index
-                )
-                with observer.timer("frequency_assignment"), observer.span(
-                    "frequency_assignment",
-                    span_id=f"round-{round_index}/frequency_assignment",
-                    parent_id=f"round-{round_index}",
-                    round_index=round_index,
-                ):
-                    frequencies = self.frequency_policy.assign(
-                        selected,
-                        self.server.payload_bits,
-                        config.bandwidth_hz,
-                        round_index=round_index,
-                        population=selected_population,
-                    )
-                observer.emit(
-                    FrequencyAssignmentEvent(
-                        round_index=round_index, frequencies=dict(frequencies)
-                    )
-                )
-
-                fault_round = (
-                    injector.plan_round(round_index, selected_ids)
-                    if injector is not None
-                    else None
-                )
-                if fault_round:
-                    for injected in fault_round.injected:
-                        observer.emit(
-                            FaultInjectedEvent(
-                                round_index=round_index,
-                                device_id=injected.device_id,
-                                fault=injected.fault,
-                                detail=injected.detail,
-                                magnitude=injected.magnitude,
-                            )
-                        )
-                    observer.metrics.inc(
-                        "faults_injected", float(len(fault_round.injected))
-                    )
-
-                pre_dropped = (
-                    fault_round.drop_before if fault_round else frozenset()
-                )
-                active = [
-                    d for d in selected if d.device_id not in pre_dropped
-                ]
-                active_population = selected_population
-                reassigned = False
-                if pre_dropped and active:
-                    # Algorithm 3's slack chain planned around the
-                    # dropped devices' uploads: recompute the schedule
-                    # over the survivors' population slice so successors
-                    # do not idle at stale frequencies.
-                    keep = np.fromiter(
-                        (d.device_id not in pre_dropped for d in selected),
-                        dtype=bool,
-                        count=len(selected),
-                    )
-                    active_population = population.take(positions[keep])
-                    with observer.timer("frequency_assignment"), observer.span(
-                        "frequency_reassignment",
-                        span_id=f"round-{round_index}/frequency_reassignment",
-                        parent_id=f"round-{round_index}",
-                        round_index=round_index,
-                    ):
-                        frequencies = self.frequency_policy.assign(
-                            active,
-                            self.server.payload_bits,
-                            config.bandwidth_hz,
-                            round_index=round_index,
-                            population=active_population,
-                        )
-                    observer.emit(
-                        FrequencyAssignmentEvent(
-                            round_index=round_index,
-                            frequencies=dict(frequencies),
-                        )
-                    )
-                    observer.metrics.inc("frequency_reassignments")
-                    reassigned = True
-
-                if active:
-                    with observer.span(
-                        "local_updates",
-                        span_id=f"round-{round_index}/local_updates",
-                        parent_id=f"round-{round_index}",
-                        round_index=round_index,
-                    ):
-                        result = self._run_clients(round_index, active)
-                    timeline = simulate_tdma_round(
-                        active,
-                        self.server.payload_bits,
-                        config.bandwidth_hz,
-                        frequencies,
-                        payloads=result.payloads or None,
-                        population=active_population,
-                        compute_scale=(
-                            fault_round.compute_scale if fault_round else None
-                        ),
-                        drop_during=(
-                            fault_round.drop_during if fault_round else None
-                        ),
-                        upload_outage=(
-                            fault_round.upload_outage if fault_round else None
-                        ),
-                        upload_scale=(
-                            fault_round.upload_scale if fault_round else None
-                        ),
-                        round_deadline=config.round_deadline_s,
-                    )
-                    result = result.with_statuses(timeline.outcomes())
-                else:
-                    # Every selected device dropped before computing:
-                    # the round happens but costs nothing and changes
-                    # nothing.
-                    result = RoundResult(round_index=round_index, updates=())
-                    timeline = RoundTimeline(
-                        users=(),
-                        round_delay=0.0,
-                        total_energy=0.0,
-                        total_compute_energy=0.0,
-                        total_upload_energy=0.0,
-                        total_slack=0.0,
-                    )
-                result, battery_dropped = self._apply_battery(
-                    active, timeline, result
-                )
-                if fault_round and fault_round.battery_death:
-                    # The battery empties at the round's end, killing
-                    # the device's contribution whatever else happened.
-                    for device_id in fault_round.battery_death:
-                        device = device_index[device_id]
-                        if device.battery is not None:
-                            device.battery.kill()
-                    result = result.with_statuses(
-                        {
-                            device_id: STATUS_DROPPED
-                            for device_id in fault_round.battery_death
-                        }
-                    )
-                if battery_dropped:
-                    observer.emit(
-                        BatteryDropEvent(
-                            round_index=round_index,
-                            dropped_ids=battery_dropped,
-                        )
-                    )
-
-                integrated = result.survivors()
-                if config.over_select_margin > 0:
-                    integrated = integrated.first(target_count)
-
-                status_by_id = {u.device_id: u.status for u in result}
-                for device_id in pre_dropped:
-                    status_by_id[device_id] = STATUS_DROPPED
-                dropped_ids = tuple(
-                    device_id
-                    for device_id in selected_ids
-                    if status_by_id.get(device_id) == STATUS_DROPPED
-                )
-                timeout_ids = tuple(
-                    device_id
-                    for device_id in selected_ids
-                    if status_by_id.get(device_id) == STATUS_TIMEOUT
-                )
-                if dropped_ids:
-                    observer.metrics.inc(
-                        "clients_dropped", float(len(dropped_ids))
-                    )
-                if timeout_ids:
-                    observer.metrics.inc(
-                        "clients_timeout", float(len(timeout_ids))
-                    )
-                if chaos_active:
-                    self._emit_client_drops(
-                        round_index,
-                        fault_round,
-                        timeline,
-                        battery_dropped,
-                        dropped_ids,
-                        timeout_ids,
-                    )
-                    if (
-                        dropped_ids
-                        or timeout_ids
-                        or reassigned
-                        or len(integrated) < target_count
-                    ):
-                        observer.emit(
-                            RoundDegradedEvent(
-                                round_index=round_index,
-                                planned=len(selected),
-                                aggregated=len(integrated),
-                                dropped_ids=dropped_ids,
-                                timeout_ids=timeout_ids,
-                                reassigned_frequencies=reassigned,
-                            )
-                        )
-                        observer.metrics.inc("rounds_degraded")
-
-                # Feedback hook for statistical-utility strategies (e.g.
-                # the Oort extension): report the observed losses of the
-                # clients the server actually integrated — updates it
-                # never saw must not shape future selection.
-                self.selection.observe_losses(integrated.losses)
-                self.ledger.record_round(timeline)
-                if integrated:
-                    with observer.timer("aggregation"), observer.span(
-                        "aggregation",
-                        span_id=f"round-{round_index}/aggregation",
-                        parent_id=f"round-{round_index}",
-                        round_index=round_index,
-                    ):
-                        self.server.aggregate(
-                            integrated.params, integrated.weights
-                        )
-                observer.emit(
-                    AggregationEvent(
-                        round_index=round_index,
-                        num_updates=len(integrated),
-                        total_weight=float(sum(integrated.weights)),
-                    )
-                )
-
-                cumulative_time += timeline.round_delay
-                cumulative_energy += timeline.total_energy
-                for entry in timeline.users:
-                    observer.emit(
-                        DeviceRoundEvent(
-                            round_index=round_index,
-                            device_id=entry.device_id,
-                            frequency=entry.frequency,
-                            f_max=device_index[entry.device_id].cpu.f_max,
-                            compute_delay=entry.compute_delay,
-                            upload_delay=entry.upload_delay,
-                            slack=entry.slack,
-                            compute_energy=entry.compute_energy,
-                            upload_energy=entry.upload_energy,
-                            outcome=entry.outcome,
-                        )
-                    )
-                observer.emit(
-                    TimelineEvent(
-                        round_index=round_index,
-                        round_delay=timeline.round_delay,
-                        round_energy=timeline.total_energy,
-                        compute_energy=timeline.total_compute_energy,
-                        upload_energy=timeline.total_upload_energy,
-                        slack=timeline.total_slack,
-                        cumulative_time=cumulative_time,
-                        cumulative_energy=cumulative_energy,
-                    )
-                )
-                observer.metrics.inc("rounds")
-                observer.metrics.inc("clients_selected", float(len(selected)))
-
-                # Train loss is weighted over the updates the server
-                # actually integrated: dropped clients may have trained,
-                # but their contribution never reached the global model.
-                total_weight = sum(u.weight for u in integrated)
-                train_loss = (
-                    sum(u.loss * u.weight for u in integrated) / total_weight
-                    if total_weight
-                    else 0.0
-                )
-
-                should_eval = (
-                    round_index % config.eval_every == 0
-                    or round_index == config.rounds
-                )
-                test_loss = test_accuracy = None
-                if should_eval and self.server.test_dataset is not None:
-                    with observer.span(
-                        "eval",
-                        span_id=f"round-{round_index}/eval",
-                        parent_id=f"round-{round_index}",
-                        round_index=round_index,
-                    ):
-                        test_loss, test_accuracy = self.server.evaluate()
-                    observer.emit(
-                        EvalEvent(
-                            round_index=round_index,
-                            test_loss=test_loss,
-                            test_accuracy=test_accuracy,
-                        )
-                    )
-                    observer.metrics.inc("evaluations")
-                    if config.keep_best_model and (
-                        self.best_model_params is None
-                        or test_accuracy > self.best_model_accuracy
-                    ):
-                        self.best_model_params = self.server.broadcast()
-                        self.best_model_accuracy = test_accuracy
-
-                history.append(
-                    RoundRecord(
-                        round_index=round_index,
-                        selected_ids=selected_ids,
-                        frequencies=dict(frequencies),
-                        round_delay=timeline.round_delay,
-                        round_energy=timeline.total_energy,
-                        compute_energy=timeline.total_compute_energy,
-                        upload_energy=timeline.total_upload_energy,
-                        slack=timeline.total_slack,
-                        cumulative_time=cumulative_time,
-                        cumulative_energy=cumulative_energy,
-                        train_loss=train_loss,
-                        test_accuracy=test_accuracy,
-                        test_loss=test_loss,
-                        dropped_ids=dropped_ids,
-                        timeout_ids=timeout_ids,
-                    )
-                )
-                _LOGGER.debug(
-                    "round %d: %d selected, %d dropped, %d timed out, "
-                    "delay %.4fs, energy %.4fJ, train_loss %.5f",
-                    round_index,
-                    len(selected),
-                    len(dropped_ids),
-                    len(timeout_ids),
-                    timeline.round_delay,
-                    timeline.total_energy,
-                    train_loss,
-                )
-
-                # The checkpoint span opens every round, whether or not
-                # the cadence writes one: span structure must stay a
-                # pure function of the simulated run, and checkpoint
-                # cadence is explicitly allowed to vary between a
-                # killed run and its resumed retry.
-                with observer.span(
-                    "checkpoint",
-                    span_id=f"round-{round_index}/checkpoint",
-                    parent_id=f"round-{round_index}",
-                    round_index=round_index,
-                ):
-                    if checkpointing and (
-                        round_index % config.checkpoint_every == 0
-                    ):
-                        from repro.fl.checkpoint import save_checkpoint
-
-                        with observer.timer("checkpoint"):
-                            save_checkpoint(
-                                self.checkpoint_path,
-                                self._capture_checkpoint(
-                                    round_index,
-                                    history,
-                                    cumulative_time,
-                                    cumulative_energy,
-                                    plateau,
-                                ),
-                            )
-                        observer.metrics.inc("checkpoints_written")
-
-                round_span.end()
-                if (
-                    config.deadline_s is not None
-                    and cumulative_time >= config.deadline_s
-                ):
-                    stop_reason = StopReason.DEADLINE
-                    break
-                if (
-                    config.target_accuracy is not None
-                    and test_accuracy is not None
-                    and test_accuracy >= config.target_accuracy
-                ):
-                    stop_reason = StopReason.TARGET_ACCURACY
-                    break
-                if (
-                    plateau is not None
-                    and test_loss is not None
-                    and plateau.update(test_loss)
-                ):
-                    stop_reason = StopReason.PLATEAU
-                    break
-                if stop_after is not None and round_index >= stop_after:
-                    # Replay cut-off: pause (not finish) the run here.
-                    break
-        except Exception:
-            # Close the open spans first (idempotent), then leave a
-            # terminal marker in the trace before propagating, so a
-            # crashed chaos run's JSONL still pairs every span and ends
-            # with a typed run_stop instead of cutting off mid-round.
-            round_span.end()
-            run_span.end()
-            observer.emit(
-                RunStopEvent(
-                    round_index=round_index,
-                    reason=StopReason.ERROR.value,
-                    cumulative_time=cumulative_time,
-                    cumulative_energy=cumulative_energy,
-                    label=self.label,
-                )
-            )
-            raise
-
-        self.last_checkpoint = self._capture_checkpoint(
-            round_index, history, cumulative_time, cumulative_energy, plateau
-        )
-        history.stop_reason = stop_reason.value
-        run_span.end()
-        observer.emit(
+    def _emit_run_stop(self, run: RunState, reason: StopReason) -> None:
+        self.observer.emit(
             RunStopEvent(
-                round_index=round_index,
-                reason=stop_reason.value,
-                cumulative_time=cumulative_time,
-                cumulative_energy=cumulative_energy,
+                round_index=run.round_index,
+                reason=reason.value,
+                cumulative_time=run.cumulative_time,
+                cumulative_energy=run.cumulative_energy,
                 label=self.label,
             )
         )
-        _LOGGER.info(
-            "run %r stopped after %d rounds: %s (%.2fs simulated, %.2fJ)",
-            self.label,
-            round_index,
-            stop_reason.value,
-            cumulative_time,
-            cumulative_energy,
+
+    def _should_stop(self, state: RoundState, stop_after) -> bool:
+        """The stop decision, taken after the round's span has closed."""
+        config = self.config
+        run = state.run
+        if (
+            config.deadline_s is not None
+            and run.cumulative_time >= config.deadline_s
+        ):
+            run.stop_reason = StopReason.DEADLINE
+        elif (
+            config.target_accuracy is not None
+            and state.test_accuracy is not None
+            and state.test_accuracy >= config.target_accuracy
+        ):
+            run.stop_reason = StopReason.TARGET_ACCURACY
+        elif (
+            run.plateau is not None
+            and state.test_loss is not None
+            and run.plateau.update(state.test_loss)
+        ):
+            run.stop_reason = StopReason.PLATEAU
+        else:
+            # Replay cut-off: pause (not finish) the run here.
+            return stop_after is not None and state.round_index >= stop_after
+        return True
+
+    # -- one round: the stages, in execution order -----------------------
+    def _stage(self, state: RoundState, name: str, timer: str = ""):
+        """The ``with`` target of one stage: its ``round-<j>/<name>``
+        span, inside the ``timer`` it is timed under when it has one."""
+        span = self.observer.span(
+            name,
+            span_id=round_span_id(state.round_index, name),
+            parent_id=round_span_id(state.round_index),
+            round_index=state.round_index,
         )
-        return history
+        if not timer:
+            return span
+        return _TimedSpan(self.observer.timer(timer), span)
+
+    def _refresh_channels(self, state: RoundState) -> None:
+        """Per-round fading: re-draw mapped devices' channel gains
+        before selection so the FLCC plans with current info."""
+        run = state.run
+        for device_id, model in self.channel_models.items():
+            device = run.device_index.get(device_id)
+            if device is not None:
+                gain = float(model.sample_gain())
+                device.radio.channel_gain = gain
+                self.population.set_channel_gains(
+                    (run.position_by_id[device_id],), (gain,)
+                )
+
+    def _select(self, state: RoundState) -> None:
+        """``Gamma_j`` (plus over-selected extras) and its population slice."""
+        round_index = state.round_index
+        population = self.population
+        margin = self.config.over_select_margin
+        with self._stage(state, "selection", timer="selection"):
+            positions = self.selection.select_population(
+                round_index, population
+            )
+            if positions is not None:
+                selected = [
+                    self.devices[position] for position in positions.tolist()
+                ]
+            else:
+                selected = self.selection.select(round_index, self.devices)
+        if not selected:
+            raise TrainingError(
+                f"selection produced no users in round {round_index}"
+            )
+        if positions is None:
+            # Strategy implementing only select(): recover the
+            # positions frequency assignment and TDMA slice by.
+            position_by_id = state.run.position_by_id
+            positions = np.fromiter(
+                (position_by_id[d.device_id] for d in selected),
+                dtype=np.int64,
+                count=len(selected),
+            )
+        state.target_count = len(selected)
+        if margin > 0:
+            extra_positions = over_selection_extras_population(
+                population,
+                positions,
+                margin,
+                self.server.payload_bits,
+                self.config.bandwidth_hz,
+            )
+            selected = list(selected) + [
+                self.devices[position]
+                for position in extra_positions.tolist()
+            ]
+            positions = np.concatenate((positions, extra_positions))
+        # Until a fault says otherwise, everyone selected computes.
+        state.selected = state.active = selected
+        state.positions = positions
+        state.selected_ids = tuple(d.device_id for d in selected)
+        state.active_population = population.take(positions)
+        self.observer.emit(
+            SelectionEvent(
+                round_index=round_index, selected_ids=state.selected_ids
+            )
+        )
+
+    def _assign(self, state: RoundState, stage: str) -> None:
+        """Schedule the active devices under ``stage``'s span."""
+        with self._stage(state, stage, timer="frequency_assignment"):
+            state.frequencies = self.frequency_policy.assign(
+                state.active,
+                self.server.payload_bits,
+                self.config.bandwidth_hz,
+                round_index=state.round_index,
+                population=state.active_population,
+            )
+        self.observer.emit(
+            FrequencyAssignmentEvent(
+                round_index=state.round_index,
+                frequencies=dict(state.frequencies),
+            )
+        )
+
+    def _assign_frequencies(self, state: RoundState) -> None:
+        """Broadcast the round's learning rate; schedule ``selected``."""
+        self.local_trainer.learning_rate = self.config.learning_rate_at(
+            state.round_index
+        )
+        self._assign(state, "frequency_assignment")
+
+    def _inject_faults(self, state: RoundState) -> None:
+        """Resolve the round's faults; re-schedule around early drops."""
+        observer = self.observer
+        faults = state.faults = state.run.injector.plan_round(
+            state.round_index, state.selected_ids
+        )
+        if faults:
+            for injected in faults.injected:
+                observer.emit(
+                    FaultInjectedEvent(
+                        round_index=state.round_index,
+                        device_id=injected.device_id,
+                        fault=injected.fault,
+                        detail=injected.detail,
+                        magnitude=injected.magnitude,
+                    )
+                )
+            observer.metrics.inc(
+                "faults_injected", float(len(faults.injected))
+            )
+        if not faults.drop_before:
+            return
+        keep = [d.device_id not in faults.drop_before for d in state.selected]
+        state.active = [d for d, kept in zip(state.selected, keep) if kept]
+        if state.active:
+            # Algorithm 3's slack chain planned around the dropped
+            # devices' uploads: recompute the schedule over the
+            # survivors' population slice so successors do not idle at
+            # stale frequencies.
+            state.active_population = self.population.take(
+                state.positions[np.array(keep)]
+            )
+            self._assign(state, "frequency_reassignment")
+            observer.metrics.inc("frequency_reassignments")
+            state.reassigned = True
+
+    def _execute(self, state: RoundState) -> None:
+        """Local updates through the backend, then the TDMA timeline."""
+        if not state.active:
+            # Every selected device dropped before computing: the round
+            # happens but costs nothing and changes nothing.
+            state.result = RoundResult(state.round_index, updates=())
+            state.timeline = RoundTimeline()
+            return
+        faults = state.faults
+        with self._stage(state, "local_updates"):
+            result = self._run_clients(state.round_index, state.active)
+        state.timeline = simulate_tdma_round(
+            state.active,
+            self.server.payload_bits,
+            self.config.bandwidth_hz,
+            state.frequencies,
+            payloads=result.payloads or None,
+            population=state.active_population,
+            compute_scale=faults.compute_scale,
+            drop_during=faults.drop_during,
+            upload_outage=faults.upload_outage,
+            upload_scale=faults.upload_scale,
+            round_deadline=self.config.round_deadline_s,
+        )
+        state.result = result.with_statuses(state.timeline.outcomes())
+
+    def _settle(self, state: RoundState) -> None:
+        """Batteries, each client's final status, the degradation events."""
+        observer = self.observer
+        faults = state.faults
+        result, battery_dropped = self._apply_battery(
+            state.active, state.timeline, state.result
+        )
+        if faults.battery_death:
+            # The battery empties at the round's end, killing the
+            # device's contribution whatever else happened.
+            for device_id in faults.battery_death:
+                device = state.run.device_index[device_id]
+                if device.battery is not None:
+                    device.battery.kill()
+            result = result.with_statuses(
+                dict.fromkeys(faults.battery_death, STATUS_DROPPED)
+            )
+        if battery_dropped:
+            observer.emit(
+                BatteryDropEvent(
+                    round_index=state.round_index,
+                    dropped_ids=battery_dropped,
+                )
+            )
+        integrated = result.survivors()
+        if self.config.over_select_margin > 0:
+            integrated = integrated.first(state.target_count)
+        status_by_id = {u.device_id: u.status for u in result}
+        status_by_id.update(dict.fromkeys(faults.drop_before, STATUS_DROPPED))
+
+        def selected_with(status: str) -> Tuple[int, ...]:
+            return tuple(
+                device_id
+                for device_id in state.selected_ids
+                if status_by_id.get(device_id) == status
+            )
+
+        state.result = result
+        state.integrated = integrated
+        state.dropped_ids = selected_with(STATUS_DROPPED)
+        state.timeout_ids = selected_with(STATUS_TIMEOUT)
+        if state.dropped_ids:
+            observer.metrics.inc(
+                "clients_dropped", float(len(state.dropped_ids))
+            )
+        if state.timeout_ids:
+            observer.metrics.inc(
+                "clients_timeout", float(len(state.timeout_ids))
+            )
+        # Rounds can degrade only under a fault plan or a round deadline;
+        # without either the trace carries no degradation events at all.
+        if (
+            self.config.round_deadline_s is not None
+            or not state.run.injector.plan.is_empty
+        ):
+            self._emit_degradation(state, battery_dropped)
+
+    def _aggregate(self, state: RoundState) -> None:
+        """Ledger, strategy feedback, and the FedAvg step (Eq. 18)."""
+        integrated = state.integrated
+        # Feedback hook for statistical-utility strategies (e.g. the
+        # Oort extension): report the observed losses of the clients
+        # the server actually integrated — updates it never saw must
+        # not shape future selection.
+        self.selection.observe_losses(integrated.losses)
+        self.ledger.record_round(state.timeline)
+        if integrated:
+            with self._stage(state, "aggregation", timer="aggregation"):
+                self.server.aggregate(integrated.params, integrated.weights)
+        self.observer.emit(
+            AggregationEvent(
+                round_index=state.round_index,
+                num_updates=len(integrated),
+                total_weight=float(sum(integrated.weights)),
+            )
+        )
+
+    def _record_timeline(self, state: RoundState) -> None:
+        """Advance the simulated clock; emit the round's timeline."""
+        observer = self.observer
+        run = state.run
+        timeline = state.timeline
+        round_index = state.round_index
+        run.cumulative_time += timeline.round_delay
+        run.cumulative_energy += timeline.total_energy
+        for entry in timeline.users:
+            observer.emit(
+                DeviceRoundEvent(
+                    round_index=round_index,
+                    device_id=entry.device_id,
+                    frequency=entry.frequency,
+                    f_max=run.device_index[entry.device_id].cpu.f_max,
+                    compute_delay=entry.compute_delay,
+                    upload_delay=entry.upload_delay,
+                    slack=entry.slack,
+                    compute_energy=entry.compute_energy,
+                    upload_energy=entry.upload_energy,
+                    outcome=entry.outcome,
+                )
+            )
+        state.totals = dict(
+            round_delay=timeline.round_delay,
+            round_energy=timeline.total_energy,
+            compute_energy=timeline.total_compute_energy,
+            upload_energy=timeline.total_upload_energy,
+            slack=timeline.total_slack,
+            cumulative_time=run.cumulative_time,
+            cumulative_energy=run.cumulative_energy,
+        )
+        observer.emit(TimelineEvent(round_index=round_index, **state.totals))
+        observer.metrics.inc("rounds")
+        observer.metrics.inc("clients_selected", float(len(state.selected)))
+
+    def _evaluate(self, state: RoundState) -> None:
+        """Train loss over the integrated updates; test-set evaluation."""
+        config = self.config
+        round_index = state.round_index
+        integrated = state.integrated
+        # Train loss is weighted over the updates the server actually
+        # integrated: dropped clients may have trained, but their
+        # contribution never reached the global model.
+        total_weight = sum(u.weight for u in integrated)
+        if total_weight:
+            state.train_loss = (
+                sum(u.loss * u.weight for u in integrated) / total_weight
+            )
+        should_eval = (
+            round_index % config.eval_every == 0
+            or round_index == config.rounds
+        )
+        if not should_eval or self.server.test_dataset is None:
+            return
+        with self._stage(state, "eval"):
+            state.test_loss, state.test_accuracy = self.server.evaluate()
+        self.observer.emit(
+            EvalEvent(
+                round_index=round_index,
+                test_loss=state.test_loss,
+                test_accuracy=state.test_accuracy,
+            )
+        )
+        self.observer.metrics.inc("evaluations")
+        if config.keep_best_model and (
+            self.best_model_params is None
+            or state.test_accuracy > self.best_model_accuracy
+        ):
+            self.best_model_params = self.server.broadcast()
+            self.best_model_accuracy = state.test_accuracy
+
+    def _record_history(self, state: RoundState) -> None:
+        """Append the round's :class:`RoundRecord`."""
+        timeline = state.timeline
+        state.run.history.append(
+            RoundRecord(
+                round_index=state.round_index,
+                selected_ids=state.selected_ids,
+                frequencies=dict(state.frequencies),
+                train_loss=state.train_loss,
+                test_accuracy=state.test_accuracy,
+                test_loss=state.test_loss,
+                dropped_ids=state.dropped_ids,
+                timeout_ids=state.timeout_ids,
+                **state.totals,
+            )
+        )
+        _LOGGER.debug(
+            "round %d: %d selected, %d dropped, %d timed out, "
+            "delay %.4fs, energy %.4fJ, train_loss %.5f",
+            state.round_index,
+            len(state.selected),
+            len(state.dropped_ids),
+            len(state.timeout_ids),
+            timeline.round_delay,
+            timeline.total_energy,
+            state.train_loss,
+        )
+
+    def _checkpoint(self, state: RoundState) -> None:
+        """Write the on-disk snapshot when the cadence says so."""
+        every = self.config.checkpoint_every
+        # The span opens every round, whether or not the cadence writes
+        # a checkpoint: span structure must stay a pure function of the
+        # simulated run, and checkpoint cadence is explicitly allowed
+        # to vary between a killed run and its resumed retry.
+        with self._stage(state, "checkpoint"):
+            if (
+                every is not None
+                and self.checkpoint_path is not None
+                and state.round_index % every == 0
+            ):
+                with self.observer.timer("checkpoint"):
+                    save_checkpoint(
+                        self.checkpoint_path,
+                        self._capture_checkpoint(state.run),
+                    )
+                self.observer.metrics.inc("checkpoints_written")

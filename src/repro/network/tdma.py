@@ -102,6 +102,9 @@ class UserTimeline:
 class RoundTimeline:
     """The complete schedule of one TDMA FL round.
 
+    ``RoundTimeline()`` is the round in which nobody computed: no
+    users, no delay, no energy.
+
     Attributes:
         users: per-user timelines, in upload (channel-grant) order.
         round_delay: Eq. (10) — when the last upload completes.
@@ -111,12 +114,12 @@ class RoundTimeline:
         total_slack: summed idle wait across users.
     """
 
-    users: Tuple[UserTimeline, ...]
-    round_delay: float
-    total_energy: float
-    total_compute_energy: float
-    total_upload_energy: float
-    total_slack: float
+    users: Tuple[UserTimeline, ...] = ()
+    round_delay: float = 0.0
+    total_energy: float = 0.0
+    total_compute_energy: float = 0.0
+    total_upload_energy: float = 0.0
+    total_slack: float = 0.0
 
     def by_device(self) -> Dict[int, UserTimeline]:
         """Index the per-user timelines by device id."""

@@ -56,7 +56,16 @@ __all__ = [
     "end_task_sample",
     "emit_task_span",
     "rusage_snapshot",
+    "round_span_id",
 ]
+
+
+def round_span_id(round_index: int, stage: str = "") -> str:
+    """The id of round ``round_index``'s span, or of ``stage`` inside it:
+    the one place the ``round-<j>[/<stage>]`` format is written."""
+    if stage:
+        return f"round-{round_index}/{stage}"
+    return f"round-{round_index}"
 
 
 def rusage_snapshot() -> Tuple[float, float, float]:

@@ -1,5 +1,7 @@
 """Tests for the generic parameter sweep."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -53,6 +55,21 @@ class TestRunSweep:
             len(p.history.participation_counts()) for p in result.points
         ]
         assert all(c >= 1 for c in coverage_pops)
+
+    def test_partition_field_forces_rebuild(self, base):
+        # dirichlet_alpha reaches build_partitions, so each point needs
+        # its own environment; a stale one gave identical histories.
+        settings = replace(base, rounds=3, noniid_kind="dirichlet")
+        grid = {"dirichlet_alpha": (0.05, 50.0)}
+        reused = run_sweep(grid, base=settings, iid=False)
+        rebuilt = run_sweep(
+            grid, base=settings, iid=False, reuse_environment=False
+        )
+        assert [p.history.to_dict() for p in reused.points] == [
+            p.history.to_dict() for p in rebuilt.points
+        ]
+        sparse, dense = (p.history.total_energy for p in reused.points)
+        assert sparse != dense
 
     def test_unknown_field_rejected(self, base):
         with pytest.raises(ConfigurationError):
