@@ -1,6 +1,7 @@
 """The federated-learning engine (Algorithm 1's machinery).
 
-Contains the FLCC server, the local client trainer (Eq. 3), FedAvg
+Contains the FLCC server, the local client trainer (Eq. 3) and the
+``train_clients`` primitive that runs it for a whole chunk, FedAvg
 aggregation (Eq. 18), the pluggable client-execution backends
 (serial / thread pool / process pool / zero-copy shared-memory process
 pool), the synchronous round loop with
@@ -9,12 +10,11 @@ and energy-to-accuracy queries used by the paper's Table I and Fig. 3.
 """
 
 from repro.fl.aggregation import fedavg_aggregate
-from repro.fl.client import LocalTrainer
+from repro.fl.client import LocalTrainer, LocalUpdateSpec, train_clients
 from repro.fl.execution import (
     BACKEND_NAMES,
     ClientUpdate,
     ExecutionBackend,
-    LocalUpdateSpec,
     ProcessPoolBackend,
     RoundResult,
     SerialBackend,
@@ -36,6 +36,7 @@ from repro.fl.trainer import FederatedTrainer, TrainerConfig
 __all__ = [
     "fedavg_aggregate",
     "LocalTrainer",
+    "train_clients",
     "BACKEND_NAMES",
     "ClientUpdate",
     "ExecutionBackend",

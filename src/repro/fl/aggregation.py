@@ -50,14 +50,30 @@ def fedavg_aggregate(
     if total <= 0:
         raise TrainingError("at least one aggregation weight must be positive")
 
-    first = np.asarray(parameter_vectors[0], dtype=np.float64).ravel()
+    first = _as_flat(parameter_vectors[0])
     accumulator = np.zeros_like(first)
+    # One reused buffer for ``(weight / total) * vector``: the same two
+    # roundings per entry, in the same client order, as a temporary per
+    # client. (A ``weights @ matrix`` GEMV would reorder the sum.)
+    scaled = np.empty_like(first)
     for vector, weight in zip(parameter_vectors, weights_arr):
-        vector = np.asarray(vector, dtype=np.float64).ravel()
+        vector = _as_flat(vector)
         if vector.shape != first.shape:
             raise ShapeError(
                 f"parameter vector of length {vector.size} does not match "
                 f"first vector of length {first.size}"
             )
-        accumulator += (weight / total) * vector
+        np.multiply(vector, weight / total, out=scaled)
+        accumulator += scaled
     return accumulator
+
+
+def _as_flat(vector) -> np.ndarray:
+    """``vector`` as 1-D float64, untouched when it already is."""
+    if (
+        isinstance(vector, np.ndarray)
+        and vector.ndim == 1
+        and vector.dtype == np.float64
+    ):
+        return vector
+    return np.asarray(vector, dtype=np.float64).ravel()

@@ -10,16 +10,24 @@ mini-batching as FedAvg-style extensions.
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.errors import ConfigurationError, TrainingError
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Sgd
-from repro.rng import SeedLike, ensure_generator
+from repro.nn.stacked import is_stackable, stacked_local_update
+from repro.rng import SeedLike, derive_seed, ensure_generator
 
-__all__ = ["LocalTrainer"]
+__all__ = ["LocalTrainer", "LocalUpdateSpec", "train_clients"]
+
+# Working-set budget of one stacked pass (a typical L2): shards plus
+# result rows of the clients trained together.
+_BLOCK_BYTES = 4 << 20
 
 
 class LocalTrainer:
@@ -68,7 +76,20 @@ class LocalTrainer:
         self.batch_size = batch_size
         self.loss = loss if loss is not None else SoftmaxCrossEntropy()
         self.max_grad_norm = max_grad_norm
-        self._rng = ensure_generator(seed)
+        self._seed = seed
+        self._generator: Optional[np.random.Generator] = None
+
+    @property
+    def _rng(self) -> np.random.Generator:
+        """The mini-batch generator, built on first use.
+
+        Full-batch training (the paper's setting) never draws from it,
+        and seeding a generator costs more than the rest of the
+        constructor, once per client per round.
+        """
+        if self._generator is None:
+            self._generator = ensure_generator(self._seed)
+        return self._generator
 
     def _clip_gradients(self, model: Sequential) -> None:
         """Scale all gradient buffers so their global norm fits."""
@@ -124,3 +145,146 @@ class LocalTrainer:
                 self._clip_gradients(model)
                 optimizer.step(model)
         return float(last_loss)
+
+
+@dataclass(frozen=True)
+class LocalUpdateSpec:
+    """The local-update hyperparameters a backend trains with.
+
+    Attributes mirror :class:`LocalTrainer`; ``seed`` roots the
+    per-``(round, device)`` mini-batch sampling seeds that keep
+    stochastic local updates backend-independent.
+    """
+
+    learning_rate: float = 0.1
+    local_steps: int = 1
+    batch_size: Optional[int] = None
+    max_grad_norm: Optional[float] = None
+    seed: int = 0
+
+    def make_trainer(
+        self, learning_rate: float, round_index: int, device_id: int
+    ) -> LocalTrainer:
+        """Build the :class:`LocalTrainer` for one client task."""
+        return LocalTrainer(
+            learning_rate=learning_rate,
+            local_steps=self.local_steps,
+            batch_size=self.batch_size,
+            max_grad_norm=self.max_grad_norm,
+            seed=derive_seed(
+                self.seed, "minibatch", str(round_index), str(device_id)
+            ),
+        )
+
+
+def train_clients(
+    scratch: Sequential,
+    spec: LocalUpdateSpec,
+    round_index: int,
+    learning_rate: float,
+    global_params: np.ndarray,
+    devices: Sequence,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Run the local update (Eq. 3) of every device in ``devices``.
+
+    The one training primitive every execution backend calls, for a
+    whole selection or for one chunk of it. Each client starts from
+    ``global_params`` and its trained flat vector is written to its row
+    of ``out``; rows do not depend on which other clients share the
+    call, so any chunking of a selection yields the same bytes.
+
+    Full-batch, unclipped updates of a Dense/ReLU model are trained
+    together by :func:`repro.nn.stacked.stacked_local_update`, grouped
+    by shard size. Everything else — conv models, mini-batching,
+    clipping, and shards that are not plain C-contiguous float64
+    matrices of the model's input width — goes one client at a time
+    through :meth:`LocalTrainer.train`, whose result the stacked kernel
+    reproduces bit for bit.
+
+    Args:
+        scratch: a model of the trained architecture; its parameters
+            are overwritten.
+        spec: local-update hyperparameters.
+        round_index: 1-based FL round ``j`` (seeds mini-batch draws).
+        learning_rate: the round's (possibly decayed) local rate.
+        global_params: the broadcast flat parameter vector.
+        devices: the clients, anything with ``device_id`` and
+            ``dataset`` attributes.
+        out: ``(len(devices), P)`` float64 destination with contiguous
+            rows (a fresh matrix, or a shared-memory slot range).
+
+    Returns:
+        ``(len(devices),)`` float64 training losses, in ``devices`` order.
+
+    Raises:
+        ConfigurationError: for a non-positive rate or step count.
+        TrainingError: if a device's dataset is empty.
+        ShapeError: for inputs or labels that do not fit the model.
+    """
+    global_params = np.asarray(global_params, dtype=np.float64).ravel()
+    losses = np.empty(len(devices), dtype=np.float64)
+    one_by_one: Sequence[int] = range(len(devices))
+    if (
+        spec.batch_size is None
+        and spec.max_grad_norm is None
+        and is_stackable(scratch)
+    ):
+        one_by_one = []
+        # No per-client trainer is built on this path: let one reject
+        # the rate and step count it would have rejected.
+        LocalTrainer(learning_rate, spec.local_steps)
+        width = scratch.layers[0].in_features
+        by_size: Dict[int, List[int]] = {}
+        for index, device in enumerate(devices):
+            inputs = device.dataset.inputs
+            if (
+                inputs.ndim == 2
+                and inputs.shape[0] > 0
+                and inputs.shape[1] == width
+                and inputs.dtype == np.float64
+                and inputs.flags.c_contiguous
+            ):
+                by_size.setdefault(inputs.shape[0], []).append(index)
+            else:
+                one_by_one.append(index)
+        for size, group in by_size.items():
+            # Rows are independent of their batch, so a group is cut
+            # into blocks whose shards plus result rows fit in cache:
+            # gradients are scaled and subtracted before they leave it.
+            block = max(
+                1, _BLOCK_BYTES // ((size * width + out.shape[1]) * 8)
+            )
+            for start in range(0, len(group), block):
+                members = group[start : start + block]
+                shards = [devices[index].dataset for index in members]
+                # A run of consecutive rows trains straight into
+                # ``out``; interleaved rows are scattered afterwards.
+                consecutive = members[-1] - members[0] + 1 == len(members)
+                rows = (
+                    out[members[0] : members[-1] + 1]
+                    if consecutive
+                    else np.empty((len(members), out.shape[1]))
+                )
+                losses[members] = stacked_local_update(
+                    scratch,
+                    np.concatenate([shard.inputs for shard in shards]).reshape(
+                        len(members), size, width
+                    ),
+                    np.concatenate([shard.labels for shard in shards]).reshape(
+                        len(members), size
+                    ),
+                    global_params,
+                    learning_rate,
+                    spec.local_steps,
+                    rows,
+                )
+                if not consecutive:
+                    out[members] = rows
+    for index in one_by_one:
+        device = devices[index]
+        scratch.set_flat_params(global_params)
+        trainer = spec.make_trainer(learning_rate, round_index, device.device_id)
+        losses[index] = trainer.train(scratch, device.dataset)
+        scratch.get_flat_params(out=out[index])
+    return losses

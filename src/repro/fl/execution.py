@@ -2,29 +2,32 @@
 
 The simulated MEC devices are independent: each selected user's local
 update (Eq. 3) depends only on the broadcast parameters and its own
-dataset. The trainer therefore delegates the per-round fan-out to an
-:class:`ExecutionBackend`:
+dataset. All training goes through one primitive,
+:func:`repro.fl.client.train_clients`, which trains a sequence of
+clients into the rows of a result matrix. An :class:`ExecutionBackend`
+only decides how a round's selection is cut into contiguous chunks and
+where each chunk runs:
 
-* :class:`SerialBackend` — one shared scratch model, clients in
-  selection order (the original loop);
-* :class:`ThreadPoolBackend` — a thread pool with one scratch model
-  per worker thread; numpy releases the GIL inside BLAS calls, so the
-  matmul-heavy forward/backward passes genuinely overlap;
-* :class:`ProcessPoolBackend` — a process pool whose workers each
-  build their own scratch model and cache the device datasets at pool
-  start-up, so a round only ships ``(device_id, learning_rate,
-  global_params)`` per task;
+* :class:`SerialBackend` — the whole selection as one chunk, in the
+  calling thread;
+* :class:`ThreadPoolBackend` — chunks across a thread pool with one
+  scratch model per worker thread; numpy releases the GIL inside BLAS
+  calls, so the matmul-heavy forward/backward passes genuinely overlap;
+* :class:`ProcessPoolBackend` — chunks across a process pool whose
+  workers each build their own scratch model and cache the device
+  datasets at pool start-up, so a chunk only ships its device ids, the
+  learning rate and the broadcast vector;
 * ``SharedMemoryProcessPoolBackend`` (:mod:`repro.fl.shm`, registry
   name ``"process+shm"``) — the process pool plus
   :class:`~repro.fl.shm.SharedArrayPool`: broadcast and trained
   parameter vectors travel through ``multiprocessing.shared_memory``
-  blocks, so a round pickles only scalars per task.
+  blocks, so a round pickles only scalars and device ids per chunk.
 
-All backends are *bitwise equivalent*: every client trains on its own
-model clone starting from the same broadcast vector, mini-batch
-sampling (when enabled) draws from a per-``(round, device)`` derived
-seed rather than a shared generator, and results are returned in
-selection order. A fixed seed therefore produces the identical
+All backends are *bitwise equivalent*: a client's trained vector
+depends only on the broadcast vector, its own dataset and (for
+mini-batches) a per-``(round, device)`` derived seed — never on which
+clients share its chunk — and results are returned in selection order.
+A fixed seed therefore produces the identical
 :class:`~repro.fl.history.TrainingHistory` under any backend.
 
 The round exchange is typed: a backend returns one
@@ -38,22 +41,33 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
+from repro.data.dataset import ArrayDataset
 from repro.devices.device import UserDevice
 from repro.errors import ConfigurationError, TrainingError
-from repro.fl.client import LocalTrainer
+from repro.fl.client import LocalUpdateSpec, train_clients
 from repro.nn.model import Sequential
 from repro.obs.spans import (
+    TaskSample,
     TaskSpanContext,
+    apportion_task_sample,
     begin_task_sample,
     emit_task_span,
     end_task_sample,
     round_span_id,
 )
-from repro.rng import derive_seed
 
 __all__ = [
     "STATUS_OK",
@@ -242,65 +256,6 @@ class RoundResult:
         )
 
 
-@dataclass(frozen=True)
-class LocalUpdateSpec:
-    """The local-update hyperparameters a backend trains with.
-
-    Attributes mirror :class:`~repro.fl.client.LocalTrainer`; ``seed``
-    roots the per-``(round, device)`` mini-batch sampling seeds that
-    keep stochastic local updates backend-independent.
-    """
-
-    learning_rate: float = 0.1
-    local_steps: int = 1
-    batch_size: Optional[int] = None
-    max_grad_norm: Optional[float] = None
-    seed: int = 0
-
-    def make_trainer(
-        self, learning_rate: float, round_index: int, device_id: int
-    ) -> LocalTrainer:
-        """Build the :class:`LocalTrainer` for one client task."""
-        return LocalTrainer(
-            learning_rate=learning_rate,
-            local_steps=self.local_steps,
-            batch_size=self.batch_size,
-            max_grad_norm=self.max_grad_norm,
-            seed=derive_seed(
-                self.seed, "minibatch", str(round_index), str(device_id)
-            ),
-        )
-
-
-def _train_one(
-    scratch: Sequential,
-    spec: LocalUpdateSpec,
-    round_index: int,
-    learning_rate: float,
-    global_params: np.ndarray,
-    device_id: int,
-    dataset,
-    weight: float,
-    params_out: Optional[np.ndarray] = None,
-) -> ClientUpdate:
-    """Run one client's local update on a prepared scratch model.
-
-    Args:
-        params_out: optional preallocated destination for the trained
-            flat vector (a shared-memory slot on the zero-copy path);
-            when ``None`` a fresh array is returned.
-    """
-    scratch.set_flat_params(global_params)
-    trainer = spec.make_trainer(learning_rate, round_index, device_id)
-    loss_value = trainer.train(scratch, dataset)
-    return ClientUpdate(
-        device_id=device_id,
-        params=scratch.get_flat_params(out=params_out),
-        weight=weight,
-        loss=loss_value,
-    )
-
-
 # ----------------------------------------------------------------------
 # Backend interface
 # ----------------------------------------------------------------------
@@ -329,10 +284,11 @@ class ExecutionBackend:
         self.observer = None
         # Per-round task-sampling scratch: when the bound observer has
         # spans active, ``_run`` implementations record one
-        # ``(device_id, TaskSample)`` pair per client in selection
-        # order; ``run_round`` turns them into per-task span events.
+        # ``(device_ids, TaskSample)`` pair per trained chunk in
+        # selection order; ``run_round`` turns them into per-task span
+        # events, one triple per device.
         self._sample_tasks = False
-        self._task_samples: List[tuple] = []
+        self._task_samples: List[Tuple[List[int], TaskSample]] = []
 
     # -- lifecycle ------------------------------------------------------
     def bind(
@@ -408,8 +364,12 @@ class ExecutionBackend:
                     parent_id=round_span_id(round_index, "local_updates"),
                     round_index=round_index,
                 )
-                for device_id, sample in self._task_samples:
-                    emit_task_span(observer, context, device_id, sample)
+                for device_ids, sample in self._task_samples:
+                    for device_id, share in zip(
+                        device_ids,
+                        apportion_task_sample(sample, len(device_ids)),
+                    ):
+                        emit_task_span(observer, context, device_id, share)
             return updates
         finally:
             self._sample_tasks = False
@@ -424,17 +384,69 @@ class ExecutionBackend:
     ) -> List[ClientUpdate]:
         raise NotImplementedError
 
+    def _record_chunk(
+        self, devices: Sequence[UserDevice], sample: Optional[TaskSample]
+    ) -> None:
+        """Keep one trained chunk's measurement for ``run_round`` to emit."""
+        if sample is not None and len(devices) > 0:
+            self._task_samples.append(
+                ([device.device_id for device in devices], sample)
+            )
 
-def _map_chunksize(task_count: int, workers: Optional[int]) -> int:
-    """Batch ``Executor.map`` submissions for large fan-outs.
 
-    The default ``chunksize=1`` pays one queue round trip per task,
-    which dominates a 10^4-client round. Chunking preserves result
-    order, so backend parity is unaffected; small rounds keep
-    ``chunksize=1`` so no worker sits idle behind a batch.
+def _train_chunk(
+    scratch: Sequential,
+    spec: LocalUpdateSpec,
+    round_index: int,
+    learning_rate: float,
+    global_params: np.ndarray,
+    devices: Sequence,
+    out: np.ndarray,
+    sample: bool,
+) -> Tuple[np.ndarray, Optional[TaskSample]]:
+    """:func:`train_clients` on one chunk, measured when ``sample`` is set.
+
+    Runs in whichever thread or process owns the chunk; the measurement
+    covers the whole chunk and is apportioned per device by the parent.
+    """
+    token = begin_task_sample() if sample else None
+    losses = train_clients(
+        scratch, spec, round_index, learning_rate, global_params, devices, out
+    )
+    return losses, (end_task_sample(token) if token is not None else None)
+
+
+def _client_updates(
+    devices: Sequence[UserDevice], rows: np.ndarray, losses: np.ndarray
+) -> List[ClientUpdate]:
+    """One :class:`ClientUpdate` per device; ``params`` are views of ``rows``."""
+    return [
+        ClientUpdate(
+            device_id=device.device_id,
+            params=row,
+            weight=float(device.num_samples),
+            loss=loss,
+        )
+        for device, row, loss in zip(devices, rows, losses.tolist())
+    ]
+
+
+def _chunk_bounds(
+    task_count: int, workers: Optional[int]
+) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of each contiguous chunk a pool round submits.
+
+    One client per task pays one queue round trip per client, which
+    dominates a 10^4-client round. Chunking preserves result order, so
+    backend parity is unaffected; small rounds keep one client per
+    task so no worker sits idle behind a batch.
     """
     pool_size = workers or os.cpu_count() or 1
-    return max(1, min(64, task_count // (pool_size * 4)))
+    size = max(1, min(64, task_count // (pool_size * 4)))
+    return [
+        (start, min(start + size, task_count))
+        for start in range(0, task_count, size)
+    ]
 
 
 def _check_workers(workers: Optional[int]) -> Optional[int]:
@@ -446,11 +458,7 @@ def _check_workers(workers: Optional[int]) -> Optional[int]:
 
 
 class SerialBackend(ExecutionBackend):
-    """Clients in selection order on one shared scratch model.
-
-    This is the original trainer loop: reusing a single scratch model
-    avoids reallocating layer buffers ``Q*C`` times per round.
-    """
+    """The whole selection as one chunk on one shared scratch model."""
 
     name = "serial"
 
@@ -463,36 +471,28 @@ class SerialBackend(ExecutionBackend):
         self._scratch = model_template.clone()
 
     def _run(self, round_index, global_params, selected, learning_rate):
-        sampling = self._sample_tasks
-        updates = []
-        for device in selected:
-            token = begin_task_sample() if sampling else None
-            updates.append(
-                _train_one(
-                    self._scratch,
-                    self._spec,
-                    round_index,
-                    learning_rate,
-                    global_params,
-                    device.device_id,
-                    device.dataset,
-                    float(device.num_samples),
-                )
-            )
-            if token is not None:
-                self._task_samples.append(
-                    (device.device_id, end_task_sample(token))
-                )
-        return updates
+        rows = np.empty((len(selected), np.size(global_params)))
+        losses, sample = _train_chunk(
+            self._scratch,
+            self._spec,
+            round_index,
+            learning_rate,
+            global_params,
+            selected,
+            rows,
+            self._sample_tasks,
+        )
+        self._record_chunk(selected, sample)
+        return _client_updates(selected, rows, losses)
 
 
 class ThreadPoolBackend(ExecutionBackend):
-    """Clients fan out across a thread pool.
+    """Chunks of the selection fan out across a thread pool.
 
     Each worker thread lazily clones its own scratch model
-    (thread-local), so concurrent clients never share layer buffers.
-    numpy's BLAS kernels drop the GIL, which is where the overlap
-    comes from.
+    (thread-local), so concurrent chunks never share layer buffers,
+    and writes its chunk's rows of the round's result matrix. numpy's
+    BLAS kernels drop the GIL, which is where the overlap comes from.
 
     Args:
         workers: pool size; ``None`` uses ``os.cpu_count()``.
@@ -536,32 +536,29 @@ class ThreadPoolBackend(ExecutionBackend):
         if self._pool is None:
             raise TrainingError("ThreadPoolBackend is closed; re-bind it")
         sampling = self._sample_tasks
+        rows = np.empty((len(selected), np.size(global_params)))
+        losses = np.empty(len(selected))
 
-        def task(device: UserDevice):
-            token = begin_task_sample() if sampling else None
-            update = _train_one(
+        def task(bounds: Tuple[int, int]) -> Optional[TaskSample]:
+            start, stop = bounds
+            losses[start:stop], sample = _train_chunk(
                 self._scratch(),
                 self._spec,
                 round_index,
                 learning_rate,
                 global_params,
-                device.device_id,
-                device.dataset,
-                float(device.num_samples),
+                selected[start:stop],
+                rows[start:stop],
+                sampling,
             )
-            return update, (
-                end_task_sample(token) if token is not None else None
-            )
+            return sample
 
-        results = list(self._pool.map(task, selected))
-        if sampling:
-            # Collected in map (= selection) order, not completion
-            # order, so the emitted span sequence is deterministic.
-            self._task_samples.extend(
-                (device.device_id, sample)
-                for device, (_, sample) in zip(selected, results)
-            )
-        return [update for update, _ in results]
+        chunks = _chunk_bounds(len(selected), self.workers)
+        # Collected in map (= selection) order, not completion order,
+        # so the emitted span sequence is deterministic.
+        for (start, stop), sample in zip(chunks, self._pool.map(task, chunks)):
+            self._record_chunk(selected[start:stop], sample)
+        return _client_updates(selected, rows, losses)
 
 
 # -- process-pool worker plumbing (module level for picklability) ------
@@ -592,36 +589,76 @@ def _process_worker_init(
     _WORKER_STATE["datasets"] = datasets  # repro: allow[REP005] per-process init, pre-task
 
 
+class _WorkerClient(NamedTuple):
+    """What a pool worker knows of a device: all ``train_clients`` reads."""
+
+    device_id: int
+    dataset: ArrayDataset
+
+
+def _chunk_clients(
+    devices: Sequence[UserDevice], known_ids: set
+) -> Tuple[List[int], Dict[int, ArrayDataset]]:
+    """A chunk as a pool task carries it: ids, plus unbound datasets.
+
+    Devices bound at pool start-up travel as their id alone; one that
+    joined later ships its dataset with the task.
+    """
+    return (
+        [device.device_id for device in devices],
+        {
+            device.device_id: device.dataset
+            for device in devices
+            if device.device_id not in known_ids
+        },
+    )
+
+
+def _worker_clients(
+    device_ids: Sequence[int],
+    shipped: Dict[int, ArrayDataset],
+    datasets: Dict[int, ArrayDataset],
+) -> List[_WorkerClient]:
+    """Resolve a task's device ids against the worker's dataset cache."""
+    return [
+        _WorkerClient(
+            device_id,
+            shipped[device_id] if device_id in shipped else datasets[device_id],
+        )
+        for device_id in device_ids
+    ]
+
+
 def _process_worker_run(task):
-    round_index, learning_rate, global_params, device_id, weight, dataset, sample = task
-    if dataset is None:
-        dataset = _WORKER_STATE["datasets"][device_id]
-    token = begin_task_sample() if sample else None
-    update = _train_one(
+    """Train one chunk; returns ``(rows, losses, sample)``."""
+    round_index, learning_rate, global_params, device_ids, shipped, sample = task
+    clients = _worker_clients(device_ids, shipped, _WORKER_STATE["datasets"])
+    rows = np.empty((len(clients), np.size(global_params)))
+    # The resource sample is taken in the *worker* process, then rides
+    # home with the result for the parent to emit. The trained rows are
+    # pickled back: the zero-copy route is repro.fl.shm.
+    losses, taken = _train_chunk(
         _WORKER_STATE["scratch"],
         _WORKER_STATE["spec"],
         round_index,
         learning_rate,
         global_params,
-        device_id,
-        dataset,
-        weight,
+        clients,
+        rows,
+        sample,
     )
-    # The resource sample is taken in the *worker* process, then rides
-    # home with the result (scalars only) for the parent to emit.
-    taken = end_task_sample(token) if token is not None else None
-    # Pickle-transport fallback path; the zero-copy route is repro.fl.shm.
-    return update.device_id, update.params, update.weight, update.loss, taken  # repro: allow[REP007] pickle fallback backend
+    return rows, losses, taken
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Clients fan out across a process pool.
+    """Chunks of the selection fan out across a process pool.
 
     The pool initializer ships the model template, the local-update
     spec, and every bound device's dataset to each worker exactly once;
-    a round's tasks then carry only ``(device_id, learning_rate,
-    global_params)``. Devices that appear at run time without having
-    been bound fall back to shipping their dataset with the task.
+    a round's tasks then carry only device ids, the learning rate and
+    the broadcast vector, one task per contiguous chunk. Devices that
+    appear at run time without having been bound fall back to shipping
+    their dataset with the task.
 
     Args:
         workers: pool size; ``None`` uses ``os.cpu_count()``.
@@ -661,35 +698,26 @@ class ProcessPoolBackend(ExecutionBackend):
     def _run(self, round_index, global_params, selected, learning_rate):
         if self._pool is None:
             raise TrainingError("ProcessPoolBackend is closed; re-bind it")
-        sampling = self._sample_tasks
+        chunks = [
+            selected[start:stop]
+            for start, stop in _chunk_bounds(len(selected), self.workers)
+        ]
         tasks = [
             (
                 round_index,
                 learning_rate,
                 global_params,  # repro: allow[REP007] pickle fallback backend
-                device.device_id,
-                float(device.num_samples),
-                None if device.device_id in self._known_ids else device.dataset,
-                sampling,
+                *_chunk_clients(chunk, self._known_ids),
+                self._sample_tasks,
             )
-            for device in selected
+            for chunk in chunks
         ]
         updates = []
-        for device_id, params, weight, loss, sample in self._pool.map(
-            _process_worker_run,
-            tasks,
-            chunksize=_map_chunksize(len(tasks), self.workers),
+        for chunk, (rows, losses, sample) in zip(
+            chunks, self._pool.map(_process_worker_run, tasks)
         ):
-            updates.append(
-                ClientUpdate(
-                    device_id=device_id,
-                    params=params,
-                    weight=weight,
-                    loss=loss,
-                )
-            )
-            if sampling:
-                self._task_samples.append((device_id, sample))
+            updates.extend(_client_updates(chunk, rows, losses))
+            self._record_chunk(chunk, sample)
         return updates
 
 

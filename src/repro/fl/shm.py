@@ -7,11 +7,12 @@ This module removes both copies:
 
 * the trainer writes the broadcast vector once into a shared
   ``multiprocessing.shared_memory`` block; workers map it read-only;
-* each worker trains and writes its result directly into a preallocated
-  per-client slot of a shared result block;
-* a task therefore carries only scalars — ``(round_index,
-  learning_rate, device_id, slot, weight, result_block_name)`` — and a
-  result only ``(device_id, slot, weight, loss)``.
+* each worker trains one contiguous chunk of the selection and writes
+  the results directly into that chunk's slot range of a shared result
+  block;
+* a task therefore carries only scalars and device ids —
+  ``(round_index, learning_rate, result_block_name, first_slot,
+  device_ids, ...)`` — and a result only the chunk's losses.
 
 Datasets stay resident in worker state across rounds exactly as in the
 plain process pool.
@@ -37,15 +38,16 @@ import numpy as np
 from repro.devices.device import UserDevice
 from repro.errors import ConfigurationError, TrainingError
 from repro.fl.execution import (
-    ClientUpdate,
     ExecutionBackend,
     LocalUpdateSpec,
     _check_workers,
-    _map_chunksize,
-    _train_one,
+    _chunk_bounds,
+    _chunk_clients,
+    _client_updates,
+    _train_chunk,
+    _worker_clients,
 )
 from repro.nn.model import Sequential
-from repro.obs.spans import begin_task_sample, end_task_sample
 
 __all__ = ["SharedArrayPool", "SharedMemoryProcessPoolBackend"]
 
@@ -255,21 +257,18 @@ def _shm_worker_init(
 
 
 def _shm_worker_run(task):
-    """Train one client; parameters move only through shared memory."""
+    """Train one chunk; parameters move only through shared memory."""
     (
         round_index,
         learning_rate,
-        device_id,
-        slot,
-        weight,
         result_name,
-        dataset,
+        first_slot,
+        device_ids,
+        shipped,
         sample,
     ) = task
     state = _SHM_WORKER_STATE
-    if dataset is None:
-        dataset = state["datasets"][device_id]
-    token = begin_task_sample() if sample else None
+    clients = _worker_clients(device_ids, shipped, state["datasets"])
     count = state["param_count"]
     broadcast = _attach_segment(state["broadcast_name"])
     global_params = np.ndarray(
@@ -278,27 +277,24 @@ def _shm_worker_run(task):
     global_params.flags.writeable = False
     result = _attach_segment(result_name)
     _prune_stale_results(result_name)
-    slot_view = np.ndarray(
-        (count,),
+    slots = np.ndarray(
+        (len(clients), count),
         dtype=np.float64,
         buffer=result.buf,
-        offset=slot * count * _FLOAT_BYTES,
+        offset=first_slot * count * _FLOAT_BYTES,
     )
-    update = _train_one(
+    # The resource sample is taken in the *worker* process and returns
+    # with the chunk's losses; parameters stay in shared memory.
+    return _train_chunk(
         state["scratch"],
         state["spec"],
         round_index,
         learning_rate,
         global_params,
-        device_id,
-        dataset,
-        weight,
-        params_out=slot_view,
+        clients,
+        slots,
+        sample,
     )
-    # The resource sample is taken in the *worker* process and returns
-    # with the scalar result tuple; parameters stay in shared memory.
-    taken = end_task_sample(token) if token is not None else None
-    return update.device_id, slot, update.weight, update.loss, taken
 
 
 class SharedMemoryProcessPoolBackend(ExecutionBackend):
@@ -367,46 +363,30 @@ class SharedMemoryProcessPoolBackend(ExecutionBackend):
             )
         if not selected:
             return []
-        sampling = self._sample_tasks
         shm = self._shm
         shm.broadcast_view()[...] = np.asarray(
             global_params, dtype=np.float64
         ).ravel()
         result_name = shm.ensure_result_slots(len(selected))
+        bounds = _chunk_bounds(len(selected), self.workers)
         tasks = [
             (
                 round_index,
                 learning_rate,
-                device.device_id,
-                slot,
-                float(device.num_samples),
                 result_name,
-                None if device.device_id in self._known_ids else device.dataset,
-                sampling,
+                start,
+                *_chunk_clients(selected[start:stop], self._known_ids),
+                self._sample_tasks,
             )
-            for slot, device in enumerate(selected)
+            for start, stop in bounds
         ]
-        results = list(
-            self._pool.map(
-                _shm_worker_run,
-                tasks,
-                chunksize=_map_chunksize(len(tasks), self.workers),
-            )
+        results = list(self._pool.map(_shm_worker_run, tasks))
+        # One copy out of the shared block: it is reused next round,
+        # while the updates (row views of the copy) may outlive it
+        # (history, compression, aggregation buffers).
+        rows = shm.result_view(len(selected)).copy()
+        for (start, stop), (_, sample) in zip(bounds, results):
+            self._record_chunk(selected[start:stop], sample)
+        return _client_updates(
+            selected, rows, np.concatenate([losses for losses, _ in results])
         )
-        slots = shm.result_view(len(selected))
-        updates = []
-        for device_id, slot, weight, loss, sample in results:
-            updates.append(
-                ClientUpdate(
-                    device_id=device_id,
-                    # Copy out of the shared slot: the block is reused
-                    # next round, while the update may outlive it
-                    # (history, compression, aggregation buffers).
-                    params=slots[slot].copy(),
-                    weight=weight,
-                    loss=loss,
-                )
-            )
-            if sampling:
-                self._task_samples.append((device_id, sample))
-        return updates

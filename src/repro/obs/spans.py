@@ -19,12 +19,14 @@ Two propagation shapes exist:
   spans are off: zero branches in the hot path, bitwise-identical
   results);
 * **cross-process task spans** — the parent pickles a
-  :class:`TaskSpanContext` with each client task, the worker brackets
-  its work with :func:`begin_task_sample` / :func:`end_task_sample`
-  and ships the picklable :class:`TaskSample` back, and the parent
-  flushes the pair into the trace with :func:`emit_task_span` in
-  deterministic task order (the JSONL sink is not thread-safe, so
-  workers never write the trace themselves).
+  :class:`TaskSpanContext` with each backend task, the worker brackets
+  the chunk of clients it trains in one call with
+  :func:`begin_task_sample` / :func:`end_task_sample` and ships the
+  picklable :class:`TaskSample` back, and the parent splits it into
+  equal per-client shares (:func:`apportion_task_sample`) and flushes
+  one span per client with :func:`emit_task_span` in deterministic
+  selection order (the JSONL sink is not thread-safe, so workers never
+  write the trace themselves).
 
 This module is the sanctioned home for the wall-clock and
 ``getrusage`` reads the spans need (see REP004): span timing measures
@@ -36,8 +38,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Optional, Tuple
 
 try:  # pragma: no cover - resource is stdlib on every POSIX platform
     import resource as _resource
@@ -54,6 +56,7 @@ __all__ = [
     "TaskSample",
     "begin_task_sample",
     "end_task_sample",
+    "apportion_task_sample",
     "emit_task_span",
     "rusage_snapshot",
     "round_span_id",
@@ -245,9 +248,17 @@ class TaskSpanContext:
 class TaskSample:
     """A worker-side measurement of one client task (picklable).
 
+    Clients of one chunk are trained in a single call, so what is
+    measured is the chunk; a client's sample is *apportioned* from it
+    (:func:`apportion_task_sample`): an equal share of the chunk's
+    duration and CPU time, with the chunk's pid and peak RSS. Shares
+    add up to the measurement, which keeps span self-time sums
+    meaningful; they say nothing about one client being slower than
+    another.
+
     Attributes:
         t_wall: wall-clock time when the task started, seconds.
-        duration_s: measured task duration, seconds.
+        duration_s: measured (or apportioned) task duration, seconds.
         pid: the measuring process's OS pid.
         rss_peak_kb: that process's lifetime peak RSS, kilobytes.
         cpu_user_s: user-mode CPU seconds spent on the task.
@@ -286,6 +297,26 @@ def end_task_sample(token: Tuple[float, float, float, float]) -> TaskSample:
         cpu_user_s=max(0.0, user1 - user0),
         cpu_sys_s=max(0.0, sys1 - sys0),
     )
+
+
+def apportion_task_sample(sample: TaskSample, count: int) -> List[TaskSample]:
+    """Split one chunk's measurement into ``count`` equal client shares.
+
+    Share ``i`` starts where share ``i - 1`` ends, so the shares tile
+    the chunk's interval on a timeline and sum to its duration and CPU
+    time; pid and peak RSS are the chunk's.
+    """
+    duration = sample.duration_s / count
+    return [
+        replace(
+            sample,
+            t_wall=sample.t_wall + index * duration,
+            duration_s=duration,
+            cpu_user_s=sample.cpu_user_s / count,
+            cpu_sys_s=sample.cpu_sys_s / count,
+        )
+        for index in range(count)
+    ]
 
 
 def emit_task_span(

@@ -108,6 +108,30 @@ class TestProperties:
         assert np.allclose(out, vector)
 
 
+class TestBitwiseLayout:
+    """Eq. 18 is summed client by client, whatever holds the vectors."""
+
+    @given(st.integers(1, 8), st.integers(1, 40), st.integers(0, 1000))
+    @settings(max_examples=50, deadline=None)
+    def test_matrix_rows_and_list_of_copies_give_identical_bytes(
+        self, count, length, seed
+    ):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(count, length))
+        weights = list(rng.integers(1, 50, size=count).astype(float))
+        from_rows = fedavg_aggregate(matrix, weights)
+        from_copies = fedavg_aggregate([row.copy() for row in matrix], weights)
+        from_lists = fedavg_aggregate([row.tolist() for row in matrix], weights)
+        assert from_rows.tobytes() == from_copies.tobytes()
+        assert from_rows.tobytes() == from_lists.tobytes()
+        # The sequential definition, one temporary per client.
+        total = np.asarray(weights).sum()
+        want = np.zeros(length)
+        for row, weight in zip(matrix, weights):
+            want += (weight / total) * row
+        assert from_rows.tobytes() == want.tobytes()
+
+
 class TestEq19Equivalence:
     """The paper's theoretical foundation (Section V-A): one FedAvg
     round with single-step full-batch GD equals one centralized GD step

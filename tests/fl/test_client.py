@@ -58,6 +58,24 @@ class TestTraining:
         trainer.train(model, ds)
         assert not np.allclose(model.get_flat_params(), before)
 
+    def test_generator_is_built_on_first_draw_only(self):
+        # Full-batch training never seeds a generator; mini-batching
+        # seeds it once, from the seed given at construction.
+        ds = dataset(30)
+        full = LocalTrainer(0.1, seed=11)
+        full.train(build_mlp(4, 3, seed=3), ds)
+        assert full._generator is None
+        lazy = LocalTrainer(0.1, batch_size=8, seed=11)
+        assert lazy._generator is None
+        model = build_mlp(4, 3, seed=3)
+        lazy.train(model, ds)
+        expected = build_mlp(4, 3, seed=3)
+        first = np.random.default_rng(11).choice(30, size=8, replace=False)
+        LocalTrainer(0.1).train(expected, ArrayDataset(*ds[first]))
+        assert np.array_equal(
+            model.get_flat_params(), expected.get_flat_params()
+        )
+
     def test_batch_larger_than_dataset_uses_all(self):
         ds = dataset(5)
         model = build_mlp(4, 3, seed=4)

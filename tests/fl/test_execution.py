@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines.classic import RandomSelection
 from repro.data.dataset import ArrayDataset
+from repro.data.partition import dirichlet_partition
 from repro.errors import ConfigurationError, TrainingError
 from repro.fl.execution import (
     BACKEND_NAMES,
@@ -20,6 +21,8 @@ from repro.fl.server import FederatedServer
 from repro.fl.shm import SharedMemoryProcessPoolBackend
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
+from repro.obs import RunObserver
+from repro.obs.sinks import CollectingSink
 from tests.conftest import make_heterogeneous_devices
 
 
@@ -141,8 +144,19 @@ class TestRegistry:
             SerialBackend().run_round(1, np.zeros(3), [], 0.1)
 
 
-def make_setup(num_devices=10, seed=3):
+def make_setup(num_devices=10, seed=3, fleet="equal"):
     devices = make_heterogeneous_devices(num_devices, seed=seed)
+    if fleet == "dirichlet":
+        # Unequal shards: the stacked kernel groups clients by size.
+        rng = np.random.default_rng(seed + 70)
+        total = 12 * num_devices
+        pool = ArrayDataset(
+            rng.normal(size=(total, 4)), rng.integers(0, 3, size=total)
+        )
+        shards = dirichlet_partition(pool, num_devices, alpha=0.5, seed=seed)
+        assert len({len(shard) for shard in shards}) > 2
+        for device, shard in zip(devices, shards):
+            device.dataset = shard
     rng = np.random.default_rng(seed + 50)
     test = ArrayDataset(rng.normal(size=(40, 4)), rng.integers(0, 3, size=40))
     model = build_mlp(4, 3, hidden_sizes=(8,), seed=seed)
@@ -150,8 +164,12 @@ def make_setup(num_devices=10, seed=3):
     return server, devices
 
 
-def run_with_backend(backend, num_devices=10, seed=3, **config_kwargs):
-    server, devices = make_setup(num_devices=num_devices, seed=seed)
+def run_with_backend(
+    backend, num_devices=10, seed=3, fleet="equal", **config_kwargs
+):
+    server, devices = make_setup(
+        num_devices=num_devices, seed=seed, fleet=fleet
+    )
     defaults = dict(rounds=4, bandwidth_hz=2e6, learning_rate=0.2)
     defaults.update(config_kwargs)
     with backend:
@@ -168,19 +186,32 @@ def run_with_backend(backend, num_devices=10, seed=3, **config_kwargs):
 class TestBackendParity:
     """Thread and process pools reproduce the serial run bitwise."""
 
-    @pytest.mark.parametrize(
-        "make_backend",
-        [ThreadPoolBackend, ProcessPoolBackend, SharedMemoryProcessPoolBackend],
-    )
-    def test_full_batch_parity(self, make_backend):
-        serial = run_with_backend(SerialBackend())
-        pooled = run_with_backend(make_backend(workers=2))
+    POOLS = [ThreadPoolBackend, ProcessPoolBackend, SharedMemoryProcessPoolBackend]
+
+    @staticmethod
+    def assert_same_history(serial, pooled):
         assert len(serial.records) == len(pooled.records)
         for want, got in zip(serial.records, pooled.records):
             assert got.selected_ids == want.selected_ids
             assert got.train_loss == want.train_loss
             assert got.test_accuracy == want.test_accuracy
             assert got.test_loss == want.test_loss
+
+    @pytest.mark.parametrize("make_backend", POOLS)
+    def test_full_batch_parity(self, make_backend):
+        serial = run_with_backend(SerialBackend())
+        pooled = run_with_backend(make_backend(workers=2))
+        self.assert_same_history(serial, pooled)
+
+    @pytest.mark.parametrize("make_backend", POOLS)
+    def test_unequal_shard_parity(self, make_backend):
+        # A Dirichlet fleet, large enough that pool chunks hold three
+        # clients: each chunk groups its clients by shard size, and the
+        # serial backend groups the whole selection.
+        kwargs = dict(fleet="dirichlet", num_devices=60, local_steps=2)
+        serial = run_with_backend(SerialBackend(), **kwargs)
+        pooled = run_with_backend(make_backend(workers=2), **kwargs)
+        self.assert_same_history(serial, pooled)
 
     def test_minibatch_parity(self):
         # Stochastic local updates draw from per-(round, device) seeds,
@@ -218,6 +249,49 @@ class TestBackendParity:
             assert [u.device_id for u in updates] == [d.device_id for d in devices]
         finally:
             backend.close()
+
+
+class TestTaskSpans:
+    """One span triple per device, apportioned from its chunk's sample."""
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_chunk_measurement_is_shared_out_per_device(self, name):
+        server, devices = make_setup(num_devices=40)
+        sink = CollectingSink()
+        with create_backend(name, workers=2) as backend:
+            backend.observer = RunObserver(sink=sink)
+            backend.bind(server.model, LocalUpdateSpec(), devices)
+            backend.run_round(3, server.broadcast(), devices, 0.1)
+        starts = sink.of_kind("span_start")
+        ends = {e.span_id: e for e in sink.of_kind("span_end")}
+        samples = {e.span_id: e for e in sink.of_kind("worker_resource")}
+        assert [e.span_id for e in starts] == [
+            f"round-3/local_updates/task-{d.device_id}" for d in devices
+        ]
+        assert set(ends) == set(samples) == {e.span_id for e in starts}
+        # Devices of one chunk share its pid and tile its interval with
+        # equal shares; 40 devices over 2 workers make chunks of 5
+        # (serial: one chunk of 40).
+        size = 40 if name == "serial" else 5
+        for first in range(0, 40, size):
+            chunk = starts[first : first + size]
+            shares = [ends[e.span_id].duration_s for e in chunk]
+            assert len({e.pid for e in chunk}) == 1
+            assert shares == [shares[0]] * size
+            assert len({samples[e.span_id].cpu_user_s for e in chunk}) == 1
+            assert [e.t_wall for e in chunk] == pytest.approx(
+                [chunk[0].t_wall + i * shares[0] for i in range(size)]
+            )
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_empty_selection_emits_nothing(self, name):
+        server, devices = make_setup(num_devices=4)
+        sink = CollectingSink()
+        with create_backend(name, workers=2) as backend:
+            backend.observer = RunObserver(sink=sink)
+            backend.bind(server.model, LocalUpdateSpec(), devices)
+            assert backend.run_round(1, server.broadcast(), [], 0.1) == []
+        assert sink.events == []
 
 
 class TestTrainerIntegration:
