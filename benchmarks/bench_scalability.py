@@ -24,7 +24,7 @@ serial at 100 users; under pytest the speedup assertion engages only
 when enough cores are available, so the parity checks still run on
 constrained CI hosts.
 
-Part 3 is a Q = 10⁵ sharded-selection smoke of the
+Part 3 is a Q = 10⁵ scheduler smoke of the
 :class:`~repro.devices.DevicePopulation` scheduler (Algorithm 2
 selection + Algorithm 3 DVFS), built via ``from_spec`` with no device
 objects at all; scheduler timing proper is ``bench_layers``'
@@ -264,7 +264,7 @@ def test_backend_scaling(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Part 3: DevicePopulation sharded-scheduler smoke (Algorithms 2 + 3)
+# Part 3: DevicePopulation scheduler smoke (Algorithms 2 + 3)
 # ----------------------------------------------------------------------
 PAYLOAD_BITS = 1e6
 BANDWIDTH_HZ = 2e6
@@ -281,12 +281,10 @@ def _bench_sizes(q: int, seed: int) -> np.ndarray:
     return rng.integers(20, 200, size=q)
 
 
-def _vector_rounds(population, rounds: int, shard_size=None):
+def _vector_rounds(population, rounds: int):
     """The DevicePopulation path: array scores, argpartition top-N,
     prefix-scan DVFS over the selected slice."""
-    strategy = GreedyDecaySelection(
-        FRACTION, DECAY, PAYLOAD_BITS, BANDWIDTH_HZ, shard_size=shard_size
-    )
+    strategy = GreedyDecaySelection(FRACTION, DECAY, PAYLOAD_BITS, BANDWIDTH_HZ)
     picks, assignments = [], []
     for round_index in range(1, rounds + 1):
         positions = strategy.select_population(round_index, population)
@@ -301,12 +299,11 @@ def _vector_rounds(population, rounds: int, shard_size=None):
     return picks, assignments
 
 
-def run_sharded_smoke(q=100_000, shard_size=8_192, rounds=1, seed=7):
+def run_scheduler_smoke(q=100_000, rounds=1, seed=7):
     """Q = 10⁵ selection + DVFS with no device objects at all.
 
-    The fleet is drawn straight into arrays via ``from_spec`` and
-    selection runs the sharded top-N path — the configuration the
-    Q ≈ 10⁵–10⁶ studies use.
+    The fleet is drawn straight into arrays via ``from_spec`` — the
+    configuration the Q ≈ 10⁵–10⁶ studies use.
     """
     sizes = _bench_sizes(q, seed)
     start = time.perf_counter()
@@ -314,11 +311,10 @@ def run_sharded_smoke(q=100_000, shard_size=8_192, rounds=1, seed=7):
     build_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    picks, _ = _vector_rounds(population, rounds, shard_size=shard_size)
+    picks, _ = _vector_rounds(population, rounds)
     schedule_s = time.perf_counter() - start
     return {
         "q": q,
-        "shard_size": shard_size,
         "rounds": rounds,
         "build_s": build_s,
         "schedule_s": schedule_s,
@@ -449,7 +445,7 @@ def write_scalability_snapshot(
 ):
     """Write the composite ``BENCH_scalability.json`` document.
 
-    Carries the pickle-vs-shm transport study, the sharded smoke, and
+    Carries the pickle-vs-shm transport study, the scheduler smoke, and
     an ``analytics`` RunStats snapshot
     from a traced quick training run — the piece ``python -m
     repro.obs.report --compare`` reads, so a committed snapshot doubles
@@ -458,7 +454,7 @@ def write_scalability_snapshot(
     from repro.experiments.runner import run_traced
 
     transport = run_transport_study(q_values=q_values)
-    smoke = run_sharded_smoke(q=smoke_q)
+    smoke = run_scheduler_smoke(q=smoke_q)
     _, stats = run_traced(
         "helcfl",
         ExperimentSettings.quick(rounds=3, seed=7),
@@ -474,7 +470,7 @@ def write_scalability_snapshot(
         "transport_study": {
             str(q): entry for q, entry in transport.items()
         },
-        "sharded_smoke": smoke,
+        "scheduler_smoke": smoke,
         "analytics": stats.to_dict(),
     }
     with open(path, "w", encoding="utf-8") as handle:
@@ -483,11 +479,11 @@ def write_scalability_snapshot(
     return document
 
 
-def test_sharded_smoke_completes_in_seconds(benchmark):
-    smoke = benchmark.pedantic(run_sharded_smoke, rounds=1, iterations=1)
+def test_scheduler_smoke_completes_in_seconds(benchmark):
+    smoke = benchmark.pedantic(run_scheduler_smoke, rounds=1, iterations=1)
     print()
     print(
-        f"  sharded smoke: Q={smoke['q']}, shard={smoke['shard_size']}: "
+        f"  scheduler smoke: Q={smoke['q']}: "
         f"build {smoke['build_s']:.2f}s, "
         f"schedule {smoke['schedule_s']:.2f}s, "
         f"{smoke['selected_per_round']} selected"
@@ -557,7 +553,7 @@ def _main() -> int:
         "--scalability-snapshot",
         metavar="PATH",
         default=None,
-        help="run the Q=1e5 sharded smoke, the transport study and "
+        help="run the Q=1e5 scheduler smoke, the transport study and "
         "the traced analytics run and write the composite "
         "BENCH_scalability.json document there; skips the backend study",
     )
@@ -608,9 +604,9 @@ def _main() -> int:
                 f"shm {entry['shm_s']:7.3f}s  "
                 f"speedup {entry['speedup']:5.2f}x"
             )
-        smoke = document["sharded_smoke"]
+        smoke = document["scheduler_smoke"]
         print(
-            f"sharded smoke Q={smoke['q']}: build {smoke['build_s']:.2f}s, "
+            f"scheduler smoke Q={smoke['q']}: build {smoke['build_s']:.2f}s, "
             f"schedule {smoke['schedule_s']:.2f}s"
         )
         print(f"wrote {args.scalability_snapshot}")

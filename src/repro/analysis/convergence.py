@@ -12,7 +12,7 @@ both as a reusable class and through
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 
@@ -56,6 +56,21 @@ class PlateauDetector:
         self.best = None
         self.stale_count = 0
         self.converged = False
+
+    def state_dict(self) -> Dict:
+        """JSON-serializable snapshot of the observations so far
+        (checkpoint/resume; the layout is part of the checkpoint format)."""
+        return {
+            "best": self.best,
+            "stale_count": self.stale_count,
+            "converged": self.converged,
+        }
+
+    def load_state_dict(self, state: Dict) -> None:
+        """Restore a :meth:`state_dict` snapshot."""
+        self.best = state.get("best")
+        self.stale_count = int(state.get("stale_count", 0))
+        self.converged = bool(state.get("converged"))
 
     def _improved(self, value: float) -> bool:
         if self.best is None:

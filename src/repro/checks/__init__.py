@@ -1,8 +1,8 @@
 """Domain-aware static analysis for the reproduction's invariants.
 
-The repo's correctness guarantees — bitwise backend parity, the typed
-trace-event contract, the paper's units (Hz, bits, seconds, Joules) —
-are conventions a generic linter cannot see. :mod:`repro.checks` makes
+The repo's correctness guarantees — bitwise backend parity, span
+lifecycles, the paper's units (Hz, bits, seconds, Joules) — are
+conventions a generic linter cannot see. :mod:`repro.checks` makes
 them machine-checked, in two phases: per-file AST rules run first,
 then :mod:`repro.checks.project` condenses every file into a
 :class:`~repro.checks.project.ModuleSummary`, aggregates them into a
@@ -19,8 +19,6 @@ Shipped rules:
 REP001    determinism — no stdlib ``random``, no legacy
           ``np.random.<fn>`` module-level calls, RNG construction goes
           through :mod:`repro.rng`
-REP002    event-schema coverage — every ``*Event`` dataclass is frozen,
-          JSON-serializable, and registered in :mod:`repro.obs.schema`
 REP003    unit discipline — ``_hz``/``_bits``/``_seconds``/``_joules``
           names are never float-equality-compared or mixed across units
 REP004    wall-clock hygiene — no real-clock reads outside

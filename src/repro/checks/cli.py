@@ -30,11 +30,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.checks",
         description=(
             "Domain-aware static analysis in two phases: per-file rules "
-            "— determinism (REP001), event-schema coverage (REP002), "
-            "unit discipline (REP003), wall-clock hygiene (REP004), "
-            "concurrency safety (REP005), hot-path vectorization "
-            "(REP006), param pickling (REP007), suppression hygiene "
-            "(REP012) — then cross-file dataflow rules over a project "
+            "— determinism (REP001), unit discipline (REP003), "
+            "wall-clock hygiene (REP004), concurrency safety (REP005), "
+            "hot-path vectorization (REP006), param pickling (REP007), "
+            "suppression hygiene (REP012) — then cross-file dataflow rules over a project "
             "index: buffer aliasing (REP008), shared-memory lifecycle "
             "(REP009), unit dataflow (REP010), RNG provenance (REP011). "
             "Suppress a finding inline with "

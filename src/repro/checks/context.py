@@ -47,8 +47,6 @@ class ModuleContext:
             skip those).
         suppressions: mapping from line number to the rule ids allowed
             on that line (``"*"`` allows every rule).
-        file_dir: directory containing the file (cross-module rules
-            resolve siblings against it).
     """
 
     path: str
@@ -57,7 +55,6 @@ class ModuleContext:
     module: Optional[str] = None
     is_test: bool = False
     suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    file_dir: Optional[Path] = None
     index: Optional[object] = None
     """Phase-2 :class:`repro.checks.project.ProjectIndex`; ``None``
     while phase-1 (per-file) rules run."""
@@ -156,5 +153,4 @@ def build_context(
         module=resolved_module,
         is_test=resolved_is_test,
         suppressions=parse_suppressions(source),
-        file_dir=path.parent if path.parent != Path("") else Path("."),
     )

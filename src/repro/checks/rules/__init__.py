@@ -8,7 +8,6 @@ from repro.checks.rules.aliasing import BufferAliasingRule
 from repro.checks.rules.base import Rule
 from repro.checks.rules.concurrency import ConcurrencySafetyRule
 from repro.checks.rules.determinism import DeterminismRule
-from repro.checks.rules.events import EventSchemaRule
 from repro.checks.rules.hotpath import HotPathLoopRule
 from repro.checks.rules.pickling import ParamPicklingRule
 from repro.checks.rules.rng_provenance import RngProvenanceRule
@@ -26,7 +25,6 @@ ALL_RULES: Dict[str, type] = {
     rule_cls.rule_id: rule_cls
     for rule_cls in (
         DeterminismRule,
-        EventSchemaRule,
         UnitDisciplineRule,
         WallClockRule,
         ConcurrencySafetyRule,

@@ -8,13 +8,9 @@ runs are reproducible.
 
 The ranking itself runs over a :class:`~repro.devices.DevicePopulation`
 as an O(Q) value-partition (``np.argpartition`` via ``np.partition`` of
-the N-th largest score) instead of a full sort, with an optional
-*sharded* path for very large fleets: rank the top-N inside each shard,
-merge the per-shard candidates, and re-rank — any globally top-N user
-is top-N within its own shard under the same (score, id) order, so the
-merge is exact, and peak working memory per ranking step drops to the
-shard size. Both paths reproduce the full ``sorted(key=(-score, id))``
-ranking — descending utility, ties by ascending device id — bit for bit.
+the N-th largest score) instead of a full sort, and reproduces the
+full ``sorted(key=(-score, id))`` ranking — descending utility, ties by
+ascending device id — bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +29,7 @@ __all__ = ["GreedyDecaySelection", "top_utility_positions"]
 
 
 def top_utility_positions(
-    scores: np.ndarray,
-    device_ids: np.ndarray,
-    count: int,
-    shard_size: Optional[int] = None,
+    scores: np.ndarray, device_ids: np.ndarray, count: int
 ) -> np.ndarray:
     """Positions of the ``count`` best (score desc, id asc) entries.
 
@@ -47,38 +40,13 @@ def top_utility_positions(
         scores: per-device utilities, aligned with ``device_ids``.
         device_ids: unique device ids (the deterministic tie-break).
         count: how many to take (must not exceed the population).
-        shard_size: when set, rank within shards of this many devices
-            and merge the per-shard winners before the final ranking —
-            same result, bounded per-step working set.
     """
     size = scores.shape[0]
     if count > size:
         raise ConfigurationError(
             f"cannot take top {count} of {size} devices"
         )
-    if shard_size is not None and shard_size < 1:
-        raise ConfigurationError(
-            f"shard_size must be positive, got {shard_size}"
-        )
-    if shard_size is None or shard_size >= size:
-        return _exact_top(scores, device_ids, count)
-    candidates = []
-    for start in range(0, size, shard_size):
-        stop = min(start + shard_size, size)
-        take = min(count, stop - start)
-        local = _exact_top(scores[start:stop], device_ids[start:stop], take)
-        candidates.append(local + start)
-    merged = np.concatenate(candidates)
-    best = _exact_top(scores[merged], device_ids[merged], count)
-    return merged[best]
-
-
-def _exact_top(
-    scores: np.ndarray, device_ids: np.ndarray, count: int
-) -> np.ndarray:
-    """Exact top-``count`` positions under (score desc, id asc)."""
-    size = scores.shape[0]
-    if count >= size:
+    if count == size:
         return np.lexsort((device_ids, -scores))
     # The count-th largest value bounds the winners: everything
     # strictly above it is in, the remaining slots go to the smallest
@@ -105,9 +73,6 @@ class GreedyDecaySelection(SelectionStrategy):
         payload_bits: model payload ``C_model``, needed because the
             utility depends on upload delay.
         bandwidth_hz: uplink resource blocks ``Z``.
-        shard_size: optional shard width for the sharded ranking path
-            (see :func:`top_utility_positions`); None ranks the whole
-            population at once.
 
     Attributes:
         appearance_counts: the live ``alpha_q`` counters keyed by
@@ -122,7 +87,6 @@ class GreedyDecaySelection(SelectionStrategy):
         decay: float,
         payload_bits: float,
         bandwidth_hz: float,
-        shard_size: Optional[int] = None,
     ) -> None:
         if not 0.0 < fraction <= 1.0:
             raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
@@ -133,15 +97,10 @@ class GreedyDecaySelection(SelectionStrategy):
                 "payload_bits and bandwidth_hz must be positive, got "
                 f"{payload_bits} and {bandwidth_hz}"
             )
-        if shard_size is not None and shard_size < 1:
-            raise ConfigurationError(
-                f"shard_size must be positive when set, got {shard_size}"
-            )
         self.fraction = float(fraction)
         self.decay = float(decay)
         self.payload_bits = float(payload_bits)
         self.bandwidth_hz = float(bandwidth_hz)
-        self.shard_size = shard_size
         self.appearance_counts: Dict[int, int] = {}
         self._alpha: Optional[np.ndarray] = None
         self._alpha_ids: Optional[np.ndarray] = None
@@ -213,7 +172,7 @@ class GreedyDecaySelection(SelectionStrategy):
         scores = self.scores(population)
         count = selection_count(len(population), self.fraction)
         positions = top_utility_positions(
-            scores, population.device_ids, count, self.shard_size
+            scores, population.device_ids, count
         )
         # Algorithm 2 line 18: bump the winners' counters — in the dict
         # (the documented source of truth) and the aligned mirror.
@@ -247,7 +206,4 @@ class GreedyDecaySelection(SelectionStrategy):
         return [devices[position] for position in positions.tolist()]
 
     def __repr__(self) -> str:
-        shard = f", shard_size={self.shard_size}" if self.shard_size else ""
-        return (
-            f"GreedyDecaySelection(C={self.fraction}, eta={self.decay}{shard})"
-        )
+        return f"GreedyDecaySelection(C={self.fraction}, eta={self.decay})"

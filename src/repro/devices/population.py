@@ -2,8 +2,8 @@
 
 A :class:`DevicePopulation` holds one numpy array per device attribute
 — maximum/minimum CPU frequencies, effective switched capacitance,
-local dataset sizes ``|D_q|``, channel gains, transmit/noise powers,
-battery levels — so the paper's cost model (Eqs. 4–11) and the
+local dataset sizes ``|D_q|``, channel gains, transmit/noise powers
+— so the paper's cost model (Eqs. 4–11) and the
 schedulers built on it (Algorithms 2 and 3) evaluate as array
 expressions over the whole fleet instead of Python loops over
 :class:`~repro.devices.device.UserDevice` objects. This is what lets
@@ -69,8 +69,6 @@ class DevicePopulation:
         noise_power: background noise power ``N0`` in watts.
         log2_snr1: cached ``log2(1 + p h²/N0)`` per device, computed
             with ``math.log2`` for bitwise parity with ``Radio``.
-        battery_capacity: battery capacity in joules (NaN = no battery).
-        battery_charge: battery charge at snapshot time (NaN = none).
     """
 
     def __init__(
@@ -86,8 +84,6 @@ class DevicePopulation:
         noise_power: np.ndarray,
         ladder: Optional[np.ndarray] = None,
         ladder_sizes: Optional[np.ndarray] = None,
-        battery_capacity: Optional[np.ndarray] = None,
-        battery_charge: Optional[np.ndarray] = None,
     ) -> None:
         self.device_ids = np.asarray(device_ids, dtype=np.int64)
         size = self.device_ids.shape[0]
@@ -132,12 +128,6 @@ class DevicePopulation:
             self.ladder_sizes = np.asarray(ladder_sizes, dtype=np.int64)
         else:
             self.ladder_sizes = np.zeros(size, dtype=np.int64)
-        if battery_capacity is None:
-            self.battery_capacity = np.full(size, np.nan)
-            self.battery_charge = np.full(size, np.nan)
-        else:
-            self.battery_capacity = np.asarray(battery_capacity, np.float64)
-            self.battery_charge = np.asarray(battery_charge, np.float64)
         self._refresh_log2_snr1()
         self._position_by_id: Optional[dict] = None
 
@@ -165,8 +155,6 @@ class DevicePopulation:
         gain = np.empty(size)
         noise = np.empty(size)
         ladders: List[Optional[np.ndarray]] = []
-        batt_cap = np.full(size, np.nan)
-        batt_charge = np.full(size, np.nan)
         for position, device in enumerate(devices):
             ids[position] = device.device_id
             f_min[position] = device.cpu.f_min
@@ -178,9 +166,6 @@ class DevicePopulation:
             gain[position] = device.radio.channel_gain
             noise[position] = device.radio.noise_power
             ladders.append(device.cpu.frequency_levels)
-            if device.battery is not None:
-                batt_cap[position] = device.battery.capacity_joules
-                batt_charge[position] = device.battery.charge_joules
         ladder, sizes = _pack_ladders(ladders)
         return cls(
             ids,
@@ -194,8 +179,6 @@ class DevicePopulation:
             noise,
             ladder=ladder,
             ladder_sizes=sizes,
-            battery_capacity=batt_cap,
-            battery_charge=batt_charge,
         )
 
     @classmethod
@@ -258,10 +241,6 @@ class DevicePopulation:
                 spec.f_min_hz, np.minimum(ladder, f_max[:, np.newaxis])
             )
             sizes = np.full(size, fractions.shape[0], dtype=np.int64)
-        batt_cap = batt_charge = None
-        if spec.battery_capacity_j is not None:
-            batt_cap = np.full(size, float(spec.battery_capacity_j))
-            batt_charge = batt_cap.copy()
         return cls(
             np.arange(size, dtype=np.int64),
             np.full(size, float(spec.f_min_hz)),
@@ -274,8 +253,6 @@ class DevicePopulation:
             np.full(size, float(spec.noise_power_w)),
             ladder=ladder,
             ladder_sizes=sizes,
-            battery_capacity=batt_cap,
-            battery_charge=batt_charge,
         )
 
     # ------------------------------------------------------------------
@@ -301,8 +278,6 @@ class DevicePopulation:
             self.noise_power[idx],
             ladder=None if self.ladder is None else self.ladder[idx],
             ladder_sizes=None if self.ladder is None else self.ladder_sizes[idx],
-            battery_capacity=self.battery_capacity[idx],
-            battery_charge=self.battery_charge[idx],
         )
 
     def position_of(self, device_id: int) -> int:
@@ -459,11 +434,6 @@ class DevicePopulation:
         idx = np.minimum(counts, sizes - 1)
         snapped = self.ladder[np.arange(len(self)), idx]
         return np.where(self.ladder_sizes > 0, snapped, freqs)
-
-    @property
-    def battery_level(self) -> np.ndarray:
-        """Charge fraction per device (NaN where no battery)."""
-        return self.battery_charge / self.battery_capacity
 
     def __repr__(self) -> str:
         return (

@@ -90,6 +90,38 @@ class EnergyLedger:
         for timeline in timelines:
             self.record_round(timeline)
 
+    def state_dict(self) -> Dict:
+        """JSON-serializable snapshot of the totals (checkpoint/resume).
+
+        The layout is part of the checkpoint format: changing it means
+        bumping :data:`repro.fl.checkpoint.CHECKPOINT_VERSION`.
+        """
+        return {
+            "rounds_recorded": self.rounds_recorded,
+            "devices": {
+                str(device_id): {
+                    "compute_joules": entry.compute_joules,
+                    "upload_joules": entry.upload_joules,
+                    "slack_seconds": entry.slack_seconds,
+                    "rounds": entry.rounds,
+                }
+                for device_id, entry in sorted(self.devices.items())
+            },
+        }
+
+    def load_state_dict(self, state: Dict) -> None:
+        """Replace the totals with a :meth:`state_dict` snapshot."""
+        self.rounds_recorded = int(state.get("rounds_recorded", 0))
+        self.devices.clear()
+        for key, raw in state.get("devices", {}).items():
+            self.devices[int(key)] = DeviceEnergy(
+                int(key),
+                compute_joules=float(raw["compute_joules"]),
+                upload_joules=float(raw["upload_joules"]),
+                rounds=int(raw["rounds"]),
+                slack_seconds=float(raw["slack_seconds"]),
+            )
+
     @property
     def total_joules(self) -> float:
         """Total energy across every device."""

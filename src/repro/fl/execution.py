@@ -58,6 +58,12 @@ from repro.data.dataset import ArrayDataset
 from repro.devices.device import UserDevice
 from repro.errors import ConfigurationError, TrainingError
 from repro.fl.client import LocalUpdateSpec, train_clients
+from repro.network.tdma import (
+    CLIENT_OUTCOMES,
+    OUTCOME_DROPPED,
+    OUTCOME_OK,
+    OUTCOME_TIMEOUT,
+)
 from repro.nn.model import Sequential
 from repro.obs.spans import (
     TaskSample,
@@ -89,10 +95,12 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Round data containers
 # ----------------------------------------------------------------------
-STATUS_OK = "ok"
-STATUS_DROPPED = "dropped"
-STATUS_TIMEOUT = "timeout"
-"""Client round outcomes (shared vocabulary with the TDMA timeline)."""
+STATUS_OK = OUTCOME_OK
+STATUS_DROPPED = OUTCOME_DROPPED
+STATUS_TIMEOUT = OUTCOME_TIMEOUT
+"""Client round outcomes: the TDMA timeline's
+:data:`~repro.network.tdma.CLIENT_OUTCOMES` under this module's names
+(``result.with_statuses(timeline.outcomes())`` passes them through)."""
 
 
 @dataclass(frozen=True)
@@ -123,10 +131,9 @@ class ClientUpdate:
     status: str = STATUS_OK
 
     def __post_init__(self) -> None:
-        if self.status not in (STATUS_OK, STATUS_DROPPED, STATUS_TIMEOUT):
+        if self.status not in CLIENT_OUTCOMES:
             raise ConfigurationError(
-                f"status must be one of ('{STATUS_OK}', '{STATUS_DROPPED}', "
-                f"'{STATUS_TIMEOUT}'), got {self.status!r}"
+                f"status must be one of {CLIENT_OUTCOMES}, got {self.status!r}"
             )
 
 

@@ -18,11 +18,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro import wire
 from repro.errors import TrainingError
 
 __all__ = ["RoundRecord", "TrainingHistory"]
 
 
+@wire.record
 @dataclass(frozen=True)
 class RoundRecord:
     """Everything measured in one FL round.
@@ -207,26 +209,7 @@ class TrainingHistory:
         return {
             "label": self.label,
             "stop_reason": self.stop_reason,
-            "records": [
-                {
-                    "round_index": r.round_index,
-                    "selected_ids": list(r.selected_ids),
-                    "frequencies": {str(k): v for k, v in r.frequencies.items()},
-                    "round_delay": r.round_delay,
-                    "round_energy": r.round_energy,
-                    "compute_energy": r.compute_energy,
-                    "upload_energy": r.upload_energy,
-                    "slack": r.slack,
-                    "cumulative_time": r.cumulative_time,
-                    "cumulative_energy": r.cumulative_energy,
-                    "train_loss": r.train_loss,
-                    "test_accuracy": r.test_accuracy,
-                    "test_loss": r.test_loss,
-                    "dropped_ids": list(r.dropped_ids),
-                    "timeout_ids": list(r.timeout_ids),
-                }
-                for r in self.records
-            ],
+            "records": [wire.dump(r) for r in self.records],
         }
 
     def to_json(self) -> str:
@@ -241,27 +224,7 @@ class TrainingHistory:
             stop_reason=payload.get("stop_reason"),
         )
         for raw in payload.get("records", []):
-            history.append(
-                RoundRecord(
-                    round_index=int(raw["round_index"]),
-                    selected_ids=tuple(raw["selected_ids"]),
-                    frequencies={
-                        int(k): float(v) for k, v in raw["frequencies"].items()
-                    },
-                    round_delay=float(raw["round_delay"]),
-                    round_energy=float(raw["round_energy"]),
-                    compute_energy=float(raw["compute_energy"]),
-                    upload_energy=float(raw["upload_energy"]),
-                    slack=float(raw["slack"]),
-                    cumulative_time=float(raw["cumulative_time"]),
-                    cumulative_energy=float(raw["cumulative_energy"]),
-                    train_loss=float(raw["train_loss"]),
-                    test_accuracy=raw.get("test_accuracy"),
-                    test_loss=raw.get("test_loss"),
-                    dropped_ids=tuple(raw.get("dropped_ids", ())),
-                    timeout_ids=tuple(raw.get("timeout_ids", ())),
-                )
-            )
+            history.append(wire.load(RoundRecord, raw))
         return history
 
     @classmethod

@@ -545,19 +545,6 @@ class FederatedTrainer:
 
     def _capture_checkpoint(self, run: RunState) -> TrainerCheckpoint:
         """Freeze every piece of cross-round state after ``run.round_index``."""
-        plateau = run.plateau
-        ledger_state = {
-            "rounds_recorded": self.ledger.rounds_recorded,
-            "devices": {
-                str(device_id): {
-                    "compute_joules": entry.compute_joules,
-                    "upload_joules": entry.upload_joules,
-                    "slack_seconds": entry.slack_seconds,
-                    "rounds": entry.rounds,
-                }
-                for device_id, entry in sorted(self.ledger.devices.items())
-            },
-        }
         return TrainerCheckpoint(
             round_index=run.round_index,
             label=self.label,
@@ -566,7 +553,7 @@ class FederatedTrainer:
             history=run.history.to_dict(),
             cumulative_time=run.cumulative_time,
             cumulative_energy=run.cumulative_energy,
-            ledger=ledger_state,
+            ledger=self.ledger.state_dict(),
             batteries={
                 d.device_id: d.battery.charge_joules
                 for d in self.devices
@@ -577,13 +564,7 @@ class FederatedTrainer:
             },
             selection_state=self.selection.state_dict(),
             plateau=(
-                {
-                    "best": plateau.best,
-                    "stale_count": plateau.stale_count,
-                    "converged": plateau.converged,
-                }
-                if plateau is not None
-                else None
+                run.plateau.state_dict() if run.plateau is not None else None
             ),
             best_model_params=self.best_model_params,
             best_model_accuracy=self.best_model_accuracy,
@@ -596,9 +577,6 @@ class FederatedTrainer:
         ledger rebuild but before the population snapshot, so the
         array view is built from the restored device state.
         """
-        # Function-local: repro.energy's package init imports repro.fl.
-        from repro.energy.accounting import DeviceEnergy
-
         if not isinstance(checkpoint, TrainerCheckpoint):
             raise ConfigurationError(
                 "resume_from must be a TrainerCheckpoint, got "
@@ -617,17 +595,7 @@ class FederatedTrainer:
             )
         self.server.model.set_flat_params(checkpoint.model_params.copy())
         self.selection.load_state_dict(checkpoint.selection_state)
-        self.ledger.rounds_recorded = int(
-            checkpoint.ledger.get("rounds_recorded", 0)
-        )
-        self.ledger.devices.clear()
-        for device_id, raw in checkpoint.ledger.get("devices", {}).items():
-            entry = DeviceEnergy(int(device_id))
-            entry.compute_joules = float(raw["compute_joules"])
-            entry.upload_joules = float(raw["upload_joules"])
-            entry.slack_seconds = float(raw["slack_seconds"])
-            entry.rounds = int(raw["rounds"])
-            self.ledger.devices[int(device_id)] = entry
+        self.ledger.load_state_dict(checkpoint.ledger)
         device_index = run.device_index
         for device_id, charge in checkpoint.batteries.items():
             device = device_index.get(device_id)
@@ -637,11 +605,8 @@ class FederatedTrainer:
             device = device_index.get(device_id)
             if device is not None:
                 device.radio.channel_gain = float(gain)
-        plateau = run.plateau
-        if plateau is not None and checkpoint.plateau is not None:
-            plateau.best = checkpoint.plateau.get("best")
-            plateau.stale_count = int(checkpoint.plateau.get("stale_count", 0))
-            plateau.converged = bool(checkpoint.plateau.get("converged"))
+        if run.plateau is not None and checkpoint.plateau is not None:
+            run.plateau.load_state_dict(checkpoint.plateau)
         self.best_model_params = (
             checkpoint.best_model_params.copy()
             if checkpoint.best_model_params is not None

@@ -16,39 +16,16 @@ fatal) while a malformed line anywhere else is a hard error.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
+from repro import wire
 from repro.errors import SerializationError
 from repro.obs.events import EVENT_TYPES, Event
 from repro.obs.schema import validate_event
 from repro.obs.sinks import open_trace_file
 
 __all__ = ["LoadedTrace", "event_from_payload", "load_trace", "load_trace_lines"]
-
-
-def _coerce(type_name: str, value):
-    """Convert a JSON value back to the declared dataclass field type.
-
-    Field annotations are the string forms the event dataclasses
-    declare (``from __future__ import annotations``): scalars plus
-    ``Tuple[int, ...]`` id-lists and ``Dict[int, float]`` frequency
-    maps. The registry meta-test pins every event kind through this
-    function, so a new field shape cannot ship unsupported.
-    """
-    if type_name == "int":
-        return int(value)
-    if type_name == "float":
-        return float(value)
-    if type_name in ("str", "bool"):
-        return value
-    if type_name == "Tuple[int, ...]":
-        return tuple(int(v) for v in value)
-    if type_name == "Dict[int, float]":
-        return {int(k): float(v) for k, v in value.items()}
-    raise SerializationError(
-        f"no loader coercion for event field type {type_name!r}"
-    )
 
 
 def event_from_payload(payload: dict) -> Event:
@@ -58,16 +35,10 @@ def event_from_payload(payload: dict) -> Event:
     round-trips: ``event_from_payload(e.to_dict()) == e``.
 
     Raises:
-        SerializationError: when the payload fails schema validation
-            or a field type has no coercion.
+        SerializationError: when the payload fails schema validation.
     """
     kind = validate_event(payload)
-    cls = EVENT_TYPES[kind]
-    kwargs = {
-        spec.name: _coerce(spec.type, payload[spec.name])
-        for spec in fields(cls)
-    }
-    return cls(**kwargs)
+    return wire.load(EVENT_TYPES[kind], payload)
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,10 @@ The paper-grounded derivations:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import wire
 from repro.errors import SerializationError
 from repro.obs.analysis.spans import SpanSummary, summarize_spans
 from repro.obs.events import Event
@@ -64,6 +65,7 @@ def jain_index(values: Sequence[float]) -> float:
     return (total * total) / (n * square_sum)
 
 
+@wire.record
 @dataclass(frozen=True)
 class RoundStats:
     """Everything one round's events say about it.
@@ -143,6 +145,7 @@ class RoundStats:
         return 1.0 - self.ok_slack / self.fmax_slack
 
 
+@wire.record
 @dataclass(frozen=True)
 class DeviceStats:
     """One device's footprint across the run.
@@ -374,47 +377,8 @@ class RunStats:
             "best_accuracy": self.best_accuracy,
             "final_test_loss": self.final_test_loss,
             "spans": self.spans.to_dict(),
-            "rounds": [
-                {
-                    "round_index": r.round_index,
-                    "selected_ids": list(r.selected_ids),
-                    "aggregated": r.aggregated,
-                    "total_weight": r.total_weight,
-                    "dropped_ids": list(r.dropped_ids),
-                    "timeout_ids": list(r.timeout_ids),
-                    "fault_count": r.fault_count,
-                    "reassigned_frequencies": r.reassigned_frequencies,
-                    "round_delay": r.round_delay,
-                    "round_energy": r.round_energy,
-                    "compute_energy": r.compute_energy,
-                    "upload_energy": r.upload_energy,
-                    "slack": r.slack,
-                    "cumulative_time": r.cumulative_time,
-                    "cumulative_energy": r.cumulative_energy,
-                    "fmax_compute_energy": r.fmax_compute_energy,
-                    "fmax_slack": r.fmax_slack,
-                    "ok_slack": r.ok_slack,
-                    "test_loss": r.test_loss,
-                    "test_accuracy": r.test_accuracy,
-                }
-                for r in self.rounds
-            ],
-            "devices": [
-                {
-                    "device_id": d.device_id,
-                    "f_max": d.f_max,
-                    "selected": d.selected,
-                    "participated": d.participated,
-                    "completed": d.completed,
-                    "dropped": d.dropped,
-                    "timeouts": d.timeouts,
-                    "compute_joules": d.compute_joules,
-                    "upload_joules": d.upload_joules,
-                    "slack_seconds": d.slack_seconds,
-                    "fmax_compute_joules": d.fmax_compute_joules,
-                }
-                for d in self.devices
-            ],
+            "rounds": [wire.dump(r) for r in self.rounds],
+            "devices": [wire.dump(d) for d in self.devices],
         }
 
     def to_json(self) -> str:
@@ -434,47 +398,6 @@ class RunStats:
                 f"not a {ANALYSIS_SCHEMA} document: schema="
                 f"{payload.get('schema')!r}"
             )
-        rounds = tuple(
-            RoundStats(
-                round_index=int(raw["round_index"]),
-                selected_ids=tuple(raw["selected_ids"]),
-                aggregated=raw["aggregated"],
-                total_weight=raw["total_weight"],
-                dropped_ids=tuple(raw["dropped_ids"]),
-                timeout_ids=tuple(raw["timeout_ids"]),
-                fault_count=int(raw["fault_count"]),
-                reassigned_frequencies=bool(raw["reassigned_frequencies"]),
-                round_delay=raw["round_delay"],
-                round_energy=raw["round_energy"],
-                compute_energy=raw["compute_energy"],
-                upload_energy=raw["upload_energy"],
-                slack=raw["slack"],
-                cumulative_time=raw["cumulative_time"],
-                cumulative_energy=raw["cumulative_energy"],
-                fmax_compute_energy=raw["fmax_compute_energy"],
-                fmax_slack=raw["fmax_slack"],
-                ok_slack=raw["ok_slack"],
-                test_loss=raw["test_loss"],
-                test_accuracy=raw["test_accuracy"],
-            )
-            for raw in payload["rounds"]
-        )
-        devices = tuple(
-            DeviceStats(
-                device_id=int(raw["device_id"]),
-                f_max=float(raw["f_max"]),
-                selected=int(raw["selected"]),
-                participated=int(raw["participated"]),
-                completed=int(raw["completed"]),
-                dropped=int(raw["dropped"]),
-                timeouts=int(raw["timeouts"]),
-                compute_joules=float(raw["compute_joules"]),
-                upload_joules=float(raw["upload_joules"]),
-                slack_seconds=float(raw["slack_seconds"]),
-                fmax_compute_joules=float(raw["fmax_compute_joules"]),
-            )
-            for raw in payload["devices"]
-        )
         return cls(
             label=payload["label"],
             stop_reason=payload["stop_reason"],
@@ -482,8 +405,12 @@ class RunStats:
             source=payload.get("source", ""),
             total_time=float(payload["total_time"]),
             total_energy=float(payload["total_energy"]),
-            rounds=rounds,
-            devices=devices,
+            rounds=tuple(
+                wire.load(RoundStats, raw) for raw in payload["rounds"]
+            ),
+            devices=tuple(
+                wire.load(DeviceStats, raw) for raw in payload["devices"]
+            ),
             fault_counts=dict(payload["fault_counts"]),
             drop_causes=dict(payload["drop_causes"]),
             degraded_rounds=int(payload["degraded_rounds"]),
@@ -571,21 +498,9 @@ def compute_run_stats(events: Sequence[Event], source: str = "") -> RunStats:
         return rounds[index]
 
     def device_slot(device_id: int) -> dict:
-        return devices.setdefault(
-            device_id,
-            {
-                "f_max": 0.0,
-                "selected": 0,
-                "participated": 0,
-                "completed": 0,
-                "dropped": 0,
-                "timeouts": 0,
-                "compute_joules": 0.0,
-                "upload_joules": 0.0,
-                "slack_seconds": 0.0,
-                "fmax_compute_joules": 0.0,
-            },
-        )
+        if device_id not in devices:
+            devices[device_id] = asdict(DeviceStats(device_id))
+        return devices[device_id]
 
     for event in events:
         if stop_reason is not None:
@@ -664,7 +579,11 @@ def compute_run_stats(events: Sequence[Event], source: str = "") -> RunStats:
             # event); a trainer trace always opens rounds with selection.
             slot["selected_ids"] = ()
         entries = slot["device_entries"]
+        # A round's delay/energy/slack/cumulative_* fields are its timeline
+        # event's, name for name; absent (crash tail) they stay None.
         timeline = slot.get("timeline")
+        timeline_fields = dict(vars(timeline)) if timeline else {}
+        timeline_fields.pop("round_index", None)
         fmax_compute = None
         fmax_slack = None
         ok_slack = None
@@ -685,28 +604,17 @@ def compute_run_stats(events: Sequence[Event], source: str = "") -> RunStats:
                 timeout_ids=slot.get("timeout_ids", ()),
                 fault_count=slot.get("fault_count", 0),
                 reassigned_frequencies=slot.get("reassigned", False),
-                round_delay=timeline.round_delay if timeline else None,
-                round_energy=timeline.round_energy if timeline else None,
-                compute_energy=timeline.compute_energy if timeline else None,
-                upload_energy=timeline.upload_energy if timeline else None,
-                slack=timeline.slack if timeline else None,
-                cumulative_time=(
-                    timeline.cumulative_time if timeline else None
-                ),
-                cumulative_energy=(
-                    timeline.cumulative_energy if timeline else None
-                ),
                 fmax_compute_energy=fmax_compute,
                 fmax_slack=fmax_slack,
                 ok_slack=ok_slack,
                 test_loss=slot.get("test_loss"),
                 test_accuracy=slot.get("test_accuracy"),
+                **timeline_fields,
             )
         )
 
     device_stats = tuple(
-        DeviceStats(device_id=device_id, **fields)
-        for device_id, fields in sorted(devices.items())
+        DeviceStats(**devices[device_id]) for device_id in sorted(devices)
     )
     return RunStats(
         label=label,

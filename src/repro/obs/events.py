@@ -17,9 +17,11 @@ back into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from typing import ClassVar, Dict, Tuple
+
+from repro import wire
 
 __all__ = [
     "StopReason",
@@ -66,35 +68,48 @@ class StopReason(str, Enum):
     ERROR = "error"
 
 
-def _plain(value):
-    """JSON-friendly copy: tuples become lists, dict keys become str."""
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return value
+EVENT_TYPES: Dict[str, type] = {}
+"""Registry mapping each event ``kind`` to its dataclass.
+
+Filled by :meth:`Event.__init_subclass__`, in declaration order.
+"""
 
 
 @dataclass(frozen=True)
 class Event:
     """Base class of all trace events.
 
-    Subclasses set ``kind`` (the stable wire name appearing as the
-    ``"event"`` key of the serialized form) and declare their payload
-    fields.
+    Declaring an event is subclassing this: give the class a ``kind``
+    (the stable wire name appearing as the ``"event"`` key of the
+    serialized form) and annotate its payload fields with types from
+    :data:`repro.wire.SHAPES`. Subclassing makes it a frozen dataclass,
+    resolves its fields against the wire table — which is all that
+    :meth:`to_dict`, :func:`repro.obs.schema.validate_event` and
+    :func:`repro.obs.analysis.event_from_payload` read — and registers
+    it in :data:`EVENT_TYPES`. Do not decorate subclasses: a field
+    type outside the table, a missing or reused ``kind``, or a second
+    ``@dataclass`` (which would re-generate or unfreeze the class)
+    raises ``TypeError`` at class definition.
     """
 
     kind: ClassVar[str] = "event"
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        kind = cls.__dict__.get("kind")
+        if not isinstance(kind, str) or kind in EVENT_TYPES:
+            raise TypeError(
+                f"{cls.__name__} needs its own class-level string `kind` "
+                f"no other event uses, got {kind!r}"
+            )
+        wire.record(dataclass(frozen=True)(cls))
+        EVENT_TYPES[kind] = cls
+
     def to_dict(self) -> dict:
         """JSON-friendly dict form: ``{"event": kind, **fields}``."""
-        payload: dict = {"event": self.kind}
-        for spec in fields(self):
-            payload[spec.name] = _plain(getattr(self, spec.name))
-        return payload
+        return {"event": self.kind, **wire.dump(self)}
 
 
-@dataclass(frozen=True)
 class SelectionEvent(Event):
     """The user set ``Gamma_j`` chosen for one round.
 
@@ -109,7 +124,6 @@ class SelectionEvent(Event):
     selected_ids: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class FrequencyAssignmentEvent(Event):
     """The CPU operating frequencies assigned to the selected users.
 
@@ -124,7 +138,6 @@ class FrequencyAssignmentEvent(Event):
     frequencies: Dict[int, float]
 
 
-@dataclass(frozen=True)
 class FaultInjectedEvent(Event):
     """One fault from the active :class:`repro.faults.FaultPlan` fired.
 
@@ -151,7 +164,6 @@ class FaultInjectedEvent(Event):
     magnitude: float
 
 
-@dataclass(frozen=True)
 class ClientDroppedEvent(Event):
     """One selected client's update was lost in a degraded round.
 
@@ -179,7 +191,6 @@ class ClientDroppedEvent(Event):
     phase: str
 
 
-@dataclass(frozen=True)
 class DeviceRoundEvent(Event):
     """One selected user's cost breakdown within a TDMA round.
 
@@ -218,10 +229,11 @@ class DeviceRoundEvent(Event):
     slack: float
     compute_energy: float
     upload_energy: float
-    outcome: str
+    # repro.network.tdma.CLIENT_OUTCOMES, kept literal so the trace
+    # schema does not import the simulator; a meta-test pins the two.
+    outcome: str = wire.one_of(("ok", "dropped", "timeout"))
 
 
-@dataclass(frozen=True)
 class TimelineEvent(Event):
     """The simulated TDMA cost of one round (Eqs. 10–11).
 
@@ -248,7 +260,6 @@ class TimelineEvent(Event):
     cumulative_energy: float
 
 
-@dataclass(frozen=True)
 class BatteryDropEvent(Event):
     """Devices whose battery could not pay the round (update dropped).
 
@@ -267,7 +278,6 @@ class BatteryDropEvent(Event):
     dropped_ids: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class RoundDegradedEvent(Event):
     """A round ended with fewer integrated updates than planned.
 
@@ -299,7 +309,6 @@ class RoundDegradedEvent(Event):
     reassigned_frequencies: bool
 
 
-@dataclass(frozen=True)
 class AggregationEvent(Event):
     """The FedAvg integration step of one round (Eq. 18).
 
@@ -318,7 +327,6 @@ class AggregationEvent(Event):
     total_weight: float
 
 
-@dataclass(frozen=True)
 class EvalEvent(Event):
     """One global-model evaluation on the server's test set.
 
@@ -335,7 +343,6 @@ class EvalEvent(Event):
     test_accuracy: float
 
 
-@dataclass(frozen=True)
 class SpanStartEvent(Event):
     """A hierarchical timing span opened (see :mod:`repro.obs.spans`).
 
@@ -368,7 +375,6 @@ class SpanStartEvent(Event):
     pid: int
 
 
-@dataclass(frozen=True)
 class SpanEndEvent(Event):
     """A previously opened span closed.
 
@@ -390,7 +396,6 @@ class SpanEndEvent(Event):
     pid: int
 
 
-@dataclass(frozen=True)
 class WorkerResourceEvent(Event):
     """Sampled OS resource usage of the process that ran a span.
 
@@ -422,7 +427,6 @@ class WorkerResourceEvent(Event):
     cpu_sys_s: float
 
 
-@dataclass(frozen=True)
 class RunStopEvent(Event):
     """The end of a training run, with the reason it stopped.
 
@@ -437,29 +441,7 @@ class RunStopEvent(Event):
     kind = "run_stop"
 
     round_index: int
-    reason: str
+    reason: str = wire.one_of(r.value for r in StopReason)
     cumulative_time: float
     cumulative_energy: float
     label: str = ""
-
-
-EVENT_TYPES: Dict[str, type] = {
-    cls.kind: cls
-    for cls in (
-        SelectionEvent,
-        FrequencyAssignmentEvent,
-        FaultInjectedEvent,
-        ClientDroppedEvent,
-        DeviceRoundEvent,
-        TimelineEvent,
-        BatteryDropEvent,
-        RoundDegradedEvent,
-        AggregationEvent,
-        EvalEvent,
-        SpanStartEvent,
-        SpanEndEvent,
-        WorkerResourceEvent,
-        RunStopEvent,
-    )
-}
-"""Registry mapping each event ``kind`` to its dataclass."""

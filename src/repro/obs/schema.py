@@ -8,152 +8,44 @@ the right JSON shapes. :func:`validate_event` checks a parsed object;
 smoke run via ``python -m repro.obs.validate``).
 
 Validation is strict in both directions — a missing field *and* an
-unknown extra field both fail — so schema drift between the emitters
-and this module cannot go unnoticed.
+unknown extra field both fail. The per-kind shapes are not written
+here: they are the event dataclasses' declared field types, looked up
+in :mod:`repro.wire`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable
+from typing import Callable, Dict, Iterable, Iterator, Mapping
 
+from repro import wire
 from repro.errors import SerializationError
-from repro.obs.events import EVENT_TYPES, StopReason
+from repro.obs.events import EVENT_TYPES
 
 __all__ = ["EVENT_SCHEMAS", "validate_event", "validate_trace_lines", "validate_trace"]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+class _SchemaView(Mapping):
+    """:data:`EVENT_TYPES` read as ``{kind: {field: shape check}}``."""
+
+    def __getitem__(self, kind: str) -> Dict[str, Callable[[object], bool]]:
+        return {
+            field.name: field.check for field in EVENT_TYPES[kind].__wire__
+        }
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(EVENT_TYPES)
+
+    def __len__(self) -> int:
+        return len(EVENT_TYPES)
 
 
-def _is_num(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+EVENT_SCHEMAS: Mapping = _SchemaView()
+"""Per-``kind`` required fields and their JSON shape checks.
 
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_id_list(value) -> bool:
-    return isinstance(value, list) and all(_is_int(v) for v in value)
-
-
-def _is_frequency_map(value) -> bool:
-    return isinstance(value, dict) and all(
-        _is_str(key) and _is_num(freq) for key, freq in value.items()
-    )
-
-
-def _is_stop_reason(value) -> bool:
-    return _is_str(value) and value in {reason.value for reason in StopReason}
-
-
-def _is_bool(value) -> bool:
-    return isinstance(value, bool)
-
-
-# Mirrors repro.network.tdma.CLIENT_OUTCOMES (kept literal so the trace
-# schema has no dependency on the simulator; a meta-test pins the two).
-def _is_outcome(value) -> bool:
-    return _is_str(value) and value in {"ok", "dropped", "timeout"}
-
-
-EVENT_SCHEMAS: Dict[str, Dict[str, Callable[[object], bool]]] = {
-    "selection": {"round_index": _is_int, "selected_ids": _is_id_list},
-    "frequency_assignment": {
-        "round_index": _is_int,
-        "frequencies": _is_frequency_map,
-    },
-    "fault_injected": {
-        "round_index": _is_int,
-        "device_id": _is_int,
-        "fault": _is_str,
-        "detail": _is_str,
-        "magnitude": _is_num,
-    },
-    "client_dropped": {
-        "round_index": _is_int,
-        "device_id": _is_int,
-        "cause": _is_str,
-        "phase": _is_str,
-    },
-    "round_degraded": {
-        "round_index": _is_int,
-        "planned": _is_int,
-        "aggregated": _is_int,
-        "dropped_ids": _is_id_list,
-        "timeout_ids": _is_id_list,
-        "reassigned_frequencies": _is_bool,
-    },
-    "device_round": {
-        "round_index": _is_int,
-        "device_id": _is_int,
-        "frequency": _is_num,
-        "f_max": _is_num,
-        "compute_delay": _is_num,
-        "upload_delay": _is_num,
-        "slack": _is_num,
-        "compute_energy": _is_num,
-        "upload_energy": _is_num,
-        "outcome": _is_outcome,
-    },
-    "timeline": {
-        "round_index": _is_int,
-        "round_delay": _is_num,
-        "round_energy": _is_num,
-        "compute_energy": _is_num,
-        "upload_energy": _is_num,
-        "slack": _is_num,
-        "cumulative_time": _is_num,
-        "cumulative_energy": _is_num,
-    },
-    "battery_drop": {"round_index": _is_int, "dropped_ids": _is_id_list},
-    "aggregation": {
-        "round_index": _is_int,
-        "num_updates": _is_int,
-        "total_weight": _is_num,
-    },
-    "eval": {
-        "round_index": _is_int,
-        "test_loss": _is_num,
-        "test_accuracy": _is_num,
-    },
-    "span_start": {
-        "round_index": _is_int,
-        "span_id": _is_str,
-        "parent_id": _is_str,
-        "name": _is_str,
-        "t_wall": _is_num,
-        "pid": _is_int,
-    },
-    "span_end": {
-        "round_index": _is_int,
-        "span_id": _is_str,
-        "t_wall": _is_num,
-        "duration_s": _is_num,
-        "pid": _is_int,
-    },
-    "worker_resource": {
-        "round_index": _is_int,
-        "span_id": _is_str,
-        "pid": _is_int,
-        "rss_peak_kb": _is_num,
-        "cpu_user_s": _is_num,
-        "cpu_sys_s": _is_num,
-    },
-    "run_stop": {
-        "round_index": _is_int,
-        "reason": _is_stop_reason,
-        "cumulative_time": _is_num,
-        "cumulative_energy": _is_num,
-        "label": _is_str,
-    },
-}
-"""Per-``kind`` required fields and their JSON shape checks."""
-
-# The schema table and the event registry must name the same kinds.
-assert set(EVENT_SCHEMAS) == set(EVENT_TYPES)
+A read-only view derived from the event dataclasses' declared field
+types (:mod:`repro.wire`); there is nothing here to keep in step.
+"""
 
 
 def validate_event(payload: dict) -> str:
@@ -172,22 +64,9 @@ def validate_event(payload: dict) -> str:
             f"trace event must be a JSON object, got {type(payload).__name__}"
         )
     kind = payload.get("event")
-    if kind not in EVENT_SCHEMAS:
+    if not isinstance(kind, str) or kind not in EVENT_TYPES:
         raise SerializationError(f"unknown trace event kind {kind!r}")
-    schema = EVENT_SCHEMAS[kind]
-    for name, check in schema.items():
-        if name not in payload:
-            raise SerializationError(f"{kind} event is missing field {name!r}")
-        if not check(payload[name]):
-            raise SerializationError(
-                f"{kind} event field {name!r} has invalid value "
-                f"{payload[name]!r}"
-            )
-    extra = set(payload) - set(schema) - {"event"}
-    if extra:
-        raise SerializationError(
-            f"{kind} event carries unexpected fields {sorted(extra)}"
-        )
+    wire.check(EVENT_TYPES[kind], payload, also=("event",))
     return kind
 
 

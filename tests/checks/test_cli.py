@@ -70,7 +70,7 @@ class TestCliInterface:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005"):
+        for rule_id in ("REP001", "REP003", "REP004", "REP005"):
             assert rule_id in out
 
     def test_missing_path_is_usage_error(self, capsys):

@@ -108,7 +108,6 @@ class TestRuleRegistry:
     def test_all_shipped_rules(self):
         assert [r.rule_id for r in get_rules()] == [
             "REP001",
-            "REP002",
             "REP003",
             "REP004",
             "REP005",

@@ -77,42 +77,6 @@ class TestRep001Findings:
         assert "ensure_generator" in report.findings[0].message
 
 
-class TestRep002Findings:
-    def run(self, fixture_dir):
-        path = FIXTURES / fixture_dir / "events.py"
-        return check_source(
-            path.read_text(encoding="utf-8"),
-            path=str(path),
-            module="repro.obs.events",
-            is_test=False,
-            rules=["REP002"],
-        )
-
-    def test_good_pair_is_clean(self):
-        assert self.run("rep002_good").findings == ()
-
-    def test_bad_pair_fires_every_leg(self):
-        report = self.run("rep002_bad")
-        messages = " ".join(f.message for f in report.findings)
-        assert "frozen=True" in messages
-        assert "no EVENT_SCHEMAS entry" in messages
-        assert "not registered in EVENT_TYPES" in messages
-        assert "not JSON-serializable" in messages
-        assert "'orphan'" in messages
-
-    def test_shipped_events_module_is_clean(self):
-        repo_root = Path(__file__).parents[2]
-        events = repo_root / "src" / "repro" / "obs" / "events.py"
-        report = check_source(
-            events.read_text(encoding="utf-8"),
-            path=str(events),
-            module="repro.obs.events",
-            is_test=False,
-            rules=["REP002"],
-        )
-        assert report.findings == ()
-
-
 class TestRep003Findings:
     def test_flags_each_construct(self):
         report = run_fixture("rep003_bad.py", "REP003")

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import ArrayDataset
-from repro.devices.battery import Battery
 from repro.devices.fleet import FleetSpec, make_fleet
 from repro.devices.population import DevicePopulation
 from repro.errors import DeviceError, FrequencyRangeError
@@ -50,15 +49,6 @@ class TestFromDevices:
         with pytest.raises(DeviceError):
             DevicePopulation.from_devices([])
 
-    def test_battery_levels(self):
-        devices = make_heterogeneous_devices(3)
-        devices[1].battery = Battery(capacity_joules=10.0)
-        devices[1].battery.drain(5.0)
-        population = DevicePopulation.from_devices(devices)
-        levels = population.battery_level
-        assert np.isnan(levels[0]) and np.isnan(levels[2])
-        assert levels[1] == pytest.approx(0.5)
-
     def test_len_and_repr(self):
         population = DevicePopulation.from_devices(
             make_heterogeneous_devices(4)
@@ -70,7 +60,7 @@ class TestFromDevices:
 class TestFromSpec:
     def test_bitwise_matches_make_fleet(self):
         """from_spec replays make_fleet's RNG stream exactly, including
-        interleaved gain draws, DVFS ladders, and batteries."""
+        interleaved gain draws and DVFS ladders."""
         sizes = np.random.default_rng(5).integers(50, 400, size=64).tolist()
         spec = spec_with_everything()
         by_objects = DevicePopulation.from_devices(
@@ -90,8 +80,6 @@ class TestFromSpec:
             "log2_snr1",
             "ladder",
             "ladder_sizes",
-            "battery_capacity",
-            "battery_charge",
         ):
             assert np.array_equal(
                 getattr(by_objects, name),

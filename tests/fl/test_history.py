@@ -1,5 +1,8 @@
 """Tests for TrainingHistory (the Table I / Fig. 3 measurement record)."""
 
+import json
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import TrainingError
@@ -116,6 +119,14 @@ class TestSerialization:
         assert restored.best_accuracy == history.best_accuracy
         assert restored.records[1].selected_ids == (2, 3)
         assert restored.records[2].test_accuracy is None
+
+    def test_json_roundtrip_is_byte_identical_in_field_order(self):
+        history = sample_history()
+        text = history.to_json()
+        assert TrainingHistory.from_json(text).to_json() == text
+        assert list(json.loads(text)["records"][0]) == [
+            spec.name for spec in fields(RoundRecord)
+        ]
 
     def test_dict_roundtrip_preserves_frequencies(self):
         history = sample_history()

@@ -5,8 +5,8 @@ identical to the paper's per-device pseudocode.
 scalar reference lives in :mod:`tests.oracles.object_scheduler`. On
 seeded random fleets, selection sets, over-selection padding,
 frequency assignments and TDMA timelines must match it to the last
-bit — plain and sharded, with and without a seeded fault plan, on
-every execution backend.
+bit, with and without a seeded fault plan, on every execution
+backend.
 """
 
 import numpy as np
@@ -113,20 +113,6 @@ class TestSelectionParity:
         assert population.device_ids[extras].tolist() == [
             d.device_id for d in expected
         ]
-
-    @pytest.mark.parametrize("shard_size", (1, 7, 16, 1000))
-    def test_sharded_equals_plain(self, shard_size):
-        devices = random_fleet(3)
-        population = DevicePopulation.from_devices(devices)
-        plain = GreedyDecaySelection(0.25, 0.6, PAYLOAD, BANDWIDTH)
-        sharded = GreedyDecaySelection(
-            0.25, 0.6, PAYLOAD, BANDWIDTH, shard_size=shard_size
-        )
-        for round_index in range(1, 11):
-            assert np.array_equal(
-                plain.select_population(round_index, population),
-                sharded.select_population(round_index, population),
-            )
 
 
 class TestFrequencyParity:

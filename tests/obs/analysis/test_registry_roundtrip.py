@@ -3,9 +3,8 @@
 ``to_dict()`` → JSON → schema validation → loader reconstruction must
 be the identity for *every* kind in ``EVENT_TYPES`` — including kinds
 added after this test was written, because instances are synthesized
-from the dataclass field declarations rather than hand-listed. A new
-event whose field types the loader cannot coerce, or whose schema
-entry disagrees with its dataclass, fails here before it can ship.
+from the wire table's example value for each declared field type
+(:data:`repro.wire.SHAPES`) rather than hand-listed.
 """
 
 from dataclasses import fields
@@ -15,40 +14,18 @@ import json
 import pytest
 
 from repro.network.tdma import CLIENT_OUTCOMES
-from repro.obs import EVENT_SCHEMAS, EVENT_TYPES, StopReason, validate_event
+from repro.obs import (
+    EVENT_SCHEMAS,
+    EVENT_TYPES,
+    DeviceRoundEvent,
+    validate_event,
+)
 from repro.obs.analysis import event_from_payload
-from repro.obs.schema import _is_outcome
-
-# Values schema validators accept, per declared field type; fields
-# with constrained vocabularies get a valid member by name.
-_VALUES_BY_TYPE = {
-    "int": 3,
-    "float": 1.5,
-    "str": "x",
-    "bool": True,
-    "Tuple[int, ...]": (2, 1),
-    "Dict[int, float]": {4: 1.5e9},
-}
-_VALUES_BY_NAME = {
-    "reason": StopReason.DEADLINE.value,
-    "outcome": "ok",
-}
 
 
 def synthesize(cls):
-    """Build an instance of an event class from its field declarations."""
-    kwargs = {}
-    for spec in fields(cls):
-        if spec.name in _VALUES_BY_NAME:
-            kwargs[spec.name] = _VALUES_BY_NAME[spec.name]
-        else:
-            assert spec.type in _VALUES_BY_TYPE, (
-                f"{cls.__name__}.{spec.name}: no synthesis rule for field "
-                f"type {spec.type!r} — extend _VALUES_BY_TYPE (and the "
-                f"loader's _coerce) for the new shape"
-            )
-            kwargs[spec.name] = _VALUES_BY_TYPE[spec.type]
-    return cls(**kwargs)
+    """Build a wire record from the example value of each field's shape."""
+    return cls(**{field.name: field.example for field in cls.__wire__})
 
 
 class TestRegistryRoundTrip:
@@ -76,9 +53,15 @@ class TestRegistryRoundTrip:
 
 class TestOutcomeVocabulary:
     def test_schema_outcomes_match_the_simulator(self):
-        # The schema keeps the vocabulary literal (no dependency on the
+        # The event keeps the vocabulary literal (no dependency on the
         # simulator); this pins the two so they cannot drift apart.
-        for outcome in CLIENT_OUTCOMES:
-            assert _is_outcome(outcome)
-        assert not _is_outcome("exploded")
-        assert not _is_outcome(1)
+        (declared,) = [
+            spec.metadata["one_of"]
+            for spec in fields(DeviceRoundEvent)
+            if spec.name == "outcome"
+        ]
+        assert declared == CLIENT_OUTCOMES
+        is_outcome = EVENT_SCHEMAS["device_round"]["outcome"]
+        assert all(is_outcome(outcome) for outcome in CLIENT_OUTCOMES)
+        assert not is_outcome("exploded")
+        assert not is_outcome(1)

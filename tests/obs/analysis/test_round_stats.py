@@ -8,6 +8,8 @@ recomputation from the traced frequencies.
 """
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from repro.obs import (
 )
 from repro.obs.analysis import (
     ANALYSIS_SCHEMA,
+    DeviceStats,
+    RoundStats,
     RunStats,
     compute_run_stats,
     jain_index,
@@ -210,6 +214,37 @@ class TestRunStatsSerialization:
         rebuilt = RunStats.from_dict(payload)
         assert rebuilt == stats
         assert rebuilt.to_json() == stats.to_json()
+
+    def test_rows_dump_in_field_order(self, traced_run):
+        path, _, _, _ = traced_run
+        payload = compute_run_stats(load_trace(str(path)).events).to_dict()
+        assert list(payload["rounds"][0]) == [
+            spec.name for spec in fields(RoundStats)
+        ]
+        assert list(payload["devices"][0]) == [
+            spec.name for spec in fields(DeviceStats)
+        ]
+
+    def test_loads_the_committed_pre_span_snapshot(self):
+        """``BENCH_scalability.json`` predates spans and is what CI's
+        ``--compare`` reads on every run."""
+        document = json.loads(
+            (Path(__file__).parents[3] / "BENCH_scalability.json").read_text()
+        )
+        snapshot = document["analytics"]
+        assert "spans" not in snapshot
+        stats = RunStats.from_dict(snapshot)
+        assert stats.num_rounds == len(snapshot["rounds"]) > 0
+        assert stats.to_dict()["rounds"] == snapshot["rounds"]
+        assert stats.to_dict()["devices"] == snapshot["devices"]
+        assert stats.dvfs_savings == snapshot["dvfs_savings"]
+
+    def test_row_missing_a_required_field_is_a_typed_error(self, traced_run):
+        path, _, _, _ = traced_run
+        payload = compute_run_stats(load_trace(str(path)).events).to_dict()
+        del payload["rounds"][0]["selected_ids"]
+        with pytest.raises(SerializationError, match="selected_ids"):
+            RunStats.from_dict(payload)
 
     def test_from_dict_rejects_unknown_schema(self):
         with pytest.raises(SerializationError, match="schema"):

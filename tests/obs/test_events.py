@@ -1,6 +1,8 @@
 """Unit tests for trace events and their wire schema."""
 
 import json
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.obs import (
     ClientDroppedEvent,
     DeviceRoundEvent,
     EvalEvent,
+    Event,
     FaultInjectedEvent,
     FrequencyAssignmentEvent,
     RoundDegradedEvent,
@@ -136,10 +139,93 @@ class TestEventShape:
         }
 
 
+@pytest.fixture
+def scratch_registry():
+    """Let a test declare throwaway event kinds; forget them afterwards."""
+    before = dict(EVENT_TYPES)
+    yield
+    EVENT_TYPES.clear()
+    EVENT_TYPES.update(before)
+
+
+class TestDeclaringAnEvent:
+    """Subclassing :class:`Event` is the whole job of adding a kind."""
+
+    def test_new_kind_dumps_validates_and_loads(self, scratch_registry):
+        from repro.obs.analysis import event_from_payload
+
+        class RollupEvent(Event):
+            kind = "rollup"
+
+            round_index: int
+            device_ids: Tuple[int, ...]
+            mean_slack: Optional[float] = None
+
+        assert EVENT_TYPES["rollup"] is RollupEvent
+        assert set(EVENT_SCHEMAS["rollup"]) == {
+            "round_index", "device_ids", "mean_slack",
+        }
+        event = RollupEvent(round_index=3, device_ids=(4, 2))
+        line = json.dumps(event.to_dict())
+        assert line == (
+            '{"event": "rollup", "round_index": 3, "device_ids": [4, 2], '
+            '"mean_slack": null}'
+        )
+        assert validate_event(json.loads(line)) == "rollup"
+        rebuilt = event_from_payload(json.loads(line))
+        assert rebuilt == event and type(rebuilt) is RollupEvent
+        assert json.dumps(rebuilt.to_dict()) == line
+        with pytest.raises(AttributeError):
+            event.round_index = 4  # frozen without saying so
+        with pytest.raises(SerializationError, match="mean_slack"):
+            validate_event({**event.to_dict(), "mean_slack": "long"})
+
+    def test_unfreezing_decorator_is_refused(self, scratch_registry):
+        with pytest.raises(TypeError, match="non-frozen"):
+
+            @dataclass
+            class ThawedEvent(Event):
+                kind = "thawed"
+
+                round_index: int
+
+    def test_field_type_outside_the_wire_table_is_refused(
+        self, scratch_registry
+    ):
+        with pytest.raises(TypeError, match="no row in repro.wire.SHAPES"):
+
+            class LooseEvent(Event):
+                kind = "loose"
+
+                round_index: int
+                device_ids: List[int]
+
+        assert "loose" not in EVENT_TYPES
+
+    def test_kind_must_be_own_and_unused(self, scratch_registry):
+        with pytest.raises(TypeError, match="kind"):
+
+            class NamelessEvent(Event):
+                round_index: int
+
+        with pytest.raises(TypeError, match="kind"):
+
+            class SecondSelectionEvent(Event):
+                kind = "selection"
+
+                round_index: int
+
+        assert EVENT_TYPES["selection"] is SelectionEvent
+
+
 class TestValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SerializationError):
             validate_event({"event": "mystery", "round_index": 1})
+
+    def test_non_string_kind_rejected(self):
+        with pytest.raises(SerializationError):
+            validate_event({"event": ["selection"], "round_index": 1})
 
     def test_non_object_rejected(self):
         with pytest.raises(SerializationError):

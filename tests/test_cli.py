@@ -114,6 +114,24 @@ class TestTraceAnalyticsCommands:
         assert main(args) == 0
         return path
 
+    def test_traced_run_reloads_and_redumps_every_line(self, tmp_path):
+        """Typed load then dump gives back the exact bytes the sink wrote."""
+        import json
+
+        from repro.obs.analysis import event_from_payload
+
+        path = tmp_path / "t.jsonl"
+        assert main(["run", "helcfl", "--quick", "--rounds", "5",
+                     "--trace", str(path)]) == 0
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        kinds = set()
+        for line in lines:
+            event = event_from_payload(json.loads(line))
+            assert json.dumps(event.to_dict()) + "\n" == line
+            kinds.add(event.kind)
+        assert {"selection", "device_round", "timeline", "span_start",
+                "worker_resource", "run_stop"} <= kinds
+
     def test_trace_report_renders_table(self, capsys, tmp_path):
         path = self.make_trace(tmp_path)
         capsys.readouterr()
