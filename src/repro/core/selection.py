@@ -133,14 +133,17 @@ class GreedyDecaySelection(SelectionStrategy):
         """Population-aligned ``alpha_q`` array (cached between rounds)."""
         ids = population.device_ids
         if self._alpha is None or not np.array_equal(self._alpha_ids, ids):
-            self._alpha = np.fromiter(
-                (
-                    self.appearance_counts.get(device_id, 0)
-                    for device_id in ids.tolist()
-                ),
-                dtype=np.int64,
-                count=len(population),
-            )
+            if self.appearance_counts:
+                self._alpha = np.fromiter(
+                    (
+                        self.appearance_counts.get(device_id, 0)
+                        for device_id in ids.tolist()
+                    ),
+                    dtype=np.int64,
+                    count=len(population),
+                )
+            else:
+                self._alpha = np.zeros(len(population), dtype=np.int64)
             self._alpha_ids = ids.copy()
         return self._alpha
 

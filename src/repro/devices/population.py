@@ -44,6 +44,23 @@ __all__ = ["DevicePopulation"]
 
 _QUANTIZE_EPS = 1e-12  # matches DvfsCpu.quantize's round-up tolerance
 
+# Every position-aligned 1-D array a population holds (``ladder`` is the
+# one 2-D array); ``take`` slices exactly these.
+_ALIGNED_ARRAYS = (
+    "device_ids",
+    "f_min",
+    "f_max",
+    "cycles_per_sample",
+    "switched_capacitance",
+    "num_samples",
+    "cycles",
+    "transmit_power",
+    "channel_gain",
+    "noise_power",
+    "ladder_sizes",
+    "log2_snr1",
+)
+
 
 class DevicePopulation:
     """A numpy struct-of-arrays snapshot of a device fleet.
@@ -264,21 +281,20 @@ class DevicePopulation:
     def take(self, positions: Union[Sequence[int], np.ndarray]) -> "DevicePopulation":
         """Sub-population at ``positions`` (e.g. a round's selected set)."""
         idx = np.asarray(positions, dtype=np.int64)
-        if idx.size == 0:
-            raise DeviceError("cannot take an empty sub-population")
-        return DevicePopulation(
-            self.device_ids[idx],
-            self.f_min[idx],
-            self.f_max[idx],
-            self.cycles_per_sample[idx],
-            self.switched_capacitance[idx],
-            self.num_samples[idx],
-            self.transmit_power[idx],
-            self.channel_gain[idx],
-            self.noise_power[idx],
-            ladder=None if self.ladder is None else self.ladder[idx],
-            ladder_sizes=None if self.ladder is None else self.ladder_sizes[idx],
-        )
+        if idx.ndim != 1 or idx.size == 0:
+            raise DeviceError(
+                "cannot take an empty sub-population: positions must be a "
+                "non-empty 1-D sequence"
+            )
+        # Slices of validated arrays need no second validation, and the
+        # child keeps the parent's cached Eq. (6) terms: going through
+        # __init__ would re-evaluate math.log2 per selected device.
+        child = object.__new__(DevicePopulation)
+        for name in _ALIGNED_ARRAYS:
+            setattr(child, name, getattr(self, name)[idx])
+        child.ladder = None if self.ladder is None else self.ladder[idx]
+        child._position_by_id = None
+        return child
 
     def position_of(self, device_id: int) -> int:
         """Array position of ``device_id`` (built lazily, cached)."""

@@ -66,13 +66,19 @@ class EnergyLedger:
 
     def record_round(self, timeline: RoundTimeline) -> None:
         """Accumulate one round's per-user energies."""
-        for entry in timeline.users:
-            device = self.devices.setdefault(
-                entry.device_id, DeviceEnergy(entry.device_id)
-            )
-            device.compute_joules += entry.compute_energy
-            device.upload_joules += entry.upload_energy
-            device.slack_seconds += entry.slack
+        devices = self.devices
+        for device_id, compute_energy, upload_energy, slack in zip(
+            timeline.device_ids.tolist(),
+            timeline.compute_energy.tolist(),
+            timeline.upload_energy.tolist(),
+            timeline.slack.tolist(),
+        ):
+            device = devices.get(device_id)
+            if device is None:
+                device = devices[device_id] = DeviceEnergy(device_id)
+            device.compute_joules += compute_energy
+            device.upload_joules += upload_energy
+            device.slack_seconds += slack
             device.rounds += 1
         self.rounds_recorded += 1
         if self.metrics is not None:

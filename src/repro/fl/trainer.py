@@ -48,7 +48,11 @@ from repro.fl.strategy import (
     SelectionStrategy,
     over_selection_extras_population,
 )
-from repro.network.tdma import RoundTimeline, simulate_tdma_round
+from repro.network.tdma import (
+    CLIENT_OUTCOMES,
+    RoundTimeline,
+    simulate_tdma_round,
+)
 from repro.obs import (
     AggregationEvent,
     BatteryDropEvent,
@@ -473,7 +477,12 @@ class FederatedTrainer:
         """
         if not self.config.enforce_battery:
             return result, ()
-        per_device = timeline.by_device()
+        spent = dict(
+            zip(
+                timeline.device_ids.tolist(),
+                (timeline.compute_energy + timeline.upload_energy).tolist(),
+            )
+        )
         device_index = {d.device_id: d for d in selected}
         dropped = []
         for update in result:
@@ -481,8 +490,7 @@ class FederatedTrainer:
             battery = device.battery
             if battery is None:
                 continue
-            entry = per_device[update.device_id]
-            paid = battery.drain(entry.total_energy)
+            paid = battery.drain(spent[update.device_id])
             if not paid and update.status == STATUS_OK:
                 dropped.append(update.device_id)
         statuses = {device_id: STATUS_DROPPED for device_id in dropped}
@@ -509,14 +517,17 @@ class FederatedTrainer:
             (device_id, *causes.get(device_id, ("dropout", "round")))
             for device_id in state.dropped_ids
         ]
-        per_device = state.timeline.by_device()
-        for device_id in state.timeout_ids:
-            entry = per_device.get(device_id)
-            uploading = entry is not None and (
-                entry.slack > 0.0 or entry.upload_delay > 0.0
+        if state.timeout_ids:
+            # Past its compute: the user waited for or held the channel.
+            timeline = state.timeline
+            uploading = set(
+                timeline.device_ids[
+                    (timeline.slack > 0.0) | (timeline.upload_delay > 0.0)
+                ].tolist()
             )
-            phase = "upload" if uploading else "compute"
-            lost.append((device_id, "round_deadline", phase))
+            for device_id in state.timeout_ids:
+                phase = "upload" if device_id in uploading else "compute"
+                lost.append((device_id, "round_deadline", phase))
         for device_id, cause, phase in lost:
             self.observer.emit(
                 ClientDroppedEvent(
@@ -1050,19 +1061,37 @@ class FederatedTrainer:
         round_index = state.round_index
         run.cumulative_time += timeline.round_delay
         run.cumulative_energy += timeline.total_energy
-        for entry in timeline.users:
+        for (
+            device_id,
+            frequency,
+            compute_delay,
+            upload_delay,
+            slack,
+            compute_energy,
+            upload_energy,
+            code,
+        ) in zip(
+            timeline.device_ids.tolist(),
+            timeline.frequency.tolist(),
+            timeline.compute_delay.tolist(),
+            timeline.upload_delay.tolist(),
+            timeline.slack.tolist(),
+            timeline.compute_energy.tolist(),
+            timeline.upload_energy.tolist(),
+            timeline.outcome_codes.tolist(),
+        ):
             observer.emit(
                 DeviceRoundEvent(
                     round_index=round_index,
-                    device_id=entry.device_id,
-                    frequency=entry.frequency,
-                    f_max=run.device_index[entry.device_id].cpu.f_max,
-                    compute_delay=entry.compute_delay,
-                    upload_delay=entry.upload_delay,
-                    slack=entry.slack,
-                    compute_energy=entry.compute_energy,
-                    upload_energy=entry.upload_energy,
-                    outcome=entry.outcome,
+                    device_id=device_id,
+                    frequency=frequency,
+                    f_max=run.device_index[device_id].cpu.f_max,
+                    compute_delay=compute_delay,
+                    upload_delay=upload_delay,
+                    slack=slack,
+                    compute_energy=compute_energy,
+                    upload_energy=upload_energy,
+                    outcome=CLIENT_OUTCOMES[code],
                 )
             )
         state.totals = dict(

@@ -18,11 +18,13 @@ TDMA and OFDMA rounds are directly comparable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 from repro.devices.device import UserDevice
 from repro.errors import NetworkError
-from repro.network.tdma import RoundTimeline, UserTimeline
+from repro.network.tdma import RoundTimeline
 
 __all__ = ["simulate_ofdma_round"]
 
@@ -59,34 +61,47 @@ def simulate_ofdma_round(
     payloads = payloads or {}
     subband_hz = bandwidth_hz / len(devices)
 
-    entries: List[UserTimeline] = []
+    # One row per user, keyed so that sorting the rows is the grant
+    # order: compute finish, ties by device id.
+    rows = []
     for device in devices:
         freq = frequencies.get(device.device_id, device.cpu.f_max)
         freq = device.cpu.validate_frequency(freq)
-        compute_delay = device.compute_delay(freq)
         device_payload = payloads.get(device.device_id, payload_bits)
-        upload_delay = device.upload_delay(device_payload, subband_hz)
-        entries.append(
-            UserTimeline(
-                device_id=device.device_id,
-                frequency=freq,
-                compute_delay=compute_delay,
-                compute_end=compute_delay,
-                upload_start=compute_delay,
-                upload_end=compute_delay + upload_delay,
-                upload_delay=upload_delay,
-                slack=0.0,
-                compute_energy=device.compute_energy(freq),
-                upload_energy=device.upload_energy(device_payload, subband_hz),
+        rows.append(
+            (
+                device.compute_delay(freq),
+                device.device_id,
+                freq,
+                device.upload_delay(device_payload, subband_hz),
+                device.compute_energy(freq),
+                device.upload_energy(device_payload, subband_hz),
             )
         )
-
-    entries.sort(key=lambda e: (e.compute_end, e.device_id))
-    total_compute = sum(e.compute_energy for e in entries)
-    total_upload = sum(e.upload_energy for e in entries)
+    rows.sort()
+    (
+        compute_delay,
+        device_ids,
+        freqs,
+        upload_delay,
+        compute_energy,
+        upload_energy,
+    ) = (np.array(column) for column in zip(*rows))
+    upload_end = compute_delay + upload_delay
+    total_compute = sum(compute_energy.tolist())
+    total_upload = sum(upload_energy.tolist())
     return RoundTimeline(
-        users=tuple(entries),
-        round_delay=max(e.upload_end for e in entries),
+        device_ids=device_ids.astype(np.int64, copy=False),
+        frequency=freqs,
+        compute_delay=compute_delay,
+        upload_start=compute_delay.copy(),
+        upload_end=upload_end,
+        upload_delay=upload_delay,
+        slack=np.zeros(len(rows)),
+        compute_energy=compute_energy,
+        upload_energy=upload_energy,
+        outcome_codes=np.zeros(len(rows), dtype=np.int8),
+        round_delay=max(upload_end.tolist()),
         total_energy=total_compute + total_upload,
         total_compute_energy=total_compute,
         total_upload_energy=total_upload,

@@ -14,6 +14,13 @@ windows, slack, and energies, plus the synchronized round delay
 the FL trainer and the independent oracle the tests use to verify
 Algorithm 3.
 
+The round is held column-wise: :class:`RoundTimeline` is ten parallel
+arrays in channel-grant order plus the round totals, every stage of
+the simulation is an array expression over the selected set, and the
+only per-user Python is the FIFO channel recurrence itself, a scalar
+scan over plain floats. :class:`UserTimeline` objects exist only as a
+lazily built view (:attr:`RoundTimeline.users`) for reports and tests.
+
 The simulator also accepts the per-device *perturbations* the fault
 layer (:mod:`repro.faults`) resolves — straggler compute-delay
 multipliers, during-compute deaths, channel outages/degradations, and
@@ -25,8 +32,11 @@ identical to the unperturbed simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import repeat
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -98,15 +108,42 @@ class UserTimeline:
         return self.upload_end
 
 
-@dataclass(frozen=True)
-class RoundTimeline:
-    """The complete schedule of one TDMA FL round.
+_CODE_OK, _CODE_DROPPED, _CODE_TIMEOUT = range(len(CLIENT_OUTCOMES))
 
-    ``RoundTimeline()`` is the round in which nobody computed: no
-    users, no delay, no energy.
+
+def _column(dtype=np.float64):
+    """Dataclass field holding an empty column of ``dtype`` by default."""
+    return field(default_factory=partial(np.empty, 0, dtype))
+
+
+@dataclass(frozen=True, eq=False)
+class RoundTimeline:
+    """The complete schedule of one TDMA FL round, held column-wise.
+
+    Ten parallel arrays with one position per user. Entries are in
+    grant order, lost-before-queue users last: first the users that
+    reached the channel queue, in the order the channel was granted
+    (compute finish, ties by device id), then the users that never
+    queued (dead mid-compute, or still computing at the round
+    deadline), in the same sort order. All times count from the round
+    start; a user's compute end equals its ``compute_delay``.
+
+    ``RoundTimeline()`` is the round in which nobody computed: empty
+    columns, no delay, no energy. Two timelines are equal when every
+    column and every total is.
 
     Attributes:
-        users: per-user timelines, in upload (channel-grant) order.
+        device_ids: int64 user ids.
+        frequency: CPU operating frequency used for the local update.
+        compute_delay: Eq. (4) at ``frequency`` (the part executed, for
+            users lost mid-compute).
+        upload_start: when the channel is granted to the user.
+        upload_end: when the user's upload completes or is cut.
+        upload_delay: Eq. (7) seconds actually spent uploading.
+        slack: idle wait ``upload_start - compute_delay``.
+        compute_energy: Eq. (5) joules actually spent computing.
+        upload_energy: Eq. (8) joules actually spent uploading.
+        outcome_codes: int8 indices into :data:`CLIENT_OUTCOMES`.
         round_delay: Eq. (10) — when the last upload completes.
         total_energy: Eq. (11) — sum of all users' energies.
         total_compute_energy: compute share of ``total_energy``.
@@ -114,28 +151,103 @@ class RoundTimeline:
         total_slack: summed idle wait across users.
     """
 
-    users: Tuple[UserTimeline, ...] = ()
+    device_ids: np.ndarray = _column(np.int64)
+    frequency: np.ndarray = _column()
+    compute_delay: np.ndarray = _column()
+    upload_start: np.ndarray = _column()
+    upload_end: np.ndarray = _column()
+    upload_delay: np.ndarray = _column()
+    slack: np.ndarray = _column()
+    compute_energy: np.ndarray = _column()
+    upload_energy: np.ndarray = _column()
+    outcome_codes: np.ndarray = _column(np.int8)
     round_delay: float = 0.0
     total_energy: float = 0.0
     total_compute_energy: float = 0.0
     total_upload_energy: float = 0.0
     total_slack: float = 0.0
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoundTimeline):
+            return NotImplemented
+        return self._totals() == other._totals() and all(
+            np.array_equal(mine, theirs)
+            for mine, theirs in zip(self._columns(), other._columns())
+        )
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        return (
+            self.device_ids,
+            self.frequency,
+            self.compute_delay,
+            self.upload_start,
+            self.upload_end,
+            self.upload_delay,
+            self.slack,
+            self.compute_energy,
+            self.upload_energy,
+            self.outcome_codes,
+        )
+
+    def _totals(self) -> Tuple[float, ...]:
+        return (
+            self.round_delay,
+            self.total_energy,
+            self.total_compute_energy,
+            self.total_upload_energy,
+            self.total_slack,
+        )
+
+    @cached_property
+    def users(self) -> Tuple[UserTimeline, ...]:
+        """Per-user :class:`UserTimeline` view of the columns, in entry
+        order; built on first access and cached. For reports and tests —
+        nothing on the round path reads it."""
+        return tuple(
+            UserTimeline(
+                device_id=device_id,
+                frequency=frequency,
+                compute_delay=compute_delay,
+                compute_end=compute_delay,
+                upload_start=upload_start,
+                upload_end=upload_end,
+                upload_delay=upload_delay,
+                slack=slack,
+                compute_energy=compute_energy,
+                upload_energy=upload_energy,
+                outcome=CLIENT_OUTCOMES[code],
+            )
+            for (
+                device_id,
+                frequency,
+                compute_delay,
+                upload_start,
+                upload_end,
+                upload_delay,
+                slack,
+                compute_energy,
+                upload_energy,
+                code,
+            ) in zip(*(column.tolist() for column in self._columns()))
+        )
+
     def by_device(self) -> Dict[int, UserTimeline]:
-        """Index the per-user timelines by device id."""
+        """Index the :attr:`users` view by device id."""
         return {entry.device_id: entry for entry in self.users}
 
     def outcomes(self) -> Dict[int, str]:
         """Map each device id to its round outcome."""
-        return {entry.device_id: entry.outcome for entry in self.users}
+        return dict(
+            zip(
+                self.device_ids.tolist(),
+                map(CLIENT_OUTCOMES.__getitem__, self.outcome_codes.tolist()),
+            )
+        )
 
     def ids_with_outcome(self, outcome: str) -> Tuple[int, ...]:
         """Device ids with the given outcome, in timeline order."""
-        return tuple(
-            entry.device_id
-            for entry in self.users
-            if entry.outcome == outcome
-        )
+        matching = self.outcome_codes == CLIENT_OUTCOMES.index(outcome)
+        return tuple(self.device_ids[matching].tolist())
 
     @property
     def completed_ids(self) -> Tuple[int, ...]:
@@ -143,47 +255,41 @@ class RoundTimeline:
         return self.ids_with_outcome(OUTCOME_OK)
 
 
-def _stage_population(
-    population: DevicePopulation,
-    payload_bits: float,
-    bandwidth_hz: float,
-    frequencies: Dict[int, float],
-    payloads: Dict[int, float],
-) -> Tuple[List[int], List[float], List[float], List[float], List[float], List[float]]:
-    """Per-device staging quantities as lists, in population order."""
-    ids = population.device_ids.tolist()
-    if frequencies:
-        freqs = np.fromiter(
-            (
-                frequencies.get(device_id, f_max)
-                for device_id, f_max in zip(ids, population.f_max.tolist())
-            ),
-            dtype=np.float64,
-            count=len(population),
-        )
-    else:
-        freqs = population.f_max
-    freqs = population.validate_frequencies(freqs)
-    compute_delay = population.cycles / freqs
-    compute_energy = population.compute_energy(freqs)
-    if payloads:
-        payload = np.fromiter(
-            (payloads.get(device_id, payload_bits) for device_id in ids),
-            dtype=np.float64,
-            count=len(population),
-        )
-    else:
-        payload = np.float64(payload_bits)
-    upload_delay = population.upload_delay(payload, bandwidth_hz)
-    upload_energy = population.transmit_power * upload_delay
-    return (
-        ids,
-        freqs.tolist(),
-        compute_delay.tolist(),
-        compute_energy.tolist(),
-        upload_delay.tolist(),
-        upload_energy.tolist(),
+def _id_aligned(
+    values: Dict[int, float], ids: List[int], absent: float
+) -> np.ndarray:
+    """``values`` as a float64 array aligned to ``ids``."""
+    return np.fromiter(
+        map(values.get, ids, repeat(absent)), dtype=np.float64, count=len(ids)
     )
+
+
+def _members(keys: Iterable[int], device_ids: np.ndarray) -> np.ndarray:
+    """Boolean mask of the ``device_ids`` that appear in ``keys``."""
+    return np.isin(device_ids, np.fromiter(keys, dtype=np.int64))
+
+
+def _require(valid: np.ndarray, values: np.ndarray, ids: List[int], rule: str) -> None:
+    """Raise :class:`NetworkError` naming the first device whose
+    id-aligned perturbation value breaks ``rule``."""
+    if not valid.all():
+        position = int(np.flatnonzero(~valid)[0])
+        raise NetworkError(
+            f"{rule}, got {float(values[position])} for device {ids[position]}"
+        )
+
+
+def _multipliers(values: Dict[int, float], ids: List[int], name: str) -> np.ndarray:
+    """Id-aligned delay/energy multipliers; absent devices get 1.0,
+    which multiplies exactly."""
+    scale = _id_aligned(values, ids, 1.0)
+    _require(
+        np.isfinite(scale) & (scale > 0.0),
+        scale,
+        ids,
+        f"{name} multipliers must be finite and positive",
+    )
+    return scale
 
 
 def simulate_tdma_round(
@@ -207,6 +313,15 @@ def simulate_tdma_round(
     broken by device id, matching a FIFO channel queue). A user whose
     computation finishes while the channel is busy waits (slack).
 
+    Staging, the sort, the fault masks, energies and outcomes are array
+    expressions over the selected set. The channel queue is not: each
+    grant is ``upload_start = max(compute_end, channel_free_at)`` with
+    ``channel_free_at`` the previous upload's end, a true recurrence,
+    and it stays a scalar loop over plain floats. Its closed form (a
+    running maximum over cumulative sums of upload delays) adds the
+    same numbers in another order, rounds differently in the last bit,
+    and would break the bitwise contract with recorded histories.
+
     Args:
         devices: the selected user set ``Gamma_j``. Snapshotted into
             a :class:`~repro.devices.DevicePopulation` when
@@ -224,7 +339,8 @@ def simulate_tdma_round(
             ``devices`` is not read — callers that hold no objects
             (e.g. a ``from_spec`` fleet) pass an empty ``devices``;
             a non-empty ``devices`` of another length is rejected.
-        compute_scale: straggler multipliers ``>= 1`` per device id;
+        compute_scale: straggler multipliers per device id (``>= 1``
+            for a slowdown; any finite positive factor is accepted);
             the device's compute delay *and* energy stretch by the
             factor (the CPU stays busy at the operating frequency for
             the contended window).
@@ -235,9 +351,10 @@ def simulate_tdma_round(
         upload_outage: devices whose upload fails at their channel
             grant — full compute energy and slack are spent, no upload
             energy, and the channel is not occupied.
-        upload_scale: channel-degradation multipliers ``>= 1`` per
-            device id applied to upload delay and energy (the inverse
-            of the achieved rate fraction).
+        upload_scale: channel-degradation multipliers per device id
+            (``>= 1`` for a degraded link; any finite positive factor
+            is accepted) applied to upload delay and energy (the
+            inverse of the achieved rate fraction).
         round_deadline: hard per-round deadline in seconds. Users whose
             upload cannot complete by it are cut off with outcome
             ``"timeout"``, charged only the energy of the work executed
@@ -246,15 +363,19 @@ def simulate_tdma_round(
 
     Returns:
         The full :class:`RoundTimeline`. Perturbed users appear with a
-        non-``"ok"`` :attr:`UserTimeline.outcome`; users dead before
-        reaching the channel queue are listed after the queued users.
-        With every perturbation argument at its default the result is
-        bitwise identical to the unperturbed simulation.
+        non-``"ok"`` code in :attr:`RoundTimeline.outcome_codes`; users
+        dead before reaching the channel queue are listed after the
+        queued users. With every perturbation argument at its default
+        the result is bitwise identical to the unperturbed simulation.
+        Perturbations naming devices outside the round are ignored.
 
     Raises:
         NetworkError: for an empty selection, a ``devices`` whose
-            length disagrees with ``population``, or a non-positive
-            ``round_deadline``.
+            length disagrees with ``population``, a ``round_deadline``
+            that is not finite and positive, a ``compute_scale`` or
+            ``upload_scale`` multiplier that is not finite and
+            positive, or a ``drop_during`` progress outside ``(0, 1]``
+            (the message names the first offending device id).
         FrequencyRangeError: if an assigned frequency is out of range
             or not finite.
     """
@@ -269,209 +390,174 @@ def simulate_tdma_round(
             f"devices lists {len(devices)} users but population holds "
             f"{len(population)}; population is the one simulated"
         )
-    if round_deadline is not None and round_deadline <= 0:
-        raise NetworkError(
-            f"round_deadline must be positive when set, got {round_deadline}"
-        )
-    frequencies = frequencies or {}
-    payloads = payloads or {}
-    compute_scale = compute_scale or {}
-    drop_during = drop_during or {}
-    upload_outage = upload_outage or frozenset()
-    upload_scale = upload_scale or {}
+    deadline = None
+    if round_deadline is not None:
+        deadline = float(round_deadline)
+        if not (math.isfinite(deadline) and deadline > 0.0):
+            raise NetworkError(
+                "round_deadline must be finite and positive when set, "
+                f"got {round_deadline}"
+            )
 
     # Stage every device's base quantities — Eq. (4)/(5) at the
-    # validated frequency and Eq. (7)/(8) at its payload — as parallel
-    # scalar lists; the event loop below never touches a device object.
-    (
-        staged_ids,
-        staged_freqs,
-        staged_compute_delay,
-        staged_compute_energy,
-        staged_upload_delay,
-        staged_upload_energy,
-    ) = _stage_population(
-        population, payload_bits, bandwidth_hz, frequencies, payloads
-    )
+    # validated frequency and Eq. (7)/(8) at its payload — as arrays in
+    # population order, perturbation multipliers applied.
+    size = len(population)
+    device_ids = population.device_ids
+    ids = device_ids.tolist()
+    if frequencies:
+        freqs = np.fromiter(
+            map(frequencies.get, ids, population.f_max.tolist()),
+            dtype=np.float64,
+            count=size,
+        )
+    else:
+        freqs = population.f_max
+    freqs = population.validate_frequencies(freqs)
+    compute_delay = population.cycles / freqs
+    compute_energy = population.compute_energy(freqs)
+    payload = _id_aligned(payloads, ids, payload_bits) if payloads else payload_bits
+    upload_delay = population.upload_delay(payload, bandwidth_hz)
+    upload_energy = population.transmit_power * upload_delay
     if compute_scale:
-        for position, device_id in enumerate(staged_ids):
-            slowdown = compute_scale.get(device_id)
-            if slowdown is not None:
-                staged_compute_delay[position] *= slowdown
+        slowdown = _multipliers(compute_scale, ids, "compute_scale")
+        compute_delay = compute_delay * slowdown
+        compute_energy = compute_energy * slowdown
+    if upload_scale:
+        degradation = _multipliers(upload_scale, ids, "upload_scale")
+        upload_delay = upload_delay * degradation
+        upload_energy = upload_energy * degradation
 
     # Channel-grant order: first-come first-served on compute finish.
-    order = sorted(
-        range(len(staged_ids)),
-        key=lambda position: (
-            staged_compute_delay[position],
-            staged_ids[position],
-        ),
-    )
+    order = np.lexsort((device_ids, compute_delay))
 
-    entries: List[UserTimeline] = []
-    lost_entries: List[UserTimeline] = []
-    channel_free_at = 0.0
-    deadline_hit = False
-    for position in order:
-        device_id = staged_ids[position]
-        freq = staged_freqs[position]
-        compute_delay = staged_compute_delay[position]
-        compute_energy = staged_compute_energy[position]
-        slowdown = compute_scale.get(device_id)
-        if slowdown is not None:
-            compute_energy *= slowdown
-
-        progress = drop_during.get(device_id)
-        if progress is not None:
-            # Death mid-compute: partial compute cost, no channel use.
-            spent = progress * compute_delay
-            lost_entries.append(
-                UserTimeline(
-                    device_id=device_id,
-                    frequency=freq,
-                    compute_delay=spent,
-                    compute_end=spent,
-                    upload_start=spent,
-                    upload_end=spent,
-                    upload_delay=0.0,
-                    slack=0.0,
-                    compute_energy=progress * compute_energy,
-                    upload_energy=0.0,
-                    outcome=OUTCOME_DROPPED,
-                )
-            )
-            continue
-
-        if round_deadline is not None and compute_delay >= round_deadline:
-            # Still computing when the server cut the round off.
-            fraction = round_deadline / compute_delay
-            lost_entries.append(
-                UserTimeline(
-                    device_id=device_id,
-                    frequency=freq,
-                    compute_delay=round_deadline,
-                    compute_end=round_deadline,
-                    upload_start=round_deadline,
-                    upload_end=round_deadline,
-                    upload_delay=0.0,
-                    slack=0.0,
-                    compute_energy=fraction * compute_energy,
-                    upload_energy=0.0,
-                    outcome=OUTCOME_TIMEOUT,
-                )
-            )
-            deadline_hit = True
-            continue
-
-        upload_start = max(compute_delay, channel_free_at)
-        if device_id in upload_outage:
-            # The link dies at the grant: no upload cost, channel free.
-            entries.append(
-                UserTimeline(
-                    device_id=device_id,
-                    frequency=freq,
-                    compute_delay=compute_delay,
-                    compute_end=compute_delay,
-                    upload_start=upload_start,
-                    upload_end=upload_start,
-                    upload_delay=0.0,
-                    slack=upload_start - compute_delay,
-                    compute_energy=compute_energy,
-                    upload_energy=0.0,
-                    outcome=OUTCOME_DROPPED,
-                )
-            )
-            continue
-
-        if round_deadline is not None and upload_start >= round_deadline:
-            # Queued behind the channel until the deadline passed.
-            entries.append(
-                UserTimeline(
-                    device_id=device_id,
-                    frequency=freq,
-                    compute_delay=compute_delay,
-                    compute_end=compute_delay,
-                    upload_start=round_deadline,
-                    upload_end=round_deadline,
-                    upload_delay=0.0,
-                    slack=round_deadline - compute_delay,
-                    compute_energy=compute_energy,
-                    upload_energy=0.0,
-                    outcome=OUTCOME_TIMEOUT,
-                )
-            )
-            deadline_hit = True
-            continue
-
-        upload_delay = staged_upload_delay[position]
-        upload_energy = staged_upload_energy[position]
-        degradation = upload_scale.get(device_id)
-        if degradation is not None:
-            upload_delay *= degradation
-            upload_energy *= degradation
-        upload_end = upload_start + upload_delay
-
-        if round_deadline is not None and upload_end > round_deadline:
-            # Cut off mid-upload: the channel was held until the cut.
-            fraction = (round_deadline - upload_start) / upload_delay
-            entries.append(
-                UserTimeline(
-                    device_id=device_id,
-                    frequency=freq,
-                    compute_delay=compute_delay,
-                    compute_end=compute_delay,
-                    upload_start=upload_start,
-                    upload_end=round_deadline,
-                    upload_delay=round_deadline - upload_start,
-                    slack=upload_start - compute_delay,
-                    compute_energy=compute_energy,
-                    upload_energy=fraction * upload_energy,
-                    outcome=OUTCOME_TIMEOUT,
-                )
-            )
-            channel_free_at = round_deadline
-            deadline_hit = True
-            continue
-
-        channel_free_at = upload_end
-        entries.append(
-            UserTimeline(
-                device_id=device_id,
-                frequency=freq,
-                compute_delay=compute_delay,
-                compute_end=compute_delay,
-                upload_start=upload_start,
-                upload_end=upload_end,
-                upload_delay=upload_delay,
-                slack=upload_start - compute_delay,
-                compute_energy=compute_energy,
-                upload_energy=upload_energy,
-            )
+    # Users that never reach the channel queue: dead mid-compute, or
+    # still computing when the server cut the round off. They keep
+    # their place in the sort but are listed after the queued users.
+    codes = np.zeros(size, dtype=np.int8)
+    lost = None
+    if drop_during:
+        lost = _members(drop_during, device_ids)
+        progress = _id_aligned(drop_during, ids, 1.0)
+        _require(
+            (progress > 0.0) & (progress <= 1.0),
+            progress,
+            ids,
+            "drop_during progress must lie in (0, 1]",
         )
+        codes[lost] = _CODE_DROPPED
+        compute_delay = progress * compute_delay
+        compute_energy = progress * compute_energy
+    deadline_hit = False
+    if deadline is not None:
+        late = compute_delay >= deadline
+        if lost is not None:
+            late &= ~lost
+        if late.any():
+            deadline_hit = True
+            compute_energy[late] = (
+                deadline / compute_delay[late]
+            ) * compute_energy[late]
+            compute_delay[late] = deadline
+            codes[late] = _CODE_TIMEOUT
+            lost = late if lost is None else lost | late
+    queued = size
+    if lost is not None:
+        lost = lost[order]
+        queued = size - int(np.count_nonzero(lost))
+        order = np.concatenate((order[~lost], order[lost]))
 
-    entries.extend(lost_entries)
+    device_ids = device_ids[order]
+    freqs = freqs[order]
+    compute_delay = compute_delay[order]
+    compute_energy = compute_energy[order]
+    upload_delay = upload_delay[order]
+    upload_energy = upload_energy[order]
+    codes = codes[order]
+    # Whoever never queued never held the channel.
+    upload_delay[queued:] = 0.0
+    upload_energy[queued:] = 0.0
+    # Views of the queued users; writes go through to the columns.
+    queue_delay = upload_delay[:queued]
+    queue_energy = upload_energy[:queued]
+    queue_codes = codes[:queued]
+    outage = None
+    if upload_outage:
+        # The link dies at the grant: no upload cost, channel not held.
+        outage = _members(upload_outage, device_ids[:queued])
+        queue_delay[outage] = 0.0
+        queue_energy[outage] = 0.0
+        queue_codes[outage] = _CODE_DROPPED
+
+    # The FIFO channel itself: the one step that is a true recurrence.
+    starts: List[float] = []
+    channel_free_at = 0.0
+    for compute_end, held in zip(
+        compute_delay[:queued].tolist(), queue_delay.tolist()
+    ):
+        # max(compute_end, channel_free_at), without the call
+        granted_at = (
+            channel_free_at if channel_free_at > compute_end else compute_end
+        )
+        starts.append(granted_at)
+        channel_free_at = granted_at + held
+
+    upload_start = compute_delay.copy()
+    upload_start[:queued] = starts
+    if deadline is None:
+        upload_end = upload_start + upload_delay
+    else:
+        # The scan ran on past the deadline; fold it back. A user whose
+        # grant came at or after the deadline never uploaded, the (at
+        # most one) user uploading across it was cut there.
+        queue_start = upload_start[:queued]
+        np.minimum(queue_start, deadline, out=queue_start)
+        upload_end = upload_start + upload_delay
+        waiting = queue_start >= deadline
+        if outage is not None:
+            waiting &= ~outage
+        cut = ~waiting & (upload_end[:queued] > deadline)
+        stopped = waiting | cut
+        if stopped.any():
+            deadline_hit = True
+            queue_delay[waiting] = 0.0
+            queue_energy[waiting] = 0.0
+            remaining = deadline - queue_start[cut]
+            queue_energy[cut] = (remaining / queue_delay[cut]) * queue_energy[cut]
+            queue_delay[cut] = remaining
+            upload_end[:queued][stopped] = deadline
+            queue_codes[stopped] = _CODE_TIMEOUT
+    slack = upload_start - compute_delay
+
     # The synchronous round lasts until the last successful upload —
     # or exactly until the deadline whenever the server cut anyone off.
     # Devices lost to faults do not gate the round (the FLCC observes
     # the disconnect); if *nothing* survived, the round's window is the
     # time the last doomed device was still spending energy.
-    completed_ends = [
-        e.upload_end for e in entries if e.outcome == OUTCOME_OK
-    ]
     if deadline_hit:
-        round_delay = round_deadline
-    elif completed_ends:
-        round_delay = max(completed_ends)
+        round_delay = deadline
     else:
-        round_delay = max(e.upload_end for e in entries)
+        completed_ends = upload_end[codes == _CODE_OK].tolist()
+        round_delay = max(completed_ends or upload_end.tolist())
 
-    total_compute = sum(e.compute_energy for e in entries)
-    total_upload = sum(e.upload_energy for e in entries)
+    # Builtin ``sum`` in entry order, like the per-user loop summed its
+    # entries: ``np.sum`` adds pairwise and rounds differently.
+    total_compute = sum(compute_energy.tolist())
+    total_upload = sum(upload_energy.tolist())
     return RoundTimeline(
-        users=tuple(entries),
+        device_ids=device_ids,
+        frequency=freqs,
+        compute_delay=compute_delay,
+        upload_start=upload_start,
+        upload_end=upload_end,
+        upload_delay=upload_delay,
+        slack=slack,
+        compute_energy=compute_energy,
+        upload_energy=upload_energy,
+        outcome_codes=codes,
         round_delay=round_delay,
         total_energy=total_compute + total_upload,
         total_compute_energy=total_compute,
         total_upload_energy=total_upload,
-        total_slack=sum(e.slack for e in entries),
+        total_slack=sum(slack.tolist()),
     )

@@ -1,9 +1,11 @@
 """Tests for greedy-decay user selection (Algorithm 2)."""
 
+import numpy as np
 import pytest
 
 from repro.core.selection import GreedyDecaySelection
 from repro.core.utility import utility_scores
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, SelectionError
 from repro.fl.strategy import selection_count
 from tests.conftest import make_heterogeneous_devices
@@ -118,6 +120,29 @@ class TestGreedyDecay:
         strat.select(1, devices)
         strat.reset()
         assert strat.appearance_counts == {}
+
+    def test_counter_mirror_zero_fills_then_rebuilds_from_the_dict(self):
+        """With no counters the aligned ``alpha_q`` mirror is a plain
+        zero array; after a checkpoint restore it is rebuilt from the
+        dict, and the run continues as if never interrupted."""
+        population = DevicePopulation.from_devices(
+            make_heterogeneous_devices(12)
+        )
+        straight = strategy()
+        first = straight.select_population(1, population)
+        counts = np.zeros(12, dtype=np.int64)
+        counts[first] = 1
+        assert np.array_equal(straight.scores(population), utility_scores(
+            population, counts, PAYLOAD, BANDWIDTH, 0.7
+        ))
+        resumed = strategy()
+        resumed.load_state_dict(straight.state_dict())
+        for round_index in range(2, 6):
+            assert np.array_equal(
+                resumed.select_population(round_index, population),
+                straight.select_population(round_index, population),
+            )
+        assert resumed.appearance_counts == straight.appearance_counts
 
     def test_deterministic(self):
         devices = make_heterogeneous_devices(8)

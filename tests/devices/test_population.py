@@ -198,12 +198,54 @@ class TestViewsAndUpdates:
         ]
         assert len(sub) == 3
 
+    @pytest.mark.parametrize("ladders", [False, True])
+    def test_take_equals_a_freshly_built_population(self, ladders):
+        """``take`` slices the cached arrays (no ``math.log2`` replay),
+        so it must hold exactly what the constructor would compute."""
+        spec = FleetSpec(
+            channel_gain_range=(0.5, 2.0),
+            frequency_levels=(0.25, 0.5, 1.0) if ladders else None,
+        )
+        sizes = np.arange(20, 60)
+        population = DevicePopulation.from_spec(spec, sizes, seed=4)
+        population.set_channel_gains([7, 2], [0.9, 1.7])
+        positions = np.array([7, 2, 39, 0, 11])
+        child = population.take(positions)
+        fresh = DevicePopulation(
+            population.device_ids[positions],
+            population.f_min[positions],
+            population.f_max[positions],
+            population.cycles_per_sample[positions],
+            population.switched_capacitance[positions],
+            population.num_samples[positions],
+            population.transmit_power[positions],
+            population.channel_gain[positions],
+            population.noise_power[positions],
+            ladder=population.ladder[positions] if ladders else None,
+            ladder_sizes=population.ladder_sizes[positions] if ladders else None,
+        )
+        assert np.array_equal(child.log2_snr1, fresh.log2_snr1)
+        assert vars(child).keys() == vars(fresh).keys()
+        for name, value in vars(fresh).items():
+            mine = getattr(child, name)
+            if value is None:
+                assert mine is None, name
+            else:
+                assert mine.dtype == value.dtype, name
+                assert np.array_equal(mine, value), name
+        # The child owns its arrays: fading it must not reach the parent.
+        before = population.log2_snr1.copy()
+        child.set_channel_gains([0], [0.6])
+        assert np.array_equal(population.log2_snr1, before)
+
     def test_take_empty_rejected(self):
         population = DevicePopulation.from_devices(
             make_heterogeneous_devices(3)
         )
         with pytest.raises(DeviceError):
             population.take([])
+        with pytest.raises(DeviceError):
+            population.take(1)
 
     def test_position_of(self):
         population = DevicePopulation.from_devices(

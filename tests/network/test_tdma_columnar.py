@@ -1,0 +1,285 @@
+"""The columnar TDMA round equals the per-device event loop, bit for bit.
+
+``repro.network.tdma.simulate_tdma_round`` stages, sorts and perturbs
+the round as array expressions around one scalar channel scan;
+``tests/oracles/tdma_loop.py`` is the loop it replaced, one
+``UserTimeline`` object per device. Every comparison here is ``==`` or
+``repr`` — never ``isclose``.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.devices.fleet import FleetSpec
+from repro.devices.population import DevicePopulation
+from repro.errors import NetworkError
+from repro.network.tdma import (
+    CLIENT_OUTCOMES,
+    OUTCOME_OK,
+    RoundTimeline,
+    UserTimeline,
+    simulate_tdma_round,
+)
+from tests.oracles import tdma_loop
+
+BANDWIDTH = 2e6
+PAYLOAD = 1e6
+
+FLOAT_COLUMNS = (
+    "frequency",
+    "compute_delay",
+    "upload_start",
+    "upload_end",
+    "upload_delay",
+    "slack",
+    "compute_energy",
+    "upload_energy",
+)
+TOTALS = (
+    "round_delay",
+    "total_energy",
+    "total_compute_energy",
+    "total_upload_energy",
+    "total_slack",
+)
+
+
+def assert_same_round(timeline: RoundTimeline, loop: tdma_loop.LoopTimeline):
+    """Every column, total and derived answer against the loop's entries."""
+    entries = loop.users
+    assert timeline.device_ids.dtype == np.int64
+    assert timeline.outcome_codes.dtype == np.int8
+    assert timeline.device_ids.tolist() == [e.device_id for e in entries]
+    for name in FLOAT_COLUMNS:
+        column = getattr(timeline, name)
+        assert column.dtype == np.float64
+        expected = [getattr(e, name) for e in entries]
+        assert column.tolist() == expected, name
+        assert repr(column.tolist()) == repr(expected), name
+    assert [
+        CLIENT_OUTCOMES[code] for code in timeline.outcome_codes.tolist()
+    ] == [e.outcome for e in entries]
+    for name in TOTALS:
+        assert getattr(timeline, name) == getattr(loop, name), name
+        assert repr(getattr(timeline, name)) == repr(getattr(loop, name)), name
+    assert timeline.outcomes() == {e.device_id: e.outcome for e in entries}
+    assert timeline.completed_ids == tuple(
+        e.device_id for e in entries if e.outcome == OUTCOME_OK
+    )
+    # The lazily built view, field for field.
+    assert timeline.users == entries
+    assert repr(timeline.users) == repr(entries)
+    assert timeline.by_device() == {e.device_id: e for e in entries}
+    assert timeline == loop.columnar()
+
+
+def subset_map(draw, ids, values):
+    """A dict over a random subset of ``ids`` with drawn values."""
+    chosen = draw(st.lists(st.sampled_from(ids), unique=True, max_size=len(ids)))
+    return {device_id: draw(values) for device_id in chosen}
+
+
+@st.composite
+def rounds(draw):
+    """A small fleet plus every argument ``simulate_tdma_round`` takes."""
+    size = draw(st.integers(1, 12))
+    homogeneous = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    if homogeneous:
+        # Equal f_max and dataset sizes: compute delays tie, the id
+        # tie-break decides the grant order.
+        spec = FleetSpec(f_max_low_hz=1.0e9, f_max_high_hz=1.0e9)
+        sizes = [draw(st.integers(20, 60))] * size
+    else:
+        spec = FleetSpec(channel_gain_range=(0.5, 2.0))
+        sizes = draw(
+            st.lists(st.integers(20, 200), min_size=size, max_size=size)
+        )
+    population = DevicePopulation.from_spec(spec, sizes, seed=seed)
+    ids = population.device_ids.tolist()
+    f_min = dict(zip(ids, population.f_min.tolist()))
+    f_max = dict(zip(ids, population.f_max.tolist()))
+    share = subset_map(draw, ids, st.floats(0.0, 1.0))
+    frequencies = {
+        device_id: f_min[device_id]
+        + fraction * (f_max[device_id] - f_min[device_id])
+        for device_id, fraction in share.items()
+    }
+    multiplier = st.floats(0.25, 4.0)
+    kwargs = dict(
+        frequencies=frequencies or None,
+        payloads=subset_map(draw, ids, st.floats(0.0, 1e7)) or None,
+        compute_scale=subset_map(draw, ids, multiplier),
+        drop_during=subset_map(
+            draw, ids, st.floats(0.0, 1.0, exclude_min=True)
+        ),
+        upload_outage=set(subset_map(draw, ids, st.none())),
+        upload_scale=subset_map(draw, ids, multiplier),
+    )
+    deadline = draw(
+        st.one_of(
+            st.tuples(
+                st.sampled_from(("compute_delay", "upload_start", "upload_end")),
+                st.integers(0, size - 1),
+            ),
+            st.floats(0.05, 20.0),
+            st.none(),
+        )
+    )
+    # Uploads of a tenth of a second or of seconds: a mostly idle
+    # channel, or a queue that a deadline lands in the middle of.
+    payload_bits = draw(st.sampled_from((1e6, 2e7)))
+    return population, payload_bits, kwargs, deadline
+
+
+class TestDifferential:
+    @given(rounds())
+    @settings(max_examples=120, deadline=None)
+    def test_equals_event_loop(self, case):
+        population, payload_bits, kwargs, deadline = case
+        if isinstance(deadline, tuple):
+            # A deadline placed exactly on one of the undeadlined run's
+            # own event times: the ``>=``/``>`` boundaries.
+            column, position = deadline
+            free_run = simulate_tdma_round(
+                (), payload_bits, BANDWIDTH, population=population, **kwargs
+            )
+            deadline = getattr(free_run, column).tolist()[position]
+            if deadline <= 0.0:
+                deadline = None
+        kwargs["round_deadline"] = deadline
+        assert_same_round(
+            simulate_tdma_round(
+                (), payload_bits, BANDWIDTH, population=population, **kwargs
+            ),
+            tdma_loop.simulate_population(
+                population, payload_bits, BANDWIDTH, **kwargs
+            ),
+        )
+
+    def test_every_branch_in_one_round(self):
+        """Straggler, death, outage, degradation, a late computer, a cut
+        upload and a waiting user, all in one deadlined round."""
+        population = DevicePopulation.from_spec(
+            FleetSpec(channel_gain_range=(0.5, 2.0)), [60] * 8, seed=3
+        )
+        kwargs = dict(
+            compute_scale={0: 2.0, 7: 40.0},
+            drop_during={1: 0.5},
+            upload_outage={2},
+            upload_scale={3: 3.0},
+        )
+        payload = 1e7  # uploads of seconds, so the channel queue is long
+        free_run = simulate_tdma_round(
+            (), payload, BANDWIDTH, population=population, **kwargs
+        )
+        ends = sorted(free_run.upload_end[free_run.outcome_codes == 0].tolist())
+        kwargs["round_deadline"] = (ends[1] + ends[2]) / 2.0
+        timeline = simulate_tdma_round(
+            (), payload, BANDWIDTH, population=population, **kwargs
+        )
+        loop = tdma_loop.simulate_population(
+            population, payload, BANDWIDTH, **kwargs
+        )
+        assert_same_round(timeline, loop)
+        assert timeline.outcomes() == {
+            4: "ok",
+            3: "ok",
+            6: "timeout",  # cut mid-upload
+            5: "timeout",  # granted the channel only at the deadline
+            2: "dropped",  # outage, queued past the deadline
+            0: "timeout",
+            1: "dropped",  # died mid-compute
+            7: "timeout",  # still computing at the deadline
+        }
+        assert timeline.round_delay == kwargs["round_deadline"]
+        # Lost-before-queue users trail the queued ones.
+        assert timeline.device_ids.tolist() == [4, 3, 6, 5, 2, 0, 1, 7]
+        by_id = timeline.by_device()
+        assert 0.0 < by_id[6].upload_delay < free_run.by_device()[6].upload_delay
+        assert by_id[5].upload_delay == by_id[2].upload_delay == 0.0
+
+
+class TestUsersView:
+    def test_empty_round(self):
+        assert RoundTimeline() == RoundTimeline()
+        assert len(RoundTimeline().users) == 0
+        assert RoundTimeline().outcomes() == {}
+        assert RoundTimeline().completed_ids == ()
+
+    def test_view_is_cached_entry_objects(self):
+        population = DevicePopulation.from_spec(None, [40, 80, 20], seed=1)
+        timeline = simulate_tdma_round((), PAYLOAD, BANDWIDTH, population=population)
+        assert timeline.users is timeline.users
+        assert all(isinstance(entry, UserTimeline) for entry in timeline.users)
+        assert [e.device_id for e in timeline.users] == timeline.device_ids.tolist()
+        assert [e.compute_end for e in timeline.users] == (
+            timeline.compute_delay.tolist()
+        )
+
+    def test_equality_reads_columns_and_totals(self):
+        population = DevicePopulation.from_spec(None, [40, 80, 20], seed=1)
+        first = simulate_tdma_round((), PAYLOAD, BANDWIDTH, population=population)
+        again = simulate_tdma_round((), PAYLOAD, BANDWIDTH, population=population)
+        assert first == again
+        assert not first != again
+        outage = simulate_tdma_round(
+            (),
+            PAYLOAD,
+            BANDWIDTH,
+            population=population,
+            upload_outage={int(first.device_ids[-1])},
+        )
+        assert first != outage
+        assert first != RoundTimeline()
+        assert first != "timeline"
+        codes = first.outcome_codes.copy()
+        codes[0] = 1
+        assert first != dataclasses.replace(first, outcome_codes=codes)
+        assert first != dataclasses.replace(first, total_slack=-1.0)
+
+
+class TestPerturbationValidation:
+    """Non-finite or out-of-range perturbations are refused, not
+    accumulated into the ledger."""
+
+    def simulate(self, **kwargs):
+        population = DevicePopulation.from_spec(None, [40, 80, 20], seed=1)
+        return simulate_tdma_round(
+            (), PAYLOAD, BANDWIDTH, population=population, **kwargs
+        )
+
+    @pytest.mark.parametrize("name", ["compute_scale", "upload_scale"])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 0.0, -2.0]
+    )
+    def test_multiplier_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(NetworkError, match=f"{name}.*device 1"):
+            self.simulate(**{name: {2: 1.5, 1: value}})
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 0.0, -1.0, 1.5]
+    )
+    def test_progress_must_lie_in_unit_interval(self, value):
+        with pytest.raises(NetworkError, match="drop_during.*device 2"):
+            self.simulate(drop_during={2: value})
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), 0.0, -3.0]
+    )
+    def test_deadline_must_be_finite_and_positive(self, value):
+        with pytest.raises(NetworkError, match="round_deadline"):
+            self.simulate(round_deadline=value)
+
+    def test_unselected_ids_are_ignored(self):
+        assert self.simulate(
+            compute_scale={99: float("nan")}, drop_during={99: -1.0}
+        ) == self.simulate()
+
+    def test_sub_unit_multipliers_stay_legal(self):
+        timeline = self.simulate(upload_scale={0: 0.5})
+        assert timeline.total_upload_energy < self.simulate().total_upload_energy

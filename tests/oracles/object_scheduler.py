@@ -8,11 +8,10 @@ test asserts it is bitwise equal to this file.
 """
 
 from typing import Dict, List, Mapping, Optional, Sequence
-from unittest import mock
 
 from repro.devices.device import UserDevice
-from repro.network import tdma
 from repro.network.tdma import RoundTimeline
+from tests.oracles import tdma_loop
 
 
 def utility_scores(
@@ -119,7 +118,7 @@ def stage_devices(
     payloads: Mapping[int, float],
 ):
     """Per-device Eq. (4)/(5)/(7)/(8) at the validated frequency, in
-    the six-list layout ``tdma._stage_population`` returns."""
+    the six-list layout ``tdma_loop.event_loop`` reads."""
     ids, freqs, compute_delay, compute_energy = [], [], [], []
     upload_delay, upload_energy = [], []
     for device in devices:
@@ -145,19 +144,9 @@ def simulate_tdma_round(
     **perturbations,
 ) -> RoundTimeline:
     """The TDMA round with every staged quantity taken from the device
-    objects: :func:`stage_devices` feeds ``src/``'s (single, scalar)
-    channel event loop in place of the array staging."""
-
-    def staged(population, payload, bandwidth, freq_map, payload_map):
-        del population
-        return stage_devices(devices, payload, bandwidth, freq_map, payload_map)
-
-    with mock.patch.object(tdma, "_stage_population", staged):
-        return tdma.simulate_tdma_round(
-            devices,
-            payload_bits,
-            bandwidth_hz,
-            frequencies,
-            payloads,
-            **perturbations,
-        )
+    objects: :func:`stage_devices` feeds the per-device channel event
+    loop, whose entries are laid out as columns only to be compared."""
+    staged = stage_devices(
+        devices, payload_bits, bandwidth_hz, frequencies or {}, payloads or {}
+    )
+    return tdma_loop.event_loop(staged, **perturbations).columnar()
