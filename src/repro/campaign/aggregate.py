@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro import wire
 from repro.analysis.stats import mean_std
-from repro.campaign.manifest import (
-    STATUS_DONE,
-    CampaignManifest,
-    atomic_write_text,
-)
+from repro.campaign.manifest import STATUS_DONE, CampaignManifest
 from repro.campaign.runner import STATS_FILE
 from repro.errors import ConfigurationError, SerializationError
 from repro.obs.analysis import CompareThresholds, RunStats, compare_stats
@@ -47,6 +45,27 @@ _SUMMARY_METRICS = (
     "total_energy",
     "num_rounds",
 )
+
+
+@wire.record
+@dataclass(frozen=True)
+class _AggregateRun:
+    """One run's entry: its matrix coordinates and stats snapshot."""
+
+    run_id: str
+    seed: int
+    strategy: str
+    stats: dict
+
+
+@wire.record
+@dataclass(frozen=True)
+class _Aggregate:
+    """The aggregate document below its ``schema`` marker."""
+
+    name: str
+    runs: Tuple[_AggregateRun, ...]
+    summary: dict
 
 
 def _stats_metric(stats: RunStats, metric: str) -> float:
@@ -73,7 +92,7 @@ def aggregate_campaign(manifest: CampaignManifest) -> dict:
     Every run must be ``done``; a campaign with failed or unfinished
     runs has no aggregate (resume it first).
     """
-    runs: List[dict] = []
+    runs: List[_AggregateRun] = []
     by_strategy: Dict[str, List[RunStats]] = {}
     for run in manifest.runs:
         status = manifest.read_status(run.run_id)
@@ -84,20 +103,14 @@ def aggregate_campaign(manifest: CampaignManifest) -> dict:
             )
         stats_path = os.path.join(manifest.run_dir(run.run_id), STATS_FILE)
         try:
-            with open(stats_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = wire.read_json(stats_path, SerializationError)
         except FileNotFoundError as exc:
             raise SerializationError(
                 f"run {run.run_id} is done but has no {STATS_FILE}"
             ) from exc
-        stats = RunStats.from_dict(payload)
+        stats = RunStats.from_dict(payload, stats_path)
         runs.append(
-            {
-                "run_id": run.run_id,
-                "seed": run.seed,
-                "strategy": run.strategy,
-                "stats": stats.to_dict(),
-            }
+            _AggregateRun(run.run_id, run.seed, run.strategy, stats.to_dict())
         )
         by_strategy.setdefault(run.strategy, []).append(stats)
     summary = {
@@ -111,18 +124,14 @@ def aggregate_campaign(manifest: CampaignManifest) -> dict:
         }
         for strategy, stats_list in sorted(by_strategy.items())
     }
-    return {
-        "schema": AGGREGATE_SCHEMA,
-        "name": manifest.spec.name,
-        "runs": runs,
-        "summary": summary,
-    }
+    document = _Aggregate(manifest.spec.name, tuple(runs), summary)
+    return {"schema": AGGREGATE_SCHEMA, **wire.dump(document)}
 
 
 def write_aggregate(manifest: CampaignManifest) -> str:
     """Write the aggregate document; returns its path."""
     path = manifest.aggregate_path()
-    atomic_write_text(
+    wire.write_atomic(
         path,
         json.dumps(aggregate_campaign(manifest), sort_keys=True, indent=2)
         + "\n",
@@ -131,15 +140,16 @@ def write_aggregate(manifest: CampaignManifest) -> str:
 
 
 def load_aggregate(path: str) -> dict:
-    """Load and schema-check an aggregate document."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict) or payload.get("schema") != (
-        AGGREGATE_SCHEMA
-    ):
-        raise SerializationError(
-            f"{path} is not a {AGGREGATE_SCHEMA} document"
-        )
+    """Load and shape-check an aggregate document.
+
+    Each run's ``stats`` snapshot is checked when it is used
+    (:func:`compare_campaigns`).
+
+    Raises:
+        SerializationError: when ``path`` is not an aggregate.
+    """
+    payload = wire.read_json(path, SerializationError, AGGREGATE_SCHEMA)
+    wire.load(_Aggregate, payload, path, SerializationError, also=("schema",))
     return payload
 
 
@@ -163,9 +173,10 @@ def compare_campaigns(
     for run_id in base_runs:
         if run_id not in other_runs:
             continue
+        where = f"aggregate run {run_id} stats"
         comparison = compare_stats(
-            RunStats.from_dict(base_runs[run_id]["stats"]),
-            RunStats.from_dict(other_runs[run_id]["stats"]),
+            RunStats.from_dict(base_runs[run_id]["stats"], where),
+            RunStats.from_dict(other_runs[run_id]["stats"], where),
             thresholds=thresholds,
         )
         comparisons.append(comparison)

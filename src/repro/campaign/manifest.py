@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro import wire
 from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.errors import ConfigurationError, SerializationError
 
@@ -36,7 +36,6 @@ __all__ = [
     "STATUS_FAILED",
     "RunStatus",
     "CampaignManifest",
-    "atomic_write_text",
 ]
 
 STATUS_PENDING = "pending"
@@ -46,27 +45,7 @@ STATUS_FAILED = "failed"
 _STATUSES = (STATUS_PENDING, STATUS_RUNNING, STATUS_DONE, STATUS_FAILED)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (tmp + ``os.replace``)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
+@wire.record
 @dataclass(frozen=True)
 class RunStatus:
     """One run's manifest entry.
@@ -89,6 +68,12 @@ class RunStatus:
     detail: str = ""
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.status not in _STATUSES:
+            raise ConfigurationError(
+                f"unknown status {self.status!r}; expected one of {_STATUSES}"
+            )
 
     def elapsed(self, now: Optional[float] = None) -> Optional[float]:
         """Seconds from launch to finish (or to ``now`` while running).
@@ -148,7 +133,7 @@ class CampaignManifest:
                     "spec; use a fresh directory or the original spec"
                 )
         os.makedirs(manifest.root, exist_ok=True)
-        atomic_write_text(spec_path, spec.to_json())
+        spec.save(spec_path)
         return manifest
 
     @classmethod
@@ -174,31 +159,22 @@ class CampaignManifest:
         return os.path.join(self.run_dir(run_id), "status.json")
 
     def read_status(self, run_id: str) -> RunStatus:
-        """One run's current status (absent file = pending)."""
+        """One run's current status (absent file = pending).
+
+        Raises:
+            SerializationError: when the file is torn or not a status.
+        """
         path = self._status_path(run_id)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
+            payload = wire.read_json(path, SerializationError)
         except FileNotFoundError:
             return RunStatus(run_id=run_id)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(
-                f"status file {path} is not valid JSON: {exc}"
-            ) from exc
-        status = payload.get("status", STATUS_PENDING)
-        if status not in _STATUSES:
-            raise SerializationError(
-                f"status file {path} carries unknown status {status!r}"
-            )
-        started_at = payload.get("started_at")
-        finished_at = payload.get("finished_at")
-        return RunStatus(
-            run_id=run_id,
-            status=status,
-            attempts=int(payload.get("attempts", 0)),
-            detail=str(payload.get("detail", "")),
-            started_at=None if started_at is None else float(started_at),
-            finished_at=None if finished_at is None else float(finished_at),
+        # The directory names the run, whatever the file says.
+        return wire.load(
+            RunStatus,
+            {**payload, "run_id": run_id},
+            f"status file {path}",
+            SerializationError,
         )
 
     def write_status(
@@ -213,26 +189,15 @@ class CampaignManifest:
         """Atomically record one run's status transition.
 
         Timestamps are supplied by the caller (the pool) rather than
-        read here; ``None`` values are omitted from the file, keeping
-        old status files and new readers mutually compatible.
+        read here; a reader treats an absent one as ``None``, so status
+        files written before they existed still load.
         """
-        if status not in _STATUSES:
-            raise ConfigurationError(
-                f"unknown status {status!r}; expected one of {_STATUSES}"
-            )
-        payload = {
-            "run_id": run_id,
-            "status": status,
-            "attempts": int(attempts),
-            "detail": detail,
-        }
-        if started_at is not None:
-            payload["started_at"] = float(started_at)
-        if finished_at is not None:
-            payload["finished_at"] = float(finished_at)
-        atomic_write_text(
+        entry = RunStatus(
+            run_id, status, int(attempts), detail, started_at, finished_at
+        )
+        wire.write_atomic(
             self._status_path(run_id),
-            json.dumps(payload, sort_keys=True) + "\n",
+            json.dumps(wire.dump(entry), sort_keys=True) + "\n",
         )
 
     def statuses(self) -> Dict[str, RunStatus]:

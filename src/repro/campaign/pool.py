@@ -17,7 +17,6 @@ the pool itself is crash-safe too: kill the whole campaign process and
 
 from __future__ import annotations
 
-import json
 import logging
 import multiprocessing
 import os
@@ -26,6 +25,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import wire
 from repro.campaign.aggregate import write_aggregate
 from repro.campaign.manifest import (
     STATUS_DONE,
@@ -35,7 +35,7 @@ from repro.campaign.manifest import (
 )
 from repro.campaign.runner import HISTORY_FILE, execute_run
 from repro.campaign.spec import CampaignSpec, RunSpec
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SerializationError
 from repro.fl.history import TrainingHistory
 
 __all__ = [
@@ -385,8 +385,6 @@ def run_campaign_histories(
     histories = []
     for run in manifest.runs:
         path = os.path.join(manifest.run_dir(run.run_id), HISTORY_FILE)
-        with open(path, "r", encoding="utf-8") as handle:
-            histories.append(
-                (run, TrainingHistory.from_dict(json.load(handle)))
-            )
+        payload = wire.read_json(path, SerializationError)
+        histories.append((run, TrainingHistory.from_dict(payload, path)))
     return histories

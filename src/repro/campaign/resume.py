@@ -31,7 +31,7 @@ import json
 import os
 from typing import Callable, Optional
 
-from repro.campaign.manifest import atomic_write_text
+from repro import wire
 from repro.errors import SerializationError
 from repro.fl.checkpoint import TrainerCheckpoint
 from repro.fl.trainer import FederatedTrainer
@@ -96,7 +96,7 @@ def truncate_trace(path: str, keep_round: int) -> int:
             # the final trace carries exactly one start/end pair.
             continue
         kept.append(text + "\n")
-    atomic_write_text(path, "".join(kept))
+    wire.write_atomic(path, "".join(kept))
     return len(kept)
 
 

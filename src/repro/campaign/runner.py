@@ -17,7 +17,7 @@ import os
 import warnings
 from typing import Optional
 
-from repro.campaign.manifest import atomic_write_text
+from repro import wire
 from repro.campaign.resume import (
     load_trace_for_resume,
     reconstruct_checkpoint,
@@ -164,10 +164,10 @@ def execute_run(
 
     segments = split_runs(load_trace(trace_path).events)
     stats = compute_run_stats(segments[-1], source=run.run_id)
-    atomic_write_text(
+    wire.write_atomic(
         os.path.join(run_dir, HISTORY_FILE), history.to_json() + "\n"
     )
-    atomic_write_text(os.path.join(run_dir, STATS_FILE), stats.to_json() + "\n")
+    wire.write_atomic(os.path.join(run_dir, STATS_FILE), stats.to_json() + "\n")
     return {
         "run_id": run.run_id,
         "rounds": len(history),

@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro import wire
 from repro.errors import ConfigurationError
 from repro.experiments.settings import ExperimentSettings
 from repro.faults import FaultPlan
@@ -43,10 +44,12 @@ from repro.fl.trainer import TrainerConfig
 __all__ = ["CampaignSpec", "RunSpec", "settings_to_overrides"]
 
 _PROFILES = ("quick", "default", "paper")
-_SETTINGS_FIELDS = frozenset(
-    f.name for f in dataclasses.fields(ExperimentSettings)
-)
-_TRAINER_FIELDS = frozenset(f.name for f in dataclasses.fields(TrainerConfig))
+_OVERRIDE_SECTIONS = {
+    "settings": frozenset(
+        f.name for f in dataclasses.fields(ExperimentSettings)
+    ),
+    "trainer": frozenset(f.name for f in dataclasses.fields(TrainerConfig)),
+}
 
 
 def _base_settings(profile: str) -> ExperimentSettings:
@@ -87,34 +90,30 @@ def settings_to_overrides(
 
 
 def _check_override(override: dict, position: int) -> Dict[str, dict]:
+    where = f"overrides[{position}]"
     if not isinstance(override, dict):
         raise ConfigurationError(
-            f"overrides[{position}] must be an object, got "
-            f"{type(override).__name__}"
+            f"{where} must be an object, got {type(override).__name__}"
         )
-    unknown = set(override) - {"settings", "trainer"}
-    if unknown:
-        raise ConfigurationError(
-            f"overrides[{position}] has unknown sections {sorted(unknown)}; "
-            "expected 'settings' and/or 'trainer'"
+    wire.reject_unknown(
+        override, _OVERRIDE_SECTIONS, where, ConfigurationError, "sections"
+    )
+    checked = {}
+    for section, known in _OVERRIDE_SECTIONS.items():
+        fields = override.get(section, {})
+        if not isinstance(fields, dict):
+            raise ConfigurationError(
+                f"{where}.{section} must be an object, got "
+                f"{type(fields).__name__}"
+            )
+        wire.reject_unknown(
+            fields, known, f"{where}.{section}", ConfigurationError
         )
-    settings = dict(override.get("settings", {}))
-    trainer = dict(override.get("trainer", {}))
-    bad_settings = set(settings) - _SETTINGS_FIELDS
-    if bad_settings:
-        raise ConfigurationError(
-            f"overrides[{position}].settings has unknown fields "
-            f"{sorted(bad_settings)}"
-        )
-    bad_trainer = set(trainer) - _TRAINER_FIELDS
-    if bad_trainer:
-        raise ConfigurationError(
-            f"overrides[{position}].trainer has unknown fields "
-            f"{sorted(bad_trainer)}"
-        )
-    return {"settings": settings, "trainer": trainer}
+        checked[section] = dict(fields)
+    return checked
 
 
+@wire.record
 @dataclass(frozen=True)
 class RunSpec:
     """One fully resolved run of a campaign's matrix.
@@ -163,38 +162,19 @@ class RunSpec:
 
     def to_dict(self) -> dict:
         """JSON-ready form (used to ship runs to worker processes)."""
-        return {
-            "run_id": self.run_id,
-            "seed": self.seed,
-            "strategy": self.strategy,
-            "iid": self.iid,
-            "profile": self.profile,
-            "settings_overrides": dict(self.settings_overrides),
-            "trainer_overrides": dict(self.trainer_overrides),
-            "fault_plan": self.fault_plan,
-            "backend": self.backend,
-            "workers": self.workers,
-            "checkpoint_every": self.checkpoint_every,
-        }
+        return wire.dump(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> RunSpec:
-        """Rebuild a run spec from :meth:`to_dict` output."""
-        return cls(
-            run_id=str(payload["run_id"]),
-            seed=int(payload["seed"]),
-            strategy=str(payload["strategy"]),
-            iid=bool(payload["iid"]),
-            profile=str(payload["profile"]),
-            settings_overrides=dict(payload.get("settings_overrides", {})),
-            trainer_overrides=dict(payload.get("trainer_overrides", {})),
-            fault_plan=payload.get("fault_plan"),
-            backend=str(payload.get("backend", "serial")),
-            workers=payload.get("workers"),
-            checkpoint_every=int(payload.get("checkpoint_every", 1)),
-        )
+        """Rebuild a run spec from :meth:`to_dict` output.
+
+        Raises:
+            ConfigurationError: when ``payload`` is not a run spec.
+        """
+        return wire.load(cls, payload, "run spec", ConfigurationError)
 
 
+@wire.record
 @dataclass(frozen=True)
 class CampaignSpec:
     """A declarative multi-run experiment campaign.
@@ -283,7 +263,7 @@ class CampaignSpec:
             _check_override(override, position)
         for position, payload in enumerate(self.fault_plans):
             if payload is not None:
-                FaultPlan.from_dict(payload)
+                FaultPlan.from_dict(payload, f"fault_plans[{position}]")
 
     def expand(self) -> Tuple[RunSpec, ...]:
         """The deterministic run matrix, seeds outermost.
@@ -324,76 +304,36 @@ class CampaignSpec:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-ready form; :meth:`from_dict` round-trips it."""
-        return {
-            "name": self.name,
-            "profile": self.profile,
-            "iid": self.iid,
-            "seeds": list(self.seeds),
-            "strategies": list(self.strategies),
-            "overrides": [dict(o) for o in self.overrides],
-            "fault_plans": list(self.fault_plans),
-            "backend": self.backend,
-            "workers": self.workers,
-            "checkpoint_every": self.checkpoint_every,
-            "pool_workers": self.pool_workers,
-            "max_retries": self.max_retries,
-        }
+        return wire.dump(self)
 
     def to_json(self) -> str:
         """Deterministic JSON text of :meth:`to_dict`."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, payload: dict) -> CampaignSpec:
-        """Build a validated spec from parsed JSON."""
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"campaign spec must be an object, got "
-                f"{type(payload).__name__}"
-            )
-        known = {
-            "name",
-            "profile",
-            "iid",
-            "seeds",
-            "strategies",
-            "overrides",
-            "fault_plans",
-            "backend",
-            "workers",
-            "checkpoint_every",
-            "pool_workers",
-            "max_retries",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(
-                f"campaign spec has unknown fields {sorted(unknown)}"
-            )
-        if "name" not in payload:
-            raise ConfigurationError("campaign spec needs a 'name'")
-        return cls(
-            name=str(payload["name"]),
-            profile=str(payload.get("profile", "quick")),
-            iid=bool(payload.get("iid", True)),
-            seeds=tuple(int(s) for s in payload.get("seeds", (0,))),
-            strategies=tuple(payload.get("strategies", ("helcfl",))),
-            overrides=tuple(payload.get("overrides", ({},))),
-            fault_plans=tuple(payload.get("fault_plans", (None,))),
-            backend=str(payload.get("backend", "serial")),
-            workers=payload.get("workers"),
-            checkpoint_every=int(payload.get("checkpoint_every", 1)),
-            pool_workers=int(payload.get("pool_workers", 2)),
-            max_retries=int(payload.get("max_retries", 2)),
-        )
+    def from_dict(
+        cls, payload: dict, where: str = "campaign spec"
+    ) -> CampaignSpec:
+        """Build a validated spec from parsed JSON.
+
+        Args:
+            payload: the decoded spec.
+            where: what is being loaded (e.g. the file), for messages.
+
+        Raises:
+            ConfigurationError: for an unknown key, a value of the
+                wrong shape (``campaign spec.seeds has invalid value
+                '12'``), or one outside its domain.
+        """
+        return wire.load(cls, payload, where, ConfigurationError)
 
     @classmethod
     def load(cls, path: str) -> CampaignSpec:
         """Load and validate a spec from a JSON file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return cls.from_dict(
+            wire.read_json(path, ConfigurationError), f"campaign spec {path}"
+        )
 
     def save(self, path: str) -> None:
-        """Write the spec as JSON (the manifest keeps a copy)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
+        """Write the spec as JSON, atomically (the manifest keeps a copy)."""
+        wire.write_atomic(path, self.to_json())

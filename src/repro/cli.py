@@ -25,6 +25,7 @@ import sys
 from typing import List, Optional
 
 from repro.baselines.registry import strategy_labels
+from repro.errors import ReproError
 from repro.experiments.fig2 import run_fig2
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.reporting import (
@@ -36,6 +37,7 @@ from repro.experiments.runner import STRATEGY_NAMES, run_strategy
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.table1 import run_table1
 from repro.fl.execution import BACKEND_NAMES
+from repro.obs import report as trace_analytics
 from repro.version import PAPER_TITLE, PAPER_VENUE, __version__
 
 __all__ = ["main", "build_parser"]
@@ -163,60 +165,27 @@ def build_parser() -> argparse.ArgumentParser:
         "savings, fairness, faults)",
     )
     trace_report.add_argument(
-        "path", help="trace file (.jsonl, .jsonl.gz, or snapshot JSON)"
+        "paths",
+        nargs=1,
+        metavar="path",
+        help="trace file (.jsonl, .jsonl.gz, or snapshot JSON)",
     )
-    trace_report.add_argument(
-        "--format",
-        choices=("table", "markdown", "json", "chrome-trace"),
-        default="table",
-        help=(
-            "output format (default: table); chrome-trace exports the "
-            "span tree as Chrome/Perfetto trace-event JSON"
-        ),
-    )
-    trace_report.add_argument(
-        "--output", default=None, help="write the report to this file"
-    )
-    trace_report.add_argument(
-        "--top-devices", type=int, default=10, metavar="N",
-        help="device-table size (default: 10)",
-    )
-    trace_report.add_argument(
-        "--run", type=int, default=None, metavar="N",
-        help="0-based run index for multi-run traces",
-    )
+    trace_analytics.add_flags(trace_report, compare=False)
+    trace_report.set_defaults(compare=False)
 
     trace_compare = sub.add_parser(
         "trace-compare",
         help="diff two recorded traces; exits 1 when the second "
         "regresses past the thresholds",
     )
-    trace_compare.add_argument("base", help="baseline trace/snapshot")
-    trace_compare.add_argument("other", help="candidate trace/snapshot")
     trace_compare.add_argument(
-        "--strict",
-        action="store_true",
-        help="any metric difference is a regression (backend parity)",
+        "paths",
+        nargs=2,
+        metavar="trace",
+        help="the baseline, then the candidate trace/snapshot",
     )
-    trace_compare.add_argument(
-        "--energy-threshold", type=float, default=0.02, metavar="REL",
-        help="allowed relative total-energy increase (default: 0.02)",
-    )
-    trace_compare.add_argument(
-        "--time-threshold", type=float, default=0.02, metavar="REL",
-        help="allowed relative total-time increase (default: 0.02)",
-    )
-    trace_compare.add_argument(
-        "--accuracy-threshold", type=float, default=0.02, metavar="ABS",
-        help="allowed absolute final-accuracy drop (default: 0.02)",
-    )
-    trace_compare.add_argument(
-        "--output", default=None, help="write the comparison to this file"
-    )
-    trace_compare.add_argument(
-        "--run", type=int, default=None, metavar="N",
-        help="0-based run index for multi-run traces",
-    )
+    trace_analytics.add_flags(trace_compare, report=False)
+    trace_compare.set_defaults(compare=True)
 
     campaign = sub.add_parser(
         "campaign",
@@ -304,24 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_compare.add_argument("base", help="baseline aggregate.json")
     campaign_compare.add_argument("other", help="candidate aggregate.json")
-    campaign_compare.add_argument(
-        "--strict",
-        action="store_true",
-        help="any metric difference is a regression (crash-recovery "
-        "parity)",
-    )
-    campaign_compare.add_argument(
-        "--energy-threshold", type=float, default=0.02, metavar="REL",
-        help="allowed relative total-energy increase (default: 0.02)",
-    )
-    campaign_compare.add_argument(
-        "--time-threshold", type=float, default=0.02, metavar="REL",
-        help="allowed relative total-time increase (default: 0.02)",
-    )
-    campaign_compare.add_argument(
-        "--accuracy-threshold", type=float, default=0.02, metavar="ABS",
-        help="allowed absolute final-accuracy drop (default: 0.02)",
-    )
+    trace_analytics.add_threshold_flags(campaign_compare)
 
     info_parser = sub.add_parser("info", help="print resolved settings")
     _add_common(info_parser)
@@ -429,43 +381,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         save_history(history, args.output)
         print(f"saved history to {args.output}")
     if args.report:
-        from repro.obs.report import main as trace_report_main
-
         print()
-        return trace_report_main([args.trace])
+        return trace_analytics.main([args.trace])
     return 0
-
-
-def _cmd_trace_report(args: argparse.Namespace) -> int:
-    from repro.obs.report import main as trace_report_main
-
-    argv = [args.path, "--format", args.format,
-            "--top-devices", str(args.top_devices)]
-    if args.output:
-        argv += ["--output", args.output]
-    if args.run is not None:
-        argv += ["--run", str(args.run)]
-    return trace_report_main(argv)
-
-
-def _cmd_trace_compare(args: argparse.Namespace) -> int:
-    from repro.obs.report import main as trace_report_main
-
-    argv = [
-        args.base,
-        args.other,
-        "--compare",
-        "--energy-threshold", str(args.energy_threshold),
-        "--time-threshold", str(args.time_threshold),
-        "--accuracy-threshold", str(args.accuracy_threshold),
-    ]
-    if args.strict:
-        argv.append("--strict")
-    if args.output:
-        argv += ["--output", args.output]
-    if args.run is not None:
-        argv += ["--run", str(args.run)]
-    return trace_report_main(argv)
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
@@ -661,18 +579,12 @@ def _cmd_campaign_watch(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_compare(args: argparse.Namespace) -> int:
     from repro.campaign import compare_campaigns, load_aggregate
-    from repro.obs.analysis import CompareThresholds, render_comparison
+    from repro.obs.analysis import render_comparison
 
-    thresholds = CompareThresholds(
-        energy_rel=args.energy_threshold,
-        time_rel=args.time_threshold,
-        accuracy_abs=args.accuracy_threshold,
-        strict=args.strict,
-    )
     comparisons, regressed = compare_campaigns(
         load_aggregate(args.base),
         load_aggregate(args.other),
-        thresholds=thresholds,
+        thresholds=trace_analytics.thresholds_from(args),
     )
     for comparison in comparisons:
         print(render_comparison(comparison))
@@ -702,18 +614,28 @@ _COMMANDS = {
     "table1": _cmd_table1,
     "fig3": _cmd_fig3,
     "report": _cmd_report,
-    "trace-report": _cmd_trace_report,
-    "trace-compare": _cmd_trace_compare,
+    "trace-report": trace_analytics.run,
+    "trace-compare": trace_analytics.run,
     "campaign": _cmd_campaign,
     "info": _cmd_info,
 }
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A bad document or option value (any
+    :class:`~repro.errors.ReproError`, or a named file that does not
+    exist) is one ``error: ...`` line on stderr and exit code 2, never
+    a traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ReproError, FileNotFoundError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

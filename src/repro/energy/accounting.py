@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
-from repro.errors import TrainingError
+from repro.errors import SerializationError, TrainingError
 from repro.network.tdma import RoundTimeline
 from repro.obs.metrics import MetricsRegistry
 
@@ -116,17 +116,30 @@ class EnergyLedger:
         }
 
     def load_state_dict(self, state: Dict) -> None:
-        """Replace the totals with a :meth:`state_dict` snapshot."""
-        self.rounds_recorded = int(state.get("rounds_recorded", 0))
+        """Replace the totals with a :meth:`state_dict` snapshot.
+
+        Raises:
+            SerializationError: when ``state`` is not such a snapshot.
+        """
+        try:
+            rounds_recorded = int(state.get("rounds_recorded", 0))
+            devices = {
+                int(key): DeviceEnergy(
+                    int(key),
+                    compute_joules=float(raw["compute_joules"]),
+                    upload_joules=float(raw["upload_joules"]),
+                    rounds=int(raw["rounds"]),
+                    slack_seconds=float(raw["slack_seconds"]),
+                )
+                for key, raw in state.get("devices", {}).items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SerializationError(
+                f"malformed energy-ledger state: {exc!r}"
+            ) from exc
+        self.rounds_recorded = rounds_recorded
         self.devices.clear()
-        for key, raw in state.get("devices", {}).items():
-            self.devices[int(key)] = DeviceEnergy(
-                int(key),
-                compute_joules=float(raw["compute_joules"]),
-                upload_joules=float(raw["upload_joules"]),
-                rounds=int(raw["rounds"]),
-                slack_seconds=float(raw["slack_seconds"]),
-            )
+        self.devices.update(devices)
 
     @property
     def total_joules(self) -> float:

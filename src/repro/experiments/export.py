@@ -22,6 +22,7 @@ import json
 import os
 from typing import Dict, Optional, Union
 
+from repro import wire
 from repro.errors import SerializationError
 from repro.experiments.fig2 import Fig2Result
 from repro.experiments.fig3 import Fig3Entry, Fig3Result
@@ -51,19 +52,15 @@ def _write(path: PathLike, schema: str, payload: dict) -> None:
 
 def _read(path: PathLike, schema: str) -> dict:
     try:
-        with open(os.fspath(path), encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+        document = wire.read_json(path, SerializationError, schema)
+    except FileNotFoundError as exc:
         raise SerializationError(
             f"cannot read artifact {path!r}: {exc}"
         ) from exc
-    if not isinstance(document, dict) or "schema" not in document:
-        raise SerializationError(f"{path!r} is not a repro artifact document")
-    if document["schema"] != schema:
-        raise SerializationError(
-            f"{path!r} holds schema {document['schema']!r}, expected {schema!r}"
-        )
-    return document["payload"]
+    payload = document.get("payload")
+    if not isinstance(payload, dict):
+        raise SerializationError(f"{path!r} carries no artifact payload")
+    return payload
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +73,7 @@ def save_history(history: TrainingHistory, path: PathLike) -> None:
 
 def load_history(path: PathLike) -> TrainingHistory:
     """Load a history saved by :func:`save_history`."""
-    return TrainingHistory.from_dict(_read(path, "repro.history"))
+    return TrainingHistory.from_dict(_read(path, "repro.history"), str(path))
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,11 @@ without a plan at all.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from typing import ClassVar, Dict, Optional, Tuple
 
+from repro import wire
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -47,8 +49,15 @@ MODE_DEGRADE = "degrade"
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(wire.Tagged, tag="type"):
     """Common targeting knobs shared by every fault type.
+
+    Declaring a fault type is subclassing this (see
+    :class:`repro.wire.Tagged`): give the class a ``kind`` (the
+    ``"type"`` key of the serialized form), annotate its fields, and
+    validate their domain in ``__post_init__``. Registration in
+    :data:`FAULT_TYPES`, the JSON round trip and unknown-field
+    rejection are derived. Do not decorate subclasses.
 
     Attributes:
         device_id: target device; ``None`` targets every selected
@@ -94,16 +103,7 @@ class FaultSpec:
         """Whether this spec is armed in 1-based round ``round_index``."""
         return self.rounds is None or round_index in self.rounds
 
-    def to_dict(self) -> dict:
-        """JSON-friendly form: ``{"type": kind, **non-default fields}``."""
-        payload: dict = {"type": self.kind}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            payload[spec.name] = list(value) if isinstance(value, tuple) else value
-        return payload
 
-
-@dataclass(frozen=True)
 class DropoutFault(FaultSpec):
     """A device vanishes from the round.
 
@@ -136,7 +136,6 @@ class DropoutFault(FaultSpec):
             )
 
 
-@dataclass(frozen=True)
 class StragglerFault(FaultSpec):
     """A device's local update takes ``slowdown`` times longer.
 
@@ -157,13 +156,12 @@ class StragglerFault(FaultSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.slowdown < 1.0:
+        if not (math.isfinite(self.slowdown) and self.slowdown >= 1.0):
             raise ConfigurationError(
                 f"slowdown must be >= 1, got {self.slowdown}"
             )
 
 
-@dataclass(frozen=True)
 class ChannelFault(FaultSpec):
     """The TDMA upload path fails or degrades for a device.
 
@@ -196,7 +194,6 @@ class ChannelFault(FaultSpec):
             )
 
 
-@dataclass(frozen=True)
 class BatteryDeathFault(FaultSpec):
     """A device's battery dies mid-round.
 
@@ -210,13 +207,14 @@ class BatteryDeathFault(FaultSpec):
     kind = "battery_death"
 
 
-FAULT_TYPES: Dict[str, type] = {
-    cls.kind: cls
-    for cls in (DropoutFault, StragglerFault, ChannelFault, BatteryDeathFault)
-}
-"""Registry mapping each fault ``kind`` to its dataclass."""
+FAULT_TYPES: Dict[str, type] = FaultSpec.__members__
+"""Registry mapping each fault ``kind`` to its dataclass.
+
+Filled by subclassing :class:`FaultSpec`, in declaration order.
+"""
 
 
+@wire.record
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded, ordered collection of fault specs.
@@ -256,54 +254,27 @@ class FaultPlan:
     # -- serialization --------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-friendly form: ``{"seed": ..., "faults": [...]}``."""
-        return {
-            "seed": self.seed,
-            "faults": [spec.to_dict() for spec in self.faults],
-        }
+        return wire.dump(self)
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         """JSON text form of :meth:`to_dict`."""
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> FaultPlan:
+    def from_dict(cls, payload: dict, where: str = "fault plan") -> FaultPlan:
         """Rebuild a plan from :meth:`to_dict` output.
 
+        Args:
+            payload: the decoded plan.
+            where: what is being loaded (e.g. the file), for messages.
+
         Raises:
-            ConfigurationError: for an unknown fault ``type`` or
-                unexpected spec fields.
+            ConfigurationError: for an unknown key or fault ``type``, a
+                value of the wrong shape, or one outside its domain;
+                the message carries the JSON path
+                (``fault plan.faults[2].probability``).
         """
-        if not isinstance(payload, dict):
-            raise ConfigurationError(
-                f"fault plan must be a JSON object, got "
-                f"{type(payload).__name__}"
-            )
-        specs = []
-        for index, raw in enumerate(payload.get("faults", [])):
-            if not isinstance(raw, dict):
-                raise ConfigurationError(
-                    f"fault #{index} must be a JSON object, got "
-                    f"{type(raw).__name__}"
-                )
-            raw = dict(raw)
-            kind = raw.pop("type", None)
-            if kind not in FAULT_TYPES:
-                raise ConfigurationError(
-                    f"fault #{index} has unknown type {kind!r}; expected "
-                    f"one of {tuple(FAULT_TYPES)}"
-                )
-            spec_cls = FAULT_TYPES[kind]
-            known = {f.name for f in fields(spec_cls)}
-            unknown = set(raw) - known
-            if unknown:
-                raise ConfigurationError(
-                    f"fault #{index} ({kind}) has unknown fields "
-                    f"{sorted(unknown)}; expected a subset of {sorted(known)}"
-                )
-            if raw.get("rounds") is not None:
-                raw["rounds"] = tuple(raw["rounds"])
-            specs.append(spec_cls(**raw))
-        return cls(seed=int(payload.get("seed", 0)), faults=tuple(specs))
+        return wire.load(cls, payload, where, ConfigurationError)
 
     @classmethod
     def from_json(cls, text: str) -> FaultPlan:
@@ -313,10 +284,10 @@ class FaultPlan:
     @classmethod
     def load(cls, path: str) -> FaultPlan:
         """Read a plan from a JSON file."""
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        return cls.from_dict(
+            wire.read_json(path, ConfigurationError), f"fault plan {path}"
+        )
 
     def save(self, path: str) -> None:
-        """Write the plan to a JSON file."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json() + "\n")
+        """Write the plan to a JSON file (atomically)."""
+        wire.write_atomic(path, self.to_json() + "\n")

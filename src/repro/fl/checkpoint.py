@@ -16,41 +16,39 @@ Design rules:
 
 * **Exactness.** Floats round-trip through JSON exactly (``repr``
   shortest round-trip); numpy arrays are stored as base64 of their
-  little-endian bytes plus dtype/shape, so restored parameters are
+  little-endian bytes plus dtype/shape
+  (:func:`repro.wire.encode_array`), so restored parameters are
   bitwise equal to the captured ones.
-* **Atomicity.** :func:`save_checkpoint` writes to a temporary file in
-  the target directory, fsyncs, then ``os.replace``\\ s into place — a
-  ``SIGKILL`` mid-write leaves either the previous checkpoint or none,
-  never a torn one.
+* **Atomicity.** :func:`save_checkpoint` writes through
+  :func:`repro.wire.write_atomic` (temporary file in the target
+  directory, fsync, ``os.replace``) — a ``SIGKILL`` mid-write leaves
+  either the previous checkpoint or none, never a torn one.
 * **Self-verification.** The sha256 over the canonical state JSON lets
   :func:`load_checkpoint` reject truncated or bit-rotted files with a
   :class:`~repro.errors.SerializationError`; callers then fall back to
   trace reconstruction (see :mod:`repro.campaign.resume`).
-* **Versioning.** Any change to the state layout must bump
-  :data:`CHECKPOINT_VERSION` (see CONTRIBUTING); loaders reject
-  versions they do not know instead of guessing.
+* **Versioning.** The state layout is :class:`TrainerCheckpoint`'s
+  fields; any change to it must bump :data:`CHECKPOINT_VERSION` (see
+  CONTRIBUTING); loaders reject versions they do not know instead of
+  guessing.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro import wire
 from repro.errors import SerializationError
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CHECKPOINT_VERSION",
     "TrainerCheckpoint",
-    "encode_array",
-    "decode_array",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -59,29 +57,8 @@ CHECKPOINT_SCHEMA = "repro.trainer-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def encode_array(array: np.ndarray) -> dict:
-    """Lossless JSON encoding of a numpy array (little-endian bytes)."""
-    contiguous = np.ascontiguousarray(array)
-    little = contiguous.astype(contiguous.dtype.newbyteorder("<"), copy=False)
-    return {
-        "dtype": str(contiguous.dtype),
-        "shape": list(contiguous.shape),
-        "data": base64.b64encode(little.tobytes()).decode("ascii"),
-    }
-
-
-def decode_array(payload: dict) -> np.ndarray:
-    """Rebuild an array from :func:`encode_array` output, bitwise."""
-    try:
-        dtype = np.dtype(payload["dtype"])
-        raw = base64.b64decode(payload["data"])
-        array = np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
-        return array.astype(dtype, copy=True).reshape(payload["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SerializationError(f"malformed array payload: {exc}") from exc
-
-
-@dataclass(eq=False)
+@wire.record
+@dataclass(frozen=True, eq=False)
 class TrainerCheckpoint:
     """Frozen mid-run trainer state, captured at a round boundary.
 
@@ -124,70 +101,19 @@ class TrainerCheckpoint:
 
     def to_state(self) -> dict:
         """The JSON-ready ``state`` payload (arrays encoded)."""
-        return {
-            "round_index": self.round_index,
-            "label": self.label,
-            "strategy_class": self.strategy_class,
-            "model_params": encode_array(self.model_params),
-            "history": self.history,
-            "cumulative_time": self.cumulative_time,
-            "cumulative_energy": self.cumulative_energy,
-            "ledger": self.ledger,
-            "batteries": {
-                str(device_id): charge
-                for device_id, charge in sorted(self.batteries.items())
-            },
-            "channel_gains": {
-                str(device_id): gain
-                for device_id, gain in sorted(self.channel_gains.items())
-            },
-            "selection_state": self.selection_state,
-            "plateau": self.plateau,
-            "best_model_params": (
-                encode_array(self.best_model_params)
-                if self.best_model_params is not None
-                else None
-            ),
-            "best_model_accuracy": self.best_model_accuracy,
-        }
+        return wire.dump(self)
 
     @classmethod
-    def from_state(cls, state: dict) -> TrainerCheckpoint:
-        """Rebuild a checkpoint from :meth:`to_state` output."""
-        try:
-            best = state.get("best_model_params")
-            return cls(
-                round_index=int(state["round_index"]),
-                label=str(state["label"]),
-                strategy_class=str(state["strategy_class"]),
-                model_params=decode_array(state["model_params"]),
-                history=dict(state["history"]),
-                cumulative_time=float(state["cumulative_time"]),
-                cumulative_energy=float(state["cumulative_energy"]),
-                ledger=dict(state["ledger"]),
-                batteries={
-                    int(device_id): float(charge)
-                    for device_id, charge in state["batteries"].items()
-                },
-                channel_gains={
-                    int(device_id): float(gain)
-                    for device_id, gain in state["channel_gains"].items()
-                },
-                selection_state=dict(state.get("selection_state", {})),
-                plateau=state.get("plateau"),
-                best_model_params=(
-                    decode_array(best) if best is not None else None
-                ),
-                best_model_accuracy=float(
-                    state.get("best_model_accuracy", 0.0)
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, SerializationError):
-                raise
-            raise SerializationError(
-                f"malformed checkpoint state: {exc}"
-            ) from exc
+    def from_state(
+        cls, state: dict, where: str = "checkpoint state"
+    ) -> TrainerCheckpoint:
+        """Rebuild a checkpoint from :meth:`to_state` output.
+
+        Raises:
+            SerializationError: when ``state`` is not that shape
+                (the message starts with ``where``).
+        """
+        return wire.load(cls, state, where, SerializationError)
 
 
 def _canonical(state: dict) -> str:
@@ -198,36 +124,17 @@ def _canonical(state: dict) -> str:
 def save_checkpoint(path: str, checkpoint: TrainerCheckpoint) -> None:
     """Atomically write ``checkpoint`` to ``path``.
 
-    The temporary file lives in the destination directory so the final
-    ``os.replace`` stays within one filesystem and is atomic; a crash
-    at any point leaves the previous checkpoint (or nothing) intact.
+    A crash at any point leaves the previous checkpoint (or nothing)
+    intact (:func:`repro.wire.write_atomic`).
     """
     state = checkpoint.to_state()
-    canonical = _canonical(state)
     document = {
         "schema": CHECKPOINT_SCHEMA,
         "version": CHECKPOINT_VERSION,
-        "sha256": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
+        "sha256": hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest(),
         "state": state,
     }
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    wire.write_atomic(path, json.dumps(document, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path: str) -> TrainerCheckpoint:
@@ -239,22 +146,7 @@ def load_checkpoint(path: str) -> TrainerCheckpoint:
             bit-rotted), or decodes into a malformed state.
         FileNotFoundError: no checkpoint exists at ``path``.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(
-            f"checkpoint {path} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(document, dict) or document.get("schema") != (
-        CHECKPOINT_SCHEMA
-    ):
-        raise SerializationError(
-            f"checkpoint {path} has schema "
-            f"{document.get('schema') if isinstance(document, dict) else None!r},"
-            f" expected {CHECKPOINT_SCHEMA!r}"
-        )
+    document = wire.read_json(path, SerializationError, CHECKPOINT_SCHEMA)
     version = document.get("version")
     if version != CHECKPOINT_VERSION:
         raise SerializationError(
@@ -272,4 +164,4 @@ def load_checkpoint(path: str) -> TrainerCheckpoint:
             f"checkpoint {path} failed its checksum (torn write or "
             "corruption)"
         )
-    return TrainerCheckpoint.from_state(state)
+    return TrainerCheckpoint.from_state(state, f"checkpoint {path} state")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import wire
-from repro.errors import TrainingError
+from repro.errors import SerializationError, TrainingError
 
 __all__ = ["RoundRecord", "TrainingHistory"]
 
@@ -74,7 +74,6 @@ class TrainingHistory:
     """The ordered round records of one training run.
 
     Attributes:
-        records: per-round measurements, in round order.
         label: free-form run label (e.g. the strategy name).
         stop_reason: why the run ended — a
             :class:`repro.obs.StopReason` value
@@ -82,11 +81,17 @@ class TrainingHistory:
             ``"target_accuracy"``, or ``"plateau"``); ``None`` for
             histories produced outside the trainer loop (e.g. the SL
             baseline) or loaded from pre-stop-reason artifacts.
+        records: per-round measurements, in round order.
     """
 
-    records: List[RoundRecord] = field(default_factory=list)
     label: str = ""
     stop_reason: Optional[str] = None
+    records: List[RoundRecord] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        indices = [record.round_index for record in self.records]
+        if any(b <= a for a, b in zip(indices, indices[1:])):
+            raise TrainingError(f"round indices must increase, got {indices}")
 
     def append(self, record: RoundRecord) -> None:
         """Append the next round's record (indices must increase)."""
@@ -206,28 +211,29 @@ class TrainingHistory:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """Plain-dict form suitable for ``json.dump``."""
-        return {
-            "label": self.label,
-            "stop_reason": self.stop_reason,
-            "records": [wire.dump(r) for r in self.records],
-        }
+        return wire.dump(self)
 
     def to_json(self) -> str:
         """JSON text form of :meth:`to_dict`."""
         return json.dumps(self.to_dict())
 
     @classmethod
-    def from_dict(cls, payload: dict) -> TrainingHistory:
-        """Rebuild a history from :meth:`to_dict` output."""
-        history = cls(
-            label=payload.get("label", ""),
-            stop_reason=payload.get("stop_reason"),
-        )
-        for raw in payload.get("records", []):
-            history.append(wire.load(RoundRecord, raw))
-        return history
+    def from_dict(cls, payload: dict, where: str = "history") -> TrainingHistory:
+        """Rebuild a history from :meth:`to_dict` output.
+
+        Args:
+            payload: the decoded history.
+            where: what is being loaded (e.g. the file), for messages.
+
+        Raises:
+            SerializationError: when ``payload`` is not a history.
+        """
+        return wire.load(cls, payload, where, SerializationError)
 
     @classmethod
     def from_json(cls, text: str) -> TrainingHistory:
         """Rebuild a history from :meth:`to_json` output."""
         return cls.from_dict(json.loads(text))
+
+
+wire.record(TrainingHistory, mutable=True)

@@ -20,6 +20,7 @@ round). A stage that owns a span opens it, and its timer, through
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -158,15 +159,20 @@ class TrainerConfig:
     def __post_init__(self) -> None:
         if self.rounds <= 0:
             raise ConfigurationError(f"rounds must be positive, got {self.rounds}")
-        if self.bandwidth_hz <= 0:
+        # Guards are written so that NaN fails them (``nan <= 0`` is False).
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
             raise ConfigurationError(
                 f"bandwidth_hz must be positive, got {self.bandwidth_hz}"
+            )
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning_rate must be positive, got {self.learning_rate}"
             )
         if self.eval_every <= 0:
             raise ConfigurationError(
                 f"eval_every must be positive, got {self.eval_every}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ConfigurationError(
                 f"deadline_s must be positive when set, got {self.deadline_s}"
             )
@@ -179,7 +185,7 @@ class TrainerConfig:
                 "convergence_patience must be positive when set, got "
                 f"{self.convergence_patience}"
             )
-        if self.convergence_min_delta < 0:
+        if not self.convergence_min_delta >= 0:
             raise ConfigurationError(
                 "convergence_min_delta must be non-negative, got "
                 f"{self.convergence_min_delta}"
@@ -192,7 +198,7 @@ class TrainerConfig:
             raise ConfigurationError(
                 f"lr_decay_period must be positive, got {self.lr_decay_period}"
             )
-        if self.round_deadline_s is not None and self.round_deadline_s <= 0:
+        if self.round_deadline_s is not None and not self.round_deadline_s > 0:
             raise ConfigurationError(
                 "round_deadline_s must be positive when set, got "
                 f"{self.round_deadline_s}"

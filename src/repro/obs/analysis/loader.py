@@ -21,8 +21,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from repro import wire
 from repro.errors import SerializationError
-from repro.obs.events import EVENT_TYPES, Event
-from repro.obs.schema import validate_event
+from repro.obs.events import Event
 from repro.obs.sinks import open_trace_file
 
 __all__ = ["LoadedTrace", "event_from_payload", "load_trace", "load_trace_lines"]
@@ -31,14 +30,15 @@ __all__ = ["LoadedTrace", "event_from_payload", "load_trace", "load_trace_lines"
 def event_from_payload(payload: dict) -> Event:
     """Rebuild the typed event a parsed trace object serializes.
 
-    The payload is schema-validated first, so the returned dataclass
-    round-trips: ``event_from_payload(e.to_dict()) == e``.
+    The payload is shape-checked against the event its ``"event"`` key
+    names, so the returned dataclass round-trips:
+    ``event_from_payload(e.to_dict()) == e``.
 
     Raises:
-        SerializationError: when the payload fails schema validation.
+        SerializationError: when the payload is not a registered
+            event's serialized form.
     """
-    kind = validate_event(payload)
-    return wire.load(EVENT_TYPES[kind], payload)
+    return wire.load(Event, payload, "trace event", SerializationError)
 
 
 @dataclass(frozen=True)

@@ -190,6 +190,28 @@ class DeviceStats:
         return self.fmax_compute_joules - self.compute_joules
 
 
+_DERIVED = (
+    "num_rounds",
+    "total_compute_energy",
+    "total_upload_energy",
+    "total_slack",
+    "fmax_compute_energy",
+    "dvfs_savings",
+    "dvfs_saving_fraction",
+    "slack_utilization",
+    "jain_selection",
+    "jain_energy",
+    "clients_dropped",
+    "clients_timeout",
+    "evaluations",
+    "final_accuracy",
+    "best_accuracy",
+    "final_test_loss",
+)
+"""The :class:`RunStats` properties a snapshot carries beside its fields."""
+
+
+@wire.record
 @dataclass(frozen=True)
 class RunStats:
     """The derived analytics of one training run's trace segment.
@@ -348,76 +370,35 @@ class RunStats:
         comparator (and CI snapshot artifacts) can tell a stats
         document from a raw trace.
         """
-        return {
-            "schema": ANALYSIS_SCHEMA,
-            "label": self.label,
-            "stop_reason": self.stop_reason,
-            "truncated": self.truncated,
-            "source": self.source,
-            "total_time": self.total_time,
-            "total_energy": self.total_energy,
-            "num_rounds": self.num_rounds,
-            "total_compute_energy": self.total_compute_energy,
-            "total_upload_energy": self.total_upload_energy,
-            "total_slack": self.total_slack,
-            "fmax_compute_energy": self.fmax_compute_energy,
-            "dvfs_savings": self.dvfs_savings,
-            "dvfs_saving_fraction": self.dvfs_saving_fraction,
-            "slack_utilization": self.slack_utilization,
-            "jain_selection": self.jain_selection,
-            "jain_energy": self.jain_energy,
-            "clients_dropped": self.clients_dropped,
-            "clients_timeout": self.clients_timeout,
-            "degraded_rounds": self.degraded_rounds,
-            "battery_drop_rounds": self.battery_drop_rounds,
-            "fault_counts": dict(self.fault_counts),
-            "drop_causes": dict(self.drop_causes),
-            "evaluations": self.evaluations,
-            "final_accuracy": self.final_accuracy,
-            "best_accuracy": self.best_accuracy,
-            "final_test_loss": self.final_test_loss,
-            "spans": self.spans.to_dict(),
-            "rounds": [wire.dump(r) for r in self.rounds],
-            "devices": [wire.dump(d) for d in self.devices],
-        }
+        payload = {"schema": ANALYSIS_SCHEMA, **wire.dump(self)}
+        for name in _DERIVED:
+            payload[name] = getattr(self, name)
+        return payload
 
     def to_json(self) -> str:
         """Deterministic JSON text of :meth:`to_dict`."""
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> RunStats:
+    def from_dict(cls, payload: dict, where: str = "stats snapshot") -> RunStats:
         """Rebuild a :class:`RunStats` from :meth:`to_dict` output.
 
         Derived aggregates in the payload are ignored — they recompute
         from the round/device tables, so a hand-edited snapshot cannot
-        contradict itself.
+        contradict itself. ``spans`` may be absent (pre-span snapshots
+        such as committed bench baselines) and defaults to the empty
+        digest.
+
+        Args:
+            payload: the decoded snapshot.
+            where: what is being loaded (e.g. the file), for messages.
+
+        Raises:
+            SerializationError: when ``payload`` is not a snapshot.
         """
-        if payload.get("schema") != ANALYSIS_SCHEMA:
-            raise SerializationError(
-                f"not a {ANALYSIS_SCHEMA} document: schema="
-                f"{payload.get('schema')!r}"
-            )
-        return cls(
-            label=payload["label"],
-            stop_reason=payload["stop_reason"],
-            truncated=bool(payload["truncated"]),
-            source=payload.get("source", ""),
-            total_time=float(payload["total_time"]),
-            total_energy=float(payload["total_energy"]),
-            rounds=tuple(
-                wire.load(RoundStats, raw) for raw in payload["rounds"]
-            ),
-            devices=tuple(
-                wire.load(DeviceStats, raw) for raw in payload["devices"]
-            ),
-            fault_counts=dict(payload["fault_counts"]),
-            drop_causes=dict(payload["drop_causes"]),
-            degraded_rounds=int(payload["degraded_rounds"]),
-            battery_drop_rounds=int(payload["battery_drop_rounds"]),
-            # Absent in pre-span snapshots (e.g. committed bench
-            # baselines) — defaults to the empty digest.
-            spans=SpanSummary.from_dict(payload.get("spans")),
+        wire.check_schema(payload, ANALYSIS_SCHEMA, where, SerializationError)
+        return wire.load(
+            cls, payload, where, SerializationError, also=("schema",) + _DERIVED
         )
 
 

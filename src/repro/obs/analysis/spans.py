@@ -30,6 +30,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import wire
+from repro.errors import SerializationError
 from repro.obs.events import Event
 
 __all__ = [
@@ -82,6 +84,7 @@ class SpanNode:
         return self.end_pos is not None
 
 
+@wire.record
 @dataclass(frozen=True)
 class SpanSummary:
     """The deterministic (structure-only) span digest of one run.
@@ -114,14 +117,8 @@ class SpanSummary:
         return len(self.critical_path)
 
     def to_dict(self) -> dict:
-        """JSON-friendly form (deterministic key order via sort)."""
-        return {
-            "spans_total": self.spans_total,
-            "spans_unclosed": self.spans_unclosed,
-            "max_depth": self.max_depth,
-            "by_name": dict(sorted(self.by_name.items())),
-            "critical_path": list(self.critical_path),
-        }
+        """JSON-friendly form (``by_name`` in sorted key order)."""
+        return wire.dump(self)
 
     def to_json(self) -> str:
         """Deterministic JSON text of :meth:`to_dict`."""
@@ -129,21 +126,14 @@ class SpanSummary:
 
     @classmethod
     def from_dict(cls, payload: Optional[dict]) -> SpanSummary:
-        """Rebuild from :meth:`to_dict` output (``None`` = empty)."""
-        if not payload:
+        """Rebuild from :meth:`to_dict` output (``None`` = empty).
+
+        Raises:
+            SerializationError: when ``payload`` is not that shape.
+        """
+        if payload is None:
             return cls()
-        return cls(
-            spans_total=int(payload.get("spans_total", 0)),
-            spans_unclosed=int(payload.get("spans_unclosed", 0)),
-            max_depth=int(payload.get("max_depth", 0)),
-            by_name={
-                str(k): int(v)
-                for k, v in payload.get("by_name", {}).items()
-            },
-            critical_path=tuple(
-                str(s) for s in payload.get("critical_path", ())
-            ),
-        )
+        return wire.load(cls, payload, "span summary", SerializationError)
 
     def __eq__(self, other) -> bool:  # dict field ⇒ default eq suffices
         if not isinstance(other, SpanSummary):

@@ -68,46 +68,29 @@ class StopReason(str, Enum):
     ERROR = "error"
 
 
-EVENT_TYPES: Dict[str, type] = {}
-"""Registry mapping each event ``kind`` to its dataclass.
-
-Filled by :meth:`Event.__init_subclass__`, in declaration order.
-"""
-
-
 @dataclass(frozen=True)
-class Event:
+class Event(wire.Tagged, tag="event"):
     """Base class of all trace events.
 
-    Declaring an event is subclassing this: give the class a ``kind``
-    (the stable wire name appearing as the ``"event"`` key of the
-    serialized form) and annotate its payload fields with types from
+    Declaring an event is subclassing this (see
+    :class:`repro.wire.Tagged`): give the class a ``kind`` (the stable
+    wire name appearing as the ``"event"`` key of the serialized form)
+    and annotate its payload fields with types from
     :data:`repro.wire.SHAPES`. Subclassing makes it a frozen dataclass,
     resolves its fields against the wire table — which is all that
     :meth:`to_dict`, :func:`repro.obs.schema.validate_event` and
     :func:`repro.obs.analysis.event_from_payload` read — and registers
-    it in :data:`EVENT_TYPES`. Do not decorate subclasses: a field
-    type outside the table, a missing or reused ``kind``, or a second
-    ``@dataclass`` (which would re-generate or unfreeze the class)
-    raises ``TypeError`` at class definition.
+    it in :data:`EVENT_TYPES`. Do not decorate subclasses.
     """
 
     kind: ClassVar[str] = "event"
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        kind = cls.__dict__.get("kind")
-        if not isinstance(kind, str) or kind in EVENT_TYPES:
-            raise TypeError(
-                f"{cls.__name__} needs its own class-level string `kind` "
-                f"no other event uses, got {kind!r}"
-            )
-        wire.record(dataclass(frozen=True)(cls))
-        EVENT_TYPES[kind] = cls
 
-    def to_dict(self) -> dict:
-        """JSON-friendly dict form: ``{"event": kind, **fields}``."""
-        return {"event": self.kind, **wire.dump(self)}
+EVENT_TYPES: Dict[str, type] = Event.__members__
+"""Registry mapping each event ``kind`` to its dataclass.
+
+Filled by subclassing :class:`Event`, in declaration order.
+"""
 
 
 class SelectionEvent(Event):

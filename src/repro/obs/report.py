@@ -19,12 +19,12 @@ Exit codes: 0 success / no regression, 1 regression found by
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
 from typing import List, Optional
 
+from repro import wire
 from repro.errors import ConfigurationError, SerializationError
 from repro.obs.analysis.compare import (
     CompareThresholds,
@@ -41,9 +41,17 @@ from repro.obs.analysis.round_stats import (
 )
 from repro.obs.analysis.spans import self_time_rows
 from repro.obs.chrome_trace import render_chrome_trace
-from repro.obs.sinks import open_trace_file
 
-__all__ = ["build_parser", "load_stats", "load_run_events", "main"]
+__all__ = [
+    "add_flags",
+    "add_threshold_flags",
+    "thresholds_from",
+    "build_parser",
+    "load_stats",
+    "load_run_events",
+    "run",
+    "main",
+]
 
 OUTPUT_FORMATS = REPORT_FORMATS + ("chrome-trace",)
 """Report formats plus the raw-trace-only Chrome export."""
@@ -98,90 +106,38 @@ def load_stats(path: str, run: Optional[int] = None) -> RunStats:
             multi-run trace without ``run``.
     """
     try:
-        with open_trace_file(path) as handle:
-            text = handle.read()
+        payload = wire.read_json(path, SerializationError)
+    except (FileNotFoundError, SerializationError):
+        # Not one JSON object: a JSONL (or gzipped) trace — or
+        # unreadable, which the trace loader below reports.
+        payload = {}
+    schema = payload.get("schema")
+    if isinstance(schema, str) and schema.startswith("repro.bench"):
+        analytics = payload.get("analytics")
+        if not isinstance(analytics, dict):
+            raise SerializationError(
+                f"{path}: bench document ({schema}) carries no "
+                "'analytics' snapshot"
+            )
+        payload = analytics
+        schema = payload.get("schema")
+    if schema == ANALYSIS_SCHEMA:
+        stats = RunStats.from_dict(payload, str(path))
+        if stats.source:
+            return stats
+        return replace(stats, source=str(path))
+
+    try:
+        trace = load_trace(path)
     except OSError as exc:
         raise SerializationError(f"{path}: cannot read: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
-        payload = None
-    if isinstance(payload, dict):
-        schema = payload.get("schema")
-        if isinstance(schema, str) and schema.startswith("repro.bench"):
-            analytics = payload.get("analytics")
-            if not isinstance(analytics, dict):
-                raise SerializationError(
-                    f"{path}: bench document ({schema}) carries no "
-                    "'analytics' snapshot"
-                )
-            payload = analytics
-            schema = payload.get("schema")
-        if schema == ANALYSIS_SCHEMA:
-            stats = RunStats.from_dict(payload)
-            if stats.source:
-                return stats
-            return replace(stats, source=str(path))
-
-    trace = load_trace(path)
     segment = _select_segment(path, split_runs(trace.events), run)
     return compute_run_stats(segment, source=str(path))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro.obs.report`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description=(
-            "Analyze a JSONL run trace: render per-round / per-device "
-            "analytics, or compare two runs and fail on regression."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="+",
-        metavar="PATH",
-        help=(
-            "one trace (report mode) or, with --compare, BASE and "
-            "OTHER; traces may be .jsonl, .jsonl.gz, or analytics "
-            "snapshot JSON"
-        ),
-    )
-    parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="diff two inputs (BASE OTHER) instead of reporting one",
-    )
-    parser.add_argument(
-        "--format",
-        choices=OUTPUT_FORMATS,
-        default="table",
-        help=(
-            "report output format (default: table); chrome-trace "
-            "exports the span tree as Chrome/Perfetto trace-event JSON "
-            "and requires a raw JSONL trace input"
-        ),
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="write the report/comparison there instead of stdout",
-    )
-    parser.add_argument(
-        "--top-devices",
-        type=int,
-        default=10,
-        metavar="N",
-        help="device-table size in report mode (default: 10)",
-    )
-    parser.add_argument(
-        "--run",
-        type=int,
-        default=None,
-        metavar="N",
-        help="0-based run index for multi-run traces",
-    )
+def add_threshold_flags(parser: argparse.ArgumentParser) -> None:
+    """Declare the comparison thresholds (``--strict`` and the three
+    drift bounds) on ``parser``; :func:`thresholds_from` reads them."""
     parser.add_argument(
         "--strict",
         action="store_true",
@@ -208,6 +164,88 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ABS",
         help="allowed absolute final-accuracy drop (default: 0.02)",
     )
+
+
+def thresholds_from(args: argparse.Namespace) -> CompareThresholds:
+    """The thresholds :func:`add_threshold_flags` parsed into ``args``."""
+    return CompareThresholds(
+        energy_rel=args.energy_threshold,
+        time_rel=args.time_threshold,
+        accuracy_abs=args.accuracy_threshold,
+        strict=args.strict,
+    )
+
+
+def add_flags(
+    parser: argparse.ArgumentParser, report: bool = True, compare: bool = True
+) -> None:
+    """Declare the trace-analytics flags on ``parser``.
+
+    The one declaration behind ``python -m repro.obs.report`` (both
+    modes) and the ``repro trace-report`` (``compare=False``) /
+    ``repro trace-compare`` (``report=False``) subcommands; :func:`run`
+    takes the namespace any of them parses.
+    """
+    parser.add_argument(
+        "--output",
+        metavar="FILE",
+        default=None,
+        help="write the report/comparison there instead of stdout",
+    )
+    parser.add_argument(
+        "--run",
+        type=int,
+        default=None,
+        metavar="N",
+        help="0-based run index for multi-run traces",
+    )
+    if report:
+        parser.add_argument(
+            "--format",
+            choices=OUTPUT_FORMATS,
+            default="table",
+            help=(
+                "report output format (default: table); chrome-trace "
+                "exports the span tree as Chrome/Perfetto trace-event "
+                "JSON and requires a raw JSONL trace input"
+            ),
+        )
+        parser.add_argument(
+            "--top-devices",
+            type=int,
+            default=10,
+            metavar="N",
+            help="device-table size in report mode (default: 10)",
+        )
+    if compare:
+        add_threshold_flags(parser)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro.obs.report`` argument parser."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.obs.report",
+        description=(
+            "Analyze a JSONL run trace: render per-round / per-device "
+            "analytics, or compare two runs and fail on regression."
+        ),
+    )
+    parser.add_argument(
+        "paths",
+        nargs="+",
+        metavar="PATH",
+        help=(
+            "one trace (report mode) or, with --compare, BASE and "
+            "OTHER; traces may be .jsonl, .jsonl.gz, or analytics "
+            "snapshot JSON"
+        ),
+    )
+    parser.add_argument(
+        "--compare",
+        action="store_true",
+        help="diff two inputs (BASE OTHER) instead of reporting one",
+    )
+    add_flags(parser)
     return parser
 
 
@@ -225,30 +263,17 @@ def _emit(text: str, output: Optional[str]) -> None:
             handle.write(text + "\n")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def run(args: argparse.Namespace) -> int:
+    """Report on ``args.paths[0]``, or with ``args.compare`` diff
+    ``args.paths`` (BASE, OTHER); returns the process exit code.
 
-    if args.compare:
-        if len(args.paths) != 2:
-            parser.error("--compare takes exactly two inputs: BASE OTHER")
-    elif len(args.paths) != 1:
-        parser.error(
-            "report mode takes exactly one input (use --compare for two)"
-        )
-
+    ``args`` is what a parser carrying :func:`add_flags` parsed.
+    """
     try:
         if args.compare:
             base = load_stats(args.paths[0], run=args.run)
             other = load_stats(args.paths[1], run=args.run)
-            thresholds = CompareThresholds(
-                energy_rel=args.energy_threshold,
-                time_rel=args.time_threshold,
-                accuracy_abs=args.accuracy_threshold,
-                strict=args.strict,
-            )
-            comparison = compare_stats(base, other, thresholds)
+            comparison = compare_stats(base, other, thresholds_from(args))
             _emit(render_comparison(comparison), args.output)
             return 0 if comparison.ok else 1
         if args.format == "chrome-trace":
@@ -279,6 +304,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigurationError, SerializationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Entry point; returns the process exit code."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.compare:
+        if len(args.paths) != 2:
+            parser.error("--compare takes exactly two inputs: BASE OTHER")
+    elif len(args.paths) != 1:
+        parser.error(
+            "report mode takes exactly one input (use --compare for two)"
+        )
+    return run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

@@ -1,47 +1,70 @@
-"""The wire-type table: how a declared field type crosses JSON.
+"""The wire-type table: how records and documents cross JSON and the disk.
 
-Trace events (:mod:`repro.obs.events`), analysis snapshots
-(:mod:`repro.obs.analysis.round_stats`) and history records
-(:mod:`repro.fl.history`) all leave the process as JSON objects with
+Trace events (:mod:`repro.obs.events`), history records
+(:mod:`repro.fl.history`), analysis snapshots
+(:mod:`repro.obs.analysis.round_stats`), fault plans
+(:mod:`repro.faults.plan`), campaign and run specs, run statuses
+(:mod:`repro.campaign`) and trainer checkpoints
+(:mod:`repro.fl.checkpoint`) all leave the process as JSON objects with
 one key per dataclass field. :data:`SHAPES` is the one place that says
 what each declared field type looks like on the wire — its JSON-plain
 dump, its strict shape check, its typed load — and :func:`record`
-resolves a frozen dataclass against it once, at class definition, so
+resolves a dataclass against it once, at class definition, so
 :func:`dump`, :func:`check` and :func:`load` are derived from
-``dataclasses.fields`` instead of being written out per class.
+``dataclasses.fields`` instead of being written out per class. A field
+may also be another record, a tuple or list of records, or a member of
+a :class:`Tagged` family (events, fault specs), which is how leaf
+records compose into documents.
 
-Adding a field to a record is therefore one edit (the dataclass);
-adding a *shape* is one row here, and a field whose type has no row
-fails when its class is defined, not when a trace is read back.
+Adding a field to a record or document is therefore one edit (the
+dataclass); adding a *shape* is one row here, and a field whose type
+has no row fails when its class is defined, not when a file is read
+back. :func:`read_json` and :func:`write_atomic` are the only way a
+document reaches or leaves the disk.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
+import json
+import os
+import tempfile
 from typing import (
     Callable,
+    ClassVar,
     Dict,
     Iterable,
     NamedTuple,
     Optional,
     Tuple,
+    Type,
     Union,
     get_args,
     get_origin,
     get_type_hints,
 )
 
-from repro.errors import SerializationError
+import numpy as np
+
+from repro.errors import ReproError, SerializationError
 
 __all__ = [
     "Shape",
     "SHAPES",
     "WireField",
+    "Tagged",
     "one_of",
     "record",
     "dump",
     "check",
     "load",
+    "reject_unknown",
+    "check_schema",
+    "read_json",
+    "write_atomic",
+    "encode_array",
+    "decode_array",
 ]
 
 
@@ -79,13 +102,26 @@ def _is_bool(value) -> bool:
     return isinstance(value, bool)
 
 
-def _is_id_list(value) -> bool:
-    return isinstance(value, list) and all(_is_int(v) for v in value)
+def _is_dict(value) -> bool:
+    return isinstance(value, dict)
 
 
-def _is_float_map(value) -> bool:
-    return isinstance(value, dict) and all(
-        _is_str(key) and _is_num(item) for key, item in value.items()
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+def _is_id_key(key) -> bool:
+    """Whether ``int(key)`` will succeed on a JSON object key."""
+    return isinstance(key, str) and key.lstrip("-").isdecimal()
+
+
+def _list_of(item_ok: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, list) and all(map(item_ok, value))
+
+
+def _map_of(key_ok, item_ok) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, dict) and all(
+        key_ok(key) and item_ok(item) for key, item in value.items()
     )
 
 
@@ -101,17 +137,80 @@ def _dump_float_map(value) -> Dict[str, float]:
     return {str(k): v for k, v in value.items()}
 
 
+def _dump_sorted(value) -> dict:
+    return dict(sorted(value.items()))
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """Lossless JSON encoding of a numpy array (little-endian bytes)."""
+    contiguous = np.ascontiguousarray(array)
+    little = contiguous.astype(contiguous.dtype.newbyteorder("<"), copy=False)
+    return {
+        "dtype": str(contiguous.dtype),
+        "shape": list(contiguous.shape),
+        "data": base64.b64encode(little.tobytes()).decode("ascii"),
+    }
+
+
+def decode_array(payload: dict) -> np.ndarray:
+    """Rebuild an array from :func:`encode_array` output, bitwise.
+
+    Raises:
+        SerializationError: when the payload is not such an encoding.
+    """
+    try:
+        dtype = np.dtype(payload["dtype"])
+        raw = base64.b64decode(payload["data"])
+        array = np.frombuffer(raw, dtype=dtype.newbyteorder("<"))
+        return array.astype(dtype, copy=True).reshape(payload["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"malformed array payload: {exc}") from exc
+
+
+def _is_array(value) -> bool:
+    return (
+        isinstance(value, dict)
+        and _is_str(value.get("dtype"))
+        and _is_str(value.get("data"))
+        and _list_of(_is_int)(value.get("shape"))
+    )
+
+
 SHAPES: Dict[object, Shape] = {
     int: Shape(_is_int, int, None, 3),
     float: Shape(_is_num, float, None, 1.5),
     str: Shape(_is_str, str, None, "x"),
     bool: Shape(_is_bool, bool, None, True),
-    Tuple[int, ...]: Shape(_is_id_list, _load_ids, list, (2, 1)),
+    dict: Shape(_is_dict, dict, None, {"k": [1]}),
+    np.ndarray: Shape(
+        _is_array, decode_array, encode_array, np.array([1.5, -2.0])
+    ),
+    Tuple[int, ...]: Shape(_list_of(_is_int), _load_ids, list, (2, 1)),
+    Tuple[str, ...]: Shape(_list_of(_is_str), tuple, list, ("b", "a")),
+    Tuple[dict, ...]: Shape(_list_of(_is_dict), tuple, list, ({"k": 1},)),
+    Tuple[Optional[dict], ...]: Shape(
+        _list_of(lambda value: value is None or isinstance(value, dict)),
+        tuple,
+        list,
+        (None, {"k": 1}),
+    ),
     Dict[int, float]: Shape(
-        _is_float_map, _load_float_map, _dump_float_map, {4: 1.5e9}
+        _map_of(_is_id_key, _is_num),
+        _load_float_map,
+        _dump_float_map,
+        {4: 1.5e9},
+    ),
+    Dict[str, int]: Shape(
+        _map_of(_is_str, _is_int), dict, _dump_sorted, {"round": 2}
     ),
 }
-"""Every field type a wire record may declare (plus ``Optional`` of each)."""
+"""Every leaf field type a wire record may declare.
+
+``Optional`` of each also resolves, as does a field whose type is
+itself a wire record or :class:`Tagged` family, or a ``Tuple[R, ...]``
+/ ``List[R]`` of one. ``dict`` is opaque: any JSON object, passed
+through (another module's ``state_dict()``).
+"""
 
 
 def _optional(shape: Shape) -> Shape:
@@ -145,6 +244,9 @@ class WireField(NamedTuple):
         dump: its :class:`Shape` dump.
         example: a valid value for it.
         has_default: whether :func:`load` may find it absent.
+        locate: for a field holding records, maps a value that failed
+            ``check`` to the ``(path, reason)`` of the first violation
+            inside it; ``None`` for leaf fields.
     """
 
     name: str
@@ -153,6 +255,104 @@ class WireField(NamedTuple):
     dump: Optional[Callable[[object], object]]
     example: object
     has_default: bool
+    locate: Optional[Callable[[object], Optional[Tuple[str, str]]]] = None
+
+
+class Tagged:
+    """Base of a *tagged* record family: events, fault specs.
+
+    A family base names its discriminator key (``class Event(Tagged,
+    tag="event")``) and is itself ``@dataclass(frozen=True)``. Declaring
+    a member is subclassing the base: give the class a ``kind`` (the
+    wire name stored under the tag key) and annotate its fields.
+    Subclassing makes it a frozen dataclass, resolves its fields
+    (:func:`record`) and registers it in the family's ``__members__``
+    by ``kind``; :func:`load` on the base builds the member the tag
+    names. Do not decorate members: a field type outside the table, a
+    missing or reused ``kind``, or a second ``@dataclass`` (which would
+    re-generate or unfreeze the class) raises ``TypeError`` at class
+    definition.
+    """
+
+    kind: ClassVar[str]
+    __tag__: ClassVar[str]
+    __members__: ClassVar[Dict[str, type]]
+
+    def __init_subclass__(cls, tag: Optional[str] = None, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if tag is not None:
+            cls.__tag__ = tag
+            cls.__members__ = {}
+            return
+        kind = cls.__dict__.get("kind")
+        if not isinstance(kind, str) or kind in cls.__members__:
+            raise TypeError(
+                f"{cls.__name__} needs its own class-level string `kind` "
+                f"no other {cls.__tag__!r}-tagged record uses, got {kind!r}"
+            )
+        record(dataclasses.dataclass(frozen=True)(cls))
+        cls.__members__[kind] = cls
+
+    def to_dict(self) -> dict:
+        """JSON-friendly dict form: ``{tag: kind, **fields}``."""
+        return {self.__tag__: self.kind, **dump(self)}
+
+
+def _member(cls: type, payload: dict) -> Optional[type]:
+    """``cls``, or for a :class:`Tagged` family base the member that
+    ``payload``'s tag names (``None`` for an unknown tag)."""
+    tag = cls.__dict__.get("__tag__")
+    if tag is None:
+        return cls
+    kind = payload.get(tag)
+    return cls.__members__.get(kind) if isinstance(kind, str) else None
+
+
+def _is_wire_class(declared) -> bool:
+    return isinstance(declared, type) and (
+        "__wire__" in declared.__dict__ or "__tag__" in declared.__dict__
+    )
+
+
+def _nested(target: type, sequence: Optional[type]) -> Tuple[Shape, Callable]:
+    """Shape and ``locate`` of a field holding ``target`` record(s).
+
+    ``sequence`` is ``tuple`` or ``list`` for a homogeneous sequence of
+    them, ``None`` for a single one.
+    """
+    family = "__tag__" in target.__dict__
+    plain = Tagged.to_dict if family else dump
+    sample_cls = next(iter(target.__members__.values())) if family else target
+    sample = sample_cls(
+        **{f.name: f.example for f in sample_cls.__wire__ if not f.has_default}
+    )
+    if sequence is None:
+        return (
+            Shape(
+                lambda value: _violation(target, value) is None,
+                lambda value: _build(target, value),
+                plain,
+                sample,
+            ),
+            lambda value: _violation(target, value),
+        )
+
+    def locate(values):
+        for index, value in enumerate(values if _is_list(values) else ()):
+            found = _violation(target, value)
+            if found is not None:
+                return f"[{index}]{found[0]}", found[1]
+        return None
+
+    return (
+        Shape(
+            lambda values: _is_list(values) and locate(values) is None,
+            lambda values: sequence(_build(target, v) for v in values),
+            lambda values: [plain(v) for v in values],
+            sequence((sample,)),
+        ),
+        locate,
+    )
 
 
 def _resolve(owner: type, spec: dataclasses.Field, declared) -> WireField:
@@ -160,7 +360,16 @@ def _resolve(owner: type, spec: dataclasses.Field, declared) -> WireField:
     if get_origin(declared) is Union:
         args = [a for a in get_args(declared) if a is not type(None)]
         inner = args[0] if len(args) == 1 else None
-    shape = SHAPES.get(inner)
+    shape, locate = SHAPES.get(inner), None
+    if shape is None:
+        origin, args = get_origin(inner), get_args(inner)
+        if _is_wire_class(inner):
+            shape, locate = _nested(inner, None)
+        elif (
+            (origin is tuple and len(args) == 2 and args[1] is Ellipsis)
+            or (origin is list and len(args) == 1)
+        ) and _is_wire_class(args[0]):
+            shape, locate = _nested(args[0], origin)
     if shape is None:
         raise TypeError(
             f"{owner.__name__}.{spec.name}: field type {declared!r} has no "
@@ -183,22 +392,25 @@ def _resolve(owner: type, spec: dataclasses.Field, declared) -> WireField:
         spec.default is not dataclasses.MISSING
         or spec.default_factory is not dataclasses.MISSING
     )
-    return WireField(spec.name, *shape, has_default)
+    return WireField(spec.name, *shape, has_default, locate)
 
 
-def record(cls: type) -> type:
-    """Resolve a frozen dataclass's fields against :data:`SHAPES`.
+def record(cls: type, mutable: bool = False) -> type:
+    """Resolve a dataclass's fields against :data:`SHAPES`.
 
     Stores the result as ``cls.__wire__`` (a tuple of
     :class:`WireField` in field order) and returns ``cls``, so it works
-    as a class decorator above ``@dataclass(frozen=True)``.
+    as a class decorator above ``@dataclass(frozen=True)``. A record is
+    frozen; ``mutable=True`` admits the one document a run appends to
+    while it is live (:class:`repro.fl.history.TrainingHistory`).
 
     Raises:
         TypeError: when ``cls`` is not a frozen dataclass, or a field
             declares a type outside the table.
     """
     if not (
-        dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+        dataclasses.is_dataclass(cls)
+        and (mutable or cls.__dataclass_params__.frozen)
     ):
         raise TypeError(
             f"{cls.__name__} must be a @dataclass(frozen=True) to be a "
@@ -215,7 +427,7 @@ def record(cls: type) -> type:
 def dump(obj) -> dict:
     """JSON-plain dict of a wire record, keys in field order."""
     payload = {}
-    for name, _, _, dump_value, _, _ in type(obj).__wire__:
+    for name, _, _, dump_value, _, _, _ in type(obj).__wire__:
         value = getattr(obj, name)
         payload[name] = value if dump_value is None else dump_value(value)
     return payload
@@ -225,13 +437,15 @@ def check(cls: type, payload: dict, also: Tuple[str, ...] = ()) -> None:
     """Strict shape check of a JSON-decoded object against ``cls``.
 
     Every field must be present with its declared shape, and no key
-    outside the fields (and ``also``) may appear.
+    outside the fields (and ``also``) may appear — the form the trace
+    validator needs; documents load through :func:`load`, which lets
+    defaulted fields be absent.
 
     Raises:
         SerializationError: on the first violation, naming ``cls``.
     """
     fields = cls.__wire__
-    for name, is_valid, _, _, _, _ in fields:
+    for name, is_valid, _, _, _, _, _ in fields:
         if name not in payload:
             raise SerializationError(
                 f"{cls.__name__} is missing field {name!r}"
@@ -249,22 +463,205 @@ def check(cls: type, payload: dict, also: Tuple[str, ...] = ()) -> None:
         )
 
 
-def load(cls: type, payload: dict):
-    """Rebuild a ``cls`` instance from a JSON-decoded object.
+def _brief(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
 
-    Values are converted to their declared types but not shape-checked
-    (run :func:`check` first on untrusted input). A field the dataclass
-    gives a default may be absent; keys that are not fields are ignored.
+
+def _unknown(keys: Iterable[str], known: Iterable[str], noun: str) -> str:
+    """The reason some of ``keys`` are refused, or ``""`` when none is."""
+    extra = sorted(set(keys).difference(known))
+    if not extra:
+        return ""
+    return f"has unknown {noun} {extra}; expected a subset of {sorted(known)}"
+
+
+def _violation(
+    cls: type, payload, also: Tuple[str, ...] = ()
+) -> Optional[Tuple[str, str]]:
+    """Why ``payload`` cannot load as ``cls``, or ``None`` when it can.
+
+    The answer is ``(path, reason)``: the JSON path below ``payload``
+    (``""``, ``".faults[2].probability"``) and what is wrong there.
+    """
+    if not isinstance(payload, dict):
+        return "", f"must be a JSON object, got {type(payload).__name__}"
+    member = _member(cls, payload)
+    if member is None:
+        return "", (
+            f"has unknown {cls.__tag__} {_brief(payload.get(cls.__tag__))}; "
+            f"expected one of {tuple(cls.__members__)}"
+        )
+    if member is not cls:
+        also = (cls.__tag__,)
+    fields = member.__wire__
+    present = 0
+    for name, is_valid, _, _, _, has_default, locate in fields:
+        if name in payload:
+            present += 1
+            value = payload[name]
+            if not is_valid(value):
+                path, reason = (locate and locate(value)) or (
+                    "",
+                    f"has invalid value {_brief(value)}",
+                )
+                return f".{name}{path}", reason
+        elif not has_default:
+            return "", f"is missing field {name!r}"
+    if len(payload) > present + sum(key in payload for key in also):
+        names = [field.name for field in fields]
+        return "", _unknown(set(payload).difference(also), names, "fields")
+    return None
+
+
+def _build(cls: type, payload: dict):
+    """Construct ``cls`` from a payload :func:`_violation` accepted."""
+    member = _member(cls, payload)
+    return member(
+        **{
+            name: load_value(payload[name])
+            for name, _, load_value, _, _, _, _ in member.__wire__
+            if name in payload
+        }
+    )
+
+
+def load(
+    cls: type,
+    payload,
+    where: Optional[str] = None,
+    error: Type[ReproError] = SerializationError,
+    also: Tuple[str, ...] = (),
+):
+    """Check a JSON-decoded value against ``cls`` and rebuild it.
+
+    Each present field must pass its :class:`Shape` check, a field the
+    dataclass gives a default may be absent, and a key that is neither
+    a field nor named in ``also`` is rejected. For a :class:`Tagged`
+    family base the member is chosen by the tag key.
+
+    Args:
+        cls: a wire record, or a :class:`Tagged` family base.
+        payload: the decoded JSON value, of any type.
+        where: what is being loaded, as the head of a message —
+            ``"fault plan"``, ``"status file runs/a/status.json"``
+            (default: the class name). The violating JSON path is
+            appended: ``fault plan.faults[2].probability has invalid
+            value 'high'``.
+        error: what to raise — ``ConfigurationError`` for documents a
+            user writes (fault plans, specs), ``SerializationError``
+            for state the program wrote (statuses, checkpoints,
+            histories, snapshots, traces).
+        also: keys allowed beside the fields (a ``schema`` marker,
+            derived aggregates a dump appends).
 
     Raises:
-        SerializationError: when a field without a default is absent.
+        error: on the first violation, or when ``cls``'s constructor
+            refuses the loaded values.
     """
-    kwargs = {}
-    for name, _, load_value, _, _, has_default in cls.__wire__:
-        if name in payload:
-            kwargs[name] = load_value(payload[name])
-        elif not has_default:
-            raise SerializationError(
-                f"{cls.__name__} is missing field {name!r}"
-            )
-    return cls(**kwargs)
+    if where is None:
+        where = cls.__name__
+    found = _violation(cls, payload, also)
+    if found is not None:
+        raise error(f"{where}{found[0]} {found[1]}")
+    try:
+        return _build(cls, payload)
+    except ReproError as exc:
+        raise error(f"{where}: {exc}") from exc
+
+
+def reject_unknown(
+    payload: dict,
+    known: Iterable[str],
+    where: str,
+    error: Type[ReproError],
+    noun: str = "fields",
+) -> None:
+    """Raise ``error`` if object ``payload`` has a key outside ``known``.
+
+    The unknown-key rule of :func:`load` (same ``where``/``error``),
+    for an object whose allowed keys are another class's fields (a
+    spec's override sections); ``noun`` is what the message calls a key.
+    """
+    reason = _unknown(payload, known, noun)
+    if reason:
+        raise error(f"{where} {reason}")
+
+
+def check_schema(
+    payload, schema: str, where: str, error: Type[ReproError]
+) -> None:
+    """Raise ``error`` unless ``payload`` is a JSON object carrying
+    ``"schema": schema`` (``where``/``error`` as for :func:`load`)."""
+    if not isinstance(payload, dict):
+        raise error(
+            f"{where} must be a JSON object, got {type(payload).__name__}"
+        )
+    if payload.get("schema") != schema:
+        raise error(
+            f"{where} is not a {schema} document: schema="
+            f"{_brief(payload.get('schema'))}"
+        )
+
+
+def read_json(
+    path, error: Type[ReproError], schema: Optional[str] = None
+) -> dict:
+    """Read one JSON document (an object) from ``path``.
+
+    Args:
+        path: the file to read.
+        error: what to raise, as for :func:`load`.
+        schema: the ``"schema"`` marker the object must carry, if any.
+
+    Raises:
+        FileNotFoundError: no file at ``path`` — absence often has a
+            meaning (a pending run, no checkpoint yet), so it is left
+            to the caller.
+        error: naming ``path``, when the file cannot be read, is not
+            valid JSON (torn, nested too deeply) or is not a JSON
+            object (with the expected marker).
+    """
+    try:
+        with open(os.fspath(path), encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise error(
+            f"{path} must hold a JSON object, got {type(payload).__name__}"
+        )
+    if schema is not None:
+        check_schema(payload, schema, str(path), error)
+    return payload
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically (tmp + fsync + ``os.replace``).
+
+    The temporary file lives in the destination directory so the final
+    ``os.replace`` stays within one filesystem; a crash or failure at
+    any point leaves the previous file (or nothing) and no ``*.tmp``
+    sibling.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp_path = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise

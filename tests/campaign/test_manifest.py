@@ -11,7 +11,7 @@ from repro.campaign import (
     STATUS_RUNNING,
     CampaignManifest,
 )
-from repro.campaign.manifest import atomic_write_text
+from repro.wire import write_atomic
 from repro.errors import ConfigurationError, SerializationError
 from tests.campaign.conftest import tiny_campaign
 
@@ -76,7 +76,7 @@ class TestStatuses:
     def test_alien_status_value_raises(self, manifest):
         run_id = "s0-helcfl-c0-f0"
         path = manifest._status_path(run_id)
-        atomic_write_text(path, json.dumps({"status": "exploded"}))
+        write_atomic(path, json.dumps({"status": "exploded"}))
         with pytest.raises(SerializationError, match="unknown status"):
             manifest.read_status(run_id)
 
@@ -116,15 +116,15 @@ class TestPendingRuns:
 class TestAtomicWrite:
     def test_writes_content(self, tmp_path):
         path = tmp_path / "sub" / "file.json"
-        atomic_write_text(str(path), "payload\n")
+        write_atomic(str(path), "payload\n")
         assert path.read_text() == "payload\n"
 
     def test_replaces_existing(self, tmp_path):
         path = tmp_path / "file.json"
-        atomic_write_text(str(path), "old")
-        atomic_write_text(str(path), "new")
+        write_atomic(str(path), "old")
+        write_atomic(str(path), "new")
         assert path.read_text() == "new"
 
     def test_no_tmp_droppings(self, tmp_path):
-        atomic_write_text(str(tmp_path / "file.json"), "x")
+        write_atomic(str(tmp_path / "file.json"), "x")
         assert [p.name for p in tmp_path.iterdir()] == ["file.json"]

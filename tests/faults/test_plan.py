@@ -76,6 +76,19 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError, match="slowdown"):
             StragglerFault(slowdown=0.9)
 
+    @pytest.mark.parametrize("slowdown", [float("nan"), float("inf")])
+    def test_straggler_slowdown_non_finite_rejected(self, slowdown):
+        with pytest.raises(ConfigurationError, match="slowdown must be >= 1"):
+            StragglerFault(slowdown=slowdown)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"probability": float("nan")}, {"progress": float("nan")}],
+    )
+    def test_nan_fails_the_unit_interval_guards(self, kwargs):
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            DropoutFault(phase="during_compute", **kwargs)
+
     def test_channel_mode_validated(self):
         with pytest.raises(ConfigurationError, match="mode"):
             ChannelFault(mode="jam")
@@ -169,7 +182,7 @@ class TestSerialization:
             FaultPlan.from_dict([1, 2])
 
     def test_non_object_fault_rejected(self):
-        with pytest.raises(ConfigurationError, match="fault #0"):
+        with pytest.raises(ConfigurationError, match=r"faults\[0\]"):
             FaultPlan.from_dict({"faults": ["dropout"]})
 
     def test_invalid_field_value_surfaces_spec_error(self):

@@ -12,12 +12,11 @@ from repro.fl.checkpoint import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_VERSION,
     TrainerCheckpoint,
-    decode_array,
-    encode_array,
     load_checkpoint,
     save_checkpoint,
 )
 from repro.fl.trainer import TrainerConfig
+from repro.wire import decode_array, encode_array
 
 
 def tiny_settings(seed=0):

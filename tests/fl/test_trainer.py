@@ -53,6 +53,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             TrainerConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "bandwidth_hz",
+            "learning_rate",
+            "deadline_s",
+            "round_deadline_s",
+            "convergence_min_delta",
+            "lr_decay",
+            "target_accuracy",
+        ],
+    )
+    def test_nan_fails_every_guard(self, name):
+        """``nan <= 0`` is False: NaN must not walk past a range check."""
+        with pytest.raises(ConfigurationError, match=name):
+            TrainerConfig(**{name: float("nan")})
+
+    @pytest.mark.parametrize("name", ["bandwidth_hz", "learning_rate"])
+    def test_infinite_rate_is_refused(self, name):
+        with pytest.raises(ConfigurationError, match=name):
+            TrainerConfig(**{name: float("inf")})
+
 
 class TestRun:
     def test_history_has_all_rounds(self):

@@ -132,6 +132,24 @@ class TestTraceAnalyticsCommands:
         assert {"selection", "device_round", "timeline", "span_start",
                 "worker_resource", "run_stop"} <= kinds
 
+    @pytest.mark.parametrize(
+        "command,flags",
+        [
+            ("trace-report",
+             {"--format", "--output", "--top-devices", "--run"}),
+            ("trace-compare",
+             {"--strict", "--energy-threshold", "--time-threshold",
+              "--accuracy-threshold", "--output", "--run"}),
+        ],
+    )
+    def test_help_lists_the_flags_declared_once(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert all(flag in out for flag in flags)
+        assert "0.02" in out or command == "trace-report"
+
     def test_trace_report_renders_table(self, capsys, tmp_path):
         path = self.make_trace(tmp_path)
         capsys.readouterr()
@@ -322,3 +340,64 @@ class TestCampaignCommands:
             ]
         ) == 0
         assert (campaign_dir / "aggregate.json").read_bytes() == before
+
+
+class TestBadDocumentsAreErrorLines:
+    """A bad document is ``error: ...`` on stderr and exit 2, never a
+    traceback (``main`` returns instead of raising)."""
+
+    def expect_error_line(self, capsys, argv, *needles):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        for needle in needles:
+            assert str(needle) in err, err
+
+    def test_misspelt_fault_plan_key(self, capsys, tmp_path):
+        plan = tmp_path / "typo-plan.json"
+        plan.write_text('{"fault": []}')
+        self.expect_error_line(
+            capsys,
+            ["run", "helcfl", "--quick", "--rounds", "1",
+             "--faults", str(plan)],
+            plan, "unknown fields ['fault']",
+        )
+
+    def test_missing_fault_plan_file(self, capsys, tmp_path):
+        self.expect_error_line(
+            capsys,
+            ["run", "helcfl", "--quick", "--faults",
+             str(tmp_path / "nope.json")],
+            "nope.json",
+        )
+
+    def test_torn_status_file(self, capsys, tmp_path):
+        from repro.campaign import CampaignManifest, CampaignSpec
+
+        manifest = CampaignManifest.create(
+            str(tmp_path), CampaignSpec(name="x")
+        )
+        status = tmp_path / "runs" / manifest.runs[0].run_id / "status.json"
+        status.parent.mkdir(parents=True)
+        status.write_text("[1,2]")
+        self.expect_error_line(
+            capsys, ["campaign", "status", str(tmp_path)], status
+        )
+
+    def test_campaign_spec_with_unknown_key(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"name": "x", "retries": 3}')
+        self.expect_error_line(
+            capsys,
+            ["campaign", "run", str(spec), "--dir", str(tmp_path / "camp")],
+            spec, "unknown fields ['retries']",
+        )
+        assert not (tmp_path / "camp").exists()
+
+    def test_zero_workers(self, capsys):
+        self.expect_error_line(
+            capsys,
+            ["run", "helcfl", "--quick", "--rounds", "1",
+             "--backend", "thread", "--workers", "0"],
+            "workers",
+        )
