@@ -16,7 +16,6 @@ energy/time/accuracy drift verdicts as single-run snapshots.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -60,8 +59,12 @@ class _AggregateRun:
 
 @wire.record
 @dataclass(frozen=True)
-class _Aggregate:
-    """The aggregate document below its ``schema`` marker."""
+class _Aggregate(wire.Document):
+    """The aggregate document."""
+
+    noun = "aggregate"
+    schema = AGGREGATE_SCHEMA
+    format = dict(sort_keys=True, indent=2)
 
     name: str
     runs: Tuple[_AggregateRun, ...]
@@ -86,7 +89,7 @@ def _stats_metric(stats: RunStats, metric: str) -> float:
     return float(getattr(stats, metric))
 
 
-def aggregate_campaign(manifest: CampaignManifest) -> dict:
+def _aggregate(manifest: CampaignManifest) -> _Aggregate:
     """Build the campaign's aggregate document from its run stats.
 
     Every run must be ``done``; a campaign with failed or unfinished
@@ -103,12 +106,11 @@ def aggregate_campaign(manifest: CampaignManifest) -> dict:
             )
         stats_path = os.path.join(manifest.run_dir(run.run_id), STATS_FILE)
         try:
-            payload = wire.read_json(stats_path, SerializationError)
+            stats = RunStats.load(stats_path)
         except FileNotFoundError as exc:
             raise SerializationError(
                 f"run {run.run_id} is done but has no {STATS_FILE}"
             ) from exc
-        stats = RunStats.from_dict(payload, stats_path)
         runs.append(
             _AggregateRun(run.run_id, run.seed, run.strategy, stats.to_dict())
         )
@@ -124,18 +126,18 @@ def aggregate_campaign(manifest: CampaignManifest) -> dict:
         }
         for strategy, stats_list in sorted(by_strategy.items())
     }
-    document = _Aggregate(manifest.spec.name, tuple(runs), summary)
-    return {"schema": AGGREGATE_SCHEMA, **wire.dump(document)}
+    return _Aggregate(manifest.spec.name, tuple(runs), summary)
+
+
+def aggregate_campaign(manifest: CampaignManifest) -> dict:
+    """The aggregate document of a campaign whose runs are all done."""
+    return _aggregate(manifest).to_dict()
 
 
 def write_aggregate(manifest: CampaignManifest) -> str:
     """Write the aggregate document; returns its path."""
     path = manifest.aggregate_path()
-    wire.write_atomic(
-        path,
-        json.dumps(aggregate_campaign(manifest), sort_keys=True, indent=2)
-        + "\n",
-    )
+    _aggregate(manifest).save(path)
     return path
 
 
@@ -148,9 +150,7 @@ def load_aggregate(path: str) -> dict:
     Raises:
         SerializationError: when ``path`` is not an aggregate.
     """
-    payload = wire.read_json(path, SerializationError, AGGREGATE_SCHEMA)
-    wire.load(_Aggregate, payload, path, SerializationError, also=("schema",))
-    return payload
+    return _Aggregate.load(path).to_dict()
 
 
 def compare_campaigns(

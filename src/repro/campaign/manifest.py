@@ -20,7 +20,6 @@ indistinguishable from an untouched one.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -47,8 +46,8 @@ _STATUSES = (STATUS_PENDING, STATUS_RUNNING, STATUS_DONE, STATUS_FAILED)
 
 @wire.record
 @dataclass(frozen=True)
-class RunStatus:
-    """One run's manifest entry.
+class RunStatus(wire.Document):
+    """One run's manifest entry (``status.json``).
 
     Attributes:
         run_id: the run this status belongs to.
@@ -61,6 +60,9 @@ class RunStatus:
         finished_at: Unix timestamp of the terminal transition
             (``done``/``failed``); ``None`` while in flight.
     """
+
+    noun = "status file"
+    format = dict(sort_keys=True)
 
     run_id: str
     status: str = STATUS_PENDING
@@ -170,11 +172,8 @@ class CampaignManifest:
         except FileNotFoundError:
             return RunStatus(run_id=run_id)
         # The directory names the run, whatever the file says.
-        return wire.load(
-            RunStatus,
-            {**payload, "run_id": run_id},
-            f"status file {path}",
-            SerializationError,
+        return RunStatus.from_dict(
+            {**payload, "run_id": run_id}, f"status file {path}"
         )
 
     def write_status(
@@ -192,13 +191,9 @@ class CampaignManifest:
         read here; a reader treats an absent one as ``None``, so status
         files written before they existed still load.
         """
-        entry = RunStatus(
+        RunStatus(
             run_id, status, int(attempts), detail, started_at, finished_at
-        )
-        wire.write_atomic(
-            self._status_path(run_id),
-            json.dumps(wire.dump(entry), sort_keys=True) + "\n",
-        )
+        ).save(self._status_path(run_id))
 
     def statuses(self) -> Dict[str, RunStatus]:
         """Every run's status, in expansion order."""

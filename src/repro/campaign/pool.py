@@ -25,7 +25,6 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import wire
 from repro.campaign.aggregate import write_aggregate
 from repro.campaign.manifest import (
     STATUS_DONE,
@@ -35,7 +34,7 @@ from repro.campaign.manifest import (
 )
 from repro.campaign.runner import HISTORY_FILE, execute_run
 from repro.campaign.spec import CampaignSpec, RunSpec
-from repro.errors import ConfigurationError, SerializationError
+from repro.errors import ConfigurationError
 from repro.fl.history import TrainingHistory
 
 __all__ = [
@@ -385,6 +384,5 @@ def run_campaign_histories(
     histories = []
     for run in manifest.runs:
         path = os.path.join(manifest.run_dir(run.run_id), HISTORY_FILE)
-        payload = wire.read_json(path, SerializationError)
-        histories.append((run, TrainingHistory.from_dict(payload, path)))
+        histories.append((run, TrainingHistory.load(path)))
     return histories

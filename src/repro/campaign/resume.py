@@ -27,11 +27,11 @@ runs — a :class:`~repro.errors.SerializationError` is raised.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Callable, Optional
 
 from repro import wire
+from repro.campaign.watch import line_round
 from repro.errors import SerializationError
 from repro.fl.checkpoint import TrainerCheckpoint
 from repro.fl.trainer import FederatedTrainer
@@ -65,37 +65,29 @@ def truncate_trace(path: str, keep_round: int) -> int:
     line. Returns the number of lines kept.
 
     Raises:
-        SerializationError: a line *before* the last is malformed —
-            torn tails are expected, mid-stream corruption is not.
+        SerializationError: ``<path>:<line> ...`` for a line *before*
+            the last that is malformed — torn tails are expected,
+            mid-stream corruption is not.
     """
+
+    def survives(payload: dict) -> bool:
+        kind, round_index = payload.get("event"), line_round(payload)
+        if kind == "run_stop" or round_index > keep_round:
+            return False
+        # Run-level span *closures* are re-emitted when the resumed
+        # attempt finishes; only the opening span_start is kept so
+        # the final trace carries exactly one start/end pair.
+        return not (kind in ("span_end", "worker_resource") and round_index == 0)
+
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
-    kept = []
-    for position, line in enumerate(lines):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            if position == len(lines) - 1:
-                break  # the torn tail the loader also tolerates
-            raise SerializationError(
-                f"trace {path} line {position + 1} is malformed "
-                "mid-stream"
-            ) from exc
-        kind = payload.get("event")
-        if kind == "run_stop":
-            continue
-        round_index = int(payload.get("round_index", 0))
-        if round_index > keep_round:
-            continue
-        if round_index == 0 and kind in ("span_end", "worker_resource"):
-            # Run-level span *closures* are re-emitted when the resumed
-            # attempt finishes; only the opening span_start is kept so
-            # the final trace carries exactly one start/end pair.
-            continue
-        kept.append(text + "\n")
+    kept = [
+        lines[number - 1].strip() + "\n"
+        for number, keep in wire.read_jsonl(
+            lines, SerializationError, path, survives
+        )
+        if keep
+    ]
     wire.write_atomic(path, "".join(kept))
     return len(kept)
 

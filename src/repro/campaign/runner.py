@@ -17,7 +17,6 @@ import os
 import warnings
 from typing import Optional
 
-from repro import wire
 from repro.campaign.resume import (
     load_trace_for_resume,
     reconstruct_checkpoint,
@@ -164,10 +163,8 @@ def execute_run(
 
     segments = split_runs(load_trace(trace_path).events)
     stats = compute_run_stats(segments[-1], source=run.run_id)
-    wire.write_atomic(
-        os.path.join(run_dir, HISTORY_FILE), history.to_json() + "\n"
-    )
-    wire.write_atomic(os.path.join(run_dir, STATS_FILE), stats.to_json() + "\n")
+    history.save(os.path.join(run_dir, HISTORY_FILE))
+    stats.save(os.path.join(run_dir, STATS_FILE))
     return {
         "run_id": run.run_id,
         "rounds": len(history),

@@ -30,7 +30,6 @@ Every list is a matrix axis; the expansion is their ordered product
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -115,8 +114,10 @@ def _check_override(override: dict, position: int) -> Dict[str, dict]:
 
 @wire.record
 @dataclass(frozen=True)
-class RunSpec:
+class RunSpec(wire.Document):
     """One fully resolved run of a campaign's matrix.
+
+    Its :meth:`to_dict` form is how runs ship to worker processes.
 
     Attributes:
         run_id: deterministic id, unique within the campaign —
@@ -133,6 +134,9 @@ class RunSpec:
         workers: backend pool size (None = backend default).
         checkpoint_every: rounds between checkpoint writes.
     """
+
+    noun = "run spec"
+    error = ConfigurationError
 
     run_id: str
     seed: int
@@ -160,23 +164,10 @@ class RunSpec:
             return None
         return FaultPlan.from_dict(self.fault_plan)
 
-    def to_dict(self) -> dict:
-        """JSON-ready form (used to ship runs to worker processes)."""
-        return wire.dump(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> RunSpec:
-        """Rebuild a run spec from :meth:`to_dict` output.
-
-        Raises:
-            ConfigurationError: when ``payload`` is not a run spec.
-        """
-        return wire.load(cls, payload, "run spec", ConfigurationError)
-
 
 @wire.record
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(wire.Document):
     """A declarative multi-run experiment campaign.
 
     Attributes:
@@ -197,6 +188,10 @@ class CampaignSpec:
         max_retries: times a dead/failed run is requeued before the
             campaign marks it permanently failed.
     """
+
+    noun = "campaign spec"
+    error = ConfigurationError
+    format = dict(sort_keys=True, indent=2)
 
     name: str
     profile: str = "quick"
@@ -298,42 +293,3 @@ class CampaignSpec:
                             )
                         )
         return tuple(runs)
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-ready form; :meth:`from_dict` round-trips it."""
-        return wire.dump(self)
-
-    def to_json(self) -> str:
-        """Deterministic JSON text of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_dict(
-        cls, payload: dict, where: str = "campaign spec"
-    ) -> CampaignSpec:
-        """Build a validated spec from parsed JSON.
-
-        Args:
-            payload: the decoded spec.
-            where: what is being loaded (e.g. the file), for messages.
-
-        Raises:
-            ConfigurationError: for an unknown key, a value of the
-                wrong shape (``campaign spec.seeds has invalid value
-                '12'``), or one outside its domain.
-        """
-        return wire.load(cls, payload, where, ConfigurationError)
-
-    @classmethod
-    def load(cls, path: str) -> CampaignSpec:
-        """Load and validate a spec from a JSON file."""
-        return cls.from_dict(
-            wire.read_json(path, ConfigurationError), f"campaign spec {path}"
-        )
-
-    def save(self, path: str) -> None:
-        """Write the spec as JSON, atomically (the manifest keeps a copy)."""
-        wire.write_atomic(path, self.to_json())

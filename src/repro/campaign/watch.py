@@ -17,13 +17,13 @@ reaches a terminal status.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro import wire
 from repro.campaign.manifest import (
     STATUS_DONE,
     STATUS_FAILED,
@@ -32,8 +32,10 @@ from repro.campaign.manifest import (
     CampaignManifest,
     RunStatus,
 )
+from repro.errors import SerializationError
 
 __all__ = [
+    "line_round",
     "RunProgress",
     "CampaignSnapshot",
     "scan_trace_progress",
@@ -108,6 +110,21 @@ class CampaignSnapshot:
         return all(run.status in _TERMINAL for run in self.runs)
 
 
+def line_round(payload: dict) -> int:
+    """The round of a raw (unvalidated) trace line, 0 for a run-level
+    one; a ``round_index`` that is no int is a ``SerializationError``."""
+    round_index = payload.get("round_index", 0)
+    if not wire.SHAPES[int].check(round_index):
+        raise SerializationError(
+            f"round_index must be an int, got {round_index!r}"
+        )
+    return round_index
+
+
+def _timeline_round(payload: dict) -> int:
+    return line_round(payload) if payload.get("event") == "timeline" else 0
+
+
 def scan_trace_progress(path: str) -> int:
     """Completed rounds recorded in a trace file (0 when absent).
 
@@ -115,20 +132,18 @@ def scan_trace_progress(path: str) -> int:
     committed — tolerating the torn tail and the duplicate round-0
     telemetry a killed-and-resumed worker leaves behind (resume
     truncates before re-emitting, so surviving lines never double
-    count a round; the max index is what matters).
+    count a round; the max index is what matters). A watcher must keep
+    rendering, so a line malformed mid-stream ends the count there
+    instead of raising.
     """
     rounds = 0
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail mid-write
-                if payload.get("event") == "timeline":
-                    rounds = max(rounds, int(payload.get("round_index", 0)))
-    except OSError:
-        return 0
+        for _, round_index in wire.read_jsonl(
+            path, SerializationError, parse=_timeline_round
+        ):
+            rounds = max(rounds, round_index)
+    except (OSError, SerializationError):
+        pass
     return rounds
 
 

@@ -18,14 +18,14 @@ Each document carries ``{"schema": "...", "version": 1, "payload":
 
 from __future__ import annotations
 
-import json
 import os
-from typing import Dict, Optional, Union
+from dataclasses import dataclass
+from typing import Tuple, Union
 
 from repro import wire
 from repro.errors import SerializationError
 from repro.experiments.fig2 import Fig2Result
-from repro.experiments.fig3 import Fig3Entry, Fig3Result
+from repro.experiments.fig3 import Fig3Result
 from repro.experiments.table1 import Table1Result
 from repro.fl.history import TrainingHistory
 
@@ -44,23 +44,75 @@ _VERSION = 1
 PathLike = Union[str, os.PathLike]
 
 
-def _write(path: PathLike, schema: str, payload: dict) -> None:
-    document = {"schema": schema, "version": _VERSION, "payload": payload}
-    with open(os.fspath(path), "w", encoding="utf-8") as handle:
-        json.dump(document, handle)
+@wire.record
+@dataclass(frozen=True)
+class _Fig2Payload:
+    """Fig. 2 on the wire. ``histories`` (strategy -> history) has no
+    ``wire.SHAPES`` row; :func:`load_fig2` checks each value."""
+
+    iid: bool
+    histories: dict
 
 
-def _read(path: PathLike, schema: str) -> dict:
+@wire.record
+@dataclass(frozen=True)
+class _Table1Payload:
+    """Table I on the wire. ``delays`` (strategy -> target -> seconds
+    or null) has no ``wire.SHAPES`` row; :func:`load_table1` checks it."""
+
+    iid: bool
+    targets: Tuple[float, ...]
+    delays: dict
+
+
+@wire.record
+@dataclass(frozen=True)
+class _Artifact(wire.Document):
+    """The envelope of every artifact file; a subclass names the
+    ``schema`` marker and the record its ``payload`` ``holds``."""
+
+    noun = "artifact"
+
+    version: int
+    payload: dict
+
+
+class _HistoryFile(_Artifact):
+    schema, holds = "repro.history", TrainingHistory
+
+
+class _Fig2File(_Artifact):
+    schema, holds = "repro.fig2", _Fig2Payload
+
+
+class _Table1File(_Artifact):
+    schema, holds = "repro.table1", _Table1Payload
+
+
+class _Fig3File(_Artifact):
+    schema, holds = "repro.fig3", Fig3Result
+
+
+def _write(artifact: type, path: PathLike, payload) -> None:
+    document = artifact(_VERSION, wire.dump(payload))
+    wire.write_atomic(path, document.to_json())  # no trailing newline
+
+
+def _read(artifact: type, path: PathLike):
+    """The record in the payload of the ``artifact`` file at ``path``;
+    every failure is a :class:`SerializationError` naming the file."""
     try:
-        document = wire.read_json(path, SerializationError, schema)
+        document = artifact.load(path)
     except FileNotFoundError as exc:
         raise SerializationError(
             f"cannot read artifact {path!r}: {exc}"
         ) from exc
-    payload = document.get("payload")
-    if not isinstance(payload, dict):
-        raise SerializationError(f"{path!r} carries no artifact payload")
-    return payload
+    if document.version != _VERSION:
+        raise SerializationError(
+            f"artifact {path} has version {document.version}; this build "
+            f"reads version {_VERSION} only"
+        )
+    return wire.load(artifact.holds, document.payload, f"artifact {path}.payload")
 
 
 # ----------------------------------------------------------------------
@@ -68,12 +120,12 @@ def _read(path: PathLike, schema: str) -> dict:
 # ----------------------------------------------------------------------
 def save_history(history: TrainingHistory, path: PathLike) -> None:
     """Write one training history to ``path``."""
-    _write(path, "repro.history", history.to_dict())
+    _write(_HistoryFile, path, history)
 
 
 def load_history(path: PathLike) -> TrainingHistory:
     """Load a history saved by :func:`save_history`."""
-    return TrainingHistory.from_dict(_read(path, "repro.history"), str(path))
+    return _read(_HistoryFile, path)
 
 
 # ----------------------------------------------------------------------
@@ -81,26 +133,21 @@ def load_history(path: PathLike) -> TrainingHistory:
 # ----------------------------------------------------------------------
 def save_fig2(result: Fig2Result, path: PathLike) -> None:
     """Write a Fig. 2 panel (all strategy histories) to ``path``."""
-    payload = {
-        "iid": result.iid,
-        "histories": {
-            name: history.to_dict()
-            for name, history in result.histories.items()
-        },
+    histories = {
+        name: history.to_dict() for name, history in result.histories.items()
     }
-    _write(path, "repro.fig2", payload)
+    _write(_Fig2File, path, _Fig2Payload(result.iid, histories))
 
 
 def load_fig2(path: PathLike) -> Fig2Result:
     """Load a Fig. 2 panel saved by :func:`save_fig2`."""
-    payload = _read(path, "repro.fig2")
-    return Fig2Result(
-        iid=bool(payload["iid"]),
-        histories={
-            name: TrainingHistory.from_dict(raw)
-            for name, raw in payload["histories"].items()
-        },
-    )
+    payload = _read(_Fig2File, path)
+    where = f"artifact {path}.payload.histories"
+    histories = {
+        name: TrainingHistory.from_dict(raw, f"{where}[{name!r}]")
+        for name, raw in payload.histories.items()
+    }
+    return Fig2Result(payload.iid, histories)
 
 
 # ----------------------------------------------------------------------
@@ -108,28 +155,31 @@ def load_fig2(path: PathLike) -> Fig2Result:
 # ----------------------------------------------------------------------
 def save_table1(result: Table1Result, path: PathLike) -> None:
     """Write a Table I half to ``path``."""
-    payload = {
-        "iid": result.iid,
-        "targets": list(result.targets),
-        "delays": {
-            name: {str(t): v for t, v in per_target.items()}
-            for name, per_target in result.delays.items()
-        },
+    delays = {
+        name: {str(t): v for t, v in per_target.items()}
+        for name, per_target in result.delays.items()
     }
-    _write(path, "repro.table1", payload)
+    payload = _Table1Payload(result.iid, result.targets, delays)
+    _write(_Table1File, path, payload)
 
 
 def load_table1(path: PathLike) -> Table1Result:
     """Load a Table I half saved by :func:`save_table1`."""
-    payload = _read(path, "repro.table1")
-    targets = tuple(float(t) for t in payload["targets"])
-    delays: Dict[str, Dict[float, Optional[float]]] = {}
-    for name, per_target in payload["delays"].items():
-        delays[name] = {
-            float(t): (None if v is None else float(v))
-            for t, v in per_target.items()
+    payload = _read(_Table1File, path)
+    try:
+        delays = {
+            name: {
+                float(t): (None if v is None else float(v))
+                for t, v in per_target.items()
+            }
+            for name, per_target in payload.delays.items()
         }
-    return Table1Result(iid=bool(payload["iid"]), targets=targets, delays=delays)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"artifact {path}.payload.delays is not a strategy -> target "
+            f"-> seconds map: {exc}"
+        ) from exc
+    return Table1Result(payload.iid, payload.targets, delays)
 
 
 # ----------------------------------------------------------------------
@@ -137,40 +187,9 @@ def load_table1(path: PathLike) -> Table1Result:
 # ----------------------------------------------------------------------
 def save_fig3(result: Fig3Result, path: PathLike) -> None:
     """Write a Fig. 3 panel to ``path``."""
-    payload = {
-        "iid": result.iid,
-        "entries": [
-            {
-                "target": entry.target,
-                "energy_with_dvfs": entry.energy_with_dvfs,
-                "energy_without_dvfs": entry.energy_without_dvfs,
-                "reduction_fraction": entry.reduction_fraction,
-            }
-            for entry in result.entries
-        ],
-        "dvfs_history": result.dvfs_history.to_dict(),
-        "max_frequency_history": result.max_frequency_history.to_dict(),
-    }
-    _write(path, "repro.fig3", payload)
+    _write(_Fig3File, path, result)
 
 
 def load_fig3(path: PathLike) -> Fig3Result:
     """Load a Fig. 3 panel saved by :func:`save_fig3`."""
-    payload = _read(path, "repro.fig3")
-    entries = [
-        Fig3Entry(
-            target=float(raw["target"]),
-            energy_with_dvfs=raw["energy_with_dvfs"],
-            energy_without_dvfs=raw["energy_without_dvfs"],
-            reduction_fraction=raw["reduction_fraction"],
-        )
-        for raw in payload["entries"]
-    ]
-    return Fig3Result(
-        iid=bool(payload["iid"]),
-        entries=entries,
-        dvfs_history=TrainingHistory.from_dict(payload["dvfs_history"]),
-        max_frequency_history=TrainingHistory.from_dict(
-            payload["max_frequency_history"]
-        ),
-    )
+    return _read(_Fig3File, path)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro import wire
 from repro.errors import ConfigurationError
 from repro.experiments.runner import build_environment, run_strategy
 from repro.experiments.settings import ExperimentSettings
@@ -22,6 +23,7 @@ from repro.fl.history import TrainingHistory
 __all__ = ["Fig3Entry", "Fig3Result", "run_fig3"]
 
 
+@wire.record
 @dataclass(frozen=True)
 class Fig3Entry:
     """One bar pair of Fig. 3.
@@ -73,6 +75,9 @@ class Fig3Result:
         if base <= 0:
             return 0.0
         return (base - self.dvfs_history.total_energy) / base
+
+
+wire.record(Fig3Result, mutable=True)
 
 
 def run_fig3(

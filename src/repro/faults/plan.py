@@ -20,7 +20,6 @@ without a plan at all.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Dict, Optional, Tuple
@@ -216,7 +215,7 @@ Filled by subclassing :class:`FaultSpec`, in declaration order.
 
 @wire.record
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(wire.Document):
     """A seeded, ordered collection of fault specs.
 
     Attributes:
@@ -227,6 +226,10 @@ class FaultPlan:
             multiply, and terminal faults (dropout, outage) take
             precedence over degradations.
     """
+
+    noun = "fault plan"
+    error = ConfigurationError
+    format = dict(indent=2)
 
     seed: int = 0
     faults: Tuple[FaultSpec, ...] = ()
@@ -250,44 +253,3 @@ class FaultPlan:
     def is_empty(self) -> bool:
         """True when the plan injects nothing (a guaranteed no-op)."""
         return not self.faults
-
-    # -- serialization --------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-friendly form: ``{"seed": ..., "faults": [...]}``."""
-        return wire.dump(self)
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """JSON text form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, payload: dict, where: str = "fault plan") -> FaultPlan:
-        """Rebuild a plan from :meth:`to_dict` output.
-
-        Args:
-            payload: the decoded plan.
-            where: what is being loaded (e.g. the file), for messages.
-
-        Raises:
-            ConfigurationError: for an unknown key or fault ``type``, a
-                value of the wrong shape, or one outside its domain;
-                the message carries the JSON path
-                (``fault plan.faults[2].probability``).
-        """
-        return wire.load(cls, payload, where, ConfigurationError)
-
-    @classmethod
-    def from_json(cls, text: str) -> FaultPlan:
-        """Rebuild a plan from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def load(cls, path: str) -> FaultPlan:
-        """Read a plan from a JSON file."""
-        return cls.from_dict(
-            wire.read_json(path, ConfigurationError), f"fault plan {path}"
-        )
-
-    def save(self, path: str) -> None:
-        """Write the plan to a JSON file (atomically)."""
-        wire.write_atomic(path, self.to_json() + "\n")

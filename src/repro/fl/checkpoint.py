@@ -103,22 +103,29 @@ class TrainerCheckpoint:
         """The JSON-ready ``state`` payload (arrays encoded)."""
         return wire.dump(self)
 
-    @classmethod
-    def from_state(
-        cls, state: dict, where: str = "checkpoint state"
-    ) -> TrainerCheckpoint:
-        """Rebuild a checkpoint from :meth:`to_state` output.
 
-        Raises:
-            SerializationError: when ``state`` is not that shape
-                (the message starts with ``where``).
-        """
-        return wire.load(cls, state, where, SerializationError)
+@wire.record
+@dataclass(frozen=True)
+class _CheckpointFile(wire.Document):
+    """The file around a state: marker, version, checksum (module
+    docstring); the checksum is over :func:`_canonical` ``state``."""
+
+    noun = "checkpoint"
+    schema = CHECKPOINT_SCHEMA
+    format = dict(sort_keys=True)
+
+    version: int
+    sha256: str
+    state: dict
 
 
 def _canonical(state: dict) -> str:
     """The canonical JSON text the checksum is computed over."""
     return json.dumps(state, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(state: dict) -> str:
+    return hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest()
 
 
 def save_checkpoint(path: str, checkpoint: TrainerCheckpoint) -> None:
@@ -128,13 +135,7 @@ def save_checkpoint(path: str, checkpoint: TrainerCheckpoint) -> None:
     intact (:func:`repro.wire.write_atomic`).
     """
     state = checkpoint.to_state()
-    document = {
-        "schema": CHECKPOINT_SCHEMA,
-        "version": CHECKPOINT_VERSION,
-        "sha256": hashlib.sha256(_canonical(state).encode("utf-8")).hexdigest(),
-        "state": state,
-    }
-    wire.write_atomic(path, json.dumps(document, sort_keys=True) + "\n")
+    _CheckpointFile(CHECKPOINT_VERSION, _digest(state), state).save(path)
 
 
 def load_checkpoint(path: str) -> TrainerCheckpoint:
@@ -146,22 +147,16 @@ def load_checkpoint(path: str) -> TrainerCheckpoint:
             bit-rotted), or decodes into a malformed state.
         FileNotFoundError: no checkpoint exists at ``path``.
     """
-    document = wire.read_json(path, SerializationError, CHECKPOINT_SCHEMA)
-    version = document.get("version")
-    if version != CHECKPOINT_VERSION:
+    document = _CheckpointFile.load(path)
+    if document.version != CHECKPOINT_VERSION:
         raise SerializationError(
-            f"checkpoint {path} has version {version!r}; this build "
-            f"reads version {CHECKPOINT_VERSION} only"
+            f"checkpoint {path} has version {document.version!r}; this "
+            f"build reads version {CHECKPOINT_VERSION} only"
         )
-    state = document.get("state")
-    if not isinstance(state, dict):
-        raise SerializationError(f"checkpoint {path} carries no state")
-    digest = hashlib.sha256(
-        _canonical(state).encode("utf-8")
-    ).hexdigest()
-    if digest != document.get("sha256"):
+    if _digest(document.state) != document.sha256:
         raise SerializationError(
             f"checkpoint {path} failed its checksum (torn write or "
             "corruption)"
         )
-    return TrainerCheckpoint.from_state(state, f"checkpoint {path} state")
+    where = f"checkpoint {path} state"
+    return wire.load(TrainerCheckpoint, document.state, where)

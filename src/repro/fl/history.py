@@ -14,12 +14,11 @@ the paper's evaluation asks:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import wire
-from repro.errors import SerializationError, TrainingError
+from repro.errors import TrainingError
 
 __all__ = ["RoundRecord", "TrainingHistory"]
 
@@ -70,7 +69,7 @@ class RoundRecord:
 
 
 @dataclass
-class TrainingHistory:
+class TrainingHistory(wire.Document):
     """The ordered round records of one training run.
 
     Attributes:
@@ -83,6 +82,8 @@ class TrainingHistory:
             baseline) or loaded from pre-stop-reason artifacts.
         records: per-round measurements, in round order.
     """
+
+    noun = "history"
 
     label: str = ""
     stop_reason: Optional[str] = None
@@ -205,35 +206,6 @@ class TrainingHistory:
         if num_users <= 0:
             raise TrainingError(f"num_users must be positive, got {num_users}")
         return len(self.participation_counts()) / num_users
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """Plain-dict form suitable for ``json.dump``."""
-        return wire.dump(self)
-
-    def to_json(self) -> str:
-        """JSON text form of :meth:`to_dict`."""
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, payload: dict, where: str = "history") -> TrainingHistory:
-        """Rebuild a history from :meth:`to_dict` output.
-
-        Args:
-            payload: the decoded history.
-            where: what is being loaded (e.g. the file), for messages.
-
-        Raises:
-            SerializationError: when ``payload`` is not a history.
-        """
-        return wire.load(cls, payload, where, SerializationError)
-
-    @classmethod
-    def from_json(cls, text: str) -> TrainingHistory:
-        """Rebuild a history from :meth:`to_json` output."""
-        return cls.from_dict(json.loads(text))
 
 
 wire.record(TrainingHistory, mutable=True)

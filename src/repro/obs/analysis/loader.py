@@ -15,14 +15,12 @@ fatal) while a malformed line anywhere else is a hard error.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from repro import wire
 from repro.errors import SerializationError
 from repro.obs.events import Event
-from repro.obs.sinks import open_trace_file
 
 __all__ = ["LoadedTrace", "event_from_payload", "load_trace", "load_trace_lines"]
 
@@ -79,32 +77,16 @@ def load_trace_lines(
     offending text is preserved in :attr:`LoadedTrace.truncated_tail`.
 
     Raises:
-        SerializationError: for a malformed line that is not the last.
+        SerializationError: ``<source>:<line> ...`` for a malformed
+            line that is not the last.
     """
-    stripped = [
-        (number, text)
-        for number, raw in enumerate(lines, start=1)
-        if (text := raw.strip())
-    ]
-    events: List[Event] = []
-    truncated_tail: Optional[str] = None
-    for position, (line_number, text) in enumerate(stripped):
-        try:
-            events.append(event_from_payload(json.loads(text)))
-        except (json.JSONDecodeError, SerializationError) as exc:
-            if position == len(stripped) - 1:
-                truncated_tail = text
-                break
-            raise SerializationError(
-                f"{source}: trace line {line_number} is malformed "
-                f"mid-stream (not a crash tail): {exc}"
-            ) from exc
-    return LoadedTrace(
-        events=tuple(events), source=source, truncated_tail=truncated_tail
+    reader = wire.read_jsonl(
+        lines, SerializationError, source, event_from_payload
     )
+    events = tuple(event for _, event in reader)
+    return LoadedTrace(events, source, reader.torn)
 
 
 def load_trace(path: str) -> LoadedTrace:
     """Load a ``.jsonl`` / ``.jsonl.gz`` trace file from ``path``."""
-    with open_trace_file(path) as handle:
-        return load_trace_lines(handle, source=str(path))
+    return load_trace_lines(path, source=str(path))

@@ -25,7 +25,6 @@ The paper-grounded derivations:
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -190,31 +189,17 @@ class DeviceStats:
         return self.fmax_compute_joules - self.compute_joules
 
 
-_DERIVED = (
-    "num_rounds",
-    "total_compute_energy",
-    "total_upload_energy",
-    "total_slack",
-    "fmax_compute_energy",
-    "dvfs_savings",
-    "dvfs_saving_fraction",
-    "slack_utilization",
-    "jain_selection",
-    "jain_energy",
-    "clients_dropped",
-    "clients_timeout",
-    "evaluations",
-    "final_accuracy",
-    "best_accuracy",
-    "final_test_loss",
-)
-"""The :class:`RunStats` properties a snapshot carries beside its fields."""
-
-
 @wire.record
 @dataclass(frozen=True)
-class RunStats:
+class RunStats(wire.Document):
     """The derived analytics of one training run's trace segment.
+
+    Its snapshot is marked with :data:`ANALYSIS_SCHEMA` so the
+    comparator (and CI snapshot artifacts) can tell a stats document
+    from a raw trace, and carries the :class:`repro.wire.derived`
+    aggregates beside the fields; on load they recompute from the
+    round/device tables. ``spans`` may be absent (pre-span snapshots
+    such as committed bench baselines).
 
     Attributes:
         label: the run's history label (from ``run_stop``; empty for a
@@ -235,6 +220,10 @@ class RunStats:
             spans disabled, or by pre-span trainers).
     """
 
+    noun = "stats snapshot"
+    schema = ANALYSIS_SCHEMA
+    format = dict(sort_keys=True, indent=2)
+
     label: str
     stop_reason: Optional[str]
     truncated: bool
@@ -250,27 +239,27 @@ class RunStats:
     spans: SpanSummary = field(default_factory=SpanSummary)
 
     # -- run-level aggregates -------------------------------------------
-    @property
+    @wire.derived
     def num_rounds(self) -> int:
         """Rounds the segment recorded (selection events)."""
         return len(self.rounds)
 
-    @property
+    @wire.derived
     def total_compute_energy(self) -> float:
         """Summed compute energy across rounds, joules."""
         return sum(r.compute_energy or 0.0 for r in self.rounds)
 
-    @property
+    @wire.derived
     def total_upload_energy(self) -> float:
         """Summed upload energy across rounds, joules."""
         return sum(r.upload_energy or 0.0 for r in self.rounds)
 
-    @property
+    @wire.derived
     def total_slack(self) -> float:
         """Summed idle wait across rounds, seconds."""
         return sum(r.slack or 0.0 for r in self.rounds)
 
-    @property
+    @wire.derived
     def fmax_compute_energy(self) -> Optional[float]:
         """Run-total Eq. (5) all-``f_max`` counterfactual energy."""
         values = [
@@ -280,7 +269,7 @@ class RunStats:
         ]
         return sum(values) if values else None
 
-    @property
+    @wire.derived
     def dvfs_savings(self) -> Optional[float]:
         """Run-total joules saved vs. the all-``f_max`` schedule."""
         counterfactual = self.fmax_compute_energy
@@ -288,7 +277,7 @@ class RunStats:
             return None
         return counterfactual - self.total_compute_energy
 
-    @property
+    @wire.derived
     def dvfs_saving_fraction(self) -> Optional[float]:
         """Savings as a fraction of counterfactual compute energy."""
         counterfactual = self.fmax_compute_energy
@@ -296,7 +285,7 @@ class RunStats:
             return None
         return 1.0 - self.total_compute_energy / counterfactual
 
-    @property
+    @wire.derived
     def slack_utilization(self) -> Optional[float]:
         """Run-level fraction of available slack DVFS consumed."""
         fmax = [r.fmax_slack for r in self.rounds if r.fmax_slack is not None]
@@ -313,32 +302,32 @@ class RunStats:
         """Rounds each device was selected in (Eq. 20's ``alpha_q``)."""
         return {d.device_id: d.selected for d in self.devices}
 
-    @property
+    @wire.derived
     def jain_selection(self) -> float:
         """Jain fairness of selection counts over devices seen."""
         return jain_index([d.selected for d in self.devices])
 
-    @property
+    @wire.derived
     def jain_energy(self) -> float:
         """Jain fairness of per-device total energy."""
         return jain_index([d.total_joules for d in self.devices])
 
-    @property
+    @wire.derived
     def clients_dropped(self) -> int:
         """Total dropped client-rounds."""
         return sum(len(r.dropped_ids) for r in self.rounds)
 
-    @property
+    @wire.derived
     def clients_timeout(self) -> int:
         """Total deadline-cut client-rounds."""
         return sum(len(r.timeout_ids) for r in self.rounds)
 
-    @property
+    @wire.derived
     def evaluations(self) -> int:
         """Global-model evaluations recorded."""
         return sum(1 for r in self.rounds if r.test_accuracy is not None)
 
-    @property
+    @wire.derived
     def final_accuracy(self) -> Optional[float]:
         """Last evaluated test accuracy (None if never evaluated)."""
         for record in reversed(self.rounds):
@@ -346,7 +335,7 @@ class RunStats:
                 return record.test_accuracy
         return None
 
-    @property
+    @wire.derived
     def best_accuracy(self) -> Optional[float]:
         """Highest evaluated test accuracy (None if never evaluated)."""
         values = [
@@ -354,52 +343,13 @@ class RunStats:
         ]
         return max(values) if values else None
 
-    @property
+    @wire.derived
     def final_test_loss(self) -> Optional[float]:
         """Last evaluated test loss (None if never evaluated)."""
         for record in reversed(self.rounds):
             if record.test_loss is not None:
                 return record.test_loss
         return None
-
-    # -- serialization ---------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-friendly snapshot, including the derived aggregates.
-
-        The shape is marked with :data:`ANALYSIS_SCHEMA` so the
-        comparator (and CI snapshot artifacts) can tell a stats
-        document from a raw trace.
-        """
-        payload = {"schema": ANALYSIS_SCHEMA, **wire.dump(self)}
-        for name in _DERIVED:
-            payload[name] = getattr(self, name)
-        return payload
-
-    def to_json(self) -> str:
-        """Deterministic JSON text of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_dict(cls, payload: dict, where: str = "stats snapshot") -> RunStats:
-        """Rebuild a :class:`RunStats` from :meth:`to_dict` output.
-
-        Derived aggregates in the payload are ignored — they recompute
-        from the round/device tables, so a hand-edited snapshot cannot
-        contradict itself. ``spans`` may be absent (pre-span snapshots
-        such as committed bench baselines) and defaults to the empty
-        digest.
-
-        Args:
-            payload: the decoded snapshot.
-            where: what is being loaded (e.g. the file), for messages.
-
-        Raises:
-            SerializationError: when ``payload`` is not a snapshot.
-        """
-        wire.check_schema(payload, ANALYSIS_SCHEMA, where, SerializationError)
-        return wire.load(
-            cls, payload, where, SerializationError, also=("schema",) + _DERIVED
-        )
 
 
 def split_runs(events: Sequence[Event]) -> List[Tuple[Event, ...]]:

@@ -26,12 +26,10 @@ identical runs always report the identical path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import wire
-from repro.errors import SerializationError
 from repro.obs.events import Event
 
 __all__ = [
@@ -86,7 +84,7 @@ class SpanNode:
 
 @wire.record
 @dataclass(frozen=True)
-class SpanSummary:
+class SpanSummary(wire.Document):
     """The deterministic (structure-only) span digest of one run.
 
     Every field is a pure function of event kinds, ids, and positions
@@ -105,6 +103,9 @@ class SpanSummary:
             in the trace.
     """
 
+    noun = "span summary"
+    format = dict(sort_keys=True)
+
     spans_total: int = 0
     spans_unclosed: int = 0
     max_depth: int = 0
@@ -116,32 +117,13 @@ class SpanSummary:
         """Number of spans on the critical path."""
         return len(self.critical_path)
 
-    def to_dict(self) -> dict:
-        """JSON-friendly form (``by_name`` in sorted key order)."""
-        return wire.dump(self)
-
-    def to_json(self) -> str:
-        """Deterministic JSON text of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
-    def from_dict(cls, payload: Optional[dict]) -> SpanSummary:
-        """Rebuild from :meth:`to_dict` output (``None`` = empty).
-
-        Raises:
-            SerializationError: when ``payload`` is not that shape.
-        """
+    def from_dict(cls, payload, where: Optional[str] = None) -> SpanSummary:
+        """As :meth:`repro.wire.Document.from_dict`, and a ``None``
+        payload (a run recorded without spans) is the empty summary."""
         if payload is None:
             return cls()
-        return wire.load(cls, payload, "span summary", SerializationError)
-
-    def __eq__(self, other) -> bool:  # dict field ⇒ default eq suffices
-        if not isinstance(other, SpanSummary):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __hash__(self) -> int:
-        return hash(self.to_json())
+        return super().from_dict(payload, where)
 
 
 def build_span_nodes(events: Sequence[Event]) -> List[SpanNode]:

@@ -15,12 +15,11 @@ in :mod:`repro.wire`.
 
 from __future__ import annotations
 
-import json
-from typing import Callable, Dict, Iterable, Iterator, Mapping
+from typing import Callable, Dict, Iterator, Mapping
 
 from repro import wire
 from repro.errors import SerializationError
-from repro.obs.events import EVENT_TYPES
+from repro.obs.events import EVENT_TYPES, Event
 
 __all__ = ["EVENT_SCHEMAS", "validate_event", "validate_trace_lines", "validate_trace"]
 
@@ -59,45 +58,26 @@ def validate_event(payload: dict) -> str:
             unknown event, misses a required field, carries an
             unexpected field, or a field has the wrong shape.
     """
-    if not isinstance(payload, dict):
-        raise SerializationError(
-            f"trace event must be a JSON object, got {type(payload).__name__}"
-        )
-    kind = payload.get("event")
-    if not isinstance(kind, str) or kind not in EVENT_TYPES:
-        raise SerializationError(f"unknown trace event kind {kind!r}")
-    wire.check(EVENT_TYPES[kind], payload, also=("event",))
-    return kind
+    wire.check(Event, payload)
+    return payload["event"]
 
 
-def validate_trace_lines(lines: Iterable[str]) -> int:
-    """Validate an iterable of JSONL lines; return the event count.
+def validate_trace(source) -> int:
+    """Validate a JSONL trace — a path (``.gz``-aware) or an iterable
+    of lines — and return the event count.
 
     Blank lines are permitted (and not counted); anything else must
-    parse as JSON and pass :func:`validate_event`.
+    parse as JSON and pass :func:`validate_event` — a torn final line
+    included.
+
+    Raises:
+        SerializationError: ``<path>:<line> ...`` for the first bad line.
     """
-    count = 0
-    for line_number, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(
-                f"trace line {line_number} is not valid JSON: {exc}"
-            ) from exc
-        try:
-            validate_event(payload)
-        except SerializationError as exc:
-            raise SerializationError(f"trace line {line_number}: {exc}") from exc
-        count += 1
+    reader = wire.read_jsonl(source, SerializationError, parse=validate_event)
+    count = sum(1 for _ in reader)
+    if reader.torn is not None:
+        raise reader.torn_error
     return count
 
 
-def validate_trace(path: str) -> int:
-    """Validate a JSONL trace file (``.gz``-aware); return the event count."""
-    from repro.obs.sinks import open_trace_file
-
-    with open_trace_file(path) as handle:
-        return validate_trace_lines(handle)
+validate_trace_lines = validate_trace  # one reader takes a path or lines

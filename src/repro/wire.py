@@ -4,28 +4,33 @@ Trace events (:mod:`repro.obs.events`), history records
 (:mod:`repro.fl.history`), analysis snapshots
 (:mod:`repro.obs.analysis.round_stats`), fault plans
 (:mod:`repro.faults.plan`), campaign and run specs, run statuses
-(:mod:`repro.campaign`) and trainer checkpoints
-(:mod:`repro.fl.checkpoint`) all leave the process as JSON objects with
-one key per dataclass field. :data:`SHAPES` is the one place that says
-what each declared field type looks like on the wire — its JSON-plain
-dump, its strict shape check, its typed load — and :func:`record`
-resolves a dataclass against it once, at class definition, so
-:func:`dump`, :func:`check` and :func:`load` are derived from
-``dataclasses.fields`` instead of being written out per class. A field
-may also be another record, a tuple or list of records, or a member of
-a :class:`Tagged` family (events, fault specs), which is how leaf
-records compose into documents.
+(:mod:`repro.campaign`), trainer checkpoints
+(:mod:`repro.fl.checkpoint`) and figure artifacts
+(:mod:`repro.experiments.export`) all leave the process as JSON objects
+with one key per dataclass field. :data:`SHAPES` is the one place that
+says what each declared field type looks like on the wire — its
+JSON-plain dump, its strict shape check, its typed load — and
+:func:`record` resolves a dataclass against it once, at class
+definition, so :func:`dump`, :func:`check` and :func:`load` are derived
+from ``dataclasses.fields`` instead of being written out per class. A
+field may also be another record, a tuple or list of records, or a
+member of a :class:`Tagged` family (events, fault specs), which is how
+leaf records compose into documents; a record that is a whole file is a
+:class:`Document`, whose ``to_dict``/``from_dict``/``to_json``/
+``from_json``/``load``/``save`` are written once, here.
 
 Adding a field to a record or document is therefore one edit (the
 dataclass); adding a *shape* is one row here, and a field whose type
 has no row fails when its class is defined, not when a file is read
-back. :func:`read_json` and :func:`write_atomic` are the only way a
-document reaches or leaves the disk.
+back. JSON text is parsed in one function of this module: a line enters
+through :func:`read_jsonl`, a document through :func:`read_json`, and
+a file leaves through :func:`write_atomic`.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import dataclasses
 import json
 import os
@@ -35,6 +40,7 @@ from typing import (
     ClassVar,
     Dict,
     Iterable,
+    Iterator,
     NamedTuple,
     Optional,
     Tuple,
@@ -54,14 +60,16 @@ __all__ = [
     "SHAPES",
     "WireField",
     "Tagged",
+    "Document",
+    "derived",
     "one_of",
     "record",
     "dump",
     "check",
     "load",
     "reject_unknown",
-    "check_schema",
     "read_json",
+    "read_jsonl",
     "write_atomic",
     "encode_array",
     "decode_array",
@@ -129,6 +137,10 @@ def _load_ids(value) -> Tuple[int, ...]:
     return tuple(int(v) for v in value)
 
 
+def _load_floats(value) -> Tuple[float, ...]:
+    return tuple(float(v) for v in value)
+
+
 def _load_float_map(value) -> Dict[int, float]:
     return {int(k): float(v) for k, v in value.items()}
 
@@ -186,6 +198,7 @@ SHAPES: Dict[object, Shape] = {
         _is_array, decode_array, encode_array, np.array([1.5, -2.0])
     ),
     Tuple[int, ...]: Shape(_list_of(_is_int), _load_ids, list, (2, 1)),
+    Tuple[float, ...]: Shape(_list_of(_is_num), _load_floats, list, (0.5,)),
     Tuple[str, ...]: Shape(_list_of(_is_str), tuple, list, ("b", "a")),
     Tuple[dict, ...]: Shape(_list_of(_is_dict), tuple, list, ({"k": 1},)),
     Tuple[Optional[dict], ...]: Shape(
@@ -314,8 +327,10 @@ def _is_wire_class(declared) -> bool:
     )
 
 
-def _nested(target: type, sequence: Optional[type]) -> Tuple[Shape, Callable]:
-    """Shape and ``locate`` of a field holding ``target`` record(s).
+def _nested(
+    target: type, sequence: Optional[type], name: str
+) -> Tuple[Shape, Callable]:
+    """Shape and ``locate`` of field ``name`` holding ``target`` record(s).
 
     ``sequence`` is ``tuple`` or ``list`` for a homogeneous sequence of
     them, ``None`` for a single one.
@@ -330,7 +345,7 @@ def _nested(target: type, sequence: Optional[type]) -> Tuple[Shape, Callable]:
         return (
             Shape(
                 lambda value: _violation(target, value) is None,
-                lambda value: _build(target, value),
+                lambda value: _build(target, value, f".{name}"),
                 plain,
                 sample,
             ),
@@ -347,7 +362,10 @@ def _nested(target: type, sequence: Optional[type]) -> Tuple[Shape, Callable]:
     return (
         Shape(
             lambda values: _is_list(values) and locate(values) is None,
-            lambda values: sequence(_build(target, v) for v in values),
+            lambda values: sequence(
+                _build(target, value, f".{name}[{index}]")
+                for index, value in enumerate(values)
+            ),
             lambda values: [plain(v) for v in values],
             sequence((sample,)),
         ),
@@ -364,12 +382,12 @@ def _resolve(owner: type, spec: dataclasses.Field, declared) -> WireField:
     if shape is None:
         origin, args = get_origin(inner), get_args(inner)
         if _is_wire_class(inner):
-            shape, locate = _nested(inner, None)
+            shape, locate = _nested(inner, None, spec.name)
         elif (
             (origin is tuple and len(args) == 2 and args[1] is Ellipsis)
             or (origin is list and len(args) == 1)
         ) and _is_wire_class(args[0]):
-            shape, locate = _nested(args[0], origin)
+            shape, locate = _nested(args[0], origin, spec.name)
     if shape is None:
         raise TypeError(
             f"{owner.__name__}.{spec.name}: field type {declared!r} has no "
@@ -401,8 +419,8 @@ def record(cls: type, mutable: bool = False) -> type:
     Stores the result as ``cls.__wire__`` (a tuple of
     :class:`WireField` in field order) and returns ``cls``, so it works
     as a class decorator above ``@dataclass(frozen=True)``. A record is
-    frozen; ``mutable=True`` admits the one document a run appends to
-    while it is live (:class:`repro.fl.history.TrainingHistory`).
+    frozen; ``mutable=True`` admits the results a run fills in while it
+    is live (:class:`repro.fl.history.TrainingHistory`).
 
     Raises:
         TypeError: when ``cls`` is not a frozen dataclass, or a field
@@ -433,34 +451,17 @@ def dump(obj) -> dict:
     return payload
 
 
-def check(cls: type, payload: dict, also: Tuple[str, ...] = ()) -> None:
-    """Strict shape check of a JSON-decoded object against ``cls``.
-
-    Every field must be present with its declared shape, and no key
-    outside the fields (and ``also``) may appear — the form the trace
-    validator needs; documents load through :func:`load`, which lets
-    defaulted fields be absent.
+def check(cls: type, payload, also: Tuple[str, ...] = ()) -> None:
+    """The strict form of :func:`load`'s check, for the trace validator:
+    a field must be present even where the dataclass gives a default.
 
     Raises:
-        SerializationError: on the first violation, naming ``cls``.
+        SerializationError: on the first violation, naming the class.
     """
-    fields = cls.__wire__
-    for name, is_valid, _, _, _, _, _ in fields:
-        if name not in payload:
-            raise SerializationError(
-                f"{cls.__name__} is missing field {name!r}"
-            )
-        if not is_valid(payload[name]):
-            raise SerializationError(
-                f"{cls.__name__} field {name!r} has invalid value "
-                f"{payload[name]!r}"
-            )
-    # Every field is present, so any surplus key is an unexpected one.
-    if len(payload) > len(fields) + sum(key in payload for key in also):
-        extra = set(payload).difference(also, (field.name for field in fields))
-        raise SerializationError(
-            f"{cls.__name__} carries unexpected fields {sorted(extra)}"
-        )
+    found = _violation(cls, payload, also, strict=True)
+    if found is not None:
+        named = (_is_dict(payload) and _member(cls, payload)) or cls
+        raise SerializationError(f"{named.__name__}{found[0]} {found[1]}")
 
 
 def _brief(value) -> str:
@@ -477,7 +478,7 @@ def _unknown(keys: Iterable[str], known: Iterable[str], noun: str) -> str:
 
 
 def _violation(
-    cls: type, payload, also: Tuple[str, ...] = ()
+    cls: type, payload, also: Tuple[str, ...] = (), strict: bool = False
 ) -> Optional[Tuple[str, str]]:
     """Why ``payload`` cannot load as ``cls``, or ``None`` when it can.
 
@@ -506,7 +507,7 @@ def _violation(
                     f"has invalid value {_brief(value)}",
                 )
                 return f".{name}{path}", reason
-        elif not has_default:
+        elif strict or not has_default:
             return "", f"is missing field {name!r}"
     if len(payload) > present + sum(key in payload for key in also):
         names = [field.name for field in fields]
@@ -514,16 +515,25 @@ def _violation(
     return None
 
 
-def _build(cls: type, payload: dict):
-    """Construct ``cls`` from a payload :func:`_violation` accepted."""
+class _Refused(ReproError):
+    """``(path, cause)``: a constructor's error at a document's JSON path."""
+
+
+def _build(cls: type, payload: dict, path: str = ""):
+    """Construct ``cls``, found at ``path`` of its document, from a
+    payload :func:`_violation` accepted."""
     member = _member(cls, payload)
-    return member(
-        **{
-            name: load_value(payload[name])
-            for name, _, load_value, _, _, _, _ in member.__wire__
-            if name in payload
-        }
-    )
+    try:
+        return member(
+            **{
+                name: load_value(payload[name])
+                for name, _, load_value, _, _, _, _ in member.__wire__
+                if name in payload
+            }
+        )
+    except ReproError as exc:
+        below, cause = exc.args if isinstance(exc, _Refused) else ("", exc)
+        raise _Refused(path + below, cause) from cause
 
 
 def load(
@@ -556,8 +566,9 @@ def load(
             derived aggregates a dump appends).
 
     Raises:
-        error: on the first violation, or when ``cls``'s constructor
-            refuses the loaded values.
+        error: on the first violation, or when a constructor refuses
+            the loaded values (``fault plan.faults[1]: probability
+            must be in (0, 1], got 2.0``).
     """
     if where is None:
         where = cls.__name__
@@ -566,8 +577,8 @@ def load(
         raise error(f"{where}{found[0]} {found[1]}")
     try:
         return _build(cls, payload)
-    except ReproError as exc:
-        raise error(f"{where}: {exc}") from exc
+    except _Refused as exc:
+        raise error("{}{}: {}".format(where, *exc.args)) from exc.args[1]
 
 
 def reject_unknown(
@@ -588,56 +599,179 @@ def reject_unknown(
         raise error(f"{where} {reason}")
 
 
-def check_schema(
-    payload, schema: str, where: str, error: Type[ReproError]
-) -> None:
-    """Raise ``error`` unless ``payload`` is a JSON object carrying
-    ``"schema": schema`` (``where``/``error`` as for :func:`load`)."""
+def _decode(text: str, where, error: Type[ReproError]) -> dict:
+    """The JSON object ``text`` holds, or ``error`` naming ``where``."""
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{where} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise error(
-            f"{where} must be a JSON object, got {type(payload).__name__}"
+            f"{where} must hold a JSON object, got {type(payload).__name__}"
         )
-    if payload.get("schema") != schema:
-        raise error(
-            f"{where} is not a {schema} document: schema="
-            f"{_brief(payload.get('schema'))}"
-        )
+    return payload
 
 
-def read_json(
-    path, error: Type[ReproError], schema: Optional[str] = None
-) -> dict:
+def read_json(path, error: Type[ReproError]) -> dict:
     """Read one JSON document (an object) from ``path``.
-
-    Args:
-        path: the file to read.
-        error: what to raise, as for :func:`load`.
-        schema: the ``"schema"`` marker the object must carry, if any.
 
     Raises:
         FileNotFoundError: no file at ``path`` — absence often has a
             meaning (a pending run, no checkpoint yet), so it is left
             to the caller.
         error: naming ``path``, when the file cannot be read, is not
-            valid JSON (torn, nested too deeply) or is not a JSON
-            object (with the expected marker).
+            valid JSON (torn, nested too deeply) or is not an object.
     """
     try:
         with open(os.fspath(path), encoding="utf-8") as handle:
-            payload = json.load(handle)
+            text = handle.read()
     except FileNotFoundError:
         raise
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{path}: cannot read: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise error(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise error(
-            f"{path} must hold a JSON object, got {type(payload).__name__}"
+    return _decode(text, path, error)
+
+
+class read_jsonl:
+    """A JSONL stream, iterated as ``(line_number, parse(payload))`` per
+    non-blank line; every payload must be a JSON object.
+
+    A malformed *final* line — what a writer killed mid-line leaves —
+    ends the iteration instead of raising and is kept in :attr:`torn`;
+    the caller decides whether to tolerate it.
+
+    Args:
+        source: a path (``.gz``-aware) or an iterable of lines.
+        error: what to raise, as for :func:`load`.
+        name: what messages call the stream (default: the path).
+        parse: what the caller makes of a payload; a ``ReproError`` it
+            raises makes the line malformed.
+
+    Attributes:
+        torn: ``None`` until an iteration ends at a malformed final
+            line, then that line's text.
+        torn_error: what a reader that tolerates no tail raises then.
+
+    Raises:
+        error: while iterating, ``<name>:<line> ...`` for a line, not
+            the last, that is not valid JSON (garbage, nested too
+            deeply), not an object, or refused by ``parse``.
+    """
+
+    def __init__(
+        self,
+        source,
+        error: Type[ReproError],
+        name: Optional[str] = None,
+        parse: Callable[[dict], object] = dict,
+    ) -> None:
+        self.source, self.error, self.parse = source, error, parse
+        self.opens = isinstance(source, (str, os.PathLike))
+        self.name = name or (str(source) if self.opens else "<lines>")
+        self.torn: Optional[str] = None
+        self.torn_error: Optional[ReproError] = None
+
+    def __iter__(self) -> Iterator[Tuple[int, object]]:
+        from repro.obs.sinks import open_trace_file
+
+        lines, error, bad = self.source, self.error, None
+        with contextlib.ExitStack() as stack:
+            if self.opens:
+                lines = stack.enter_context(open_trace_file(lines))
+            for number, line in enumerate(lines, start=1):
+                text = line.strip()
+                if not text:
+                    continue
+                if bad is not None:
+                    raise error(f"{bad[1]} (mid-stream, not a torn tail)")
+                where = f"{self.name}:{number}"
+                try:
+                    payload = _decode(text, where, error)
+                    try:
+                        value = self.parse(payload)
+                    except ReproError as exc:
+                        raise error(f"{where}: {exc}") from exc
+                except error as exc:
+                    bad = text, exc
+                else:
+                    yield number, value
+        self.torn, self.torn_error = bad or (None, None)
+
+
+class derived(property):
+    """A property a :class:`Document` dumps beside its fields; a load
+    ignores it (it recomputes), so a file cannot contradict itself."""
+
+
+class Document:
+    """Base of a wire record that is a whole JSON document.
+
+    A subclass is decorated like any record and declares up to four
+    class attributes; the six methods follow from them and the fields.
+
+    Attributes:
+        noun: what messages call the document (``"fault plan"``).
+        error: what a bad one raises — ``ConfigurationError`` for
+            documents a user writes, ``SerializationError`` for state
+            the program wrote.
+        schema: the ``"schema"`` marker it carries first, if any.
+        format: the ``json.dumps`` keyword arguments of its text form.
+    """
+
+    noun: ClassVar[str]
+    error: ClassVar[Type[ReproError]] = SerializationError
+    schema: ClassVar[Optional[str]] = None
+    format: ClassVar[dict] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__derived__ = tuple(
+            name for name, v in vars(cls).items() if isinstance(v, derived)
         )
-    if schema is not None:
-        check_schema(payload, schema, str(path), error)
-    return payload
+
+    def to_dict(self) -> dict:
+        """JSON-plain form: marker, fields, :class:`derived` values."""
+        payload = {} if self.schema is None else {"schema": self.schema}
+        payload.update(dump(self))
+        for name in self.__derived__:
+            payload[name] = getattr(self, name)
+        return payload
+
+    def to_json(self) -> str:
+        """:meth:`to_dict` as JSON text."""
+        return json.dumps(self.to_dict(), **self.format)
+
+    @classmethod
+    def from_dict(cls, payload, where: Optional[str] = None):
+        """Check ``payload`` and rebuild the document (:func:`load`).
+
+        ``where`` heads every message (default: the noun); raises
+        ``cls.error``, never anything else.
+        """
+        where, also = where or cls.noun, cls.__derived__
+        if cls.schema is not None:
+            also += ("schema",)
+            marker = payload.get("schema") if _is_dict(payload) else cls.schema
+            if marker != cls.schema:
+                raise cls.error(
+                    f"{where} is not a {cls.schema} document: "
+                    f"schema={_brief(marker)}"
+                )
+        return load(cls, payload, where, cls.error, also)
+
+    @classmethod
+    def from_json(cls, text: str):
+        """Rebuild the document from :meth:`to_json` text."""
+        return cls.from_dict(_decode(text, cls.noun, cls.error))
+
+    @classmethod
+    def load(cls, path):
+        """Read the document from a file (:func:`read_json`)."""
+        return cls.from_dict(read_json(path, cls.error), f"{cls.noun} {path}")
+
+    def save(self, path) -> None:
+        """Write :meth:`to_json` and a newline to ``path``, atomically."""
+        write_atomic(path, self.to_json() + "\n")
 
 
 def write_atomic(path: str, text: str) -> None:

@@ -59,7 +59,7 @@ class TestLoadTraceLines:
     def test_malformed_mid_stream_is_fatal_with_line_number(self):
         lines = sample_lines()
         lines.insert(1, "{not json")
-        with pytest.raises(SerializationError, match="line 2"):
+        with pytest.raises(SerializationError, match="unit:2 .*mid-stream"):
             load_trace_lines(lines, source="unit")
 
     def test_empty_input_loads_empty_incomplete_trace(self):

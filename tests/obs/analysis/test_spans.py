@@ -200,11 +200,11 @@ class TestSpanSummaryRoundTrip:
         )
         assert list(summary.to_dict()["by_name"]) == ["alpha", "zeta"]
 
-    def test_equal_summaries_hash_equal(self):
+    def test_equal_summaries_compare_equal(self):
         one = summarize_spans(tree_events())
         two = summarize_spans(tree_events())
         assert one == two
-        assert hash(one) == hash(two)
+        assert one != SpanSummary(spans_total=one.spans_total)
 
 
 class TestSelfTimeRows:

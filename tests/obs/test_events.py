@@ -271,7 +271,7 @@ class TestValidation:
         assert validate_trace_lines(lines) == len(SAMPLE_EVENTS)
 
     def test_trace_lines_bad_json_names_line(self):
-        with pytest.raises(SerializationError, match="line 2"):
+        with pytest.raises(SerializationError, match="<lines>:2 "):
             validate_trace_lines(
                 [json.dumps(SAMPLE_EVENTS[0].to_dict()), "{not json"]
             )
