@@ -12,7 +12,19 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.nn.layer import Layer
 
-__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Softmax"]
+__all__ = ["ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Softmax", "rectify"]
+
+
+def rectify(inputs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``max(x, 0)`` with the bits of ``np.where(x > 0, x, 0.0)``.
+
+    ``np.fmax`` is one vectorised pass that keeps the input's memory
+    order and returns the zero for a NaN; ``+ 0.0`` turns the ``-0.0``
+    it may return for a zero input into the ``+0.0`` that ``where`` gives.
+    """
+    out = np.fmax(inputs, 0.0, out=out)
+    out += 0.0
+    return out
 
 
 class ReLU(Layer):
@@ -23,10 +35,10 @@ class ReLU(Layer):
         self._mask: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        mask = inputs > 0
+        out = rectify(inputs)
         # Inference invalidates the cache so a stale backward raises.
-        self._mask = mask if training else None
-        return np.where(mask, inputs, 0.0)
+        self._mask = out > 0 if training else None
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.nn.activations import rectify
 from repro.nn.conv import Conv2D
 from repro.nn.layer import Layer
 from repro.rng import SeedLike, spawn_generators
@@ -72,28 +73,32 @@ class Fire(Layer):
         self._out_mask: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        squeezed_pre = self.squeeze.forward(inputs, training=training)
-        squeeze_mask = squeezed_pre > 0
-        squeezed = np.where(squeeze_mask, squeezed_pre, 0.0)
-        branch1 = self.expand1.forward(squeezed, training=training)
-        branch3 = self.expand3.forward(squeezed, training=training)
-        out_pre = np.concatenate([branch1, branch3], axis=1)
-        out_mask = out_pre > 0
+        # Conv2D outputs are fresh arrays, so they are rectified in place.
+        squeezed = self.squeeze.forward(inputs, training=training)
+        rectify(squeezed, out=squeezed)
+        n, _, h, w = squeezed.shape
+        # Both expand branches land in one channels-last block.
+        out = np.empty((n, h, w, self.out_channels)).transpose(0, 3, 1, 2)
+        out[:, : self.expand_channels] = self.expand1.forward(
+            squeezed, training=training
+        )
+        out[:, self.expand_channels :] = self.expand3.forward(
+            squeezed, training=training
+        )
+        rectify(out, out=out)
         if training:
-            self._squeeze_mask = squeeze_mask
-            self._out_mask = out_mask
-        return np.where(out_mask, out_pre, 0.0)
+            self._squeeze_mask = squeezed > 0
+            self._out_mask = out > 0
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._squeeze_mask is None or self._out_mask is None:
             raise RuntimeError("backward called before forward(training=True)")
         grad_pre = grad_output * self._out_mask
-        grad_b1 = grad_pre[:, : self.expand_channels]
-        grad_b3 = grad_pre[:, self.expand_channels :]
         grad_squeezed = self.expand1.backward(
-            np.ascontiguousarray(grad_b1)
-        ) + self.expand3.backward(np.ascontiguousarray(grad_b3))
-        grad_squeezed = grad_squeezed * self._squeeze_mask
+            grad_pre[:, : self.expand_channels]
+        ) + self.expand3.backward(grad_pre[:, self.expand_channels :])
+        grad_squeezed *= self._squeeze_mask
         return self.squeeze.backward(grad_squeezed)
 
     def __repr__(self) -> str:

@@ -1,4 +1,4 @@
-"""2-D convolution layer (NCHW, im2col-based)."""
+"""2-D convolution layer (NCHW shapes, channels-last memory, im2col-based)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.conv_utils import col2im, conv_output_size, im2col
+from repro.nn.conv_utils import as_rows, col2im, conv_output_size, im2col
 from repro.nn.initializers import Initializer, he_normal, zeros_init
 from repro.nn.layer import Layer
 from repro.rng import SeedLike, ensure_generator
@@ -20,7 +20,13 @@ class Conv2D(Layer):
 
     The kernel has shape ``(out_channels, in_channels, kh, kw)``.
     Forward computes ``im2col(x) @ W_flat + b`` so both passes reduce to
-    dense matrix algebra.
+    dense matrix algebra. Inputs may be in any memory order; the output
+    and the input gradient are fresh arrays of NCHW shape over
+    channels-last memory (the GEMM result itself, not a channel-major
+    copy of it). A 1x1, stride-1, unpadded convolution takes such an
+    input as its ``cols`` without a copy and, after
+    ``forward(training=True)``, keeps that view until ``backward``: the
+    caller must not overwrite the input in between.
 
     Args:
         in_channels: number of input channels.
@@ -71,6 +77,8 @@ class Conv2D(Layer):
         )
         if self.use_bias:
             self._register("b", zeros_init((self.out_channels,), rng))
+        # 1x1, stride 1, unpadded: im2col and col2im are reshapes.
+        self._pointwise = (kh, kw, self.stride, self.padding) == (1, 1, 1, 0)
         self._cols: Optional[np.ndarray] = None
         self._input_shape: Optional[Tuple[int, int, int, int]] = None
 
@@ -80,40 +88,35 @@ class Conv2D(Layer):
                 f"Conv2D expected (batch, {self.in_channels}, h, w), got "
                 f"{inputs.shape}"
             )
-        n = inputs.shape[0]
-        out_h = conv_output_size(
-            inputs.shape[2], self.kernel_h, self.stride, self.padding
-        )
-        out_w = conv_output_size(
-            inputs.shape[3], self.kernel_w, self.stride, self.padding
-        )
+        n, _, in_h, in_w = inputs.shape
+        out_h = conv_output_size(in_h, self.kernel_h, self.stride, self.padding)
+        out_w = conv_output_size(in_w, self.kernel_w, self.stride, self.padding)
         rows = n * out_h * out_w
         window = self.in_channels * self.kernel_h * self.kernel_w
-        col_buffer = (
-            self._scratch_buffer("cols", (rows, window), inputs.dtype)
-            if inputs.dtype == np.float64
-            else None
-        )
-        cols, out_h, out_w = im2col(
-            inputs,
-            self.kernel_h,
-            self.kernel_w,
-            self.stride,
-            self.padding,
-            out=col_buffer,
-        )
+        if self._pointwise:
+            # A pixel's channels are its whole receptive field: the
+            # input's channels-last memory already is the cols matrix.
+            cols = as_rows(inputs)
+        else:
+            cols, _, _ = im2col(
+                inputs,
+                self.kernel_h,
+                self.kernel_w,
+                self.stride,
+                self.padding,
+                out=self._scratch_buffer("cols", (rows, window), inputs.dtype),
+            )
         w_flat = self.params["W"].reshape(self.out_channels, -1)
-        out = np.matmul(
-            cols,
-            w_flat.T,
-            out=self._scratch_buffer("mm", (rows, self.out_channels)),
-        )
+        # The GEMM result is a fresh array the caller owns: its rows are
+        # pixels, so it is the channels-last memory of the output.
+        out = np.matmul(cols, w_flat.T, out=np.empty((rows, self.out_channels)))
         if self.use_bias:
             out += self.params["b"]
         if training:
-            # Same-step cache: backward() consumes self._cols before the
-            # next forward() can overwrite the "cols" scratch buffer, and
-            # the inference branch below clears it.
+            # Same-step cache: cols is the "cols" scratch (k x k) or the
+            # caller's own input (1x1), backward() consumes it before
+            # the next forward() can overwrite the scratch, and the
+            # inference branch below clears it.
             self._cols = cols  # repro: allow[REP008] same-step cache, see above
             self._input_shape = inputs.shape
         else:
@@ -122,21 +125,15 @@ class Conv2D(Layer):
             # batch instead of raising.
             self._cols = None
             self._input_shape = None
-        return np.ascontiguousarray(
-            out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-        )
+        return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cols is None or self._input_shape is None:
             raise RuntimeError("backward called before forward(training=True)")
-        n, _, out_h, out_w = grad_output.shape
-        rows = n * out_h * out_w
-        grad_flat = self._scratch_buffer(
-            "grad_flat", (rows, self.out_channels)
-        )
-        np.copyto(
-            grad_flat.reshape(n, out_h, out_w, self.out_channels),
-            grad_output.transpose(0, 2, 3, 1),
+        rows = self._cols.shape[0]
+        grad_flat = as_rows(
+            grad_output,
+            out=self._scratch_buffer("grad_flat", (rows, self.out_channels)),
         )
         w_flat = self.params["W"].reshape(self.out_channels, -1)
         np.matmul(
@@ -146,30 +143,29 @@ class Conv2D(Layer):
         )
         if self.use_bias:
             np.sum(grad_flat, axis=0, out=self.grads["b"])
+        # Both returns are fresh arrays the caller owns.
+        if self._pointwise:
+            n, _, in_h, in_w = self._input_shape
+            grad_cols = np.matmul(
+                grad_flat, w_flat, out=np.empty(self._cols.shape)
+            )
+            # col2im's ``0.0 + g`` for a window of one: keeps the sign of
+            # a zero gradient what the scatter-add makes it.
+            grad_cols += 0.0
+            return grad_cols.reshape(n, in_h, in_w, -1).transpose(0, 3, 1, 2)
         grad_cols = np.matmul(
             grad_flat,
             w_flat,
             out=self._scratch_buffer("grad_cols", self._cols.shape),
         )
-        in_n, in_c, in_h, in_w = self._input_shape
-        padded_shape = (
-            in_n,
-            in_c,
-            in_h + 2 * self.padding,
-            in_w + 2 * self.padding,
-        )
-        grad_input = col2im(
+        return col2im(
             grad_cols,
             self._input_shape,
             self.kernel_h,
             self.kernel_w,
             self.stride,
             self.padding,
-            padded_out=self._scratch_buffer("col2im", padded_shape),
         )
-        # The scatter accumulator is layer-owned scratch; hand callers
-        # an owned array so the gradient survives the next step.
-        return grad_input.copy()
 
     def __repr__(self) -> str:
         return (

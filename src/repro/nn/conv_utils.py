@@ -1,20 +1,31 @@
 """im2col / col2im kernels backing the convolution and pooling layers.
 
-Images use NCHW layout throughout: ``(batch, channels, height, width)``.
-``im2col`` unfolds every receptive field into a row so that convolution
-becomes a single matrix multiplication; ``col2im`` is its exact adjoint
-(scatter-add), which is what the backward pass needs.
+Every image batch has NCHW *shape* ``(batch, channels, height, width)``;
+its *memory* may be in any order, and the arrays built here are
+channels-last (NHWC memory behind the NCHW shape), the order in which a
+receptive field, a GEMM row and a pooling window are contiguous runs of
+channels. ``im2col`` unfolds every receptive field into a row so that
+convolution becomes a single matrix multiplication; ``col2im`` is its
+exact adjoint (scatter-add), which is what the backward pass needs.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Tuple
 
 import numpy as np
 
 from repro.errors import ShapeError
 
-__all__ = ["conv_output_size", "im2col", "col2im", "pad_input"]
+__all__ = [
+    "conv_output_size",
+    "im2col",
+    "col2im",
+    "pad_input",
+    "as_rows",
+    "zeros_channels_last",
+]
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
@@ -38,15 +49,64 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return (padded - kernel) // stride + 1
 
 
+def zeros_channels_last(
+    shape: Tuple[int, int, int, int], dtype=np.float64
+) -> np.ndarray:
+    """Zeros of NCHW ``shape`` laid out channels-last in memory."""
+    n, c, h, w = shape
+    return np.zeros((n, h, w, c), dtype=dtype).transpose(0, 3, 1, 2)
+
+
+@functools.lru_cache(maxsize=64)
+def _field_offsets(
+    c: int, h: int, w: int, kernel_h: int, kernel_w: int, stride: int
+) -> np.ndarray:
+    """Offsets into one ``(h, w, c)`` image of every receptive field.
+
+    Flat, in ``(out_h, out_w, c, kernel_h, kernel_w)`` order: the layout
+    of one image's block of ``im2col`` rows. Cached per geometry and
+    shared, hence read-only.
+    """
+    tops = stride * np.arange(conv_output_size(h, kernel_h, stride, 0))
+    lefts = stride * np.arange(conv_output_size(w, kernel_w, stride, 0))
+    rows = tops[:, None, None, None, None] + np.arange(kernel_h)[:, None]
+    cols = lefts[:, None, None, None] + np.arange(kernel_w)
+    offsets = ((rows * w + cols) * c + np.arange(c)[:, None, None]).ravel()
+    offsets.setflags(write=False)
+    return offsets
+
+
+def as_rows(images: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Return an NCHW batch as the C-contiguous matrix ``(n * h * w, c)``.
+
+    This is ``im2col`` for a 1x1 kernel and the layout every GEMM of the
+    conv stack takes. A batch whose memory is already channels-last
+    comes back as a view of it (no copy); any other batch is copied into
+    ``out`` (allocated when not given).
+    """
+    n, c, h, w = images.shape
+    pixels = images.transpose(0, 2, 3, 1)
+    if pixels.flags.c_contiguous:
+        return pixels.reshape(n * h * w, c)
+    if out is None:
+        out = np.empty((n * h * w, c), dtype=images.dtype)
+    np.copyto(out.reshape(n, h, w, c), pixels)
+    return out
+
+
 def pad_input(images: np.ndarray, padding: int) -> np.ndarray:
-    """Zero-pad the two spatial axes of an NCHW batch symmetrically."""
+    """Zero-pad the two spatial axes of an NCHW batch symmetrically.
+
+    The padded copy is channels-last in memory, whatever ``images`` is.
+    """
     if padding == 0:
         return images
-    return np.pad(
-        images,
-        ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        mode="constant",
+    n, c, h, w = images.shape
+    padded = zeros_channels_last(
+        (n, c, h + 2 * padding, w + 2 * padding), images.dtype
     )
+    padded[:, :, padding : padding + h, padding : padding + w] = images
+    return padded
 
 
 def im2col(
@@ -60,7 +120,8 @@ def im2col(
     """Unfold receptive fields of an NCHW batch into a 2-D matrix.
 
     Args:
-        images: input of shape ``(n, c, h, w)``.
+        images: input of shape ``(n, c, h, w)``, in any memory order
+            (channels-last is gathered fastest).
         kernel_h: kernel height.
         kernel_w: kernel width.
         stride: spatial stride (same for both axes).
@@ -73,35 +134,32 @@ def im2col(
     Returns:
         A tuple ``(cols, out_h, out_w)`` where ``cols`` has shape
         ``(n * out_h * out_w, c * kernel_h * kernel_w)`` and each row is
-        one receptive field in channel-major order.
+        one receptive field in channel-major ``(c, kernel_h, kernel_w)``
+        order, whatever the memory order of ``images``.
     """
     if images.ndim != 4:
         raise ShapeError(f"im2col expects NCHW input, got shape {images.shape}")
     n, c, h, w = images.shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
     out_w = conv_output_size(w, kernel_w, stride, padding)
-    padded = pad_input(images, padding)
-
-    # Strided view of shape (n, c, out_h, out_w, kernel_h, kernel_w).
-    s_n, s_c, s_h, s_w = padded.strides
-    view = np.lib.stride_tricks.as_strided(
-        padded,
-        shape=(n, c, out_h, out_w, kernel_h, kernel_w),
-        strides=(s_n, s_c, s_h * stride, s_w * stride, s_h, s_w),
-        writeable=False,
-    )
     shape = (n * out_h * out_w, c * kernel_h * kernel_w)
     if out is None:
-        cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(shape)
-        return np.ascontiguousarray(cols), out_h, out_w
-    if out.shape != shape or out.dtype != images.dtype or not out.flags.c_contiguous:
+        out = np.empty(shape, dtype=images.dtype)
+    elif out.shape != shape or out.dtype != images.dtype or not out.flags.c_contiguous:
         raise ShapeError(
             f"im2col out buffer must be C-contiguous {shape} "
             f"{images.dtype}, got {out.shape} {out.dtype}"
         )
-    np.copyto(
-        out.reshape(n, out_h, out_w, c, kernel_h, kernel_w),
-        view.transpose(0, 2, 3, 1, 4, 5),
+    # One gather per image through a table of offsets into its padded
+    # channels-last memory; "clip" only skips the bounds pre-pass.
+    padded_h, padded_w = h + 2 * padding, w + 2 * padding
+    index = _field_offsets(c, padded_h, padded_w, kernel_h, kernel_w, stride)
+    np.take(
+        as_rows(pad_input(images, padding)).reshape(n, padded_h * padded_w * c),
+        index,
+        axis=1,
+        out=out.reshape(n, index.size),
+        mode="clip",
     )
     return out, out_h, out_w
 
@@ -127,12 +185,15 @@ def col2im(
         padding: symmetric zero padding.
         padded_out: optional preallocated accumulator of shape
             ``(n, c, h + 2 * padding, w + 2 * padding)`` and the input
-            dtype; zeroed and reused in place so the hot loop allocates
-            nothing. The returned array is then a view into it, valid
-            until the next call that reuses the buffer.
+            dtype, zeroed and accumulated into in place. The returned
+            array is then a view into it, valid until the next call
+            that reuses the buffer.
 
     Returns:
-        An array with ``input_shape`` holding the accumulated gradient.
+        An array with ``input_shape`` holding the accumulated gradient:
+        the interior of ``padded_out``, or of a fresh channels-last
+        accumulator the caller then owns. Kernel offsets are added in
+        ``(i, j)`` order whatever the memory order.
     """
     n, c, h, w = input_shape
     out_h = conv_output_size(h, kernel_h, stride, padding)
@@ -149,7 +210,7 @@ def col2im(
     )  # (n, c, kh, kw, out_h, out_w)
     padded_shape = (n, c, h + 2 * padding, w + 2 * padding)
     if padded_out is None:
-        padded = np.zeros(padded_shape, dtype=cols.dtype)
+        padded = zeros_channels_last(padded_shape, cols.dtype)
     else:
         if padded_out.shape != padded_shape or padded_out.dtype != cols.dtype:
             raise ShapeError(

