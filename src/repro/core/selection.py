@@ -15,7 +15,7 @@ ascending device id — bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -40,11 +40,20 @@ def top_utility_positions(
         scores: per-device utilities, aligned with ``device_ids``.
         device_ids: unique device ids (the deterministic tie-break).
         count: how many to take (must not exceed the population).
+
+    Raises:
+        ConfigurationError: for ``count`` above the population size, or
+            a NaN score — NaN has no rank, and ``np.partition`` would
+            silently return fewer than ``count`` positions.
     """
     size = scores.shape[0]
     if count > size:
         raise ConfigurationError(
             f"cannot take top {count} of {size} devices"
+        )
+    if np.isnan(scores).any():
+        raise ConfigurationError(
+            f"cannot rank a NaN utility (position {int(np.isnan(scores).argmax())})"
         )
     if count == size:
         return np.lexsort((device_ids, -scores))
@@ -74,11 +83,12 @@ class GreedyDecaySelection(SelectionStrategy):
             utility depends on upload delay.
         bandwidth_hz: uplink resource blocks ``Z``.
 
-    Attributes:
-        appearance_counts: the live ``alpha_q`` counters keyed by
-            device id, exposed for inspection and testing. A
-            population-aligned int array mirror is maintained
-            internally so scoring never loops over the dict.
+    The ``alpha_q`` counters live in one place: a pair of parallel
+    int64 arrays ``(ids, counts)`` whose leading ``Q`` entries are
+    aligned with the population last scored, so a round is
+    ``alpha[positions] += 1`` and nothing per id. Counters of devices
+    outside that population ride behind the aligned prefix and are
+    picked up again when their ids come back.
     """
 
     def __init__(
@@ -101,15 +111,24 @@ class GreedyDecaySelection(SelectionStrategy):
         self.decay = float(decay)
         self.payload_bits = float(payload_bits)
         self.bandwidth_hz = float(bandwidth_hz)
-        self.appearance_counts: Dict[int, int] = {}
-        self._alpha: Optional[np.ndarray] = None
-        self._alpha_ids: Optional[np.ndarray] = None
+        self._set_counters({})
+
+    def _set_counters(self, counts: Dict[int, int]) -> None:
+        self._alpha_ids = np.array(list(counts), dtype=np.int64)
+        self._alpha = np.array(list(counts.values()), dtype=np.int64)
+
+    @property
+    def appearance_counts(self) -> Dict[int, int]:
+        """The non-zero ``alpha_q`` counters as ``{device id: count}``: a
+        read view built on each access; writing to it changes nothing."""
+        seen = np.flatnonzero(self._alpha)
+        return dict(
+            zip(self._alpha_ids[seen].tolist(), self._alpha[seen].tolist())
+        )
 
     def reset(self) -> None:
         """Zero every appearance counter (Algorithm 2, line 5)."""
-        self.appearance_counts.clear()
-        self._alpha = None
-        self._alpha_ids = None
+        self._set_counters({})
 
     def state_dict(self) -> Dict:
         """Checkpoint snapshot: the ``alpha_q`` counters (JSON keys)."""
@@ -121,31 +140,29 @@ class GreedyDecaySelection(SelectionStrategy):
         }
 
     def load_state_dict(self, state: Dict) -> None:
-        """Restore the counters; the array mirror rebuilds lazily."""
-        self.appearance_counts = {
-            int(device_id): int(count)
-            for device_id, count in state.get("appearance_counts", {}).items()
-        }
-        self._alpha = None
-        self._alpha_ids = None
+        """Restore the counters; the next round aligns them."""
+        counts = state.get("appearance_counts", {})
+        self._set_counters(
+            {int(device_id): int(count) for device_id, count in counts.items()}
+        )
 
     def _alpha_for(self, population: DevicePopulation) -> np.ndarray:
-        """Population-aligned ``alpha_q`` array (cached between rounds)."""
+        """``alpha_q`` aligned with ``population``, as a writable view."""
         ids = population.device_ids
-        if self._alpha is None or not np.array_equal(self._alpha_ids, ids):
-            if self.appearance_counts:
-                self._alpha = np.fromiter(
-                    (
-                        self.appearance_counts.get(device_id, 0)
-                        for device_id in ids.tolist()
-                    ),
-                    dtype=np.int64,
-                    count=len(population),
-                )
+        size = ids.shape[0]
+        if not np.array_equal(self._alpha_ids[:size], ids):
+            counts = self.appearance_counts
+            if counts:
+                # A restored checkpoint or a changed fleet: this
+                # population's devices take the leading rows with their
+                # counts, every other counter moves behind them.
+                aligned = dict.fromkeys(ids.tolist(), 0)
+                aligned.update(counts)
+                self._set_counters(aligned)
             else:
-                self._alpha = np.zeros(len(population), dtype=np.int64)
-            self._alpha_ids = ids.copy()
-        return self._alpha
+                self._alpha_ids = ids.copy()
+                self._alpha = np.zeros(size, dtype=np.int64)
+        return self._alpha[:size]
 
     def scores(
         self, devices: Union[DevicePopulation, Sequence[UserDevice]]
@@ -177,14 +194,8 @@ class GreedyDecaySelection(SelectionStrategy):
         positions = top_utility_positions(
             scores, population.device_ids, count
         )
-        # Algorithm 2 line 18: bump the winners' counters — in the dict
-        # (the documented source of truth) and the aligned mirror.
-        alpha = self._alpha_for(population)
-        alpha[positions] += 1
-        for device_id in population.device_ids[positions].tolist():
-            self.appearance_counts[device_id] = (
-                self.appearance_counts.get(device_id, 0) + 1
-            )
+        # Algorithm 2 line 18: bump the winners' counters.
+        self._alpha_for(population)[positions] += 1
         return positions
 
     def select(

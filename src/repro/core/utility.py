@@ -22,6 +22,7 @@ maps an id to its score.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -100,21 +101,23 @@ def _alpha_array(
     return alphas
 
 
+@lru_cache(maxsize=16)
+def _power_table(decay: float, size: int) -> np.ndarray:
+    """``decay ** k`` for ``k < size`` with Python's scalar ``**``."""
+    return np.array([decay**k for k in range(size)], dtype=np.float64)
+
+
 def decay_powers(decay: float, alphas: np.ndarray) -> np.ndarray:
     """``eta^alpha`` per device, bitwise-equal to Python's scalar ``**``.
 
-    Counters repeat heavily across a fleet, so the powers are evaluated
-    once per distinct ``alpha`` with Python's scalar ``**`` (what
-    :func:`decayed_utility` computes) and broadcast back — exactness
-    by construction rather than by trusting a numpy pow kernel.
+    Counters are small non-negative ints, so the powers are looked up
+    in a table of Python-scalar ``eta ** k`` (what :func:`decayed_utility`
+    computes) — exactness by construction rather than by trusting a
+    numpy pow kernel. The table is memoized and sized to the power of two
+    above ``max alpha``: a run evaluates each power once or twice.
     """
-    unique, inverse = np.unique(alphas, return_inverse=True)
-    table = np.fromiter(
-        (decay ** int(value) for value in unique),
-        dtype=np.float64,
-        count=unique.shape[0],
-    )
-    return table[inverse]
+    top = int(alphas.max()) if alphas.size else 0
+    return _power_table(decay, max(64, 1 << top.bit_length()))[alphas]
 
 
 def utility_scores(
@@ -154,6 +157,8 @@ def utility_scores(
     total_delay = population.compute_delay() + population.upload_delay(
         payload_bits, bandwidth_hz
     )
-    if np.any(total_delay <= 0):
-        raise ConfigurationError("total delay must be positive")
+    # Tested as "inside" so NaN, which fails every comparison, is
+    # rejected along with +inf: either would poison the ranking.
+    if not ((total_delay > 0) & (total_delay < np.inf)).all():
+        raise ConfigurationError("total delay must be finite and positive")
     return decay_powers(decay, alphas) / total_delay

@@ -20,7 +20,9 @@ to the last bit. Two operations need care:
   with ``math.log2`` at construction (and on channel-gain updates) and
   cached in :attr:`log2_snr1`;
 * ``ndarray ** 2`` does not always match Python's scalar ``**``;
-  ``numpy.float_power`` does, so squares and decay powers use it.
+  ``numpy.float_power`` does, so squares use it (decay powers are
+  looked up in a table of Python-scalar ``eta ** k``, see
+  :func:`repro.core.utility.decay_powers`).
 
 Construction is O(Q) Python once (``from_devices``) or fully
 vectorized (``from_spec``, which replays ``make_fleet``'s RNG stream
@@ -321,8 +323,9 @@ class DevicePopulation:
         """
         for position, gain in zip(positions, gains):
             value = float(gain)
-            if value <= 0:
-                raise DeviceError(f"channel_gain must be positive, got {value}")
+            # Tested as "inside" so NaN is rejected along with +inf.
+            if not 0.0 < value < math.inf:
+                raise DeviceError(f"channel_gain must be finite and positive, got {value}")
             self.channel_gain[position] = value
             snr = (
                 self.transmit_power[position] * value**2

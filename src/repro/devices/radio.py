@@ -14,6 +14,8 @@ noise power.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import DeviceError
 
 __all__ = ["Radio"]
@@ -38,8 +40,9 @@ class Radio:
             raise DeviceError(
                 f"transmit_power must be positive, got {transmit_power}"
             )
-        if channel_gain <= 0:
-            raise DeviceError(f"channel_gain must be positive, got {channel_gain}")
+        # Tested as "inside" so NaN is rejected along with +inf.
+        if not 0.0 < channel_gain < math.inf:
+            raise DeviceError(f"channel_gain must be finite and positive, got {channel_gain}")
         if noise_power <= 0:
             raise DeviceError(f"noise_power must be positive, got {noise_power}")
         self.transmit_power = float(transmit_power)
@@ -59,8 +62,6 @@ class Radio:
         """
         if bandwidth_hz <= 0:
             raise DeviceError(f"bandwidth must be positive, got {bandwidth_hz}")
-        import math
-
         return bandwidth_hz * math.log2(1.0 + self.snr)
 
     def upload_delay(self, payload_bits: float, bandwidth_hz: float) -> float:

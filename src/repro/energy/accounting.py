@@ -7,8 +7,10 @@ analyses ("which devices pay for training?") and for battery studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
+
+import numpy as np
 
 from repro.errors import SerializationError, TrainingError
 from repro.network.tdma import RoundTimeline
@@ -41,15 +43,27 @@ class DeviceEnergy:
         return self.compute_joules + self.upload_joules
 
 
-@dataclass
+# The ledger's columns, in :class:`DeviceEnergy`'s field order.
+_COLUMNS = (
+    "device_ids", "compute_joules", "upload_joules", "rounds", "slack_seconds"
+)
+
+
 class EnergyLedger:
     """Run-level energy accounting across all devices.
 
     Feed it every round's :class:`~repro.network.tdma.RoundTimeline`
-    via :meth:`record_round`.
+    via :meth:`record_round`. The totals are five parallel arrays, one
+    row per device in the order devices first appeared (ids are
+    arbitrary int64; the ledger knows no population); a round is four
+    fancy-indexed ``+=``, one add per device.
 
     Attributes:
-        devices: per-device accumulators, keyed by device id.
+        device_ids: int64 ids, one row per device seen so far.
+        compute_joules: total Eq. (5) energy per row.
+        upload_joules: total Eq. (8) energy per row.
+        rounds: int64 rounds each device participated in.
+        slack_seconds: total idle wait per row.
         rounds_recorded: rounds folded in so far.
         metrics: optional :class:`repro.obs.MetricsRegistry`; when set
             (the trainer wires its observer's registry in), every
@@ -58,28 +72,62 @@ class EnergyLedger:
             the ``energy.devices`` gauge. Purely observational.
     """
 
-    devices: Dict[int, DeviceEnergy] = field(default_factory=dict)
-    rounds_recorded: int = 0
-    metrics: Optional[MetricsRegistry] = field(
-        default=None, repr=False, compare=False
-    )
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
+        self.metrics = metrics
+        self.load_state_dict({})  # no rows yet
+
+    def _set_columns(self, rounds_recorded: int, *columns: np.ndarray) -> None:
+        self.rounds_recorded = rounds_recorded
+        for name, column in zip(_COLUMNS, columns):
+            setattr(self, name, column)
+        # Row lookup: the ids sorted, and the row each one lives in.
+        self._sorted_rows = np.argsort(self.device_ids)
+        self._sorted_ids = self.device_ids[self._sorted_rows]
+
+    def _rows(self, order=slice(None)) -> Iterable[tuple]:
+        """``(id, compute, upload, rounds, slack)`` per row, as scalars."""
+        return zip(*(getattr(self, name)[order].tolist() for name in _COLUMNS))
+
+    @property
+    def devices(self) -> Dict[int, DeviceEnergy]:
+        """Per-device :class:`DeviceEnergy` view of the columns, keyed by
+        id in first-appearance order. Built on each access, for reports
+        and tests; changing an entry does not change the ledger."""
+        return {row[0]: DeviceEnergy(*row) for row in self._rows()}
+
+    def _rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """Rows of ``ids`` (unique), adding a zeroed row per unseen id."""
+        # Sorted needles let searchsorted walk forward: 4x faster at 10^4.
+        by_id = np.argsort(ids)
+        slot = np.empty_like(by_id)
+        slot[by_id] = np.searchsorted(self._sorted_ids, ids[by_id])
+        known = slot < self._sorted_ids.shape[0]
+        known[known] = self._sorted_ids[slot[known]] == ids[known]
+        rows = np.empty(ids.shape[0], dtype=np.int64)
+        rows[known] = self._sorted_rows[slot[known]]
+        if not known.all():
+            fresh = by_id[~known[by_id]]  # unseen ids, ascending
+            start = self.device_ids.shape[0]
+            rows[~known] = np.arange(start, start + fresh.shape[0])
+            self.device_ids = np.concatenate((self.device_ids, ids[~known]))
+            for name in _COLUMNS[1:]:
+                column = getattr(self, name)
+                zeros = np.zeros(fresh.shape[0], column.dtype)
+                setattr(self, name, np.concatenate((column, zeros)))
+            # Two sorted runs: a stable sort merges them in one pass.
+            merged = np.concatenate((self._sorted_ids, ids[fresh]))
+            merge = np.argsort(merged, kind="stable")
+            self._sorted_ids = merged[merge]
+            self._sorted_rows = np.concatenate((self._sorted_rows, rows[fresh]))[merge]
+        return rows
 
     def record_round(self, timeline: RoundTimeline) -> None:
         """Accumulate one round's per-user energies."""
-        devices = self.devices
-        for device_id, compute_energy, upload_energy, slack in zip(
-            timeline.device_ids.tolist(),
-            timeline.compute_energy.tolist(),
-            timeline.upload_energy.tolist(),
-            timeline.slack.tolist(),
-        ):
-            device = devices.get(device_id)
-            if device is None:
-                device = devices[device_id] = DeviceEnergy(device_id)
-            device.compute_joules += compute_energy
-            device.upload_joules += upload_energy
-            device.slack_seconds += slack
-            device.rounds += 1
+        rows = self._rows_of(timeline.device_ids)
+        self.compute_joules[rows] += timeline.compute_energy
+        self.upload_joules[rows] += timeline.upload_energy
+        self.slack_seconds[rows] += timeline.slack
+        self.rounds[rows] += 1
         self.rounds_recorded += 1
         if self.metrics is not None:
             self.metrics.inc(
@@ -89,7 +137,9 @@ class EnergyLedger:
                 "energy.upload_joules", timeline.total_upload_energy
             )
             self.metrics.inc("energy.rounds")
-            self.metrics.set_gauge("energy.devices", float(len(self.devices)))
+            self.metrics.set_gauge(
+                "energy.devices", float(self.device_ids.shape[0])
+            )
 
     def record_rounds(self, timelines: Iterable[RoundTimeline]) -> None:
         """Accumulate a sequence of rounds."""
@@ -106,12 +156,14 @@ class EnergyLedger:
             "rounds_recorded": self.rounds_recorded,
             "devices": {
                 str(device_id): {
-                    "compute_joules": entry.compute_joules,
-                    "upload_joules": entry.upload_joules,
-                    "slack_seconds": entry.slack_seconds,
-                    "rounds": entry.rounds,
+                    "compute_joules": compute,
+                    "upload_joules": upload,
+                    "slack_seconds": slack,
+                    "rounds": rounds,
                 }
-                for device_id, entry in sorted(self.devices.items())
+                for device_id, compute, upload, rounds, slack in self._rows(
+                    np.argsort(self.device_ids)
+                )
             },
         }
 
@@ -119,58 +171,71 @@ class EnergyLedger:
         """Replace the totals with a :meth:`state_dict` snapshot.
 
         Raises:
-            SerializationError: when ``state`` is not such a snapshot.
+            SerializationError: when ``state`` is not such a snapshot,
+                or holds a negative or non-finite total; the ledger is
+                left as it was.
         """
         try:
             rounds_recorded = int(state.get("rounds_recorded", 0))
-            devices = {
-                int(key): DeviceEnergy(
-                    int(key),
-                    compute_joules=float(raw["compute_joules"]),
-                    upload_joules=float(raw["upload_joules"]),
-                    rounds=int(raw["rounds"]),
-                    slack_seconds=float(raw["slack_seconds"]),
-                )
-                for key, raw in state.get("devices", {}).items()
-            }
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            entries = state.get("devices", {})
+            device_ids = np.array([int(key) for key in entries], np.int64)
+            raws = list(entries.values())
+            compute = np.array([float(raw["compute_joules"]) for raw in raws])
+            upload = np.array([float(raw["upload_joules"]) for raw in raws])
+            rounds = np.array([int(raw["rounds"]) for raw in raws], np.int64)
+            slack = np.array([float(raw["slack_seconds"]) for raw in raws])
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise SerializationError(f"malformed energy-ledger state: {exc!r}") from exc
+        # Tested as "inside" so NaN, which fails every comparison, is
+        # rejected along with +inf.
+        inside = rounds >= 0
+        for column in (compute, upload, slack):
+            inside &= (column >= 0) & (column < np.inf)
+        if not inside.all():
             raise SerializationError(
-                f"malformed energy-ledger state: {exc!r}"
-            ) from exc
-        self.rounds_recorded = rounds_recorded
-        self.devices.clear()
-        self.devices.update(devices)
+                f"malformed energy-ledger state: device {device_ids[inside.argmin()]} "
+                "has a negative or non-finite total"
+            )
+        if rounds_recorded < 0:
+            raise SerializationError(
+                f"malformed energy-ledger state: rounds_recorded is {rounds_recorded}"
+            )
+        if np.unique(device_ids).shape != device_ids.shape:
+            raise SerializationError("malformed energy-ledger state: a device id is listed twice")
+        self._set_columns(rounds_recorded, device_ids, compute, upload, rounds, slack)
 
+    # Python's ``sum`` over rows in first-appearance order, not
+    # ``ndarray.sum``: pairwise summation would change the last digits.
     @property
     def total_joules(self) -> float:
         """Total energy across every device."""
-        return sum(d.total_joules for d in self.devices.values())
+        return sum((self.compute_joules + self.upload_joules).tolist())
 
     @property
     def total_compute_joules(self) -> float:
         """Total compute energy across every device."""
-        return sum(d.compute_joules for d in self.devices.values())
+        return sum(self.compute_joules.tolist())
 
     @property
     def total_upload_joules(self) -> float:
         """Total upload energy across every device."""
-        return sum(d.upload_joules for d in self.devices.values())
+        return sum(self.upload_joules.tolist())
 
     def heaviest_devices(self, count: int = 5) -> list:
         """The ``count`` devices with the highest total energy."""
         if count <= 0:
             raise TrainingError(f"count must be positive, got {count}")
-        ranked = sorted(
-            self.devices.values(), key=lambda d: -d.total_joules
-        )
-        return ranked[:count]
+        # A stable sort, as ``sorted(key=-total)`` over the rows was.
+        total = self.compute_joules + self.upload_joules
+        ranked = np.argsort(-total, kind="stable")[:count]
+        return [DeviceEnergy(*row) for row in self._rows(ranked)]
 
     def fairness_gini(self) -> float:
         """Gini coefficient of per-device total energy (0 = equal).
 
         Returns 0 for fewer than two devices.
         """
-        values = sorted(d.total_joules for d in self.devices.values())
+        values = sorted((self.compute_joules + self.upload_joules).tolist())
         n = len(values)
         if n < 2:
             return 0.0

@@ -273,3 +273,15 @@ class TestViewsAndUpdates:
         )
         with pytest.raises(DeviceError):
             population.set_channel_gains((0,), (0.0,))
+
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf"), -1.0])
+    def test_set_channel_gains_rejects_non_finite(self, gain):
+        """NaN passes ``value <= 0`` and would poison ``log2_snr1``."""
+        population = DevicePopulation.from_devices(
+            make_heterogeneous_devices(4)
+        )
+        before = (population.channel_gain.copy(), population.log2_snr1.copy())
+        with pytest.raises(DeviceError, match="finite and positive"):
+            population.set_channel_gains([3], [gain])
+        assert np.array_equal(population.channel_gain, before[0])
+        assert np.array_equal(population.log2_snr1, before[1])

@@ -60,6 +60,11 @@ class TestValidation:
         with pytest.raises(DeviceError):
             Radio(channel_gain=0.0)
 
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf"), -0.5])
+    def test_non_finite_gain(self, gain):
+        with pytest.raises(DeviceError, match="finite and positive"):
+            Radio(channel_gain=gain)
+
     def test_non_positive_noise(self):
         with pytest.raises(DeviceError):
             Radio(noise_power=0.0)

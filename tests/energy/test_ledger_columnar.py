@@ -1,0 +1,207 @@
+"""The columnar ledger equals the dict of per-device objects, bit for bit.
+
+``repro.energy.accounting.EnergyLedger`` keeps five parallel arrays in
+first-appearance order and folds a round in with fancy-indexed ``+=``;
+``tests/oracles/ledger_objects.py`` is the per-object loop it replaced.
+Every comparison here is ``==`` or a ``json.dumps`` string — never
+``isclose``.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.energy.accounting import DeviceEnergy, EnergyLedger
+from repro.errors import SerializationError
+from repro.network.tdma import RoundTimeline, simulate_tdma_round
+from repro.obs.metrics import MetricsRegistry
+from tests.conftest import make_heterogeneous_devices
+from tests.oracles.ledger_objects import ObjectLedger
+
+# Small ids that collide across rounds, negatives, and ids far beyond
+# any dense table.
+ID_POOL = (
+    list(range(-3, 9))
+    + [2**40 + offset for offset in range(4)]
+    + [-(2**40), 2**62, -(2**62)]
+)
+joules = st.floats(0.0, 1e4, allow_subnormal=True)
+
+
+def timeline_of(ids, compute, upload, slack) -> RoundTimeline:
+    """A round holding only what the ledger reads."""
+    return RoundTimeline(
+        device_ids=np.array(ids, dtype=np.int64),
+        compute_energy=np.array(compute, dtype=np.float64),
+        upload_energy=np.array(upload, dtype=np.float64),
+        slack=np.array(slack, dtype=np.float64),
+        total_compute_energy=math.fsum(compute),
+        total_upload_energy=math.fsum(upload),
+    )
+
+
+@st.composite
+def timelines(draw):
+    ids = draw(
+        st.lists(st.sampled_from(ID_POOL), unique=True, max_size=len(ID_POOL))
+    )
+    columns = [
+        draw(st.lists(joules, min_size=len(ids), max_size=len(ids)))
+        for _ in range(3)
+    ]
+    return timeline_of(ids, *columns)
+
+
+def assert_same_ledger(ledger: EnergyLedger, oracle: ObjectLedger):
+    assert json.dumps(ledger.state_dict()) == json.dumps(oracle.state_dict())
+    assert ledger.rounds_recorded == oracle.rounds_recorded
+    view = ledger.devices
+    assert list(view) == list(oracle.devices)  # first-appearance order
+    assert list(view.values()) == list(oracle.devices.values())
+    assert repr(view) == repr(oracle.devices)
+    assert ledger.device_ids.tolist() == list(oracle.devices)
+    for name in ("total_joules", "total_compute_joules", "total_upload_joules"):
+        assert repr(getattr(ledger, name)) == repr(getattr(oracle, name)), name
+    assert repr(ledger.fairness_gini()) == repr(oracle.fairness_gini())
+    for count in (1, 3, 100):
+        assert ledger.heaviest_devices(count) == oracle.heaviest_devices(count)
+
+
+class TestDifferential:
+    @given(st.lists(timelines(), max_size=8), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_object_ledger(self, rounds, data):
+        ledger, oracle = EnergyLedger(), ObjectLedger()
+        reload_at = data.draw(st.integers(0, len(rounds)))
+        for index, timeline in enumerate(rounds):
+            if index == reload_at:
+                ledger, oracle = reloaded(ledger, oracle)
+            ledger.record_round(timeline)
+            oracle.record_round(timeline)
+            assert_same_ledger(ledger, oracle)
+        if reload_at == len(rounds):
+            ledger, oracle = reloaded(ledger, oracle)
+        assert_same_ledger(ledger, oracle)
+
+    def test_simulated_rounds_with_rotating_participants(self):
+        devices = make_heterogeneous_devices(9, seed=5)
+        ledger, oracle = EnergyLedger(), ObjectLedger()
+        for start in (0, 3, 6, 1, 4, 0):
+            timeline = simulate_tdma_round(devices[start:start + 4], 1e6, 2e6)
+            ledger.record_round(timeline)
+            oracle.record_round(timeline)
+        assert_same_ledger(ledger, oracle)
+
+
+def reloaded(ledger, oracle):
+    """Both ledgers through ``state_dict`` -> JSON -> ``load_state_dict``."""
+    state = json.loads(json.dumps(ledger.state_dict()))
+    fresh_ledger, fresh_oracle = EnergyLedger(), ObjectLedger()
+    fresh_ledger.load_state_dict(state)
+    fresh_oracle.load_state_dict(json.loads(json.dumps(oracle.state_dict())))
+    return fresh_ledger, fresh_oracle
+
+
+class TestView:
+    def test_empty_ledger(self):
+        ledger = EnergyLedger()
+        assert ledger.devices == {}
+        assert ledger.device_ids.dtype == np.int64
+        assert ledger.total_joules == 0
+        assert ledger.state_dict() == {"rounds_recorded": 0, "devices": {}}
+        ledger.record_round(RoundTimeline())
+        assert ledger.rounds_recorded == 1 and ledger.devices == {}
+
+    def test_devices_is_a_read_view(self):
+        ledger = EnergyLedger()
+        ledger.record_round(timeline_of([7, -2], [1.0, 2.0], [0.5, 0.25], [0, 0]))
+        assert ledger.devices[7] == DeviceEnergy(7, 1.0, 0.5, 1, 0.0)
+        ledger.devices[7].compute_joules = 99.0
+        ledger.devices.clear()
+        assert ledger.devices[7].compute_joules == 1.0
+        assert ledger.total_joules == 3.75
+
+    def test_columns_are_typed_and_parallel(self):
+        ledger = EnergyLedger()
+        ledger.record_round(timeline_of([5, 2**40], [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]))
+        ledger.record_round(timeline_of([2**40, -1], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]))
+        assert ledger.device_ids.tolist() == [5, 2**40, -1]
+        assert ledger.compute_joules.tolist() == [1.0, 3.0, 1.0]
+        assert ledger.upload_joules.tolist() == [3.0, 5.0, 1.0]
+        assert ledger.slack_seconds.tolist() == [5.0, 7.0, 1.0]
+        assert ledger.rounds.tolist() == [1, 2, 1]
+        assert ledger.rounds.dtype == np.int64
+
+    def test_metrics_gauge_counts_rows(self):
+        metrics = MetricsRegistry()
+        ledger = EnergyLedger(metrics=metrics)
+        ledger.record_round(timeline_of([1, 2], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]))
+        ledger.record_round(timeline_of([2, 3], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]))
+        snapshot = metrics.snapshot()
+        assert snapshot["gauges"]["energy.devices"] == 3.0
+        assert snapshot["counters"]["energy.rounds"] == 2
+
+
+GOOD = {"compute_joules": 1.0, "upload_joules": 2.0, "slack_seconds": 0.5, "rounds": 2}
+
+
+class TestLoadValidation:
+    """A snapshot with an impossible total is refused and changes nothing."""
+
+    def loaded(self):
+        ledger = EnergyLedger()
+        ledger.load_state_dict({"rounds_recorded": 4, "devices": {"3": GOOD}})
+        return ledger
+
+    @pytest.mark.parametrize(
+        "field", ["compute_joules", "upload_joules", "slack_seconds"]
+    )
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), -float("inf"), -1e-9]
+    )
+    def test_totals_must_be_finite_and_non_negative(self, field, value):
+        ledger = self.loaded()
+        before = json.dumps(ledger.state_dict())
+        state = {"devices": {"3": GOOD, "-17": {**GOOD, field: value}}}
+        with pytest.raises(SerializationError, match="energy-ledger.*device -17"):
+            ledger.load_state_dict(state)
+        assert json.dumps(ledger.state_dict()) == before
+
+    def test_the_issue_example(self):
+        with pytest.raises(SerializationError, match="energy-ledger.*device 3"):
+            EnergyLedger().load_state_dict(
+                {"devices": {"3": {**GOOD, "compute_joules": float("nan"), "rounds": -3}}}
+            )
+
+    def test_rounds_must_be_non_negative(self):
+        ledger = self.loaded()
+        with pytest.raises(SerializationError, match="energy-ledger.*device 8"):
+            ledger.load_state_dict({"devices": {"8": {**GOOD, "rounds": -3}}})
+        assert ledger.rounds_recorded == 4 and list(ledger.devices) == [3]
+
+    def test_rounds_recorded_must_be_non_negative(self):
+        ledger = self.loaded()
+        with pytest.raises(SerializationError, match="energy-ledger.*rounds_recorded"):
+            ledger.load_state_dict({"rounds_recorded": -1})
+        assert ledger.rounds_recorded == 4 and list(ledger.devices) == [3]
+
+    def test_one_device_under_two_spellings(self):
+        with pytest.raises(SerializationError, match="energy-ledger"):
+            EnergyLedger().load_state_dict({"devices": {"3": GOOD, "03": GOOD}})
+
+    def test_id_beyond_int64(self):
+        with pytest.raises(SerializationError, match="energy-ledger"):
+            EnergyLedger().load_state_dict({"devices": {str(2**70): GOOD}})
+
+    def test_zero_totals_and_loading_twice(self):
+        zero = {"compute_joules": 0.0, "upload_joules": 0, "slack_seconds": 0.0, "rounds": 0}
+        ledger = self.loaded()
+        ledger.load_state_dict({"rounds_recorded": 0, "devices": {"9": zero}})
+        assert list(ledger.devices) == [9]
+        ledger.record_round(timeline_of([3, 9], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]))
+        assert ledger.device_ids.tolist() == [9, 3]
+        assert ledger.rounds.tolist() == [1, 1]
