@@ -131,11 +131,20 @@ def _digest(state: dict) -> str:
 def save_checkpoint(path: str, checkpoint: TrainerCheckpoint) -> None:
     """Atomically write ``checkpoint`` to ``path``.
 
-    A crash at any point leaves the previous checkpoint (or nothing)
+    The state is JSON-encoded once, with two control characters as
+    separators: JSON escapes every control character inside a string,
+    so those can only be separators, and replacing them gives both the
+    canonical text the checksum covers and the file's spaced text. A
+    crash at any point leaves the previous checkpoint (or nothing)
     intact (:func:`repro.wire.write_atomic`).
     """
-    state = checkpoint.to_state()
-    _CheckpointFile(CHECKPOINT_VERSION, _digest(state), state).save(path)
+    text = json.dumps(checkpoint.to_state(), sort_keys=True, separators=("\x00", "\x01"))
+    canonical = text.replace("\x00", ",").replace("\x01", ":")
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    # The file is _CheckpointFile.save's text with the state written in.
+    head, tail = _CheckpointFile(CHECKPOINT_VERSION, digest, {}).to_json().split("{}")
+    spaced = text.replace("\x00", ", ").replace("\x01", ": ")
+    wire.write_atomic(path, "".join((head, spaced, tail, "\n")))
 
 
 def load_checkpoint(path: str) -> TrainerCheckpoint:

@@ -67,12 +67,9 @@ from repro.network.tdma import (
 from repro.nn.model import Sequential
 from repro.obs.spans import (
     TaskSample,
-    TaskSpanContext,
-    apportion_task_sample,
     begin_task_sample,
-    emit_task_span,
     end_task_sample,
-    round_span_id,
+    task_span_batch,
 )
 
 __all__ = [
@@ -292,8 +289,8 @@ class ExecutionBackend:
         # Per-round task-sampling scratch: when the bound observer has
         # spans active, ``_run`` implementations record one
         # ``(device_ids, TaskSample)`` pair per trained chunk in
-        # selection order; ``run_round`` turns them into per-task span
-        # events, one triple per device.
+        # selection order; ``run_round`` emits them as one batch of
+        # per-task span events, one triple per device.
         self._sample_tasks = False
         self._task_samples: List[Tuple[List[int], TaskSample]] = []
 
@@ -367,16 +364,7 @@ class ExecutionBackend:
                 )
             observer.metrics.inc("clients_trained", float(len(updates)))
             if self._task_samples:
-                context = TaskSpanContext(
-                    parent_id=round_span_id(round_index, "local_updates"),
-                    round_index=round_index,
-                )
-                for device_ids, sample in self._task_samples:
-                    for device_id, share in zip(
-                        device_ids,
-                        apportion_task_sample(sample, len(device_ids)),
-                    ):
-                        emit_task_span(observer, context, device_id, share)
+                observer.emit_batch(*task_span_batch(round_index, self._task_samples))
             return updates
         finally:
             self._sample_tasks = False

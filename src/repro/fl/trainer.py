@@ -1060,46 +1060,29 @@ class FederatedTrainer:
         )
 
     def _record_timeline(self, state: RoundState) -> None:
-        """Advance the simulated clock; emit the round's timeline."""
+        """Advance the simulated clock; emit the round's timeline (its
+        per-device lines as one column batch)."""
         observer = self.observer
         run = state.run
         timeline = state.timeline
         round_index = state.round_index
         run.cumulative_time += timeline.round_delay
         run.cumulative_energy += timeline.total_energy
-        for (
-            device_id,
-            frequency,
-            compute_delay,
-            upload_delay,
-            slack,
-            compute_energy,
-            upload_energy,
-            code,
-        ) in zip(
-            timeline.device_ids.tolist(),
-            timeline.frequency.tolist(),
-            timeline.compute_delay.tolist(),
-            timeline.upload_delay.tolist(),
-            timeline.slack.tolist(),
-            timeline.compute_energy.tolist(),
-            timeline.upload_energy.tolist(),
-            timeline.outcome_codes.tolist(),
-        ):
-            observer.emit(
-                DeviceRoundEvent(
-                    round_index=round_index,
-                    device_id=device_id,
-                    frequency=frequency,
-                    f_max=run.device_index[device_id].cpu.f_max,
-                    compute_delay=compute_delay,
-                    upload_delay=upload_delay,
-                    slack=slack,
-                    compute_energy=compute_energy,
-                    upload_energy=upload_energy,
-                    outcome=CLIENT_OUTCOMES[code],
-                )
-            )
+        ids = timeline.device_ids.tolist()
+        columns = dict(
+            device_id=ids,
+            frequency=timeline.frequency,
+            f_max=[run.device_index[device_id].cpu.f_max for device_id in ids],
+            compute_delay=timeline.compute_delay,
+            upload_delay=timeline.upload_delay,
+            slack=timeline.slack,
+            compute_energy=timeline.compute_energy,
+            upload_energy=timeline.upload_energy,
+            outcome=list(
+                map(CLIENT_OUTCOMES.__getitem__, timeline.outcome_codes.tolist())
+            ),
+        )
+        observer.emit_batch(len(ids), ((DeviceRoundEvent, {"round_index": round_index}, columns),))
         state.totals = dict(
             round_delay=timeline.round_delay,
             round_energy=timeline.total_energy,

@@ -67,9 +67,7 @@ from repro.obs.spans import (
     NoopSpan,
     Span,
     TaskSample,
-    TaskSpanContext,
     begin_task_sample,
-    emit_task_span,
     end_task_sample,
 )
 from repro.obs.schema import (
@@ -107,11 +105,9 @@ __all__ = [
     "Span",
     "NoopSpan",
     "NOOP_SPAN",
-    "TaskSpanContext",
     "TaskSample",
     "begin_task_sample",
     "end_task_sample",
-    "emit_task_span",
     "MetricsRegistry",
     "TimerStat",
     "RunObserver",

@@ -6,11 +6,12 @@ into the frozen :mod:`repro.obs.events` dataclasses, so analytics code
 works with the same types the trainer emitted.
 
 Crash tolerance: the :class:`~repro.obs.sinks.JsonlTraceSink` builds
-each line before writing and flushes per event, so a crashed run's
+its lines before writing and flushes per emit call, so a crashed run's
 trace is whole-line atomic — but a run killed mid-write (``kill -9``,
-full disk) can still leave a torn final line. The loader therefore
-treats a malformed *last* line as a truncated tail (recorded, not
-fatal) while a malformed line anywhere else is a hard error.
+full disk) can still leave a torn final line, or a ``.gz`` stream cut
+short. The loader therefore treats a malformed *last* line as a
+truncated tail (recorded, not fatal) while a malformed line anywhere
+else is a hard error.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class LoadedTrace:
         events: the reconstructed events, in emission order.
         source: where the trace came from (path or caller label).
         truncated_tail: the raw text of a torn final line a killed run
-            left behind; ``None`` for a cleanly written trace.
+            left behind (``""`` for a ``.gz`` stream cut short, whose
+            tail text is lost); ``None`` for a cleanly written trace.
     """
 
     events: Tuple[Event, ...]

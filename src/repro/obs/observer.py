@@ -105,6 +105,12 @@ class RunObserver:
         self.sink.emit(event)
         self.metrics.inc("events_emitted")
 
+    def emit_batch(self, rows: int, parts) -> None:
+        """Forward a column batch to the sink and count its events
+        (see :meth:`repro.obs.sinks.EventSink.emit_batch`)."""
+        self.sink.emit_batch(rows, parts)
+        self.metrics.inc("events_emitted", float(rows * len(parts)))
+
     def timer(self, name: str):
         """Context manager timing its body into ``metrics``."""
         return self.metrics.timer(name)

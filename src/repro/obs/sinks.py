@@ -1,16 +1,20 @@
 """Event sinks: where the trace stream goes.
 
 An :class:`EventSink` receives every :class:`~repro.obs.events.Event`
-a run emits, in order. Three implementations cover the standard needs:
+a run emits, in order — one at a time through :meth:`EventSink.emit`,
+or as a column batch through :meth:`EventSink.emit_batch` (a round's
+per-device lines). Three implementations cover the standard needs:
 
 * :class:`NullSink` — tracing off (the default); every emit is a no-op;
 * :class:`CollectingSink` — keeps events in memory (tests, notebooks);
 * :class:`JsonlTraceSink` — streams one JSON object per event to a
-  file, flushed per event so a crashed run still leaves a usable
-  trace (validate it with ``python -m repro.obs.validate``). Use it
-  as a context manager (or close it in ``try``/``finally``) so the
-  stream is flushed and closed even when a round raises mid-trace —
-  chaos runs rely on never losing the tail of a trace.
+  file, each line written by its event class's compiled
+  :class:`~repro.wire.LineTemplate`, flushed per emit call — an event
+  or a batch — so a crashed run still leaves a usable trace (validate
+  it with ``python -m repro.obs.validate``). Use it as a context
+  manager (or close it in ``try``/``finally``) so the stream is
+  flushed and closed even when a round raises mid-trace — chaos runs
+  rely on never losing the tail of a trace.
 
 Sinks only observe: they must never mutate events or feed anything
 back into the training loop.
@@ -19,9 +23,10 @@ back into the training loop.
 from __future__ import annotations
 
 import gzip
-import json
-from typing import List, Union
+import os
+from typing import List, Sequence, Tuple, Union
 
+from repro import wire
 from repro.errors import SerializationError
 from repro.obs.events import Event
 
@@ -43,14 +48,14 @@ def open_trace_file(path, mode: str = "r"):
     shares this suffix convention.
 
     Args:
-        path: the trace file path.
+        path: the trace file path (``str``, ``bytes`` or path-like).
         mode: ``"r"`` or ``"w"`` (text mode is implied).
     """
     if mode not in ("r", "w"):
         raise SerializationError(
             f"trace files open in 'r' or 'w' mode only, got {mode!r}"
         )
-    if str(path).endswith(".gz"):
+    if os.fsdecode(path).endswith(".gz"):
         return gzip.open(path, mode + "t", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
 
@@ -58,13 +63,24 @@ def open_trace_file(path, mode: str = "r"):
 class EventSink:
     """Protocol for trace-event consumers.
 
-    Subclasses implement :meth:`emit`; :meth:`close` is optional and
-    must be idempotent.
+    Subclasses implement :meth:`emit`; :meth:`emit_batch` and
+    :meth:`close` are optional, and ``close`` must be idempotent.
     """
 
     def emit(self, event: Event) -> None:
         """Consume one event (called in emission order)."""
         raise NotImplementedError
+
+    def emit_batch(self, rows: int, parts: Sequence[Tuple[type, dict, dict]]) -> None:
+        """Consume ``rows`` rows of events given as columns.
+
+        Each row holds one event per ``(event class, scalars, columns)``
+        part, in part order (:func:`repro.wire.batch_records`). The
+        default builds those events and passes each to :meth:`emit`, so
+        a sink sees exactly the events it would see emitted singly.
+        """
+        for event in wire.batch_records(rows, parts):
+            self.emit(event)
 
     def close(self) -> None:
         """Release any resources (idempotent; no-op by default)."""
@@ -81,6 +97,9 @@ class NullSink(EventSink):
 
     def emit(self, event: Event) -> None:
         """Drop the event."""
+
+    def emit_batch(self, rows, parts) -> None:
+        """Drop the batch without building its events."""
 
 
 class CollectingSink(EventSink):
@@ -124,21 +143,30 @@ class JsonlTraceSink(EventSink):
         self._closing = False
 
     def emit(self, event: Event) -> None:
-        """Serialize and write one event, then flush.
+        """Write one event's line, then flush."""
+        self._write(1, type(event).__line__.line, event)
 
-        The serialized line is built *before* anything is written, so
-        an unserializable event can never leave a truncated line
-        behind; the flush then makes the line durable even if the run
-        dies before :meth:`close`.
+    def emit_batch(self, rows, parts) -> None:
+        """Write a batch's lines with one write, then flush once."""
+        self._write(rows * len(parts), wire.batch_lines, rows, parts)
+
+    def _write(self, count: int, encode, *args) -> None:
+        """Write ``encode(*args)`` (``count`` lines) and flush.
+
+        The text is built *before* anything is written, so an
+        unserializable value can never leave a partial line behind;
+        the flush then makes the lines durable even if the run dies
+        before :meth:`close`.
         """
         if self._handle is None:
             raise SerializationError(
                 "JsonlTraceSink is closed; cannot emit further events"
             )
-        line = json.dumps(event.to_dict()) + "\n"
-        self._handle.write(line)
-        self._handle.flush()
-        self.events_written += 1
+        text = encode(*args)
+        if text:
+            self._handle.write(text)
+            self._handle.flush()
+        self.events_written += count
 
     def close(self) -> None:
         """Flush, then close the handle if this sink opened it.

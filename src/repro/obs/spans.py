@@ -18,15 +18,13 @@ Two propagation shapes exist:
   returns a live :class:`Span` (or the shared no-op when tracing or
   spans are off: zero branches in the hot path, bitwise-identical
   results);
-* **cross-process task spans** — the parent pickles a
-  :class:`TaskSpanContext` with each backend task, the worker brackets
-  the chunk of clients it trains in one call with
-  :func:`begin_task_sample` / :func:`end_task_sample` and ships the
-  picklable :class:`TaskSample` back, and the parent splits it into
-  equal per-client shares (:func:`apportion_task_sample`) and flushes
-  one span per client with :func:`emit_task_span` in deterministic
-  selection order (the JSONL sink is not thread-safe, so workers never
-  write the trace themselves).
+* **cross-process task spans** — the worker brackets the chunk of
+  clients it trains in one call with :func:`begin_task_sample` /
+  :func:`end_task_sample` and ships the picklable :class:`TaskSample`
+  back, and the parent splits every chunk into equal per-client shares
+  and emits one span per client, in deterministic selection order, as
+  one column batch (:func:`task_span_batch`; the JSONL sink is not
+  thread-safe, so workers never write the trace themselves).
 
 This module is the sanctioned home for the wall-clock and
 ``getrusage`` reads the spans need (see REP004): span timing measures
@@ -38,8 +36,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
+
+import numpy as np
 
 try:  # pragma: no cover - resource is stdlib on every POSIX platform
     import resource as _resource
@@ -52,12 +52,10 @@ __all__ = [
     "Span",
     "NoopSpan",
     "NOOP_SPAN",
-    "TaskSpanContext",
     "TaskSample",
     "begin_task_sample",
     "end_task_sample",
-    "apportion_task_sample",
-    "emit_task_span",
+    "task_span_batch",
     "rusage_snapshot",
     "round_span_id",
 ]
@@ -227,30 +225,12 @@ NOOP_SPAN = NoopSpan()
 
 
 @dataclass(frozen=True)
-class TaskSpanContext:
-    """Span context pickled with one backend task.
-
-    Carries only scalars (REP007: no parameter vectors ride the task
-    tuples), telling the worker that the parent wants a
-    :class:`TaskSample` back and which span will own it.
-
-    Attributes:
-        parent_id: the enclosing stage span's id
-            (``"round-<j>/local_updates"``).
-        round_index: the owning FL round.
-    """
-
-    parent_id: str
-    round_index: int
-
-
-@dataclass(frozen=True)
 class TaskSample:
     """A worker-side measurement of one client task (picklable).
 
     Clients of one chunk are trained in a single call, so what is
-    measured is the chunk; a client's sample is *apportioned* from it
-    (:func:`apportion_task_sample`): an equal share of the chunk's
+    measured is the chunk; a client's span is *apportioned* from it
+    (:func:`task_span_batch`): an equal share of the chunk's
     duration and CPU time, with the chunk's pid and peak RSS. Shares
     add up to the measurement, which keeps span self-time sums
     meaningful; they say nothing about one client being slower than
@@ -258,7 +238,7 @@ class TaskSample:
 
     Attributes:
         t_wall: wall-clock time when the task started, seconds.
-        duration_s: measured (or apportioned) task duration, seconds.
+        duration_s: measured task duration, seconds.
         pid: the measuring process's OS pid.
         rss_peak_kb: that process's lifetime peak RSS, kilobytes.
         cpu_user_s: user-mode CPU seconds spent on the task.
@@ -299,68 +279,38 @@ def end_task_sample(token: Tuple[float, float, float, float]) -> TaskSample:
     )
 
 
-def apportion_task_sample(sample: TaskSample, count: int) -> List[TaskSample]:
-    """Split one chunk's measurement into ``count`` equal client shares.
+def task_span_batch(
+    round_index: int, chunks: Sequence[Tuple[Sequence[int], TaskSample]]
+) -> Tuple[int, tuple]:
+    """One round's per-client task spans as a column batch.
 
-    Share ``i`` starts where share ``i - 1`` ends, so the shares tile
-    the chunk's interval on a timeline and sum to its duration and CPU
-    time; pid and peak RSS are the chunk's.
+    ``chunks`` are the round's ``(device_ids, sample)`` pairs in
+    selection order; the result is the ``(rows, parts)`` of
+    :meth:`repro.obs.observer.RunObserver.emit_batch`, one
+    ``span_start``/``worker_resource``/``span_end`` triple per client.
+    A chunk of ``n`` clients and duration ``d`` gives client ``i`` the
+    share that starts at ``t_wall + i * (d / n)`` and lasts ``d / n``,
+    with ``cpu / n`` of each CPU time (:class:`TaskSample`).
     """
-    duration = sample.duration_s / count
-    return [
-        replace(
-            sample,
-            t_wall=sample.t_wall + index * duration,
-            duration_s=duration,
-            cpu_user_s=sample.cpu_user_s / count,
-            cpu_sys_s=sample.cpu_sys_s / count,
-        )
-        for index in range(count)
-    ]
-
-
-def emit_task_span(
-    observer,
-    context: TaskSpanContext,
-    device_id: int,
-    sample: Optional[TaskSample],
-) -> None:
-    """Flush one client task's span triple into the parent's trace.
-
-    The parent calls this once per task, in deterministic selection
-    order, after collecting results — workers never touch the sink.
-    ``sample`` may be ``None`` (spans off for that task): nothing is
-    emitted.
-    """
-    if sample is None:
-        return
-    span_id = f"{context.parent_id}/task-{device_id}"
-    observer.emit(
-        SpanStartEvent(
-            round_index=context.round_index,
-            span_id=span_id,
-            parent_id=context.parent_id,
-            name="task",
-            t_wall=sample.t_wall,
-            pid=sample.pid,
-        )
-    )
-    observer.emit(
-        WorkerResourceEvent(
-            round_index=context.round_index,
-            span_id=span_id,
-            pid=sample.pid,
-            rss_peak_kb=sample.rss_peak_kb,
-            cpu_user_s=sample.cpu_user_s,
-            cpu_sys_s=sample.cpu_sys_s,
-        )
-    )
-    observer.emit(
-        SpanEndEvent(
-            round_index=context.round_index,
-            span_id=span_id,
-            t_wall=sample.t_wall + sample.duration_s,
-            duration_s=sample.duration_s,
-            pid=sample.pid,
-        )
+    parent_id = round_span_id(round_index, "local_updates")
+    span_ids, starts, ends, durations, pids, rss, user, system = ([] for _ in range(8))
+    for device_ids, sample in chunks:
+        count = len(device_ids)
+        share = sample.duration_s / count
+        start = sample.t_wall + np.arange(count) * share
+        span_ids += [f"{parent_id}/task-{device_id}" for device_id in device_ids]
+        starts += start.tolist()
+        ends += (start + share).tolist()
+        durations += [share] * count
+        pids += [sample.pid] * count
+        rss += [sample.rss_peak_kb] * count
+        user += [sample.cpu_user_s / count] * count
+        system += [sample.cpu_sys_s / count] * count
+    scalars, shared = {"round_index": round_index}, dict(span_id=span_ids, pid=pids)
+    start_scalars = dict(scalars, parent_id=parent_id, name="task")
+    resources = dict(shared, rss_peak_kb=rss, cpu_user_s=user, cpu_sys_s=system)
+    return len(span_ids), (
+        (SpanStartEvent, start_scalars, dict(shared, t_wall=starts)),
+        (WorkerResourceEvent, scalars, resources),
+        (SpanEndEvent, scalars, dict(shared, t_wall=ends, duration_s=durations)),
     )

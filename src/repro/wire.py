@@ -24,7 +24,8 @@ dataclass); adding a *shape* is one row here, and a field whose type
 has no row fails when its class is defined, not when a file is read
 back. JSON text is parsed in one function of this module: a line enters
 through :func:`read_jsonl`, a document through :func:`read_json`, and
-a file leaves through :func:`write_atomic`.
+a file leaves through :func:`write_atomic`; a trace line leaves through
+its class's compiled :class:`LineTemplate`.
 """
 
 from __future__ import annotations
@@ -32,9 +33,14 @@ from __future__ import annotations
 import base64
 import contextlib
 import dataclasses
+import gzip
 import json
+import math
 import os
 import tempfile
+import zlib
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import (
     Callable,
     ClassVar,
@@ -70,6 +76,9 @@ __all__ = [
     "reject_unknown",
     "read_json",
     "read_jsonl",
+    "LineTemplate",
+    "batch_records",
+    "batch_lines",
     "write_atomic",
     "encode_array",
     "decode_array",
@@ -281,15 +290,17 @@ class Tagged:
     Subclassing makes it a frozen dataclass, resolves its fields
     (:func:`record`) and registers it in the family's ``__members__``
     by ``kind``; :func:`load` on the base builds the member the tag
-    names. Do not decorate members: a field type outside the table, a
-    missing or reused ``kind``, or a second ``@dataclass`` (which would
-    re-generate or unfreeze the class) raises ``TypeError`` at class
-    definition.
+    names. Subclassing also compiles the member's JSON line encoder,
+    ``__line__`` (a :class:`LineTemplate`). Do not decorate members: a
+    field type outside the table, a missing or reused ``kind``, or a
+    second ``@dataclass`` (which would re-generate or unfreeze the
+    class) raises ``TypeError`` at class definition.
     """
 
     kind: ClassVar[str]
     __tag__: ClassVar[str]
     __members__: ClassVar[Dict[str, type]]
+    __line__: ClassVar[LineTemplate]
 
     def __init_subclass__(cls, tag: Optional[str] = None, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -304,6 +315,7 @@ class Tagged:
                 f"no other {cls.__tag__!r}-tagged record uses, got {kind!r}"
             )
         record(dataclasses.dataclass(frozen=True)(cls))
+        cls.__line__ = LineTemplate(cls)
         cls.__members__[kind] = cls
 
     def to_dict(self) -> dict:
@@ -632,16 +644,149 @@ def read_json(path, error: Type[ReproError]) -> dict:
     return _decode(text, path, error)
 
 
+def _float_text(value: float) -> str:
+    """A float as ``json.dumps`` writes it: ``repr``, or ``NaN``,
+    ``Infinity``, ``-Infinity``."""
+    if -math.inf < value < math.inf:
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+_EXACT_TEXT: Dict[type, Callable[[object], str]] = {
+    int: int.__repr__,
+    float: _float_text,
+    str: encode_basestring_ascii,
+    bool: lambda value: "true" if value else "false",
+}
+
+
+def _text_of(hint, dump_value) -> Tuple[Callable[[object], str], Optional[type]]:
+    """A field's ``json.dumps``, and the scalar type (``Optional`` or
+    not) whose values it writes itself. Any other value — ``None``, a
+    bool or numpy scalar in a number field, an ``object()`` — goes
+    through ``json.dumps``, so it raises where ``json.dumps(record.
+    to_dict())`` raises."""
+    args = get_args(hint) if get_origin(hint) is Union else (hint,)
+    args = [arg for arg in args if arg is not type(None)]
+    scalar = args[0] if len(args) == 1 and args[0] in _EXACT_TEXT else None
+    if scalar is None:
+        return (lambda value: json.dumps(dump_value(value))) if dump_value else json.dumps, None
+    exact = _EXACT_TEXT[scalar]
+    return (lambda value: exact(value) if type(value) is scalar else json.dumps(value)), scalar
+
+
+def _column(values, rows: int, name: str) -> list:
+    """A batch column as a list of ``rows`` Python values."""
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if len(values) != rows:
+        raise ValueError(f"column {name!r} has {len(values)} values for {rows} rows")
+    return values
+
+
+def _compile_line(text: str, fields: list) -> Callable[[object], str]:
+    """``record -> record's JSON line, newline included``, generated as
+    one function so each field's attribute read and type test are
+    inline (the field names are identifiers: dataclass fields)."""
+    scope, terms = {"TEXT": text}, []
+    for i, (name, _, to_text, scalar) in enumerate(fields):
+        scope[f"t{i}"] = to_text
+        if scalar is None:
+            terms.append(f"t{i}(record.{name})")
+        else:
+            scope[f"s{i}"], scope[f"e{i}"] = scalar, _EXACT_TEXT[scalar]
+            terms.append(f"e{i}(v) if type(v := record.{name}) is s{i} else t{i}(v)")
+    exec(f"def line(record):\n    return TEXT % ({', '.join(terms)},)\n", scope)
+    return scope["line"]
+
+
+class LineTemplate:
+    """A :class:`Tagged` member's JSON line as one ``%``-template.
+
+    Compiled once from the member's fields when the class is defined;
+    ``line(record)`` equals ``json.dumps(record.to_dict()) + "\\n"`` byte for
+    byte (strings through ``encode_basestring_ascii``, floats through
+    ``float.__repr__``, non-scalar fields through ``json.dumps`` of
+    their :func:`dump`), without building the dict.
+    """
+
+    def __init__(self, cls: type) -> None:
+        hints, quote = get_type_hints(cls), encode_basestring_ascii
+        self.cls = cls
+        self.head = ("{%s: %s" % (quote(cls.__tag__), quote(cls.kind))).replace("%", "%%")
+        self.fields = [
+            (name, f", {quote(name)}: ", *_text_of(hints[name], dump_value))
+            for name, _, _, dump_value, _, _, _ in cls.__wire__
+        ]
+        text = self.head + "".join(key + "%s" for _, key, _, _ in self.fields) + "}\n"
+        self.line = _compile_line(text, self.fields)
+
+    def row(self, rows: int, scalars: dict, columns: dict) -> Tuple[str, list]:
+        """This class's part of a batch row: the template with every
+        scalar field written in, and one list of slot values per column
+        (:func:`batch_lines`)."""
+        # The constructor checks the field names and supplies defaults.
+        known = self.cls(**scalars, **dict.fromkeys(columns))
+        template, slots = self.head, []
+        for name, key, text, scalar in self.fields:
+            if name not in columns:
+                template += key + text(getattr(known, name)).replace("%", "%%")
+                continue
+            values = _column(columns[name], rows, name)
+            if scalar not in (int, float, str) or not set(map(type, values)) <= {scalar}:
+                values = list(map(text, values))
+            elif scalar is str:
+                values = list(map(encode_basestring_ascii, values))
+            elif scalar is float and not all(map(math.isfinite, values)):
+                values = list(map(_float_text, values))
+            template += key + "%s"
+            slots.append(values)
+        return template + "}\n", slots
+
+
+def batch_records(rows: int, parts: Iterable[Tuple[type, dict, dict]]) -> Iterator:
+    """The records a column batch describes, in order.
+
+    Row ``i`` holds one record per ``(cls, scalars, columns)`` part, in
+    part order; its fields are ``scalars[name]`` and
+    ``columns[name][i]`` (a list or numpy array of ``rows`` values; an
+    array is read through ``tolist``).
+    """
+    parts = [
+        (cls, scalars, {name: _column(v, rows, name) for name, v in columns.items()})
+        for cls, scalars, columns in parts
+    ]
+    for row in range(rows):
+        for cls, scalars, columns in parts:
+            yield cls(**scalars, **{name: v[row] for name, v in columns.items()})
+
+
+def batch_lines(rows: int, parts: Iterable[Tuple[type, dict, dict]]) -> str:
+    """The JSON lines of :func:`batch_records`, formatted from the
+    columns by each class's :class:`LineTemplate` without building one
+    record per row: one ``%`` over the row template repeated ``rows``
+    times. Exact ints and finite floats fill their slots as they are."""
+    template, slots = "", []
+    for cls, scalars, columns in parts:
+        text, values = cls.__line__.row(rows, scalars, columns)
+        template += text
+        slots += values
+    return (template * rows) % tuple(chain.from_iterable(zip(*slots)))
+
+
 class read_jsonl:
     """A JSONL stream, iterated as ``(line_number, parse(payload))`` per
     non-blank line; every payload must be a JSON object.
 
     A malformed *final* line — what a writer killed mid-line leaves —
     ends the iteration instead of raising and is kept in :attr:`torn`;
-    the caller decides whether to tolerate it.
+    the caller decides whether to tolerate it. A ``.gz`` stream that
+    ends early (a writer killed between flushes) is the same torn tail,
+    after the last complete line; its text is lost, so :attr:`torn` is
+    ``""``.
 
     Args:
-        source: a path (``.gz``-aware) or an iterable of lines.
+        source: a path (``str``, ``bytes`` or path-like; ``.gz``-aware)
+            or an iterable of lines.
         error: what to raise, as for :func:`load`.
         name: what messages call the stream (default: the path).
         parse: what the caller makes of a payload; a ``ReproError`` it
@@ -655,7 +800,8 @@ class read_jsonl:
     Raises:
         error: while iterating, ``<name>:<line> ...`` for a line, not
             the last, that is not valid JSON (garbage, nested too
-            deeply), not an object, or refused by ``parse``.
+            deeply), not an object, or refused by ``parse``; and
+            ``<name> is not a gzip file`` for a ``.gz`` path that is not.
     """
 
     def __init__(
@@ -666,35 +812,41 @@ class read_jsonl:
         parse: Callable[[dict], object] = dict,
     ) -> None:
         self.source, self.error, self.parse = source, error, parse
-        self.opens = isinstance(source, (str, os.PathLike))
-        self.name = name or (str(source) if self.opens else "<lines>")
+        self.opens = isinstance(source, (str, bytes, os.PathLike))
+        self.name = name or (os.fsdecode(source) if self.opens else "<lines>")
         self.torn: Optional[str] = None
         self.torn_error: Optional[ReproError] = None
 
     def __iter__(self) -> Iterator[Tuple[int, object]]:
         from repro.obs.sinks import open_trace_file
 
-        lines, error, bad = self.source, self.error, None
+        lines, error, bad, number = self.source, self.error, None, 0
         with contextlib.ExitStack() as stack:
-            if self.opens:
-                lines = stack.enter_context(open_trace_file(lines))
-            for number, line in enumerate(lines, start=1):
-                text = line.strip()
-                if not text:
-                    continue
-                if bad is not None:
-                    raise error(f"{bad[1]} (mid-stream, not a torn tail)")
-                where = f"{self.name}:{number}"
-                try:
-                    payload = _decode(text, where, error)
+            try:
+                if self.opens:
+                    lines = stack.enter_context(open_trace_file(lines))
+                for number, line in enumerate(lines, start=1):
+                    text = line.strip()
+                    if not text:
+                        continue
+                    if bad is not None:
+                        raise error(f"{bad[1]} (mid-stream, not a torn tail)")
+                    where = f"{self.name}:{number}"
                     try:
-                        value = self.parse(payload)
-                    except ReproError as exc:
-                        raise error(f"{where}: {exc}") from exc
-                except error as exc:
-                    bad = text, exc
-                else:
-                    yield number, value
+                        payload = _decode(text, where, error)
+                        try:
+                            value = self.parse(payload)
+                        except ReproError as exc:
+                            raise error(f"{where}: {exc}") from exc
+                    except error as exc:
+                        bad = text, exc
+                    else:
+                        yield number, value
+            except (EOFError, zlib.error) as exc:
+                torn = error(f"{self.name}:{number + 1} compressed stream is torn: {exc}")
+                bad = bad or ("", torn)
+            except gzip.BadGzipFile as exc:
+                raise error(f"{self.name} is not a gzip file: {exc}") from exc
         self.torn, self.torn_error = bad or (None, None)
 
 
