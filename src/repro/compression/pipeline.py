@@ -6,9 +6,9 @@ parameters) instead of the raw parameter vector. The pipeline
 
 1. keeps one compressor instance per client (error-feedback residuals
    are client-local state),
-2. compresses each client's delta and reports the payload size in
-   bits — which the TDMA simulator then uses for that client's upload
-   delay and energy (Eqs. 7-8),
+2. declares the payload size in bits, which the TDMA simulator uses
+   for each upload's delay and energy (Eqs. 7-8) before anything is
+   trained, and refuses an upload of any other size,
 3. reconstructs the (lossy) parameter vector the server actually
    receives.
 
@@ -53,12 +53,18 @@ class CompressionPipeline:
         compressor_factory: zero-argument callable building a fresh
             compressor (an object with ``compress``/``decompress``
             whose payload exposes ``payload_bits``) for each client.
+        payload_bits: callable mapping the update length ``P`` to the
+            bits of every compressed upload; a trainer refuses a
+            pipeline without it.
     """
 
-    def __init__(self, compressor_factory: Callable[[], object]) -> None:
+    def __init__(
+        self, compressor_factory: Callable[[], object], payload_bits=None
+    ) -> None:
         if not callable(compressor_factory):
             raise ConfigurationError("compressor_factory must be callable")
         self._factory = compressor_factory
+        self._declared = payload_bits
         self._per_client: Dict[int, object] = {}
 
     # ------------------------------------------------------------------
@@ -69,7 +75,10 @@ class CompressionPipeline:
         cls, fraction: float = 0.1, error_feedback: bool = True
     ) -> CompressionPipeline:
         """Top-k sparsification pipeline [5]."""
-        return cls(lambda: TopKSparsifier(fraction, error_feedback))
+        return cls(
+            lambda: TopKSparsifier(fraction, error_feedback),
+            TopKSparsifier(fraction).payload_bits,
+        )
 
     @classmethod
     def quantized(
@@ -86,12 +95,21 @@ class CompressionPipeline:
                 counter["next"] += 1
             return UniformQuantizer(bits, stochastic=stochastic, seed=client_seed)
 
-        return cls(factory)
+        return cls(factory, UniformQuantizer(bits).payload_bits)
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Drop all per-client compressor state (residuals etc.)."""
         self._per_client.clear()
+
+    def payload_bits(self, dimension: int) -> float:
+        """Bits of any compressed upload of a ``dimension``-long update."""
+        if self._declared is None:
+            raise ConfigurationError(
+                "this compression pipeline declares no payload size; pass "
+                "payload_bits= so the round can be simulated before training"
+            )
+        return float(self._declared(dimension))
 
     def _compressor(self, device_id: int):
         compressor = self._per_client.get(device_id)
@@ -129,6 +147,12 @@ class CompressionPipeline:
         delta_hat = compressor.decompress(payload)
         raw_bits = 32.0 * delta.size
         transmitted = float(payload.payload_bits)
+        declared = self.payload_bits(delta.size)
+        if transmitted != declared:
+            raise ConfigurationError(
+                f"device {device_id}'s compressed upload is {transmitted!r} "
+                f"bits, not the declared {declared!r} the round was simulated with"
+            )
         ratio = raw_bits / transmitted if transmitted > 0 else float("inf")
         return CompressedUpdate(
             params=global_params + delta_hat,

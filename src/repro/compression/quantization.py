@@ -63,6 +63,11 @@ class UniformQuantizer:
         self.stochastic = bool(stochastic)
         self._rng = ensure_generator(seed)
 
+    def payload_bits(self, dimension: int) -> float:
+        """Bits of the payload :meth:`compress` returns for a
+        ``dimension``-long vector, whatever its values."""
+        return float(dimension * self.bits + _HEADER_BITS)
+
     @property
     def levels(self) -> int:
         """Number of representable levels, ``2^bits``."""

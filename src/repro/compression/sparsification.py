@@ -46,10 +46,15 @@ class SparseVector:
     @property
     def payload_bits(self) -> float:
         """Transmitted size: value bits + index bits per kept entry."""
-        if self.dimension == 0:
-            return 0.0
-        index_bits = max(1, math.ceil(math.log2(self.dimension)))
-        return float(self.indices.size * (32 + index_bits))
+        return _payload_bits(self.indices.size, self.dimension)
+
+
+def _payload_bits(kept: int, dimension: int) -> float:
+    """``kept`` value/index pairs of a ``dimension``-long vector, in bits."""
+    if dimension == 0:
+        return 0.0
+    index_bits = max(1, math.ceil(math.log2(dimension)))
+    return float(kept * (32 + index_bits))
 
 
 class TopKSparsifier:
@@ -78,6 +83,11 @@ class TopKSparsifier:
     def keep_count(self, dimension: int) -> int:
         """Entries kept for a ``dimension``-long vector (at least 1)."""
         return max(1, int(round(self.fraction * dimension)))
+
+    def payload_bits(self, dimension: int) -> float:
+        """Bits of the payload :meth:`compress` returns for a
+        ``dimension``-long vector, whatever its values."""
+        return _payload_bits(self.keep_count(dimension), dimension)
 
     def compress(self, vector: np.ndarray) -> SparseVector:
         """Sparsify ``vector`` (plus any residual) to its top-k entries."""

@@ -16,7 +16,52 @@ import numpy as np
 
 from repro.errors import ShapeError, TrainingError
 
-__all__ = ["fedavg_aggregate"]
+__all__ = ["FedAvgAccumulator", "fedavg_aggregate"]
+
+
+class FedAvgAccumulator:
+    """Eq. 18 summed one vector at a time, in the order they are added.
+
+    Each entry takes two roundings per vector — ``(w_k / total) * v_k``,
+    then ``+=`` — so rows folded in as they are trained give the bits of
+    :func:`fedavg_aggregate` over the kept list (a ``weights @ matrix``
+    GEMV would reorder the sum). ``weights`` holds one weight per vector
+    to come, ``size`` is the vector length ``P``.
+    """
+
+    def __init__(self, weights: Sequence[float], size: int) -> None:
+        weights_arr = np.asarray(weights, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(weights_arr))
+        if bad.size:
+            raise TrainingError(
+                f"weight {bad[0]} is {float(weights_arr[bad[0]])!r}; Eq. 18 "
+                "weights must be finite"
+            )
+        if np.any(weights_arr < 0):
+            raise TrainingError(f"weights must be non-negative, got {weights}")
+        total = weights_arr.sum()
+        if total <= 0:
+            raise TrainingError("at least one aggregation weight must be positive")
+        self._ratios = weights_arr / total
+        self._added = 0
+        self._sum = np.zeros(size)
+        self._scaled = np.empty(size)  # reused for ``(w_k / total) * v_k``
+
+    def add(self, vector) -> None:
+        """Fold in the next vector; it takes the next weight."""
+        vector = _as_flat(vector)
+        if vector.shape != self._sum.shape:
+            raise ShapeError(
+                f"parameter vector of length {vector.size} does not match "
+                f"the aggregate's length {self._sum.size}"
+            )
+        np.multiply(vector, self._ratios[self._added], out=self._scaled)
+        self._sum += self._scaled
+        self._added += 1
+
+    def result(self) -> np.ndarray:
+        """The aggregated flat vector (float64)."""
+        return self._sum
 
 
 def fedavg_aggregate(
@@ -27,14 +72,14 @@ def fedavg_aggregate(
 
     Args:
         parameter_vectors: one flat vector per participating user.
-        weights: non-negative aggregation weights (the paper uses local
-            dataset sizes ``|D_q|``); at least one must be positive.
+        weights: finite, non-negative aggregation weights (the paper
+            uses ``|D_q|``); at least one must be positive.
 
     Returns:
         The aggregated flat vector (float64).
 
     Raises:
-        TrainingError: for empty input or all-zero weights.
+        TrainingError: for empty input or weights that are not as above.
         ShapeError: for mismatched vector lengths.
     """
     if len(parameter_vectors) == 0:
@@ -43,29 +88,10 @@ def fedavg_aggregate(
         raise TrainingError(
             f"{len(parameter_vectors)} updates but {len(weights)} weights"
         )
-    weights_arr = np.asarray(weights, dtype=np.float64)
-    if np.any(weights_arr < 0):
-        raise TrainingError(f"weights must be non-negative, got {weights}")
-    total = weights_arr.sum()
-    if total <= 0:
-        raise TrainingError("at least one aggregation weight must be positive")
-
-    first = _as_flat(parameter_vectors[0])
-    accumulator = np.zeros_like(first)
-    # One reused buffer for ``(weight / total) * vector``: the same two
-    # roundings per entry, in the same client order, as a temporary per
-    # client. (A ``weights @ matrix`` GEMV would reorder the sum.)
-    scaled = np.empty_like(first)
-    for vector, weight in zip(parameter_vectors, weights_arr):
-        vector = _as_flat(vector)
-        if vector.shape != first.shape:
-            raise ShapeError(
-                f"parameter vector of length {vector.size} does not match "
-                f"first vector of length {first.size}"
-            )
-        np.multiply(vector, weight / total, out=scaled)
-        accumulator += scaled
-    return accumulator
+    accumulator = FedAvgAccumulator(weights, _as_flat(parameter_vectors[0]).size)
+    for vector in parameter_vectors:
+        accumulator.add(vector)
+    return accumulator.result()
 
 
 def _as_flat(vector) -> np.ndarray:

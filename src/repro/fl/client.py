@@ -23,7 +23,7 @@ from repro.nn.optimizers import Sgd
 from repro.nn.stacked import is_stackable, stacked_local_update
 from repro.rng import SeedLike, derive_seed, ensure_generator
 
-__all__ = ["LocalTrainer", "LocalUpdateSpec", "train_clients"]
+__all__ = ["LocalTrainer", "LocalUpdateSpec", "RowSink", "train_clients"]
 
 # Working-set budget of one stacked pass (a typical L2): shards plus
 # result rows of the clients trained together.
@@ -177,6 +177,27 @@ class LocalUpdateSpec:
         )
 
 
+class RowSink:
+    """Where :func:`train_clients` puts trained rows, block by block.
+
+    ``rows(start, stop)`` is the float64 ``(stop - start, P)``
+    destination, rows contiguous, of clients ``start:stop``;
+    ``take(start, rows)`` receives the block once trained. Blocks come
+    in selection order and may be overwritten once ``take`` returns.
+    This base sink trains into, and keeps, the rows of one matrix.
+    """
+
+    def __init__(self, out: Optional[np.ndarray] = None) -> None:
+        self.out = out
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """The destination of the block of clients ``start:stop``."""
+        return self.out[start:stop]
+
+    def take(self, start: int, rows: np.ndarray) -> None:
+        """Receive the trained block that starts at client ``start``."""
+
+
 def train_clients(
     scratch: Sequential,
     spec: LocalUpdateSpec,
@@ -184,23 +205,24 @@ def train_clients(
     learning_rate: float,
     global_params: np.ndarray,
     devices: Sequence,
-    out: np.ndarray,
+    out,
 ) -> np.ndarray:
     """Run the local update (Eq. 3) of every device in ``devices``.
 
     The one training primitive every execution backend calls, for a
     whole selection or for one chunk of it. Each client starts from
-    ``global_params`` and its trained flat vector is written to its row
-    of ``out``; rows do not depend on which other clients share the
-    call, so any chunking of a selection yields the same bytes.
+    ``global_params``; rows do not depend on which other clients share
+    the call, so any chunking of a selection yields the same bytes.
 
-    Full-batch, unclipped updates of a Dense/ReLU model are trained
-    together by :func:`repro.nn.stacked.stacked_local_update`, grouped
-    by shard size. Everything else — conv models, mini-batching,
-    clipping, and shards that are not plain C-contiguous float64
-    matrices of the model's input width — goes one client at a time
-    through :meth:`LocalTrainer.train`, whose result the stacked kernel
-    reproduces bit for bit.
+    Clients are trained in consecutive blocks, each handed to ``out``
+    once done. In a block, full-batch, unclipped updates of a Dense/ReLU
+    model are trained together by
+    :func:`repro.nn.stacked.stacked_local_update`, grouped by shard
+    size. Everything else — conv models (one client per block),
+    mini-batching, clipping, and shards that are not plain C-contiguous
+    float64 matrices of the model's input width — goes one client at a
+    time through :meth:`LocalTrainer.train`, whose result the stacked
+    kernel reproduces bit for bit.
 
     Args:
         scratch: a model of the trained architecture; its parameters
@@ -211,8 +233,9 @@ def train_clients(
         global_params: the broadcast flat parameter vector.
         devices: the clients, anything with ``device_id`` and
             ``dataset`` attributes.
-        out: ``(len(devices), P)`` float64 destination with contiguous
-            rows (a fresh matrix, or a shared-memory slot range).
+        out: a :class:`RowSink`, or a ``(len(devices), P)`` float64
+            matrix with contiguous rows (a fresh matrix, or a
+            shared-memory slot range) to train into.
 
     Returns:
         ``(len(devices),)`` float64 training losses, in ``devices`` order.
@@ -223,23 +246,36 @@ def train_clients(
         ShapeError: for inputs or labels that do not fit the model.
     """
     global_params = np.asarray(global_params, dtype=np.float64).ravel()
+    sink = out if isinstance(out, RowSink) else RowSink(out)
+    size = global_params.size
     losses = np.empty(len(devices), dtype=np.float64)
-    one_by_one: Sequence[int] = range(len(devices))
-    if (
+    stacking = (
         spec.batch_size is None
         and spec.max_grad_norm is None
         and is_stackable(scratch)
-    ):
-        one_by_one = []
+    )
+    costs = [_BLOCK_BYTES + 1] * len(devices)  # one client per block
+    if stacking:
         # No per-client trainer is built on this path: let one reject
         # the rate and step count it would have rejected.
         LocalTrainer(learning_rate, spec.local_steps)
         width = scratch.layers[0].in_features
+        # A block's shards plus result rows fit in cache, so gradients
+        # are scaled and subtracted before they leave it.
+        costs = [(d.dataset.inputs.shape[0] * width + size) * 8 for d in devices]
+    start = 0
+    while start < len(devices):
+        stop, used = start + 1, costs[start]
+        while stop < len(devices) and used + costs[stop] <= _BLOCK_BYTES:
+            used, stop = used + costs[stop], stop + 1
+        rows = sink.rows(start, stop)
         by_size: Dict[int, List[int]] = {}
-        for index, device in enumerate(devices):
-            inputs = device.dataset.inputs
+        one_by_one = []
+        for index in range(start, stop):
+            inputs = devices[index].dataset.inputs
             if (
-                inputs.ndim == 2
+                stacking
+                and inputs.ndim == 2
                 and inputs.shape[0] > 0
                 and inputs.shape[1] == width
                 and inputs.dtype == np.float64
@@ -248,43 +284,38 @@ def train_clients(
                 by_size.setdefault(inputs.shape[0], []).append(index)
             else:
                 one_by_one.append(index)
-        for size, group in by_size.items():
-            # Rows are independent of their batch, so a group is cut
-            # into blocks whose shards plus result rows fit in cache:
-            # gradients are scaled and subtracted before they leave it.
-            block = max(
-                1, _BLOCK_BYTES // ((size * width + out.shape[1]) * 8)
+        for shard_size, members in by_size.items():
+            shards = [devices[index].dataset for index in members]
+            # A run of consecutive rows trains straight into ``rows``;
+            # interleaved rows are scattered afterwards.
+            first, last = members[0] - start, members[-1] - start
+            consecutive = last - first + 1 == len(members)
+            block = (
+                rows[first : last + 1]
+                if consecutive
+                else np.empty((len(members), size))
             )
-            for start in range(0, len(group), block):
-                members = group[start : start + block]
-                shards = [devices[index].dataset for index in members]
-                # A run of consecutive rows trains straight into
-                # ``out``; interleaved rows are scattered afterwards.
-                consecutive = members[-1] - members[0] + 1 == len(members)
-                rows = (
-                    out[members[0] : members[-1] + 1]
-                    if consecutive
-                    else np.empty((len(members), out.shape[1]))
-                )
-                losses[members] = stacked_local_update(
-                    scratch,
-                    np.concatenate([shard.inputs for shard in shards]).reshape(
-                        len(members), size, width
-                    ),
-                    np.concatenate([shard.labels for shard in shards]).reshape(
-                        len(members), size
-                    ),
-                    global_params,
-                    learning_rate,
-                    spec.local_steps,
-                    rows,
-                )
-                if not consecutive:
-                    out[members] = rows
-    for index in one_by_one:
-        device = devices[index]
-        scratch.set_flat_params(global_params)
-        trainer = spec.make_trainer(learning_rate, round_index, device.device_id)
-        losses[index] = trainer.train(scratch, device.dataset)
-        scratch.get_flat_params(out=out[index])
+            losses[members] = stacked_local_update(
+                scratch,
+                np.concatenate([shard.inputs for shard in shards]).reshape(
+                    len(members), shard_size, width
+                ),
+                np.concatenate([shard.labels for shard in shards]).reshape(
+                    len(members), shard_size
+                ),
+                global_params,
+                learning_rate,
+                spec.local_steps,
+                block,
+            )
+            if not consecutive:
+                rows[np.asarray(members) - start] = block
+        for index in one_by_one:
+            device = devices[index]
+            scratch.set_flat_params(global_params)
+            trainer = spec.make_trainer(learning_rate, round_index, device.device_id)
+            losses[index] = trainer.train(scratch, device.dataset)
+            scratch.get_flat_params(out=rows[index - start])
+        sink.take(start, rows)
+        start = stop
     return losses

@@ -4,7 +4,7 @@ The simulated MEC devices are independent: each selected user's local
 update (Eq. 3) depends only on the broadcast parameters and its own
 dataset. All training goes through one primitive,
 :func:`repro.fl.client.train_clients`, which trains a sequence of
-clients into the rows of a result matrix. An :class:`ExecutionBackend`
+clients in cache-sized blocks. An :class:`ExecutionBackend`
 only decides how a round's selection is cut into contiguous chunks and
 where each chunk runs:
 
@@ -30,17 +30,22 @@ clients share its chunk — and results are returned in selection order.
 A fixed seed therefore produces the identical
 :class:`~repro.fl.history.TrainingHistory` under any backend.
 
-The round exchange is typed: a backend returns one
-:class:`ClientUpdate` per client, and the trainer wraps them into a
-:class:`RoundResult` consumed by compression, battery enforcement, the
-energy ledger, and history recording.
+The round exchange is typed, and trained rows stream: a backend hands
+each finished block of rows to a :class:`~repro.fl.client.RowSink` in
+selection order, and returns one :class:`ClientUpdate` (weight, loss)
+per client. By default the rows are kept as the records' ``params``;
+the trainer passes its Eq. 18 fold instead, so no ``(N, P)`` update
+matrix is kept: the serial backend trains block by block into one
+reused buffer, the pools fold each chunk as ``map`` yields it, and
+``process+shm`` folds straight from its shared result block.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import (
     Dict,
     Iterator,
@@ -57,9 +62,8 @@ import numpy as np
 from repro.data.dataset import ArrayDataset
 from repro.devices.device import UserDevice
 from repro.errors import ConfigurationError, TrainingError
-from repro.fl.client import LocalUpdateSpec, train_clients
+from repro.fl.client import LocalUpdateSpec, RowSink, train_clients
 from repro.network.tdma import (
-    CLIENT_OUTCOMES,
     OUTCOME_DROPPED,
     OUTCOME_OK,
     OUTCOME_TIMEOUT,
@@ -97,7 +101,8 @@ STATUS_DROPPED = OUTCOME_DROPPED
 STATUS_TIMEOUT = OUTCOME_TIMEOUT
 """Client round outcomes: the TDMA timeline's
 :data:`~repro.network.tdma.CLIENT_OUTCOMES` under this module's names
-(``result.with_statuses(timeline.outcomes())`` passes them through)."""
+(``timeline.outcomes()`` reports one per device, and the trainer's
+settle step overrides it for battery losses)."""
 
 
 @dataclass(frozen=True)
@@ -106,41 +111,29 @@ class ClientUpdate:
 
     Attributes:
         device_id: the uploading user ``q``.
-        params: the flat parameter vector the server aggregates — the
-            raw trained vector, or the lossy reconstruction when a
-            compression pipeline processed the upload.
+        params: the trained flat parameter vector, or ``None`` when the
+            round's rows went to a :class:`~repro.fl.client.RowSink`
+            (the trainer's Eq. 18 fold) instead of being kept.
         weight: the FedAvg weight ``|D_q|``.
         loss: the client's observed training loss (fed back to
             statistical-utility selection strategies).
-        payload_bits: actual transmitted bits when compression ran;
-            ``None`` means the nominal ``C_model`` payload applies.
-        status: the round outcome — ``"ok"`` reached the server,
-            ``"dropped"`` lost to a fault or battery, ``"timeout"``
-            cut off by the round deadline. Only ``"ok"`` updates are
-            aggregated.
+        payload_bits: transmitted bits when they differ from the
+            nominal ``C_model`` payload; ``None`` means it applies.
     """
 
     device_id: int
-    params: np.ndarray
+    params: Optional[np.ndarray]
     weight: float
     loss: float
     payload_bits: Optional[float] = None
-    status: str = STATUS_OK
-
-    def __post_init__(self) -> None:
-        if self.status not in CLIENT_OUTCOMES:
-            raise ConfigurationError(
-                f"status must be one of {CLIENT_OUTCOMES}, got {self.status!r}"
-            )
 
 
 @dataclass(frozen=True)
 class RoundResult:
     """All client updates of one round, in selection order.
 
-    The container is what battery enforcement filters, the aggregation
-    step consumes, and history recording reads — replacing the five
-    parallel lists the old ``_run_clients`` returned.
+    The trainer keeps the clients it integrated as one, for the
+    strategy's loss feedback and the round's train loss.
     """
 
     round_index: int
@@ -198,65 +191,6 @@ class RoundResult:
             updates=tuple(
                 u for u in self.updates if u.device_id not in dropped
             ),
-        )
-
-    # -- degraded-round helpers ----------------------------------------
-    def with_statuses(self, statuses: Dict[int, str]) -> RoundResult:
-        """Return a copy with per-device statuses applied.
-
-        Devices absent from ``statuses`` keep their current status;
-        when nothing changes the result is ``self`` (so the faults-off
-        path shares the exact same object).
-        """
-        if all(
-            statuses.get(u.device_id, u.status) == u.status
-            for u in self.updates
-        ):
-            return self
-        return replace(
-            self,
-            updates=tuple(
-                replace(u, status=statuses[u.device_id])
-                if statuses.get(u.device_id, u.status) != u.status
-                else u
-                for u in self.updates
-            ),
-        )
-
-    def survivors(self) -> RoundResult:
-        """The updates that reached the server (``status == "ok"``).
-
-        Returns ``self`` when every update survived, so an undegraded
-        round pays nothing for the filter.
-        """
-        if all(u.status == STATUS_OK for u in self.updates):
-            return self
-        return replace(
-            self,
-            updates=tuple(
-                u for u in self.updates if u.status == STATUS_OK
-            ),
-        )
-
-    def first(self, count: int) -> RoundResult:
-        """The first ``count`` updates in selection order.
-
-        The FedCS-style over-selection fallback aggregates the first
-        ``N`` survivors of an ``N + margin`` selection; ``self`` is
-        returned unchanged when nothing needs trimming.
-        """
-        if count < 0:
-            raise ConfigurationError(
-                f"count must be non-negative, got {count}"
-            )
-        if len(self.updates) <= count:
-            return self
-        return replace(self, updates=self.updates[:count])
-
-    def ids_with_status(self, status: str) -> Tuple[int, ...]:
-        """Device ids carrying ``status``, in selection order."""
-        return tuple(
-            u.device_id for u in self.updates if u.status == status
         )
 
 
@@ -337,38 +271,46 @@ class ExecutionBackend:
         global_params: np.ndarray,
         selected: Sequence[UserDevice],
         learning_rate: float,
+        sink: Optional[RowSink] = None,
     ) -> List[ClientUpdate]:
-        """Train every selected client; return updates in selection order.
+        """Train every selected client; return records in selection order.
 
         Args:
             round_index: 1-based FL round index ``j``.
             global_params: the broadcast flat parameter vector.
             selected: the round's selected user set ``Gamma_j``.
             learning_rate: the round's (possibly decayed) local rate.
+            sink: where each trained block of rows goes, in selection
+                order (the trainer passes its Eq. 18 fold); the records
+                then carry ``params=None``. By default every row is
+                kept as its record's ``params``.
         """
         if self._spec is None:
             raise TrainingError(
                 f"{type(self).__name__} must be bound before run_round"
             )
+        kept = _KeptRows(np.size(global_params)) if sink is None else None
         observer = self.observer
         self._sample_tasks = observer is not None and observer.spans_active
         self._task_samples = []
         try:
-            if observer is None:
-                return self._run(
-                    round_index, global_params, selected, learning_rate
+            timer = nullcontext() if observer is None else observer.timer("run_round")
+            with timer:
+                losses = self._run(
+                    round_index, global_params, selected, learning_rate, sink or kept
                 )
-            with observer.timer("run_round"):
-                updates = self._run(
-                    round_index, global_params, selected, learning_rate
-                )
-            observer.metrics.inc("clients_trained", float(len(updates)))
-            if self._task_samples:
-                observer.emit_batch(*task_span_batch(round_index, self._task_samples))
-            return updates
+            if observer is not None:
+                observer.metrics.inc("clients_trained", float(len(selected)))
+                if self._task_samples:
+                    observer.emit_batch(*task_span_batch(round_index, self._task_samples))
         finally:
             self._sample_tasks = False
             self._task_samples = []
+        rows = kept.kept if kept is not None else repeat(None)
+        return [
+            ClientUpdate(device.device_id, params, float(device.num_samples), loss)
+            for device, params, loss in zip(selected, rows, losses.tolist())
+        ]
 
     def _run(
         self,
@@ -376,8 +318,21 @@ class ExecutionBackend:
         global_params: np.ndarray,
         selected: Sequence[UserDevice],
         learning_rate: float,
-    ) -> List[ClientUpdate]:
+        sink: RowSink,
+    ) -> np.ndarray:
+        """Train ``selected`` into ``sink``; return the losses."""
         raise NotImplementedError
+
+    def _collect(self, selected, chunks, results, sink: RowSink) -> np.ndarray:
+        """Hand each pool chunk's ``(rows, losses, sample)`` to ``sink``
+        in map (= selection) order, not completion order, so the fold
+        and the span sequence are deterministic; return the losses."""
+        losses = np.empty(len(selected))
+        for (start, stop), (rows, chunk_losses, sample) in zip(chunks, results):
+            sink.take(start, rows)
+            losses[start:stop] = chunk_losses
+            self._record_chunk(selected[start:stop], sample)
+        return losses
 
     def _record_chunk(
         self, devices: Sequence[UserDevice], sample: Optional[TaskSample]
@@ -389,6 +344,21 @@ class ExecutionBackend:
             )
 
 
+class _KeptRows(RowSink):
+    """``run_round``'s default sink: every block in fresh memory, kept."""
+
+    def __init__(self, size: int) -> None:
+        super().__init__()
+        self.size = size
+        self.kept: List[np.ndarray] = []
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        return np.empty((stop - start, self.size))
+
+    def take(self, start: int, rows: np.ndarray) -> None:
+        self.kept.extend(rows)
+
+
 def _train_chunk(
     scratch: Sequential,
     spec: LocalUpdateSpec,
@@ -396,7 +366,7 @@ def _train_chunk(
     learning_rate: float,
     global_params: np.ndarray,
     devices: Sequence,
-    out: np.ndarray,
+    out,
     sample: bool,
 ) -> Tuple[np.ndarray, Optional[TaskSample]]:
     """:func:`train_clients` on one chunk, measured when ``sample`` is set.
@@ -409,21 +379,6 @@ def _train_chunk(
         scratch, spec, round_index, learning_rate, global_params, devices, out
     )
     return losses, (end_task_sample(token) if token is not None else None)
-
-
-def _client_updates(
-    devices: Sequence[UserDevice], rows: np.ndarray, losses: np.ndarray
-) -> List[ClientUpdate]:
-    """One :class:`ClientUpdate` per device; ``params`` are views of ``rows``."""
-    return [
-        ClientUpdate(
-            device_id=device.device_id,
-            params=row,
-            weight=float(device.num_samples),
-            loss=loss,
-        )
-        for device, row, loss in zip(devices, rows, losses.tolist())
-    ]
 
 
 def _chunk_bounds(
@@ -465,8 +420,7 @@ class SerialBackend(ExecutionBackend):
         del devices
         self._scratch = model_template.clone()
 
-    def _run(self, round_index, global_params, selected, learning_rate):
-        rows = np.empty((len(selected), np.size(global_params)))
+    def _run(self, round_index, global_params, selected, learning_rate, sink):
         losses, sample = _train_chunk(
             self._scratch,
             self._spec,
@@ -474,11 +428,11 @@ class SerialBackend(ExecutionBackend):
             learning_rate,
             global_params,
             selected,
-            rows,
+            sink,
             self._sample_tasks,
         )
         self._record_chunk(selected, sample)
-        return _client_updates(selected, rows, losses)
+        return losses
 
 
 class ThreadPoolBackend(ExecutionBackend):
@@ -486,8 +440,8 @@ class ThreadPoolBackend(ExecutionBackend):
 
     Each worker thread lazily clones its own scratch model
     (thread-local), so concurrent chunks never share layer buffers,
-    and writes its chunk's rows of the round's result matrix. numpy's
-    BLAS kernels drop the GIL, which is where the overlap comes from.
+    and trains its chunk into rows of its own. numpy's BLAS kernels
+    drop the GIL, which is where the overlap comes from.
 
     Args:
         workers: pool size; ``None`` uses ``os.cpu_count()``.
@@ -527,33 +481,29 @@ class ThreadPoolBackend(ExecutionBackend):
             self._local.scratch = scratch
         return scratch
 
-    def _run(self, round_index, global_params, selected, learning_rate):
+    def _run(self, round_index, global_params, selected, learning_rate, sink):
         if self._pool is None:
             raise TrainingError("ThreadPoolBackend is closed; re-bind it")
         sampling = self._sample_tasks
-        rows = np.empty((len(selected), np.size(global_params)))
-        losses = np.empty(len(selected))
+        size = np.size(global_params)
 
-        def task(bounds: Tuple[int, int]) -> Optional[TaskSample]:
+        def task(bounds: Tuple[int, int]):
             start, stop = bounds
-            losses[start:stop], sample = _train_chunk(
+            rows = np.empty((stop - start, size))
+            losses, sample = _train_chunk(
                 self._scratch(),
                 self._spec,
                 round_index,
                 learning_rate,
                 global_params,
                 selected[start:stop],
-                rows[start:stop],
+                rows,
                 sampling,
             )
-            return sample
+            return rows, losses, sample
 
         chunks = _chunk_bounds(len(selected), self.workers)
-        # Collected in map (= selection) order, not completion order,
-        # so the emitted span sequence is deterministic.
-        for (start, stop), sample in zip(chunks, self._pool.map(task, chunks)):
-            self._record_chunk(selected[start:stop], sample)
-        return _client_updates(selected, rows, losses)
+        return self._collect(selected, chunks, self._pool.map(task, chunks), sink)
 
 
 # -- process-pool worker plumbing (module level for picklability) ------
@@ -690,30 +640,23 @@ class ProcessPoolBackend(ExecutionBackend):
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    def _run(self, round_index, global_params, selected, learning_rate):
+    def _run(self, round_index, global_params, selected, learning_rate, sink):
         if self._pool is None:
             raise TrainingError("ProcessPoolBackend is closed; re-bind it")
-        chunks = [
-            selected[start:stop]
-            for start, stop in _chunk_bounds(len(selected), self.workers)
-        ]
+        chunks = _chunk_bounds(len(selected), self.workers)
         tasks = [
             (
                 round_index,
                 learning_rate,
                 global_params,  # repro: allow[REP007] pickle fallback backend
-                *_chunk_clients(chunk, self._known_ids),
+                *_chunk_clients(selected[start:stop], self._known_ids),
                 self._sample_tasks,
             )
-            for chunk in chunks
+            for start, stop in chunks
         ]
-        updates = []
-        for chunk, (rows, losses, sample) in zip(
-            chunks, self._pool.map(_process_worker_run, tasks)
-        ):
-            updates.extend(_client_updates(chunk, rows, losses))
-            self._record_chunk(chunk, sample)
-        return updates
+        return self._collect(
+            selected, chunks, self._pool.map(_process_worker_run, tasks), sink
+        )
 
 
 # ----------------------------------------------------------------------

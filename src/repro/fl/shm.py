@@ -43,7 +43,7 @@ from repro.fl.execution import (
     _check_workers,
     _chunk_bounds,
     _chunk_clients,
-    _client_updates,
+    _KeptRows,
     _train_chunk,
     _worker_clients,
 )
@@ -356,13 +356,13 @@ class SharedMemoryProcessPoolBackend(ExecutionBackend):
             self._shm.close()
             self._shm = None
 
-    def _run(self, round_index, global_params, selected, learning_rate):
+    def _run(self, round_index, global_params, selected, learning_rate, sink):
         if self._pool is None:
             raise TrainingError(
                 "SharedMemoryProcessPoolBackend is closed; re-bind it"
             )
         if not selected:
-            return []
+            return np.empty(0)
         shm = self._shm
         shm.broadcast_view()[...] = np.asarray(
             global_params, dtype=np.float64
@@ -380,13 +380,14 @@ class SharedMemoryProcessPoolBackend(ExecutionBackend):
             )
             for start, stop in bounds
         ]
-        results = list(self._pool.map(_shm_worker_run, tasks))
-        # One copy out of the shared block: it is reused next round,
-        # while the updates (row views of the copy) may outlive it
-        # (history, compression, aggregation buffers).
-        rows = shm.result_view(len(selected)).copy()
-        for (start, stop), (_, sample) in zip(bounds, results):
-            self._record_chunk(selected[start:stop], sample)
-        return _client_updates(
-            selected, rows, np.concatenate([losses for losses, _ in results])
+        view = shm.result_view(len(selected))
+        # A sink that keeps rows gets a copy: the shared block is reused
+        # next round. The trainer's fold reads it in place.
+        copy = isinstance(sink, _KeptRows)
+        results = (
+            (view[start:stop].copy() if copy else view[start:stop], *chunk)
+            for (start, stop), chunk in zip(
+                bounds, self._pool.map(_shm_worker_run, tasks)
+            )
         )
+        return self._collect(selected, bounds, results, sink)

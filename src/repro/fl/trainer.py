@@ -3,9 +3,11 @@
 Each round: a :class:`~repro.fl.strategy.SelectionStrategy` picks
 ``Gamma_j``, a :class:`~repro.fl.strategy.FrequencyPolicy` assigns CPU
 frequencies, the TDMA simulator produces the round's delay/energy
-timeline (Eqs. 4–11), selected clients run their local updates
-(Eq. 3) through a pluggable :class:`~repro.fl.execution.ExecutionBackend`,
-and the server FedAvg-integrates the results (Eq. 18). The loop
+timeline (Eqs. 4–11) — which depends on no trained value, so it comes
+first and settles who the server will integrate — and then selected
+clients run their local updates (Eq. 3) through a pluggable
+:class:`~repro.fl.execution.ExecutionBackend`, each trained block
+folded into the FedAvg sum (Eq. 18) as soon as it is done. The loop
 honours the total-training deadline (constraint 14) and optional
 convergence exits, and records everything into a
 :class:`~repro.fl.history.TrainingHistory`.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,8 +32,9 @@ from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, TrainingError
 from repro.faults import FaultInjector, FaultPlan, RoundFaults
+from repro.fl.aggregation import FedAvgAccumulator
 from repro.fl.checkpoint import TrainerCheckpoint, save_checkpoint
-from repro.fl.client import LocalTrainer
+from repro.fl.client import LocalTrainer, RowSink
 from repro.fl.execution import (
     STATUS_DROPPED,
     STATUS_OK,
@@ -277,13 +280,18 @@ class RoundState:
     # inject faults: the round's resolved faults, empty when none fire.
     faults: Optional[RoundFaults] = None
     reassigned: bool = False
-    # execute: the updates and the TDMA schedule; settle rewrites
-    # result with final statuses and picks what the server integrates.
-    result: Optional[RoundResult] = None
+    # simulate: the TDMA schedule, from payload sizes known up front.
     timeline: Optional[RoundTimeline] = None
-    integrated: Optional[RoundResult] = None
+    # settle: the devices the server will integrate (selection order),
+    # the lost ids, and the ids whose battery could not pay.
+    integrating: Sequence[UserDevice] = ()
     dropped_ids: Tuple[int, ...] = ()
     timeout_ids: Tuple[int, ...] = ()
+    battery_dropped: Tuple[int, ...] = ()
+    # train: the integrated clients' records and the Eq. 18 vector
+    # their rows were folded into (None when nobody is integrated).
+    integrated: Optional[RoundResult] = None
+    aggregated: Optional[np.ndarray] = None
     # record timeline: the delay/energy totals, under the names the
     # timeline event and the history record share.
     totals: Optional[Dict[str, float]] = None
@@ -310,6 +318,45 @@ class _TimedSpan:
         self._timer.__exit__(*exc_info)
 
 
+class _Eq18Fold(RowSink):
+    """The trainer's row sink: FedAvg (Eq. 18) while the rows are hot.
+
+    Every trained row is compressed when a pipeline is configured —
+    discarded clients' too, so every residual advances — and what the
+    server receives is added to the sum at once if the client is
+    integrated. Rows arrive in selection order, so the bits are those
+    of ``fedavg_aggregate`` over the kept rows.
+    """
+
+    def __init__(self, global_params, devices, integrating, compression) -> None:
+        super().__init__()
+        self._global_params = global_params
+        self._ids = [d.device_id for d in devices]
+        self.integrating = {d.device_id for d in integrating}
+        self._compression = compression
+        weights = [float(d.num_samples) for d in integrating]
+        self._sum = FedAvgAccumulator(weights, global_params.size) if weights else None
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        # Serial training reuses one block buffer for the whole round.
+        if self.out is None or len(self.out) < stop - start:
+            self.out = np.empty((stop - start, self._global_params.size))
+        return self.out[: stop - start]
+
+    def take(self, start: int, rows: np.ndarray) -> None:
+        for device_id, row in zip(self._ids[start : start + len(rows)], rows):
+            if self._compression is not None:
+                row = self._compression.process(
+                    device_id, self._global_params, row
+                ).params
+            if device_id in self.integrating:
+                self._sum.add(row)
+
+    def result(self) -> Optional[np.ndarray]:
+        """The new global vector, or ``None`` when nobody is integrated."""
+        return self._sum.result() if self._sum is not None else None
+
+
 class FederatedTrainer:
     """Runs Algorithm 1 for a given selection strategy and policy.
 
@@ -323,14 +370,13 @@ class FederatedTrainer:
         label: history label (e.g. ``"HELCFL"``).
         compression: optional
             :class:`repro.compression.CompressionPipeline`; when set,
-            each client's update delta is compressed, the *actual*
-            compressed payload drives that client's upload delay and
-            energy, and the server aggregates the lossy reconstruction.
-            The frequency policy still plans with the nominal
-            ``server.payload_bits`` (the FLCC cannot know compressed
-            sizes before training happens). Compression state is
-            per-device and updated in selection order in the main
-            process, so it is backend-independent.
+            each client's update delta is compressed, the pipeline's
+            declared payload size drives every upload's delay and
+            energy (an upload of another size is refused), and the
+            server aggregates the lossy reconstruction. The frequency
+            policy still plans with the nominal ``server.payload_bits``.
+            Compression state is per-device and updated in selection
+            order in the main process, so it is backend-independent.
         channel_models: optional mapping from device id to a channel
             model exposing ``sample_gain()`` (e.g.
             :class:`repro.network.RayleighFadingChannel`); when set,
@@ -438,42 +484,9 @@ class FederatedTrainer:
 
         return EnergyLedger(metrics=self.observer.metrics)
 
-    def _run_clients(
-        self, round_index: int, selected: Sequence[UserDevice]
-    ) -> RoundResult:
-        """Fan the round's local updates out through the backend.
-
-        Compression (when configured) is applied afterwards in
-        selection order: per-device residual state must evolve
-        deterministically no matter how the backend scheduled the
-        training itself.
-        """
-        global_params = self.server.broadcast()
-        updates = self.backend.run_round(
-            round_index,
-            global_params,
-            selected,
-            self.local_trainer.learning_rate,
-        )
-        if self.compression is not None:
-            compressed = []
-            for update in updates:
-                received = self.compression.process(
-                    update.device_id, global_params, update.params
-                )
-                compressed.append(
-                    replace(
-                        update,
-                        params=received.params,
-                        payload_bits=received.payload_bits,
-                    )
-                )
-            updates = compressed
-        return RoundResult(round_index=round_index, updates=tuple(updates))
-
     def _apply_battery(
-        self, selected: Sequence[UserDevice], timeline, result: RoundResult
-    ) -> Tuple[RoundResult, Tuple[int, ...]]:
+        self, active, timeline: RoundTimeline, status_by_id: Dict[int, str]
+    ) -> Tuple[int, ...]:
         """Drain batteries; mark devices that cannot pay as dropped.
 
         Every device pays the energy its timeline entry says it spent —
@@ -482,29 +495,25 @@ class FederatedTrainer:
         returned battery-drop tuple (a fault already claimed the rest).
         """
         if not self.config.enforce_battery:
-            return result, ()
+            return ()
         spent = dict(
             zip(
                 timeline.device_ids.tolist(),
                 (timeline.compute_energy + timeline.upload_energy).tolist(),
             )
         )
-        device_index = {d.device_id: d for d in selected}
         dropped = []
-        for update in result:
-            device = device_index[update.device_id]
+        for device in active:
             battery = device.battery
             if battery is None:
                 continue
-            paid = battery.drain(spent[update.device_id])
-            if not paid and update.status == STATUS_OK:
-                dropped.append(update.device_id)
-        statuses = {device_id: STATUS_DROPPED for device_id in dropped}
-        return result.with_statuses(statuses), tuple(dropped)
+            paid = battery.drain(spent[device.device_id])
+            if not paid and status_by_id[device.device_id] == STATUS_OK:
+                dropped.append(device.device_id)
+        status_by_id.update(dict.fromkeys(dropped, STATUS_DROPPED))
+        return tuple(dropped)
 
-    def _emit_degradation(
-        self, state: RoundState, battery_dropped: Tuple[int, ...]
-    ) -> None:
+    def _emit_degradation(self, state: RoundState) -> None:
         """Emit one :class:`ClientDroppedEvent` per lost client, then
         the round's :class:`RoundDegradedEvent` if it fell short."""
         faults = state.faults
@@ -515,7 +524,7 @@ class FederatedTrainer:
             causes[device_id] = ("dropout", "compute")
         for device_id in faults.upload_outage:
             causes[device_id] = ("channel_outage", "upload")
-        for device_id in battery_dropped:
+        for device_id in state.battery_dropped:
             causes.setdefault(device_id, ("battery", "round"))
         for device_id in faults.battery_death:
             causes.setdefault(device_id, ("battery_death", "round"))
@@ -546,13 +555,13 @@ class FederatedTrainer:
         if (
             lost
             or state.reassigned
-            or len(state.integrated) < state.target_count
+            or len(state.integrating) < state.target_count
         ):
             self.observer.emit(
                 RoundDegradedEvent(
                     round_index=state.round_index,
                     planned=len(state.selected),
-                    aggregated=len(state.integrated),
+                    aggregated=len(state.integrating),
                     dropped_ids=state.dropped_ids,
                     timeout_ids=state.timeout_ids,
                     reassigned_frequencies=state.reassigned,
@@ -681,8 +690,9 @@ class FederatedTrainer:
                         self._select(state)
                         self._assign_frequencies(state)
                         self._inject_faults(state)
-                        self._execute(state)
+                        self._simulate(state)
                         self._settle(state)
+                        self._train(state)
                         self._aggregate(state)
                         self._record_timeline(state)
                         self._evaluate(state)
@@ -956,23 +966,26 @@ class FederatedTrainer:
             observer.metrics.inc("frequency_reassignments")
             state.reassigned = True
 
-    def _execute(self, state: RoundState) -> None:
-        """Local updates through the backend, then the TDMA timeline."""
+    def _simulate(self, state: RoundState) -> None:
+        """The round's TDMA timeline (Eqs. 4–11): its inputs — cost
+        model, fault masks, declared payload sizes — hold no trained
+        value, so it is known before any gradient is computed."""
         if not state.active:
             # Every selected device dropped before computing: the round
             # happens but costs nothing and changes nothing.
-            state.result = RoundResult(state.round_index, updates=())
             state.timeline = RoundTimeline()
             return
         faults = state.faults
-        with self._stage(state, "local_updates"):
-            result = self._run_clients(state.round_index, state.active)
+        payloads = None
+        if self.compression is not None:
+            bits = self.compression.payload_bits(self.server.model.parameter_count)
+            payloads = {d.device_id: bits for d in state.active}
         state.timeline = simulate_tdma_round(
             state.active,
             self.server.payload_bits,
             self.config.bandwidth_hz,
             state.frequencies,
-            payloads=result.payloads or None,
+            payloads=payloads,
             population=state.active_population,
             compute_scale=faults.compute_scale,
             drop_during=faults.drop_during,
@@ -980,36 +993,29 @@ class FederatedTrainer:
             upload_scale=faults.upload_scale,
             round_deadline=self.config.round_deadline_s,
         )
-        state.result = result.with_statuses(state.timeline.outcomes())
 
     def _settle(self, state: RoundState) -> None:
-        """Batteries, each client's final status, the degradation events."""
+        """Batteries, each client's final status and the integrated set,
+        all read off the timeline before anything is trained."""
         observer = self.observer
         faults = state.faults
-        result, battery_dropped = self._apply_battery(
-            state.active, state.timeline, state.result
+        status_by_id = state.timeline.outcomes()
+        state.battery_dropped = self._apply_battery(
+            state.active, state.timeline, status_by_id
         )
-        if faults.battery_death:
-            # The battery empties at the round's end, killing the
-            # device's contribution whatever else happened.
-            for device_id in faults.battery_death:
-                device = state.run.device_index[device_id]
-                if device.battery is not None:
-                    device.battery.kill()
-            result = result.with_statuses(
-                dict.fromkeys(faults.battery_death, STATUS_DROPPED)
-            )
-        if battery_dropped:
-            observer.emit(
-                BatteryDropEvent(
-                    round_index=state.round_index,
-                    dropped_ids=battery_dropped,
-                )
-            )
-        integrated = result.survivors()
+        # The battery empties at the round's end, killing the device's
+        # contribution whatever else happened.
+        for device_id in faults.battery_death:
+            device = state.run.device_index[device_id]
+            if device.battery is not None:
+                device.battery.kill()
+            if device_id in status_by_id:
+                status_by_id[device_id] = STATUS_DROPPED
+        integrating = [
+            d for d in state.active if status_by_id[d.device_id] == STATUS_OK
+        ]
         if self.config.over_select_margin > 0:
-            integrated = integrated.first(state.target_count)
-        status_by_id = {u.device_id: u.status for u in result}
+            integrating = integrating[: state.target_count]
         status_by_id.update(dict.fromkeys(faults.drop_before, STATUS_DROPPED))
 
         def selected_with(status: str) -> Tuple[int, ...]:
@@ -1019,8 +1025,7 @@ class FederatedTrainer:
                 if status_by_id.get(device_id) == status
             )
 
-        state.result = result
-        state.integrated = integrated
+        state.integrating = integrating
         state.dropped_ids = selected_with(STATUS_DROPPED)
         state.timeout_ids = selected_with(STATUS_TIMEOUT)
         if state.dropped_ids:
@@ -1031,16 +1036,48 @@ class FederatedTrainer:
             observer.metrics.inc(
                 "clients_timeout", float(len(state.timeout_ids))
             )
+
+    def _train(self, state: RoundState) -> None:
+        """Local updates through the backend, each trained block folded
+        into Eq. 18 (see :class:`_Eq18Fold`) as soon as it is done."""
+        if not state.active:
+            state.integrated = RoundResult(state.round_index, updates=())
+            return
+        global_params = self.server.broadcast()
+        fold = _Eq18Fold(
+            global_params, state.active, state.integrating, self.compression
+        )
+        with self._stage(state, "local_updates"):
+            updates = self.backend.run_round(
+                state.round_index,
+                global_params,
+                state.active,
+                self.local_trainer.learning_rate,
+                sink=fold,
+            )
+        state.integrated = RoundResult(
+            state.round_index,
+            tuple(u for u in updates if u.device_id in fold.integrating),
+        )
+        state.aggregated = fold.result()
+
+    def _aggregate(self, state: RoundState) -> None:
+        """Settle's events, the ledger, strategy feedback, and installing
+        the Eq. 18 vector."""
+        if state.battery_dropped:
+            self.observer.emit(
+                BatteryDropEvent(
+                    round_index=state.round_index,
+                    dropped_ids=state.battery_dropped,
+                )
+            )
         # Rounds can degrade only under a fault plan or a round deadline;
         # without either the trace carries no degradation events at all.
         if (
             self.config.round_deadline_s is not None
             or not state.run.injector.plan.is_empty
         ):
-            self._emit_degradation(state, battery_dropped)
-
-    def _aggregate(self, state: RoundState) -> None:
-        """Ledger, strategy feedback, and the FedAvg step (Eq. 18)."""
+            self._emit_degradation(state)
         integrated = state.integrated
         # Feedback hook for statistical-utility strategies (e.g. the
         # Oort extension): report the observed losses of the clients
@@ -1050,7 +1087,7 @@ class FederatedTrainer:
         self.ledger.record_round(state.timeline)
         if integrated:
             with self._stage(state, "aggregation", timer="aggregation"):
-                self.server.aggregate(integrated.params, integrated.weights)
+                self.server.model.set_flat_params(state.aggregated)
         self.observer.emit(
             AggregationEvent(
                 round_index=state.round_index,

@@ -58,7 +58,7 @@ OUTCOME_OK = "ok"
 OUTCOME_DROPPED = "dropped"
 OUTCOME_TIMEOUT = "timeout"
 CLIENT_OUTCOMES: Tuple[str, ...] = (OUTCOME_OK, OUTCOME_DROPPED, OUTCOME_TIMEOUT)
-"""The per-user round outcomes shared with ``ClientUpdate.status``."""
+"""The per-user round outcomes (the trainer's ``STATUS_*`` names)."""
 
 
 @dataclass(frozen=True)

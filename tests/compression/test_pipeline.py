@@ -57,6 +57,73 @@ class TestPipeline:
         with pytest.raises(ConfigurationError):
             CompressionPipeline("not callable")
 
+    @pytest.mark.parametrize(
+        "pipeline",
+        [
+            CompressionPipeline.top_k(fraction=0.1),
+            CompressionPipeline.top_k(fraction=1.0, error_feedback=False),
+            CompressionPipeline.quantized(bits=3),
+            CompressionPipeline.quantized(bits=8, stochastic=True, seed=2),
+        ],
+        ids=["top_k", "top_k_all", "quantized", "stochastic"],
+    )
+    @pytest.mark.parametrize("dimension", [0, 1, 2, 7, 1000])
+    def test_declared_size_is_every_payload_size(self, pipeline, dimension):
+        rng = np.random.default_rng(dimension)
+        for device_id, values in enumerate(
+            (np.zeros(dimension), rng.normal(size=dimension))
+        ):
+            update = pipeline.process(device_id, np.zeros(dimension), values)
+            assert update.payload_bits == pipeline.payload_bits(dimension)
+
+
+class NonzeroCoder:
+    """A stub compressor whose payload size depends on the data: it
+    sends only the nonzero entries, 64 bits each."""
+
+    def compress(self, vector):
+        return NonzeroPayload(np.asarray(vector, dtype=np.float64).copy())
+
+    @staticmethod
+    def decompress(payload):
+        return payload.values
+
+
+class NonzeroPayload:
+    def __init__(self, values):
+        self.values = values
+        self.payload_bits = 64.0 * np.count_nonzero(values)
+
+
+class TestDeclaredPayloadSize:
+    """The round is simulated before training with the declared size,
+    so an upload of any other size is refused, not mis-simulated."""
+
+    def test_data_dependent_size_is_refused_naming_the_device(self):
+        pipeline = CompressionPipeline(NonzeroCoder, lambda dimension: 64.0 * dimension)
+        assert pipeline.process(3, np.zeros(2), np.ones(2)).payload_bits == 128.0
+        with pytest.raises(ConfigurationError, match="device 7's compressed upload"):
+            pipeline.process(7, np.zeros(2), np.array([1.0, 0.0]))
+
+    def test_undeclared_size_is_refused(self):
+        pipeline = CompressionPipeline(NonzeroCoder)
+        with pytest.raises(ConfigurationError, match="declares no payload size"):
+            pipeline.payload_bits(4)
+
+    def test_trainer_refuses_an_undeclared_pipeline_before_training(self):
+        runs = TestTrainerIntegration()
+        with pytest.raises(ConfigurationError, match="declares no payload size"):
+            runs._run(CompressionPipeline(NonzeroCoder), rounds=1)
+
+    def test_trainer_refuses_a_data_dependent_upload(self):
+        # Not a multiple of 64: no upload of this coder has that size.
+        runs = TestTrainerIntegration()
+        pipeline = CompressionPipeline(
+            NonzeroCoder, lambda dimension: 64.0 * dimension + 1.0
+        )
+        with pytest.raises(ConfigurationError, match="compressed upload"):
+            runs._run(pipeline, rounds=1)
+
 
 class TestTrainerIntegration:
     def _setup(self, seed=0):

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.data.dataset import ArrayDataset
 from repro.errors import ShapeError, TrainingError
-from repro.fl.aggregation import fedavg_aggregate
+from repro.fl.aggregation import FedAvgAccumulator, fedavg_aggregate
 from repro.fl.client import LocalTrainer
 from repro.nn.architectures import build_mlp
 from repro.nn.losses import SoftmaxCrossEntropy
@@ -54,6 +54,22 @@ class TestBasics:
     def test_length_mismatch_raises(self):
         with pytest.raises(ShapeError):
             fedavg_aggregate([np.zeros(2), np.zeros(3)], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_non_finite_weight_is_named(self, bad, index):
+        # NaN passes both ``< 0`` and ``total <= 0``, and ±inf makes
+        # ``w / total`` NaN: unchecked, either gives an all-NaN model.
+        weights = [1.0, 1.0]
+        weights[index] = bad
+        with pytest.raises(TrainingError, match=f"weight {index} is"):
+            fedavg_aggregate([np.ones(2), np.ones(2)], weights)
+
+    def test_accumulator_rejects_a_vector_of_another_length(self):
+        accumulator = FedAvgAccumulator([1.0, 2.0], 3)
+        accumulator.add(np.ones(3))
+        with pytest.raises(ShapeError):
+            accumulator.add(np.ones(4))
 
 
 class TestProperties:

@@ -305,20 +305,3 @@ class TestTrainerIntegration:
         )
         assert isinstance(trainer.backend, SerialBackend)
         assert len(trainer.run()) == 2
-
-    def test_run_clients_returns_round_result(self):
-        server, devices = make_setup()
-        trainer = FederatedTrainer(
-            server=server,
-            devices=devices,
-            selection=RandomSelection(0.4, seed=1),
-            config=TrainerConfig(rounds=2),
-        )
-        trainer.backend.bind(
-            server.model, trainer.config.local_update_spec(), devices
-        )
-        result = trainer._run_clients(1, devices[:3])
-        assert isinstance(result, RoundResult)
-        assert result.device_ids == tuple(d.device_id for d in devices[:3])
-        assert result.payloads == {}
-        assert all(w > 0 for w in result.weights)

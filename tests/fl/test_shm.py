@@ -246,3 +246,16 @@ class TestParity:
                     assert np.array_equal(a.params, b.params)
                     assert a.loss == b.loss
                     assert a.weight == b.weight
+
+    def test_kept_rows_outlive_the_next_round(self):
+        # The shared result block is reused every round, so rows a
+        # standalone run_round keeps must be copies of it.
+        server, devices = make_setup(num_devices=5)
+        spec = LocalUpdateSpec(learning_rate=0.2, seed=7)
+        with SharedMemoryProcessPoolBackend(workers=2) as backend:
+            backend.bind(server.model, spec, devices)
+            first = backend.run_round(1, server.broadcast(), devices, 0.2)
+            kept = [update.params.copy() for update in first]
+            backend.run_round(2, server.broadcast() + 1.0, devices, 0.2)
+        for update, row in zip(first, kept):
+            assert np.array_equal(update.params, row)
