@@ -6,6 +6,7 @@ Layout under the campaign directory::
     <dir>/runs/<run_id>/status.json  # {"status", "attempts", "detail"}
     <dir>/runs/<run_id>/trace.jsonl       # the run's event trace
     <dir>/runs/<run_id>/checkpoint.json   # latest trainer checkpoint
+    <dir>/runs/<run_id>/checkpoint.history.jsonl  # its rounds, one per line
     <dir>/runs/<run_id>/history.json      # TrainingHistory (run done)
     <dir>/runs/<run_id>/stats.json        # RunStats (run done)
     <dir>/aggregate.json             # campaign-level analytics

@@ -4,8 +4,9 @@
 run's environment from its :class:`~repro.campaign.spec.RunSpec`,
 train with tracing and checkpointing on, and leave ``history.json`` +
 ``stats.json`` in the run directory. With ``resume=True`` it first
-tries the on-disk checkpoint (checksummed; a corrupt one is discarded
-with a warning), then falls back to deterministic trace replay
+tries the on-disk checkpoint (checksummed, as is the part of its
+history log it covers; a corrupt one is discarded with a warning),
+then falls back to deterministic trace replay
 (:mod:`repro.campaign.resume`), and only then starts fresh — in every
 case the finished artifacts are bitwise identical to an uninterrupted
 run's, which is what the campaign-level aggregate compares on.
@@ -57,7 +58,9 @@ def _resume_checkpoint(
     checkpoint = None
     if os.path.exists(checkpoint_path):
         try:
-            checkpoint = load_checkpoint(checkpoint_path)
+            loaded = load_checkpoint(checkpoint_path)
+            loaded.history  # read and verify its history log now
+            checkpoint = loaded
         except SerializationError as exc:
             warnings.warn(
                 f"run {run.run_id}: checkpoint is unreadable ({exc}); "

@@ -33,7 +33,7 @@ that is numpy.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -163,28 +163,21 @@ class DevicePopulation:
         """
         if not devices:
             raise DeviceError("cannot build a population of zero devices")
-        size = len(devices)
-        ids = np.empty(size, dtype=np.int64)
-        f_min = np.empty(size)
-        f_max = np.empty(size)
-        cps = np.empty(size)
-        cap = np.empty(size)
-        samples = np.empty(size, dtype=np.int64)
-        power = np.empty(size)
-        gain = np.empty(size)
-        noise = np.empty(size)
-        ladders: List[Optional[np.ndarray]] = []
-        for position, device in enumerate(devices):
-            ids[position] = device.device_id
-            f_min[position] = device.cpu.f_min
-            f_max[position] = device.cpu.f_max
-            cps[position] = device.cpu.cycles_per_sample
-            cap[position] = device.cpu.switched_capacitance
-            samples[position] = device.num_samples
-            power[position] = device.radio.transmit_power
-            gain[position] = device.radio.channel_gain
-            noise[position] = device.radio.noise_power
-            ladders.append(device.cpu.frequency_levels)
+        # One comprehension per column: a list of Python scalars becomes
+        # the array in one conversion, as each per-element store would.
+        cpus = [device.cpu for device in devices]
+        radios = [device.radio for device in devices]
+        ids = np.array([device.device_id for device in devices], dtype=np.int64)
+        f_min = np.array([cpu.f_min for cpu in cpus], dtype=np.float64)
+        f_max = np.array([cpu.f_max for cpu in cpus], dtype=np.float64)
+        cps = np.array([cpu.cycles_per_sample for cpu in cpus], dtype=np.float64)
+        cap = np.array([cpu.switched_capacitance for cpu in cpus], dtype=np.float64)
+        # |D_q| straight from the dataset, not via UserDevice.num_samples.
+        samples = np.array([len(device.dataset) for device in devices], dtype=np.int64)
+        power = np.array([radio.transmit_power for radio in radios], dtype=np.float64)
+        gain = np.array([radio.channel_gain for radio in radios], dtype=np.float64)
+        noise = np.array([radio.noise_power for radio in radios], dtype=np.float64)
+        ladders = [cpu.frequency_levels for cpu in cpus]
         ladder, sizes = _pack_ladders(ladders)
         return cls(
             ids,

@@ -12,6 +12,7 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+from repro import wire
 from repro.errors import SerializationError, TrainingError
 from repro.network.tdma import RoundTimeline
 from repro.obs.metrics import MetricsRegistry
@@ -176,16 +177,60 @@ class EnergyLedger:
                 left as it was.
         """
         try:
-            rounds_recorded = int(state.get("rounds_recorded", 0))
             entries = state.get("devices", {})
-            device_ids = np.array([int(key) for key in entries], np.int64)
             raws = list(entries.values())
-            compute = np.array([float(raw["compute_joules"]) for raw in raws])
-            upload = np.array([float(raw["upload_joules"]) for raw in raws])
-            rounds = np.array([int(raw["rounds"]) for raw in raws], np.int64)
-            slack = np.array([float(raw["slack_seconds"]) for raw in raws])
+            columns = (
+                np.array([int(key) for key in entries], np.int64),
+                np.array([float(raw["compute_joules"]) for raw in raws]),
+                np.array([float(raw["upload_joules"]) for raw in raws]),
+                np.array([int(raw["rounds"]) for raw in raws], np.int64),
+                np.array([float(raw["slack_seconds"]) for raw in raws]),
+            )
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SerializationError(f"malformed energy-ledger state: {exc!r}") from exc
+        self._load_columns(state, columns)
+
+    def column_state(self) -> Dict:
+        """The totals as :func:`repro.wire.encode_array` columns in row
+        order, plus ``rounds_recorded``: what a checkpoint stores
+        (:data:`repro.fl.checkpoint.CHECKPOINT_VERSION` 2), with no
+        per-row object on either side."""
+        state = {name: wire.encode_array(getattr(self, name)) for name in _COLUMNS}
+        state["rounds_recorded"] = self.rounds_recorded
+        return state
+
+    def load_column_state(self, state: Dict) -> None:
+        """Replace the totals with a :meth:`column_state` snapshot.
+
+        Raises:
+            SerializationError: as :meth:`load_state_dict`, and for a
+                column of the wrong dtype or length.
+        """
+        try:
+            columns = tuple(
+                wire.decode_array(state[name]).astype(
+                    np.int64 if name in ("device_ids", "rounds") else np.float64,
+                    casting="safe",
+                )
+                for name in _COLUMNS
+            )
+        except (KeyError, TypeError) as exc:
+            raise SerializationError(f"malformed energy-ledger state: {exc!r}") from exc
+        if any(column.ndim != 1 or column.shape != columns[0].shape for column in columns):
+            raise SerializationError(
+                "malformed energy-ledger state: columns of shapes "
+                f"{[column.shape for column in columns]}"
+            )
+        self._load_columns(state, columns)
+
+    def _load_columns(self, state: Dict, columns: tuple) -> None:
+        """Check a snapshot's ``rounds_recorded`` and columns, then
+        adopt them (the ledger is left as it was when they fail)."""
+        try:
+            rounds_recorded = int(state.get("rounds_recorded", 0))
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+            raise SerializationError(f"malformed energy-ledger state: {exc!r}") from exc
+        device_ids, compute, upload, rounds, slack = columns
         # Tested as "inside" so NaN, which fails every comparison, is
         # rejected along with +inf.
         inside = rounds >= 0
@@ -202,7 +247,7 @@ class EnergyLedger:
             )
         if np.unique(device_ids).shape != device_ids.shape:
             raise SerializationError("malformed energy-ledger state: a device id is listed twice")
-        self._set_columns(rounds_recorded, device_ids, compute, upload, rounds, slack)
+        self._set_columns(rounds_recorded, *columns)
 
     # Python's ``sum`` over rows in first-appearance order, not
     # ``ndarray.sum``: pairwise summation would change the last digits.

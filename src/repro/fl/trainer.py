@@ -23,17 +23,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.devices.battery import Battery
 from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, TrainingError
 from repro.faults import FaultInjector, FaultPlan, RoundFaults
 from repro.fl.aggregation import FedAvgAccumulator
-from repro.fl.checkpoint import TrainerCheckpoint, save_checkpoint
+from repro.fl.checkpoint import HistoryLog, TrainerCheckpoint, save_checkpoint
 from repro.fl.client import LocalTrainer, RowSink
 from repro.fl.execution import (
     STATUS_DROPPED,
@@ -241,7 +242,8 @@ class RunState:
     """What one ``run()`` call carries from round to round (private).
 
     ``history``, ``plateau``, ``round_index`` and the two totals are
-    what a checkpoint freezes; the rest is fixed when the run starts.
+    what a checkpoint freezes; ``history_log`` is what the run's saves
+    have written of ``history``; the rest is fixed when the run starts.
     """
 
     history: TrainingHistory
@@ -249,6 +251,8 @@ class RunState:
     injector: FaultInjector  # over an empty plan when the trainer has none
     device_index: Dict[int, UserDevice]
     position_by_id: Dict[int, int]  # device id -> population position
+    batteries: List[Tuple[int, Battery]]  # (population position, battery)
+    history_log: HistoryLog = field(default_factory=HistoryLog)
     round_index: int = 0  # the round in flight, or the last finished
     cumulative_time: float = 0.0
     cumulative_energy: float = 0.0
@@ -571,29 +575,30 @@ class FederatedTrainer:
 
     def _capture_checkpoint(self, run: RunState) -> TrainerCheckpoint:
         """Freeze every piece of cross-round state after ``run.round_index``."""
+        population = self.population
+        charges = None
+        if run.batteries:
+            charges = np.full(len(population), np.nan)
+            positions, batteries = zip(*run.batteries)
+            charges[list(positions)] = [battery.charge_joules for battery in batteries]
         return TrainerCheckpoint(
             round_index=run.round_index,
             label=self.label,
             strategy_class=type(self.selection).__name__,
             model_params=self.server.broadcast(),
-            history=run.history.to_dict(),
             cumulative_time=run.cumulative_time,
             cumulative_energy=run.cumulative_energy,
-            ledger=self.ledger.state_dict(),
-            batteries={
-                d.device_id: d.battery.charge_joules
-                for d in self.devices
-                if d.battery is not None
-            },
-            channel_gains={
-                d.device_id: d.radio.channel_gain for d in self.devices
-            },
+            ledger=self.ledger.column_state(),
+            device_ids=population.device_ids.copy(),
+            channel_gains=population.channel_gain.copy(),
+            battery_charges=charges,
             selection_state=self.selection.state_dict(),
             plateau=(
                 run.plateau.state_dict() if run.plateau is not None else None
             ),
             best_model_params=self.best_model_params,
             best_model_accuracy=self.best_model_accuracy,
+            records=tuple(run.history.records),
         )
 
     def _apply_checkpoint(self, checkpoint, run: RunState) -> None:
@@ -621,16 +626,25 @@ class FederatedTrainer:
             )
         self.server.model.set_flat_params(checkpoint.model_params.copy())
         self.selection.load_state_dict(checkpoint.selection_state)
-        self.ledger.load_state_dict(checkpoint.ledger)
+        self.ledger.load_column_state(checkpoint.ledger)
+        ids = checkpoint.device_ids.tolist()
+        charges = (
+            [math.nan] * len(ids)
+            if checkpoint.battery_charges is None
+            else checkpoint.battery_charges.tolist()
+        )
         device_index = run.device_index
-        for device_id, charge in checkpoint.batteries.items():
+        # NaN (which differs from itself) marks a value not captured.
+        for device_id, gain, charge in zip(
+            ids, checkpoint.channel_gains.tolist(), charges
+        ):
             device = device_index.get(device_id)
-            if device is not None and device.battery is not None:
-                device.battery.charge_joules = float(charge)
-        for device_id, gain in checkpoint.channel_gains.items():
-            device = device_index.get(device_id)
-            if device is not None:
-                device.radio.channel_gain = float(gain)
+            if device is None:
+                continue
+            if gain == gain:
+                device.radio.channel_gain = gain
+            if charge == charge and device.battery is not None:
+                device.battery.charge_joules = charge
         if run.plateau is not None and checkpoint.plateau is not None:
             run.plateau.load_state_dict(checkpoint.plateau)
         self.best_model_params = (
@@ -639,7 +653,9 @@ class FederatedTrainer:
             else None
         )
         self.best_model_accuracy = checkpoint.best_model_accuracy
-        run.history = TrainingHistory.from_dict(checkpoint.history)
+        run.history = TrainingHistory(
+            label=checkpoint.label, records=list(checkpoint.history)
+        )
         run.cumulative_time = checkpoint.cumulative_time
         run.cumulative_energy = checkpoint.cumulative_energy
         run.round_index = checkpoint.round_index
@@ -764,6 +780,11 @@ class FederatedTrainer:
                 d.device_id: position
                 for position, d in enumerate(self.devices)
             },
+            batteries=[
+                (position, d.battery)
+                for position, d in enumerate(self.devices)
+                if d.battery is not None
+            ],
         )
         if resume_from is not None:
             self._apply_checkpoint(resume_from, run)
@@ -1214,5 +1235,6 @@ class FederatedTrainer:
                     save_checkpoint(
                         self.checkpoint_path,
                         self._capture_checkpoint(state.run),
+                        state.run.history_log,
                     )
                 self.observer.metrics.inc("checkpoints_written")

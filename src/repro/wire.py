@@ -142,26 +142,6 @@ def _map_of(key_ok, item_ok) -> Callable[[object], bool]:
     )
 
 
-def _load_ids(value) -> Tuple[int, ...]:
-    return tuple(int(v) for v in value)
-
-
-def _load_floats(value) -> Tuple[float, ...]:
-    return tuple(float(v) for v in value)
-
-
-def _load_float_map(value) -> Dict[int, float]:
-    return {int(k): float(v) for k, v in value.items()}
-
-
-def _dump_float_map(value) -> Dict[str, float]:
-    return {str(k): v for k, v in value.items()}
-
-
-def _dump_sorted(value) -> dict:
-    return dict(sorted(value.items()))
-
-
 def encode_array(array: np.ndarray) -> dict:
     """Lossless JSON encoding of a numpy array (little-endian bytes)."""
     contiguous = np.ascontiguousarray(array)
@@ -206,8 +186,8 @@ SHAPES: Dict[object, Shape] = {
     np.ndarray: Shape(
         _is_array, decode_array, encode_array, np.array([1.5, -2.0])
     ),
-    Tuple[int, ...]: Shape(_list_of(_is_int), _load_ids, list, (2, 1)),
-    Tuple[float, ...]: Shape(_list_of(_is_num), _load_floats, list, (0.5,)),
+    Tuple[int, ...]: Shape(_list_of(_is_int), lambda v: tuple(map(int, v)), list, (2, 1)),
+    Tuple[float, ...]: Shape(_list_of(_is_num), lambda v: tuple(map(float, v)), list, (0.5,)),
     Tuple[str, ...]: Shape(_list_of(_is_str), tuple, list, ("b", "a")),
     Tuple[dict, ...]: Shape(_list_of(_is_dict), tuple, list, ({"k": 1},)),
     Tuple[Optional[dict], ...]: Shape(
@@ -218,12 +198,12 @@ SHAPES: Dict[object, Shape] = {
     ),
     Dict[int, float]: Shape(
         _map_of(_is_id_key, _is_num),
-        _load_float_map,
-        _dump_float_map,
+        lambda v: {int(k): float(x) for k, x in v.items()},
+        lambda v: {str(k): x for k, x in v.items()},
         {4: 1.5e9},
     ),
     Dict[str, int]: Shape(
-        _map_of(_is_str, _is_int), dict, _dump_sorted, {"round": 2}
+        _map_of(_is_str, _is_int), dict, lambda v: dict(sorted(v.items())), {"round": 2}
     ),
 }
 """Every leaf field type a wire record may declare.
@@ -290,17 +270,15 @@ class Tagged:
     Subclassing makes it a frozen dataclass, resolves its fields
     (:func:`record`) and registers it in the family's ``__members__``
     by ``kind``; :func:`load` on the base builds the member the tag
-    names. Subclassing also compiles the member's JSON line encoder,
-    ``__line__`` (a :class:`LineTemplate`). Do not decorate members: a
-    field type outside the table, a missing or reused ``kind``, or a
-    second ``@dataclass`` (which would re-generate or unfreeze the
-    class) raises ``TypeError`` at class definition.
+    names. Do not decorate members: a field type outside the table, a
+    missing or reused ``kind``, or a second ``@dataclass`` (which would
+    re-generate or unfreeze the class) raises ``TypeError`` at class
+    definition.
     """
 
     kind: ClassVar[str]
     __tag__: ClassVar[str]
     __members__: ClassVar[Dict[str, type]]
-    __line__: ClassVar[LineTemplate]
 
     def __init_subclass__(cls, tag: Optional[str] = None, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -315,7 +293,6 @@ class Tagged:
                 f"no other {cls.__tag__!r}-tagged record uses, got {kind!r}"
             )
         record(dataclasses.dataclass(frozen=True)(cls))
-        cls.__line__ = LineTemplate(cls)
         cls.__members__[kind] = cls
 
     def to_dict(self) -> dict:
@@ -429,10 +406,11 @@ def record(cls: type, mutable: bool = False) -> type:
     """Resolve a dataclass's fields against :data:`SHAPES`.
 
     Stores the result as ``cls.__wire__`` (a tuple of
-    :class:`WireField` in field order) and returns ``cls``, so it works
-    as a class decorator above ``@dataclass(frozen=True)``. A record is
-    frozen; ``mutable=True`` admits the results a run fills in while it
-    is live (:class:`repro.fl.history.TrainingHistory`).
+    :class:`WireField` in field order), compiles its JSON line encoder
+    as ``cls.__line__`` (a :class:`LineTemplate`) and returns ``cls``,
+    so it works as a class decorator above ``@dataclass(frozen=True)``.
+    A record is frozen; ``mutable=True`` admits the results a run fills
+    in while it is live (:class:`repro.fl.history.TrainingHistory`).
 
     Raises:
         TypeError: when ``cls`` is not a frozen dataclass, or a field
@@ -451,6 +429,7 @@ def record(cls: type, mutable: bool = False) -> type:
         _resolve(cls, spec, hints[spec.name])
         for spec in dataclasses.fields(cls)
     )
+    cls.__line__ = LineTemplate(cls)
     return cls
 
 
@@ -700,10 +679,11 @@ def _compile_line(text: str, fields: list) -> Callable[[object], str]:
 
 
 class LineTemplate:
-    """A :class:`Tagged` member's JSON line as one ``%``-template.
+    """A wire record's JSON line as one ``%``-template.
 
-    Compiled once from the member's fields when the class is defined;
-    ``line(record)`` equals ``json.dumps(record.to_dict()) + "\\n"`` byte for
+    Compiled once from the record's fields when the class is defined;
+    ``line(record)`` equals ``json.dumps(record.to_dict()) + "\\n"`` (for a
+    :class:`Tagged` member; :func:`dump` for any other record) byte for
     byte (strings through ``encode_basestring_ascii``, floats through
     ``float.__repr__``, non-scalar fields through ``json.dumps`` of
     their :func:`dump`), without building the dict.
@@ -712,10 +692,14 @@ class LineTemplate:
     def __init__(self, cls: type) -> None:
         hints, quote = get_type_hints(cls), encode_basestring_ascii
         self.cls = cls
-        self.head = ("{%s: %s" % (quote(cls.__tag__), quote(cls.kind))).replace("%", "%%")
+        # A Tagged member's line leads with its tag; each key but the
+        # line's first is preceded by ", ".
+        tagged = issubclass(cls, Tagged)
+        self.head = "{%s: %s" % (quote(cls.__tag__), quote(cls.kind)) if tagged else "{"
+        self.head = self.head.replace("%", "%%")
         self.fields = [
-            (name, f", {quote(name)}: ", *_text_of(hints[name], dump_value))
-            for name, _, _, dump_value, _, _, _ in cls.__wire__
+            (name, ", " * (tagged or i > 0) + f"{quote(name)}: ", *_text_of(hints[name], dump_value))
+            for i, (name, _, _, dump_value, _, _, _) in enumerate(cls.__wire__)
         ]
         text = self.head + "".join(key + "%s" for _, key, _, _ in self.fields) + "}\n"
         self.line = _compile_line(text, self.fields)

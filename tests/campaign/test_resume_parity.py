@@ -14,6 +14,7 @@ deterministic field — same kinds, ids, parents, and positions.
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +33,7 @@ from repro.campaign.runner import (
 )
 from repro.errors import SerializationError
 from repro.experiments.runner import build_environment, build_trainer
-from repro.fl.checkpoint import load_checkpoint
+from repro.fl.checkpoint import history_path, load_checkpoint
 from repro.obs import JsonlTraceSink, RunObserver
 from tests.campaign.conftest import tiny_run
 
@@ -167,6 +168,27 @@ class TestResumeParity:
         checkpoint_path.write_text(json.dumps(payload))
         with pytest.warns(RuntimeWarning, match="falling back to trace"):
             execute_run(run, str(run_dir), resume=True)
+        assert_bitwise_identical(run_dir, reference_run_dir)
+
+    @pytest.mark.parametrize("damage", ["tampered", "missing", "short"])
+    def test_damaged_history_log_falls_back_to_replay(
+        self, damage, tmp_path, reference_run_dir
+    ):
+        # checkpoint_every=2 cut at round 3 leaves a usable checkpoint
+        # at round 2, so only its history log can send resume to replay.
+        run = tiny_run(checkpoint_every=2)
+        run_dir = tmp_path / "victim"
+        partial_run(run, str(run_dir), stop_after=3, checkpoint_every=2)
+        log = Path(history_path(str(run_dir / CHECKPOINT_FILE)))
+        if damage == "tampered":
+            log.write_bytes(log.read_bytes().replace(b"round_index", b"round_indeX", 1))
+        elif damage == "missing":
+            log.unlink()
+        else:
+            log.write_bytes(log.read_bytes()[:-1])
+        with pytest.warns(RuntimeWarning, match="falling back to trace"):
+            result = execute_run(run, str(run_dir), resume=True)
+        assert result["resumed_from"] == 2
         assert_bitwise_identical(run_dir, reference_run_dir)
 
     def test_torn_trace_tail_is_tolerated(

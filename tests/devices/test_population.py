@@ -10,6 +10,7 @@ from repro.devices.fleet import FleetSpec, make_fleet
 from repro.devices.population import DevicePopulation
 from repro.errors import DeviceError, FrequencyRangeError
 from tests.conftest import make_device, make_heterogeneous_devices
+from tests.oracles.population_loop import from_devices_loop
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
@@ -44,6 +45,30 @@ class TestFromDevices:
                 population.channel_gain[position]
                 == device.radio.channel_gain
             )
+
+    @pytest.mark.parametrize(
+        "fleet",
+        [
+            lambda: make_heterogeneous_devices(40, seed=3),
+            lambda: make_fleet(
+                make_partitions([0, 3, 17, 5, 9, 1]), spec_with_everything(), seed=4
+            ),
+            lambda: make_fleet(make_partitions([2] * 30), FleetSpec(), seed=5),
+        ],
+        ids=["heterogeneous", "ladders_and_batteries", "homogeneous"],
+    )
+    def test_columns_equal_the_per_device_loop_byte_for_byte(self, fleet):
+        devices = fleet()
+        built = DevicePopulation.from_devices(devices)
+        expected = from_devices_loop(devices)
+        for name, value in vars(expected).items():
+            got = getattr(built, name)
+            if isinstance(value, np.ndarray):
+                assert (got.dtype, got.shape, got.tobytes()) == (
+                    value.dtype, value.shape, value.tobytes()
+                ), name
+            else:
+                assert got == value, name
 
     def test_empty_rejected(self):
         with pytest.raises(DeviceError):

@@ -205,3 +205,42 @@ class TestLoadValidation:
         ledger.record_round(timeline_of([3, 9], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]))
         assert ledger.device_ids.tolist() == [9, 3]
         assert ledger.rounds.tolist() == [1, 1]
+
+
+class TestColumnState:
+    """The checkpoint's form of the ledger: columns in row order."""
+
+    def test_round_trip_keeps_rows_and_bits(self):
+        ledger = EnergyLedger()
+        ledger.record_round(timeline_of([9, 3, 5], [0.1, 0.2, 0.3], [1.0, 2.0, 3.0], [0, 1, 0]))
+        ledger.record_round(timeline_of([4, 9], [0.7, 0.9], [0.5, 0.25], [0.5, 0]))
+        fresh = EnergyLedger()
+        fresh.load_column_state(json.loads(json.dumps(ledger.column_state())))
+        assert fresh.rounds_recorded == 2
+        for name in ("device_ids", "compute_joules", "upload_joules", "rounds", "slack_seconds"):
+            got, want = getattr(fresh, name), getattr(ledger, name)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+        # First-appearance row order, so totals add in the same order.
+        assert fresh.total_joules == ledger.total_joules
+        assert fresh.state_dict() == ledger.state_dict()
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda s: s.pop("rounds"),
+            lambda s: s.update(rounds=s["compute_joules"]),  # float counts
+            lambda s: s.update(slack_seconds={"dtype": "float64", "shape": [1], "data": "AAAAAAAA8D8="}),
+            lambda s: s.update(compute_joules={"dtype": "float64", "shape": [2], "data": "AAAAAAAA8L8AAAAAAAAAAA=="}),
+            lambda s: s.update(rounds_recorded=-1),
+        ],
+        ids=["missing", "wrong_dtype", "wrong_length", "negative", "negative_rounds"],
+    )
+    def test_malformed_columns_are_refused(self, damage):
+        ledger = EnergyLedger()
+        ledger.record_round(timeline_of([9, 3], [0.1, 0.2], [1.0, 2.0], [0, 1]))
+        state = ledger.column_state()
+        damage(state)
+        fresh = EnergyLedger()
+        with pytest.raises(SerializationError, match="energy-ledger"):
+            fresh.load_column_state(state)
+        assert fresh.device_ids.shape == (0,)

@@ -25,10 +25,10 @@ from repro.fl.aggregation import fedavg_aggregate
 from repro.fl.execution import create_backend
 from repro.fl.server import FederatedServer
 from repro.fl.strategy import FullParticipation
-from repro.fl.trainer import FederatedTrainer, TrainerConfig
+from repro.fl.trainer import FederatedTrainer, TrainerConfig, _Eq18Fold
 from repro.nn.architectures import build_mini_squeezenet, build_mlp
 from repro.obs import CollectingSink, RunObserver
-from tests.conftest import make_heterogeneous_devices
+from tests.conftest import make_device, make_heterogeneous_devices
 
 DEVICES = 10
 IMAGE = (1, 4, 4)
@@ -173,3 +173,59 @@ def test_a_paper_scale_round_never_holds_the_update_matrix():
     finally:
         tracemalloc.stop()
     assert peak < count * model.parameter_count * 8 / 4
+
+
+class TestEq18WeightProperties:
+    """The fold's weights are the surviving clients' data mass."""
+
+    @given(
+        sizes=st.lists(st.integers(1, 60), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weights_sum_to_the_surviving_data_mass(self, sizes, data):
+        count = len(sizes)
+        devices = [
+            make_device(device_id=i, num_samples=n) for i, n in enumerate(sizes)
+        ]
+        # Each selected client ends ok, dropped or timed out.
+        statuses = data.draw(
+            st.lists(
+                st.sampled_from(("ok", "dropped", "timeout")),
+                min_size=count,
+                max_size=count,
+            )
+        )
+        integrating = [d for d, s in zip(devices, statuses) if s == "ok"]
+        fold = _Eq18Fold(np.zeros(count), devices, integrating, None)
+        # One-hot rows, handed over in arbitrary blocks: the result is
+        # then each client's weight share.
+        identity, start = np.eye(count), 0
+        while start < count:
+            stop = data.draw(st.integers(start + 1, count))
+            rows = fold.rows(start, stop)
+            rows[:] = identity[start:stop]
+            fold.take(start, rows)
+            start = stop
+        result = fold.result()
+        if not integrating:
+            assert result is None
+            return
+        mass = sum(d.num_samples for d in integrating)
+        for position, status in enumerate(statuses):
+            share = sizes[position] / mass if status == "ok" else 0.0
+            assert result[position] == pytest.approx(share, rel=1e-12, abs=0.0)
+        assert result.sum() == pytest.approx(1.0, rel=1e-12)
+        kept = [i for i, s in enumerate(statuses) if s == "ok"]
+        expected = fedavg_aggregate(
+            [identity[i] for i in kept], [float(sizes[i]) for i in kept]
+        )
+        assert result.tobytes() == expected.tobytes()
+
+    def test_an_all_discarded_round_yields_none(self):
+        devices = make_heterogeneous_devices(4)
+        fold = _Eq18Fold(np.zeros(3), devices, [], None)
+        rows = fold.rows(0, 4)
+        rows[:] = 1.0
+        fold.take(0, rows)
+        assert fold.result() is None

@@ -5,9 +5,14 @@ reduce a trace to its float-free skeleton; this file pins every byte.
 The span clock, the resource sampler and the pid are replaced with
 deterministic counters, so a spans-on trace is a pure function of the
 run, and the sha256 of the whole JSONL file and of each round's
-checkpoint file are compared with committed values. A change that
-claims to write the same bytes faster (line encoding, batching,
-checkpoint encoding) must leave every digest here alone.
+checkpoint file and its history log are compared with committed
+values. A change that claims to write the same bytes faster (line
+encoding, batching, checkpoint encoding) must leave every digest here
+alone.
+
+The checkpoint digests were re-recorded once, for checkpoint version 2
+(the history moved out of the state into the append-only log, and the
+fleet-sized maps became columns); the trace digests did not move.
 
 The thread backend runs one worker so the fake clock is read in a
 fixed order. If a digest changes on purpose, regenerate with::
@@ -40,18 +45,19 @@ EXAMPLE_FAULT_PLAN = os.path.join(
 PINNED = {
     "durable_serial": (
         "8d5d444a5ea03a27896b21ff474432b9dda2963354790e31cb6d89a919d68a27",
-        "db90f4a1f274f7e5d9498b3ac229cadce2c9a58ba4a70ffc13e6d79d50231dcd",
+        "20168dc0c6fc961d644b079205293d21a08899be92d1035f74089f353333c5cd",
     ),
     "chaos_serial": (
         "776543d8aa3457998fa7c2add668e450aee219ea49a6708599f6acc230e7836c",
-        "b28a87e5ac4e8a7da41906a5cda5ea08127e8ffb5e98c7a8e8a6a8b65645f47a",
+        "7d2df7b204596665fed65c99ca98344273ab1dc69ee02bef3d65fe51db989846",
     ),
     "chaos_thread": (
         "16238cf8971fdef00f585d9f6d688db9d47f3dce653cb2dca450ab74aca94779",
-        "b28a87e5ac4e8a7da41906a5cda5ea08127e8ffb5e98c7a8e8a6a8b65645f47a",
+        "7d2df7b204596665fed65c99ca98344273ab1dc69ee02bef3d65fe51db989846",
     ),
 }
-"""``(trace sha256, sha256 of the per-round checkpoint sha256s)``."""
+"""``(trace sha256, sha256 of the per-round checkpoint and history-log
+sha256s)``."""
 
 GZ_BYTES_BEFORE_BATCHING = 63672
 """Size of ``durable_serial``'s trace written to ``trace.jsonl.gz`` when
@@ -103,7 +109,7 @@ def scenario(name):
 
 def run_scenario(name, directory, monkeypatch, trace_name="trace.jsonl"):
     """Run ``name`` on the fake clock; returns ``(trace bytes on disk,
-    sha256 of the per-round checkpoint sha256s)``."""
+    sha256 of the per-round checkpoint and history-log sha256s)``."""
     install_fake_clock(monkeypatch)
     os.makedirs(directory, exist_ok=True)
     trace_path = os.path.join(directory, trace_name)
@@ -115,10 +121,11 @@ def run_scenario(name, directory, monkeypatch, trace_name="trace.jsonl"):
             device.battery = Battery(1.5)
     round_digests = []
 
-    def save_and_digest(path, checkpoint):
-        checkpoint_module.save_checkpoint(path, checkpoint)
-        with open(path, "rb") as handle:
-            round_digests.append(hashlib.sha256(handle.read()).hexdigest())
+    def save_and_digest(path, checkpoint, log):
+        checkpoint_module.save_checkpoint(path, checkpoint, log)
+        for written in (path, checkpoint_module.history_path(path)):
+            with open(written, "rb") as handle:
+                round_digests.append(hashlib.sha256(handle.read()).hexdigest())
 
     monkeypatch.setattr(trainer_module, "save_checkpoint", save_and_digest)
     backend = create_backend(backend_name, workers=1) if backend_name else None

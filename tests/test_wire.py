@@ -35,9 +35,11 @@ from repro.errors import ConfigurationError, ReproError, SerializationError
 from repro.experiments import export
 from repro.experiments.export import load_history
 from repro.faults import FAULT_TYPES, FaultPlan, FaultSpec
+from repro.energy.accounting import EnergyLedger
 from repro.fl.checkpoint import (
     CHECKPOINT_SCHEMA,
     CHECKPOINT_VERSION,
+    HistoryPrefix,
     TrainerCheckpoint,
     load_checkpoint,
     save_checkpoint,
@@ -47,6 +49,7 @@ from repro.obs import validate
 from repro.obs.analysis import RunStats, SpanSummary, load_trace
 from repro.obs.events import EVENT_TYPES, Event
 from repro.obs.schema import validate_trace
+from tests.oracles.checkpoint_v1 import save_checkpoint_v1
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -262,6 +265,12 @@ class TestEveryRecordRoundTrips:
     def test_synthesized_example_survives_json(self, name):
         assert_round_trips(synthesize(RECORDS[name]))
 
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_compiled_line_is_json_dumps_of_the_dump(self, name):
+        original = synthesize(RECORDS[name])
+        plain = original.to_dict() if family_of(type(original)) else wire.dump(original)
+        assert type(original).__line__.line(original) == json.dumps(plain) + "\n"
+
     @pytest.mark.parametrize("kind", sorted(FAULT_TYPES))
     def test_fault_type_round_trips_with_targeting_knobs_set(self, kind):
         spec = FAULT_TYPES[kind](device_id=3, rounds=(2, 1), probability=0.5)
@@ -303,17 +312,18 @@ CHECKPOINT = TrainerCheckpoint(
     label="HELCFL",
     strategy_class="GreedyDecaySelection",
     model_params=np.array([0.5, -1.25, 3.0]),
-    history={"label": "HELCFL", "stop_reason": None, "records": []},
     cumulative_time=12.5,
     cumulative_energy=3.25,
-    ledger={"rounds_recorded": 2, "devices": {}},
-    batteries={7: 10.5, 2: 4.0},
-    channel_gains={2: 1e-7},
+    ledger=EnergyLedger().column_state(),
+    device_ids=np.array([2, 7]),
+    channel_gains=np.array([1e-7, np.nan]),
+    battery_charges=np.array([4.0, 10.5]),
     selection_state={"counts": {"2": 1}},
     plateau=None,
     best_model_params=None,
     best_model_accuracy=0.0,
 )
+CHECKPOINT_STATE = dict(CHECKPOINT.to_state(), history=wire.dump(HistoryPrefix()))
 
 HISTORY = TrainingHistory(
     label="HELCFL",
@@ -463,7 +473,7 @@ DOCS = {
     ),
     "checkpoint state": Doc(
         SerializationError,
-        CHECKPOINT.to_state(),
+        CHECKPOINT_STATE,
         lambda path: load_checkpoint(str(path)),
         wrap=checkpoint_file,
         num_at=("cumulative_time",),
@@ -955,8 +965,10 @@ PARENT_FILES = {
     "history.json": redump(TrainingHistory),
     "stats.json": redump(RunStats),
     "aggregate.json": redump(_Aggregate),
+    # Version 1: it loads, and the loaded state re-saves as version 1
+    # byte for byte; saving writes version 2 (see TestCheckpointVersions).
     "checkpoint.json": resave(
-        load_checkpoint, lambda loaded, out: save_checkpoint(out, loaded)
+        load_checkpoint, lambda loaded, out: save_checkpoint_v1(out, loaded)
     ),
     "span_summary.json": lambda path, out: out.write_text(
         SpanSummary.load(str(path)).to_json() + "\n"
@@ -1069,12 +1081,25 @@ class TestRegressionFixtures:
                 "shape": [3],
                 "data": "AAAAAAAA4D8AAAAAAAD0vwAAAAAAAAhA",
             },
-            "history": {"label": "HELCFL", "stop_reason": None, "records": []},
             "cumulative_time": 12.5,
             "cumulative_energy": 3.25,
-            "ledger": {"rounds_recorded": 2, "devices": {}},
-            "batteries": {"7": 10.5, "2": 4.0},
-            "channel_gains": {"2": 1e-7},
+            "ledger": {
+                "device_ids": {"dtype": "int64", "shape": [0], "data": ""},
+                "compute_joules": {"dtype": "float64", "shape": [0], "data": ""},
+                "upload_joules": {"dtype": "float64", "shape": [0], "data": ""},
+                "rounds": {"dtype": "int64", "shape": [0], "data": ""},
+                "slack_seconds": {"dtype": "float64", "shape": [0], "data": ""},
+                "rounds_recorded": 0,
+            },
+            "device_ids": {
+                "dtype": "int64", "shape": [2], "data": "AgAAAAAAAAAHAAAAAAAAAA=="
+            },
+            "channel_gains": {
+                "dtype": "float64", "shape": [2], "data": "SK+8mvLXej4AAAAAAAD4fw=="
+            },
+            "battery_charges": {
+                "dtype": "float64", "shape": [2], "data": "AAAAAAAAEEAAAAAAAAAlQA=="
+            },
             "selection_state": {"counts": {"2": 1}},
             "plateau": None,
             "best_model_params": None,
