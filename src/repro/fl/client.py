@@ -138,7 +138,8 @@ class LocalTrainer:
                 inputs, labels = dataset.inputs[batch], dataset.labels[batch]
             outputs = model.forward(inputs, training=True)
             last_loss, grad = self.loss.loss_and_grad(outputs, labels)
-            model.backward(grad)
+            # Nothing reads the gradient w.r.t. the local data.
+            model.backward(grad, input_grad=False)
             if fused:
                 model.sgd_step(self.learning_rate)
             else:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import (
     Dict,
@@ -117,15 +117,12 @@ class ClientUpdate:
         weight: the FedAvg weight ``|D_q|``.
         loss: the client's observed training loss (fed back to
             statistical-utility selection strategies).
-        payload_bits: transmitted bits when they differ from the
-            nominal ``C_model`` payload; ``None`` means it applies.
     """
 
     device_id: int
     params: Optional[np.ndarray]
     weight: float
     loss: float
-    payload_bits: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -173,25 +170,6 @@ class RoundResult:
     def losses(self) -> Dict[int, float]:
         """Mapping from device id to observed training loss."""
         return {u.device_id: u.loss for u in self.updates}
-
-    @property
-    def payloads(self) -> Dict[int, float]:
-        """Actual transmitted bits per device (compressed uploads only)."""
-        return {
-            u.device_id: u.payload_bits
-            for u in self.updates
-            if u.payload_bits is not None
-        }
-
-    def drop(self, device_ids) -> RoundResult:
-        """Return a copy without the given devices' updates."""
-        dropped = set(device_ids)
-        return replace(
-            self,
-            updates=tuple(
-                u for u in self.updates if u.device_id not in dropped
-            ),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -68,21 +68,26 @@ class FederatedServer:
         self.model.set_flat_params(aggregated)
 
     def evaluate(
-        self, dataset: Optional[ArrayDataset] = None, batch_size: int = 512
+        self,
+        dataset: Optional[ArrayDataset] = None,
+        batch_size: Optional[int] = None,
     ) -> Tuple[float, float]:
         """Evaluate the global model; returns ``(loss, accuracy)``.
 
         Args:
             dataset: evaluation data; defaults to the held-out test set
                 bound at construction.
-            batch_size: inference batch size.
+            batch_size: inference rows per block; by default
+                :meth:`Sequential.predict` sizes its blocks in bytes.
 
         Raises:
-            ValueError: when no dataset is available.
+            ValueError: when no dataset is available or it is empty.
         """
         dataset = dataset if dataset is not None else self.test_dataset
         if dataset is None:
             raise ValueError("no evaluation dataset bound to this server")
+        if len(dataset) == 0:
+            raise ValueError("the evaluation dataset is empty")
         logits = self.model.predict(dataset.inputs, batch_size=batch_size)
         loss_value = self.loss.loss(logits, dataset.labels)
         return float(loss_value), accuracy(logits, dataset.labels)

@@ -127,7 +127,23 @@ class Conv2D(Layer):
             self._input_shape = None
         return out.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
 
+    def cols_per_image(self, input_shape: Tuple[int, ...]) -> int:
+        """Entries of the ``cols`` rows ``forward`` builds per input image
+        (for a 1x1 convolution, the image itself)."""
+        _, _, in_h, in_w = input_shape
+        out_h = conv_output_size(in_h, self.kernel_h, self.stride, self.padding)
+        out_w = conv_output_size(in_w, self.kernel_w, self.stride, self.padding)
+        return out_h * out_w * self.in_channels * self.kernel_h * self.kernel_w
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        return self._backward(grad_output, input_grad=True)
+
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        self._backward(grad_output, input_grad=False)
+
+    def _backward(
+        self, grad_output: np.ndarray, input_grad: bool
+    ) -> Optional[np.ndarray]:
         if self._cols is None or self._input_shape is None:
             raise RuntimeError("backward called before forward(training=True)")
         rows = self._cols.shape[0]
@@ -135,7 +151,6 @@ class Conv2D(Layer):
             grad_output,
             out=self._scratch_buffer("grad_flat", (rows, self.out_channels)),
         )
-        w_flat = self.params["W"].reshape(self.out_channels, -1)
         np.matmul(
             grad_flat.T,
             self._cols,
@@ -143,6 +158,9 @@ class Conv2D(Layer):
         )
         if self.use_bias:
             np.sum(grad_flat, axis=0, out=self.grads["b"])
+        if not input_grad:
+            return None
+        w_flat = self.params["W"].reshape(self.out_channels, -1)
         # Both returns are fresh arrays the caller owns.
         if self._pointwise:
             n, _, in_h, in_w = self._input_shape

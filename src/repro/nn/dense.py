@@ -64,12 +64,15 @@ class Dense(Layer):
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        self.backward_params(grad_output)
+        return grad_output @ self.params["W"].T
+
+    def backward_params(self, grad_output: np.ndarray) -> None:
         if self._inputs is None:
             raise RuntimeError("backward called before forward(training=True)")
         np.matmul(self._inputs.T, grad_output, out=self.grads["W"])
         if self.use_bias:
             np.sum(grad_output, axis=0, out=self.grads["b"])
-        return grad_output @ self.params["W"].T
 
     def __repr__(self) -> str:
         return (

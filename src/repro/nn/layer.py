@@ -65,6 +65,16 @@ class Layer:
         """
         raise NotImplementedError
 
+    def backward_params(self, grad_output: np.ndarray) -> None:
+        """Fill ``grads`` as :meth:`backward` does, without returning
+        the input gradient.
+
+        What a model's first layer runs when nothing reads the gradient
+        w.r.t. the data (a local update). Layers whose input gradient is
+        a product of its own (``Dense``, ``Conv2D``) skip computing it.
+        """
+        self.backward(grad_output)
+
     # ------------------------------------------------------------------
     # Parameter utilities
     # ------------------------------------------------------------------

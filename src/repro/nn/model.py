@@ -15,9 +15,26 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.nn.conv import Conv2D
 from repro.nn.layer import Layer
 
 __all__ = ["Sequential"]
+
+# Budget of one inference block's widest buffer. Blocks this small keep
+# every buffer of the forward pass in memory the allocator reuses, so a
+# repeated evaluation maps no new pages.
+_PREDICT_BLOCK_BYTES = 2 << 20
+# Rows per block at most. A narrow model's budget would allow more, but
+# its freshly allocated activations then outgrow what glibc keeps
+# mapped: a 1000-row MLP block faults ~220 pages per call.
+_PREDICT_MAX_ROWS = 512
+# Every block but the last is a whole number of these rows. Where a
+# GEMM's output width is not a multiple of the BLAS kernel's (10
+# logits), the last ``rows % unroll`` rows of each call take an edge
+# kernel that rounds differently (the dgemm row unroll is 4 on Haswell,
+# 16 on SkylakeX); aligned blocks leave only the input's last
+# ``count % unroll`` rows there, as 512-row chunks did.
+_PREDICT_ROW_ALIGN = 16
 
 
 class Sequential:
@@ -49,12 +66,25 @@ class Sequential:
     def __call__(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(inputs, training=training)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate through every layer; returns the input gradient."""
+    def backward(
+        self, grad_output: np.ndarray, input_grad: bool = True
+    ) -> Optional[np.ndarray]:
+        """Back-propagate through every layer; returns the input gradient.
+
+        With ``input_grad=False`` the first layer only fills its
+        gradient buffers (:meth:`Layer.backward_params`) and ``None``
+        is returned: a local update never reads the gradient w.r.t. the
+        data, and a leading ``Conv2D`` or ``Dense`` then skips its
+        largest product.
+        """
         grad = grad_output
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers if input_grad else self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        if input_grad:
+            return grad
+        if self.layers:
+            self.layers[0].backward_params(grad)
+        return None
 
     def zero_grads(self) -> None:
         """Reset every layer's gradient buffers."""
@@ -165,21 +195,58 @@ class Sequential:
         """Deep-copy the model (architecture, parameters, buffers)."""
         return copy.deepcopy(self)
 
-    def predict(self, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Inference-mode forward pass, batched to bound memory."""
-        if inputs.shape[0] == 0:
+    def predict(
+        self, inputs: np.ndarray, batch_size: Optional[int] = None
+    ) -> np.ndarray:
+        """Inference-mode forward pass, in blocks that bound memory.
+
+        By default a block holds about ``_PREDICT_BLOCK_BYTES`` of the
+        widest per-row buffer the forward pass builds (see
+        :meth:`_row_bytes`), and at most ``_PREDICT_MAX_ROWS`` rows.
+        The rows are split into near-equal blocks
+        of whole ``_PREDICT_ROW_ALIGN``-row units, the last block taking
+        the remainder, so no block is a tiny one. An explicit
+        ``batch_size`` cuts fixed chunks of that many rows instead.
+        """
+        count = inputs.shape[0]
+        if count == 0:
             # A zero-row forward still produces the correct trailing
             # output dimensions, so predict_classes can argmax on an
             # empty batch instead of crashing on a 1-D placeholder.
             return self.forward(inputs, training=False)
-        outputs = []
-        for start in range(0, inputs.shape[0], batch_size):
-            outputs.append(
-                self.forward(inputs[start : start + batch_size], training=False)
+        if batch_size is None:
+            per_block = min(
+                _PREDICT_MAX_ROWS,
+                max(1, _PREDICT_BLOCK_BYTES // self._row_bytes(inputs)),
             )
-        return np.concatenate(outputs, axis=0)
+            units = max(1, count // _PREDICT_ROW_ALIGN)
+            blocks = min(-(-count // per_block), units)
+            edges = [
+                _PREDICT_ROW_ALIGN * (units * index // blocks)
+                for index in range(blocks)
+            ] + [count]
+        else:
+            edges = [*range(0, count, batch_size), count]
+        return np.concatenate(
+            [
+                self.forward(inputs[start:stop], training=False)
+                for start, stop in zip(edges, edges[1:])
+            ],
+            axis=0,
+        )
 
-    def predict_classes(self, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def _row_bytes(self, inputs: np.ndarray) -> int:
+        """Bytes per input row of the widest buffer ``forward`` builds:
+        a leading ``Conv2D``'s im2col rows, otherwise the input row."""
+        entries = int(np.prod(inputs.shape[1:]))
+        first = self.layers[0] if self.layers else None
+        if isinstance(first, Conv2D) and inputs.ndim == 4:
+            entries = max(entries, first.cols_per_image(inputs.shape))
+        return max(1, entries * inputs.itemsize)
+
+    def predict_classes(
+        self, inputs: np.ndarray, batch_size: Optional[int] = None
+    ) -> np.ndarray:
         """Return argmax class ids for ``inputs``."""
         return self.predict(inputs, batch_size=batch_size).argmax(axis=1)
 

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core.frequency import determine_frequencies
 from repro.core.selection import GreedyDecaySelection
+from repro.data.dataset import ArrayDataset
+from repro.devices.fleet import FleetSpec, make_fleet
 from repro.fl.strategy import selection_count
 from repro.network.tdma import simulate_tdma_round
 from tests.conftest import make_heterogeneous_devices
@@ -104,6 +106,37 @@ class TestFrequencyProperties:
         base_order = [e.device_id for e in base.users]
         opt_order = [e.device_id for e in opt.users]
         assert base_order == opt_order
+
+    @given(
+        sizes=st.lists(st.integers(1, 200), min_size=1, max_size=12),
+        seed=st.integers(0, 300),
+        payload=st.floats(min_value=1e5, max_value=2e7),
+        gain_low=st.floats(min_value=1e-8, max_value=1.0),
+        quantize=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_no_device_spends_more_compute_energy_than_at_f_max(
+        self, sizes, seed, payload, gain_low, quantize
+    ):
+        """Per device, not only in total: Algorithm 3 (clamped, with
+        and without ladder snapping) never costs a device more compute
+        energy (Eq. 5) than running at its own ``f_max``."""
+        partitions = [
+            ArrayDataset(np.zeros((size, 1)), np.zeros(size, dtype=int))
+            for size in sizes
+        ]
+        spec = FleetSpec(
+            channel_gain_range=(gain_low, 1.0),
+            frequency_levels=(0.3, 0.55, 0.8, 1.0) if quantize else None,
+        )
+        devices = make_fleet(partitions, spec, seed=seed)
+        freqs = determine_frequencies(
+            devices, payload, BANDWIDTH, clamp=True, quantize=quantize
+        )
+        for device in devices:
+            assert device.compute_energy(freqs[device.device_id]) <= (
+                device.compute_energy()
+            )
 
     @given(seed=st.integers(0, 300))
     @settings(max_examples=30, deadline=None)

@@ -6,8 +6,9 @@ import pytest
 from repro.data.dataset import ArrayDataset
 from repro.errors import ConfigurationError, TrainingError
 from repro.fl.client import LocalTrainer
-from repro.nn.architectures import build_mlp
+from repro.nn.architectures import build_cnn, build_mlp
 from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.model import Sequential
 from repro.nn.optimizers import Sgd
 
 
@@ -85,6 +86,54 @@ class TestTraining:
         empty = ArrayDataset(np.zeros((0, 4)), np.zeros(0, dtype=int))
         with pytest.raises(TrainingError):
             LocalTrainer(0.1).train(build_mlp(4, 3, seed=5), empty)
+
+
+class FullBackward(Sequential):
+    """Forms the first layer's data gradient whatever the caller asks."""
+
+    def backward(self, grad_output, input_grad=True):
+        return super().backward(grad_output)
+
+
+class TestNoDataGradient:
+    """``train`` skips the gradient w.r.t. the local data; the trained
+    parameters are bit for bit those of a pass that forms it."""
+
+    MODELS = {
+        "dense_first": (lambda: build_mlp(12, 3, hidden_sizes=(6,), seed=7), (12,)),
+        "conv_first": (lambda: build_cnn((3, 4, 4), 3, seed=7), (3, 4, 4)),
+    }
+    TRAINERS = {
+        "full_batch": dict(local_steps=2),
+        "mini_batch": dict(local_steps=3, batch_size=5, seed=4),
+        "clipped": dict(local_steps=2, max_grad_norm=0.05),
+    }
+
+    @pytest.mark.parametrize("trainer", sorted(TRAINERS))
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_same_parameters_as_with_data_gradient(self, model, trainer):
+        build, shape = self.MODELS[model]
+        rng = np.random.default_rng(1)
+        ds = ArrayDataset(rng.normal(size=(16, *shape)), rng.integers(0, 3, size=16))
+        skipped, formed = build(), build()
+        formed.__class__ = FullBackward
+        for target in (skipped, formed):
+            LocalTrainer(0.3, **self.TRAINERS[trainer]).train(target, ds)
+        assert (
+            skipped.get_flat_params().tobytes() == formed.get_flat_params().tobytes()
+        )
+        # The skipped pass never staged the first conv's data gradient.
+        assert "grad_cols" not in skipped.layers[0]._scratch
+        assert ("grad_cols" in formed.layers[0]._scratch) == (model == "conv_first")
+
+    def test_backward_default_still_returns_the_data_gradient(self):
+        model = build_cnn((3, 4, 4), 3, seed=7)
+        inputs = np.random.default_rng(2).normal(size=(5, 3, 4, 4))
+        logits = model.forward(inputs, training=True)
+        _, grad = SoftmaxCrossEntropy().loss_and_grad(logits, np.arange(5) % 3)
+        assert model.backward(grad).shape == inputs.shape
+        model.forward(inputs, training=True)
+        assert model.backward(grad, input_grad=False) is None
 
 
 class TestValidation:

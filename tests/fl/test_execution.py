@@ -26,13 +26,12 @@ from repro.obs.sinks import CollectingSink
 from tests.conftest import make_heterogeneous_devices
 
 
-def make_update(device_id=0, weight=10.0, loss=1.5, payload_bits=None):
+def make_update(device_id=0, weight=10.0, loss=1.5):
     return ClientUpdate(
         device_id=device_id,
         params=np.full(3, float(device_id)),
         weight=weight,
         loss=loss,
-        payload_bits=payload_bits,
     )
 
 
@@ -42,7 +41,6 @@ class TestClientUpdate:
         assert update.device_id == 3
         assert update.weight == 7.0
         assert update.loss == 0.25
-        assert update.payload_bits is None
 
     def test_frozen(self):
         update = make_update()
@@ -56,7 +54,7 @@ class TestRoundResult:
             round_index=4,
             updates=(
                 make_update(2, weight=5.0, loss=0.1),
-                make_update(0, weight=9.0, loss=0.7, payload_bits=128.0),
+                make_update(0, weight=9.0, loss=0.7),
                 make_update(7, weight=1.0, loss=0.4),
             ),
         )
@@ -67,20 +65,15 @@ class TestRoundResult:
         assert result.weights == [5.0, 9.0, 1.0]
         assert [p[0] for p in result.params] == [2.0, 0.0, 7.0]
 
-    def test_losses_and_payloads(self):
+    def test_losses(self):
         result = self._result()
         assert result.losses == {2: 0.1, 0: 0.7, 7: 0.4}
-        assert result.payloads == {0: 128.0}
-
-    def test_drop(self):
-        result = self._result().drop([0, 7])
-        assert result.device_ids == (2,)
-        assert len(result) == 1
 
     def test_truthiness(self):
         result = self._result()
         assert result
-        assert not result.drop([2, 0, 7])
+        assert len(result) == 3
+        assert not RoundResult(round_index=4, updates=())
 
     def test_round_index_validated(self):
         with pytest.raises(ConfigurationError):

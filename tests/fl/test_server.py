@@ -64,6 +64,21 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             server.evaluate()
 
+    def test_empty_dataset_raises(self):
+        empty = ArrayDataset(np.zeros((0, 4)), np.zeros(0, dtype=int))
+        server = make_server(with_test=False)
+        with pytest.raises(ValueError, match="empty"):
+            server.evaluate(empty)
+        server.test_dataset = empty
+        with pytest.raises(ValueError, match="empty"):
+            server.evaluate()
+
+    def test_explicit_batch_size_still_accepted(self):
+        server = make_server()
+        assert server.evaluate(batch_size=512) == server.evaluate()
+        loss, accuracy = server.evaluate(batch_size=7)
+        assert np.isclose(loss, server.evaluate()[0], rtol=1e-12)
+
 
 class TestPayload:
     def test_default_payload_from_parameter_count(self):
