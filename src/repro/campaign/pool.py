@@ -185,7 +185,7 @@ class CampaignPool:
 
         def launch(run: RunSpec) -> None:
             attempts[run.run_id] += 1
-            started_at = time.time()  # repro: allow[REP004] status timestamps are operational metadata; simulation time untouched
+            started_at = time.time()
             manifest.write_status(
                 run.run_id,
                 STATUS_RUNNING,
@@ -210,7 +210,7 @@ class CampaignPool:
             active[run.run_id] = {
                 "process": process,
                 "run": run,
-                "started": time.monotonic(),  # repro: allow[REP004] worker liveness is wall-clock; simulation time untouched
+                "started": time.monotonic(),
                 "started_at": started_at,
                 "span": observer.span(
                     "attempt",
@@ -234,7 +234,7 @@ class CampaignPool:
                 if process.exitcode is None:
                     if self.run_timeout_s is not None:
                         elapsed = (
-                            time.monotonic()  # repro: allow[REP004] worker liveness is inherently wall-clock
+                            time.monotonic()
                             - entry["started"]
                         )
                         if elapsed > self.run_timeout_s:
@@ -264,7 +264,7 @@ class CampaignPool:
                         STATUS_DONE,
                         attempts[run_id],
                         started_at=entry["started_at"],
-                        finished_at=time.time(),  # repro: allow[REP004] status timestamps are operational metadata
+                        finished_at=time.time(),
                     )
                     _LOGGER.info("%s done", run_id)
                 else:
@@ -348,7 +348,7 @@ class CampaignPool:
                 attempts[run_id],
                 detail=f"gave up after {attempts[run_id]} attempts ({cause})",
                 started_at=entry["started_at"],
-                finished_at=time.time(),  # repro: allow[REP004] status timestamps are operational metadata
+                finished_at=time.time(),
             )
             _LOGGER.error(
                 "%s failed permanently after %d attempts (%s)",

@@ -282,7 +282,7 @@ def watch(
     manifest = CampaignManifest.open(campaign_dir)
     try:
         while True:
-            now = time.time()  # repro: allow[REP004] monitor elapsed/ETA are operational metadata; simulation untouched
+            now = time.time()
             snapshot = snapshot_campaign(manifest, now)
             frame = render_snapshot(snapshot)
             if not once and out.isatty():
@@ -291,6 +291,6 @@ def watch(
             out.flush()
             if once or snapshot.finished:
                 return 0
-            time.sleep(interval_s)  # repro: allow[REP004] poll cadence of the read-only monitor
+            time.sleep(interval_s)
     except KeyboardInterrupt:
         return 0

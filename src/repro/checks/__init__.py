@@ -1,8 +1,8 @@
 """Domain-aware static analysis for the reproduction's invariants.
 
-The repo's correctness guarantees — bitwise backend parity, span
-lifecycles, the paper's units (Hz, bits, seconds, Joules) — are
-conventions a generic linter cannot see. :mod:`repro.checks` makes
+The repo's correctness guarantees — seeded randomness, scratch-buffer
+lifetimes, shared-memory and span lifecycles — are conventions a
+generic linter cannot see. :mod:`repro.checks` makes
 them machine-checked, in two phases: per-file AST rules run first,
 then :mod:`repro.checks.project` condenses every file into a
 :class:`~repro.checks.project.ModuleSummary`, aggregates them into a
@@ -11,7 +11,7 @@ lightweight call graph), and the cross-file dataflow rules re-visit
 each file with the whole project in view. Runnable as
 ``python -m repro.checks [paths]`` with JSON, human, and GitHub-
 annotation output, an incremental content-hash cache (``--cache``),
-and inline ``# repro: allow[RULE-ID] justification`` suppressions.
+and inline ``# repro: allow[<rule-id>] justification`` suppressions.
 
 Shipped rules:
 
@@ -19,25 +19,15 @@ Shipped rules:
 REP001    determinism — no stdlib ``random``, no legacy
           ``np.random.<fn>`` module-level calls, RNG construction goes
           through :mod:`repro.rng`
-REP003    unit discipline — ``_hz``/``_bits``/``_seconds``/``_joules``
-          names are never float-equality-compared or mixed across units
-REP004    wall-clock hygiene — no real-clock reads outside
-          :mod:`repro.obs`; simulated time comes from the timeline model
-REP005    concurrency safety — pool-dispatched worker functions do not
-          assign to module-level globals
-REP006    hot-path vectorization — population-scale loops in the
-          scheduler/selection modules stay vectorized
-REP007    param pickling — process-backend payloads stay picklable
 REP008    buffer aliasing (cross-file) — ``_scratch_buffer``/``out=``
           arrays never escape their forward/backward call
 REP009    shm lifecycle (cross-file) — every owned shared-memory
           acquisition reaches ``close()``/``unlink()`` on all paths
-REP010    unit dataflow (cross-file) — units survive call edges,
-          binds, and returns across modules
 REP011    RNG provenance (cross-file) — generators reaching
           selection/faults/quantization trace to :mod:`repro.rng`
-REP012    suppression hygiene — every ``allow[...]`` comment carries a
-          justification (REP012 itself cannot be suppressed)
+REP012    suppression hygiene — every ``allow[...]`` comment names
+          shipped rules and carries a justification (REP012 itself
+          cannot be suppressed)
 REP013    span lifecycle — every ``observer.span(...)`` open reaches
           ``.end()`` on all paths (``with``, same depth, ``finally``,
           or explicit handoff to a new owner)

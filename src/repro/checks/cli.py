@@ -24,20 +24,24 @@ __all__ = ["main", "build_parser"]
 _DEFAULT_PATHS = ["src/repro"]
 
 
+def _rule_names(needs_index: bool) -> str:
+    return ", ".join(
+        f"{cls.title.split(':')[0]} ({rule_id})"
+        for rule_id, cls in ALL_RULES.items()
+        if cls.needs_index == needs_index
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the ``python -m repro.checks`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.checks",
         description=(
             "Domain-aware static analysis in two phases: per-file rules "
-            "— determinism (REP001), unit discipline (REP003), "
-            "wall-clock hygiene (REP004), concurrency safety (REP005), "
-            "hot-path vectorization (REP006), param pickling (REP007), "
-            "suppression hygiene (REP012) — then cross-file dataflow rules over a project "
-            "index: buffer aliasing (REP008), shared-memory lifecycle "
-            "(REP009), unit dataflow (REP010), RNG provenance (REP011). "
+            f"— {_rule_names(False)} — then cross-file dataflow rules "
+            f"over a project index: {_rule_names(True)}. "
             "Suppress a finding inline with "
-            "'# repro: allow[RULE-ID] justification' (the justification "
+            "'# repro: allow[<rule-id>] justification' (the justification "
             "is mandatory; REP012 itself cannot be suppressed)."
         ),
         epilog=(

@@ -75,10 +75,10 @@ class ModuleContext:
 
 
 def parse_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
-    """Extract ``# repro: allow[RULE-ID]`` comments, by line number.
+    """Extract ``# repro: allow[<rule-id>]`` comments, by line number.
 
     The bracket accepts a comma-separated list (``allow[REP001,
-    REP003]``) or ``*``; anything after the closing bracket is the
+    REP008]``) or ``*``; anything after the closing bracket is the
     required human justification and is ignored by the parser.
     """
     table: Dict[int, FrozenSet[str]] = {}

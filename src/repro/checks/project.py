@@ -1,23 +1,22 @@
 """Phase 1 of the two-phase checker: the project-wide semantic index.
 
-Per-file AST rules (REP001–REP007) see one module at a time, which is
-exactly the blind spot the PR-6/7 refactors opened: hot-path state now
-crosses module boundaries (population arrays, ``out=`` scratch buffers,
-``SharedArrayPool`` lifecycle), so a unit mix-up or a leaked
-shared-memory block can sit on a call edge between two files that are
-each individually clean.
+Per-file AST rules (REP001, REP012, REP013) see one module at a time,
+but hot-path state crosses module boundaries (``out=`` scratch
+buffers, ``SharedArrayPool`` lifecycle, generators handed down a call
+chain), so a scratch alias or a leaked shared-memory block can sit on
+a call edge between two files that are each individually clean.
 
 This module builds the cross-file facts the :class:`DataflowRule`
-family (REP008–REP011) consumes:
+family (REP008, REP009, REP011) consumes:
 
 * :func:`summarize_module` condenses one parsed file into a
   serializable :class:`ModuleSummary` — import resolution, per-function
-  signatures, and derived dataflow facts (return units, scratch-buffer
-  escapes, shared-memory ownership, RNG provenance);
+  signatures, and derived dataflow facts (scratch-buffer escapes,
+  shared-memory ownership, RNG provenance);
 * :class:`ProjectIndex` aggregates summaries into a project-wide symbol
-  table with a lightweight call graph, chased lazily (``return_unit``,
-  ``returns_scratch``, … follow ``return f(...)`` edges with a cycle
-  guard);
+  table with a lightweight call graph, chased lazily
+  (``returns_scratch``, ``returns_shm`` and ``rng_origin`` follow
+  ``return f(...)`` edges with a cycle guard);
 * :class:`FunctionAnalysis` is the single-pass, order-aware local
   dataflow walk both the summarizer and the rules share (the rules keep
   the AST nodes for findings; the summary keeps only JSON-able facts).
@@ -36,8 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
-    "UNIT_SUFFIXES",
-    "unit_suffix",
     "FunctionSummary",
     "ModuleSummary",
     "ProjectIndex",
@@ -46,19 +43,6 @@ __all__ = [
     "iter_function_analyses",
     "summarize_module",
 ]
-
-UNIT_SUFFIXES = ("_hz", "_bits", "_seconds", "_joules")
-"""Recognized unit-of-measure name suffixes (the cost model's physics)."""
-
-
-def unit_suffix(name: str) -> Optional[str]:
-    """The unit suffix carried by ``name``, or ``None``."""
-    lowered = name.lower()
-    for suffix in UNIT_SUFFIXES:
-        if lowered.endswith(suffix):
-            return suffix
-    return None
-
 
 # Sanctioned generator factories (REP011's only blessed origins).
 BLESSED_RNG = frozenset(
@@ -81,14 +65,9 @@ CLOSER_METHOD_NAMES = frozenset(
 )
 
 # Calls that return a *new* array (or scalar) and therefore launder a
-# scratch-buffer taint while preserving the unit of their first arg.
+# scratch-buffer taint.
 _LAUNDER_CALLS = frozenset(
     {"copy", "ascontiguousarray", "array", "tolist", "copyto"}
-)
-
-# Thin numeric wrappers that pass their first argument's unit through.
-_UNIT_TRANSPARENT_CALLS = frozenset(
-    {"float", "int", "abs", "float64", "float32", "asarray", "round"}
 )
 
 
@@ -97,7 +76,6 @@ class Facts:
     """Dataflow classification of one expression (or local binding).
 
     Attributes:
-        unit: unit suffix (``"_seconds"``, …) carried by the value.
         scratch: value aliases a layer-owned ``_scratch_buffer``.
         shm: value owns a live shared-memory acquisition.
         rng: generator provenance — ``"blessed"`` (repro.rng),
@@ -108,7 +86,6 @@ class Facts:
             call result, else ``None``.
     """
 
-    unit: Optional[str] = None
     scratch: bool = False
     shm: bool = False
     rng: Optional[str] = None
@@ -126,10 +103,6 @@ class FunctionSummary:
         qualname: name within the module (``"Pool.close"`` for methods).
         lineno: definition line.
         params: positional-or-keyword parameter names, ``self`` removed.
-        param_units: unit suffix per unit-suffixed parameter.
-        return_unit: unit of the returned value — the name's own suffix
-            when present, else the consistently inferred unit of its
-            return expressions.
         return_calls: resolved callees whose result the function
             returns (the call-graph edges the index chases).
         returns_scratch: some return aliases a ``_scratch_buffer``.
@@ -142,8 +115,6 @@ class FunctionSummary:
     qualname: str
     lineno: int
     params: Tuple[str, ...] = ()
-    param_units: Dict[str, str] = field(default_factory=dict)
-    return_unit: Optional[str] = None
     return_calls: Tuple[str, ...] = ()
     returns_scratch: bool = False
     returns_shm: bool = False
@@ -155,8 +126,6 @@ class FunctionSummary:
             "qualname": self.qualname,
             "lineno": self.lineno,
             "params": list(self.params),
-            "param_units": dict(self.param_units),
-            "return_unit": self.return_unit,
             "return_calls": list(self.return_calls),
             "returns_scratch": self.returns_scratch,
             "returns_shm": self.returns_shm,
@@ -170,8 +139,6 @@ class FunctionSummary:
             qualname=data["qualname"],
             lineno=data["lineno"],
             params=tuple(data["params"]),
-            param_units=dict(data["param_units"]),
-            return_unit=data["return_unit"],
             return_calls=tuple(data["return_calls"]),
             returns_scratch=data["returns_scratch"],
             returns_shm=data["returns_shm"],
@@ -371,12 +338,12 @@ class StoreFact:
 
 @dataclass
 class CallFact:
-    """One call site with enough structure to type-check its arguments.
+    """One call site: the node, its resolved callee and its leaf name.
 
     Attributes:
         node: the :class:`ast.Call`.
         target: resolved dotted callee, or ``None``.
-        leaf: last identifier of the callee chain (name-suffix fallback).
+        leaf: last identifier of the callee chain.
     """
 
     node: ast.Call
@@ -388,7 +355,8 @@ class FunctionAnalysis:
     """Single-pass, statement-ordered local dataflow over one function.
 
     Both consumers share this walk: :func:`summarize_module` keeps the
-    serializable facts, the REP008–REP011 rules keep the AST nodes.
+    serializable facts, the REP008, REP009 and REP011 rules keep the AST
+    nodes.
 
     Args:
         node: the function definition (or an :class:`ast.Module` for
@@ -411,7 +379,6 @@ class FunctionAnalysis:
         self.is_module_level = isinstance(node, ast.Module)
         self.name = "<module>" if self.is_module_level else node.name
         self.params: List[str] = []
-        self.param_units: Dict[str, str] = {}
         self.env: Dict[str, Facts] = {}
         self.returns: List[ReturnFact] = []
         self.acquisitions: List[AcquisitionFact] = []
@@ -447,45 +414,23 @@ class FunctionAnalysis:
             names = names[1:]
         self.params = names
         for name in names:
-            unit = unit_suffix(name)
-            rng = (
-                "param"
-                if name in ("rng", "generator") or name.endswith("_rng")
-                else None
-            )
-            if unit:
-                self.param_units[name] = unit
-            self.env[name] = Facts(unit=unit, rng=rng)
+            if name in ("rng", "generator") or name.endswith("_rng"):
+                self.env[name] = Facts(rng="param")
 
     # -- classification -------------------------------------------------
     def classify(self, expr: ast.AST) -> Facts:
         """Dataflow facts of one expression (see :class:`Facts`)."""
         if isinstance(expr, ast.Name):
-            known = self.env.get(expr.id)
-            if known is not None:
-                return known
-            return Facts(unit=unit_suffix(expr.id))
-        if isinstance(expr, ast.Attribute):
-            return Facts(unit=unit_suffix(expr.attr))
+            return self.env.get(expr.id, _NO_FACTS)
         if isinstance(expr, ast.Await):
             return self.classify(expr.value)
         if isinstance(expr, ast.IfExp):
             left = self.classify(expr.body)
             right = self.classify(expr.orelse)
             return Facts(
-                unit=left.unit if left.unit == right.unit else None,
                 scratch=left.scratch or right.scratch,
                 shm=left.shm or right.shm,
             )
-        if isinstance(expr, ast.BinOp) and isinstance(
-            expr.op, (ast.Add, ast.Sub)
-        ):
-            left = self.classify(expr.left)
-            right = self.classify(expr.right)
-            unit = left.unit if left.unit == right.unit else None
-            return Facts(unit=unit)
-        if isinstance(expr, ast.UnaryOp):
-            return Facts(unit=self.classify(expr.operand).unit)
         if isinstance(expr, ast.Call):
             return self._classify_call(expr)
         return _NO_FACTS
@@ -494,15 +439,7 @@ class FunctionAnalysis:
         chain = _chain(call.func)
         leaf = chain[-1] if chain else None
         if leaf in _LAUNDER_CALLS:
-            if call.args:
-                inner = self.classify(call.args[0])
-            elif isinstance(call.func, ast.Attribute):
-                inner = self.classify(call.func.value)
-            else:
-                inner = _NO_FACTS
-            return Facts(unit=inner.unit)
-        if leaf in _UNIT_TRANSPARENT_CALLS and call.args:
-            return Facts(unit=self.classify(call.args[0]).unit)
+            return _NO_FACTS
         scratch = leaf == "_scratch_buffer"
         for kw in call.keywords:
             if kw.arg in ("out", "padded_out") and self.classify(kw.value).scratch:
@@ -512,7 +449,6 @@ class FunctionAnalysis:
         )
         shm = False
         rng: Optional[str] = None
-        unit: Optional[str] = None
         if target is not None:
             if target == _SHM_TARGET:
                 shm = any(
@@ -530,11 +466,7 @@ class FunctionAnalysis:
             scratch = scratch or self.index.returns_scratch(target)
             shm = shm or self.index.returns_shm(target)
             rng = rng or self.index.rng_origin(target)
-            unit = unit or self.index.return_unit(target)
-        if leaf is not None and unit is None:
-            unit = unit_suffix(leaf)
         return Facts(
-            unit=unit,
             scratch=scratch,
             shm=shm,
             rng=rng,
@@ -632,7 +564,7 @@ class FunctionAnalysis:
     def _bind_target(self, stmt, target, facts: Facts, value) -> None:
         if isinstance(target, ast.Name):
             if isinstance(stmt, ast.AugAssign):
-                return  # unit checks on AugAssign are REP003's job
+                return  # ``x += ...`` keeps x's own facts
             self.env[target.id] = facts
             self.name_binds.append(
                 StoreFact(
@@ -654,9 +586,7 @@ class FunctionAnalysis:
             # bound name (``cols, h, w = im2col(..., out=scratch)``).
             for element in target.elts:
                 if isinstance(element, ast.Name):
-                    self.env[element.id] = Facts(
-                        unit=unit_suffix(element.id), scratch=facts.scratch
-                    )
+                    self.env[element.id] = Facts(scratch=facts.scratch)
             return
         if isinstance(target, ast.Attribute):
             chain = _chain(target)
@@ -790,20 +720,12 @@ def _summarize_function(
     qualname = (
         f"{class_name}.{analysis.name}" if class_name else analysis.name
     )
-    declared = unit_suffix(analysis.name)
-    inferred: Optional[str] = None
-    consistent = True
     return_calls: List[str] = []
     returns_scratch = False
     returns_shm = False
     rng_origin: Optional[str] = None
     for ret in analysis.returns:
         facts = ret.facts
-        if facts.unit is not None:
-            if inferred is None:
-                inferred = facts.unit
-            elif inferred != facts.unit:
-                consistent = False
         if facts.scratch:
             returns_scratch = True
         if facts.shm:
@@ -818,8 +740,6 @@ def _summarize_function(
         qualname=qualname,
         lineno=node.lineno,
         params=tuple(analysis.params),
-        param_units=dict(analysis.param_units),
-        return_unit=declared or (inferred if consistent else None),
         return_calls=tuple(dict.fromkeys(return_calls)),
         returns_scratch=returns_scratch,
         returns_shm=returns_shm,
@@ -932,10 +852,6 @@ class ProjectIndex:
             if chased:
                 return chased
         return None
-
-    def return_unit(self, dotted: Optional[str]) -> Optional[str]:
-        """Unit of ``dotted``'s return value, chasing return-call edges."""
-        return self._chase(dotted, lambda s: s.return_unit)
 
     def returns_scratch(self, dotted: Optional[str]) -> bool:
         """Whether ``dotted`` hands back a scratch-buffer alias."""

@@ -6,17 +6,11 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.checks.rules.aliasing import BufferAliasingRule
 from repro.checks.rules.base import Rule
-from repro.checks.rules.concurrency import ConcurrencySafetyRule
 from repro.checks.rules.determinism import DeterminismRule
-from repro.checks.rules.hotpath import HotPathLoopRule
-from repro.checks.rules.pickling import ParamPicklingRule
 from repro.checks.rules.rng_provenance import RngProvenanceRule
 from repro.checks.rules.shm_lifecycle import ShmLifecycleRule
 from repro.checks.rules.span_lifecycle import SpanLifecycleRule
 from repro.checks.rules.suppression import SuppressionHygieneRule
-from repro.checks.rules.units import UnitDisciplineRule
-from repro.checks.rules.units_flow import UnitFlowRule
-from repro.checks.rules.wallclock import WallClockRule
 from repro.errors import ConfigurationError
 
 __all__ = ["ALL_RULES", "get_rules", "Rule"]
@@ -25,14 +19,8 @@ ALL_RULES: Dict[str, type] = {
     rule_cls.rule_id: rule_cls
     for rule_cls in (
         DeterminismRule,
-        UnitDisciplineRule,
-        WallClockRule,
-        ConcurrencySafetyRule,
-        HotPathLoopRule,
-        ParamPicklingRule,
         BufferAliasingRule,
         ShmLifecycleRule,
-        UnitFlowRule,
         RngProvenanceRule,
         SuppressionHygieneRule,
         SpanLifecycleRule,

@@ -1,4 +1,4 @@
-"""Shared base for the cross-file dataflow rules (REP008–REP011).
+"""Shared base for the cross-file dataflow rules (REP008, REP009, REP011).
 
 A :class:`DataflowRule` runs in phase 2 of the engine: it still reports
 against one file at a time (findings need a path and a line), but its
@@ -6,8 +6,8 @@ against one file at a time (findings need a path and a line), but its
 :class:`~repro.checks.project.ProjectIndex` attached to the context —
 resolved imports, callee signatures, and chased return facts. That is
 what lets a rule connect a scratch buffer produced in ``repro.nn`` to a
-store in ``repro.fl``, or a unit-suffixed parameter in
-``repro.network`` to a mismatched argument in ``repro.energy``.
+store in ``repro.fl``, or a raw generator built in one module to the
+``rng`` parameter of a selection function in ``repro.core``.
 """
 
 from __future__ import annotations

@@ -548,7 +548,7 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     manifest = CampaignManifest.open(args.campaign_dir)
     statuses = manifest.statuses()
     done = sum(1 for s in statuses.values() if s.status == STATUS_DONE)
-    now = time.time()  # repro: allow[REP004] elapsed-time display for operators; simulation untouched
+    now = time.time()
     print(
         f"campaign {manifest.spec.name}: {done}/{len(statuses)} run(s) done"
     )

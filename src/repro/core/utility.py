@@ -101,6 +101,11 @@ def _alpha_array(
     return alphas
 
 
+_TABLE_CAP = 1 << 16
+"""Largest power table: counters at or past it (a hostile checkpoint)
+are raised one by one instead of sizing a table to them."""
+
+
 @lru_cache(maxsize=16)
 def _power_table(decay: float, size: int) -> np.ndarray:
     """``decay ** k`` for ``k < size`` with Python's scalar ``**``."""
@@ -114,10 +119,18 @@ def decay_powers(decay: float, alphas: np.ndarray) -> np.ndarray:
     in a table of Python-scalar ``eta ** k`` (what :func:`decayed_utility`
     computes) — exactness by construction rather than by trusting a
     numpy pow kernel. The table is memoized and sized to the power of two
-    above ``max alpha``: a run evaluates each power once or twice.
+    above ``max alpha``, at most ``_TABLE_CAP`` entries: a run evaluates
+    each power once or twice.
     """
     top = int(alphas.max()) if alphas.size else 0
-    return _power_table(decay, max(64, 1 << top.bit_length()))[alphas]
+    size = min(max(64, 1 << top.bit_length()), _TABLE_CAP)
+    table = _power_table(decay, size)
+    if top < size:
+        return table[alphas]
+    powers = table[np.minimum(alphas, size - 1)]
+    for position in np.flatnonzero(alphas >= size).tolist():
+        powers[position] = decay ** int(alphas[position])
+    return powers
 
 
 def utility_scores(

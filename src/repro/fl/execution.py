@@ -507,9 +507,9 @@ def _process_worker_init(
         from repro.obs import configure_logging
 
         configure_logging(log_level)
-    _WORKER_STATE["scratch"] = model  # repro: allow[REP005] per-process init, pre-task
-    _WORKER_STATE["spec"] = spec  # repro: allow[REP005] per-process init, pre-task
-    _WORKER_STATE["datasets"] = datasets  # repro: allow[REP005] per-process init, pre-task
+    _WORKER_STATE["scratch"] = model
+    _WORKER_STATE["spec"] = spec
+    _WORKER_STATE["datasets"] = datasets
 
 
 class _WorkerClient(NamedTuple):
@@ -626,7 +626,7 @@ class ProcessPoolBackend(ExecutionBackend):
             (
                 round_index,
                 learning_rate,
-                global_params,  # repro: allow[REP007] pickle fallback backend
+                global_params,
                 *_chunk_clients(selected[start:stop], self._known_ids),
                 self._sample_tasks,
             )

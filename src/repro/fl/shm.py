@@ -248,12 +248,12 @@ def _shm_worker_init(
         from repro.obs import configure_logging
 
         configure_logging(log_level)
-    _SHM_WORKER_STATE["scratch"] = model  # repro: allow[REP005] per-process init, pre-task
-    _SHM_WORKER_STATE["spec"] = spec  # repro: allow[REP005] per-process init, pre-task
-    _SHM_WORKER_STATE["datasets"] = datasets  # repro: allow[REP005] per-process init, pre-task
-    _SHM_WORKER_STATE["broadcast_name"] = broadcast_name  # repro: allow[REP005] per-process init, pre-task
-    _SHM_WORKER_STATE["param_count"] = param_count  # repro: allow[REP005] per-process init, pre-task
-    _SHM_WORKER_STATE["segments"] = {}  # repro: allow[REP005] per-process init, pre-task
+    _SHM_WORKER_STATE["scratch"] = model
+    _SHM_WORKER_STATE["spec"] = spec
+    _SHM_WORKER_STATE["datasets"] = datasets
+    _SHM_WORKER_STATE["broadcast_name"] = broadcast_name
+    _SHM_WORKER_STATE["param_count"] = param_count
+    _SHM_WORKER_STATE["segments"] = {}
 
 
 def _shm_worker_run(task):

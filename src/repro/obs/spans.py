@@ -27,9 +27,10 @@ Two propagation shapes exist:
   thread-safe, so workers never write the trace themselves).
 
 This module is the sanctioned home for the wall-clock and
-``getrusage`` reads the spans need (see REP004): span timing measures
-*our* code, never the simulated timeline, and nothing here feeds back
-into training.
+``getrusage`` reads the spans need: span timing measures *our* code,
+never the simulated timeline, and nothing here feeds back into
+training (the byte-pinned traces in
+``tests/integration/test_trace_bytes_pinned.py`` hold it to that).
 """
 
 from __future__ import annotations

@@ -53,9 +53,9 @@ def reference_aggregate(tmp_path_factory):
 
 
 def wait_for_checkpoint(run_dir, timeout_s=60.0):
-    deadline = time.monotonic() + timeout_s  # repro: allow[REP004] test polls real worker processes
+    deadline = time.monotonic() + timeout_s
     path = os.path.join(run_dir, "checkpoint.json")
-    while time.monotonic() < deadline:  # repro: allow[REP004] test polls real worker processes
+    while time.monotonic() < deadline:
         if os.path.exists(path):
             return True
         time.sleep(0.01)
@@ -192,9 +192,9 @@ class TestWholeProcessKill:
             start_new_session=True,
         )
         try:
-            deadline = time.monotonic() + 120.0  # repro: allow[REP004] test supervises a real subprocess
+            deadline = time.monotonic() + 120.0
             landed = False
-            while time.monotonic() < deadline:  # repro: allow[REP004] test supervises a real subprocess
+            while time.monotonic() < deadline:
                 if process.poll() is not None:
                     break  # finished before the kill; resume is a no-op
                 for run_id in ("s0-helcfl-c0-f0", "s1-helcfl-c0-f0"):

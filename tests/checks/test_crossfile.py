@@ -81,29 +81,6 @@ class TestCrossFileDetection:
         assert finding.path.endswith("user.py")
         assert "never reaches close()" in finding.message
 
-    def test_rep010_swapped_args_cross_modules(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "repro/network/link.py": """
-                def transfer_seconds(payload_bits, bandwidth_hz):
-                    return payload_bits / bandwidth_hz
-                """,
-                "repro/energy/budget.py": """
-                from repro.network.link import transfer_seconds
-
-                def upload_budget(payload_bits, bandwidth_hz):
-                    return transfer_seconds(bandwidth_hz, payload_bits)
-                """,
-            },
-        )
-        report = check_paths([tmp_path / "repro"], rules=["REP010"])
-        assert len(report.findings) == 2
-        assert all(f.path.endswith("budget.py") for f in report.findings)
-        messages = " ".join(f.message for f in report.findings)
-        assert "expects _bits" in messages
-        assert "expects _hz" in messages
-
     def test_rep011_raw_helper_traced_across_modules(self, tmp_path):
         write_tree(
             tmp_path,

@@ -20,7 +20,7 @@ class TestSuppression:
         assert report.exit_code == 0
 
     def test_allow_comment_is_rule_specific(self):
-        source = "import random  # repro: allow[REP004] wrong rule id\n"
+        source = "import random  # repro: allow[REP013] wrong rule id\n"
         report = check_source(source, module="repro.demo", rules=["REP001"])
         assert len(report.findings) == 1
 
@@ -31,9 +31,9 @@ class TestSuppression:
 
     def test_comma_separated_ids(self):
         table = parse_suppressions(
-            "x = 1  # repro: allow[REP001, REP003] two rules\n"
+            "x = 1  # repro: allow[REP001, REP008] two rules\n"
         )
-        assert table == {1: frozenset({"REP001", "REP003"})}
+        assert table == {1: frozenset({"REP001", "REP008"})}
 
     def test_suppression_must_be_on_the_finding_line(self):
         source = "# repro: allow[REP001] wrong line\nimport random\n"
@@ -64,13 +64,14 @@ class TestClassification:
 
 class TestFindings:
     def test_reports_sort_by_location(self):
-        source = "import time\nimport random\n"
+        source = "import random\ndef f(observer):\n    observer.span('x')\n"
         report = check_source(
-            source, module="repro.demo", rules=["REP001", "REP004"]
+            source, module="repro.demo", rules=["REP013", "REP001"]
         )
-        assert [f.line for f in report.findings] == sorted(
-            f.line for f in report.findings
-        )
+        assert [(f.line, f.rule_id) for f in report.findings] == [
+            (1, "REP001"),
+            (3, "REP013"),
+        ]
 
     def test_syntax_error_becomes_rep000(self):
         report = check_source("def broken(:\n")
@@ -91,10 +92,10 @@ class TestFindings:
 
     def test_render_and_dict_round_trip(self):
         finding = Finding(
-            path="a.py", line=3, col=7, rule_id="REP003", message="boom"
+            path="a.py", line=3, col=7, rule_id="REP008", message="boom"
         )
-        assert finding.render() == "a.py:3:7: REP003 boom"
-        assert finding.to_dict()["rule"] == "REP003"
+        assert finding.render() == "a.py:3:7: REP008 boom"
+        assert finding.to_dict()["rule"] == "REP008"
 
     def test_report_json_document_shape(self):
         report = check_source(BAD_RNG, module="repro.demo", rules=["REP001"])
@@ -108,14 +109,8 @@ class TestRuleRegistry:
     def test_all_shipped_rules(self):
         assert [r.rule_id for r in get_rules()] == [
             "REP001",
-            "REP003",
-            "REP004",
-            "REP005",
-            "REP006",
-            "REP007",
             "REP008",
             "REP009",
-            "REP010",
             "REP011",
             "REP012",
             "REP013",
@@ -123,9 +118,9 @@ class TestRuleRegistry:
 
     def test_dataflow_rules_declare_needs_index(self):
         by_id = {r.rule_id: r for r in get_rules()}
-        for rule_id in ("REP008", "REP009", "REP010", "REP011"):
+        for rule_id in ("REP008", "REP009", "REP011"):
             assert by_id[rule_id].needs_index
-        for rule_id in ("REP001", "REP003", "REP012"):
+        for rule_id in ("REP001", "REP012", "REP013"):
             assert not by_id[rule_id].needs_index
 
     def test_suppression_hygiene_is_not_suppressible(self):
@@ -136,6 +131,13 @@ class TestRuleRegistry:
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ConfigurationError):
             get_rules(["REP999"])
+
+    @pytest.mark.parametrize(
+        "rule_id", ["REP003", "REP004", "REP005", "REP006", "REP007", "REP010"]
+    )
+    def test_deleted_rule_ids_are_unknown(self, rule_id):
+        with pytest.raises(ConfigurationError, match=rule_id):
+            get_rules([rule_id])
 
     def test_rule_ids_case_insensitive(self):
         assert [r.rule_id for r in get_rules(["rep001"])] == ["REP001"]

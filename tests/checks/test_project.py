@@ -8,7 +8,6 @@ from repro.checks.project import (
     ModuleSummary,
     ProjectIndex,
     summarize_module,
-    unit_suffix,
 )
 
 
@@ -19,20 +18,8 @@ def summarize(source, module="repro.demo", path=None, is_package=False):
     )
 
 
-class TestUnitSuffix:
-    def test_known_suffixes(self):
-        assert unit_suffix("upload_seconds") == "_seconds"
-        assert unit_suffix("bandwidth_hz") == "_hz"
-        assert unit_suffix("payload_bits") == "_bits"
-        assert unit_suffix("tx_joules") == "_joules"
-
-    def test_unsuffixed_names(self):
-        assert unit_suffix("bandwidth") is None
-        assert unit_suffix("seconds_total") is None
-
-
 class TestFunctionSummaries:
-    def test_params_and_param_units(self):
+    def test_params(self):
         summary = summarize(
             """
             def cost(payload_bits, bandwidth_hz, label):
@@ -41,39 +28,6 @@ class TestFunctionSummaries:
         )
         fn = summary.functions["cost"]
         assert fn.params == ("payload_bits", "bandwidth_hz", "label")
-        assert fn.param_units == {
-            "payload_bits": "_bits",
-            "bandwidth_hz": "_hz",
-        }
-
-    def test_declared_return_unit_wins(self):
-        summary = summarize(
-            """
-            def upload_seconds(payload_bits):
-                return payload_bits
-            """
-        )
-        assert summary.functions["upload_seconds"].return_unit == "_seconds"
-
-    def test_inferred_return_unit_requires_consistency(self):
-        consistent = summarize(
-            """
-            def f(a_seconds, b_seconds, flag):
-                if flag:
-                    return a_seconds
-                return b_seconds
-            """
-        )
-        assert consistent.functions["f"].return_unit == "_seconds"
-        conflicting = summarize(
-            """
-            def f(a_seconds, b_joules, flag):
-                if flag:
-                    return a_seconds
-                return b_joules
-            """
-        )
-        assert conflicting.functions["f"].return_unit is None
 
     def test_returns_scratch(self):
         summary = summarize(
@@ -199,27 +153,6 @@ class TestProjectIndex:
             )
         )
         assert index.function("repro.a.Pool").params == ("size_bits",)
-
-    def test_return_unit_chases_call_edges(self):
-        index = self.build(
-            (
-                "repro.a",
-                """
-                def base_seconds(x):
-                    return x
-                """,
-            ),
-            (
-                "repro.b",
-                """
-                from repro.a import base_seconds
-
-                def wrapper(x):
-                    return base_seconds(x)
-                """,
-            ),
-        )
-        assert index.return_unit("repro.b.wrapper") == "_seconds"
 
     def test_returns_scratch_chases_and_guards_cycles(self):
         index = self.build(

@@ -1,11 +1,14 @@
 """Good/bad fixture pair per rule: each rule fires on its bad snippet
-and stays silent on its good twin."""
+and stays silent on its good twin. Each rule also keeps one seeded
+defect shaped like the bug from this repo's history that justifies it."""
 
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.checks import check_source
+from repro.checks import ALL_RULES, check_paths, check_source
+from tests.checks.test_crossfile import write_tree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,17 +26,18 @@ def run_fixture(name, rule, module="repro.fixture"):
 
 PAIRS = [
     ("REP001", "rep001_good.py", "rep001_bad.py", "repro.fixture"),
-    ("REP003", "rep003_good.py", "rep003_bad.py", "repro.fixture"),
-    ("REP004", "rep004_good.py", "rep004_bad.py", "repro.fixture"),
-    ("REP005", "rep005_good.py", "rep005_bad.py", "repro.fixture"),
-    ("REP006", "rep006_good.py", "rep006_bad.py", "repro.core.fixture"),
-    ("REP007", "rep007_good.py", "rep007_bad.py", "repro.fl.execution"),
     ("REP008", "rep008_good.py", "rep008_bad.py", "repro.nn.fixture"),
     ("REP009", "rep009_good.py", "rep009_bad.py", "repro.fl.fixture"),
-    ("REP010", "rep010_good.py", "rep010_bad.py", "repro.energy.fixture"),
     ("REP011", "rep011_good.py", "rep011_bad.py", "repro.core.fixture"),
     ("REP013", "rep013_good.py", "rep013_bad.py", "repro.fl.fixture"),
 ]
+
+
+def test_fixture_table_covers_every_rule_but_rep012():
+    # REP012 reads comments, not code; TestRep012Findings covers it.
+    assert sorted(rule for rule, *_ in PAIRS) == sorted(
+        set(ALL_RULES) - {"REP012"}
+    )
 
 
 @pytest.mark.parametrize("rule,good,bad,module", PAIRS)
@@ -75,134 +79,6 @@ class TestRep001Findings:
         )
         assert len(report.findings) == 1
         assert "ensure_generator" in report.findings[0].message
-
-
-class TestRep003Findings:
-    def test_flags_each_construct(self):
-        report = run_fixture("rep003_bad.py", "REP003")
-        messages = [f.message for f in report.findings]
-        assert any("float equality" in m for m in messages)
-        assert any("never add or subtract" in m for m in messages)
-        assert any("augmented" in m for m in messages)
-        assert len(report.findings) == 3
-
-
-class TestRep004Findings:
-    def test_flags_import_and_call(self):
-        report = run_fixture("rep004_bad.py", "REP004")
-        messages = " ".join(f.message for f in report.findings)
-        assert "time.perf_counter" in messages
-        assert "time.time()" in messages
-
-    def test_obs_package_is_exempt(self):
-        source = "import time\nstart = time.perf_counter()\n"
-        report = check_source(
-            source, module="repro.obs.metrics", is_test=False, rules=["REP004"]
-        )
-        assert report.findings == ()
-
-
-class TestRep006Findings:
-    MODULE = "repro.core.selection"
-
-    def test_flags_loop_comprehension_and_wrapped_iterables(self):
-        report = run_fixture("rep006_bad.py", "REP006", module=self.MODULE)
-        messages = " ".join(f.message for f in report.findings)
-        assert "'devices'" in messages
-        assert "'selected'" in messages
-        assert "'fleet'" in messages
-        assert len(report.findings) == 3
-
-    def test_out_of_scope_modules_are_exempt(self):
-        source = "def f(devices):\n    return [d for d in devices]\n"
-        for module in ("repro.fl.trainer", "repro.baselines.fedl"):
-            report = check_source(
-                source, module=module, is_test=False, rules=["REP006"]
-            )
-            assert report.findings == ()
-
-    def test_tdma_module_is_in_scope(self):
-        source = "def f(devices):\n    return [d for d in devices]\n"
-        report = check_source(
-            source,
-            module="repro.network.tdma",
-            is_test=False,
-            rules=["REP006"],
-        )
-        assert len(report.findings) == 1
-
-    def test_index_loops_stay_clean(self):
-        source = (
-            "def f(scores):\n"
-            "    total = 0.0\n"
-            "    for position in range(scores.shape[0]):\n"
-            "        total += scores[position]\n"
-            "    return total\n"
-        )
-        report = check_source(
-            source, module=self.MODULE, is_test=False, rules=["REP006"]
-        )
-        assert report.findings == ()
-
-    def test_shipped_hot_paths_are_clean(self):
-        repo_root = Path(__file__).parents[2]
-        src = repo_root / "src" / "repro"
-        paths = sorted((src / "core").glob("*.py"))
-        paths.append(src / "network" / "tdma.py")
-        for path in paths:
-            module = "repro." + str(
-                path.relative_to(src)
-            ).removesuffix(".py").replace("/", ".")
-            report = check_source(
-                path.read_text(encoding="utf-8"),
-                path=str(path),
-                module=module,
-                is_test=False,
-                rules=["REP006"],
-            )
-            assert report.findings == (), (path, report.findings)
-            # src/ has one scheduler; the scalar oracle lives in tests/,
-            # so nothing here may be waived.
-            assert report.suppressed == (), (path, report.suppressed)
-
-
-class TestRep005Findings:
-    def test_flags_global_and_module_dict_writes(self):
-        report = run_fixture("rep005_bad.py", "REP005")
-        messages = " ".join(f.message for f in report.findings)
-        assert "assigns global '_TOTAL'" in messages
-        assert "mutates module-level '_CACHE'" in messages
-        assert len(report.findings) == 2
-
-    def test_undispatched_function_may_write_globals(self):
-        source = (
-            "_STATE = {}\n"
-            "def setup(value):\n"
-            "    _STATE['value'] = value\n"
-        )
-        report = check_source(
-            source, module="repro.fl.execution", is_test=False, rules=["REP005"]
-        )
-        assert report.findings == ()
-
-    def test_taint_follows_helper_calls(self):
-        source = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "_STATE = {}\n"
-            "def helper(item):\n"
-            "    _STATE['last'] = item\n"
-            "def worker(item):\n"
-            "    helper(item)\n"
-            "    return item\n"
-            "def run(items):\n"
-            "    with ThreadPoolExecutor() as pool:\n"
-            "        return list(pool.map(worker, items))\n"
-        )
-        report = check_source(
-            source, module="repro.fl.execution", is_test=False, rules=["REP005"]
-        )
-        assert len(report.findings) == 1
-        assert "'helper'" in report.findings[0].message
 
 
 class TestRep008Findings:
@@ -256,32 +132,6 @@ class TestRep009Findings:
         )
         report = check_source(
             source, module=self.MODULE, is_test=False, rules=["REP009"]
-        )
-        assert report.findings == ()
-
-
-class TestRep010Findings:
-    MODULE = "repro.energy.fixture"
-
-    def test_flags_each_mismatch_shape(self):
-        report = run_fixture("rep010_bad.py", "REP010", module=self.MODULE)
-        messages = [f.message for f in report.findings]
-        assert any("expects _bits" in m for m in messages)
-        assert any("expects _hz" in m for m in messages)
-        assert any("binds a _seconds value to 'total_joules'" in m for m in messages)
-        assert any("declares _joules but this return carries _seconds" in m for m in messages)
-        assert any("never add or subtract" in m for m in messages)
-        assert len(report.findings) == 5
-
-    def test_unknown_units_stay_silent(self):
-        source = (
-            "def transfer_seconds(payload_bits, bandwidth_hz):\n"
-            "    return payload_bits / bandwidth_hz\n"
-            "def caller(payload, bandwidth):\n"
-            "    return transfer_seconds(payload, bandwidth)\n"
-        )
-        report = check_source(
-            source, module=self.MODULE, is_test=False, rules=["REP010"]
         )
         assert report.findings == ()
 
@@ -373,19 +223,45 @@ class TestRep012Findings:
         assert report.findings == ()
 
     def test_applies_to_test_code_too(self):
-        source = "x = 1  # repro: allow[REP003]\n"
+        source = "x = 1  # repro: allow[REP001]\n"
         report = check_source(
             source, module="repro.demo", is_test=True, rules=["REP012"]
         )
         assert len(report.findings) == 1
 
     def test_rep012_cannot_be_suppressed(self):
-        source = "x = 1  # repro: allow[REP003, REP012]\n"
+        source = "x = 1  # repro: allow[REP001, REP012]\n"
         report = check_source(
             source, module="repro.demo", is_test=False, rules=["REP012"]
         )
         assert len(report.findings) == 1
         assert report.suppressed == ()
+
+    def test_deleted_rule_id_is_a_stale_suppression(self):
+        # Split so this file's own line is not a suppression comment.
+        source = "t = now()  # repro: allow" + "[REP004] wall clock\n"
+        report = check_source(
+            source, module="repro.demo", is_test=True, rules=["REP012"]
+        )
+        assert len(report.findings) == 1
+        assert "names no shipped rule: REP004" in report.findings[0].message
+
+    def test_one_stale_id_among_known_ones_is_flagged(self):
+        source = "x = 1  # repro: allow" + "[REP008, rep005] same-step cache\n"
+        report = check_source(
+            source, module="repro.demo", is_test=False, rules=["REP012"]
+        )
+        assert [f.message.rsplit(": ", 1)[1] for f in report.findings] == [
+            "rep005; delete the stale id"
+        ]
+
+    def test_star_and_every_shipped_id_are_known(self):
+        ids = ", ".join(["*", *ALL_RULES])
+        source = f"x = 1  # repro: allow[{ids}] every rule\n"
+        report = check_source(
+            source, module="repro.demo", is_test=False, rules=["REP012"]
+        )
+        assert report.findings == ()
 
     def test_suppressed_dataflow_finding_needs_justified_comment(self):
         source = (
@@ -403,3 +279,109 @@ class TestRep012Findings:
         )
         assert report.findings == ()
         assert {f.rule_id for f in report.suppressed} == {"REP008"}
+
+
+def fired(report):
+    return {finding.rule_id for finding in report.findings}
+
+
+class TestSeededDefects:
+    """One bug per kept rule, shaped like the defect from this repo's
+    history that justifies the rule. Every rule runs, so each test
+    fails once its rule leaves ``ALL_RULES``."""
+
+    def test_rep001_import_random_in_a_quantizer(self):
+        # The linter's first run found stdlib/legacy RNG in quantization
+        # and secure aggregation; each draw forked the seed universe.
+        source = textwrap.dedent(
+            """
+            import random
+
+            def stochastic_round(values, levels):
+                return [round(v * levels + random.random()) / levels for v in values]
+            """
+        )
+        report = check_source(source, module="repro.compression.quantization")
+        assert "REP001" in fired(report)
+
+    def test_rep008_same_step_im2col_cache(self):
+        # Conv2D kept its im2col scratch on self for backward(); the
+        # next forward() overwrote it.
+        source = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.nn.conv_utils import im2col
+            from repro.nn.layer import Layer
+
+            class Conv2D(Layer):
+                def forward(self, inputs, training=False):
+                    cols, _, _ = im2col(
+                        inputs, 3, 3, 1, 1,
+                        out=self._scratch_buffer("cols", (64, 27)),
+                    )
+                    if training:
+                        self._cols = cols
+                    return np.matmul(cols, self.params["W"])
+            """
+        )
+        report = check_source(source, module="repro.nn.conv")
+        assert "REP008" in fired(report)
+
+    def test_rep009_block_leaked_when_a_worker_raises(self):
+        # The broadcast block was released only after a clean map; a
+        # raising worker left the /dev/shm segment behind.
+        source = textwrap.dedent(
+            """
+            from multiprocessing import shared_memory
+            from repro.errors import TrainingError
+
+            def run_round(pool, params, tasks, train_slot):
+                block = shared_memory.SharedMemory(create=True, size=params.nbytes)
+                try:
+                    results = list(pool.map(train_slot, tasks))
+                except Exception as exc:
+                    raise TrainingError("a worker failed") from exc
+                else:
+                    block.close()
+                    block.unlink()
+                return results
+            """
+        )
+        report = check_source(source, module="repro.fl.shm")
+        assert "REP009" in fired(report)
+
+    def test_rep011_raw_default_rng_flows_into_core(self, tmp_path):
+        write_tree(
+            tmp_path,
+            {
+                "repro/core/selection.py": """
+                def sample_clients(scores, count, rng):
+                    return rng.choice(scores.shape[0], size=count, replace=False)
+                """,
+                "repro/experiments/sweep.py": """
+                import numpy as np
+                from repro.core.selection import sample_clients
+
+                def pick(scores, count, seed):
+                    return sample_clients(scores, count, np.random.default_rng(seed))
+                """,
+            },
+        )
+        report = check_paths([tmp_path / "repro"])
+        assert "REP011" in fired(report)
+
+    def test_rep013_span_left_open_on_the_crash_path(self):
+        # An attempt span closed only when the attempt finished cleanly:
+        # a crashed attempt left a dangling span_start in the trace.
+        source = textwrap.dedent(
+            """
+            def run_attempt(observer, attempt):
+                span = observer.span("attempt", span_id=attempt.run_id)
+                status = attempt.execute()
+                if status == "done":
+                    span.end()
+                return status
+            """
+        )
+        report = check_source(source, module="repro.campaign.pool")
+        assert "REP013" in fired(report)

@@ -2,6 +2,11 @@
 the utility's refusal of values that have no rank."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from repro.errors import ConfigurationError
 from tests.conftest import make_heterogeneous_devices
 from tests.oracles import object_scheduler as oracle
 
+REPO_ROOT = Path(__file__).parents[2]
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
 
@@ -152,6 +158,69 @@ class TestDecayPowers:
             0.8 ** int(k) for k in alphas
         ]
         assert decay_powers(0.8, np.empty(0, dtype=np.int64)).shape == (0,)
+
+    def test_hostile_checkpoint_counter_selects_in_bounded_memory(self):
+        # Under an address-space cap, so a table sized to the counter
+        # fails fast with MemoryError instead of exhausting the host.
+        script = textwrap.dedent(
+            """
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            import numpy as np
+            from repro.core.selection import GreedyDecaySelection
+            from repro.core.utility import decay_powers, decayed_utility
+            from repro.devices.fleet import FleetSpec
+            from repro.devices.population import DevicePopulation
+
+            decay = 1 - 2**-40
+            alphas = np.array([2**40, 3, 2**16, 2**16 - 1, 2**62, 0])
+            assert decay_powers(decay, alphas).tolist() == [
+                decay ** int(k) for k in alphas
+            ]
+            population = DevicePopulation.from_spec(
+                FleetSpec(channel_gain_range=(0.5, 2.0)),
+                np.arange(20, 40),
+                seed=3,
+            )
+            strat = GreedyDecaySelection(0.25, decay, 1e6, 2e6)
+            strat.load_state_dict({"appearance_counts": {"7": 2**40}})
+            assert len(strat.select_population(1, population)) == 5
+            position = population.position_of(7)
+            expected = decayed_utility(
+                strat.appearance_counts[7],
+                float(population.compute_delay()[position]),
+                float(population.upload_delay(1e6, 2e6)[position]),
+                decay,
+            )
+            assert strat.scores(population)[position] == expected, expected
+            print("ok", expected)
+            """
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        # (1 - 2^-40)^(2^40) is about 1/e: a real power, not an underflow.
+        status, utility = result.stdout.split()
+        assert status == "ok" and 0.0 < float(utility) < np.inf
+
+    @pytest.mark.parametrize(
+        "alpha", [2**16 - 1, 2**16, 2**16 + 1, 2**17, 2**40, 2**62]
+    )
+    def test_counters_either_side_of_the_table_cap(self, alpha):
+        decay = 1 - 2**-40
+        alphas = np.array([0, 7, alpha, 3, alpha], dtype=np.int64)
+        assert decay_powers(decay, alphas).tolist() == [
+            decay ** int(k) for k in alphas
+        ]
 
     def test_result_is_the_callers_own_array(self):
         first = decay_powers(0.9, np.array([0, 1, 2]))

@@ -64,7 +64,7 @@ class TestBars:
         assert "#" * 20 in lines[0]
         assert "#" * 10 in lines[1]
 
-    def test_unit_suffix(self):
+    def test_unit_follows_the_value(self):
         chart = ascii_bars([("x", 3.0)], unit="J")
         assert "3J" in chart
 
