@@ -82,12 +82,13 @@ def test_algorithm3_at_paper_scale(benchmark):
 
 def test_algorithm2_selection_at_paper_scale(benchmark):
     from repro.core.selection import GreedyDecaySelection
+    from repro.devices.population import DevicePopulation
 
-    devices = paper_scale_fleet(100)
+    population = DevicePopulation.from_devices(paper_scale_fleet(100))
     strategy = GreedyDecaySelection(0.1, 0.9, PAYLOAD, BANDWIDTH)
 
     def round_select():
-        return strategy.select(1, devices)
+        return strategy.select_population(1, population)
 
     selected = benchmark(round_select)
     assert len(selected) == 10

@@ -2,8 +2,11 @@
 """Extending the framework: write and evaluate a custom selection strategy.
 
 Shows the plugin surface a downstream user works against: subclass
-:class:`repro.fl.strategy.SelectionStrategy`, hand it to the trainer,
-and compare against HELCFL on identical conditions.
+:class:`repro.fl.strategy.SelectionStrategy`, implement
+``select_population`` (rank positions of the
+:class:`~repro.devices.DevicePopulation` the trainer polls each round),
+hand it to the trainer, and compare against HELCFL on identical
+conditions.
 
 The example strategy is "loss-proportional" sampling — an Oort-style
 statistical-utility heuristic that prefers users whose data the global
@@ -15,11 +18,12 @@ Usage::
     python examples/custom_strategy.py
 """
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.devices.device import UserDevice
+from repro.devices.population import DevicePopulation
 from repro.experiments import ExperimentSettings, build_environment, run_strategy
 from repro.fl.server import FederatedServer
 from repro.fl.strategy import SelectionStrategy, selection_count
@@ -36,11 +40,22 @@ class LossProportionalSelection(SelectionStrategy):
     round's participants proportionally. High-loss users — whose data
     the model handles worst — are favoured, an Oort-like statistical
     utility.
+
+    The population carries the devices' resource columns only; the
+    local datasets the scores need are looked up by
+    ``population.device_ids`` in the fleet the strategy is built with.
     """
 
-    def __init__(self, fraction: float, server: FederatedServer, seed=None):
+    def __init__(
+        self,
+        fraction: float,
+        server: FederatedServer,
+        devices: Sequence[UserDevice],
+        seed=None,
+    ):
         self.fraction = fraction
         self.server = server
+        self._device_by_id = {device.device_id: device for device in devices}
         self._rng = ensure_generator(seed)
         self._loss = SoftmaxCrossEntropy()
 
@@ -50,18 +65,22 @@ class LossProportionalSelection(SelectionStrategy):
         logits = self.server.model.predict(inputs[:take])
         return self._loss.loss(logits, labels[:take])
 
-    def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
+    def select_population(
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
         del round_index
-        self._check_population(devices)
-        count = selection_count(len(devices), self.fraction)
-        scores = np.array([self._score(d) for d in devices])
+        count = selection_count(len(population), self.fraction)
+        scores = np.array(
+            [
+                self._score(self._device_by_id[device_id])
+                for device_id in population.device_ids.tolist()
+            ]
+        )
         probs = scores / scores.sum()
         chosen = self._rng.choice(
-            len(devices), size=count, replace=False, p=probs
+            len(population), size=count, replace=False, p=probs
         )
-        return [devices[int(i)] for i in sorted(chosen)]
+        return np.sort(chosen)
 
 
 def main() -> None:
@@ -82,7 +101,7 @@ def main() -> None:
         server=server,
         devices=environment.devices,
         selection=LossProportionalSelection(
-            settings.fraction, server, seed=settings.seed
+            settings.fraction, server, environment.devices, seed=settings.seed
         ),
         config=settings.trainer_config(),
         label="loss-proportional",

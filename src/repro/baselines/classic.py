@@ -8,9 +8,11 @@ different frequency policy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict
 
-from repro.devices.device import UserDevice
+import numpy as np
+
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.fl.strategy import SelectionStrategy, selection_count
 from repro.rng import (
@@ -50,14 +52,14 @@ class RandomSelection(SelectionStrategy):
         """Resume the selection stream exactly where it froze."""
         self._rng = restore_generator(state["rng"])
 
-    def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
+    def select_population(
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
+        """``N`` positions drawn without replacement, in ascending order."""
         del round_index
-        self._check_population(devices)
-        count = selection_count(len(devices), self.fraction)
-        chosen = self._rng.choice(len(devices), size=count, replace=False)
-        return [devices[int(i)] for i in sorted(chosen)]
+        count = selection_count(len(population), self.fraction)
+        chosen = self._rng.choice(len(population), size=count, replace=False)
+        return np.sort(chosen)
 
     def __repr__(self) -> str:
         return f"RandomSelection(C={self.fraction})"

@@ -15,9 +15,12 @@ reproduction preserves exactly this behaviour.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 from repro.devices.device import UserDevice
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, SelectionError
 from repro.fl.strategy import SelectionStrategy
 from repro.network.tdma import simulate_tdma_round
@@ -132,55 +135,49 @@ class FedCsSelection(SelectionStrategy):
         """Resume the candidate-sampling stream where it froze."""
         self._rng = restore_generator(state["rng"])
 
-    def _candidates(
-        self, devices: Sequence[UserDevice]
-    ) -> Sequence[UserDevice]:
-        """The round's polled candidate subset (resource-request step)."""
+    def _candidates(self, population: DevicePopulation) -> np.ndarray:
+        """The round's polled candidate positions (resource-request step)."""
+        size = len(population)
         if self.candidate_fraction is None:
-            return devices
-        count = max(1, int(round(self.candidate_fraction * len(devices))))
-        chosen = self._rng.choice(len(devices), size=count, replace=False)
-        return [devices[int(i)] for i in sorted(chosen)]
+            return np.arange(size, dtype=np.int64)
+        count = max(1, int(round(self.candidate_fraction * size)))
+        return np.sort(self._rng.choice(size, size=count, replace=False))
 
-    def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
+    def select_population(
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
         """Greedily pack short-delay users under the round deadline.
 
-        Candidates are considered in ascending total-delay order; a
-        candidate is kept if the TDMA round over the tentative set
+        Candidates are considered in ascending (total delay, id) order;
+        a candidate is kept if the TDMA round over the tentative set
         still meets the deadline. At least one user (the single fastest
-        whose own round fits, or failing that the globally fastest) is
+        whose own round fits, or failing that the fastest candidate) is
         always selected so training can proceed.
         """
         del round_index
-        self._check_population(devices)
-        candidates = self._candidates(devices)
-        ranked = sorted(
-            candidates,
-            key=lambda d: (
-                d.total_delay(self.payload_bits, self.bandwidth_hz),
-                d.device_id,
-            ),
-        )
-        selected: List[UserDevice] = []
-        for candidate in ranked:
-            if self.max_users is not None and len(selected) >= self.max_users:
-                break
-            tentative = selected + [candidate]
+        candidates = self._candidates(population)
+        delays = population.total_delay(self.payload_bits, self.bandwidth_hz)
+        ranked = candidates[
+            np.lexsort((population.device_ids[candidates], delays[candidates]))
+        ]
+        limit = ranked.shape[0]
+        if self.max_users is not None:
+            limit = min(limit, self.max_users)
+        count = 0
+        while count < limit:
             timeline = simulate_tdma_round(
-                tentative, self.payload_bits, self.bandwidth_hz
+                (),
+                self.payload_bits,
+                self.bandwidth_hz,
+                population=population.take(ranked[: count + 1]),
             )
-            if timeline.round_delay <= self.round_deadline_s:
-                selected = tentative
-            else:
+            if timeline.round_delay > self.round_deadline_s:
                 # Candidates are sorted by individual delay, but a
                 # later candidate with shorter T_com could still fit;
                 # FedCS's greedy heuristic stops at the first miss.
                 break
-        if not selected:
-            selected = [ranked[0]]
-        return selected
+            count += 1
+        return ranked[: max(count, 1)]
 
     def __repr__(self) -> str:
         return f"FedCsSelection(deadline={self.round_deadline_s:.3g}s)"

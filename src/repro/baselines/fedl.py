@@ -19,7 +19,7 @@ differ.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -73,11 +73,9 @@ class FedlClosedFormPolicy(FrequencyPolicy):
         bandwidth_hz: float,
         *,
         round_index: int = 0,
-        population: Optional[DevicePopulation] = None,
+        population: DevicePopulation,
     ) -> Dict[int, float]:
-        del payload_bits, bandwidth_hz, round_index
-        if population is None:
-            population = DevicePopulation.from_devices(selected)
+        del selected, payload_bits, bandwidth_hz, round_index
         # Fleets share a handful of capacitance values, so evaluate the
         # cube root once per distinct one with Python's scalar ``**``
         # (:func:`fedl_optimal_frequency`'s exact op) and broadcast.

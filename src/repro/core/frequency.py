@@ -38,7 +38,7 @@ adapters that return the same chain keyed by device id.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -245,17 +245,9 @@ class HelcflDvfsPolicy(FrequencyPolicy):
         bandwidth_hz: float,
         *,
         round_index: int = 0,
-        population: Optional[DevicePopulation] = None,
+        population: DevicePopulation,
     ) -> Dict[int, float]:
-        del round_index  # Algorithm 3 is stateless across rounds.
-        if population is None:
-            return determine_frequencies(
-                selected,
-                payload_bits,
-                bandwidth_hz,
-                clamp=self.clamp,
-                quantize=self.quantize,
-            )
+        del selected, round_index  # Algorithm 3 is stateless across rounds.
         return _chain_frequencies_by_id(
             population, payload_bits, bandwidth_hz, self.clamp, self.quantize
         )

@@ -15,12 +15,11 @@ ascending device id — bit for bit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import Dict
 
 import numpy as np
 
 from repro.core.utility import utility_scores
-from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.fl.strategy import SelectionStrategy, selection_count
@@ -164,21 +163,14 @@ class GreedyDecaySelection(SelectionStrategy):
                 self._alpha = np.zeros(size, dtype=np.int64)
         return self._alpha[:size]
 
-    def scores(
-        self, devices: Union[DevicePopulation, Sequence[UserDevice]]
-    ) -> np.ndarray:
+    def scores(self, population: DevicePopulation) -> np.ndarray:
         """Current Eq. (20) utilities, aligned with population order.
 
-        No side effects. Accepts a :class:`DevicePopulation` directly
-        (preferred at scale) or any device sequence.
+        No side effects beyond aligning the counters to ``population``.
         """
-        if isinstance(devices, DevicePopulation):
-            counts: Union[Dict[int, int], np.ndarray] = self._alpha_for(devices)
-        else:
-            counts = self.appearance_counts
         return utility_scores(
-            devices,
-            counts,
+            population,
+            self._alpha_for(population),
             self.payload_bits,
             self.bandwidth_hz,
             self.decay,
@@ -187,7 +179,15 @@ class GreedyDecaySelection(SelectionStrategy):
     def select_population(
         self, round_index: int, population: DevicePopulation
     ) -> np.ndarray:
-        """Select and decay, returning ranked population positions."""
+        """Select the top-``N`` users by utility and decay them.
+
+        Returns ranked population positions. Because a user's utility
+        does not change *within* a round's selection loop (its counter
+        is bumped only once it is selected, and each user can be
+        selected at most once), taking the top-``N`` scores in one pass
+        is exactly equivalent to Algorithm 2's iterative
+        argmax-and-remove loop (lines 14-19).
+        """
         del round_index
         scores = self.scores(population)
         count = selection_count(len(population), self.fraction)
@@ -197,27 +197,6 @@ class GreedyDecaySelection(SelectionStrategy):
         # Algorithm 2 line 18: bump the winners' counters.
         self._alpha_for(population)[positions] += 1
         return positions
-
-    def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
-        """Select the top-``N`` users by utility and decay them.
-
-        Thin adapter over :meth:`select_population`: snapshots the
-        sequence into a :class:`DevicePopulation` and maps the ranked
-        positions back to the objects.
-
-        Note: because a user's utility does not change *within* a
-        round's selection loop (its counter is bumped only once it is
-        selected, and each user can be selected at most once), taking
-        the top-``N`` scores in one pass is exactly equivalent to
-        Algorithm 2's iterative argmax-and-remove loop (lines 14-19).
-        """
-        self._check_population(devices)
-        positions = self.select_population(
-            round_index, DevicePopulation.from_devices(devices)
-        )
-        return [devices[position] for position in positions.tolist()]
 
     def __repr__(self) -> str:
         return f"GreedyDecaySelection(C={self.fraction}, eta={self.decay})"

@@ -15,19 +15,17 @@ selected users' data, Eq. 19).
 
 :func:`utility_scores` evaluates Eq. (20) for the whole population as
 one array expression over a :class:`~repro.devices.DevicePopulation`
-(or any device sequence, converted on the fly) and returns an ndarray
-aligned with population order; ``population.position_of(device_id)``
-maps an id to its score.
+and returns an ndarray aligned with population order;
+``population.position_of(device_id)`` maps an id to its score.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 import numpy as np
 
-from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 
@@ -66,14 +64,6 @@ def decayed_utility(
             f"total delay must be positive, got {total_delay}"
         )
     return decay**appearance_count / total_delay
-
-
-def _as_population(
-    devices: Union[DevicePopulation, Sequence[UserDevice]],
-) -> DevicePopulation:
-    if isinstance(devices, DevicePopulation):
-        return devices
-    return DevicePopulation.from_devices(devices)
 
 
 def _alpha_array(
@@ -134,7 +124,7 @@ def decay_powers(decay: float, alphas: np.ndarray) -> np.ndarray:
 
 
 def utility_scores(
-    devices: Union[DevicePopulation, Sequence[UserDevice]],
+    population: DevicePopulation,
     appearance_counts: Union[Mapping[int, int], np.ndarray],
     payload_bits: float,
     bandwidth_hz: float,
@@ -147,9 +137,8 @@ def utility_scores(
     as one array expression.
 
     Args:
-        devices: the population ``V`` — a
-            :class:`~repro.devices.DevicePopulation` (preferred at
-            scale) or a device sequence (converted on the fly).
+        population: the users ``V`` as a
+            :class:`~repro.devices.DevicePopulation`.
         appearance_counts: ``alpha_q`` — either a mapping from device
             id (missing ids count as 0) or an int array aligned with
             population order.
@@ -163,9 +152,6 @@ def utility_scores(
     """
     if not 0.0 < decay < 1.0:
         raise ConfigurationError(f"decay eta must be in (0, 1), got {decay}")
-    if not isinstance(devices, DevicePopulation) and len(devices) == 0:
-        return np.empty(0, dtype=np.float64)
-    population = _as_population(devices)
     alphas = _alpha_array(population, appearance_counts)
     total_delay = population.compute_delay() + population.upload_delay(
         payload_bits, bandwidth_hz

@@ -22,6 +22,7 @@ import numpy as np
 from repro.baselines.registry import build_strategy
 from repro.data.dataset import ArrayDataset
 from repro.devices.fleet import FleetSpec, make_fleet
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.network.tdma import simulate_tdma_round
 from repro.rng import derive_seed
@@ -125,6 +126,7 @@ def run_cost_model_study(
         fleet = make_fleet(
             datasets, spec, seed=derive_seed(seed, "fleet", str(trial))
         )
+        population = DevicePopulation.from_devices(fleet)
         for name in strategies:
             selection, policy = build_strategy(
                 name,
@@ -137,15 +139,27 @@ def run_cost_model_study(
             )
             selection.reset()
             for round_index in range(1, rounds_per_trial + 1):
-                selected = selection.select(round_index, fleet)
+                positions = selection.select_population(
+                    round_index, population
+                )
+                chosen = population.take(positions)
+                selected = [fleet[position] for position in positions.tolist()]
                 frequencies = policy.assign(
-                    selected, payload_bits, bandwidth_hz
+                    selected,
+                    payload_bits,
+                    bandwidth_hz,
+                    round_index=round_index,
+                    population=chosen,
                 )
                 timeline = simulate_tdma_round(
-                    selected, payload_bits, bandwidth_hz, frequencies
+                    selected,
+                    payload_bits,
+                    bandwidth_hz,
+                    frequencies,
+                    population=chosen,
                 )
                 baseline = simulate_tdma_round(
-                    selected, payload_bits, bandwidth_hz
+                    selected, payload_bits, bandwidth_hz, population=chosen
                 )
                 stats = collected[name]
                 stats["delay"].append(timeline.round_delay)

@@ -10,14 +10,21 @@ battery is nearly empty — they would either shut down mid-round
 :class:`BatteryAwareSelection` is a decorator: it filters the
 population by battery level (and, optionally, by whether the device
 can afford its own worst-case round cost) before delegating to any
-inner strategy — HELCFL's greedy-decay, random, FedCS, anything.
+inner strategy — HELCFL's greedy-decay, random, FedCS, anything. The
+inner strategy ranks the eligible sub-population; the gate maps its
+positions back to the population it was given. Batteries are live
+per-device objects, not population columns, so the gate is built with
+the fleet it reads them from.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 from repro.devices.device import UserDevice
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, SelectionError
 from repro.fl.strategy import SelectionStrategy
 
@@ -34,6 +41,9 @@ class BatteryAwareSelection(SelectionStrategy):
 
     Args:
         inner: the wrapped selection strategy.
+        devices: the fleet the populations it is given describe; each
+            device's :class:`~repro.devices.Battery` is read live when
+            a round is selected.
         min_level: minimum battery level (fraction of capacity) to be
             eligible, in ``[0, 1]``.
         require_round_budget: additionally require that the device can
@@ -49,6 +59,7 @@ class BatteryAwareSelection(SelectionStrategy):
     def __init__(
         self,
         inner: SelectionStrategy,
+        devices: Sequence[UserDevice],
         min_level: float = 0.1,
         require_round_budget: bool = False,
         payload_bits: Optional[float] = None,
@@ -70,6 +81,7 @@ class BatteryAwareSelection(SelectionStrategy):
                 "require_round_budget needs payload_bits and bandwidth_hz"
             )
         self.inner = inner
+        self._device_by_id = {device.device_id: device for device in devices}
         self.min_level = float(min_level)
         self.require_round_budget = bool(require_round_budget)
         self.payload_bits = payload_bits
@@ -79,6 +91,18 @@ class BatteryAwareSelection(SelectionStrategy):
     def reset(self) -> None:
         """Reset the wrapped strategy."""
         self.inner.reset()
+
+    def state_dict(self) -> Dict:
+        """The wrapped strategy's snapshot: the gate keeps no state."""
+        return self.inner.state_dict()
+
+    def load_state_dict(self, state: Dict) -> None:
+        """Restore the wrapped strategy's snapshot."""
+        self.inner.load_state_dict(state)
+
+    def observe_losses(self, losses: Dict[int, float]) -> None:
+        """Pass the round's client losses on to the wrapped strategy."""
+        self.inner.observe_losses(losses)
 
     def _eligible(self, device: UserDevice) -> bool:
         battery = device.battery
@@ -94,18 +118,30 @@ class BatteryAwareSelection(SelectionStrategy):
                 return False
         return True
 
-    def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
-        self._check_population(devices)
-        eligible = [d for d in devices if self._eligible(d)]
-        if not eligible:
+    def select_population(
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
+        """The inner strategy's ranking of the eligible positions."""
+        device_by_id = self._device_by_id
+        eligible = np.flatnonzero(
+            np.fromiter(
+                (
+                    self._eligible(device_by_id[device_id])
+                    for device_id in population.device_ids.tolist()
+                ),
+                dtype=bool,
+                count=len(population),
+            )
+        )
+        if eligible.size == 0:
             if self.strict:
                 raise SelectionError(
                     "every device is below the battery eligibility threshold"
                 )
-            eligible = list(devices)
-        return self.inner.select(round_index, eligible)
+            return self.inner.select_population(round_index, population)
+        return eligible[
+            self.inner.select_population(round_index, population.take(eligible))
+        ]
 
     def __repr__(self) -> str:
         return (

@@ -27,9 +27,11 @@ with every round's observed client losses (see
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict
 
-from repro.devices.device import UserDevice
+import numpy as np
+
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.fl.strategy import SelectionStrategy, selection_count
 from repro.rng import (
@@ -140,62 +142,70 @@ class OortSelection(SelectionStrategy):
                 )
             self.last_losses[int(device_id)] = float(loss)
 
-    def _preferred_duration(self, devices: Sequence[UserDevice]) -> float:
-        if self.preferred_round_s is not None:
-            return self.preferred_round_s
-        delays = sorted(
-            d.total_delay(self.payload_bits, self.bandwidth_hz) for d in devices
+    def utilities(self, population: DevicePopulation) -> np.ndarray:
+        """The Oort score of every device, aligned with population order."""
+        delays = population.total_delay(self.payload_bits, self.bandwidth_hz)
+        preferred = self.preferred_round_s
+        if preferred is None:
+            preferred = float(np.sort(delays)[delays.shape[0] // 2])
+        # Devices without an observed loss get a neutral prior: unseen
+        # devices are exploration's job, so the score stays total.
+        losses = np.fromiter(
+            (
+                self.last_losses.get(device_id, 1.0)
+                for device_id in population.device_ids.tolist()
+            ),
+            dtype=np.float64,
+            count=len(population),
         )
-        return delays[len(delays) // 2]
-
-    def utility(self, device: UserDevice, preferred: float) -> float:
-        """The Oort score of one (previously seen) device."""
-        last_loss = self.last_losses.get(device.device_id)
-        # Unseen devices handled by exploration; give a neutral prior
-        # here so utility() is total.
-        stat = device.num_samples * (last_loss if last_loss is not None else 1.0)
-        delay = device.total_delay(self.payload_bits, self.bandwidth_hz)
-        if delay > preferred and self.penalty_exponent > 0:
-            stat *= math.pow(preferred / delay, self.penalty_exponent)
+        stat = population.num_samples * losses
+        if self.penalty_exponent > 0:
+            # math.pow per penalized device: a numpy pow kernel may
+            # round differently from the scalar one.
+            for position in np.flatnonzero(delays > preferred).tolist():
+                stat[position] *= math.pow(
+                    preferred / delays[position], self.penalty_exponent
+                )
         return stat
 
-    def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
+    def select_population(
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
+        """Explore unseen users, then rank the rest by :meth:`utilities`."""
         del round_index
-        self._check_population(devices)
-        count = selection_count(len(devices), self.fraction)
-        preferred = self._preferred_duration(devices)
-
-        unexplored = [
-            d for d in devices if d.device_id not in self.ever_selected
-        ]
+        ids = population.device_ids
+        count = selection_count(len(population), self.fraction)
+        seen = np.fromiter(
+            (device_id in self.ever_selected for device_id in ids.tolist()),
+            dtype=bool,
+            count=len(population),
+        )
+        unexplored = np.flatnonzero(~seen)
         explore_slots = min(
-            len(unexplored), max(0, int(round(self.exploration_fraction * count)))
+            unexplored.shape[0],
+            max(0, int(round(self.exploration_fraction * count))),
         )
         # While nothing has been observed yet, explore with every slot.
         if not self.last_losses:
-            explore_slots = min(len(unexplored), count)
+            explore_slots = min(unexplored.shape[0], count)
 
-        chosen: List[UserDevice] = []
+        chosen = unexplored[:0]
         if explore_slots:
             picks = self._rng.choice(
-                len(unexplored), size=explore_slots, replace=False
+                unexplored.shape[0], size=explore_slots, replace=False
             )
-            chosen.extend(unexplored[int(i)] for i in sorted(picks))
+            chosen = unexplored[np.sort(picks)]
 
-        remaining = count - len(chosen)
+        remaining = count - chosen.shape[0]
         if remaining > 0:
-            chosen_ids = {d.device_id for d in chosen}
-            candidates = [d for d in devices if d.device_id not in chosen_ids]
-            ranked = sorted(
-                candidates,
-                key=lambda d: (-self.utility(d, preferred), d.device_id),
-            )
-            chosen.extend(ranked[:remaining])
+            scores = self.utilities(population)
+            pool = np.ones(len(population), dtype=bool)
+            pool[chosen] = False
+            candidates = np.flatnonzero(pool)
+            order = np.lexsort((ids[candidates], -scores[candidates]))
+            chosen = np.concatenate((chosen, candidates[order[:remaining]]))
 
-        for device in chosen:
-            self.ever_selected.add(device.device_id)
+        self.ever_selected.update(ids[chosen].tolist())
         return chosen
 
     def __repr__(self) -> str:

@@ -12,21 +12,20 @@ pairs random selection with max frequency; FEDL pairs random selection
 with its closed-form frequency; FedCS pairs deadline-greedy selection
 with max frequency.
 
-Both interfaces carry population-based signatures for fleet-scale
-runs: :meth:`SelectionStrategy.select_population` lets a strategy rank
-a :class:`~repro.devices.DevicePopulation` directly and return ranked
-array positions (the base returns ``None``, meaning "only
-:meth:`~SelectionStrategy.select` is implemented", so existing
-strategies keep working unchanged), and :meth:`FrequencyPolicy.assign`
-accepts the selected set as a population slice via the kw-only
-``population=`` parameter, which the trainer always passes. Array
-results are always indexed by population position; dict-of-id forms
-are adapters around them.
+Both work on the resource columns the FLCC polls each round, a
+:class:`~repro.devices.DevicePopulation`:
+:meth:`SelectionStrategy.select_population` ranks the fleet's array
+positions, and :meth:`FrequencyPolicy.assign` receives the selected
+set's population slice through the kw-only ``population=`` argument.
+Array results are always indexed by population position; a strategy
+that needs a per-device object (a live battery, a dataset) looks it up
+by ``population.device_ids``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import abc
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -100,39 +99,28 @@ def over_selection_extras_population(
     return pool[order[:margin]]
 
 
-class SelectionStrategy:
+class SelectionStrategy(abc.ABC):
     """Base class for per-round user selection.
 
-    Subclasses implement :meth:`select`; stateful strategies (HELCFL's
-    appearance counters) should also override :meth:`reset`. Strategies
-    with a vectorized ranking additionally override
-    :meth:`select_population`.
+    Subclasses implement :meth:`select_population`; stateful strategies
+    (HELCFL's appearance counters) should also override :meth:`reset`
+    and the checkpoint pair :meth:`state_dict`/:meth:`load_state_dict`.
     """
 
-    def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
-        """Return the selected user set ``Gamma_j`` for this round.
+    @abc.abstractmethod
+    def select_population(
+        self, round_index: int, population: DevicePopulation
+    ) -> np.ndarray:
+        """Return the user set ``Gamma_j`` as ranked population positions.
 
         Args:
             round_index: 1-based FL round index ``j``.
-            devices: the full population ``V``.
-        """
-        raise NotImplementedError
+            population: the users to choose from ``V`` — the fleet, or
+                a sub-population a wrapping strategy hands on.
 
-    def select_population(
-        self, round_index: int, population: DevicePopulation
-    ) -> Optional[np.ndarray]:
-        """Select directly from a population view.
-
-        Returns ranked array positions into ``population`` (the same
-        order :meth:`select` lists devices in), or ``None`` when the
-        strategy only implements :meth:`select` — the trainer then
-        calls that and maps the result back to positions. The base
-        class returns ``None``.
+        Returns:
+            Positions into ``population`` in selection order.
         """
-        del round_index, population
-        return None
 
     def reset(self) -> None:
         """Clear any cross-round state before a fresh training run."""
@@ -172,10 +160,6 @@ class SelectionStrategy:
         strategies (e.g. the Oort extension) override it.
         """
 
-    def _check_population(self, devices: Sequence[UserDevice]) -> None:
-        if not devices:
-            raise SelectionError("cannot select from an empty population")
-
 
 class FrequencyPolicy:
     """Base class for assigning CPU frequencies to selected devices."""
@@ -187,7 +171,7 @@ class FrequencyPolicy:
         bandwidth_hz: float,
         *,
         round_index: int = 0,
-        population: Optional[DevicePopulation] = None,
+        population: DevicePopulation,
     ) -> Dict[int, float]:
         """Return a mapping from device id to operating frequency.
 
@@ -201,22 +185,13 @@ class FrequencyPolicy:
                 another signature break.
             population: the selected set as a
                 :class:`~repro.devices.DevicePopulation` slice, aligned
-                with ``selected``. The trainer always provides it;
-                with ``None`` the shipped policies snapshot
-                ``selected`` themselves.
+                with ``selected``; the shipped policies read only it.
         """
         raise NotImplementedError
 
 
 class FullParticipation(SelectionStrategy):
     """Select every user every round (ideal unconstrained FL)."""
-
-    def select(
-        self, round_index: int, devices: Sequence[UserDevice]
-    ) -> List[UserDevice]:
-        del round_index
-        self._check_population(devices)
-        return list(devices)
 
     def select_population(
         self, round_index: int, population: DevicePopulation
@@ -240,11 +215,9 @@ class MaxFrequencyPolicy(FrequencyPolicy):
         bandwidth_hz: float,
         *,
         round_index: int = 0,
-        population: Optional[DevicePopulation] = None,
+        population: DevicePopulation,
     ) -> Dict[int, float]:
-        del payload_bits, bandwidth_hz, round_index
-        if population is None:
-            population = DevicePopulation.from_devices(selected)
+        del selected, payload_bits, bandwidth_hz, round_index
         return dict(
             zip(population.device_ids.tolist(), population.f_max.tolist())
         )

@@ -250,7 +250,6 @@ class RunState:
     plateau: object  # the PlateauDetector, when one is configured
     injector: FaultInjector  # over an empty plan when the trainer has none
     device_index: Dict[int, UserDevice]
-    position_by_id: Dict[int, int]  # device id -> population position
     batteries: List[Tuple[int, Battery]]  # (population position, battery)
     history_log: HistoryLog = field(default_factory=HistoryLog)
     round_index: int = 0  # the round in flight, or the last finished
@@ -776,10 +775,6 @@ class FederatedTrainer:
             plateau=plateau,
             injector=self.fault_injector or FaultInjector(FaultPlan()),
             device_index={d.device_id: d for d in self.devices},
-            position_by_id={
-                d.device_id: position
-                for position, d in enumerate(self.devices)
-            },
             batteries=[
                 (position, d.battery)
                 for position, d in enumerate(self.devices)
@@ -871,7 +866,7 @@ class FederatedTrainer:
                 gain = float(model.sample_gain())
                 device.radio.channel_gain = gain
                 self.population.set_channel_gains(
-                    (run.position_by_id[device_id],), (gain,)
+                    (self.population.position_of(device_id),), (gain,)
                 )
 
     def _select(self, state: RoundState) -> None:
@@ -883,25 +878,11 @@ class FederatedTrainer:
             positions = self.selection.select_population(
                 round_index, population
             )
-            if positions is not None:
-                selected = [
-                    self.devices[position] for position in positions.tolist()
-                ]
-            else:
-                selected = self.selection.select(round_index, self.devices)
-        if not selected:
+        if positions.size == 0:
             raise TrainingError(
                 f"selection produced no users in round {round_index}"
             )
-        if positions is None:
-            # Strategy implementing only select(): recover the
-            # positions frequency assignment and TDMA slice by.
-            position_by_id = state.run.position_by_id
-            positions = np.fromiter(
-                (position_by_id[d.device_id] for d in selected),
-                dtype=np.int64,
-                count=len(selected),
-            )
+        selected = [self.devices[position] for position in positions.tolist()]
         state.target_count = len(selected)
         if margin > 0:
             extra_positions = over_selection_extras_population(
@@ -911,7 +892,7 @@ class FederatedTrainer:
                 self.server.payload_bits,
                 self.config.bandwidth_hz,
             )
-            selected = list(selected) + [
+            selected += [
                 self.devices[position]
                 for position in extra_positions.tolist()
             ]

@@ -3,43 +3,37 @@
 import pytest
 
 from repro.baselines.classic import RandomSelection
-from repro.errors import ConfigurationError, SelectionError
-from tests.conftest import make_heterogeneous_devices
+from repro.errors import ConfigurationError
+from tests.conftest import make_heterogeneous_devices, selected_ids
 
 
 class TestRandomSelection:
     def test_selection_size(self):
         devices = make_heterogeneous_devices(10)
-        assert len(RandomSelection(0.3, seed=0).select(1, devices)) == 3
+        assert len(selected_ids(RandomSelection(0.3, seed=0), 1, devices)) == 3
 
     def test_at_least_one(self):
         devices = make_heterogeneous_devices(5)
-        assert len(RandomSelection(0.01, seed=0).select(1, devices)) == 1
+        assert len(selected_ids(RandomSelection(0.01, seed=0), 1, devices)) == 1
 
     def test_no_duplicates(self):
         devices = make_heterogeneous_devices(10)
-        selected = RandomSelection(0.5, seed=1).select(1, devices)
-        ids = [d.device_id for d in selected]
+        ids = selected_ids(RandomSelection(0.5, seed=1), 1, devices)
         assert len(ids) == len(set(ids))
 
     def test_seeded_reproducible_after_reset(self):
         devices = make_heterogeneous_devices(10)
         strat = RandomSelection(0.4, seed=2)
-        first_run = [
-            [d.device_id for d in strat.select(r, devices)] for r in range(1, 4)
-        ]
+        first_run = [selected_ids(strat, r, devices) for r in range(1, 4)]
         strat.reset()
-        second_run = [
-            [d.device_id for d in strat.select(r, devices)] for r in range(1, 4)
-        ]
+        second_run = [selected_ids(strat, r, devices) for r in range(1, 4)]
         assert first_run == second_run
 
     def test_varies_across_rounds(self):
         devices = make_heterogeneous_devices(20)
         strat = RandomSelection(0.2, seed=3)
         rounds = [
-            frozenset(d.device_id for d in strat.select(r, devices))
-            for r in range(1, 10)
+            frozenset(selected_ids(strat, r, devices)) for r in range(1, 10)
         ]
         assert len(set(rounds)) > 1
 
@@ -49,7 +43,7 @@ class TestRandomSelection:
         strat = RandomSelection(0.3, seed=4)
         seen = set()
         for round_index in range(1, 60):
-            seen.update(d.device_id for d in strat.select(round_index, devices))
+            seen.update(selected_ids(strat, round_index, devices))
         assert seen == {d.device_id for d in devices}
 
     def test_invalid_fraction(self):
@@ -57,7 +51,3 @@ class TestRandomSelection:
             RandomSelection(0.0)
         with pytest.raises(ConfigurationError):
             RandomSelection(1.1)
-
-    def test_empty_population_raises(self):
-        with pytest.raises(SelectionError):
-            RandomSelection(0.5, seed=0).select(1, [])

@@ -5,7 +5,11 @@ import pytest
 from repro.baselines.fedcs import FedCsSelection, fedcs_deadline_for_count
 from repro.errors import ConfigurationError, SelectionError
 from repro.network.tdma import simulate_tdma_round
-from tests.conftest import make_device, make_heterogeneous_devices
+from tests.conftest import (
+    make_device,
+    make_heterogeneous_devices,
+    selected_ids,
+)
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
@@ -40,41 +44,40 @@ class TestSelection:
         devices = make_heterogeneous_devices(10, seed=2)
         deadline = fedcs_deadline_for_count(devices, PAYLOAD, BANDWIDTH, 4)
         strat = FedCsSelection(deadline, PAYLOAD, BANDWIDTH)
-        selected = strat.select(1, devices)
+        selected = [devices[i] for i in selected_ids(strat, 1, devices)]
         timeline = simulate_tdma_round(selected, PAYLOAD, BANDWIDTH)
         assert timeline.round_delay <= deadline + 1e-9
 
     def test_prefers_short_delay_users(self):
         devices = make_heterogeneous_devices(10, seed=3)
         deadline = fedcs_deadline_for_count(devices, PAYLOAD, BANDWIDTH, 3)
-        selected = FedCsSelection(deadline, PAYLOAD, BANDWIDTH).select(
-            1, devices
+        chosen = selected_ids(
+            FedCsSelection(deadline, PAYLOAD, BANDWIDTH), 1, devices
         )
-        selected_ids = {d.device_id for d in selected}
         slowest = max(devices, key=lambda d: d.total_delay(PAYLOAD, BANDWIDTH))
-        assert slowest.device_id not in selected_ids
+        assert slowest.device_id not in chosen
 
     def test_always_selects_at_least_one(self):
         devices = make_heterogeneous_devices(5, seed=4)
         strat = FedCsSelection(1e-6, PAYLOAD, BANDWIDTH)  # impossible deadline
-        assert len(strat.select(1, devices)) == 1
+        assert len(selected_ids(strat, 1, devices)) == 1
 
     def test_generous_deadline_selects_everyone(self):
         devices = make_heterogeneous_devices(5, seed=5)
         strat = FedCsSelection(1e9, PAYLOAD, BANDWIDTH)
-        assert len(strat.select(1, devices)) == 5
+        assert len(selected_ids(strat, 1, devices)) == 5
 
     def test_max_users_cap(self):
         devices = make_heterogeneous_devices(8, seed=6)
         strat = FedCsSelection(1e9, PAYLOAD, BANDWIDTH, max_users=2)
-        assert len(strat.select(1, devices)) == 2
+        assert len(selected_ids(strat, 1, devices)) == 2
 
     def test_deterministic_without_candidate_sampling(self):
         devices = make_heterogeneous_devices(8, seed=7)
         deadline = fedcs_deadline_for_count(devices, PAYLOAD, BANDWIDTH, 3)
         strat = FedCsSelection(deadline, PAYLOAD, BANDWIDTH)
-        first = [d.device_id for d in strat.select(1, devices)]
-        second = [d.device_id for d in strat.select(2, devices)]
+        first = selected_ids(strat, 1, devices)
+        second = selected_ids(strat, 2, devices)
         assert first == second
 
     def test_candidate_sampling_varies_selection(self):
@@ -84,8 +87,7 @@ class TestSelection:
             deadline, PAYLOAD, BANDWIDTH, candidate_fraction=0.4, seed=0
         )
         rounds = [
-            frozenset(d.device_id for d in strat.select(r, devices))
-            for r in range(1, 10)
+            frozenset(selected_ids(strat, r, devices)) for r in range(1, 10)
         ]
         assert len(set(rounds)) > 1
 
@@ -95,13 +97,9 @@ class TestSelection:
         strat = FedCsSelection(
             deadline, PAYLOAD, BANDWIDTH, candidate_fraction=0.5, seed=1
         )
-        run1 = [
-            [d.device_id for d in strat.select(r, devices)] for r in range(1, 4)
-        ]
+        run1 = [selected_ids(strat, r, devices) for r in range(1, 4)]
         strat.reset()
-        run2 = [
-            [d.device_id for d in strat.select(r, devices)] for r in range(1, 4)
-        ]
+        run2 = [selected_ids(strat, r, devices) for r in range(1, 4)]
         assert run1 == run2
 
     def test_slow_users_never_selected(self):
@@ -116,7 +114,7 @@ class TestSelection:
         strat = FedCsSelection(deadline, PAYLOAD, BANDWIDTH)
         seen = set()
         for round_index in range(1, 20):
-            seen.update(d.device_id for d in strat.select(round_index, devices))
+            seen.update(selected_ids(strat, round_index, devices))
         assert 4 not in seen and 5 not in seen
 
 

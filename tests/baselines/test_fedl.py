@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.fedl import FedlClosedFormPolicy, fedl_optimal_frequency
 from repro.devices.cpu import DvfsCpu
 from repro.errors import ConfigurationError
-from tests.conftest import make_heterogeneous_devices
+from tests.conftest import assign, make_heterogeneous_devices
 
 
 def cpu(f_min=0.3e9, f_max=2.0e9, alpha=2e-28):
@@ -53,19 +53,19 @@ class TestClosedForm:
 class TestPolicy:
     def test_assigns_every_device(self):
         devices = make_heterogeneous_devices(5)
-        freqs = FedlClosedFormPolicy(kappa=0.2).assign(devices, 1e6, 2e6)
+        freqs = assign(FedlClosedFormPolicy(kappa=0.2), devices, 1e6, 2e6)
         assert set(freqs) == {d.device_id for d in devices}
 
     def test_round_index_keyword_ignored(self):
         devices = make_heterogeneous_devices(5)
         policy = FedlClosedFormPolicy(kappa=0.2)
-        assert policy.assign(devices, 1e6, 2e6, round_index=3) == policy.assign(
-            devices, 1e6, 2e6
+        assert assign(policy, devices, 1e6, 2e6, round_index=3) == assign(
+            policy, devices, 1e6, 2e6
         )
 
     def test_frequencies_within_ranges(self):
         devices = make_heterogeneous_devices(8, seed=2)
-        freqs = FedlClosedFormPolicy(kappa=0.2).assign(devices, 1e6, 2e6)
+        freqs = assign(FedlClosedFormPolicy(kappa=0.2), devices, 1e6, 2e6)
         for device in devices:
             freq = freqs[device.device_id]
             assert device.cpu.f_min <= freq <= device.cpu.f_max
@@ -73,7 +73,7 @@ class TestPolicy:
     def test_policy_uses_per_device_clamp(self):
         devices = make_heterogeneous_devices(8, seed=3)
         # Mid-range kappa: devices with f_max below 1 GHz clamp to f_max.
-        freqs = FedlClosedFormPolicy(kappa=0.2).assign(devices, 1e6, 2e6)
+        freqs = assign(FedlClosedFormPolicy(kappa=0.2), devices, 1e6, 2e6)
         for device in devices:
             if device.cpu.f_max < 1.0e9:
                 assert freqs[device.device_id] == pytest.approx(device.cpu.f_max)

@@ -8,6 +8,7 @@ import pytest
 from repro.data.dataset import ArrayDataset
 from repro.devices.cpu import DvfsCpu
 from repro.devices.device import UserDevice
+from repro.devices.population import DevicePopulation
 from repro.devices.radio import Radio
 
 
@@ -48,6 +49,29 @@ def make_heterogeneous_devices(count: int = 6, seed: int = 0):
         f_max = float(rng.uniform(0.4e9, 2.0e9))
         devices.append(make_device(device_id=idx, f_max=f_max, seed=seed))
     return devices
+
+
+def selected_ids(strategy, round_index: int, devices) -> list:
+    """The ids ``strategy`` selects from ``devices`` (a device list or a
+    :class:`DevicePopulation`) in round ``round_index``, in rank order."""
+    population = (
+        devices
+        if isinstance(devices, DevicePopulation)
+        else DevicePopulation.from_devices(devices)
+    )
+    positions = strategy.select_population(round_index, population)
+    return population.device_ids[positions].tolist()
+
+
+def assign(policy, devices, payload_bits: float, bandwidth_hz: float, **kwargs):
+    """``policy.assign`` over ``devices`` with their population slice."""
+    return policy.assign(
+        devices,
+        payload_bits,
+        bandwidth_hz,
+        population=DevicePopulation.from_devices(devices),
+        **kwargs,
+    )
 
 
 @pytest.fixture

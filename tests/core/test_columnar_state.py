@@ -132,16 +132,6 @@ class TestCounterArrays:
         assert resumed.state_dict() == {"appearance_counts": {}}
         assert np.array_equal(resumed.scores(population), strategy().scores(population))
 
-    def test_sequence_scores_read_the_same_counters(self):
-        devices = make_heterogeneous_devices(8, seed=2)
-        strat = strategy()
-        strat.select(1, devices)
-        strat.select(2, devices)
-        assert np.array_equal(
-            strat.scores(devices),
-            strat.scores(DevicePopulation.from_devices(devices)),
-        )
-
 
 class TestDecayPowers:
     @pytest.mark.parametrize("decay", [0.9, 0.7, 0.5, 1e-3, 1 - 2**-40])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.frequency import HelcflDvfsPolicy, determine_frequencies
 from repro.errors import ConfigurationError, SelectionError
 from repro.network.tdma import simulate_tdma_round
-from tests.conftest import make_device, make_heterogeneous_devices
+from tests.conftest import assign, make_device, make_heterogeneous_devices
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
@@ -169,14 +169,14 @@ class TestPolicy:
     def test_policy_wraps_function(self):
         devices = make_heterogeneous_devices(4)
         policy = HelcflDvfsPolicy()
-        assert policy.assign(devices, PAYLOAD, BANDWIDTH) == (
+        assert assign(policy, devices, PAYLOAD, BANDWIDTH) == (
             determine_frequencies(devices, PAYLOAD, BANDWIDTH)
         )
 
     def test_unclamped_policy_flag(self):
         devices = make_heterogeneous_devices(4)
         policy = HelcflDvfsPolicy(clamp=False)
-        assert policy.assign(devices, PAYLOAD, BANDWIDTH) == (
+        assert assign(policy, devices, PAYLOAD, BANDWIDTH) == (
             determine_frequencies(devices, PAYLOAD, BANDWIDTH, clamp=False)
         )
 
@@ -185,6 +185,6 @@ class TestPolicy:
         # passes the round index for adaptive policies.
         devices = make_heterogeneous_devices(4)
         policy = HelcflDvfsPolicy()
-        assert policy.assign(devices, PAYLOAD, BANDWIDTH, round_index=7) == (
-            policy.assign(devices, PAYLOAD, BANDWIDTH)
+        assert assign(policy, devices, PAYLOAD, BANDWIDTH, round_index=7) == (
+            assign(policy, devices, PAYLOAD, BANDWIDTH)
         )

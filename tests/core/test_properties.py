@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from repro.core.frequency import determine_frequencies
 from repro.core.selection import GreedyDecaySelection
+from repro.core.utility import decay_powers
 from repro.data.dataset import ArrayDataset
 from repro.devices.fleet import FleetSpec, make_fleet
+from repro.devices.population import DevicePopulation
 from repro.fl.strategy import selection_count
 from repro.network.tdma import simulate_tdma_round
-from tests.conftest import make_heterogeneous_devices
+from tests.conftest import make_heterogeneous_devices, selected_ids
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
@@ -30,9 +32,8 @@ class TestSelectionProperties:
         strategy = GreedyDecaySelection(fraction, decay, PAYLOAD, BANDWIDTH)
         expected = selection_count(count, fraction)
         for round_index in range(1, rounds + 1):
-            selected = strategy.select(round_index, devices)
-            assert len(selected) == expected
-            ids = [d.device_id for d in selected]
+            ids = selected_ids(strategy, round_index, devices)
+            assert len(ids) == expected
             assert len(ids) == len(set(ids))
 
     @given(
@@ -48,7 +49,7 @@ class TestSelectionProperties:
         strategy = GreedyDecaySelection(0.5, decay, PAYLOAD, BANDWIDTH)
         n = selection_count(count, 0.5)
         for round_index in range(1, rounds + 1):
-            strategy.select(round_index, devices)
+            selected_ids(strategy, round_index, devices)
         assert sum(strategy.appearance_counts.values()) == n * rounds
 
     @given(count=st.integers(3, 12), seed=st.integers(0, 200))
@@ -58,13 +59,76 @@ class TestSelectionProperties:
         must select exactly the fastest N users."""
         devices = make_heterogeneous_devices(count, seed=seed)
         strategy = GreedyDecaySelection(0.34, 0.5, PAYLOAD, BANDWIDTH)
-        selected = strategy.select(1, devices)
+        selected = selected_ids(strategy, 1, devices)
         n = selection_count(count, 0.34)
         fastest = sorted(
             devices,
             key=lambda d: (d.total_delay(PAYLOAD, BANDWIDTH), d.device_id),
         )[:n]
-        assert {d.device_id for d in selected} == {d.device_id for d in fastest}
+        assert set(selected) == {d.device_id for d in fastest}
+
+
+def coverage_bounds(population, decay, count):
+    """Eq. 20's first-selection bound per device, from zero counters.
+
+    While device ``q`` waits (``alpha_q = 0``, utility ``1 / T_q``),
+    every selection goes to a device whose utility is at least that,
+    and device ``p`` can be such a device at most ``k_p`` times: the
+    number of counters ``k >= 0`` with ``eta^k / T_p >= 1 / T_q``. A
+    round spends ``N`` selections, so ``q`` waits at most
+    ``floor(sum_{p != q} k_p / N)`` rounds. The utilities are the
+    scalar ops Eq. 20 evaluates: ``decay_powers`` over the
+    population's ``total_delay``.
+    """
+    delays = population.total_delay(PAYLOAD, BANDWIDTH)
+    powers = decay_powers(decay, np.arange(4096, dtype=np.int64))
+    # (p, k) utilities. The table is long enough when its last column
+    # ranks below every device: no larger counter could rank above one.
+    utilities = powers[np.newaxis, :] / delays[:, np.newaxis]
+    bounds = []
+    for q in range(len(population)):
+        above = utilities >= 1.0 / delays[q]
+        assert not above[:, -1].any()
+        above[q] = False
+        bounds.append(int(above.sum()) // count + 1)
+    return bounds
+
+
+class TestCoverageProperty:
+    @given(
+        sizes=st.lists(st.integers(20, 200), min_size=2, max_size=14),
+        seed=st.integers(0, 300),
+        fraction=st.floats(min_value=0.05, max_value=1.0),
+        decay=st.floats(min_value=0.05, max_value=0.95),
+        gain_low=st.floats(min_value=0.05, max_value=1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_device_selected_by_its_eq20_bound(
+        self, sizes, seed, fraction, decay, gain_low
+    ):
+        """The paper's coverage claim with its bound: greedy decay from
+        zero counters selects each device ``q`` for the first time no
+        later than round ``floor(sum_{p != q} k_p / N) + 1``."""
+        partitions = [
+            ArrayDataset(np.zeros((size, 1)), np.zeros(size, dtype=int))
+            for size in sizes
+        ]
+        devices = make_fleet(
+            partitions, FleetSpec(channel_gain_range=(gain_low, 1.0)), seed=seed
+        )
+        population = DevicePopulation.from_devices(devices)
+        count = selection_count(len(population), fraction)
+        bounds = coverage_bounds(population, decay, count)
+        strategy = GreedyDecaySelection(fraction, decay, PAYLOAD, BANDWIDTH)
+        first = {}
+        for round_index in range(1, max(bounds) + 1):
+            for position in strategy.select_population(
+                round_index, population
+            ).tolist():
+                first.setdefault(position, round_index)
+        assert all(
+            first.get(q, np.inf) <= bound for q, bound in enumerate(bounds)
+        ), (first, bounds)
 
 
 class TestFrequencyProperties:

@@ -8,7 +8,7 @@ from repro.core.utility import utility_scores
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, SelectionError
 from repro.fl.strategy import selection_count
-from tests.conftest import make_heterogeneous_devices
+from tests.conftest import make_heterogeneous_devices, selected_ids
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
@@ -43,21 +43,22 @@ class TestGreedyDecay:
     def test_selects_top_utility_first_round(self):
         devices = make_heterogeneous_devices(8)
         strat = strategy(fraction=0.25)
-        selected = strat.select(1, devices)
-        scores = utility_scores(devices, {}, PAYLOAD, BANDWIDTH, 0.7)
+        selected = selected_ids(strat, 1, devices)
+        scores = utility_scores(
+            DevicePopulation.from_devices(devices), {}, PAYLOAD, BANDWIDTH, 0.7
+        )
         expected = sorted(devices, key=lambda d: -scores[d.device_id])[:2]
-        assert {d.device_id for d in selected} == {d.device_id for d in expected}
+        assert set(selected) == {d.device_id for d in expected}
 
     def test_selection_size(self):
         devices = make_heterogeneous_devices(10)
-        assert len(strategy(fraction=0.3).select(1, devices)) == 3
+        assert len(selected_ids(strategy(fraction=0.3), 1, devices)) == 3
 
     def test_counters_incremented(self):
         devices = make_heterogeneous_devices(8)
         strat = strategy()
-        selected = strat.select(1, devices)
-        for device in selected:
-            assert strat.appearance_counts[device.device_id] == 1
+        for device_id in selected_ids(strat, 1, devices):
+            assert strat.appearance_counts[device_id] == 1
 
     def test_matches_iterative_argmax_reference(self):
         """One-pass top-N equals Algorithm 2's iterative loop exactly."""
@@ -73,7 +74,11 @@ class TestGreedyDecay:
             n = selection_count(len(devices), 0.4)
             while n > 0:
                 scores = utility_scores(
-                    selectable, counts, PAYLOAD, BANDWIDTH, 0.6
+                    DevicePopulation.from_devices(selectable),
+                    counts,
+                    PAYLOAD,
+                    BANDWIDTH,
+                    0.6,
                 )
                 best = min(
                     enumerate(selectable),
@@ -86,8 +91,7 @@ class TestGreedyDecay:
             reference_rounds.append(sorted(chosen))
 
         for round_index, expected in enumerate(reference_rounds, start=1):
-            selected = strat.select(round_index, devices)
-            assert sorted(d.device_id for d in selected) == expected
+            assert sorted(selected_ids(strat, round_index, devices)) == expected
 
     def test_rotation_incorporates_all_users(self):
         """The paper's core claim: decay eventually selects everyone."""
@@ -95,8 +99,7 @@ class TestGreedyDecay:
         strat = strategy(fraction=0.2, decay=0.5)
         seen = set()
         for round_index in range(1, 40):
-            for device in strat.select(round_index, devices):
-                seen.add(device.device_id)
+            seen.update(selected_ids(strat, round_index, devices))
         assert seen == {d.device_id for d in devices}
 
     def test_small_decay_rotates_faster(self):
@@ -106,8 +109,7 @@ class TestGreedyDecay:
             strat = strategy(fraction=0.2, decay=decay)
             seen = set()
             for round_index in range(1, 200):
-                for device in strat.select(round_index, devices):
-                    seen.add(device.device_id)
+                seen.update(selected_ids(strat, round_index, devices))
                 if len(seen) == len(devices):
                     return round_index
             return 200
@@ -117,7 +119,7 @@ class TestGreedyDecay:
     def test_reset_clears_counters(self):
         devices = make_heterogeneous_devices(6)
         strat = strategy()
-        strat.select(1, devices)
+        selected_ids(strat, 1, devices)
         strat.reset()
         assert strat.appearance_counts == {}
 
@@ -149,13 +151,9 @@ class TestGreedyDecay:
         a = strategy()
         b = strategy()
         for round_index in range(1, 6):
-            ids_a = [d.device_id for d in a.select(round_index, devices)]
-            ids_b = [d.device_id for d in b.select(round_index, devices)]
-            assert ids_a == ids_b
-
-    def test_empty_population_raises(self):
-        with pytest.raises(SelectionError):
-            strategy().select(1, [])
+            assert selected_ids(a, round_index, devices) == selected_ids(
+                b, round_index, devices
+            )
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -168,4 +166,4 @@ class TestGreedyDecay:
     def test_full_fraction_selects_everyone(self):
         devices = make_heterogeneous_devices(5)
         strat = strategy(fraction=1.0)
-        assert len(strat.select(1, devices)) == 5
+        assert len(selected_ids(strat, 1, devices)) == 5

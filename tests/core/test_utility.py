@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.utility import decayed_utility, utility_scores
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from tests.conftest import make_device, make_heterogeneous_devices
 
@@ -52,17 +53,23 @@ class TestDecayedUtility:
             decayed_utility(0, 0.0, 0.0, 0.5)
 
 
+def scores_of(devices, counts):
+    return utility_scores(
+        DevicePopulation.from_devices(devices), counts, PAYLOAD, BANDWIDTH, 0.8
+    )
+
+
 class TestUtilityScores:
     def test_scores_for_all_devices(self):
         devices = make_heterogeneous_devices(5)
-        scores = utility_scores(devices, {}, PAYLOAD, BANDWIDTH, 0.8)
+        scores = scores_of(devices, {})
         assert isinstance(scores, np.ndarray)
         assert scores.shape == (len(devices),)
         assert np.all(scores > 0)
 
     def test_uses_max_frequency_delay(self):
         device = make_device(f_max=1.0e9)
-        scores = utility_scores([device], {}, PAYLOAD, BANDWIDTH, 0.8)
+        scores = scores_of([device], {})
         expected = 1.0 / (
             device.compute_delay(1.0e9) + device.upload_delay(PAYLOAD, BANDWIDTH)
         )
@@ -70,16 +77,14 @@ class TestUtilityScores:
 
     def test_missing_counter_treated_as_zero(self):
         device = make_device()
-        with_counter = utility_scores(
-            [device], {device.device_id: 0}, PAYLOAD, BANDWIDTH, 0.8
-        )
-        without = utility_scores([device], {}, PAYLOAD, BANDWIDTH, 0.8)
+        with_counter = scores_of([device], {device.device_id: 0})
+        without = scores_of([device], {})
         assert np.array_equal(with_counter, without)
 
     def test_faster_device_scores_higher(self):
         fast = make_device(device_id=0, f_max=2.0e9)
         slow = make_device(device_id=1, f_max=0.4e9)
-        scores = utility_scores([fast, slow], {}, PAYLOAD, BANDWIDTH, 0.8)
+        scores = scores_of([fast, slow], {})
         assert scores[0] > scores[1]
 
     def test_decay_can_flip_ordering(self):
@@ -88,7 +93,7 @@ class TestUtilityScores:
         fast = make_device(device_id=0, f_max=2.0e9)
         slow = make_device(device_id=1, f_max=0.4e9)
         counts = {0: 25, 1: 0}
-        scores = utility_scores([fast, slow], counts, PAYLOAD, BANDWIDTH, 0.8)
+        scores = scores_of([fast, slow], counts)
         assert scores[1] > scores[0]
 
 

@@ -6,7 +6,7 @@ from repro.energy.policies import (
     MaxFrequencyPolicy,
 )
 from repro.network.tdma import simulate_tdma_round
-from tests.conftest import make_heterogeneous_devices
+from tests.conftest import assign, make_heterogeneous_devices
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
@@ -16,8 +16,8 @@ class TestPolicyComparison:
     def test_energy_ordering_helcfl_vs_max(self):
         """HELCFL DVFS never spends more than max frequency."""
         devices = make_heterogeneous_devices(8, seed=1)
-        max_freqs = MaxFrequencyPolicy().assign(devices, PAYLOAD, BANDWIDTH)
-        dvfs_freqs = HelcflDvfsPolicy().assign(devices, PAYLOAD, BANDWIDTH)
+        max_freqs = assign(MaxFrequencyPolicy(), devices, PAYLOAD, BANDWIDTH)
+        dvfs_freqs = assign(HelcflDvfsPolicy(), devices, PAYLOAD, BANDWIDTH)
         e_max = simulate_tdma_round(
             devices, PAYLOAD, BANDWIDTH, max_freqs
         ).total_energy
@@ -31,8 +31,8 @@ class TestPolicyComparison:
         relative to max frequency (the paper's [12] behaviour)."""
         devices = make_heterogeneous_devices(8, seed=2)
         base = simulate_tdma_round(devices, PAYLOAD, BANDWIDTH)
-        fedl_freqs = FedlClosedFormPolicy(kappa=0.05).assign(
-            devices, PAYLOAD, BANDWIDTH
+        fedl_freqs = assign(
+            FedlClosedFormPolicy(kappa=0.05), devices, PAYLOAD, BANDWIDTH
         )
         fedl = simulate_tdma_round(devices, PAYLOAD, BANDWIDTH, fedl_freqs)
         assert fedl.total_energy < base.total_energy
@@ -42,7 +42,7 @@ class TestPolicyComparison:
         """The key qualitative difference between the two policies."""
         devices = make_heterogeneous_devices(8, seed=3)
         base = simulate_tdma_round(devices, PAYLOAD, BANDWIDTH)
-        dvfs_freqs = HelcflDvfsPolicy().assign(devices, PAYLOAD, BANDWIDTH)
+        dvfs_freqs = assign(HelcflDvfsPolicy(), devices, PAYLOAD, BANDWIDTH)
         dvfs = simulate_tdma_round(devices, PAYLOAD, BANDWIDTH, dvfs_freqs)
         assert dvfs.round_delay <= base.round_delay + 1e-9
 
@@ -53,5 +53,5 @@ class TestPolicyComparison:
             HelcflDvfsPolicy(),
             FedlClosedFormPolicy(),
         ):
-            freqs = policy.assign(devices, PAYLOAD, BANDWIDTH)
+            freqs = assign(policy, devices, PAYLOAD, BANDWIDTH)
             assert set(freqs) == {d.device_id for d in devices}

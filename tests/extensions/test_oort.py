@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.data.dataset import ArrayDataset
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.extensions.oort import OortSelection
 from repro.fl.server import FederatedServer
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
-from tests.conftest import make_device, make_heterogeneous_devices
+from tests.conftest import make_device, make_heterogeneous_devices, selected_ids
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
@@ -30,27 +31,24 @@ class TestExploration:
     def test_first_round_is_pure_exploration(self):
         devices = make_heterogeneous_devices(10)
         strat = strategy()
-        selected = strat.select(1, devices)
+        selected = selected_ids(strat, 1, devices)
         assert len(selected) == 4
-        assert all(d.device_id in strat.ever_selected for d in selected)
+        assert set(selected) == strat.ever_selected
 
     def test_eventually_explores_everyone(self):
         devices = make_heterogeneous_devices(10)
         strat = strategy(exploration_fraction=0.5)
         for round_index in range(1, 30):
-            losses = {
-                d.device_id: 1.0 for d in strat.select(round_index, devices)
-            }
+            losses = dict.fromkeys(selected_ids(strat, round_index, devices), 1.0)
             strat.observe_losses(losses)
         assert strat.ever_selected == {d.device_id for d in devices}
 
     def test_no_exploration_slots_once_all_seen(self):
         devices = make_heterogeneous_devices(4)
         strat = strategy(fraction=1.0)
-        strat.select(1, devices)
+        selected_ids(strat, 1, devices)
         strat.observe_losses({d.device_id: 1.0 for d in devices})
-        selected = strat.select(2, devices)
-        assert len(selected) == 4
+        assert len(selected_ids(strat, 2, devices)) == 4
 
 
 class TestUtility:
@@ -59,8 +57,7 @@ class TestUtility:
         strat = strategy(fraction=0.5, exploration_fraction=0.0)
         strat.ever_selected = {d.device_id for d in devices}
         strat.observe_losses({0: 0.1, 1: 5.0, 2: 0.2, 3: 4.0})
-        selected = strat.select(2, devices)
-        assert {d.device_id for d in selected} == {1, 3}
+        assert set(selected_ids(strat, 2, devices)) == {1, 3}
 
     def test_slow_users_penalized(self):
         fast = make_device(device_id=0, f_max=2.0e9)
@@ -70,28 +67,31 @@ class TestUtility:
         strat.ever_selected = {0, 1}
         # Equal losses: the system penalty should decide.
         strat.observe_losses({0: 1.0, 1: 1.0})
-        preferred = strat._preferred_duration([fast, slow])
-        assert strat.utility(slow, preferred) < strat.utility(
-            fast, preferred
-        ) * slow.num_samples / fast.num_samples + 1e-9
+        population = DevicePopulation.from_devices([fast, slow])
+        fast_score, slow_score = strat.utilities(population)
+        assert slow_score < (
+            fast_score * slow.num_samples / fast.num_samples + 1e-9
+        )
 
     def test_zero_penalty_ignores_system_speed(self):
         fast = make_device(device_id=0, f_max=2.0e9, num_samples=40)
         slow = make_device(device_id=1, f_max=0.35e9, num_samples=40)
         strat = strategy(penalty_exponent=0.0)
         strat.observe_losses({0: 1.0, 1: 1.0})
-        preferred = strat._preferred_duration([fast, slow])
-        assert strat.utility(fast, preferred) == pytest.approx(
-            strat.utility(slow, preferred)
-        )
+        population = DevicePopulation.from_devices([fast, slow])
+        fast_score, slow_score = strat.utilities(population)
+        assert fast_score == pytest.approx(slow_score)
 
     def test_explicit_preferred_duration_used(self):
-        device = make_device(device_id=0, f_max=1.0e9)
-        strat = strategy(preferred_round_s=1e-6, penalty_exponent=1.0)
-        strat.observe_losses({0: 1.0})
-        penalized = strat.utility(device, 1e-6)
-        unpenalized = strat.utility(device, 1e9)
-        assert penalized < unpenalized
+        population = DevicePopulation.from_devices(
+            [make_device(device_id=0, f_max=1.0e9)]
+        )
+        penalized, unpenalized = (
+            strategy(preferred_round_s=preferred).utilities(population)
+            for preferred in (1e-6, 1e9)
+        )
+        assert penalized[0] < unpenalized[0]
+        assert unpenalized[0] == population.num_samples[0]
 
 
 class TestFeedbackLoop:
@@ -116,7 +116,7 @@ class TestFeedbackLoop:
     def test_reset_clears_state(self):
         devices = make_heterogeneous_devices(5)
         strat = strategy()
-        strat.select(1, devices)
+        selected_ids(strat, 1, devices)
         strat.observe_losses({0: 1.0})
         strat.reset()
         assert not strat.ever_selected

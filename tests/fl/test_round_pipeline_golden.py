@@ -44,10 +44,10 @@ GOLDEN = {
 class CrashInRoundThree(RandomSelection):
     """Selects like :class:`RandomSelection`, then fails in round 3."""
 
-    def select(self, round_index, devices):
+    def select_population(self, round_index, population):
         if round_index == 3:
             raise RuntimeError("selection failed in round 3")
-        return super().select(round_index, devices)
+        return super().select_population(round_index, population)
 
 
 def quick_trainer(sink, rounds=5, battery_j=None, faults=None, **config):

@@ -50,6 +50,7 @@ def history_and_trainer():
             settings.payload_bits,
             settings.bandwidth_hz,
         ),
+        environment.devices,
         min_level=0.05,
     )
     trainer = FederatedTrainer(
@@ -156,6 +157,7 @@ class TestEverythingOn:
                 settings.payload_bits,
                 settings.bandwidth_hz,
             ),
+            environment.devices,
             min_level=0.05,
         )
         rerun = FederatedTrainer(

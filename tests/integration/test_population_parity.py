@@ -6,7 +6,9 @@ scalar reference lives in :mod:`tests.oracles.object_scheduler`. On
 seeded random fleets, selection sets, over-selection padding,
 frequency assignments and TDMA timelines must match it to the last
 bit, with and without a seeded fault plan, on every execution
-backend.
+backend. Every other shipped selection strategy must rank the same
+users its object ``select`` body picked, on the whole fleet and on the
+sub-populations a wrapping strategy hands on.
 """
 
 import numpy as np
@@ -17,11 +19,16 @@ from repro.core.frequency import (
     determine_frequencies,
     determine_frequencies_population,
 )
+from repro.baselines.classic import RandomSelection
+from repro.baselines.fedcs import FedCsSelection, fedcs_deadline_for_count
 from repro.core.selection import GreedyDecaySelection
 from repro.core.utility import utility_scores
 from repro.data.dataset import ArrayDataset
+from repro.devices.battery import Battery
 from repro.devices.fleet import FleetSpec, make_fleet
 from repro.devices.population import DevicePopulation
+from repro.extensions.battery_aware import BatteryAwareSelection
+from repro.extensions.oort import OortSelection
 from repro.faults import (
     ChannelFault,
     DropoutFault,
@@ -35,6 +42,7 @@ from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.network.channel import RayleighFadingChannel
 from repro.network.tdma import simulate_tdma_round
 from repro.nn.architectures import build_mlp
+from repro.rng import ensure_generator
 from tests.oracles import object_scheduler as oracle
 
 PAYLOAD = 1e6
@@ -115,6 +123,152 @@ class TestSelectionParity:
         ]
 
 
+def round_views(seed, size, rounds=8):
+    """Per round, the positions a strategy is handed: the whole fleet
+    on odd rounds, a random sub-fleet in random order on even ones."""
+    rng = np.random.default_rng(seed + 500)
+    for round_index in range(1, rounds + 1):
+        if round_index % 2:
+            yield round_index, np.arange(size)
+        else:
+            count = int(rng.integers(3, size))
+            yield round_index, rng.permutation(size)[:count]
+
+
+def assert_strategy_parity(seed, devices, strategy, expected_for, feedback=None):
+    """``strategy`` ranks each round's view exactly as ``expected_for``
+    (the object body, given the view's devices) picks; ``feedback``
+    gets each round's picked ids after both have chosen."""
+    population = DevicePopulation.from_devices(devices)
+    for round_index, view in round_views(seed, len(devices)):
+        sub = population.take(view)
+        expected = [
+            d.device_id
+            for d in expected_for([devices[p] for p in view.tolist()])
+        ]
+        positions = strategy.select_population(round_index, sub)
+        assert sub.device_ids[positions].tolist() == expected
+        if feedback is not None:
+            feedback(expected, round_index)
+
+
+class TestStrategyParity:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random(self, seed):
+        rng = ensure_generator(seed)
+        assert_strategy_parity(
+            seed,
+            random_fleet(seed),
+            RandomSelection(0.3, seed=seed),
+            lambda devices: oracle.random_select(rng, devices, 0.3),
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "candidate_fraction,max_users", ((None, None), (0.5, None), (None, 3))
+    )
+    def test_fedcs(self, seed, candidate_fraction, max_users):
+        devices = random_fleet(seed)
+        deadline = fedcs_deadline_for_count(devices, PAYLOAD, BANDWIDTH, 8)
+        rng = ensure_generator(seed)
+        assert_strategy_parity(
+            seed,
+            devices,
+            FedCsSelection(
+                deadline,
+                PAYLOAD,
+                BANDWIDTH,
+                max_users=max_users,
+                candidate_fraction=candidate_fraction,
+                seed=seed,
+            ),
+            lambda view: oracle.fedcs_select(
+                rng,
+                view,
+                deadline,
+                PAYLOAD,
+                BANDWIDTH,
+                max_users=max_users,
+                candidate_fraction=candidate_fraction,
+            ),
+        )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("preferred,exponent", ((None, 1.0), (30.0, 2.5)))
+    def test_oort_with_losses_fed_back(self, seed, preferred, exponent):
+        kwargs = dict(
+            fraction=0.25,
+            payload_bits=PAYLOAD,
+            bandwidth_hz=BANDWIDTH,
+            preferred_round_s=preferred,
+            penalty_exponent=exponent,
+        )
+        strategy = OortSelection(seed=seed, **kwargs)
+        rng = ensure_generator(seed)
+        last_losses, ever_selected = {}, set()
+        loss_rng = np.random.default_rng(seed + 9)
+
+        def feedback(picked_ids, round_index):
+            losses = {
+                device_id: float(loss_rng.uniform(0.1, 3.0))
+                for device_id in picked_ids
+            }
+            strategy.observe_losses(losses)
+            last_losses.update(losses)
+
+        assert_strategy_parity(
+            seed,
+            random_fleet(seed),
+            strategy,
+            lambda view: oracle.oort_select(
+                rng, view, last_losses, ever_selected, **kwargs
+            ),
+            feedback,
+        )
+        assert strategy.ever_selected == ever_selected
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("round_budget", (False, True))
+    def test_battery_gate_around_greedy_decay(self, seed, round_budget):
+        devices = random_fleet(seed)
+        rng = np.random.default_rng(seed + 3)
+        for device in devices:
+            if rng.random() < 0.8:
+                capacity = 4.0 * (
+                    device.compute_energy()
+                    + device.upload_energy(PAYLOAD, BANDWIDTH)
+                )
+                device.battery = Battery(
+                    capacity, charge_joules=float(rng.uniform(0, capacity))
+                )
+        budget = dict(
+            require_round_budget=round_budget,
+            payload_bits=PAYLOAD,
+            bandwidth_hz=BANDWIDTH,
+        )
+        strategy = BatteryAwareSelection(
+            GreedyDecaySelection(0.2, 0.6, PAYLOAD, BANDWIDTH),
+            devices,
+            min_level=0.4,
+            **budget,
+        )
+        counts = {}
+        assert_strategy_parity(
+            seed,
+            devices,
+            strategy,
+            lambda view: oracle.battery_gate_select(
+                view,
+                lambda eligible: oracle.greedy_decay_select(
+                    eligible, counts, 0.2, PAYLOAD, BANDWIDTH, 0.6
+                ),
+                0.4,
+                **budget,
+            ),
+        )
+        assert strategy.inner.appearance_counts == counts
+
+
 class TestFrequencyParity:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(
@@ -144,13 +298,12 @@ class TestFrequencyParity:
         expected = oracle.determine_frequencies(
             devices, PAYLOAD, BANDWIDTH, quantize=True
         )
-        for assigned in (
-            policy.assign(devices, PAYLOAD, BANDWIDTH),
-            policy.assign(devices, PAYLOAD, BANDWIDTH, population=population),
-        ):
-            assert assigned == expected
-            # Key order is part of the trace contract.
-            assert list(assigned) == list(expected)
+        assigned = policy.assign(
+            devices, PAYLOAD, BANDWIDTH, population=population
+        )
+        assert assigned == expected
+        # Key order is part of the trace contract.
+        assert list(assigned) == list(expected)
 
 
 class TestTdmaParity:

@@ -5,9 +5,15 @@ states them — one Python loop per device, a full sort, scalar float
 ops — with none of ``src/``'s array machinery. ``src/`` has exactly one
 scheduler (over :class:`~repro.devices.DevicePopulation`); every parity
 test asserts it is bitwise equal to this file.
+
+The other shipped strategies — random, FedCS, Oort, the battery gate —
+are here as the object ``select(round, devices)`` bodies they had
+before they ranked population positions; each takes its RNG and
+cross-round state as arguments.
 """
 
-from typing import Dict, List, Mapping, Optional, Sequence
+import math
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.devices.device import UserDevice
 from repro.network.tdma import RoundTimeline
@@ -150,3 +156,121 @@ def simulate_tdma_round(
         devices, payload_bits, bandwidth_hz, frequencies or {}, payloads or {}
     )
     return tdma_loop.event_loop(staged, **perturbations).columnar()
+
+
+def random_select(
+    rng, devices: Sequence[UserDevice], fraction: float
+) -> List[UserDevice]:
+    """Classic FL: ``N`` devices without replacement, in fleet order."""
+    count = min(len(devices), max(int(len(devices) * fraction), 1))
+    chosen = rng.choice(len(devices), size=count, replace=False)
+    return [devices[int(i)] for i in sorted(chosen)]
+
+
+def fedcs_select(
+    rng,
+    devices: Sequence[UserDevice],
+    round_deadline_s: float,
+    payload_bits: float,
+    bandwidth_hz: float,
+    max_users: Optional[int] = None,
+    candidate_fraction: Optional[float] = None,
+) -> List[UserDevice]:
+    """FedCS: poll candidates, then pack by (delay, id) under the
+    deadline, re-simulating the TDMA round per tentative set."""
+    candidates = devices
+    if candidate_fraction is not None:
+        count = max(1, int(round(candidate_fraction * len(devices))))
+        chosen = rng.choice(len(devices), size=count, replace=False)
+        candidates = [devices[int(i)] for i in sorted(chosen)]
+    ranked = sorted(
+        candidates,
+        key=lambda d: (d.total_delay(payload_bits, bandwidth_hz), d.device_id),
+    )
+    selected: List[UserDevice] = []
+    for candidate in ranked:
+        if max_users is not None and len(selected) >= max_users:
+            break
+        tentative = selected + [candidate]
+        timeline = simulate_tdma_round(tentative, payload_bits, bandwidth_hz)
+        if timeline.round_delay <= round_deadline_s:
+            selected = tentative
+        else:
+            break
+    return selected or [ranked[0]]
+
+
+def oort_select(
+    rng,
+    devices: Sequence[UserDevice],
+    last_losses: Mapping[int, float],
+    ever_selected: Set[int],
+    fraction: float,
+    payload_bits: float,
+    bandwidth_hz: float,
+    preferred_round_s: Optional[float] = None,
+    penalty_exponent: float = 1.0,
+    exploration_fraction: float = 0.2,
+) -> List[UserDevice]:
+    """Oort: explore unseen devices, then rank the rest by loss-weighted
+    data volume with a system-speed penalty. Mutates ``ever_selected``."""
+    count = min(len(devices), max(int(len(devices) * fraction), 1))
+    if preferred_round_s is None:
+        delays = sorted(d.total_delay(payload_bits, bandwidth_hz) for d in devices)
+        preferred = delays[len(delays) // 2]
+    else:
+        preferred = preferred_round_s
+
+    def utility(device: UserDevice) -> float:
+        last_loss = last_losses.get(device.device_id)
+        stat = device.num_samples * (last_loss if last_loss is not None else 1.0)
+        delay = device.total_delay(payload_bits, bandwidth_hz)
+        if delay > preferred and penalty_exponent > 0:
+            stat *= math.pow(preferred / delay, penalty_exponent)
+        return stat
+
+    unexplored = [d for d in devices if d.device_id not in ever_selected]
+    explore_slots = min(
+        len(unexplored), max(0, int(round(exploration_fraction * count)))
+    )
+    if not last_losses:
+        explore_slots = min(len(unexplored), count)
+    chosen: List[UserDevice] = []
+    if explore_slots:
+        picks = rng.choice(len(unexplored), size=explore_slots, replace=False)
+        chosen.extend(unexplored[int(i)] for i in sorted(picks))
+    remaining = count - len(chosen)
+    if remaining > 0:
+        chosen_ids = {d.device_id for d in chosen}
+        candidates = [d for d in devices if d.device_id not in chosen_ids]
+        ranked = sorted(candidates, key=lambda d: (-utility(d), d.device_id))
+        chosen.extend(ranked[:remaining])
+    ever_selected.update(d.device_id for d in chosen)
+    return chosen
+
+
+def battery_gate_select(
+    devices: Sequence[UserDevice],
+    inner: Callable[[Sequence[UserDevice]], List[UserDevice]],
+    min_level: float,
+    require_round_budget: bool = False,
+    payload_bits: Optional[float] = None,
+    bandwidth_hz: Optional[float] = None,
+) -> List[UserDevice]:
+    """The battery gate: ``inner`` over the eligible devices, or over
+    everyone when nobody is eligible."""
+
+    def eligible(device: UserDevice) -> bool:
+        battery = device.battery
+        if battery is None:
+            return True
+        if battery.level < min_level:
+            return False
+        if require_round_budget:
+            worst_case = device.compute_energy() + device.upload_energy(
+                payload_bits, bandwidth_hz
+            )
+            return battery.can_afford(worst_case)
+        return True
+
+    return inner([d for d in devices if eligible(d)] or list(devices))
