@@ -7,9 +7,9 @@ deterministic run matrix, executed by a fault-tolerant local worker
 pool (:class:`CampaignPool`) against an on-disk manifest
 (:class:`CampaignManifest`) of atomic per-run status files. Each run
 trains with tracing and checkpointing on; a killed worker — or a
-killed campaign — resumes from its last checkpoint (falling back to
-deterministic trace replay when the checkpoint is torn) and finishes
-bitwise identical to an uninterrupted run. Results aggregate into a
+killed campaign — resumes from its last checkpoint (starting the run
+over when that checkpoint is unreadable or newer than its trace) and
+finishes bitwise identical to an uninterrupted run. Results aggregate into a
 byte-comparable campaign document
 (:func:`~repro.campaign.aggregate.write_aggregate`) wired into the
 :mod:`repro.obs.analysis` compare machinery.
@@ -38,12 +38,7 @@ from repro.campaign.manifest import (
     RunStatus,
 )
 from repro.campaign.pool import CampaignPool
-from repro.campaign.resume import (
-    reconstruct_checkpoint,
-    resumable_round,
-    truncate_trace,
-)
-from repro.campaign.runner import execute_run
+from repro.campaign.runner import execute_run, resumable_round, truncate_trace
 from repro.campaign.spec import CampaignSpec, RunSpec, settings_to_overrides
 from repro.campaign.watch import (
     CampaignSnapshot,
@@ -70,7 +65,6 @@ __all__ = [
     "compare_campaigns",
     "execute_run",
     "load_aggregate",
-    "reconstruct_checkpoint",
     "render_snapshot",
     "resumable_round",
     "settings_to_overrides",

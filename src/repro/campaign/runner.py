@@ -3,12 +3,10 @@
 :func:`execute_run` is the unit of work the pool farms out: build the
 run's environment from its :class:`~repro.campaign.spec.RunSpec`,
 train with tracing and checkpointing on, and leave ``history.json`` +
-``stats.json`` in the run directory. With ``resume=True`` it first
-tries the on-disk checkpoint (checksummed, as is the part of its
-history log it covers; a corrupt one is discarded with a warning),
-then falls back to deterministic trace replay
-(:mod:`repro.campaign.resume`), and only then starts fresh — in every
-case the finished artifacts are bitwise identical to an uninterrupted
+``stats.json`` in the run directory. With ``resume=True`` a verified
+on-disk checkpoint within the trace's bound (:func:`resumable_round`)
+is resumed from; in every other case the run starts fresh. Either way
+the finished artifacts are bitwise identical to an uninterrupted
 run's, which is what the campaign-level aggregate compares on.
 """
 
@@ -18,20 +16,17 @@ import os
 import warnings
 from typing import Optional
 
-from repro.campaign.resume import (
-    load_trace_for_resume,
-    reconstruct_checkpoint,
-    resumable_round,
-    truncate_trace,
-)
+from repro import wire
 from repro.campaign.spec import RunSpec
+from repro.campaign.watch import line_round
 from repro.errors import SerializationError
 from repro.experiments.runner import build_environment, build_trainer
 from repro.fl.checkpoint import TrainerCheckpoint, load_checkpoint
 from repro.fl.execution import open_backend
 from repro.obs import JsonlTraceSink, RunObserver, configure_logging
+from repro.obs.analysis.loader import LoadedTrace, load_trace
 
-__all__ = ["execute_run"]
+__all__ = ["execute_run", "resumable_round", "truncate_trace"]
 
 TRACE_FILE = "trace.jsonl"
 CHECKPOINT_FILE = "checkpoint.json"
@@ -39,48 +34,102 @@ HISTORY_FILE = "history.json"
 STATS_FILE = "stats.json"
 
 
-def _resume_checkpoint(
-    run: RunSpec, trace_path: str, checkpoint_path: str, make_replay_trainer
-) -> Optional[TrainerCheckpoint]:
-    """Pick the state to resume from: checkpoint, replay, or fresh.
+def load_trace_for_resume(path: str) -> Optional[LoadedTrace]:
+    """Load ``path`` for resumption; ``None`` when it is unusable.
 
-    The trace bounds what is trustworthy: a checkpoint written *after*
-    the last certainly-complete round predates that round's stop
-    checks and could overrun an early stop, so it is discarded in
-    favour of replay (see :mod:`repro.campaign.resume`).
+    Missing or empty traces mean "start fresh"; a mid-stream-corrupt
+    trace raises (the artifact is damaged beyond the torn-tail
+    contract and should not silently vanish).
+    """
+    if not os.path.exists(path):
+        return None
+    trace = load_trace(path)
+    if not trace.events:
+        return None
+    return trace
+
+
+def resumable_round(trace: LoadedTrace) -> int:
+    """The last round of ``trace`` that is certainly complete.
+
+    Events are emitted strictly in round order, so any round-``m``
+    event proves every round up to ``m - 1`` completed. Round ``m``
+    itself may have been cut anywhere — a kill between its checkpoint
+    save and its closing span lines leaves its trace incomplete — so
+    it is never trusted: the bound is ``max(round_index) - 1``, and 0
+    when nothing is resumable (resume then means start fresh).
+    """
+    rounds = [
+        event.round_index for event in trace.events if event.round_index >= 1
+    ]
+    if not rounds:
+        return 0
+    return max(rounds) - 1
+
+
+def truncate_trace(path: str, keep_round: int) -> int:
+    """Cut ``path`` back to rounds ``<= keep_round``, atomically.
+
+    Keeps the original lines byte-for-byte (so the resumed trace stays
+    bitwise identical to an uninterrupted run's), dropping partial
+    newest-round events, any ``run_stop`` marker, and a torn final
+    line. Returns the number of lines kept.
+
+    Raises:
+        SerializationError: ``<path>:<line> ...`` for a line *before*
+            the last that is malformed — torn tails are expected,
+            mid-stream corruption is not.
+    """
+
+    def survives(payload: dict) -> bool:
+        kind, round_index = payload.get("event"), line_round(payload)
+        if kind == "run_stop" or round_index > keep_round:
+            return False
+        # Run-level span *closures* are re-emitted when the resumed
+        # attempt finishes; only the opening span_start is kept so
+        # the final trace carries exactly one start/end pair.
+        return not (kind in ("span_end", "worker_resource") and round_index == 0)
+
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.readlines()
+    kept = [
+        lines[number - 1].strip() + "\n"
+        for number, keep in wire.read_jsonl(
+            lines, SerializationError, path, survives
+        )
+        if keep
+    ]
+    wire.write_atomic(path, "".join(kept))
+    return len(kept)
+
+
+def _resume_checkpoint(
+    run: RunSpec, trace_path: str, checkpoint_path: str
+) -> Optional[TrainerCheckpoint]:
+    """The checkpoint to resume from, or ``None`` to start fresh.
+
+    Only a verified checkpoint (its file and the part of its history
+    log it covers both check out) at or below the trace's
+    :func:`resumable_round` is used. A missing trace or checkpoint, an
+    unreadable checkpoint or log (which warns), or a checkpoint newer
+    than the trace bound all mean a fresh start.
     """
     trace = load_trace_for_resume(trace_path)
-    if trace is None:
+    if trace is None or not os.path.exists(checkpoint_path):
         return None
-    safe_round = resumable_round(trace)
-    if safe_round < 1:
+    try:
+        checkpoint = load_checkpoint(checkpoint_path)
+        checkpoint.history  # read and verify its history log now
+    except SerializationError as exc:
+        warnings.warn(
+            f"run {run.run_id}: checkpoint is unreadable ({exc}); "
+            "restarting the run from scratch",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         return None
-    checkpoint = None
-    if os.path.exists(checkpoint_path):
-        try:
-            loaded = load_checkpoint(checkpoint_path)
-            loaded.history  # read and verify its history log now
-            checkpoint = loaded
-        except SerializationError as exc:
-            warnings.warn(
-                f"run {run.run_id}: checkpoint is unreadable ({exc}); "
-                "falling back to trace reconstruction",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if checkpoint is not None and checkpoint.round_index > safe_round:
-        checkpoint = None
-    if checkpoint is None:
-        try:
-            checkpoint = reconstruct_checkpoint(trace, make_replay_trainer)
-        except SerializationError as exc:
-            warnings.warn(
-                f"run {run.run_id}: trace reconstruction failed ({exc}); "
-                "restarting the run from scratch",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
+    if checkpoint.round_index > resumable_round(trace):
+        return None
     return checkpoint
 
 
@@ -97,8 +146,9 @@ def execute_run(
     Args:
         run: the fully resolved run spec.
         run_dir: the run's artifact directory (created if missing).
-        resume: continue from the run directory's checkpoint/trace
-            instead of starting over.
+        resume: continue from the run directory's checkpoint when
+            it is verified and within the trace's bound, instead of
+            starting over.
         log_level: when given, (re)configure the ``repro`` logger at
             this level — pool workers pass the parent's level through
             so worker-side warnings reach stderr.
@@ -118,22 +168,9 @@ def execute_run(
     config_overrides = dict(run.trainer_overrides)
     config_overrides["checkpoint_every"] = run.checkpoint_every
 
-    def make_replay_trainer():
-        # Replay runs serial with tracing off: backends are bitwise
-        # identical, so serial replay reconstructs pooled runs too.
-        return build_trainer(
-            run.strategy,
-            settings,
-            environment,
-            config_overrides=config_overrides,
-            faults=run.build_fault_plan(),
-        )
-
     checkpoint = None
     if resume:
-        checkpoint = _resume_checkpoint(
-            run, trace_path, checkpoint_path, make_replay_trainer
-        )
+        checkpoint = _resume_checkpoint(run, trace_path, checkpoint_path)
     if checkpoint is not None:
         truncate_trace(trace_path, checkpoint.round_index)
         handle = open(trace_path, "a", encoding="utf-8")
@@ -162,7 +199,7 @@ def execute_run(
         observer.close()
         handle.close()
 
-    from repro.obs.analysis import compute_run_stats, load_trace, split_runs
+    from repro.obs.analysis import compute_run_stats, split_runs
 
     segments = split_runs(load_trace(trace_path).events)
     stats = compute_run_stats(segments[-1], source=run.run_id)

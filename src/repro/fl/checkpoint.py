@@ -38,15 +38,15 @@ Design rules:
   :func:`repro.wire.write_atomic` replaces the checkpoint that counts
   them, so a ``SIGKILL`` anywhere leaves the previous checkpoint (or
   none) and at worst lines past its count — the torn tail
-  :func:`repro.campaign.resume.truncate_trace` cuts from traces, here
+  :func:`repro.campaign.runner.truncate_trace` cuts from traces, here
   cut by the stored byte count and dropped when the resumed run's
   first save rewrites the log.
 * **Self-verification.** The sha256 over the canonical state lets
   :func:`load_checkpoint` reject truncated or bit-rotted files with a
   :class:`~repro.errors.SerializationError`; the log prefix is checked
   against its stored size and sha256 when it is read
-  (:attr:`TrainerCheckpoint.history`). Callers then fall back to trace
-  reconstruction (see :mod:`repro.campaign.runner`).
+  (:attr:`TrainerCheckpoint.history`). Callers then start the run
+  over (see :mod:`repro.campaign.runner`).
 * **Versioning.** The state layout is :class:`TrainerCheckpoint`'s
   fields plus ``history``; any change to it must bump
   :data:`CHECKPOINT_VERSION` (see CONTRIBUTING). Loaders reject

@@ -660,8 +660,12 @@ class FederatedTrainer:
         run.round_index = checkpoint.round_index
 
     # -- the run ---------------------------------------------------------
-    def run(self, resume_from=None, stop_after=None) -> TrainingHistory:
+    def run(self, resume_from=None) -> TrainingHistory:
         """Execute the full training loop and return its history.
+
+        Each round takes its stop decision (deadline, then target
+        accuracy, then plateau) before its checkpoint is written, so a
+        round-``r`` checkpoint is the complete state after round ``r``.
 
         Args:
             resume_from: an optional
@@ -670,16 +674,9 @@ class FederatedTrainer:
                 ``resume_from.round_index + 1`` and the returned
                 history (and every artifact derived from it) is
                 bitwise identical to an uninterrupted run's.
-            stop_after: optional replay cut-off — pause the loop after
-                this round *without* the final-round semantics
-                (``config.rounds`` still governs the forced last
-                evaluation), leaving ``trainer.last_checkpoint``
-                holding exactly the state an uninterrupted run carried
-                out of that round. Used by trace reconstruction
-                (:mod:`repro.campaign.resume`).
         """
         observer = self.observer
-        run = self._begin_run(resume_from, stop_after)
+        run = self._begin_run(resume_from)
         try:
             # A resumed attempt continues a run whose first attempt
             # already wrote the run span's start, so it only emits the
@@ -712,8 +709,9 @@ class FederatedTrainer:
                         self._record_timeline(state)
                         self._evaluate(state)
                         self._record_history(state)
+                        stop = self._should_stop(state)
                         self._checkpoint(state)
-                    if self._should_stop(state, stop_after):
+                    if stop:
                         break
         except Exception:
             # Both spans are closed by now: a crashed chaos run's JSONL
@@ -734,13 +732,9 @@ class FederatedTrainer:
         )
         return run.history
 
-    def _begin_run(self, resume_from, stop_after) -> RunState:
+    def _begin_run(self, resume_from) -> RunState:
         """Reset the trainer, restore ``resume_from``, bind the backend."""
         config = self.config
-        if stop_after is not None and stop_after <= 0:
-            raise ConfigurationError(
-                f"stop_after must be positive when set, got {stop_after}"
-            )
         self.selection.reset()
         if self.compression is not None:
             self.compression.reset()
@@ -816,8 +810,8 @@ class FederatedTrainer:
             )
         )
 
-    def _should_stop(self, state: RoundState, stop_after) -> bool:
-        """The stop decision, taken after the round's span has closed."""
+    def _should_stop(self, state: RoundState) -> bool:
+        """The stop decision, taken before the round's checkpoint."""
         config = self.config
         run = state.run
         if (
@@ -838,8 +832,7 @@ class FederatedTrainer:
         ):
             run.stop_reason = StopReason.PLATEAU
         else:
-            # Replay cut-off: pause (not finish) the run here.
-            return stop_after is not None and state.round_index >= stop_after
+            return False
         return True
 
     # -- one round: the stages, in execution order -----------------------

@@ -1,14 +1,20 @@
 """Crash-recovery parity: resumed runs are bitwise identical.
 
-Every test interrupts a run at some round (by running it with
-``stop_after``, exactly the state a SIGKILLed worker leaves behind,
-modulo the torn trace tail tested separately), resumes it through
+Every test kills a run at the start of some round (with
+:func:`tests.kill.run_killed_after`, which leaves the checkpoint and
+trace a SIGKILLed worker leaves behind, modulo the torn trace tail
+tested separately), resumes it through
 :func:`repro.campaign.runner.execute_run`, and compares the finished
 ``history.json``/``stats.json`` byte-for-byte against an uninterrupted
 reference run. The trace is compared line-by-line: simulation events
 must match byte-for-byte, while span/resource telemetry events (which
 record real wall-clock times and pids by design) must match on every
 deterministic field — same kinds, ids, parents, and positions.
+
+The kill-point matrix covers runs that stop early by plateau and by
+deadline as well as one that runs out its rounds: a checkpoint must
+hold the round's stop-decision state, or a resumed run overruns (or
+misses) the stop an uninterrupted one takes.
 """
 
 import dataclasses
@@ -18,30 +24,29 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.resume import (
-    load_trace_for_resume,
-    reconstruct_checkpoint,
-    resumable_round,
-    truncate_trace,
-)
 from repro.campaign.runner import (
     CHECKPOINT_FILE,
     HISTORY_FILE,
     STATS_FILE,
     TRACE_FILE,
     execute_run,
+    load_trace_for_resume,
+    resumable_round,
+    truncate_trace,
 )
 from repro.errors import SerializationError
 from repro.experiments.runner import build_environment, build_trainer
 from repro.fl.checkpoint import history_path, load_checkpoint
 from repro.obs import JsonlTraceSink, RunObserver
 from tests.campaign.conftest import tiny_run
+from tests.kill import run_killed_after
 
 ARTIFACTS = (TRACE_FILE, HISTORY_FILE, STATS_FILE)
 
 
-def partial_run(run, run_dir, stop_after, checkpoint_every=1):
-    """Reproduce a worker's on-disk state at the moment of a kill."""
+def partial_run(run, run_dir, killed_after, checkpoint_every=1):
+    """Reproduce a worker's on-disk state when it is killed at the
+    start of round ``killed_after + 1``."""
     os.makedirs(run_dir, exist_ok=True)
     settings = run.build_settings()
     environment = build_environment(settings, run.iid)
@@ -60,7 +65,7 @@ def partial_run(run, run_dir, stop_after, checkpoint_every=1):
             observer=observer,
             checkpoint_path=os.path.join(run_dir, CHECKPOINT_FILE),
         )
-        trainer.run(stop_after=stop_after)
+        run_killed_after(trainer, killed_after)
     finally:
         observer.close()
         handle.close()
@@ -105,15 +110,66 @@ def assert_bitwise_identical(run_dir, reference_run_dir):
     assert got_trace == want_trace, "trace.jsonl differs after resume"
 
 
+# The tiny run's trainer and settings overrides for each way a run
+# ends, and the round it ends at.
+STOP_VARIANTS = {
+    # Every round evaluates; the loss stops improving by 0.05 after
+    # round 2 and patience runs out at round 4 of 5.
+    "plateau": (
+        {"convergence_patience": 2, "convergence_min_delta": 0.05},
+        {"eval_every": 1},
+        4,
+    ),
+    "deadline": ({"deadline_s": 4.5}, {}, 3),
+    "no_early_stop": ({}, {}, 5),
+}
+KILL_POINTS = [
+    (variant, killed_after)
+    for variant, (_, _, last_round) in STOP_VARIANTS.items()
+    for killed_after in range(1, last_round)
+]
+
+
+def stop_variant_run(variant, checkpoint_every=1):
+    trainer_overrides, settings, _ = STOP_VARIANTS[variant]
+    return dataclasses.replace(
+        tiny_run(checkpoint_every=checkpoint_every, **settings),
+        trainer_overrides=trainer_overrides,
+    )
+
+
+@pytest.fixture(scope="module")
+def stop_variant_references(tmp_path_factory):
+    """Each stop variant's uninterrupted run directory."""
+    references = {}
+    for variant, (_, _, last_round) in STOP_VARIANTS.items():
+        run_dir = tmp_path_factory.mktemp(variant) / "run"
+        result = execute_run(stop_variant_run(variant), str(run_dir))
+        assert result["rounds"] == last_round
+        references[variant] = run_dir
+    return references
+
+
 class TestResumeParity:
-    @pytest.mark.parametrize("cut_round", [1, 3, 5])
-    def test_resume_at_round(self, cut_round, tmp_path, reference_run_dir):
-        run = tiny_run()
+    @pytest.mark.parametrize("checkpoint_every", [1, 2])
+    @pytest.mark.parametrize("variant, killed_after", KILL_POINTS)
+    def test_resume_at_round(
+        self,
+        variant,
+        killed_after,
+        checkpoint_every,
+        tmp_path,
+        stop_variant_references,
+    ):
+        run = stop_variant_run(variant, checkpoint_every)
         run_dir = tmp_path / "victim"
-        partial_run(run, str(run_dir), stop_after=cut_round)
+        partial_run(run, str(run_dir), killed_after, checkpoint_every)
         result = execute_run(run, str(run_dir), resume=True)
         assert result["run_id"] == run.run_id
-        assert_bitwise_identical(run_dir, reference_run_dir)
+        # The kill leaves the last cadence round's checkpoint within
+        # the trace bound, so resume must use it, not start over.
+        assert result["resumed_from"] == killed_after - killed_after % checkpoint_every
+        assert_bitwise_identical(run_dir, stop_variant_references[variant])
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_resume_across_backends(
@@ -123,62 +179,66 @@ class TestResumeParity:
         # a kill must still match the serial reference byte-for-byte.
         run = dataclasses.replace(tiny_run(), backend=backend, workers=2)
         run_dir = tmp_path / "victim"
-        partial_run(run, str(run_dir), stop_after=3)
+        partial_run(run, str(run_dir), 3)
         execute_run(run, str(run_dir), resume=True)
         assert_bitwise_identical(run_dir, reference_run_dir)
 
     def test_checkpoint_newer_than_trace_is_discarded(
         self, tmp_path, reference_run_dir
     ):
-        # checkpoint_every=1 leaves the checkpoint at the cut round,
-        # one past the trace's certainly-complete bound — resume must
-        # replay instead of trusting it, and still end identical.
+        # A kill between round 3's checkpoint save and its closing
+        # trace lines leaves a trace whose last round is 3, so the
+        # round-3 checkpoint is one past the trace's certainly-complete
+        # bound — resume must start over instead of trusting it.
         run = tiny_run()
         run_dir = tmp_path / "victim"
-        partial_run(run, str(run_dir), stop_after=3, checkpoint_every=1)
+        partial_run(run, str(run_dir), 3)
+        truncate_trace(str(run_dir / TRACE_FILE), 3)
         checkpoint = load_checkpoint(str(run_dir / CHECKPOINT_FILE))
         assert checkpoint.round_index == 3
         trace = load_trace_for_resume(str(run_dir / TRACE_FILE))
         assert resumable_round(trace) == 2
         result = execute_run(run, str(run_dir), resume=True)
-        assert result["resumed_from"] == 2
+        assert result["resumed_from"] == 0
         assert_bitwise_identical(run_dir, reference_run_dir)
 
     def test_checkpoint_within_trace_bound_is_used(
         self, tmp_path, reference_run_dir
     ):
-        # checkpoint_every=2 with a cut at round 3 leaves the
-        # checkpoint at round 2, inside the bound — no replay needed.
+        # checkpoint_every=2 with a kill in round 4 leaves the
+        # checkpoint at round 2, inside the bound.
         run = tiny_run(checkpoint_every=2)
         run_dir = tmp_path / "victim"
-        partial_run(run, str(run_dir), stop_after=3, checkpoint_every=2)
+        partial_run(run, str(run_dir), 3, checkpoint_every=2)
         result = execute_run(run, str(run_dir), resume=True)
         assert result["resumed_from"] == 2
         assert_bitwise_identical(run_dir, reference_run_dir)
 
-    def test_corrupt_checkpoint_falls_back_to_replay(
+    def test_corrupt_checkpoint_restarts_the_run(
         self, tmp_path, reference_run_dir
     ):
         run = tiny_run()
         run_dir = tmp_path / "victim"
-        partial_run(run, str(run_dir), stop_after=3)
+        partial_run(run, str(run_dir), 3)
         checkpoint_path = run_dir / CHECKPOINT_FILE
         payload = json.loads(checkpoint_path.read_text())
         payload["sha256"] = "0" * 64
         checkpoint_path.write_text(json.dumps(payload))
-        with pytest.warns(RuntimeWarning, match="falling back to trace"):
-            execute_run(run, str(run_dir), resume=True)
+        with pytest.warns(RuntimeWarning, match="restarting the run"):
+            result = execute_run(run, str(run_dir), resume=True)
+        assert result["resumed_from"] == 0
         assert_bitwise_identical(run_dir, reference_run_dir)
 
     @pytest.mark.parametrize("damage", ["tampered", "missing", "short"])
-    def test_damaged_history_log_falls_back_to_replay(
+    def test_damaged_history_log_restarts_the_run(
         self, damage, tmp_path, reference_run_dir
     ):
-        # checkpoint_every=2 cut at round 3 leaves a usable checkpoint
-        # at round 2, so only its history log can send resume to replay.
+        # checkpoint_every=2 with a kill in round 4 leaves a usable
+        # checkpoint at round 2, so only its history log can make
+        # resume start over.
         run = tiny_run(checkpoint_every=2)
         run_dir = tmp_path / "victim"
-        partial_run(run, str(run_dir), stop_after=3, checkpoint_every=2)
+        partial_run(run, str(run_dir), 3, checkpoint_every=2)
         log = Path(history_path(str(run_dir / CHECKPOINT_FILE)))
         if damage == "tampered":
             log.write_bytes(log.read_bytes().replace(b"round_index", b"round_indeX", 1))
@@ -186,9 +246,9 @@ class TestResumeParity:
             log.unlink()
         else:
             log.write_bytes(log.read_bytes()[:-1])
-        with pytest.warns(RuntimeWarning, match="falling back to trace"):
+        with pytest.warns(RuntimeWarning, match="restarting the run"):
             result = execute_run(run, str(run_dir), resume=True)
-        assert result["resumed_from"] == 2
+        assert result["resumed_from"] == 0
         assert_bitwise_identical(run_dir, reference_run_dir)
 
     def test_torn_trace_tail_is_tolerated(
@@ -196,10 +256,11 @@ class TestResumeParity:
     ):
         run = tiny_run()
         run_dir = tmp_path / "victim"
-        partial_run(run, str(run_dir), stop_after=3)
+        partial_run(run, str(run_dir), 3)
         with open(run_dir / TRACE_FILE, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "timeline", "round_ind')
-        execute_run(run, str(run_dir), resume=True)
+        result = execute_run(run, str(run_dir), resume=True)
+        assert result["resumed_from"] == 3
         assert_bitwise_identical(run_dir, reference_run_dir)
 
     def test_resume_with_no_artifacts_starts_fresh(
@@ -247,27 +308,6 @@ class TestResumePrimitives:
         path.write_text('{"round_index": 1}\n{torn\n{"round_index": 2}\n')
         with pytest.raises(SerializationError, match="mid-stream"):
             truncate_trace(str(path), 2)
-
-    def test_reconstruct_rejects_foreign_trace(
-        self, tmp_path, reference_run_dir
-    ):
-        # Replaying a seed-0 trace with a seed-1 trainer must not
-        # silently mix runs.
-        trace = load_trace_for_resume(str(reference_run_dir / TRACE_FILE))
-        foreign = tiny_run(seed=1)
-
-        def make_trainer():
-            settings = foreign.build_settings()
-            environment = build_environment(settings, foreign.iid)
-            return build_trainer(
-                foreign.strategy,
-                settings,
-                environment,
-                config_overrides={"checkpoint_every": 1},
-            )
-
-        with pytest.raises(SerializationError, match="diverged"):
-            reconstruct_checkpoint(trace, make_trainer)
 
     def test_load_trace_for_resume_missing_or_empty(self, tmp_path):
         assert load_trace_for_resume(str(tmp_path / "absent.jsonl")) is None

@@ -150,7 +150,7 @@ class TestSerialization:
     def test_example_spec_is_valid(self):
         spec = CampaignSpec.load("examples/campaign_smoke.json")
         assert spec.name == "smoke"
-        assert len(spec.expand()) == 4
+        assert len(spec.expand()) == 8
 
 
 class TestSettingsToOverrides:

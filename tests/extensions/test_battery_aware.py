@@ -11,11 +11,13 @@ from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, SelectionError
 from repro.extensions.battery_aware import BatteryAwareSelection
 from repro.extensions.oort import OortSelection
+from repro.fl.checkpoint import load_checkpoint
 from repro.fl.server import FederatedServer
 from repro.fl.strategy import FullParticipation
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
 from tests.conftest import make_heterogeneous_devices, selected_ids
+from tests.kill import run_killed_after
 
 
 def with_batteries(devices, levels):
@@ -128,7 +130,7 @@ class TestDelegation:
         assert restored.appearance_counts == inner.appearance_counts
 
 
-def gated_trainer(inner):
+def gated_trainer(inner, checkpoint_path=None):
     devices = make_heterogeneous_devices(12)
     rng = np.random.default_rng(40)
     test = ArrayDataset(rng.normal(size=(30, 4)), rng.integers(0, 3, size=30))
@@ -144,6 +146,7 @@ def gated_trainer(inner):
         config=TrainerConfig(
             rounds=6, bandwidth_hz=2e6, learning_rate=0.2, checkpoint_every=1
         ),
+        checkpoint_path=checkpoint_path,
     )
 
 
@@ -156,11 +159,11 @@ class TestResume:
         ],
         ids=["greedy_decay", "random"],
     )
-    def test_resumed_run_selects_as_an_uninterrupted_one(self, inner):
+    def test_resumed_run_selects_as_an_uninterrupted_one(self, inner, tmp_path):
         reference = gated_trainer(inner).run()
-        paused = gated_trainer(inner)
-        paused.run(stop_after=3)
-        resumed = gated_trainer(inner).run(resume_from=paused.last_checkpoint)
+        path = str(tmp_path / "checkpoint.json")
+        run_killed_after(gated_trainer(inner, path), 3)
+        resumed = gated_trainer(inner).run(resume_from=load_checkpoint(path))
         assert [r.selected_ids for r in resumed.records] == [
             r.selected_ids for r in reference.records
         ]

@@ -24,6 +24,7 @@ from repro.fl.execution import create_backend
 from repro.fl.history import RoundRecord
 from repro.fl.trainer import TrainerConfig
 from repro.wire import decode_array, encode_array
+from tests.kill import run_killed_after
 from tests.oracles.checkpoint_v1 import save_checkpoint_v1
 
 
@@ -327,11 +328,6 @@ class TestTrainerCheckpointing:
         with pytest.raises(ConfigurationError, match="checkpoint_every"):
             TrainerConfig(checkpoint_every=0)
 
-    def test_stop_after_validation(self):
-        trainer = make_trainer()
-        with pytest.raises(ConfigurationError, match="stop_after"):
-            trainer.run(stop_after=0)
-
     def test_run_writes_checkpoints(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         trainer = make_trainer(checkpoint_path=str(path))
@@ -342,40 +338,33 @@ class TestTrainerCheckpointing:
         assert trainer.last_checkpoint is not None
         assert trainer.last_checkpoint.round_index == 5
 
-    def test_stop_after_pauses_without_final_round_semantics(self):
-        reference = make_trainer().run()
-        trainer = make_trainer()
-        partial = trainer.run(stop_after=3)
-        assert len(partial) == 3
-        # The paused history is a prefix of the full run's (round 3 is
-        # not treated as the run's last round, so no forced eval).
-        assert partial.records == reference.records[:3]
-
     @pytest.mark.parametrize("strategy", ["helcfl", "classic", "fedcs"])
     @pytest.mark.parametrize("cut_round", [2, 4])
-    def test_resume_is_bitwise_identical(self, strategy, cut_round):
+    def test_resume_is_bitwise_identical(self, strategy, cut_round, tmp_path):
         reference = make_trainer(strategy=strategy).run()
-        paused = make_trainer(strategy=strategy)
-        paused.run(stop_after=cut_round)
-        checkpoint = paused.last_checkpoint
+        path = str(tmp_path / "checkpoint.json")
+        run_killed_after(
+            make_trainer(strategy=strategy, checkpoint_path=path), cut_round
+        )
+        checkpoint = load_checkpoint(path)
         assert checkpoint.round_index == cut_round
         resumed_trainer = make_trainer(strategy=strategy)
         resumed = resumed_trainer.run(resume_from=checkpoint)
         assert resumed.to_json() == reference.to_json()
 
-    def test_resume_under_different_strategy_refused(self):
-        paused = make_trainer(strategy="helcfl")
-        paused.run(stop_after=2)
+    def test_resume_under_different_strategy_refused(self, tmp_path):
+        path = str(tmp_path / "checkpoint.json")
+        run_killed_after(make_trainer(strategy="helcfl", checkpoint_path=path), 2)
         other = make_trainer(strategy="classic")
         with pytest.raises(ConfigurationError, match="written by"):
-            other.run(resume_from=paused.last_checkpoint)
+            other.run(resume_from=load_checkpoint(path))
 
-    def test_resume_past_round_budget_refused(self):
-        paused = make_trainer()
-        paused.run(stop_after=4)
+    def test_resume_past_round_budget_refused(self, tmp_path):
+        path = str(tmp_path / "checkpoint.json")
+        run_killed_after(make_trainer(checkpoint_path=path), 4)
         short = make_trainer(rounds=3)
         with pytest.raises(ConfigurationError, match="past"):
-            short.run(resume_from=paused.last_checkpoint)
+            short.run(resume_from=load_checkpoint(path))
 
     def test_resume_from_wrong_type_refused(self):
         trainer = make_trainer()
@@ -413,7 +402,7 @@ class TestResumeFromFiles:
 
     def killed_at(self, tmp_path, cut_round, version):
         path = str(tmp_path / "checkpoint.json")
-        wide_trainer(path).run(stop_after=cut_round)
+        run_killed_after(wide_trainer(path), cut_round)
         if version == 1:
             save_checkpoint_v1(path, load_checkpoint(path))
         with open(history_path(path), "a") as handle:

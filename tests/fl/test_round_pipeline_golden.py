@@ -17,6 +17,7 @@ and regenerate with::
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -25,7 +26,9 @@ from repro.devices.battery import Battery
 from repro.experiments.runner import build_environment, build_trainer
 from repro.experiments.settings import ExperimentSettings
 from repro.faults import BatteryDeathFault, DropoutFault, FaultPlan
+from repro.fl.checkpoint import load_checkpoint
 from repro.obs import CollectingSink, RunObserver
+from tests.kill import run_killed_after
 from tests.obs.test_spans import SPAN_KINDS, span_structure
 
 EXAMPLE_FAULT_PLAN = os.path.join(
@@ -37,7 +40,7 @@ GOLDEN = {
     "chaos": "907acb13141389b6e3944d4c50cbc8c1e879ebdb1cb0d0279f88023ab07b62b9",
     "blackout": "98e5bff7d66c7298ba3ba12e6bb3e56868743651ba032dfe514f591a2434b161",
     "crash": "b8752b90094181273e637b60b6d1b9858c8802f04d35c777c241ae72c62cf534",
-    "resume": "c0250f4a8f5c8a1917da894455720738ae92aa7787ca42b79509ea7a9a6d1218",
+    "resume": "36478048b8daf799d9d8f68a965f860d9c3529bb0f8bc977386a481d4dd96657",
 }
 
 
@@ -50,7 +53,9 @@ class CrashInRoundThree(RandomSelection):
         return super().select_population(round_index, population)
 
 
-def quick_trainer(sink, rounds=5, battery_j=None, faults=None, **config):
+def quick_trainer(
+    sink, rounds=5, battery_j=None, faults=None, checkpoint_path=None, **config
+):
     """A quick-profile HELCFL trainer observed by ``sink``."""
     settings = ExperimentSettings.quick(rounds=rounds)
     environment = build_environment(settings, iid=True)
@@ -64,6 +69,7 @@ def quick_trainer(sink, rounds=5, battery_j=None, faults=None, **config):
         config_overrides=config,
         observer=RunObserver(sink=sink),
         faults=faults,
+        checkpoint_path=checkpoint_path,
     )
 
 
@@ -116,12 +122,14 @@ def run_crash(sink):
 
 
 def run_resume(sink):
-    """(d) pause after round 2, then resume a fresh trainer from the
-    captured checkpoint; both segments land in the same trace."""
-    paused = quick_trainer(sink)
-    paused.run(stop_after=2)
-    trainer = quick_trainer(sink)
-    return trainer, trainer.run(resume_from=paused.last_checkpoint)
+    """(d) kill in round 3, then resume a fresh trainer from the
+    on-disk round-2 checkpoint; both segments land in the same trace."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "checkpoint.json")
+        paused = quick_trainer(sink, checkpoint_path=path, checkpoint_every=1)
+        run_killed_after(paused, 2)
+        trainer = quick_trainer(sink)
+        return trainer, trainer.run(resume_from=load_checkpoint(path))
 
 
 SCENARIOS = {

@@ -29,7 +29,7 @@ from repro.campaign import (
 )
 from repro.campaign.aggregate import AGGREGATE_SCHEMA, _Aggregate
 from repro.campaign.manifest import RunStatus
-from repro.campaign.resume import truncate_trace
+from repro.campaign.runner import truncate_trace
 from repro.campaign.watch import line_round, scan_trace_progress
 from repro.errors import ConfigurationError, ReproError, SerializationError
 from repro.experiments import export
@@ -1052,7 +1052,11 @@ class TestRegressionFixtures:
             "strategies": ["helcfl", "classic"],
             "overrides": [
                 {"settings": {"num_users": 8, "rounds": 6, "train_size": 160,
-                              "test_size": 48, "eval_every": 2}}
+                              "test_size": 48, "eval_every": 2}},
+                {"settings": {"num_users": 8, "rounds": 6, "train_size": 160,
+                              "test_size": 48, "eval_every": 2},
+                 "trainer": {"convergence_patience": 1,
+                             "convergence_min_delta": 0.2}},
             ],
             "fault_plans": [None],
             "backend": "serial",
