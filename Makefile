@@ -23,7 +23,7 @@ check-cold:
 report:
 	mkdir -p artifacts
 	PYTHONPATH=src python -m repro run helcfl --quick --rounds 5 --trace artifacts/run-trace.jsonl
-	PYTHONPATH=src python -m repro.obs.report artifacts/run-trace.jsonl
+	PYTHONPATH=src python -m repro trace-report artifacts/run-trace.jsonl
 
 campaign-smoke:
 	rm -rf artifacts/campaign-smoke

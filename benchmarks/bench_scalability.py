@@ -30,9 +30,9 @@ selection + Algorithm 3 DVFS), built via ``from_spec`` with no device
 objects at all; scheduler timing proper is ``bench_layers``'
 ``sched_q100k`` workload. ``--scalability-snapshot PATH`` writes the
 composite ``BENCH_scalability.json`` document — timings plus a traced
-quick-run analytics snapshot that ``python -m repro.obs.report
---compare`` consumes, so CI can fail on >10% regression against the
-committed baseline.
+quick-run analytics snapshot that ``python -m repro trace-compare``
+consumes, so CI can fail on >10% regression against the committed
+baseline.
 
 Part 4 isolates the round *transport*: one ``run_round`` over Q ∈
 {10³, 10⁴} lightweight clients with a ~10⁴-parameter model, through the
@@ -167,7 +167,7 @@ def run_backend_study(
         snapshot_prefix: when set, each backend's run is traced to
             ``{prefix}-{backend}.trace.jsonl`` and its analytics
             snapshot written to ``{prefix}-{backend}.json`` — inputs
-            ``python -m repro.obs.report --compare`` consumes, so CI
+            ``python -m repro trace-compare`` consumes, so CI
             can assert zero drift between backends from the artifacts
             alone.
 
@@ -447,19 +447,26 @@ def write_scalability_snapshot(
 
     Carries the pickle-vs-shm transport study, the scheduler smoke, and
     an ``analytics`` RunStats snapshot
-    from a traced quick training run — the piece ``python -m
-    repro.obs.report --compare`` reads, so a committed snapshot doubles
+    from a traced quick training run — the piece ``python -m repro
+    trace-compare`` reads, so a committed snapshot doubles
     as a CI regression baseline.
     """
-    from repro.experiments.runner import run_traced
+    from repro.obs.analysis import compute_run_stats, load_trace
 
     transport = run_transport_study(q_values=q_values)
     smoke = run_scheduler_smoke(q=smoke_q)
-    _, stats = run_traced(
-        "helcfl",
-        ExperimentSettings.quick(rounds=3, seed=7),
-        iid=True,
-        trace_path=trace_path,
+    observer = RunObserver.to_path(trace_path)
+    try:
+        run_strategy(
+            "helcfl",
+            ExperimentSettings.quick(rounds=3, seed=7),
+            iid=True,
+            observer=observer,
+        )
+    finally:
+        observer.close()
+    stats = compute_run_stats(
+        load_trace(trace_path).events, source=str(trace_path)
     )
     document = {
         "schema": SCALABILITY_SCHEMA,
@@ -547,7 +554,7 @@ def _main() -> int:
         metavar="PREFIX",
         default=None,
         help="trace each backend run and write PREFIX-<backend>.json "
-        "analytics snapshots for 'python -m repro.obs.report --compare'",
+        "analytics snapshots for 'python -m repro trace-compare'",
     )
     parser.add_argument(
         "--scalability-snapshot",

@@ -18,8 +18,15 @@ Typical usage::
 
     python -m repro campaign run spec.json --dir out/         # fresh
     python -m repro campaign run spec.json --dir out/ --resume # after a crash
-    python -m repro campaign status out/
+    python -m repro campaign status out/                       # one frame
+    python -m repro campaign watch out/                        # live
     python -m repro campaign compare ref/aggregate.json out/aggregate.json
+
+The in-process :func:`~repro.experiments.sweep.run_sweep` and
+:func:`~repro.experiments.multiseed.run_multiseed` have no campaign
+mode: a crash-safe sweep is a spec with one ``overrides`` entry per
+grid point, and a crash-safe multi-seed study is a spec's ``seeds`` x
+``strategies`` axes.
 """
 
 from repro.campaign.aggregate import (
@@ -39,7 +46,7 @@ from repro.campaign.manifest import (
 )
 from repro.campaign.pool import CampaignPool
 from repro.campaign.runner import execute_run, resumable_round, truncate_trace
-from repro.campaign.spec import CampaignSpec, RunSpec, settings_to_overrides
+from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.campaign.watch import (
     CampaignSnapshot,
     RunProgress,
@@ -67,7 +74,6 @@ __all__ = [
     "load_aggregate",
     "render_snapshot",
     "resumable_round",
-    "settings_to_overrides",
     "snapshot_campaign",
     "truncate_trace",
     "watch",

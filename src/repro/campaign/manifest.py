@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro import wire
 from repro.campaign.spec import CampaignSpec, RunSpec
@@ -195,10 +195,6 @@ class CampaignManifest:
         RunStatus(
             run_id, status, int(attempts), detail, started_at, finished_at
         ).save(self._status_path(run_id))
-
-    def statuses(self) -> Dict[str, RunStatus]:
-        """Every run's status, in expansion order."""
-        return {run.run_id: self.read_status(run.run_id) for run in self.runs}
 
     def pending_runs(self, resume: bool = False) -> List[RunSpec]:
         """The runs still to execute, in expansion order.

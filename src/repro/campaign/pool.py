@@ -23,24 +23,21 @@ import os
 import sys
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from repro.campaign.aggregate import write_aggregate
 from repro.campaign.manifest import (
     STATUS_DONE,
     STATUS_FAILED,
     STATUS_RUNNING,
     CampaignManifest,
 )
-from repro.campaign.runner import HISTORY_FILE, execute_run
-from repro.campaign.spec import CampaignSpec, RunSpec
+from repro.campaign.runner import execute_run
+from repro.campaign.spec import RunSpec
 from repro.errors import ConfigurationError
-from repro.fl.history import TrainingHistory
 
 __all__ = [
     "CAMPAIGN_TRACE_FILE",
     "CampaignPool",
-    "run_campaign_histories",
     "worker_main",
 ]
 
@@ -357,32 +354,3 @@ class CampaignPool:
                 cause,
             )
 
-
-def run_campaign_histories(
-    spec: CampaignSpec,
-    campaign_dir: str,
-    resume: bool = False,
-    pool_workers: Optional[int] = None,
-) -> List[Tuple[RunSpec, TrainingHistory]]:
-    """Run ``spec`` to completion (manifest, pool, aggregate) and pair
-    each run with its ``history.json``, in ``spec.expand()`` order.
-
-    Raises:
-        ConfigurationError: if any run did not finish.
-    """
-    manifest = CampaignManifest.create(campaign_dir, spec)
-    statuses = CampaignPool(manifest, pool_workers=pool_workers).run(
-        resume=resume
-    )
-    unfinished = sorted(r for r, s in statuses.items() if s != STATUS_DONE)
-    if unfinished:
-        raise ConfigurationError(
-            f"{spec.name} campaign left {len(unfinished)} run(s) "
-            f"unfinished: {', '.join(unfinished)}"
-        )
-    write_aggregate(manifest)
-    histories = []
-    for run in manifest.runs:
-        path = os.path.join(manifest.run_dir(run.run_id), HISTORY_FILE)
-        histories.append((run, TrainingHistory.load(path)))
-    return histories

@@ -40,7 +40,7 @@ from repro.faults import FaultPlan
 from repro.fl.execution import BACKEND_NAMES
 from repro.fl.trainer import TrainerConfig
 
-__all__ = ["CampaignSpec", "RunSpec", "settings_to_overrides"]
+__all__ = ["CampaignSpec", "RunSpec"]
 
 _PROFILES = ("quick", "default", "paper")
 _OVERRIDE_SECTIONS = {
@@ -57,35 +57,6 @@ def _base_settings(profile: str) -> ExperimentSettings:
     if profile == "paper":
         return ExperimentSettings.paper_scale()
     return ExperimentSettings()
-
-
-def settings_to_overrides(
-    settings: ExperimentSettings, profile: str = "default"
-) -> dict:
-    """Express ``settings`` as a JSON-safe diff against a profile base.
-
-    The inverse of :meth:`RunSpec.build_settings` (minus the seed,
-    which is a campaign matrix axis, not an override): applying the
-    returned dict to the profile's baseline reproduces ``settings``.
-    Tuples become lists so the diff round-trips through spec JSON
-    unchanged — the byte-identity contract needs the in-process and
-    reloaded-from-disk spec to expand identically.
-    """
-    if profile not in _PROFILES:
-        raise ConfigurationError(
-            f"profile must be one of {_PROFILES}, got {profile!r}"
-        )
-    base = _base_settings(profile)
-    overrides: Dict[str, object] = {}
-    for spec_field in dataclasses.fields(ExperimentSettings):
-        if spec_field.name == "seed":
-            continue
-        value = getattr(settings, spec_field.name)
-        if value != getattr(base, spec_field.name):
-            overrides[spec_field.name] = (
-                list(value) if isinstance(value, tuple) else value
-            )
-    return overrides
 
 
 def _check_override(override: dict, position: int) -> Dict[str, dict]:

@@ -1,4 +1,5 @@
-"""Live campaign monitoring: ``python -m repro campaign watch DIR``.
+"""Live campaign monitoring: ``python -m repro campaign watch DIR``
+and ``python -m repro campaign status DIR``.
 
 The watcher is a strictly *read-only* sibling of the pool: it tails
 the manifest's atomic ``status.json`` files plus each run's
@@ -10,9 +11,10 @@ designed for exactly this: statuses are written atomically, and a
 trace's torn final line (a worker mid-write) parses as "ignore the
 tail".
 
-``--once`` renders a single frame and exits (the CI smoke mode);
-otherwise it refreshes every ``--interval`` seconds until every run
-reaches a terminal status.
+``campaign status`` prints one :func:`render_snapshot` frame of
+:func:`snapshot_campaign`; ``campaign watch`` (:func:`watch`) redraws
+that frame every ``--interval`` seconds until every run reaches a
+terminal status.
 """
 
 from __future__ import annotations
@@ -260,36 +262,33 @@ def render_snapshot(snapshot: CampaignSnapshot) -> str:
 
 
 def watch(
-    campaign_dir: str,
+    root: str,
     interval_s: float = 2.0,
-    once: bool = False,
     stream=None,
 ) -> int:
-    """Monitor a campaign directory until it finishes (or forever).
+    """Monitor a campaign directory until it finishes.
 
     Args:
-        campaign_dir: the directory holding ``spec.json``.
-        interval_s: refresh cadence for the live mode.
-        once: render a single frame and return immediately.
+        root: the campaign directory (holding ``spec.json``).
+        interval_s: refresh cadence.
         stream: output stream (default ``sys.stdout``).
 
     Returns:
-        0 when the campaign is finished or ``once`` was requested
-        while it is still in flight; interrupting with Ctrl-C also
+        0 when the campaign is finished; interrupting with Ctrl-C also
         returns 0 (watching is not a gate).
     """
     out = stream if stream is not None else sys.stdout
-    manifest = CampaignManifest.open(campaign_dir)
+    manifest = CampaignManifest.open(root)
     try:
         while True:
             now = time.time()
             snapshot = snapshot_campaign(manifest, now)
             frame = render_snapshot(snapshot)
-            if not once and out.isatty():
+            if out.isatty():
                 out.write("\x1b[2J\x1b[H")
             out.write(frame + "\n")
             out.flush()
-            if once or snapshot.finished:
+            if snapshot.finished:
                 return 0
             time.sleep(interval_s)
     except KeyboardInterrupt:

@@ -202,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("spec", help="campaign spec JSON file")
     campaign_run.add_argument(
         "--dir",
-        dest="campaign_dir",
         required=True,
         metavar="DIR",
         help="campaign directory (manifest, per-run artifacts, "
@@ -243,10 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     campaign_status = campaign_sub.add_parser(
-        "status", help="print a campaign manifest's per-run statuses"
+        "status",
+        help="print one frame of the campaign's per-run progress, "
+        "attempts, elapsed time and notes",
     )
     campaign_status.add_argument(
-        "campaign_dir", metavar="DIR", help="campaign directory"
+        "dir", metavar="DIR", help="campaign directory"
     )
 
     campaign_watch = campaign_sub.add_parser(
@@ -255,12 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bars, retries, throughput, ETA)",
     )
     campaign_watch.add_argument(
-        "campaign_dir", metavar="DIR", help="campaign directory"
-    )
-    campaign_watch.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame and exit (CI smoke mode)",
+        "dir", metavar="DIR", help="campaign directory"
     )
     campaign_watch.add_argument(
         "--interval", type=float, default=2.0, metavar="SECONDS",
@@ -382,7 +378,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"saved history to {args.output}")
     if args.report:
         print()
-        return trace_analytics.main([args.trace])
+        return main(["trace-report", args.trace])
     return 0
 
 
@@ -503,7 +499,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
         configure_logging(args.log_level.upper())
     spec = CampaignSpec.load(args.spec)
-    manifest = CampaignManifest.create(args.campaign_dir, spec)
+    manifest = CampaignManifest.create(args.dir, spec)
     print(
         f"campaign {spec.name}: {len(manifest.runs)} run(s) "
         f"({'resume' if args.resume else 'fresh'})"
@@ -540,41 +536,20 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     import time
 
     from repro.campaign import (
-        STATUS_DONE,
-        STATUS_FAILED,
         CampaignManifest,
+        render_snapshot,
+        snapshot_campaign,
     )
 
-    manifest = CampaignManifest.open(args.campaign_dir)
-    statuses = manifest.statuses()
-    done = sum(1 for s in statuses.values() if s.status == STATUS_DONE)
-    now = time.time()
-    print(
-        f"campaign {manifest.spec.name}: {done}/{len(statuses)} run(s) done"
-    )
-    for run_id, status in statuses.items():
-        elapsed = status.elapsed(
-            now=None
-            if status.status in (STATUS_DONE, STATUS_FAILED)
-            else now
-        )
-        elapsed_text = "—" if elapsed is None else f"{elapsed:.1f}s"
-        detail = f"  [{status.detail}]" if status.detail else ""
-        print(
-            f"  {run_id:32s} {status.status:8s} "
-            f"attempts={status.attempts} elapsed={elapsed_text}{detail}"
-        )
+    manifest = CampaignManifest.open(args.dir)
+    print(render_snapshot(snapshot_campaign(manifest, time.time())))
     return 0
 
 
 def _cmd_campaign_watch(args: argparse.Namespace) -> int:
     from repro.campaign import watch
 
-    return watch(
-        args.campaign_dir,
-        interval_s=args.interval,
-        once=args.once,
-    )
+    return watch(args.dir, interval_s=args.interval)
 
 
 def _cmd_campaign_compare(args: argparse.Namespace) -> int:

@@ -6,11 +6,10 @@ seeds (each seed re-derives the task, partition, fleet, model init,
 and selection streams) and reports per-metric means, standard
 deviations, and paired per-seed gaps.
 
-Passing ``campaign_dir`` routes the same matrix through the
-crash-recoverable campaign orchestrator (:mod:`repro.campaign`):
-runs execute in parallel worker processes with checkpointing on, a
-killed invocation resumes with ``resume=True``, and the assembled
-:class:`MultiSeedResult` is bitwise identical to the in-process path.
+The runs execute in-process. The same seed x strategy matrix run
+crash-safe in worker processes is a :class:`~repro.campaign.CampaignSpec`
+(``seeds`` and ``strategies`` are its matrix axes), run by
+``python -m repro campaign run``.
 """
 
 from __future__ import annotations
@@ -84,40 +83,11 @@ class MultiSeedResult:
         return [h.time_to_accuracy(target) for h in self.histories[strategy]]
 
 
-def _fill_from_campaign(
-    result: MultiSeedResult,
-    settings: ExperimentSettings,
-    campaign_dir: str,
-    resume: bool,
-    pool_workers: Optional[int],
-) -> None:
-    """Execute ``result``'s seed x strategy matrix through the campaign pool."""
-    from repro.campaign.pool import run_campaign_histories
-    from repro.campaign.spec import CampaignSpec, settings_to_overrides
-
-    spec = CampaignSpec(
-        name="multiseed",
-        profile="default",
-        iid=result.iid,
-        seeds=result.seeds,
-        strategies=tuple(result.histories),
-        overrides=({"settings": settings_to_overrides(settings)},),
-    )
-    # Runs expand seeds-outermost, so each list fills in seed order.
-    for run, history in run_campaign_histories(
-        spec, campaign_dir, resume, pool_workers
-    ):
-        result.histories[run.strategy].append(history)
-
-
 def run_multiseed(
     strategies: Sequence[str],
     settings: Optional[ExperimentSettings] = None,
     iid: bool = True,
     seeds: Sequence[int] = (0, 1, 2),
-    campaign_dir: Optional[str] = None,
-    resume: bool = False,
-    pool_workers: Optional[int] = None,
 ) -> MultiSeedResult:
     """Run each strategy once per seed on seed-matched environments.
 
@@ -126,24 +96,25 @@ def run_multiseed(
     comparisons.
 
     Args:
-        strategies: strategy names (see
+        strategies: distinct strategy names (see
             :data:`repro.experiments.runner.STRATEGY_NAMES`).
         settings: base settings; each run replaces only ``seed``.
         iid: partition regime.
         seeds: master seeds.
-        campaign_dir: when set, execute through the crash-recoverable
-            campaign orchestrator in this directory — parallel worker
-            processes, checkpointing, and ``resume`` support — with
-            bitwise-identical histories.
-        resume: (campaign mode) continue an interrupted campaign
-            instead of starting over.
-        pool_workers: (campaign mode) worker-process count override.
 
     Returns:
         The assembled :class:`MultiSeedResult`.
+
+    Raises:
+        ConfigurationError: for no strategies, no seeds, or a strategy
+            named twice (its runs would share one per-seed list).
     """
     if not strategies:
         raise ConfigurationError("need at least one strategy")
+    if len(set(strategies)) != len(strategies):
+        raise ConfigurationError(
+            f"strategies must be distinct, got {tuple(strategies)}"
+        )
     if not seeds:
         raise ConfigurationError("need at least one seed")
     settings = settings or ExperimentSettings()
@@ -152,11 +123,6 @@ def run_multiseed(
         seeds=tuple(int(s) for s in seeds),
         histories={strategy: [] for strategy in strategies},
     )
-    if campaign_dir is not None:
-        _fill_from_campaign(
-            result, settings, campaign_dir, resume, pool_workers
-        )
-        return result
     for seed in result.seeds:
         seeded = replace(settings, seed=seed)
         environment = build_environment(seeded, iid=iid)

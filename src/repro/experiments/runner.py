@@ -37,7 +37,6 @@ __all__ = [
     "build_environment",
     "build_trainer",
     "run_strategy",
-    "run_traced",
 ]
 
 STRATEGY_NAMES = (
@@ -255,52 +254,3 @@ def run_strategy(
             faults=faults,
         ).run()
 
-
-def run_traced(
-    name: str,
-    settings: ExperimentSettings,
-    iid: bool,
-    trace_path: str,
-    **kwargs,
-):
-    """Run one scheme with tracing on and return its analytics too.
-
-    Convenience wrapper over :func:`run_strategy` for the common
-    "train, then immediately analyze" flow: the run streams its events
-    to ``trace_path`` (``.jsonl`` or ``.jsonl.gz``), and the trace is
-    read back through :mod:`repro.obs.analysis` once the run finishes
-    — so the returned stats are derived from the same artifact any
-    later ``python -m repro.obs.report`` invocation would see.
-
-    Args:
-        name: one of :data:`STRATEGY_NAMES` (except ``sl``, whose loop
-            is not instrumented).
-        settings: experiment settings.
-        iid: partition regime.
-        trace_path: where the JSONL trace is written.
-        **kwargs: forwarded to :func:`run_strategy` (``backend``,
-            ``faults``, ...); ``observer`` is owned here and may not
-            be supplied.
-
-    Returns:
-        ``(history, stats)`` — the
-        :class:`~repro.fl.history.TrainingHistory` and the
-        :class:`~repro.obs.analysis.RunStats` computed from the trace.
-    """
-    from repro.obs.analysis import compute_run_stats, load_trace, split_runs
-
-    if "observer" in kwargs:
-        raise ConfigurationError(
-            "run_traced builds its own observer; pass run_strategy an "
-            "observer directly instead"
-        )
-    observer = RunObserver.to_path(trace_path)
-    try:
-        history = run_strategy(
-            name, settings, iid, observer=observer, **kwargs
-        )
-    finally:
-        observer.close()
-    segments = split_runs(load_trace(trace_path).events)
-    stats = compute_run_stats(segments[-1], source=str(trace_path))
-    return history, stats

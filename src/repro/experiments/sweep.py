@@ -6,11 +6,9 @@ strategy at every grid point, and collect a tidy results table. Used
 for exploratory studies ("how does the eta/fraction plane look?")
 without writing a new runner each time.
 
-Passing ``campaign_dir`` routes the grid through the crash-recoverable
-campaign orchestrator (:mod:`repro.campaign`): every grid point
-becomes one checkpointed campaign run, a killed sweep resumes with
-``resume=True``, and the assembled :class:`SweepResult` is bitwise
-identical to the in-process path.
+A sweep runs in-process. A crash-safe sweep is a
+:class:`~repro.campaign.CampaignSpec` with one ``overrides`` entry per
+grid point, run by ``python -m repro campaign run``.
 """
 
 from __future__ import annotations
@@ -93,54 +91,16 @@ _ENVIRONMENT_FREE_FIELDS = frozenset(
 )
 
 
-def _campaign_histories(
-    grid_points: List[Dict[str, object]],
-    strategy: str,
-    base: ExperimentSettings,
-    iid: bool,
-    campaign_dir: str,
-    resume: bool,
-    pool_workers: Optional[int],
-) -> List[TrainingHistory]:
-    """Execute the grid through the campaign pool, one run per point."""
-    from repro.campaign.pool import run_campaign_histories
-    from repro.campaign.spec import CampaignSpec, settings_to_overrides
-
-    base_diff = settings_to_overrides(base)
-    variants = []
-    for overrides in grid_points:
-        merged = dict(base_diff)
-        for name, value in overrides.items():
-            merged[name] = list(value) if isinstance(value, tuple) else value
-        variants.append({"settings": merged})
-    spec = CampaignSpec(
-        name="sweep",
-        profile="default",
-        iid=iid,
-        seeds=(int(base.seed),),
-        strategies=(strategy,),
-        overrides=tuple(variants),
-    )
-    # One seed, one strategy: the runs expand in grid order.
-    return [
-        history
-        for _, history in run_campaign_histories(
-            spec, campaign_dir, resume, pool_workers
-        )
-    ]
-
-
 def run_sweep(
     grid: Mapping[str, Iterable],
     strategy: str = "helcfl",
     base: Optional[ExperimentSettings] = None,
     iid: bool = True,
-    reuse_environment: bool = True,
-    campaign_dir: Optional[str] = None,
-    resume: bool = False,
-    pool_workers: Optional[int] = None,
 ) -> SweepResult:
     """Run ``strategy`` at every point of a settings grid.
+
+    The environment (data, partition, fleet) is built once when every
+    swept field is known not to reach it, and per point otherwise.
 
     Args:
         grid: mapping from :class:`ExperimentSettings` field names to
@@ -148,24 +108,12 @@ def run_sweep(
         strategy: the scheme to run at every point.
         base: base settings (quick profile recommended).
         iid: partition regime.
-        reuse_environment: when True and every swept field is known
-            not to affect the environment (data, partition, fleet),
-            build it once. Any other field forces a rebuild per point.
-        campaign_dir: when set, execute through the crash-recoverable
-            campaign orchestrator in this directory — one checkpointed
-            worker-process run per grid point, with ``resume`` support
-            and bitwise-identical histories.
-        resume: (campaign mode) continue an interrupted sweep instead
-            of starting over.
-        pool_workers: (campaign mode) worker-process count override.
 
     Returns:
         The assembled :class:`SweepResult` in grid order.
 
     Raises:
-        ConfigurationError: for an empty grid, unknown field names, or
-            a campaign-routed sweep over ``seed`` (use
-            :func:`repro.experiments.multiseed.run_multiseed`).
+        ConfigurationError: for an empty grid or unknown field names.
     """
     if not grid:
         raise ConfigurationError("grid must name at least one field")
@@ -177,43 +125,23 @@ def run_sweep(
                 f"unknown settings field {name!r}; valid fields: "
                 f"{sorted(valid_fields)}"
             )
-    if campaign_dir is not None and "seed" in grid:
-        raise ConfigurationError(
-            "a campaign-routed sweep cannot sweep 'seed' (seeds are "
-            "a campaign matrix axis); use run_multiseed instead"
-        )
     names = list(grid)
-    grid_points = [
-        dict(zip(names, combination))
-        for combination in itertools.product(*(list(grid[n]) for n in names))
-    ]
-    if campaign_dir is not None:
-        histories = _campaign_histories(
-            grid_points,
-            strategy,
-            base,
-            iid,
-            campaign_dir,
-            resume,
-            pool_workers,
+    shared_environment = None
+    if set(names) <= _ENVIRONMENT_FREE_FIELDS:
+        shared_environment = build_environment(base, iid=iid)
+    points = []
+    for combination in itertools.product(*(list(grid[n]) for n in names)):
+        overrides = dict(zip(names, combination))
+        settings = replace(base, **overrides)
+        environment = shared_environment or build_environment(
+            settings, iid=iid
         )
-    else:
-        shared_environment = None
-        if reuse_environment and set(grid) <= _ENVIRONMENT_FREE_FIELDS:
-            shared_environment = build_environment(base, iid=iid)
-        histories = []
-        for overrides in grid_points:
-            settings = replace(base, **overrides)
-            environment = shared_environment or build_environment(
-                settings, iid=iid
+        history = run_strategy(
+            strategy, settings, iid=iid, environment=environment
+        )
+        points.append(
+            SweepPoint(
+                overrides=tuple(sorted(overrides.items())), history=history
             )
-            histories.append(
-                run_strategy(
-                    strategy, settings, iid=iid, environment=environment
-                )
-            )
-    points = [
-        SweepPoint(overrides=tuple(sorted(overrides.items())), history=history)
-        for overrides, history in zip(grid_points, histories)
-    ]
+        )
     return SweepResult(strategy=strategy, iid=iid, points=points)

@@ -60,6 +60,12 @@ class FederatedServer:
     ) -> None:
         """FedAvg-integrate client updates into the global model (Eq. 18).
 
+        :class:`~repro.fl.trainer.FederatedTrainer` does not call this:
+        it folds each trained block into a
+        :class:`~repro.fl.aggregation.FedAvgAccumulator` instead. The
+        method stays because ``bench_layers`` instruments it as its
+        ``fl.server.aggregate`` stage.
+
         Args:
             updates: one flat parameter vector per client.
             weights: the matching ``|D_q|`` weights.

@@ -23,9 +23,10 @@ Typical use::
 
 From the CLI the same is ``python -m repro run helcfl --trace
 run.jsonl``; validate a trace with ``python -m repro.obs.validate
-run.jsonl``. Analyze a finished trace with ``python -m
-repro.obs.report run.jsonl`` (or diff two runs with ``--compare``);
-the underlying analytics live in :mod:`repro.obs.analysis`.
+run.jsonl``. Analyze a finished trace with ``python -m repro
+trace-report run.jsonl`` (or diff two runs with ``python -m repro
+trace-compare``); the underlying analytics live in
+:mod:`repro.obs.analysis`.
 """
 
 from repro.obs.analysis import (

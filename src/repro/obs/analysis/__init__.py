@@ -21,8 +21,8 @@ this subpackage is the half that *reads* those traces:
 
 Everything here is a pure function of the trace — no wall clock, no
 randomness — so a report is byte-identical across execution backends
-and repeat invocations. Entry points: ``python -m repro.obs.report``
-and the ``repro trace-report`` / ``repro trace-compare`` CLI commands.
+and repeat invocations. Entry points: the ``python -m repro
+trace-report`` / ``trace-compare`` CLI commands.
 """
 
 from repro.obs.analysis.compare import (

@@ -1,11 +1,9 @@
-"""Command-line trace analytics: ``python -m repro.obs.report``.
+"""Command-line trace analytics behind two ``python -m repro`` commands:
 
-Two modes:
-
-* ``python -m repro.obs.report TRACE`` — render one run's analytics
-  (terminal table, markdown, or JSON snapshot);
-* ``python -m repro.obs.report --compare BASE OTHER`` — diff two runs
-  and exit non-zero on regression, for CI gates.
+* ``python -m repro trace-report TRACE`` — render one run's analytics
+  (terminal table, markdown, JSON snapshot, or Chrome trace);
+* ``python -m repro trace-compare BASE OTHER`` — diff two runs and
+  exit non-zero on regression, for CI gates.
 
 Inputs may be JSONL traces (``.jsonl`` / ``.jsonl.gz``) or analytics
 snapshots previously written with ``--format json`` — the two are told
@@ -13,7 +11,7 @@ apart by the snapshot's ``schema`` marker, so a nightly job can
 compare a fresh trace against a committed baseline snapshot.
 
 Exit codes: 0 success / no regression, 1 regression found by
-``--compare``, 2 unreadable or invalid input.
+``trace-compare``, 2 unreadable or invalid input.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import Optional
 
 from repro import wire
 from repro.errors import ConfigurationError, SerializationError
@@ -46,11 +44,9 @@ __all__ = [
     "add_flags",
     "add_threshold_flags",
     "thresholds_from",
-    "build_parser",
     "load_stats",
     "load_run_events",
     "run",
-    "main",
 ]
 
 OUTPUT_FORMATS = REPORT_FORMATS + ("chrome-trace",)
@@ -181,10 +177,9 @@ def add_flags(
 ) -> None:
     """Declare the trace-analytics flags on ``parser``.
 
-    The one declaration behind ``python -m repro.obs.report`` (both
-    modes) and the ``repro trace-report`` (``compare=False``) /
-    ``repro trace-compare`` (``report=False``) subcommands; :func:`run`
-    takes the namespace any of them parses.
+    The one declaration behind the ``repro trace-report``
+    (``compare=False``) and ``repro trace-compare`` (``report=False``)
+    subcommands; :func:`run` takes the namespace either parses.
     """
     parser.add_argument(
         "--output",
@@ -219,34 +214,6 @@ def add_flags(
         )
     if compare:
         add_threshold_flags(parser)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro.obs.report`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.report",
-        description=(
-            "Analyze a JSONL run trace: render per-round / per-device "
-            "analytics, or compare two runs and fail on regression."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="+",
-        metavar="PATH",
-        help=(
-            "one trace (report mode) or, with --compare, BASE and "
-            "OTHER; traces may be .jsonl, .jsonl.gz, or analytics "
-            "snapshot JSON"
-        ),
-    )
-    parser.add_argument(
-        "--compare",
-        action="store_true",
-        help="diff two inputs (BASE OTHER) instead of reporting one",
-    )
-    add_flags(parser)
-    return parser
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -305,24 +272,3 @@ def run(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.compare:
-        if len(args.paths) != 2:
-            parser.error("--compare takes exactly two inputs: BASE OTHER")
-    elif len(args.paths) != 1:
-        parser.error(
-            "report mode takes exactly one input (use --compare for two)"
-        )
-    return run(args)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
-    try:
-        sys.exit(main())
-    except BrokenPipeError:
-        # Downstream pager/head closed the pipe; not an analysis error.
-        sys.exit(0)

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.campaign import CampaignSpec
-from repro.campaign.runner import execute_run
+from repro.campaign import (
+    STATUS_DONE,
+    CampaignManifest,
+    CampaignPool,
+    CampaignSpec,
+)
+from repro.campaign.runner import HISTORY_FILE, execute_run
 from repro.campaign.spec import RunSpec
+from repro.fl.history import TrainingHistory
 
 # Small enough that a full run takes well under a second, large enough
 # that selection/DVFS/eval all exercise their real code paths.
@@ -57,6 +65,22 @@ def tiny_campaign(
     )
     defaults.update(spec_kwargs)
     return CampaignSpec(**defaults)
+
+
+def campaign_histories(root: str, spec: CampaignSpec, resume: bool = False):
+    """Run ``spec`` in ``root`` on one worker; ``{run_id: history JSON}``.
+
+    The mapping is in expansion order, and every run must end ``done``.
+    """
+    manifest = CampaignManifest.create(root, spec)
+    statuses = CampaignPool(manifest, pool_workers=1).run(resume=resume)
+    assert set(statuses.values()) == {STATUS_DONE}
+    return {
+        run.run_id: TrainingHistory.load(
+            os.path.join(manifest.run_dir(run.run_id), HISTORY_FILE)
+        ).to_json()
+        for run in manifest.runs
+    }
 
 
 @pytest.fixture(scope="session")

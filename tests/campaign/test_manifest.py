@@ -11,6 +11,7 @@ from repro.campaign import (
     STATUS_RUNNING,
     CampaignManifest,
 )
+from repro.campaign.watch import snapshot_campaign
 from repro.wire import write_atomic
 from repro.errors import ConfigurationError, SerializationError
 from tests.campaign.conftest import tiny_campaign
@@ -58,7 +59,20 @@ class TestStatuses:
         assert status.detail == "gave up"
 
     def test_statuses_in_expansion_order(self, manifest):
-        assert list(manifest.statuses()) == [r.run_id for r in manifest.runs]
+        # `campaign status` lists runs in expansion order, whatever
+        # order their status files were written in.
+        manifest.write_status("s1-classic-c0-f0", STATUS_DONE, 1)
+        manifest.write_status("s0-helcfl-c0-f0", STATUS_RUNNING, 2)
+        rows = snapshot_campaign(manifest, now=0.0).runs
+        assert [row.run_id for row in rows] == [
+            r.run_id for r in manifest.runs
+        ]
+        assert [(row.status, row.attempts) for row in rows] == [
+            (STATUS_RUNNING, 2),
+            (STATUS_PENDING, 0),
+            (STATUS_PENDING, 0),
+            (STATUS_DONE, 1),
+        ]
 
     def test_unknown_status_rejected(self, manifest):
         with pytest.raises(ConfigurationError, match="unknown status"):

@@ -1,14 +1,12 @@
 """Tests for the declarative campaign spec and its expansion."""
 
-import dataclasses
 import json
 
 import pytest
 
-from repro.campaign import CampaignSpec, settings_to_overrides
+from repro.campaign import CampaignSpec
 from repro.campaign.spec import RunSpec
 from repro.errors import ConfigurationError
-from repro.experiments.settings import ExperimentSettings
 from tests.campaign.conftest import TINY_SETTINGS, tiny_campaign
 
 
@@ -152,36 +150,3 @@ class TestSerialization:
         assert spec.name == "smoke"
         assert len(spec.expand()) == 8
 
-
-class TestSettingsToOverrides:
-    def test_inverse_of_build_settings(self):
-        settings = dataclasses.replace(
-            ExperimentSettings.quick(),
-            num_users=11,
-            image_shape=(1, 6, 6),
-            seed=42,
-        )
-        overrides = settings_to_overrides(settings)
-        run = RunSpec(
-            run_id="r",
-            seed=42,
-            strategy="helcfl",
-            iid=True,
-            profile="default",
-            settings_overrides=overrides,
-        )
-        assert run.build_settings() == settings
-
-    def test_json_safe(self):
-        settings = dataclasses.replace(
-            ExperimentSettings(), image_shape=(1, 6, 6)
-        )
-        overrides = settings_to_overrides(settings)
-        assert overrides == json.loads(json.dumps(overrides))
-
-    def test_default_settings_diff_is_empty(self):
-        assert settings_to_overrides(ExperimentSettings()) == {}
-
-    def test_bad_profile(self):
-        with pytest.raises(ConfigurationError, match="profile"):
-            settings_to_overrides(ExperimentSettings(), profile="huge")

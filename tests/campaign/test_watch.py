@@ -1,4 +1,5 @@
-"""Tests for the read-only campaign monitor (``campaign watch``)."""
+"""Tests for the read-only campaign monitor (``campaign status`` and
+``campaign watch``)."""
 
 import io
 import json
@@ -14,6 +15,7 @@ from repro.campaign.manifest import (
     CampaignManifest,
 )
 from repro.campaign.watch import _bar, _fmt_duration, scan_trace_progress
+from repro.cli import main
 from tests.campaign.conftest import tiny_campaign
 
 RUN_A = "s0-helcfl-c0-f0"
@@ -152,12 +154,21 @@ class TestFormattingHelpers:
         assert _bar(0, 0, width=4) == "    "
 
 
-class TestWatchLoop:
-    def test_once_renders_single_frame_and_returns_zero(self, manifest):
-        stream = io.StringIO()
-        assert watch(manifest.root, once=True, stream=stream) == 0
-        assert "campaign tiny" in stream.getvalue()
+class TestStatusCommand:
+    def test_status_renders_single_frame_and_returns_zero(
+        self, manifest, capsys
+    ):
+        write_trace(manifest, RUN_A, rounds=2)
+        manifest.write_status(
+            RUN_A, STATUS_RUNNING, attempts=1, started_at=100.0
+        )
+        assert main(["campaign", "status", manifest.root]) == 0
+        out = capsys.readouterr().out
+        assert out.count("campaign tiny") == 1
+        assert "[########............] 2/5" in out
 
+
+class TestWatchLoop:
     def test_loop_exits_when_campaign_finishes(self, manifest):
         for spec in manifest.runs:
             manifest.write_status(spec.run_id, STATUS_DONE, attempts=1)

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.analysis.stats import bootstrap_ci, mean_std, moving_average, paired_gap
+from repro.campaign import STATUS_PENDING, CampaignManifest
 from repro.errors import ConfigurationError
 from repro.experiments.multiseed import run_multiseed
 from repro.experiments.settings import ExperimentSettings
+from tests.campaign.conftest import campaign_histories, tiny_campaign
+
+SIZE = {"num_users": 6, "rounds": 4, "train_size": 96, "test_size": 32}
 
 
 class TestStats:
@@ -106,46 +110,53 @@ class TestMultiSeed:
         with pytest.raises(ConfigurationError):
             run_multiseed(("helcfl",), seeds=())
 
+    def test_repeated_strategy_rejected(self):
+        # Both "helcfl" entries appended to one list: 4 histories for
+        # 2 seeds, so histories[s][i] no longer ran seeds[i].
+        with pytest.raises(ConfigurationError, match="distinct"):
+            run_multiseed(
+                ("helcfl", "helcfl"),
+                ExperimentSettings.quick(num_users=6, rounds=1),
+                seeds=(0, 1),
+            )
+
 
 class TestCampaignRouting:
+    """A multi-seed study run as a campaign spec (seeds x strategies)."""
+
+    STRATEGIES = ("helcfl", "classic")
+    SEEDS = (0, 1)
+
+    def spec(self):
+        return tiny_campaign(
+            seeds=self.SEEDS,
+            strategies=self.STRATEGIES,
+            overrides=({"settings": dict(SIZE)},),
+        )
+
+    def in_process(self):
+        result = run_multiseed(
+            self.STRATEGIES, ExperimentSettings.quick(**SIZE), seeds=self.SEEDS
+        )
+        return {
+            f"s{seed}-{strategy}-c0-f0": result.histories[strategy][i].to_json()
+            for i, seed in enumerate(self.SEEDS)
+            for strategy in self.STRATEGIES
+        }
+
     def test_campaign_matches_in_process_bitwise(self, tmp_path):
-        settings = ExperimentSettings.quick(
-            num_users=6, rounds=4, train_size=96, test_size=32
-        )
-        in_process = run_multiseed(
-            ("helcfl", "classic"), settings, seeds=(0, 1)
-        )
-        routed = run_multiseed(
-            ("helcfl", "classic"),
-            settings,
-            seeds=(0, 1),
-            campaign_dir=str(tmp_path / "camp"),
-        )
-        assert routed.seeds == in_process.seeds
-        for strategy in in_process.histories:
-            for a, b in zip(
-                in_process.histories[strategy], routed.histories[strategy]
-            ):
-                assert a.to_json() == b.to_json()
+        routed = campaign_histories(str(tmp_path / "camp"), self.spec())
+        assert routed == self.in_process()
+        assert list(routed) == list(self.in_process())
 
     def test_campaign_resume_is_idempotent(self, tmp_path):
-        settings = ExperimentSettings.quick(
-            num_users=6, rounds=4, train_size=96, test_size=32
-        )
-        first = run_multiseed(
-            ("helcfl",),
-            settings,
-            seeds=(0,),
-            campaign_dir=str(tmp_path / "camp"),
-        )
-        again = run_multiseed(
-            ("helcfl",),
-            settings,
-            seeds=(0,),
-            campaign_dir=str(tmp_path / "camp"),
-            resume=True,
-        )
-        assert (
-            first.histories["helcfl"][0].to_json()
-            == again.histories["helcfl"][0].to_json()
-        )
+        root = str(tmp_path / "camp")
+        first = campaign_histories(root, self.spec())
+        # Requeue one finished run: resume re-executes it from its
+        # last checkpoint and must rewrite the same history bytes.
+        rerun = "s1-helcfl-c0-f0"
+        manifest = CampaignManifest.open(root)
+        manifest.write_status(rerun, STATUS_PENDING, 1)
+        again = campaign_histories(root, self.spec(), resume=True)
+        assert manifest.read_status(rerun).attempts == 2
+        assert again == first == self.in_process()

@@ -5,8 +5,10 @@ from dataclasses import replace
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.runner import run_strategy
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.sweep import run_sweep
+from tests.campaign.conftest import campaign_histories, tiny_campaign
 
 
 @pytest.fixture(scope="module")
@@ -60,16 +62,45 @@ class TestRunSweep:
         # dirichlet_alpha reaches build_partitions, so each point needs
         # its own environment; a stale one gave identical histories.
         settings = replace(base, rounds=3, noniid_kind="dirichlet")
-        grid = {"dirichlet_alpha": (0.05, 50.0)}
-        reused = run_sweep(grid, base=settings, iid=False)
-        rebuilt = run_sweep(
-            grid, base=settings, iid=False, reuse_environment=False
+        result = run_sweep(
+            {"dirichlet_alpha": (0.05, 50.0)}, base=settings, iid=False
         )
-        assert [p.history.to_dict() for p in reused.points] == [
-            p.history.to_dict() for p in rebuilt.points
-        ]
-        sparse, dense = (p.history.total_energy for p in reused.points)
+        for point in result.points:
+            alone = run_strategy(
+                "helcfl",
+                replace(settings, **point.override_dict()),
+                iid=False,
+            )
+            assert point.history.to_json() == alone.to_json()
+        sparse, dense = (p.history.total_energy for p in result.points)
         assert sparse != dense
+
+    def test_shared_environment_matches_per_point_runs(self, base):
+        # learning_rate never reaches build_environment, so the sweep
+        # builds the environment once and reuses it at every point.
+        settings = replace(base, rounds=3)
+        result = run_sweep({"learning_rate": (0.2, 0.3)}, base=settings)
+        for point in result.points:
+            alone = run_strategy(
+                "helcfl", replace(settings, **point.override_dict()), iid=True
+            )
+            assert point.history.to_json() == alone.to_json()
+
+    def test_seed_grid_matches_per_point_runs(self, base):
+        # seed reaches build_environment, so every point builds its own.
+        settings = replace(base, rounds=3)
+        result = run_sweep({"seed": (3, 4)}, base=settings)
+        assert [p.override_dict() for p in result.points] == [
+            {"seed": 3},
+            {"seed": 4},
+        ]
+        for point in result.points:
+            alone = run_strategy(
+                "helcfl", replace(settings, **point.override_dict()), iid=True
+            )
+            assert point.history.to_json() == alone.to_json()
+        first, second = (p.history.to_json() for p in result.points)
+        assert first != second
 
     def test_unknown_field_rejected(self, base):
         with pytest.raises(ConfigurationError):
@@ -88,23 +119,27 @@ class TestRunSweep:
 
 class TestCampaignRouting:
     def test_campaign_matches_in_process_bitwise(self, tmp_path):
-        base = ExperimentSettings.quick(
-            num_users=6, rounds=4, train_size=96, test_size=32
+        # A sweep made crash-safe: one spec override per grid point, in
+        # grid order (the product in the order the fields are named).
+        size = {"num_users": 6, "rounds": 4, "train_size": 96, "test_size": 32}
+        grid = {"learning_rate": (0.2, 0.3), "local_steps": (1, 2)}
+        in_process = run_sweep(
+            grid,
+            strategy="classic",
+            base=ExperimentSettings.quick(seed=3, **size),
         )
-        grid = {"learning_rate": (0.2, 0.3)}
-        in_process = run_sweep(grid, base=base)
-        routed = run_sweep(
-            grid, base=base, campaign_dir=str(tmp_path / "camp")
+        spec = tiny_campaign(
+            seeds=(3,),
+            strategies=("classic",),
+            overrides=tuple(
+                {"settings": dict(size, learning_rate=lr, local_steps=steps)}
+                for lr in grid["learning_rate"]
+                for steps in grid["local_steps"]
+            ),
         )
-        assert len(routed.points) == len(in_process.points)
-        for a, b in zip(in_process.points, routed.points):
-            assert a.overrides == b.overrides
-            assert a.history.to_json() == b.history.to_json()
-
-    def test_campaign_route_rejects_seed_grid(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="seed"):
-            run_sweep(
-                {"seed": (0, 1)},
-                base=ExperimentSettings.quick(),
-                campaign_dir=str(tmp_path / "camp"),
-            )
+        routed = campaign_histories(str(tmp_path / "camp"), spec)
+        assert list(routed) == [f"s3-classic-c{i}-f0" for i in range(4)]
+        assert list(routed.values()) == [
+            p.history.to_json() for p in in_process.points
+        ]
+        assert len(set(routed.values())) == 4

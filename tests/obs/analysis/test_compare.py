@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.faults import StragglerFault, FaultPlan
 from repro.obs.analysis import (
@@ -10,7 +11,6 @@ from repro.obs.analysis import (
     compare_stats,
     render_comparison,
 )
-from repro.obs.report import main as report_main
 from tests.obs.analysis.conftest import run_traced_helcfl
 
 
@@ -153,7 +153,8 @@ class TestRendering:
 
 
 class TestEntrypoint:
-    """python -m repro.obs.report exit codes on real traces."""
+    """``repro trace-report`` / ``trace-compare`` exit codes on real
+    traces."""
 
     @pytest.fixture(scope="class")
     def traces(self, tmp_path_factory):
@@ -180,17 +181,17 @@ class TestEntrypoint:
 
     def test_reruns_compare_clean_even_strict(self, traces, capsys):
         base, rerun, _ = traces
-        code = report_main([str(base), str(rerun), "--compare", "--strict"])
+        code = main(["trace-compare", str(base), str(rerun), "--strict"])
         assert code == 0
         assert "RESULT: PASS" in capsys.readouterr().out
 
     def test_perturbation_past_threshold_exits_nonzero(self, traces, capsys):
         base, _, perturbed = traces
-        code = report_main(
+        code = main(
             [
+                "trace-compare",
                 str(base),
                 str(perturbed),
-                "--compare",
                 "--time-threshold",
                 "0.01",
                 "--energy-threshold",
@@ -202,7 +203,7 @@ class TestEntrypoint:
 
     def test_report_mode_exits_zero(self, traces, capsys):
         base, _, _ = traces
-        assert report_main([str(base)]) == 0
+        assert main(["trace-report", str(base)]) == 0
         assert "Run summary" in capsys.readouterr().out
 
     def test_snapshot_json_round_trips_through_compare(
@@ -211,17 +212,24 @@ class TestEntrypoint:
         base, rerun, _ = traces
         snapshot = tmp_path / "base.json"
         assert (
-            report_main(
-                [str(base), "--format", "json", "--output", str(snapshot)]
+            main(
+                [
+                    "trace-report",
+                    str(base),
+                    "--format",
+                    "json",
+                    "--output",
+                    str(snapshot),
+                ]
             )
             == 0
         )
-        code = report_main(
-            [str(snapshot), str(rerun), "--compare", "--strict"]
+        code = main(
+            ["trace-compare", str(snapshot), str(rerun), "--strict"]
         )
         assert code == 0
 
     def test_unreadable_input_exits_two(self, tmp_path, capsys):
-        code = report_main([str(tmp_path / "missing.jsonl")])
+        code = main(["trace-report", str(tmp_path / "missing.jsonl")])
         assert code == 2
         assert "error:" in capsys.readouterr().err

@@ -290,7 +290,7 @@ class TestCampaignCommands:
 
         assert main(["campaign", "status", str(campaign_dir)]) == 0
         out = capsys.readouterr().out
-        assert "1/1 run(s) done" in out
+        assert "runs: done=1  attempts=1" in out
 
         aggregate = str(campaign_dir / "aggregate.json")
         assert main(
@@ -309,16 +309,27 @@ class TestCampaignCommands:
 
         assert main(["campaign", "status", str(campaign_dir)]) == 0
         status_out = capsys.readouterr().out
+        assert "campaign cli-smoke" in status_out
         assert "attempts=1" in status_out
-        assert "elapsed=" in status_out
+        row = next(
+            line for line in status_out.splitlines()
+            if line.startswith("s0-helcfl-c0-f0")
+        )
+        assert " done " in row
+        assert "4/4" in row  # all 4 rounds complete
 
-        assert main(
-            ["campaign", "watch", str(campaign_dir), "--once"]
-        ) == 0
+        # The campaign is finished, so watch renders one frame and
+        # returns without a flag to ask for it.
+        assert main(["campaign", "watch", str(campaign_dir)]) == 0
         watch_out = capsys.readouterr().out
-        assert "campaign cli-smoke" in watch_out
-        assert "done" in watch_out
-        assert "4/4" in watch_out  # all 4 rounds complete
+        assert watch_out.count("campaign cli-smoke") == 1
+        assert row in watch_out.splitlines()
+
+    def test_watch_has_no_once_flag(self, tmp_path):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["campaign", "watch", str(tmp_path), "--once"]
+            )
 
     def test_campaign_resume_of_finished_campaign(
         self, capsys, tmp_path, spec_path
@@ -382,6 +393,19 @@ class TestBadDocumentsAreErrorLines:
         status.write_text("[1,2]")
         self.expect_error_line(
             capsys, ["campaign", "status", str(tmp_path)], status
+        )
+
+    def test_torn_status_file_under_watch(self, capsys, tmp_path):
+        from repro.campaign import CampaignManifest, CampaignSpec
+
+        manifest = CampaignManifest.create(
+            str(tmp_path), CampaignSpec(name="x")
+        )
+        status = tmp_path / "runs" / manifest.runs[0].run_id / "status.json"
+        status.parent.mkdir(parents=True)
+        status.write_text('{"status": "done", "attempts": 1')
+        self.expect_error_line(
+            capsys, ["campaign", "watch", str(tmp_path)], status
         )
 
     def test_campaign_spec_with_unknown_key(self, capsys, tmp_path):
