@@ -24,6 +24,7 @@ from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, SelectionError
 from repro.fl.strategy import SelectionStrategy
 from repro.network.tdma import simulate_tdma_round
+from repro.sequential import rank_by
 from repro.rng import (
     SeedLike,
     ensure_generator,
@@ -158,7 +159,7 @@ class FedCsSelection(SelectionStrategy):
         candidates = self._candidates(population)
         delays = population.total_delay(self.payload_bits, self.bandwidth_hz)
         ranked = candidates[
-            np.lexsort((population.device_ids[candidates], delays[candidates]))
+            rank_by(delays[candidates], population.device_ids[candidates])
         ]
         limit = ranked.shape[0]
         if self.max_users is not None:

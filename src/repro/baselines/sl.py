@@ -23,6 +23,7 @@ from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.server import FederatedServer
 from repro.nn.metrics import accuracy
 from repro.rng import SeedLike, ensure_generator
+from repro.sequential import sequential_sum
 
 __all__ = ["SeparatedLearningRunner"]
 
@@ -88,7 +89,7 @@ class SeparatedLearningRunner:
         for idx in self._eval_indices:
             preds = models[idx].predict_classes(test.inputs)
             scores.append(accuracy(preds, test.labels))
-        return float(sum(scores) / len(scores)) if scores else 0.0
+        return sequential_sum(scores) / len(scores) if scores else 0.0
 
     def run(self) -> TrainingHistory:
         """Train every user's model for ``config.rounds`` rounds."""
@@ -110,7 +111,9 @@ class SeparatedLearningRunner:
 
             # All users compute in parallel at max frequency; no uplink.
             round_delay = max(d.compute_delay() for d in self.devices)
-            round_energy = sum(d.compute_energy() for d in self.devices)
+            round_energy = sequential_sum(
+                [d.compute_energy() for d in self.devices]
+            )
             cumulative_time += round_delay
             cumulative_energy += round_energy
 
@@ -124,7 +127,9 @@ class SeparatedLearningRunner:
 
             total_samples = sum(d.num_samples for d in self.devices)
             train_loss = (
-                sum(l * d.num_samples for l, d in zip(losses, self.devices))
+                sequential_sum(
+                    [l * d.num_samples for l, d in zip(losses, self.devices)]
+                )
                 / total_samples
             )
             history.append(

@@ -26,19 +26,24 @@ With clamping, the recursion tracks the *actual* upload-finish time
 ``T_q``, so the assignment stays optimal when clamps bind.
 
 :func:`determine_frequencies_population` is the implementation: the
-O(Q) inputs of the recursion — Eq. (4) delays at ``f_max``, the sort,
-Eq. (7) upload delays — are array expressions over a
-:class:`~repro.devices.DevicePopulation`, and only the inherently
-sequential Eq. (9) prefix scan over the sorted delay chain runs as a
-scalar loop (O(N selected), not O(Q); its operation order is the
-bitwise contract with the reference in ``tests/oracles``).
-:func:`determine_frequencies` and :class:`HelcflDvfsPolicy` are
-adapters that return the same chain keyed by device id.
+O(Q) inputs of the recursion — Eq. (4) delays at ``f_max``, the sort
+(:func:`repro.sequential.rank_by`), Eq. (7) upload delays — are array
+expressions over a :class:`~repro.devices.DevicePopulation`. The
+Eq. (9) prefix scan over the sorted delay chain is sequential, and its
+operation order is the bitwise contract with the reference in
+``tests/oracles``. It takes scalar steps over plain floats where users
+finish computing at the previous upload's end. A run of users floored
+at ``f_min`` who wait for the channel is folded at once by
+:func:`repro.sequential.queued_run`: their finishes are a running sum
+of upload delays, and each user is checked with the loop's own
+division and comparisons. :func:`determine_frequencies` and
+:class:`HelcflDvfsPolicy` are adapters that return the same chain
+keyed by device id.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +51,7 @@ from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, SelectionError
 from repro.fl.strategy import FrequencyPolicy
+from repro.sequential import MIN_RUN, queued_run, rank_by, rows
 
 __all__ = [
     "determine_frequencies",
@@ -117,7 +123,7 @@ def _chain_frequencies(
     bandwidth_hz: float,
     clamp: bool,
     quantize: bool,
-) -> Tuple[np.ndarray, List[float]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm 3's chain: ``(order, frequencies)``.
 
     ``order`` lists population positions in ascending (``f_max``
@@ -125,48 +131,88 @@ def _chain_frequencies(
     is the frequency of the device at ``order[r]``.
     """
     _check_modes(clamp, quantize)
-    order = np.lexsort((population.device_ids, population.compute_delay()))
-    upload = population.upload_delay(payload_bits, bandwidth_hz)
-
-    # Scalar chain state, pulled out of numpy so every +-*/ below is a
-    # plain CPython float op in the paper's order: the Eq. (9) prefix
-    # scan is inherently sequential, and O(N selected), not O(Q). The
-    # comparisons are the ones ``max``/``min`` perform (ties and NaN
-    # keep the first argument), written inline: at N = 10^4 the builtin
-    # calls were a third of the scan.
-    staged = (
-        population.cycles, population.f_min, population.f_max, upload, population.ladder_sizes
+    order = rank_by(population.compute_delay(), population.device_ids)
+    staged = tuple(
+        column[order]
+        for column in (
+            population.cycles,
+            population.f_min,
+            population.f_max,
+            population.upload_delay(payload_bits, bandwidth_hz),
+            population.ladder_sizes,
+        )
     )
-    frequencies: List[float] = []
-    append = frequencies.append
+    all_cycles, all_low, all_high, all_uploads, all_widths = staged
+
+    def targets(finishes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Line 9 and the clamps for chain ranks ``[lo, hi)``."""
+        freq = all_cycles[lo:hi] / finishes
+        if clamp:
+            low, high = all_low[lo:hi], all_high[lo:hi]
+            freq = np.where(low > freq, low, freq)
+            freq = np.where(high < freq, high, freq)
+        return freq
+
+    def waits(finishes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """The loop's ``previous_finish > upload_start`` per rank; a
+        ladder rank is left to the loop."""
+        waited = finishes > all_cycles[lo:hi] / targets(finishes, lo, hi)
+        if quantize:
+            waited &= all_widths[lo:hi] == 0
+        return waited
+
+    # The Eq. (9) chain over plain CPython floats, in the paper's order.
+    # The comparisons are the ones ``max``/``min`` perform (ties and NaN
+    # keep the first argument), written inline: at N = 10^4 the builtin
+    # calls were a third of the scan. Once MIN_RUN users in a row have
+    # waited for the channel, ``queued_run`` folds the run: each waiting
+    # user's finish is the previous finish plus its upload, and
+    # ``targets``/``waits`` are this loop body as array operations.
+    size = order.shape[0]
+    frequencies = np.empty(size, dtype=np.float64)
     # Lines 3-4: the first user has no slack. (Clamping its f_max into
     # its own range changes nothing, so the loop treats it like the rest.)
-    freq = float(population.f_max[order[0]])
+    freq = float(all_high[0])
     previous_finish = 0.0
-    for rank, (cycles, f_low, f_high, upload_delay, width) in enumerate(
-        zip(*(column[order].tolist() for column in staged))
-    ):
-        if rank:
-            # Line 9: finish computing when the previous upload ends.
-            freq = cycles / previous_finish
-        if clamp:
-            if f_low > freq:
-                freq = f_low
-            if f_high < freq:
-                freq = f_high
-        if quantize and width:
-            row = population.ladder[order[rank], :width]
-            idx = int(np.searchsorted(row, freq - _QUANTIZE_EPS))
-            freq = float(row[idx if idx < width else width - 1])
-        append(freq)
-        # Line 8 generalized: the user's actual upload-finish time under
-        # FIFO channel queueing. Without clamping this reduces to the
-        # paper's T_q = T_q^cal + T_q^com exactly (compute lands at the
-        # previous finish, so upload_start == compute_end).
-        upload_start = cycles / freq
-        if previous_finish > upload_start:
-            upload_start = previous_finish
-        previous_finish = upload_start + upload_delay
+    rank = 0
+    while rank < size:
+        run = 0  # users in a row that waited for the channel
+        for cycles, f_low, f_high, upload_delay, width in rows(staged, rank):
+            if rank:
+                # Line 9: finish computing when the previous upload ends.
+                freq = cycles / previous_finish
+            if clamp:
+                if f_low > freq:
+                    freq = f_low
+                if f_high < freq:
+                    freq = f_high
+            if quantize and width:
+                row = population.ladder[order[rank], :width]
+                idx = int(np.searchsorted(row, freq - _QUANTIZE_EPS))
+                freq = float(row[idx if idx < width else width - 1])
+                run = -1  # ladder ranks stay in this loop
+            frequencies[rank] = freq
+            # Line 8 generalized: the user's actual upload-finish time
+            # under FIFO channel queueing. Without clamping this reduces
+            # to the paper's T_q = T_q^cal + T_q^com exactly (compute
+            # lands at the previous finish, so upload_start ==
+            # compute_end).
+            upload_start = cycles / freq
+            if previous_finish > upload_start:
+                upload_start = previous_finish
+                run += 1
+            else:
+                run = 0
+            previous_finish = upload_start + upload_delay
+            rank += 1
+            if run == MIN_RUN and rank < size:
+                finishes, previous_finish = queued_run(
+                    previous_finish, all_uploads, rank, waits
+                )
+                stop = rank + finishes.shape[0]
+                frequencies[rank:stop] = targets(finishes, rank, stop)
+                rank = stop
+                break
     return order, frequencies
 
 
@@ -186,7 +232,7 @@ def _chain_frequencies_by_id(
     order, frequencies = _chain_frequencies(
         population, payload_bits, bandwidth_hz, clamp, quantize
     )
-    return dict(zip(population.device_ids[order].tolist(), frequencies))
+    return dict(zip(population.device_ids[order].tolist(), frequencies.tolist()))
 
 
 def determine_frequencies_population(
@@ -200,7 +246,8 @@ def determine_frequencies_population(
 
     Eq. (4) delays, the (delay, id) sort, and Eq. (7) upload delays are
     array expressions; the Eq. (9) finish-time recursion walks the
-    sorted chain as scalar float ops in the paper's order.
+    sorted chain as float ops in the paper's order, folding runs of
+    users who wait for the channel (see the module docstring).
 
     Args:
         population: the selected set ``Gamma_j`` as a population slice

@@ -23,6 +23,7 @@ from repro.core.utility import utility_scores
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.fl.strategy import SelectionStrategy, selection_count
+from repro.sequential import rank_by
 
 __all__ = ["GreedyDecaySelection", "top_utility_positions"]
 
@@ -55,7 +56,7 @@ def top_utility_positions(
             f"cannot rank a NaN utility (position {int(np.isnan(scores).argmax())})"
         )
     if count == size:
-        return np.lexsort((device_ids, -scores))
+        return rank_by(-scores, device_ids)
     # The count-th largest value bounds the winners: everything
     # strictly above it is in, the remaining slots go to the smallest
     # ids among the entries equal to it.
@@ -68,8 +69,7 @@ def top_utility_positions(
         chosen = np.concatenate((above, ties))
     else:
         chosen = above
-    order = np.lexsort((device_ids[chosen], -scores[chosen]))
-    return chosen[order]
+    return chosen[rank_by(-scores[chosen], device_ids[chosen])]
 
 
 class GreedyDecaySelection(SelectionStrategy):

@@ -16,6 +16,7 @@ from repro import wire
 from repro.errors import SerializationError, TrainingError
 from repro.network.tdma import RoundTimeline
 from repro.obs.metrics import MetricsRegistry
+from repro.sequential import sequential_sum
 
 __all__ = ["DeviceEnergy", "EnergyLedger"]
 
@@ -249,22 +250,22 @@ class EnergyLedger:
             raise SerializationError("malformed energy-ledger state: a device id is listed twice")
         self._set_columns(rounds_recorded, *columns)
 
-    # Python's ``sum`` over rows in first-appearance order, not
-    # ``ndarray.sum``: pairwise summation would change the last digits.
+    # Left-to-right totals over rows in first-appearance order, as the
+    # object ledger summed its devices.
     @property
     def total_joules(self) -> float:
         """Total energy across every device."""
-        return sum((self.compute_joules + self.upload_joules).tolist())
+        return sequential_sum(self.compute_joules + self.upload_joules)
 
     @property
     def total_compute_joules(self) -> float:
         """Total compute energy across every device."""
-        return sum(self.compute_joules.tolist())
+        return sequential_sum(self.compute_joules)
 
     @property
     def total_upload_joules(self) -> float:
         """Total upload energy across every device."""
-        return sum(self.upload_joules.tolist())
+        return sequential_sum(self.upload_joules)
 
     def heaviest_devices(self, count: int = 5) -> list:
         """The ``count`` devices with the highest total energy."""
@@ -284,7 +285,7 @@ class EnergyLedger:
         n = len(values)
         if n < 2:
             return 0.0
-        total = sum(values)
+        total = sequential_sum(values)
         if total == 0:
             return 0.0
         cumulative = 0.0

@@ -34,6 +34,7 @@ import numpy as np
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.fl.strategy import SelectionStrategy, selection_count
+from repro.sequential import rank_by
 from repro.rng import (
     SeedLike,
     ensure_generator,
@@ -202,7 +203,7 @@ class OortSelection(SelectionStrategy):
             pool = np.ones(len(population), dtype=bool)
             pool[chosen] = False
             candidates = np.flatnonzero(pool)
-            order = np.lexsort((ids[candidates], -scores[candidates]))
+            order = rank_by(-scores[candidates], ids[candidates])
             chosen = np.concatenate((chosen, candidates[order[:remaining]]))
 
         self.ever_selected.update(ids[chosen].tolist())

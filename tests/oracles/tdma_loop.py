@@ -22,6 +22,7 @@ from repro.network.tdma import (
     RoundTimeline,
     UserTimeline,
 )
+from tests.oracles import left_fold
 
 Staged = Tuple[
     List[int], List[float], List[float], List[float], List[float], List[float]
@@ -329,13 +330,13 @@ def event_loop(
     else:
         round_delay = max(e.upload_end for e in entries)
 
-    total_compute = sum(e.compute_energy for e in entries)
-    total_upload = sum(e.upload_energy for e in entries)
+    total_compute = left_fold(e.compute_energy for e in entries)
+    total_upload = left_fold(e.upload_energy for e in entries)
     return LoopTimeline(
         users=tuple(entries),
         round_delay=round_delay,
         total_energy=total_compute + total_upload,
         total_compute_energy=total_compute,
         total_upload_energy=total_upload,
-        total_slack=sum(e.slack for e in entries),
+        total_slack=left_fold(e.slack for e in entries),
     )
