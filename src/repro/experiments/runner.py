@@ -7,7 +7,11 @@ the settings so every strategy sees the *identical* data, partition,
 and hardware population.
 
 :func:`run_strategy` then runs one named scheme to completion and
-returns its :class:`~repro.fl.history.TrainingHistory`.
+returns its :class:`~repro.fl.history.TrainingHistory`: a
+:class:`~repro.fl.trainer.FederatedTrainer` for every federated scheme,
+and for ``sl`` the thin :class:`~repro.baselines.sl.SeparatedLearningRunner`
+loop, which trains through the same
+:func:`~repro.fl.client.train_clients` but has no server round.
 """
 
 from __future__ import annotations
@@ -126,8 +130,8 @@ def build_trainer(
     runner (:mod:`repro.campaign`): a fresh server/model (seeded from
     the settings, so every strategy starts identically) plus the
     scheme's selection strategy and frequency policy, wired against
-    ``environment``'s fleet. The ``sl`` baseline has its own loop and
-    is not constructible here.
+    ``environment``'s fleet. The ``sl`` baseline has no federated round
+    (see :func:`run_strategy`) and is not constructible here.
 
     Args:
         name: one of :data:`STRATEGY_NAMES` except ``sl``.
@@ -206,16 +210,16 @@ def run_strategy(
             :data:`~repro.fl.execution.BACKEND_NAMES`; a name is
             instantiated here and closed when the run finishes.
             ``None`` runs serial. Ignored by the ``sl`` baseline,
-            which has its own loop.
+            which trains every user in the calling thread.
         workers: pool size when ``backend`` is given by name.
         observer: optional :class:`repro.obs.RunObserver` receiving
             the run's trace events and stage timers (caller owns the
             sink's lifetime). Ignored by the ``sl`` baseline, whose
-            loop is not instrumented.
+            round loop is not instrumented.
         faults: optional :class:`repro.faults.FaultPlan` (or
             pre-built :class:`repro.faults.FaultInjector`) injected
-            into the run. Rejected for the ``sl`` baseline, whose loop
-            has no round lifecycle to degrade.
+            into the run. Rejected for the ``sl`` baseline, which has
+            no selection, upload or aggregation to degrade.
 
     Returns:
         The run's :class:`~repro.fl.history.TrainingHistory`, labelled

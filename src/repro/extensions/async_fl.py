@@ -28,9 +28,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.devices.device import UserDevice
 from repro.errors import ConfigurationError, TrainingError
-from repro.fl.client import LocalTrainer
+from repro.fl.client import LocalUpdateSpec, train_clients
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.server import FederatedServer
 
@@ -120,7 +122,7 @@ class SemiAsyncTrainer:
         self.devices = list(devices)
         self.config = config or SemiAsyncConfig()
         self.label = label
-        self.local_trainer = LocalTrainer(
+        self._spec = LocalUpdateSpec(
             learning_rate=self.config.learning_rate,
             local_steps=self.config.local_steps,
         )
@@ -146,6 +148,7 @@ class SemiAsyncTrainer:
             finish = device.compute_delay()
             heapq.heappush(events, (finish, next(counter), index, 0))
 
+        trained = np.empty((1, self.server.model.parameter_count))
         channel_free_at = 0.0
         server_version = 0
         previous_aggregation_time = 0.0
@@ -165,14 +168,22 @@ class SemiAsyncTrainer:
             # (The parameters it pulled are approximated by the current
             # global model just before mixing; staleness still drives
             # the weight, which is the dominant effect.)
-            self._scratch.set_flat_params(self.server.broadcast())
-            train_loss = self.local_trainer.train(self._scratch, device.dataset)
+            current = self.server.broadcast()
+            train_loss = float(
+                train_clients(
+                    self._scratch,
+                    self._spec,
+                    server_version + 1,
+                    config.learning_rate,
+                    current,
+                    [device],
+                    trained,
+                )[0]
+            )
 
             staleness = server_version - pulled_version
             weight = config.staleness_weight(staleness)
-            mixed = (1.0 - weight) * self.server.model.get_flat_params() + (
-                weight * self._scratch.get_flat_params()
-            )
+            mixed = (1.0 - weight) * current + weight * trained[0]
             self.server.model.set_flat_params(mixed)
             server_version += 1
 

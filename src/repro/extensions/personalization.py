@@ -17,19 +17,26 @@ consistently positive in the mean.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.dataset import train_test_split
+from repro.data.dataset import ArrayDataset, train_test_split
 from repro.devices.device import UserDevice
 from repro.errors import ConfigurationError, TrainingError
-from repro.fl.client import LocalTrainer
+from repro.fl.client import LocalUpdateSpec, train_clients
 from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
 from repro.rng import SeedLike, derive_seed
 
 __all__ = ["PersonalizationReport", "evaluate_personalization"]
+
+
+class _Split(NamedTuple):
+    """A user's adaptation split, in the shape ``train_clients`` takes."""
+
+    device_id: int
+    dataset: ArrayDataset
 
 
 @dataclass(frozen=True)
@@ -119,15 +126,8 @@ def evaluate_personalization(
     if max_users is not None:
         chosen = chosen[:max_users]
 
-    trainer = LocalTrainer(
-        learning_rate=learning_rate, local_steps=fine_tune_steps
-    )
-    global_params = global_model.get_flat_params().copy()
-    scratch = global_model.clone()
-
-    global_scores: List[float] = []
-    personal_scores: List[float] = []
-    ids: List[int] = []
+    users: List[_Split] = []
+    held_out: List[ArrayDataset] = []
     for device in chosen:
         if device.num_samples < 4:
             continue
@@ -136,24 +136,37 @@ def evaluate_personalization(
             test_fraction=holdout_fraction,
             seed=derive_seed(seed, "personalize", str(device.device_id)),
         )
-        scratch.set_flat_params(global_params)
-        before = accuracy(
-            scratch.predict_classes(held.inputs), held.labels
-        )
-        trainer.train(scratch, adapt)
-        after = accuracy(
-            scratch.predict_classes(held.inputs), held.labels
-        )
-        global_scores.append(before)
-        personal_scores.append(after)
-        ids.append(device.device_id)
-
-    if not ids:
+        users.append(_Split(device.device_id, adapt))
+        held_out.append(held)
+    if not users:
         raise TrainingError(
             "no user had enough local data to split for personalization"
         )
+
+    tuned = np.empty((len(users), global_model.parameter_count))
+    train_clients(
+        global_model.clone(),
+        LocalUpdateSpec(learning_rate=learning_rate, local_steps=fine_tune_steps),
+        1,
+        learning_rate,
+        global_model.get_flat_params(),
+        users,
+        tuned,
+    )
+    # Scored with the global model's buffers (BatchNorm statistics),
+    # whatever the fine-tuning passes did to the training copy's.
+    evaluator = global_model.clone()
+    personal_scores = []
+    for row, held in zip(tuned, held_out):
+        evaluator.set_flat_params(row)
+        personal_scores.append(
+            accuracy(evaluator.predict_classes(held.inputs), held.labels)
+        )
     return PersonalizationReport(
-        global_accuracies=tuple(global_scores),
+        global_accuracies=tuple(
+            accuracy(global_model.predict_classes(held.inputs), held.labels)
+            for held in held_out
+        ),
         personalized_accuracies=tuple(personal_scores),
-        device_ids=tuple(ids),
+        device_ids=tuple(user.device_id for user in users),
     )

@@ -16,10 +16,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
-from repro.errors import ConfigurationError, TrainingError
+from repro.errors import ConfigurationError, ShapeError, TrainingError
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
-from repro.nn.optimizers import Sgd
 from repro.nn.stacked import is_stackable, stacked_local_update
 from repro.rng import SeedLike, derive_seed, ensure_generator
 
@@ -28,6 +27,9 @@ __all__ = ["LocalTrainer", "LocalUpdateSpec", "RowSink", "train_clients"]
 # Working-set budget of one stacked pass (a typical L2): shards plus
 # result rows of the clients trained together.
 _BLOCK_BYTES = 4 << 20
+
+# Eq. 3's loss; stateless, so one instance serves every client.
+_LOSS = SoftmaxCrossEntropy()
 
 
 class LocalTrainer:
@@ -38,11 +40,6 @@ class LocalTrainer:
         local_steps: gradient steps per round (paper: 1).
         batch_size: mini-batch size; ``None`` (paper setting) uses the
             full local dataset every step, i.e. exact Eq. (3).
-        loss: loss object exposing ``loss_and_grad``; defaults to
-            softmax cross-entropy.
-        max_grad_norm: optional global-norm gradient clipping applied
-            before each update (stabilizes training on pathological
-            non-IID shards); ``None`` (paper setting) disables it.
         seed: seed for mini-batch sampling (unused in full-batch mode).
     """
 
@@ -51,8 +48,6 @@ class LocalTrainer:
         learning_rate: float = 0.1,
         local_steps: int = 1,
         batch_size: Optional[int] = None,
-        loss=None,
-        max_grad_norm: Optional[float] = None,
         seed: SeedLike = None,
     ) -> None:
         if learning_rate <= 0:
@@ -67,15 +62,9 @@ class LocalTrainer:
             raise ConfigurationError(
                 f"batch_size must be positive when given, got {batch_size}"
             )
-        if max_grad_norm is not None and max_grad_norm <= 0:
-            raise ConfigurationError(
-                f"max_grad_norm must be positive when given, got {max_grad_norm}"
-            )
         self.learning_rate = float(learning_rate)
         self.local_steps = int(local_steps)
         self.batch_size = batch_size
-        self.loss = loss if loss is not None else SoftmaxCrossEntropy()
-        self.max_grad_norm = max_grad_norm
         self._seed = seed
         self._generator: Optional[np.random.Generator] = None
 
@@ -90,21 +79,6 @@ class LocalTrainer:
         if self._generator is None:
             self._generator = ensure_generator(self._seed)
         return self._generator
-
-    def _clip_gradients(self, model: Sequential) -> None:
-        """Scale all gradient buffers so their global norm fits."""
-        if self.max_grad_norm is None:
-            return
-        total = 0.0
-        for layer in model.layers:
-            for grad in layer.grads.values():
-                total += float((grad**2).sum())
-        norm = total**0.5
-        if norm > self.max_grad_norm and norm > 0:
-            scale = self.max_grad_norm / norm
-            for layer in model.layers:
-                for grad in layer.grads.values():
-                    grad *= scale
 
     def train(self, model: Sequential, dataset: ArrayDataset) -> float:
         """Update ``model`` in place on ``dataset``; return the last loss.
@@ -123,11 +97,6 @@ class LocalTrainer:
         """
         if len(dataset) == 0:
             raise TrainingError("cannot run a local update on an empty dataset")
-        # Without clipping the update is plain p -= lr * g, so the fused
-        # in-place Sequential.sgd_step (bitwise identical to Sgd.step
-        # with zero weight decay) skips the optimizer object entirely.
-        fused = self.max_grad_norm is None
-        optimizer = None if fused else Sgd(self.learning_rate)
         last_loss = 0.0
         for _ in range(self.local_steps):
             if self.batch_size is None:
@@ -137,14 +106,12 @@ class LocalTrainer:
                 batch = self._rng.choice(len(dataset), size=take, replace=False)
                 inputs, labels = dataset.inputs[batch], dataset.labels[batch]
             outputs = model.forward(inputs, training=True)
-            last_loss, grad = self.loss.loss_and_grad(outputs, labels)
+            last_loss, grad = _LOSS.loss_and_grad(outputs, labels)
             # Nothing reads the gradient w.r.t. the local data.
             model.backward(grad, input_grad=False)
-            if fused:
-                model.sgd_step(self.learning_rate)
-            else:
-                self._clip_gradients(model)
-                optimizer.step(model)
+            # p -= lr * g in place, bitwise identical to Sgd.step with
+            # zero weight decay.
+            model.sgd_step(self.learning_rate)
         return float(last_loss)
 
 
@@ -160,7 +127,6 @@ class LocalUpdateSpec:
     learning_rate: float = 0.1
     local_steps: int = 1
     batch_size: Optional[int] = None
-    max_grad_norm: Optional[float] = None
     seed: int = 0
 
     def make_trainer(
@@ -171,7 +137,6 @@ class LocalUpdateSpec:
             learning_rate=learning_rate,
             local_steps=self.local_steps,
             batch_size=self.batch_size,
-            max_grad_norm=self.max_grad_norm,
             seed=derive_seed(
                 self.seed, "minibatch", str(round_index), str(device_id)
             ),
@@ -204,39 +169,44 @@ def train_clients(
     spec: LocalUpdateSpec,
     round_index: int,
     learning_rate: float,
-    global_params: np.ndarray,
+    start_params: np.ndarray,
     devices: Sequence,
     out,
 ) -> np.ndarray:
     """Run the local update (Eq. 3) of every device in ``devices``.
 
-    The one training primitive every execution backend calls, for a
-    whole selection or for one chunk of it. Each client starts from
-    ``global_params``; rows do not depend on which other clients share
-    the call, so any chunking of a selection yields the same bytes.
+    The one training primitive: every execution backend calls it for a
+    whole selection or for one chunk of it, and separated learning, the
+    semi-asynchronous trainer and personalization call it directly.
+    Client ``i`` starts from ``start_params`` — the broadcast vector
+    shared by all, or row ``i`` of a per-client start matrix. Rows do
+    not depend on which other clients share the call, so any chunking
+    of a selection yields the same bytes.
 
     Clients are trained in consecutive blocks, each handed to ``out``
-    once done. In a block, full-batch, unclipped updates of a Dense/ReLU
-    model are trained together by
-    :func:`repro.nn.stacked.stacked_local_update`, grouped by shard
-    size. Everything else — conv models (one client per block),
-    mini-batching, clipping, and shards that are not plain C-contiguous
-    float64 matrices of the model's input width — goes one client at a
-    time through :meth:`LocalTrainer.train`, whose result the stacked
-    kernel reproduces bit for bit.
+    once done. In a block, full-batch updates of a Dense/ReLU model are
+    trained together by :func:`repro.nn.stacked.stacked_local_update`,
+    grouped by shard size. Everything else — conv models (one client
+    per block), mini-batching, and shards that are not plain
+    C-contiguous float64 matrices of the model's input width — goes one
+    client at a time through :meth:`LocalTrainer.train`, whose result
+    the stacked kernel reproduces bit for bit.
 
     Args:
         scratch: a model of the trained architecture; its parameters
             are overwritten.
         spec: local-update hyperparameters.
         round_index: 1-based FL round ``j`` (seeds mini-batch draws).
-        learning_rate: the round's (possibly decayed) local rate.
-        global_params: the broadcast flat parameter vector.
+        learning_rate: the local rate ``tau``.
+        start_params: the flat parameter vector every client starts
+            from, or a ``(len(devices), P)`` matrix whose row ``i``
+            client ``i`` starts from.
         devices: the clients, anything with ``device_id`` and
             ``dataset`` attributes.
         out: a :class:`RowSink`, or a ``(len(devices), P)`` float64
             matrix with contiguous rows (a fresh matrix, or a
-            shared-memory slot range) to train into.
+            shared-memory slot range) to train into. It must not
+            overlap a start matrix.
 
     Returns:
         ``(len(devices),)`` float64 training losses, in ``devices`` order.
@@ -244,17 +214,23 @@ def train_clients(
     Raises:
         ConfigurationError: for a non-positive rate or step count.
         TrainingError: if a device's dataset is empty.
-        ShapeError: for inputs or labels that do not fit the model.
+        ShapeError: for inputs or labels that do not fit the model, or
+            a start matrix without one row per device.
     """
-    global_params = np.asarray(global_params, dtype=np.float64).ravel()
+    per_client = np.ndim(start_params) == 2
+    if per_client:
+        start_params = np.ascontiguousarray(start_params, dtype=np.float64)
+        if start_params.shape[0] != len(devices):
+            raise ShapeError(
+                f"a start matrix needs one row per device ({len(devices)}), "
+                f"got shape {start_params.shape}"
+            )
+    else:
+        start_params = np.asarray(start_params, dtype=np.float64).ravel()
     sink = out if isinstance(out, RowSink) else RowSink(out)
-    size = global_params.size
+    size = start_params.shape[-1]
     losses = np.empty(len(devices), dtype=np.float64)
-    stacking = (
-        spec.batch_size is None
-        and spec.max_grad_norm is None
-        and is_stackable(scratch)
-    )
+    stacking = spec.batch_size is None and is_stackable(scratch)
     costs = [_BLOCK_BYTES + 1] * len(devices)  # one client per block
     if stacking:
         # No per-client trainer is built on this path: let one reject
@@ -287,15 +263,19 @@ def train_clients(
                 one_by_one.append(index)
         for shard_size, members in by_size.items():
             shards = [devices[index].dataset for index in members]
-            # A run of consecutive rows trains straight into ``rows``;
-            # interleaved rows are scattered afterwards.
-            first, last = members[0] - start, members[-1] - start
+            # A run of consecutive rows trains straight into ``rows``
+            # (and starts from a view of the start matrix); interleaved
+            # rows are gathered and scattered.
+            first, last = members[0], members[-1]
             consecutive = last - first + 1 == len(members)
             block = (
-                rows[first : last + 1]
+                rows[first - start : last - start + 1]
                 if consecutive
                 else np.empty((len(members), size))
             )
+            begin = start_params
+            if per_client:
+                begin = begin[first : last + 1] if consecutive else begin[members]
             losses[members] = stacked_local_update(
                 scratch,
                 np.concatenate([shard.inputs for shard in shards]).reshape(
@@ -304,7 +284,7 @@ def train_clients(
                 np.concatenate([shard.labels for shard in shards]).reshape(
                     len(members), shard_size
                 ),
-                global_params,
+                begin,
                 learning_rate,
                 spec.local_steps,
                 block,
@@ -313,7 +293,9 @@ def train_clients(
                 rows[np.asarray(members) - start] = block
         for index in one_by_one:
             device = devices[index]
-            scratch.set_flat_params(global_params)
+            scratch.set_flat_params(
+                start_params[index] if per_client else start_params
+            )
             trainer = spec.make_trainer(learning_rate, round_index, device.device_id)
             losses[index] = trainer.train(scratch, device.dataset)
             scratch.get_flat_params(out=rows[index - start])

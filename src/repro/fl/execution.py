@@ -257,7 +257,7 @@ class ExecutionBackend:
             round_index: 1-based FL round index ``j``.
             global_params: the broadcast flat parameter vector.
             selected: the round's selected user set ``Gamma_j``.
-            learning_rate: the round's (possibly decayed) local rate.
+            learning_rate: the local rate ``tau``.
             sink: where each trained block of rows goes, in selection
                 order (the trainer passes its Eq. 18 fold); the records
                 then carry ``params=None``. By default every row is

@@ -35,7 +35,7 @@ from repro.errors import ConfigurationError, TrainingError
 from repro.faults import FaultInjector, FaultPlan, RoundFaults
 from repro.fl.aggregation import FedAvgAccumulator
 from repro.fl.checkpoint import HistoryLog, TrainerCheckpoint, save_checkpoint
-from repro.fl.client import LocalTrainer, RowSink
+from repro.fl.client import RowSink
 from repro.fl.execution import (
     STATUS_DROPPED,
     STATUS_OK,
@@ -107,10 +107,6 @@ class TrainerConfig:
             ``convergence_min_delta``. ``None`` disables the check.
         convergence_min_delta: minimum test-loss improvement that
             resets the plateau counter.
-        lr_decay: multiplicative learning-rate decay applied every
-            ``lr_decay_period`` rounds (server-controlled, broadcast
-            with the model); 1.0 (the paper's setting) disables decay.
-        lr_decay_period: rounds between decay applications.
         keep_best_model: snapshot the global parameters at every new
             best test accuracy; the run's best model is then available
             as ``trainer.best_model_params`` (the final global model
@@ -152,8 +148,6 @@ class TrainerConfig:
     target_accuracy: Optional[float] = None
     convergence_patience: Optional[int] = None
     convergence_min_delta: float = 1e-4
-    lr_decay: float = 1.0
-    lr_decay_period: int = 100
     keep_best_model: bool = False
     enforce_battery: bool = False
     minibatch_seed: int = 0
@@ -195,14 +189,6 @@ class TrainerConfig:
                 "convergence_min_delta must be non-negative, got "
                 f"{self.convergence_min_delta}"
             )
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ConfigurationError(
-                f"lr_decay must be in (0, 1], got {self.lr_decay}"
-            )
-        if self.lr_decay_period <= 0:
-            raise ConfigurationError(
-                f"lr_decay_period must be positive, got {self.lr_decay_period}"
-            )
         if self.round_deadline_s is not None and not self.round_deadline_s > 0:
             raise ConfigurationError(
                 "round_deadline_s must be positive when set, got "
@@ -218,15 +204,6 @@ class TrainerConfig:
                 "checkpoint_every must be positive when set, got "
                 f"{self.checkpoint_every}"
             )
-
-    def learning_rate_at(self, round_index: int) -> float:
-        """The broadcast learning rate for 1-based round ``round_index``."""
-        if round_index <= 0:
-            raise ConfigurationError(
-                f"round_index must be positive, got {round_index}"
-            )
-        applications = (round_index - 1) // self.lr_decay_period
-        return self.learning_rate * self.lr_decay**applications
 
     def local_update_spec(self) -> LocalUpdateSpec:
         """The :class:`LocalUpdateSpec` execution backends train with."""
@@ -468,14 +445,6 @@ class FederatedTrainer:
         self.observer = observer or RunObserver()
         self.population: Optional[DevicePopulation] = None
         self.ledger = self._new_ledger()
-        # Kept for introspection (e.g. the LR schedule is observable as
-        # ``trainer.local_trainer.learning_rate``); the actual per-round
-        # training happens inside the execution backend.
-        self.local_trainer = LocalTrainer(
-            learning_rate=self.config.learning_rate,
-            local_steps=self.config.local_steps,
-            batch_size=self.config.batch_size,
-        )
         self.best_model_params = None
         self.best_model_accuracy = 0.0
         self.checkpoint_path = checkpoint_path
@@ -701,7 +670,7 @@ class FederatedTrainer:
                         state = RoundState(run, round_index)
                         self._refresh_channels(state)
                         self._select(state)
-                        self._assign_frequencies(state)
+                        self._assign(state, "frequency_assignment")
                         self._inject_faults(state)
                         self._simulate(state)
                         self._settle(state)
@@ -919,13 +888,6 @@ class FederatedTrainer:
             )
         )
 
-    def _assign_frequencies(self, state: RoundState) -> None:
-        """Broadcast the round's learning rate; schedule ``selected``."""
-        self.local_trainer.learning_rate = self.config.learning_rate_at(
-            state.round_index
-        )
-        self._assign(state, "frequency_assignment")
-
     def _inject_faults(self, state: RoundState) -> None:
         """Resolve the round's faults; re-schedule around early drops."""
         observer = self.observer
@@ -1048,7 +1010,7 @@ class FederatedTrainer:
                 state.round_index,
                 global_params,
                 state.active,
-                self.local_trainer.learning_rate,
+                self.config.learning_rate,
                 sink=fold,
             )
         state.integrated = RoundResult(

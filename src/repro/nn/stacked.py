@@ -1,10 +1,12 @@
 """Stacked full-batch local update: Eq. 3 for many clients in one pass.
 
 Algorithm 1 has every selected user run the same full-batch gradient
-step from the same broadcast vector. For a model that is a stack of
+step from the same broadcast vector; separated learning has every user
+run it from its own private vector. For a model that is a stack of
 :class:`~repro.nn.dense.Dense` and :class:`~repro.nn.activations.ReLU`
 layers, :func:`stacked_local_update` runs that step for ``g`` clients
-with equally sized shards at once: inputs are stacked to ``(g, n, d)``,
+with equally sized shards at once, from one shared start vector or from
+one start row per client: inputs are stacked to ``(g, n, d)``,
 forward / softmax cross-entropy / backward are 3-D ``np.matmul`` calls
 and axis-wise reductions, and gradients land directly in a ``(g, P)``
 matrix laid out like :meth:`Sequential.get_flat_params`.
@@ -109,7 +111,7 @@ def stacked_local_update(
     model: Sequential,
     inputs: np.ndarray,
     labels: np.ndarray,
-    global_params: np.ndarray,
+    start_params: np.ndarray,
     learning_rate: float,
     local_steps: int,
     out: np.ndarray,
@@ -122,8 +124,9 @@ def stacked_local_update(
         inputs: the clients' shards stacked to ``(g, n, d)``,
             C-contiguous float64.
         labels: matching integer class ids, ``(g, n)``.
-        global_params: the broadcast flat vector every client starts
-            from, 1-D float64 of length ``P``.
+        start_params: the float64 flat vector ``(P,)`` every client
+            starts from, or a C-contiguous ``(g, P)`` matrix whose row
+            ``i`` client ``i`` starts from; ``out`` must not overlap it.
         learning_rate: the GD rate ``tau``.
         local_steps: gradient steps per client (paper: 1).
         out: ``(g, P)`` float64 destination with contiguous rows; row
@@ -151,10 +154,10 @@ def stacked_local_update(
         raise ShapeError(
             f"labels must have shape {(clients, samples)}, got {labels.shape}"
         )
-    if global_params.shape != (param_count,):
+    if start_params.shape not in ((param_count,), (clients, param_count)):
         raise ShapeError(
-            f"global_params must have shape ({param_count},), got "
-            f"{global_params.shape}"
+            f"start_params must have shape ({param_count},) or "
+            f"{(clients, param_count)}, got {start_params.shape}"
         )
     if (
         out.shape != (clients, param_count)
@@ -177,7 +180,7 @@ def stacked_local_update(
     ] = 1.0
 
     rate = float(learning_rate)
-    current = global_params  # (P,) at the first step, then ``out``
+    current = start_params  # (P,) or (g, P) at the first step, then ``out``
     grads = out
     losses = np.zeros(clients, dtype=np.float64)
     for step in range(local_steps):

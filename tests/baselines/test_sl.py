@@ -6,6 +6,8 @@ import pytest
 from repro.baselines.sl import SeparatedLearningRunner
 from repro.data.dataset import ArrayDataset
 from repro.errors import ConfigurationError, TrainingError
+from repro.experiments.runner import run_strategy
+from repro.experiments.settings import ExperimentSettings
 from repro.fl.server import FederatedServer
 from repro.fl.trainer import TrainerConfig
 from repro.nn.architectures import build_mlp
@@ -69,6 +71,24 @@ class TestRun:
         history = runner.run()
         assert history.records[-1].test_accuracy is not None
         assert 0.0 <= history.records[-1].test_accuracy <= 1.0
+
+    def test_no_test_set_records_no_accuracy(self):
+        # As the federated trainer does: no test set, no accuracy.
+        runner, server, _ = make_runner(rounds=2)
+        server.test_dataset = None
+        history = runner.run()
+        assert [r.test_accuracy for r in history.records] == [None, None]
+
+    def test_minibatch_runs_reproduce(self):
+        # Mini-batches are drawn from per-(round, device) seeds.
+        settings = ExperimentSettings.quick(seed=7, rounds=3)
+        first, second = (
+            run_strategy(
+                "sl", settings, iid=False, config_overrides={"batch_size": 4}
+            ).to_json()
+            for _ in range(2)
+        )
+        assert first == second
 
     def test_training_reduces_local_loss(self):
         runner, _, _ = make_runner(rounds=15, seed=3)

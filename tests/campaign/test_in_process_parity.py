@@ -22,7 +22,7 @@ VARIANTS = (
     {"settings": dict(TINY_SETTINGS, rounds=4, learning_rate=0.3)},
     {
         "settings": dict(TINY_SETTINGS, rounds=4, learning_rate=0.3),
-        "trainer": {"lr_decay": 0.5, "lr_decay_period": 2},
+        "trainer": {"local_steps": 2},
     },
 )
 

@@ -77,6 +77,21 @@ class TestEvaluatePersonalization:
         assert a.personalized_accuracies == b.personalized_accuracies
 
 
+def test_global_scores_ignore_the_fine_tuning():
+    """A BatchNorm model's global column is the global model's own
+    accuracy, however long the other users fine-tuned before."""
+    settings = ExperimentSettings.quick(seed=7, model="cnn")
+    environment = build_environment(settings, iid=False)
+    model = settings.build_model(flattened=False)
+    short, long = (
+        evaluate_personalization(
+            model, environment.devices, fine_tune_steps=steps, max_users=6, seed=7
+        )
+        for steps in (1, 5)
+    )
+    assert short.global_accuracies == long.global_accuracies
+
+
 class TestValidation:
     def test_invalid_args(self, trained_setup):
         model, environment = trained_setup

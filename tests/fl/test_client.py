@@ -106,7 +106,6 @@ class TestNoDataGradient:
     TRAINERS = {
         "full_batch": dict(local_steps=2),
         "mini_batch": dict(local_steps=3, batch_size=5, seed=4),
-        "clipped": dict(local_steps=2, max_grad_norm=0.05),
     }
 
     @pytest.mark.parametrize("trainer", sorted(TRAINERS))

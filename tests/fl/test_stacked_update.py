@@ -3,7 +3,9 @@
 The contract is bitwise: every trained row and every loss the stacked
 path produces equals what :meth:`LocalTrainer.train` produces for that
 client alone, and does not depend on which other clients share the
-call. Every comparison below is ``np.array_equal`` — no tolerance.
+call — whether every client starts from one broadcast vector or each
+from its own row of a start matrix (separated learning). Every
+comparison below is ``np.array_equal`` — no tolerance.
 """
 
 from typing import NamedTuple
@@ -21,7 +23,7 @@ from repro.nn.activations import ReLU
 from repro.nn.architectures import build_cnn, build_mlp
 from repro.nn.dense import Dense
 from repro.nn.model import Sequential
-from repro.nn.stacked import is_stackable
+from repro.nn.stacked import is_stackable, stacked_local_update
 
 
 class Client(NamedTuple):
@@ -42,25 +44,41 @@ def make_clients(rng, sizes, width, classes):
     ]
 
 
-def per_client_loop(model, spec, round_index, rate, global_params, clients):
-    """The oracle: one ``LocalTrainer.train`` per client."""
+def per_client_loop(model, spec, round_index, rate, start, clients):
+    """The oracle: one ``LocalTrainer.train`` per client, from the
+    shared vector ``start`` or from row ``i`` of a start matrix."""
     rows, losses = [], []
-    for client in clients:
-        model.set_flat_params(global_params)
+    for index, client in enumerate(clients):
+        model.set_flat_params(start[index] if start.ndim == 2 else start)
         trainer = spec.make_trainer(rate, round_index, client.device_id)
         losses.append(trainer.train(model, client.dataset))
         rows.append(model.get_flat_params())
-    return np.array(rows).reshape(len(clients), global_params.size), np.array(
+    return np.array(rows).reshape(len(clients), start.shape[-1]), np.array(
         losses
     )
 
 
-def run_train_clients(model, spec, round_index, rate, global_params, clients):
-    out = np.empty((len(clients), global_params.size))
-    losses = train_clients(
-        model, spec, round_index, rate, global_params, clients, out
-    )
+def run_train_clients(model, spec, round_index, rate, start, clients):
+    out = np.empty((len(clients), start.shape[-1]))
+    losses = train_clients(model, spec, round_index, rate, start, clients, out)
     return out, losses
+
+
+def start_matrix(global_params, clients, seed=0):
+    """One distinct start row per client around ``global_params``."""
+    noise = np.random.default_rng(seed).normal(
+        scale=0.1, size=(len(clients), global_params.size)
+    )
+    return global_params + noise
+
+
+STARTS = ["shared", "per_client"]
+
+
+def starts_for(kind, global_params, clients):
+    if kind == "shared":
+        return global_params
+    return start_matrix(global_params, clients)
 
 
 @st.composite
@@ -79,17 +97,16 @@ def problems(draw):
 
 
 class TestStackedParity:
+    @pytest.mark.parametrize("start", STARTS)
     @given(problem=problems())
     @settings(max_examples=60, deadline=None)
-    def test_rows_and_losses_equal_the_per_client_loop(self, problem):
+    def test_rows_and_losses_equal_the_per_client_loop(self, problem, start):
         model, spec, rate, clients = problem
-        global_params = model.get_flat_params().copy()
+        begin = starts_for(start, model.get_flat_params().copy(), clients)
         want_rows, want_losses = per_client_loop(
-            model.clone(), spec, 1, rate, global_params, clients
+            model.clone(), spec, 1, rate, begin, clients
         )
-        rows, losses = run_train_clients(
-            model, spec, 1, rate, global_params, clients
-        )
+        rows, losses = run_train_clients(model, spec, 1, rate, begin, clients)
         assert np.array_equal(rows, want_rows)
         assert np.array_equal(losses, want_losses)
 
@@ -174,18 +191,17 @@ class TestFallBackToTheLoop:
 
         monkeypatch.setattr(client_module, "stacked_local_update", refuse)
 
-    def check(self, model, spec, clients):
-        global_params = model.get_flat_params().copy()
+    def check(self, model, spec, clients, start="shared"):
+        begin = starts_for(start, model.get_flat_params().copy(), clients)
         want_rows, want_losses = per_client_loop(
-            model.clone(), spec, 2, 0.2, global_params, clients
+            model.clone(), spec, 2, 0.2, begin, clients
         )
-        rows, losses = run_train_clients(
-            model, spec, 2, 0.2, global_params, clients
-        )
+        rows, losses = run_train_clients(model, spec, 2, 0.2, begin, clients)
         assert np.array_equal(rows, want_rows)
         assert np.array_equal(losses, want_losses)
 
-    def test_conv_model(self, no_stacking):
+    @pytest.mark.parametrize("start", STARTS)
+    def test_conv_model(self, no_stacking, start):
         rng = np.random.default_rng(3)
         model = build_cnn((1, 4, 4), 3, channels=(2,), dense_width=4, seed=4)
         assert not is_stackable(model)
@@ -199,20 +215,14 @@ class TestFallBackToTheLoop:
             )
             for device_id, size in enumerate([3, 2, 3])
         ]
-        self.check(model, LocalUpdateSpec(), clients)
+        self.check(model, LocalUpdateSpec(), clients, start)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            LocalUpdateSpec(batch_size=4, local_steps=2, seed=9),
-            LocalUpdateSpec(max_grad_norm=1.0),
-        ],
-        ids=["batch_size=4", "max_grad_norm=1.0"],
-    )
-    def test_minibatch_and_clipping(self, no_stacking, spec):
+    @pytest.mark.parametrize("start", STARTS)
+    def test_minibatch(self, no_stacking, start):
         rng = np.random.default_rng(4)
         model = build_mlp(5, 3, hidden_sizes=(6,), seed=5)
-        self.check(model, spec, make_clients(rng, [6, 9, 6], 5, 3))
+        spec = LocalUpdateSpec(batch_size=4, local_steps=2, seed=9)
+        self.check(model, spec, make_clients(rng, [6, 9, 6], 5, 3), start)
 
     def test_dense_subclass_is_not_stackable(self):
         class Scaled(Dense):
@@ -236,6 +246,57 @@ class TestFallBackToTheLoop:
         wide = rng.normal(size=(3, 8))
         clients[3] = Client(3, ArrayDataset(wide[:, ::2], clients[3].dataset.labels))
         self.check(model, LocalUpdateSpec(local_steps=2), clients)
+
+
+class TestStartMatrix:
+    """Each client starts from its own row; the stacked path gathers
+    the rows of a shard-size group and trains them in one pass."""
+
+    @pytest.mark.parametrize(
+        "block_bytes", [None, 2000], ids=["one block", "3 per block"]
+    )
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_mixed_shards_with_interleaved_members(
+        self, monkeypatch, steps, block_bytes
+    ):
+        if block_bytes is not None:
+            # 2000 bytes hold three of these clients: blocks 0-2, 3-5
+            # and 6-8, so gathered rows also come from an offset block.
+            monkeypatch.setattr(client_module, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(7)
+        model = build_mlp(5, 3, hidden_sizes=(6,), seed=8)
+        # Sizes 3 and 5 interleave; a lone 2 is a group of one.
+        clients = make_clients(rng, [3, 5, 3, 2, 5, 3, 3, 5, 3], 5, 3)
+        spec = LocalUpdateSpec(local_steps=steps)
+        begin = start_matrix(model.get_flat_params(), clients, seed=steps)
+        want_rows, want_losses = per_client_loop(
+            model.clone(), spec, 1, 0.3, begin, clients
+        )
+        rows, losses = run_train_clients(model, spec, 1, 0.3, begin, clients)
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(losses, want_losses)
+
+    def test_equal_rows_give_the_broadcast_bytes(self):
+        rng = np.random.default_rng(8)
+        model = build_mlp(4, 3, hidden_sizes=(5,), seed=9)
+        clients = make_clients(rng, [2, 4, 2, 4], 4, 3)
+        global_params = model.get_flat_params().copy()
+        spec = LocalUpdateSpec(local_steps=2)
+        shared = run_train_clients(model, spec, 1, 0.2, global_params, clients)
+        tiled = run_train_clients(
+            model, spec, 1, 0.2, np.tile(global_params, (4, 1)), clients
+        )
+        assert np.array_equal(shared[0], tiled[0])
+        assert np.array_equal(shared[1], tiled[1])
+
+    def test_start_rows_are_not_written(self):
+        rng = np.random.default_rng(9)
+        model = build_mlp(4, 3, hidden_sizes=(5,), seed=10)
+        clients = make_clients(rng, [3, 3, 2], 4, 3)
+        begin = start_matrix(model.get_flat_params(), clients)
+        kept = begin.copy()
+        run_train_clients(model, LocalUpdateSpec(local_steps=3), 1, 0.2, begin, clients)
+        assert np.array_equal(begin, kept)
 
 
 class TestErrors:
@@ -282,6 +343,30 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             run_train_clients(
                 self.model, spec, 1, rate, self.global_params, clients
+            )
+
+    @pytest.mark.parametrize("extra", [1, -1], ids=["g+1 rows", "g-1 rows"])
+    def test_start_matrix_needs_one_row_per_device(self, extra):
+        clients = make_clients(self.rng, [3, 3], 4, 3)
+        begin = np.tile(self.global_params, (len(clients) + extra, 1))
+        with pytest.raises(ShapeError):
+            run_train_clients(
+                self.model, LocalUpdateSpec(), 1, 0.1, begin, clients
+            )
+
+    def test_kernel_rejects_a_start_matrix_of_another_height(self):
+        clients = make_clients(self.rng, [3, 3], 4, 3)
+        inputs = np.stack([c.dataset.inputs for c in clients])
+        labels = np.stack([c.dataset.labels for c in clients])
+        with pytest.raises(ShapeError):
+            stacked_local_update(
+                self.model,
+                inputs,
+                labels,
+                np.tile(self.global_params, (3, 1)),
+                0.1,
+                1,
+                np.empty((2, self.global_params.size)),
             )
 
     def test_wrong_result_matrix(self):

@@ -61,7 +61,6 @@ class TestConfigValidation:
             "deadline_s",
             "round_deadline_s",
             "convergence_min_delta",
-            "lr_decay",
             "target_accuracy",
         ],
     )

@@ -13,8 +13,6 @@ import pytest
 
 from repro.experiments.runner import build_environment, run_strategy
 from repro.experiments.settings import ExperimentSettings
-from repro.fl.client import LocalTrainer
-from tests.conftest import make_heterogeneous_devices
 from tests.oracles import conv_nchw
 
 
@@ -114,30 +112,3 @@ class TestConvHistoriesArePinned:
 
     def test_thread_backend_equals_serial(self, name, run):
         assert run(backend="thread", workers=2) == run()
-
-
-class TestGradientClipping:
-    def test_clipping_bounds_update_magnitude(self):
-        import numpy as np
-
-        from repro.nn.architectures import build_mlp
-
-        device = make_heterogeneous_devices(1, seed=6)[0]
-        model_free = build_mlp(4, 3, hidden_sizes=(8,), seed=0)
-        model_clip = model_free.clone()
-        before = model_free.get_flat_params().copy()
-
-        LocalTrainer(learning_rate=5.0).train(model_free, device.dataset)
-        LocalTrainer(learning_rate=5.0, max_grad_norm=0.1).train(
-            model_clip, device.dataset
-        )
-        free_step = np.linalg.norm(model_free.get_flat_params() - before)
-        clip_step = np.linalg.norm(model_clip.get_flat_params() - before)
-        assert clip_step <= 5.0 * 0.1 + 1e-9
-        assert clip_step < free_step
-
-    def test_invalid_clip_norm(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            LocalTrainer(max_grad_norm=0.0)

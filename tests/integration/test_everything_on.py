@@ -2,10 +2,10 @@
 
 Exercises every optional trainer feature simultaneously — HELCFL
 selection wrapped in battery gating, Algorithm 3 DVFS, update
-quantization, per-round Rayleigh fading, battery enforcement, gradient
-clipping (via the local trainer), a plateau convergence exit, and the
-energy ledger — on a Dirichlet non-IID partition. If the features
-compose incorrectly anywhere, this is where it surfaces.
+quantization, per-round Rayleigh fading, battery enforcement, a plateau
+convergence exit, and the energy ledger — on a Dirichlet non-IID
+partition. If the features compose incorrectly anywhere, this is where
+it surfaces.
 """
 
 import numpy as np
