@@ -372,7 +372,7 @@ def run_transport_study(
     from repro.fl.execution import LocalUpdateSpec, create_backend
 
     model = _transport_model(seed)
-    spec = LocalUpdateSpec(learning_rate=0.1, seed=seed)
+    spec = LocalUpdateSpec(seed=seed)
     global_params = model.get_flat_params()
     param_count = model.parameter_count
     study = {}

@@ -2,9 +2,9 @@
 
 :func:`build_environment` generates the synthetic task, partitions it
 (IID or the paper's non-IID shards), flattens inputs when the model
-needs it, and builds the heterogeneous device fleet — all seeded from
-the settings so every strategy sees the *identical* data, partition,
-and hardware population.
+needs it, and builds the heterogeneous device fleet and its column
+snapshot — all seeded from the settings so every strategy sees the
+*identical* data, partition, and hardware population.
 
 :func:`run_strategy` then runs one named scheme to completion and
 returns its :class:`~repro.fl.history.TrainingHistory`: a
@@ -26,6 +26,7 @@ from repro.data.synthetic import SyntheticImageTask
 from repro.data.transforms import flatten_images
 from repro.devices.device import UserDevice
 from repro.devices.fleet import make_fleet
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.experiments.settings import ExperimentSettings
 from repro.fl.execution import ExecutionBackend, open_backend
@@ -65,6 +66,8 @@ class Environment:
         test: the evaluation split (flattened if the model needs it).
         partitions: per-user local datasets.
         devices: the heterogeneous fleet (one device per partition).
+        population: the fleet's column snapshot, shared by the trainers
+            built here, which keep it in step with the devices.
     """
 
     settings: ExperimentSettings
@@ -73,6 +76,7 @@ class Environment:
     test: ArrayDataset
     partitions: List[ArrayDataset]
     devices: List[UserDevice]
+    population: DevicePopulation
 
 
 def build_environment(settings: ExperimentSettings, iid: bool) -> Environment:
@@ -102,6 +106,7 @@ def build_environment(settings: ExperimentSettings, iid: bool) -> Environment:
         test=test,
         partitions=partitions,
         devices=devices,
+        population=DevicePopulation.from_devices(devices),
     )
 
 
@@ -176,6 +181,7 @@ def build_trainer(
         observer=observer,
         faults=faults,
         checkpoint_path=checkpoint_path,
+        population=environment.population,
     )
 
 

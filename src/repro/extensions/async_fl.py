@@ -122,10 +122,7 @@ class SemiAsyncTrainer:
         self.devices = list(devices)
         self.config = config or SemiAsyncConfig()
         self.label = label
-        self._spec = LocalUpdateSpec(
-            learning_rate=self.config.learning_rate,
-            local_steps=self.config.local_steps,
-        )
+        self._spec = LocalUpdateSpec(local_steps=self.config.local_steps)
         self._scratch = server.model.clone()
 
     def run(self) -> TrainingHistory:

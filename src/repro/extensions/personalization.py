@@ -146,7 +146,7 @@ def evaluate_personalization(
     tuned = np.empty((len(users), global_model.parameter_count))
     train_clients(
         global_model.clone(),
-        LocalUpdateSpec(learning_rate=learning_rate, local_steps=fine_tune_steps),
+        LocalUpdateSpec(local_steps=fine_tune_steps),
         1,
         learning_rate,
         global_model.get_flat_params(),

@@ -119,12 +119,11 @@ class LocalTrainer:
 class LocalUpdateSpec:
     """The local-update hyperparameters a backend trains with.
 
-    Attributes mirror :class:`LocalTrainer`; ``seed`` roots the
-    per-``(round, device)`` mini-batch sampling seeds that keep
-    stochastic local updates backend-independent.
+    Attributes mirror :class:`LocalTrainer` but the rate, which each call
+    passes; ``seed`` roots the per-``(round, device)`` mini-batch
+    sampling seeds that keep stochastic local updates backend-independent.
     """
 
-    learning_rate: float = 0.1
     local_steps: int = 1
     batch_size: Optional[int] = None
     seed: int = 0
@@ -229,27 +228,29 @@ def train_clients(
         start_params = np.asarray(start_params, dtype=np.float64).ravel()
     sink = out if isinstance(out, RowSink) else RowSink(out)
     size = start_params.shape[-1]
-    losses = np.empty(len(devices), dtype=np.float64)
+    datasets = [device.dataset for device in devices]
+    losses = np.empty(len(datasets), dtype=np.float64)
     stacking = spec.batch_size is None and is_stackable(scratch)
-    costs = [_BLOCK_BYTES + 1] * len(devices)  # one client per block
     if stacking:
         # No per-client trainer is built on this path: let one reject
         # the rate and step count it would have rejected.
         LocalTrainer(learning_rate, spec.local_steps)
         width = scratch.layers[0].in_features
         # A block's shards plus result rows fit in cache, so gradients
-        # are scaled and subtracted before they leave it.
-        costs = [(d.dataset.inputs.shape[0] * width + size) * 8 for d in devices]
+        # are scaled and subtracted before they leave it; ``ends[i]`` is
+        # the bytes of clients ``0..i``.
+        ends = np.cumsum([(d.inputs.shape[0] * width + size) * 8 for d in datasets])
     start = 0
-    while start < len(devices):
-        stop, used = start + 1, costs[start]
-        while stop < len(devices) and used + costs[stop] <= _BLOCK_BYTES:
-            used, stop = used + costs[stop], stop + 1
+    while start < len(datasets):
+        stop = start + 1  # one client per block, or as many as fit when stacking
+        if stacking:
+            budget = _BLOCK_BYTES + (ends[start - 1] if start else 0)
+            stop = max(stop, int(np.searchsorted(ends, budget, side="right")))
         rows = sink.rows(start, stop)
         by_size: Dict[int, List[int]] = {}
         one_by_one = []
         for index in range(start, stop):
-            inputs = devices[index].dataset.inputs
+            inputs = datasets[index].inputs
             if (
                 stacking
                 and inputs.ndim == 2
@@ -262,7 +263,7 @@ def train_clients(
             else:
                 one_by_one.append(index)
         for shard_size, members in by_size.items():
-            shards = [devices[index].dataset for index in members]
+            shards = [datasets[index] for index in members]
             # A run of consecutive rows trains straight into ``rows``
             # (and starts from a view of the start matrix); interleaved
             # rows are gathered and scattered.
@@ -273,10 +274,9 @@ def train_clients(
                 if consecutive
                 else np.empty((len(members), size))
             )
-            begin = start_params
-            if per_client:
-                begin = begin[first : last + 1] if consecutive else begin[members]
-            losses[members] = stacked_local_update(
+            picked = slice(first, last + 1) if consecutive else members
+            begin = start_params[picked] if per_client else start_params
+            losses[picked] = stacked_local_update(
                 scratch,
                 np.concatenate([shard.inputs for shard in shards]).reshape(
                     len(members), shard_size, width
@@ -297,7 +297,7 @@ def train_clients(
                 start_params[index] if per_client else start_params
             )
             trainer = spec.make_trainer(learning_rate, round_index, device.device_id)
-            losses[index] = trainer.train(scratch, device.dataset)
+            losses[index] = trainer.train(scratch, datasets[index])
             scratch.get_flat_params(out=rows[index - start])
         sink.take(start, rows)
         start = stop

@@ -30,12 +30,13 @@ clients share its chunk — and results are returned in selection order.
 A fixed seed therefore produces the identical
 :class:`~repro.fl.history.TrainingHistory` under any backend.
 
-The round exchange is typed, and trained rows stream: a backend hands
-each finished block of rows to a :class:`~repro.fl.client.RowSink` in
-selection order, and returns one :class:`ClientUpdate` (weight, loss)
-per client. By default the rows are kept as the records' ``params``;
-the trainer passes its Eq. 18 fold instead, so no ``(N, P)`` update
-matrix is kept: the serial backend trains block by block into one
+The round exchange is columnar, and trained rows stream: a backend
+hands each finished block of rows to a :class:`~repro.fl.client.RowSink`
+in selection order, and returns a :class:`RoundResult` of id, weight
+(``|D_q|``) and loss columns, read off the trainer's population slice
+with no object per client. By default the rows are kept as its
+``params``; the trainer passes its Eq. 18 fold instead, so no ``(N, P)``
+update matrix is kept: the serial backend trains block by block into one
 reused buffer, the pools fold each chunk as ``map`` yields it, and
 ``process+shm`` folds straight from its shared result block.
 """
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import (
     Dict,
@@ -61,13 +62,9 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.devices.device import UserDevice
+from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, TrainingError
 from repro.fl.client import LocalUpdateSpec, RowSink, train_clients
-from repro.network.tdma import (
-    OUTCOME_DROPPED,
-    OUTCOME_OK,
-    OUTCOME_TIMEOUT,
-)
 from repro.nn.model import Sequential
 from repro.obs.spans import (
     TaskSample,
@@ -77,9 +74,6 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "STATUS_OK",
-    "STATUS_DROPPED",
-    "STATUS_TIMEOUT",
     "ClientUpdate",
     "RoundResult",
     "LocalUpdateSpec",
@@ -96,18 +90,8 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Round data containers
 # ----------------------------------------------------------------------
-STATUS_OK = OUTCOME_OK
-STATUS_DROPPED = OUTCOME_DROPPED
-STATUS_TIMEOUT = OUTCOME_TIMEOUT
-"""Client round outcomes: the TDMA timeline's
-:data:`~repro.network.tdma.CLIENT_OUTCOMES` under this module's names
-(``timeline.outcomes()`` reports one per device, and the trainer's
-settle step overrides it for battery losses)."""
-
-
-@dataclass(frozen=True)
-class ClientUpdate:
-    """One client's contribution to a round.
+class ClientUpdate(NamedTuple):
+    """One client's row of a :class:`RoundResult`, built on iteration.
 
     Attributes:
         device_id: the uploading user ``q``.
@@ -115,8 +99,7 @@ class ClientUpdate:
             round's rows went to a :class:`~repro.fl.client.RowSink`
             (the trainer's Eq. 18 fold) instead of being kept.
         weight: the FedAvg weight ``|D_q|``.
-        loss: the client's observed training loss (fed back to
-            statistical-utility selection strategies).
+        loss: the client's observed training loss.
     """
 
     device_id: int
@@ -125,51 +108,37 @@ class ClientUpdate:
     loss: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundResult:
-    """All client updates of one round, in selection order.
+    """One round's client updates as aligned columns, in selection order.
 
-    The trainer keeps the clients it integrated as one, for the
-    strategy's loss feedback and the round's train loss.
+    ``device_ids`` (int64), ``weights`` (the FedAvg weights ``|D_q|``)
+    and ``losses`` hold one entry per client; ``params`` holds the
+    trained rows when ``run_round`` kept them, ``None`` when they went
+    to a sink. Iterating yields one :class:`ClientUpdate` per client,
+    built on demand. The trainer keeps the clients it integrated as
+    one, for the strategy's loss feedback and the round's train loss.
     """
 
     round_index: int
-    updates: Tuple[ClientUpdate, ...]
+    device_ids: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    weights: np.ndarray = field(default_factory=lambda: np.empty(0))
+    losses: np.ndarray = field(default_factory=lambda: np.empty(0))
+    params: Optional[Sequence[np.ndarray]] = None
 
     def __post_init__(self) -> None:
         if self.round_index <= 0:
-            raise ConfigurationError(
-                f"round_index must be positive, got {self.round_index}"
-            )
+            raise ConfigurationError(f"round_index must be positive, got {self.round_index}")
+        if not len(self.device_ids) == len(self.weights) == len(self.losses):
+            raise ConfigurationError("RoundResult columns need one entry per client")
 
     def __len__(self) -> int:
-        return len(self.updates)
+        return len(self.device_ids)
 
     def __iter__(self) -> Iterator[ClientUpdate]:
-        return iter(self.updates)
-
-    def __bool__(self) -> bool:
-        return bool(self.updates)
-
-    @property
-    def device_ids(self) -> Tuple[int, ...]:
-        """Uploading device ids, in selection order."""
-        return tuple(u.device_id for u in self.updates)
-
-    @property
-    def params(self) -> List[np.ndarray]:
-        """The flat parameter vectors, in selection order."""
-        return [u.params for u in self.updates]
-
-    @property
-    def weights(self) -> List[float]:
-        """The matching FedAvg weights."""
-        return [u.weight for u in self.updates]
-
-    @property
-    def losses(self) -> Dict[int, float]:
-        """Mapping from device id to observed training loss."""
-        return {u.device_id: u.loss for u in self.updates}
+        params = repeat(None) if self.params is None else self.params
+        columns = (self.weights.tolist(), self.losses.tolist())
+        return map(ClientUpdate, self.device_ids.tolist(), params, *columns)
 
 
 # ----------------------------------------------------------------------
@@ -200,11 +169,11 @@ class ExecutionBackend:
         self.observer = None
         # Per-round task-sampling scratch: when the bound observer has
         # spans active, ``_run`` implementations record one
-        # ``(device_ids, TaskSample)`` pair per trained chunk in
+        # ``((start, stop), TaskSample)`` pair per trained chunk in
         # selection order; ``run_round`` emits them as one batch of
         # per-task span events, one triple per device.
         self._sample_tasks = False
-        self._task_samples: List[Tuple[List[int], TaskSample]] = []
+        self._task_samples: List[Tuple[Tuple[int, int], TaskSample]] = []
 
     # -- lifecycle ------------------------------------------------------
     def bind(
@@ -250,8 +219,10 @@ class ExecutionBackend:
         selected: Sequence[UserDevice],
         learning_rate: float,
         sink: Optional[RowSink] = None,
-    ) -> List[ClientUpdate]:
-        """Train every selected client; return records in selection order.
+        *,
+        population: Optional[DevicePopulation] = None,
+    ) -> RoundResult:
+        """Train every selected client; return their columns in selection order.
 
         Args:
             round_index: 1-based FL round index ``j``.
@@ -259,14 +230,25 @@ class ExecutionBackend:
             selected: the round's selected user set ``Gamma_j``.
             learning_rate: the local rate ``tau``.
             sink: where each trained block of rows goes, in selection
-                order (the trainer passes its Eq. 18 fold); the records
-                then carry ``params=None``. By default every row is
-                kept as its record's ``params``.
+                order (the trainer passes its Eq. 18 fold); the result
+                then has ``params=None``. By default every row is kept
+                in the result's ``params``.
+            population: ``selected`` as a
+                :class:`~repro.devices.DevicePopulation` slice (the
+                trainer's); ids and ``|D_q|`` are then its columns
+                instead of being read off each device.
         """
         if self._spec is None:
             raise TrainingError(
                 f"{type(self).__name__} must be bound before run_round"
             )
+        if population is None:
+            ids = np.array([d.device_id for d in selected], dtype=np.int64)
+            samples = np.array([d.num_samples for d in selected], dtype=np.int64)
+        elif len(population) == len(selected):
+            ids, samples = population.device_ids, population.num_samples
+        else:
+            raise ConfigurationError(f"population of {len(population)} for {len(selected)} devices")
         kept = _KeptRows(np.size(global_params)) if sink is None else None
         observer = self.observer
         self._sample_tasks = observer is not None and observer.spans_active
@@ -280,15 +262,16 @@ class ExecutionBackend:
             if observer is not None:
                 observer.metrics.inc("clients_trained", float(len(selected)))
                 if self._task_samples:
-                    observer.emit_batch(*task_span_batch(round_index, self._task_samples))
+                    chunks = [
+                        (ids[start:stop].tolist(), sample)
+                        for (start, stop), sample in self._task_samples
+                    ]
+                    observer.emit_batch(*task_span_batch(round_index, chunks))
         finally:
             self._sample_tasks = False
             self._task_samples = []
-        rows = kept.kept if kept is not None else repeat(None)
-        return [
-            ClientUpdate(device.device_id, params, float(device.num_samples), loss)
-            for device, params, loss in zip(selected, rows, losses.tolist())
-        ]
+        rows = None if kept is None else kept.kept
+        return RoundResult(round_index, ids, samples.astype(np.float64), losses, rows)
 
     def _run(
         self,
@@ -309,17 +292,13 @@ class ExecutionBackend:
         for (start, stop), (rows, chunk_losses, sample) in zip(chunks, results):
             sink.take(start, rows)
             losses[start:stop] = chunk_losses
-            self._record_chunk(selected[start:stop], sample)
+            self._record_chunk(start, stop, sample)
         return losses
 
-    def _record_chunk(
-        self, devices: Sequence[UserDevice], sample: Optional[TaskSample]
-    ) -> None:
-        """Keep one trained chunk's measurement for ``run_round`` to emit."""
-        if sample is not None and len(devices) > 0:
-            self._task_samples.append(
-                ([device.device_id for device in devices], sample)
-            )
+    def _record_chunk(self, start: int, stop: int, sample: Optional[TaskSample]) -> None:
+        """Keep the measurement of clients ``start:stop`` for ``run_round`` to emit."""
+        if sample is not None and stop > start:
+            self._task_samples.append(((start, stop), sample))
 
 
 class _KeptRows(RowSink):
@@ -409,7 +388,7 @@ class SerialBackend(ExecutionBackend):
             sink,
             self._sample_tasks,
         )
-        self._record_chunk(selected, sample)
+        self._record_chunk(0, len(selected), sample)
         return losses
 
 

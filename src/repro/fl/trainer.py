@@ -31,20 +31,12 @@ import numpy as np
 from repro.devices.battery import Battery
 from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
-from repro.errors import ConfigurationError, TrainingError
+from repro.errors import ConfigurationError, DeviceError, TrainingError
 from repro.faults import FaultInjector, FaultPlan, RoundFaults
 from repro.fl.aggregation import FedAvgAccumulator
 from repro.fl.checkpoint import HistoryLog, TrainerCheckpoint, save_checkpoint
 from repro.fl.client import RowSink
-from repro.fl.execution import (
-    STATUS_DROPPED,
-    STATUS_OK,
-    STATUS_TIMEOUT,
-    ExecutionBackend,
-    LocalUpdateSpec,
-    RoundResult,
-    SerialBackend,
-)
+from repro.fl.execution import ExecutionBackend, LocalUpdateSpec, RoundResult, SerialBackend
 from repro.fl.history import RoundRecord, TrainingHistory
 from repro.fl.server import FederatedServer
 from repro.fl.strategy import (
@@ -55,6 +47,9 @@ from repro.fl.strategy import (
 )
 from repro.network.tdma import (
     CLIENT_OUTCOMES,
+    OUTCOME_DROPPED,
+    OUTCOME_OK,
+    OUTCOME_TIMEOUT,
     RoundTimeline,
     simulate_tdma_round,
 )
@@ -208,7 +203,6 @@ class TrainerConfig:
     def local_update_spec(self) -> LocalUpdateSpec:
         """The :class:`LocalUpdateSpec` execution backends train with."""
         return LocalUpdateSpec(
-            learning_rate=self.learning_rate,
             local_steps=self.local_steps,
             batch_size=self.batch_size,
             seed=self.minibatch_seed,
@@ -227,7 +221,6 @@ class RunState:
     history: TrainingHistory
     plateau: object  # the PlateauDetector, when one is configured
     injector: FaultInjector  # over an empty plan when the trainer has none
-    device_index: Dict[int, UserDevice]
     batteries: List[Tuple[int, Battery]]  # (population position, battery)
     history_log: HistoryLog = field(default_factory=HistoryLog)
     round_index: int = 0  # the round in flight, or the last finished
@@ -246,11 +239,11 @@ class RoundState:
 
     run: RunState
     round_index: int
-    # select: Gamma_j plus any over-selected extras, their population
-    # positions and ids; target_count is the strategy's own N. The
-    # active devices are the ones that start computing — all of them
-    # until inject faults drops some — and active_population their slice.
-    selected: Sequence[UserDevice] = ()
+    # select: the population positions and ids of Gamma_j plus any
+    # over-selected extras; target_count is the strategy's own N. The
+    # active devices start computing — all of them until inject faults
+    # drops some — and active_population, their slice, is what later
+    # stages read every per-client number from.
     positions: Optional[np.ndarray] = None
     selected_ids: Tuple[int, ...] = ()
     target_count: int = 0
@@ -263,13 +256,13 @@ class RoundState:
     reassigned: bool = False
     # simulate: the TDMA schedule, from payload sizes known up front.
     timeline: Optional[RoundTimeline] = None
-    # settle: the devices the server will integrate (selection order),
-    # the lost ids, and the ids whose battery could not pay.
-    integrating: Sequence[UserDevice] = ()
+    # settle: the positions in ``active`` of the clients the server will
+    # integrate, the lost ids, and the ids whose battery could not pay.
+    integrating: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
     dropped_ids: Tuple[int, ...] = ()
     timeout_ids: Tuple[int, ...] = ()
     battery_dropped: Tuple[int, ...] = ()
-    # train: the integrated clients' records and the Eq. 18 vector
+    # train: the integrated clients' columns and the Eq. 18 vector
     # their rows were folded into (None when nobody is integrated).
     integrated: Optional[RoundResult] = None
     aggregated: Optional[np.ndarray] = None
@@ -306,17 +299,19 @@ class _Eq18Fold(RowSink):
     discarded clients' too, so every residual advances — and what the
     server receives is added to the sum at once if the client is
     integrated. Rows arrive in selection order, so the bits are those
-    of ``fedavg_aggregate`` over the kept rows.
+    of ``fedavg_aggregate`` over the kept rows, weighted by ``|D_q|``.
+    ``integrating`` holds the kept clients' positions in ``population``.
     """
 
-    def __init__(self, global_params, devices, integrating, compression) -> None:
+    def __init__(self, global_params, population, integrating, compression) -> None:
         super().__init__()
         self._global_params = global_params
-        self._ids = [d.device_id for d in devices]
-        self.integrating = {d.device_id for d in integrating}
+        self._ids = population.device_ids
+        self._integrated = np.zeros(len(population), dtype=bool)
+        self._integrated[integrating] = True
         self._compression = compression
-        weights = [float(d.num_samples) for d in integrating]
-        self._sum = FedAvgAccumulator(weights, global_params.size) if weights else None
+        weights = population.num_samples[integrating].astype(np.float64)
+        self._sum = FedAvgAccumulator(weights, global_params.size) if weights.size else None
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         # Serial training reuses one block buffer for the whole round.
@@ -325,12 +320,13 @@ class _Eq18Fold(RowSink):
         return self.out[: stop - start]
 
     def take(self, start: int, rows: np.ndarray) -> None:
-        for device_id, row in zip(self._ids[start : start + len(rows)], rows):
+        stop = start + len(rows)
+        for device_id, row, integrated in zip(
+            self._ids[start:stop].tolist(), rows, self._integrated[start:stop].tolist()
+        ):
             if self._compression is not None:
-                row = self._compression.process(
-                    device_id, self._global_params, row
-                ).params
-            if device_id in self.integrating:
+                row = self._compression.process(device_id, self._global_params, row).params
+            if integrated:
                 self._sum.add(row)
 
     def result(self) -> Optional[np.ndarray]:
@@ -392,6 +388,15 @@ class FederatedTrainer:
             ``checkpoint_every`` is set. Checkpointing and resuming
             are not supported together with ``compression`` or
             ``channel_models`` (their mid-run state is not captured).
+        population: ``devices`` as a
+            :class:`~repro.devices.DevicePopulation` (the environment's
+            snapshot), or ``None`` to snapshot them here. The snapshot
+            is fixed at construction: every gain the trainer moves on a
+            device (fading, resume) it also writes here, and runs read
+            their per-client numbers from it without re-reading the
+            devices, so a CPU, radio or dataset changed on a device
+            after construction needs a new trainer. Batteries are read
+            off the devices at the start of each :meth:`run`.
 
     Attributes:
         ledger: an :class:`repro.energy.EnergyLedger` accumulating
@@ -399,6 +404,7 @@ class FederatedTrainer:
         observer: the bound :class:`repro.obs.RunObserver`; its
             ``metrics`` carry the run's timers and counters even when
             tracing is off.
+        population: the fleet snapshot every run reads (see above).
         last_checkpoint: the
             :class:`~repro.fl.checkpoint.TrainerCheckpoint` captured
             when :meth:`run` last completed (in memory, regardless of
@@ -419,9 +425,12 @@ class FederatedTrainer:
         observer: Optional[RunObserver] = None,
         faults=None,
         checkpoint_path: Optional[str] = None,
+        population: Optional[DevicePopulation] = None,
     ) -> None:
         if not devices:
             raise TrainingError("cannot train with an empty device population")
+        if population is not None and len(population) != len(devices):
+            raise ConfigurationError(f"population of {len(population)} for {len(devices)} devices")
         if faults is None:
             self.fault_injector: Optional[FaultInjector] = None
         elif isinstance(faults, FaultInjector):
@@ -435,6 +444,9 @@ class FederatedTrainer:
             )
         self.server = server
         self.devices = list(devices)
+        if population is None:
+            population = DevicePopulation.from_devices(self.devices)
+        self.population = population
         self.selection = selection
         self.frequency_policy = frequency_policy or MaxFrequencyPolicy()
         self.config = config or TrainerConfig()
@@ -443,7 +455,6 @@ class FederatedTrainer:
         self.channel_models = dict(channel_models or {})
         self.backend = backend or SerialBackend()
         self.observer = observer or RunObserver()
-        self.population: Optional[DevicePopulation] = None
         self.ledger = self._new_ledger()
         self.best_model_params = None
         self.best_model_accuracy = 0.0
@@ -481,9 +492,9 @@ class FederatedTrainer:
             if battery is None:
                 continue
             paid = battery.drain(spent[device.device_id])
-            if not paid and status_by_id[device.device_id] == STATUS_OK:
+            if not paid and status_by_id[device.device_id] == OUTCOME_OK:
                 dropped.append(device.device_id)
-        status_by_id.update(dict.fromkeys(dropped, STATUS_DROPPED))
+        status_by_id.update(dict.fromkeys(dropped, OUTCOME_DROPPED))
         return tuple(dropped)
 
     def _emit_degradation(self, state: RoundState) -> None:
@@ -533,7 +544,7 @@ class FederatedTrainer:
             self.observer.emit(
                 RoundDegradedEvent(
                     round_index=state.round_index,
-                    planned=len(state.selected),
+                    planned=len(state.selected_ids),
                     aggregated=len(state.integrating),
                     dropped_ids=state.dropped_ids,
                     timeout_ids=state.timeout_ids,
@@ -574,8 +585,8 @@ class FederatedTrainer:
         """Restore a checkpoint into this trainer and into ``run``.
 
         Called by :meth:`run` after ``selection.reset()`` and the
-        ledger rebuild but before the population snapshot, so the
-        array view is built from the restored device state.
+        ledger rebuild; restored gains go to the devices and to the
+        population alike.
         """
         if not isinstance(checkpoint, TrainerCheckpoint):
             raise ConfigurationError(
@@ -602,18 +613,20 @@ class FederatedTrainer:
             if checkpoint.battery_charges is None
             else checkpoint.battery_charges.tolist()
         )
-        device_index = run.device_index
+        moved: Dict[int, float] = {}  # position -> restored gain
         # NaN (which differs from itself) marks a value not captured.
         for device_id, gain, charge in zip(
             ids, checkpoint.channel_gains.tolist(), charges
         ):
-            device = device_index.get(device_id)
-            if device is None:
+            position = self._position(device_id)
+            if position is None:
                 continue
-            if gain == gain:
-                device.radio.channel_gain = gain
+            device = self.devices[position]
+            if gain == gain and gain != device.radio.channel_gain:
+                device.radio.channel_gain = moved[position] = gain
             if charge == charge and device.battery is not None:
                 device.battery.charge_joules = charge
+        self.population.set_channel_gains(list(moved), list(moved.values()))
         if run.plateau is not None and checkpoint.plateau is not None:
             run.plateau.load_state_dict(checkpoint.plateau)
         self.best_model_params = (
@@ -738,7 +751,6 @@ class FederatedTrainer:
             history=TrainingHistory(label=self.label),
             plateau=plateau,
             injector=self.fault_injector or FaultInjector(FaultPlan()),
-            device_index={d.device_id: d for d in self.devices},
             batteries=[
                 (position, d.battery)
                 for position, d in enumerate(self.devices)
@@ -752,10 +764,6 @@ class FederatedTrainer:
                 self.label,
                 resume_from.round_index,
             )
-        # Population-scale array view of the fleet: built once, kept in
-        # sync with per-round fading, and sliced per round for
-        # selection, frequency assignment and TDMA staging.
-        self.population = DevicePopulation.from_devices(self.devices)
         self.backend.observer = self.observer
         self.backend.bind(
             self.server.model, config.local_update_spec(), self.devices
@@ -819,18 +827,22 @@ class FederatedTrainer:
             return span
         return _TimedSpan(self.observer.timer(timer), span)
 
+    def _position(self, device_id: int) -> Optional[int]:
+        """``device_id``'s position in the fleet, or ``None``."""
+        try:
+            return self.population.position_of(device_id)
+        except DeviceError:
+            return None
+
     def _refresh_channels(self, state: RoundState) -> None:
         """Per-round fading: re-draw mapped devices' channel gains
         before selection so the FLCC plans with current info."""
-        run = state.run
         for device_id, model in self.channel_models.items():
-            device = run.device_index.get(device_id)
-            if device is not None:
+            position = self._position(device_id)
+            if position is not None:
                 gain = float(model.sample_gain())
-                device.radio.channel_gain = gain
-                self.population.set_channel_gains(
-                    (self.population.position_of(device_id),), (gain,)
-                )
+                self.devices[position].radio.channel_gain = gain
+                self.population.set_channel_gains((position,), (gain,))
 
     def _select(self, state: RoundState) -> None:
         """``Gamma_j`` (plus over-selected extras) and its population slice."""
@@ -845,8 +857,7 @@ class FederatedTrainer:
             raise TrainingError(
                 f"selection produced no users in round {round_index}"
             )
-        selected = [self.devices[position] for position in positions.tolist()]
-        state.target_count = len(selected)
+        state.target_count = len(positions)
         if margin > 0:
             extra_positions = over_selection_extras_population(
                 population,
@@ -855,16 +866,12 @@ class FederatedTrainer:
                 self.server.payload_bits,
                 self.config.bandwidth_hz,
             )
-            selected += [
-                self.devices[position]
-                for position in extra_positions.tolist()
-            ]
             positions = np.concatenate((positions, extra_positions))
         # Until a fault says otherwise, everyone selected computes.
-        state.selected = state.active = selected
+        state.active = [self.devices[p] for p in positions.tolist()]
         state.positions = positions
-        state.selected_ids = tuple(d.device_id for d in selected)
         state.active_population = population.take(positions)
+        state.selected_ids = tuple(state.active_population.device_ids.tolist())
         self.observer.emit(
             SelectionEvent(
                 round_index=round_index, selected_ids=state.selected_ids
@@ -910,16 +917,14 @@ class FederatedTrainer:
             )
         if not faults.drop_before:
             return
-        keep = [d.device_id not in faults.drop_before for d in state.selected]
-        state.active = [d for d, kept in zip(state.selected, keep) if kept]
+        keep = [device_id not in faults.drop_before for device_id in state.selected_ids]
+        state.active = [d for d, kept in zip(state.active, keep) if kept]
         if state.active:
             # Algorithm 3's slack chain planned around the dropped
             # devices' uploads: recompute the schedule over the
             # survivors' population slice so successors do not idle at
             # stale frequencies.
-            state.active_population = self.population.take(
-                state.positions[np.array(keep)]
-            )
+            state.active_population = self.population.take(state.positions[keep])
             self._assign(state, "frequency_reassignment")
             observer.metrics.inc("frequency_reassignments")
             state.reassigned = True
@@ -964,17 +969,15 @@ class FederatedTrainer:
         # The battery empties at the round's end, killing the device's
         # contribution whatever else happened.
         for device_id in faults.battery_death:
-            device = state.run.device_index[device_id]
+            device = self.devices[self.population.position_of(device_id)]
             if device.battery is not None:
                 device.battery.kill()
             if device_id in status_by_id:
-                status_by_id[device_id] = STATUS_DROPPED
-        integrating = [
-            d for d in state.active if status_by_id[d.device_id] == STATUS_OK
-        ]
-        if self.config.over_select_margin > 0:
-            integrating = integrating[: state.target_count]
-        status_by_id.update(dict.fromkeys(faults.drop_before, STATUS_DROPPED))
+                status_by_id[device_id] = OUTCOME_DROPPED
+        active_ids = state.active_population.device_ids.tolist() if state.active else []
+        ok = np.flatnonzero([status_by_id[i] == OUTCOME_OK for i in active_ids])
+        integrating = ok[: state.target_count]  # over-selection keeps the first N
+        status_by_id.update(dict.fromkeys(faults.drop_before, OUTCOME_DROPPED))
 
         def selected_with(status: str) -> Tuple[int, ...]:
             return tuple(
@@ -984,8 +987,8 @@ class FederatedTrainer:
             )
 
         state.integrating = integrating
-        state.dropped_ids = selected_with(STATUS_DROPPED)
-        state.timeout_ids = selected_with(STATUS_TIMEOUT)
+        state.dropped_ids = selected_with(OUTCOME_DROPPED)
+        state.timeout_ids = selected_with(OUTCOME_TIMEOUT)
         if state.dropped_ids:
             observer.metrics.inc(
                 "clients_dropped", float(len(state.dropped_ids))
@@ -999,24 +1002,22 @@ class FederatedTrainer:
         """Local updates through the backend, each trained block folded
         into Eq. 18 (see :class:`_Eq18Fold`) as soon as it is done."""
         if not state.active:
-            state.integrated = RoundResult(state.round_index, updates=())
+            state.integrated = RoundResult(state.round_index)
             return
         global_params = self.server.broadcast()
-        fold = _Eq18Fold(
-            global_params, state.active, state.integrating, self.compression
-        )
+        active = state.active_population
+        fold = _Eq18Fold(global_params, active, state.integrating, self.compression)
         with self._stage(state, "local_updates"):
-            updates = self.backend.run_round(
+            trained = self.backend.run_round(
                 state.round_index,
                 global_params,
                 state.active,
                 self.config.learning_rate,
                 sink=fold,
+                population=active,
             )
-        state.integrated = RoundResult(
-            state.round_index,
-            tuple(u for u in updates if u.device_id in fold.integrating),
-        )
+        columns = (trained.device_ids, trained.weights, trained.losses)
+        state.integrated = RoundResult(state.round_index, *(c[state.integrating] for c in columns))
         state.aggregated = fold.result()
 
     def _aggregate(self, state: RoundState) -> None:
@@ -1041,7 +1042,9 @@ class FederatedTrainer:
         # Oort extension): report the observed losses of the clients
         # the server actually integrated — updates it never saw must
         # not shape future selection.
-        self.selection.observe_losses(integrated.losses)
+        self.selection.observe_losses(
+            dict(zip(integrated.device_ids.tolist(), integrated.losses.tolist()))
+        )
         self.ledger.record_round(state.timeline)
         if integrated:
             with self._stage(state, "aggregation", timer="aggregation"):
@@ -1050,7 +1053,8 @@ class FederatedTrainer:
             AggregationEvent(
                 round_index=state.round_index,
                 num_updates=len(integrated),
-                total_weight=float(sum(integrated.weights)),
+                # |D_q| weights are integers: every order sums them exactly.
+                total_weight=float(integrated.weights.sum()),
             )
         )
 
@@ -1067,7 +1071,7 @@ class FederatedTrainer:
         columns = dict(
             device_id=ids,
             frequency=timeline.frequency,
-            f_max=[run.device_index[device_id].cpu.f_max for device_id in ids],
+            f_max=state.active_population.f_max[timeline.order],
             compute_delay=timeline.compute_delay,
             upload_delay=timeline.upload_delay,
             slack=timeline.slack,
@@ -1089,7 +1093,7 @@ class FederatedTrainer:
         )
         observer.emit(TimelineEvent(round_index=round_index, **state.totals))
         observer.metrics.inc("rounds")
-        observer.metrics.inc("clients_selected", float(len(state.selected)))
+        observer.metrics.inc("clients_selected", float(len(state.selected_ids)))
 
     def _evaluate(self, state: RoundState) -> None:
         """Train loss over the integrated updates; test-set evaluation."""
@@ -1099,10 +1103,10 @@ class FederatedTrainer:
         # Train loss is weighted over the updates the server actually
         # integrated: dropped clients may have trained, but their
         # contribution never reached the global model.
-        total_weight = sum(u.weight for u in integrated)
+        total_weight = float(integrated.weights.sum())
         if total_weight:
             state.train_loss = (
-                sequential_sum([u.loss * u.weight for u in integrated])
+                sequential_sum(integrated.losses * integrated.weights)
                 / total_weight
             )
         should_eval = (
@@ -1148,7 +1152,7 @@ class FederatedTrainer:
             "round %d: %d selected, %d dropped, %d timed out, "
             "delay %.4fs, energy %.4fJ, train_loss %.5f",
             state.round_index,
-            len(state.selected),
+            len(state.selected_ids),
             len(state.dropped_ids),
             len(state.timeout_ids),
             timeline.round_delay,

@@ -65,7 +65,7 @@ def simulate_ofdma_round(
     # One row per user, keyed so that sorting the rows is the grant
     # order: compute finish, ties by device id.
     rows = []
-    for device in devices:
+    for position, device in enumerate(devices):
         freq = frequencies.get(device.device_id, device.cpu.f_max)
         freq = device.cpu.validate_frequency(freq)
         device_payload = payloads.get(device.device_id, payload_bits)
@@ -77,6 +77,7 @@ def simulate_ofdma_round(
                 device.upload_delay(device_payload, subband_hz),
                 device.compute_energy(freq),
                 device.upload_energy(device_payload, subband_hz),
+                position,
             )
         )
     rows.sort()
@@ -87,6 +88,7 @@ def simulate_ofdma_round(
         upload_delay,
         compute_energy,
         upload_energy,
+        order,
     ) = (np.array(column) for column in zip(*rows))
     upload_end = compute_delay + upload_delay
     total_compute = sequential_sum(compute_energy)
@@ -102,6 +104,7 @@ def simulate_ofdma_round(
         compute_energy=compute_energy,
         upload_energy=upload_energy,
         outcome_codes=np.zeros(len(rows), dtype=np.int8),
+        order=order.astype(np.int64, copy=False),
         round_delay=max(upload_end.tolist()),
         total_energy=total_compute + total_upload,
         total_compute_energy=total_compute,

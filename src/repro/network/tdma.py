@@ -148,6 +148,9 @@ class RoundTimeline:
         compute_energy: Eq. (5) joules actually spent computing.
         upload_energy: Eq. (8) joules actually spent uploading.
         outcome_codes: int8 indices into :data:`CLIENT_OUTCOMES`.
+        order: int64 position of each entry in the simulated devices
+            (so ``population.take(order)`` is in entry order); not part
+            of equality.
         round_delay: Eq. (10) — when the last upload completes.
         total_energy: Eq. (11) — sum of all users' energies.
         total_compute_energy: compute share of ``total_energy``.
@@ -165,6 +168,7 @@ class RoundTimeline:
     compute_energy: np.ndarray = _column()
     upload_energy: np.ndarray = _column()
     outcome_codes: np.ndarray = _column(np.int8)
+    order: np.ndarray = _column(np.int64)
     round_delay: float = 0.0
     total_energy: float = 0.0
     total_compute_energy: float = 0.0
@@ -580,6 +584,7 @@ def simulate_tdma_round(
         compute_energy=compute_energy,
         upload_energy=upload_energy,
         outcome_codes=codes,
+        order=order,
         round_delay=round_delay,
         total_energy=total_compute + total_upload,
         total_compute_energy=total_compute,

@@ -32,6 +32,7 @@ from repro import wire
 from repro.errors import SerializationError
 from repro.obs.analysis.spans import SpanSummary, summarize_spans
 from repro.obs.events import Event
+from repro.sequential import sequential_sum
 
 __all__ = [
     "ANALYSIS_SCHEMA",
@@ -57,10 +58,10 @@ def jain_index(values: Sequence[float]) -> float:
     n = len(floats)
     if n == 0:
         return 1.0
-    square_sum = sum(v * v for v in floats)
+    square_sum = sequential_sum([v * v for v in floats])
     if square_sum == 0.0:
         return 1.0
-    total = sum(floats)
+    total = sequential_sum(floats)
     return (total * total) / (n * square_sum)
 
 
@@ -247,17 +248,17 @@ class RunStats(wire.Document):
     @wire.derived
     def total_compute_energy(self) -> float:
         """Summed compute energy across rounds, joules."""
-        return sum(r.compute_energy or 0.0 for r in self.rounds)
+        return sequential_sum([r.compute_energy or 0.0 for r in self.rounds])
 
     @wire.derived
     def total_upload_energy(self) -> float:
         """Summed upload energy across rounds, joules."""
-        return sum(r.upload_energy or 0.0 for r in self.rounds)
+        return sequential_sum([r.upload_energy or 0.0 for r in self.rounds])
 
     @wire.derived
     def total_slack(self) -> float:
         """Summed idle wait across rounds, seconds."""
-        return sum(r.slack or 0.0 for r in self.rounds)
+        return sequential_sum([r.slack or 0.0 for r in self.rounds])
 
     @wire.derived
     def fmax_compute_energy(self) -> Optional[float]:
@@ -267,7 +268,7 @@ class RunStats(wire.Document):
             for r in self.rounds
             if r.fmax_compute_energy is not None
         ]
-        return sum(values) if values else None
+        return sequential_sum(values) if values else None
 
     @wire.derived
     def dvfs_savings(self) -> Optional[float]:
@@ -292,10 +293,10 @@ class RunStats(wire.Document):
         ok = [r.ok_slack for r in self.rounds if r.ok_slack is not None]
         if not fmax:
             return None
-        available = sum(fmax)
+        available = sequential_sum(fmax)
         if available <= 0.0:
             return 0.0
-        return 1.0 - sum(ok) / available
+        return 1.0 - sequential_sum(ok) / available
 
     @property
     def selection_counts(self) -> Dict[int, int]:
@@ -519,12 +520,11 @@ def compute_run_stats(events: Sequence[Event], source: str = "") -> RunStats:
         fmax_slack = None
         ok_slack = None
         if entries:
-            fmax_compute = sum(
-                e.compute_energy * (e.f_max / e.frequency) ** 2
-                for e in entries
+            fmax_compute = sequential_sum(
+                [e.compute_energy * (e.f_max / e.frequency) ** 2 for e in entries]
             )
             fmax_slack = _fmax_queue_slack(entries)
-            ok_slack = sum(e.slack for e in entries if e.outcome == "ok")
+            ok_slack = sequential_sum([e.slack for e in entries if e.outcome == "ok"])
         round_stats.append(
             RoundStats(
                 round_index=index,

@@ -20,6 +20,7 @@ import repro.fl.client as client_module
 from repro.baselines.classic import RandomSelection
 from repro.data.dataset import ArrayDataset
 from repro.devices.battery import Battery
+from repro.devices.population import DevicePopulation
 from repro.faults import BatteryDeathFault, DropoutFault, FaultPlan
 from repro.fl.aggregation import fedavg_aggregate
 from repro.fl.execution import create_backend
@@ -197,7 +198,12 @@ class TestEq18WeightProperties:
             )
         )
         integrating = [d for d, s in zip(devices, statuses) if s == "ok"]
-        fold = _Eq18Fold(np.zeros(count), devices, integrating, None)
+        fold = _Eq18Fold(
+            np.zeros(count),
+            DevicePopulation.from_devices(devices),
+            np.flatnonzero([s == "ok" for s in statuses]),
+            None,
+        )
         # One-hot rows, handed over in arbitrary blocks: the result is
         # then each client's weight share.
         identity, start = np.eye(count), 0
@@ -224,7 +230,8 @@ class TestEq18WeightProperties:
 
     def test_an_all_discarded_round_yields_none(self):
         devices = make_heterogeneous_devices(4)
-        fold = _Eq18Fold(np.zeros(3), devices, [], None)
+        population = DevicePopulation.from_devices(devices)
+        fold = _Eq18Fold(np.zeros(3), population, np.empty(0, np.int64), None)
         rows = fold.rows(0, 4)
         rows[:] = 1.0
         fold.take(0, rows)

@@ -49,35 +49,50 @@ class TestClientUpdate:
 
 
 class TestRoundResult:
-    def _result(self):
+    def _result(self, params=None):
         return RoundResult(
             round_index=4,
-            updates=(
-                make_update(2, weight=5.0, loss=0.1),
-                make_update(0, weight=9.0, loss=0.7),
-                make_update(7, weight=1.0, loss=0.4),
-            ),
+            device_ids=np.array([2, 0, 7]),
+            weights=np.array([5.0, 9.0, 1.0]),
+            losses=np.array([0.1, 0.7, 0.4]),
+            params=params,
         )
 
     def test_preserves_selection_order(self):
-        result = self._result()
-        assert result.device_ids == (2, 0, 7)
-        assert result.weights == [5.0, 9.0, 1.0]
+        result = self._result([np.full(3, float(i)) for i in (2, 0, 7)])
+        assert result.device_ids.tolist() == [2, 0, 7]
+        assert result.weights.tolist() == [5.0, 9.0, 1.0]
         assert [p[0] for p in result.params] == [2.0, 0.0, 7.0]
+        assert [u.device_id for u in result] == [2, 0, 7]
+        assert [u.params[0] for u in result] == [2.0, 0.0, 7.0]
 
     def test_losses(self):
         result = self._result()
-        assert result.losses == {2: 0.1, 0: 0.7, 7: 0.4}
+        assert result.losses.tolist() == [0.1, 0.7, 0.4]
+        assert [(u.weight, u.loss, u.params) for u in result] == [
+            (5.0, 0.1, None),
+            (9.0, 0.7, None),
+            (1.0, 0.4, None),
+        ]
 
     def test_truthiness(self):
         result = self._result()
         assert result
         assert len(result) == 3
-        assert not RoundResult(round_index=4, updates=())
+        assert not RoundResult(round_index=4)
 
     def test_round_index_validated(self):
         with pytest.raises(ConfigurationError):
-            RoundResult(round_index=0, updates=())
+            RoundResult(round_index=0)
+
+    def test_columns_must_align(self):
+        with pytest.raises(ConfigurationError):
+            RoundResult(
+                round_index=1,
+                device_ids=np.array([1, 2]),
+                weights=np.ones(2),
+                losses=np.ones(1),
+            )
 
 
 class TestLocalUpdateSpec:
@@ -283,7 +298,7 @@ class TestTaskSpans:
         with create_backend(name, workers=2) as backend:
             backend.observer = RunObserver(sink=sink)
             backend.bind(server.model, LocalUpdateSpec(), devices)
-            assert backend.run_round(1, server.broadcast(), [], 0.1) == []
+            assert len(backend.run_round(1, server.broadcast(), [], 0.1)) == 0
         assert sink.events == []
 
 

@@ -193,7 +193,7 @@ class TestBackendLifecycle:
         server, devices = make_setup(num_devices=2)
         with SharedMemoryProcessPoolBackend(workers=1) as backend:
             backend.bind(server.model, LocalUpdateSpec(), devices)
-            assert backend.run_round(1, server.broadcast(), [], 0.1) == []
+            assert len(backend.run_round(1, server.broadcast(), [], 0.1)) == 0
 
     def test_unbound_device_ships_its_dataset(self):
         server, devices = make_setup(num_devices=4)
@@ -229,7 +229,7 @@ class TestParity:
 
     def test_round_updates_match_serial_exactly(self):
         server, devices = make_setup(num_devices=5)
-        spec = LocalUpdateSpec(learning_rate=0.2, seed=7)
+        spec = LocalUpdateSpec(seed=7)
         serial = SerialBackend()
         serial.bind(server.model, spec, devices)
         with SharedMemoryProcessPoolBackend(workers=2) as backend:
@@ -251,7 +251,7 @@ class TestParity:
         # The shared result block is reused every round, so rows a
         # standalone run_round keeps must be copies of it.
         server, devices = make_setup(num_devices=5)
-        spec = LocalUpdateSpec(learning_rate=0.2, seed=7)
+        spec = LocalUpdateSpec(seed=7)
         with SharedMemoryProcessPoolBackend(workers=2) as backend:
             backend.bind(server.model, spec, devices)
             first = backend.run_round(1, server.broadcast(), devices, 0.2)

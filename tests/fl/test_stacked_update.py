@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.fl.client as client_module
@@ -179,6 +179,58 @@ class TestStackedParity:
         )
         assert np.array_equal(matrix[1:4], rows)
         assert np.isnan(matrix[0]).all() and np.isnan(matrix[4]).all()
+
+
+def greedy_blocks(costs, budget):
+    """The block plan as a loop: each block takes the next client, then
+    as many more as keep its total within ``budget``."""
+    blocks, start = [], 0
+    while start < len(costs):
+        stop, used = start + 1, costs[start]
+        while stop < len(costs) and used + costs[stop] <= budget:
+            used, stop = used + costs[stop], stop + 1
+        blocks.append((start, stop))
+        start = stop
+    return blocks
+
+
+class RecordingSink(client_module.RowSink):
+    def __init__(self, size):
+        super().__init__()
+        self.size, self.blocks = size, []
+
+    def rows(self, start, stop):
+        self.blocks.append((start, stop))
+        return np.empty((stop - start, self.size))
+
+
+class TestBlockPlan:
+    @given(
+        sizes=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+        budget=st.integers(1, 1000),
+    )
+    @example(sizes=[1, 1, 1], budget=176)  # fills a block exactly
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_are_the_greedy_plan(self, sizes, budget):
+        # The blocks are the greedy loop's over (rows * width + P) * 8 bytes.
+        rng = np.random.default_rng(len(sizes))
+        model = build_mlp(3, 2, hidden_sizes=(), seed=1)  # P = 8
+        clients = make_clients(rng, sizes, 3, 2)
+        size = model.parameter_count
+        sink = RecordingSink(size)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(client_module, "_BLOCK_BYTES", budget)
+            train_clients(
+                model,
+                LocalUpdateSpec(),
+                1,
+                0.1,
+                model.get_flat_params().copy(),
+                clients,
+                sink,
+            )
+        costs = [(len(client.dataset) * 3 + size) * 8 for client in clients]
+        assert sink.blocks == greedy_blocks(costs, budget)
 
 
 class TestFallBackToTheLoop:

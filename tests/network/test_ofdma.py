@@ -1,5 +1,6 @@
 """Tests for the OFDMA round simulator."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,14 @@ class TestOfdma:
         assert timeline.total_slack == 0.0
         for entry in timeline.users:
             assert entry.upload_start == entry.compute_end
+
+    def test_order_maps_entries_to_input_positions(self):
+        devices = make_heterogeneous_devices(5)[::-1]
+        timeline = simulate_ofdma_round(devices, PAYLOAD, BANDWIDTH)
+        assert timeline.order.dtype == np.int64
+        assert [devices[p].device_id for p in timeline.order.tolist()] == (
+            timeline.device_ids.tolist()
+        )
 
     def test_single_user_matches_tdma(self):
         """With one user, OFDMA and TDMA are the same channel."""

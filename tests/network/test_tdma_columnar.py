@@ -251,13 +251,19 @@ class TestDifferential:
             if deadline <= 0.0:
                 deadline = None
         kwargs["round_deadline"] = deadline
+        timeline = simulate_tdma_round(
+            (), payload_bits, BANDWIDTH, population=population, **kwargs
+        )
         assert_same_round(
-            simulate_tdma_round(
-                (), payload_bits, BANDWIDTH, population=population, **kwargs
-            ),
+            timeline,
             tdma_loop.simulate_population(
                 population, payload_bits, BANDWIDTH, **kwargs
             ),
+        )
+        # ``order`` is the permutation from population to entry order.
+        assert sorted(timeline.order.tolist()) == list(range(len(population)))
+        assert np.array_equal(
+            population.device_ids[timeline.order], timeline.device_ids
         )
 
     def test_every_branch_in_one_round(self):

@@ -7,6 +7,7 @@ and the Eq. (5) DVFS counterfactual matches an independent
 recomputation from the traced frequencies.
 """
 
+import builtins
 import json
 from dataclasses import fields
 from pathlib import Path
@@ -17,6 +18,7 @@ from repro.errors import SerializationError
 from repro.faults import DropoutFault, FaultPlan
 from repro.obs import (
     AggregationEvent,
+    DeviceRoundEvent,
     RunStopEvent,
     SelectionEvent,
     StopReason,
@@ -31,6 +33,7 @@ from repro.obs.analysis import (
     load_trace,
     split_runs,
 )
+from tests.neumaier import neumaier_sum
 from tests.obs.analysis.conftest import run_traced_helcfl
 
 
@@ -281,3 +284,89 @@ class TestSegmentGuards:
         assert stats.rounds[0].aggregated == 2
         assert stats.rounds[0].round_energy is None
         assert stats.rounds[0].dvfs_savings is None
+
+
+def _left_fold(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+class TestFloatTotalsAreLeftFolds:
+    """Run totals add left to right whatever builtin ``sum`` does, so a
+    trace report reads the same on Python 3.11 and 3.12+ (emulated by
+    :mod:`tests.neumaier`, which totals ``[0.1] * 10`` to ``1.0``)."""
+
+    @pytest.fixture(params=["builtin", "compensated"])
+    def builtin_sum(self, request, monkeypatch):
+        if request.param == "compensated":
+            monkeypatch.setattr(builtins, "sum", neumaier_sum)
+
+    @pytest.mark.usefixtures("builtin_sum")
+    def test_run_totals(self):
+        tenths = [0.1] * 10
+        assert _left_fold(tenths) != neumaier_sum(tenths)
+        fmax_slack = [0.1] * 9 + [0.3]
+        rounds = tuple(
+            RoundStats(
+                round_index=index + 1,
+                selected_ids=(index,),
+                compute_energy=0.1,
+                upload_energy=0.1,
+                slack=0.1,
+                fmax_compute_energy=0.1,
+                fmax_slack=fmax_slack[index],
+                ok_slack=0.1,
+            )
+            for index in range(10)
+        )
+        stats = RunStats(
+            label="run",
+            stop_reason=None,
+            truncated=True,
+            source="",
+            total_time=0.0,
+            total_energy=0.0,
+            rounds=rounds,
+            devices=(),
+            fault_counts={},
+            drop_causes={},
+            degraded_rounds=0,
+            battery_drop_rounds=0,
+        )
+        fold = _left_fold(tenths)
+        assert stats.total_compute_energy == fold
+        assert stats.total_upload_energy == fold
+        assert stats.total_slack == fold
+        assert stats.fmax_compute_energy == fold
+        assert stats.slack_utilization == 1.0 - fold / _left_fold(fmax_slack)
+
+    @pytest.mark.usefixtures("builtin_sum")
+    def test_jain_index(self):
+        tenths = [0.1] * 10
+        squares = _left_fold([0.1 * 0.1] * 10)
+        assert jain_index(tenths) == _left_fold(tenths) ** 2 / (10 * squares)
+
+    @pytest.mark.usefixtures("builtin_sum")
+    def test_counterfactual_per_round(self):
+        # Ten devices at f_max: the round's Eq. (5) counterfactual is
+        # their traced compute energies, totalled left to right.
+        entries = [
+            DeviceRoundEvent(
+                round_index=1,
+                device_id=device_id,
+                frequency=1e9,
+                f_max=1e9,
+                compute_delay=0.1,
+                upload_delay=0.1,
+                slack=0.1,
+                compute_energy=0.1,
+                upload_energy=0.1,
+                outcome="ok",
+            )
+            for device_id in range(10)
+        ]
+        events = [SelectionEvent(round_index=1, selected_ids=tuple(range(10)))]
+        (stats,) = compute_run_stats(events + entries).rounds
+        assert stats.fmax_compute_energy == _left_fold([0.1] * 10)
