@@ -16,7 +16,6 @@ from repro.network.tdma import simulate_tdma_round
 from repro.nn.architectures import build_mini_squeezenet
 from repro.nn.conv import Conv2D
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.nn.optimizers import Sgd
 
 PAYLOAD = 5e6
 BANDWIDTH = 2e6
@@ -52,7 +51,6 @@ def test_conv_forward_backward(benchmark):
 def test_squeezenet_training_step(benchmark):
     model = build_mini_squeezenet(seed=0)
     loss = SoftmaxCrossEntropy()
-    opt = Sgd(0.1)
     rng = np.random.default_rng(1)
     x = rng.normal(size=(40, 3, 8, 8))
     y = rng.integers(0, 10, size=40)
@@ -61,7 +59,7 @@ def test_squeezenet_training_step(benchmark):
         logits = model.forward(x, training=True)
         _, grad = loss.loss_and_grad(logits, y)
         model.backward(grad)
-        opt.step(model)
+        model.sgd_step(0.1)
 
     benchmark(step)
 

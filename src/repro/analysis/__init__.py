@@ -1,25 +1,10 @@
 """Statistical analysis utilities for experiment results."""
 
 from repro.analysis.convergence import PlateauDetector
-from repro.analysis.crossover import (
-    Crossover,
-    find_crossovers,
-    history_crossovers,
-)
-from repro.analysis.stats import (
-    bootstrap_ci,
-    mean_std,
-    moving_average,
-    paired_gap,
-)
+from repro.analysis.stats import mean_std, paired_gap
 
 __all__ = [
     "mean_std",
-    "bootstrap_ci",
-    "moving_average",
     "paired_gap",
     "PlateauDetector",
-    "Crossover",
-    "find_crossovers",
-    "history_crossovers",
 ]

@@ -8,14 +8,13 @@ made with seeds-worth of evidence.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.rng import SeedLike, ensure_generator
 
-__all__ = ["mean_std", "bootstrap_ci", "moving_average", "paired_gap"]
+__all__ = ["mean_std", "paired_gap"]
 
 
 def mean_std(values: Sequence[float]) -> Tuple[float, float]:
@@ -29,55 +28,6 @@ def mean_std(values: Sequence[float]) -> Tuple[float, float]:
         raise ConfigurationError("cannot summarize zero values")
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return float(arr.mean()), std
-
-
-def bootstrap_ci(
-    values: Sequence[float],
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    seed: SeedLike = 0,
-) -> Tuple[float, float]:
-    """Percentile-bootstrap confidence interval for the mean.
-
-    Args:
-        values: observed values (e.g. per-seed best accuracies).
-        confidence: interval mass in ``(0, 1)``.
-        resamples: bootstrap resample count.
-        seed: resampling seed.
-
-    Returns:
-        ``(low, high)`` interval endpoints.
-    """
-    arr = np.asarray(list(values), dtype=np.float64)
-    if arr.size == 0:
-        raise ConfigurationError("cannot bootstrap zero values")
-    if not 0.0 < confidence < 1.0:
-        raise ConfigurationError(f"confidence must be in (0,1), got {confidence}")
-    if resamples <= 0:
-        raise ConfigurationError(f"resamples must be positive, got {resamples}")
-    rng = ensure_generator(seed)
-    means = rng.choice(arr, size=(resamples, arr.size), replace=True).mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    return (
-        float(np.quantile(means, alpha)),
-        float(np.quantile(means, 1.0 - alpha)),
-    )
-
-
-def moving_average(values: Sequence[float], window: int = 5) -> List[float]:
-    """Trailing moving average (window clipped at the series start).
-
-    Useful for smoothing noisy accuracy curves before plotting or
-    crossover detection.
-    """
-    if window <= 0:
-        raise ConfigurationError(f"window must be positive, got {window}")
-    arr = np.asarray(list(values), dtype=np.float64)
-    out: List[float] = []
-    for idx in range(arr.size):
-        start = max(0, idx - window + 1)
-        out.append(float(arr[start : idx + 1].mean()))
-    return out
 
 
 def paired_gap(

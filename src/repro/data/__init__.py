@@ -2,7 +2,8 @@
 
 Provides the array-backed dataset container, the synthetic
 CIFAR-10-like classification task used in place of CIFAR-10 (offline
-environment — see DESIGN.md), and the paper's two partitioning schemes:
+environment — see DESIGN.md), the flattening transform MLP inputs go
+through, and the paper's two partitioning schemes:
 
 * **IID** — samples shuffled and split evenly across users.
 * **Non-IID** — the paper's recipe: sort by label, cut into shards
@@ -13,38 +14,22 @@ A Dirichlet partitioner is included as an extension for controllable
 heterogeneity.
 """
 
-from repro.data.augment import (
-    Compose,
-    GaussianNoise,
-    RandomHorizontalFlip,
-    RandomShift,
-)
 from repro.data.dataset import ArrayDataset, train_test_split
-from repro.data.loader import BatchLoader
 from repro.data.partition import (
     dirichlet_partition,
     iid_partition,
-    partition_label_distribution,
     shard_noniid_partition,
 )
 from repro.data.synthetic import SyntheticImageTask, make_synthetic_image_task
-from repro.data.transforms import flatten_images, normalize_images, one_hot
+from repro.data.transforms import flatten_images
 
 __all__ = [
     "ArrayDataset",
     "train_test_split",
-    "BatchLoader",
     "iid_partition",
     "shard_noniid_partition",
     "dirichlet_partition",
-    "partition_label_distribution",
     "SyntheticImageTask",
     "make_synthetic_image_task",
-    "normalize_images",
     "flatten_images",
-    "one_hot",
-    "RandomHorizontalFlip",
-    "RandomShift",
-    "GaussianNoise",
-    "Compose",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -75,36 +75,6 @@ class ArrayDataset:
                 f"indices out of range for dataset of size {len(self)}"
             )
         return ArrayDataset(self.inputs[indices], self.labels[indices])
-
-    def shuffled(self, seed: SeedLike = None) -> ArrayDataset:
-        """Return a row-shuffled copy."""
-        rng = ensure_generator(seed)
-        order = rng.permutation(len(self))
-        return self.subset(order)
-
-    def concat(self, other: ArrayDataset) -> ArrayDataset:
-        """Return the concatenation of this dataset with ``other``."""
-        if len(self) == 0:
-            return ArrayDataset(other.inputs.copy(), other.labels.copy())
-        if len(other) == 0:
-            return ArrayDataset(self.inputs.copy(), self.labels.copy())
-        return ArrayDataset(
-            np.concatenate([self.inputs, other.inputs], axis=0),
-            np.concatenate([self.labels, other.labels], axis=0),
-        )
-
-    def batches(
-        self, batch_size: int, seed: SeedLike = None, shuffle: bool = False
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(inputs, labels)`` mini-batches covering the dataset."""
-        if batch_size <= 0:
-            raise DataError(f"batch_size must be positive, got {batch_size}")
-        order = np.arange(len(self))
-        if shuffle:
-            ensure_generator(seed).shuffle(order)
-        for start in range(0, len(self), batch_size):
-            batch = order[start : start + batch_size]
-            yield self.inputs[batch], self.labels[batch]
 
     def __repr__(self) -> str:
         return (

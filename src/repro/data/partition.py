@@ -14,6 +14,7 @@ Dirichlet extension:
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
@@ -22,11 +23,13 @@ from repro.data.dataset import ArrayDataset
 from repro.errors import PartitionError
 from repro.rng import SeedLike, ensure_generator
 
+# Dirichlet draws before ``dirichlet_partition`` gives up.
+_MAX_DRAWS = 100
+
 __all__ = [
     "iid_partition",
     "shard_noniid_partition",
     "dirichlet_partition",
-    "partition_label_distribution",
 ]
 
 
@@ -112,36 +115,32 @@ def dirichlet_partition(
     dataset: ArrayDataset,
     num_users: int,
     alpha: float = 0.5,
-    min_samples: int = 1,
     seed: SeedLike = None,
-    max_retries: int = 100,
 ) -> List[ArrayDataset]:
     """Label-Dirichlet partitioning (extension beyond the paper).
 
     For each class, the class's samples are distributed across users
     according to a draw from ``Dirichlet(alpha)``. Small ``alpha``
-    yields highly skewed users; large ``alpha`` approaches IID.
+    yields highly skewed users; large ``alpha`` approaches IID. A draw
+    that leaves a user without samples is redrawn, up to
+    ``_MAX_DRAWS`` draws.
 
     Args:
         dataset: source dataset.
         num_users: number of users.
         alpha: Dirichlet concentration, must be positive.
-        min_samples: resample until every user has at least this many.
         seed: draw seed.
-        max_retries: resampling attempts before giving up.
 
     Raises:
         PartitionError: if a valid assignment cannot be drawn.
     """
     _check_partition_args(dataset, num_users)
-    if alpha <= 0:
-        raise PartitionError(f"alpha must be positive, got {alpha}")
-    if min_samples < 0:
-        raise PartitionError(f"min_samples must be non-negative, got {min_samples}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise PartitionError(f"alpha must be finite and positive, got {alpha}")
     rng = ensure_generator(seed)
     labels = dataset.labels
     classes = np.unique(labels)
-    for _ in range(max_retries):
+    for _ in range(_MAX_DRAWS):
         user_indices: List[List[int]] = [[] for _ in range(num_users)]
         for cls in classes:
             cls_idx = np.flatnonzero(labels == cls)
@@ -150,25 +149,9 @@ def dirichlet_partition(
             cuts = (np.cumsum(proportions) * len(cls_idx)).astype(int)[:-1]
             for user, chunk in enumerate(np.split(cls_idx, cuts)):
                 user_indices[user].extend(chunk.tolist())
-        if all(len(idx) >= min_samples for idx in user_indices):
+        if all(user_indices):
             return [dataset.subset(idx) for idx in user_indices]
     raise PartitionError(
-        f"could not satisfy min_samples={min_samples} for {num_users} users "
-        f"after {max_retries} Dirichlet draws (alpha={alpha})"
+        f"could not give each of {num_users} users a sample in "
+        f"{_MAX_DRAWS} Dirichlet draws (alpha={alpha})"
     )
-
-
-def partition_label_distribution(
-    partitions: List[ArrayDataset], num_classes: int
-) -> np.ndarray:
-    """Per-user label histograms as a ``(users, classes)`` matrix.
-
-    Useful for verifying partition heterogeneity: each row sums to that
-    user's sample count; summing rows recovers the global histogram.
-    """
-    if num_classes <= 0:
-        raise PartitionError(f"num_classes must be positive, got {num_classes}")
-    matrix = np.zeros((len(partitions), num_classes), dtype=np.int64)
-    for row, part in enumerate(partitions):
-        matrix[row] = part.class_counts(num_classes)
-    return matrix

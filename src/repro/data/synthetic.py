@@ -23,6 +23,7 @@ variation scales.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Tuple
 
@@ -58,11 +59,6 @@ class SyntheticImageTask:
     within_class_std: float
     noise_std: float
     seed: int | None = field(default=None)
-
-    @property
-    def input_dim(self) -> int:
-        """Flattened input dimensionality."""
-        return int(np.prod(self.image_shape))
 
 
 def _smooth_field(
@@ -131,8 +127,15 @@ def make_synthetic_image_task(
             "train_size and test_size must each be >= num_classes, got "
             f"{train_size} and {test_size} for {num_classes} classes"
         )
-    if min(class_separation, within_class_std, noise_std) < 0:
-        raise ConfigurationError("scales must be non-negative")
+    for name, scale in (
+        ("class_separation", class_separation),
+        ("within_class_std", within_class_std),
+        ("noise_std", noise_std),
+    ):
+        if not (math.isfinite(scale) and scale >= 0):
+            raise ConfigurationError(
+                f"{name} must be finite and non-negative, got {scale}"
+            )
     if num_style_components <= 0:
         raise ConfigurationError(
             f"num_style_components must be positive, got {num_style_components}"

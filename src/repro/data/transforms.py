@@ -1,4 +1,4 @@
-"""Input transforms."""
+"""Input transform: flattening image batches for MLP models."""
 
 from __future__ import annotations
 
@@ -6,28 +6,7 @@ import numpy as np
 
 from repro.errors import DataError
 
-__all__ = ["normalize_images", "flatten_images", "one_hot"]
-
-
-def normalize_images(
-    images: np.ndarray, mean: float | None = None, std: float | None = None
-) -> np.ndarray:
-    """Standardize ``images`` to zero mean, unit variance.
-
-    Args:
-        images: input array.
-        mean: subtract this mean; computed from ``images`` when None.
-        std: divide by this std; computed from ``images`` when None.
-            A zero std is replaced by 1 to avoid division by zero.
-    """
-    images = np.asarray(images, dtype=np.float64)
-    if mean is None:
-        mean = float(images.mean()) if images.size else 0.0
-    if std is None:
-        std = float(images.std()) if images.size else 1.0
-    if std == 0:
-        std = 1.0
-    return (images - mean) / std
+__all__ = ["flatten_images"]
 
 
 def flatten_images(images: np.ndarray) -> np.ndarray:
@@ -39,20 +18,3 @@ def flatten_images(images: np.ndarray) -> np.ndarray:
     if images.ndim < 2:
         raise DataError(f"expected a batched array, got shape {images.shape}")
     return images.reshape(images.shape[0], -1)
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Encode integer ``labels`` as one-hot rows."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise DataError(f"labels must be 1-D, got shape {labels.shape}")
-    if num_classes <= 0:
-        raise DataError(f"num_classes must be positive, got {num_classes}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise DataError(
-            f"labels must lie in [0, {num_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    encoded = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    encoded[np.arange(labels.shape[0]), labels] = 1.0
-    return encoded

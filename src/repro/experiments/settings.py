@@ -17,6 +17,7 @@ can be restored by constructing :meth:`ExperimentSettings.paper_scale`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -135,9 +136,10 @@ class ExperimentSettings:
                 f"noniid_kind must be 'shard' or 'dirichlet', got "
                 f"{self.noniid_kind!r}"
             )
-        if self.dirichlet_alpha <= 0:
+        if not (math.isfinite(self.dirichlet_alpha) and self.dirichlet_alpha > 0):
             raise ConfigurationError(
-                f"dirichlet_alpha must be positive, got {self.dirichlet_alpha}"
+                "dirichlet_alpha must be finite and positive, got "
+                f"{self.dirichlet_alpha}"
             )
         if self.train_size < self.num_users * self.shards_per_user:
             raise ConfigurationError(
@@ -250,7 +252,6 @@ class ExperimentSettings:
                 train,
                 self.num_users,
                 alpha=self.dirichlet_alpha,
-                min_samples=1,
                 seed=derive_seed(self.seed, "noniid-dirichlet"),
             )
         raise ConfigurationError(

@@ -19,14 +19,12 @@ from repro.extensions.personalization import (
     PersonalizationReport,
     evaluate_personalization,
 )
-from repro.extensions.secure_aggregation import SecureAggregator
 
 __all__ = [
     "BatteryAwareSelection",
     "SemiAsyncTrainer",
     "SemiAsyncConfig",
     "OortSelection",
-    "SecureAggregator",
     "PersonalizationReport",
     "evaluate_personalization",
 ]

@@ -109,8 +109,6 @@ class LocalTrainer:
             last_loss, grad = _LOSS.loss_and_grad(outputs, labels)
             # Nothing reads the gradient w.r.t. the local data.
             model.backward(grad, input_grad=False)
-            # p -= lr * g in place, bitwise identical to Sgd.step with
-            # zero weight decay.
             model.sgd_step(self.learning_rate)
         return float(last_loss)
 

@@ -7,17 +7,11 @@ measures the slack time that HELCFL's Algorithm 3 converts into energy
 savings.
 """
 
-from repro.network.channel import (
-    FixedChannel,
-    PathLossChannel,
-    RayleighFadingChannel,
-)
+from repro.network.channel import RayleighFadingChannel
 from repro.network.ofdma import simulate_ofdma_round
 from repro.network.tdma import RoundTimeline, UserTimeline, simulate_tdma_round
 
 __all__ = [
-    "FixedChannel",
-    "PathLossChannel",
     "RayleighFadingChannel",
     "UserTimeline",
     "RoundTimeline",

@@ -1,10 +1,8 @@
 """Channel-gain models.
 
 The paper treats each user's channel gain ``h_q`` as a constant inside
-Eq. (6). These models generate such gains: a fixed value (the paper's
-implicit setting), a log-distance path-loss model for
-position-dependent heterogeneity, and Rayleigh fading for per-round
-variation (extension experiments).
+Eq. (6) (a device's fixed ``channel_gain``). Rayleigh fading adds
+per-round variation around such a gain (extension experiments).
 """
 
 from __future__ import annotations
@@ -14,55 +12,7 @@ import math
 from repro.errors import NetworkError
 from repro.rng import SeedLike, ensure_generator
 
-__all__ = ["FixedChannel", "PathLossChannel", "RayleighFadingChannel"]
-
-
-class FixedChannel:
-    """A constant channel gain."""
-
-    def __init__(self, gain: float = 1.0) -> None:
-        if gain <= 0:
-            raise NetworkError(f"gain must be positive, got {gain}")
-        self.gain = float(gain)
-
-    def sample_gain(self) -> float:
-        """Return the (constant) amplitude gain ``h``."""
-        return self.gain
-
-
-class PathLossChannel:
-    """Log-distance path loss: ``h = (d0 / d)^(exponent / 2)``.
-
-    The square root appears because the paper's Eq. (6) squares the
-    amplitude gain ``h``; power attenuation follows ``(d0/d)^exponent``.
-
-    Args:
-        distance_m: transmitter-receiver distance; must be positive.
-        reference_distance_m: distance at which the gain is 1.
-        exponent: path-loss exponent (2 free space, 3-4 urban).
-    """
-
-    def __init__(
-        self,
-        distance_m: float,
-        reference_distance_m: float = 1.0,
-        exponent: float = 3.0,
-    ) -> None:
-        if distance_m <= 0 or reference_distance_m <= 0:
-            raise NetworkError(
-                f"distances must be positive, got d={distance_m}, "
-                f"d0={reference_distance_m}"
-            )
-        if exponent <= 0:
-            raise NetworkError(f"exponent must be positive, got {exponent}")
-        self.distance_m = float(distance_m)
-        self.reference_distance_m = float(reference_distance_m)
-        self.exponent = float(exponent)
-
-    def sample_gain(self) -> float:
-        """Return the deterministic path-loss amplitude gain."""
-        ratio = self.reference_distance_m / self.distance_m
-        return math.pow(ratio, self.exponent / 2.0)
+__all__ = ["RayleighFadingChannel"]
 
 
 class RayleighFadingChannel:

@@ -2,10 +2,11 @@
 
 This package is the training substrate for the HELCFL reproduction: the
 paper trains SqueezeNet on CIFAR-10 with a conventional deep-learning
-stack, and this package provides the equivalent capability offline —
-layers with exact analytic gradients, losses, SGD-family optimizers,
-reference architectures (an MLP, a small CNN, and a Mini-SqueezeNet
-built from Fire modules), plus flat-parameter access used by the
+stack, and this package provides what its local update and evaluation
+need offline — layers with exact analytic gradients, the softmax
+cross-entropy loss, the in-place gradient step of Eq. (3), reference
+architectures (an MLP, a small CNN, and a Mini-SqueezeNet built from
+Fire modules), plus flat-parameter access used by the
 federated-averaging aggregator.
 
 Quick example::
@@ -17,36 +18,23 @@ Quick example::
         nn.Dense(64, 10),
     ], seed=0)
     loss = nn.SoftmaxCrossEntropy()
-    opt = nn.Sgd(learning_rate=0.1)
-    probs = model.forward(x, training=True)
-    value, grad = loss.loss_and_grad(probs, labels)
+    logits = model.forward(x, training=True)
+    value, grad = loss.loss_and_grad(logits, labels)
     model.backward(grad)
-    opt.step(model)
+    model.sgd_step(0.1)
 """
 
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
+from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense
-from repro.nn.dropout import Dropout
-from repro.nn.gradcheck import numeric_gradient, relative_error
-from repro.nn.initializers import (
-    constant_init,
-    he_normal,
-    he_uniform,
-    xavier_normal,
-    xavier_uniform,
-    zeros_init,
-)
+from repro.nn.initializers import he_normal, zeros_init
 from repro.nn.layer import Layer
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.nn.losses import SoftmaxCrossEntropy
+from repro.nn.metrics import accuracy
 from repro.nn.model import Sequential
 from repro.nn.normalization import BatchNorm
-from repro.nn.optimizers import Adam, Momentum, Nesterov, Sgd
-from repro.nn.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D
 from repro.nn.reshape import Flatten
-from repro.nn.schedules import ConstantSchedule, CosineSchedule, StepDecaySchedule
-from repro.nn.serialization import load_model_params, save_model_params
 from repro.nn.architectures import build_cnn, build_mlp, build_mini_squeezenet
 
 __all__ = [
@@ -54,39 +42,15 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
     "GlobalAvgPool2D",
     "BatchNorm",
-    "Dropout",
     "Flatten",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
-    "Softmax",
     "Sequential",
-    "MeanSquaredError",
     "SoftmaxCrossEntropy",
-    "Sgd",
-    "Momentum",
-    "Nesterov",
-    "Adam",
-    "ConstantSchedule",
-    "StepDecaySchedule",
-    "CosineSchedule",
     "accuracy",
-    "top_k_accuracy",
-    "confusion_matrix",
-    "xavier_uniform",
-    "xavier_normal",
-    "he_uniform",
     "he_normal",
     "zeros_init",
-    "constant_init",
-    "numeric_gradient",
-    "relative_error",
-    "save_model_params",
-    "load_model_params",
     "build_mlp",
     "build_cnn",
     "build_mini_squeezenet",

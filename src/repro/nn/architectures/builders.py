@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.nn.activations import ReLU
 from repro.nn.conv import Conv2D
 from repro.nn.dense import Dense
-from repro.nn.dropout import Dropout
 from repro.nn.model import Sequential
 from repro.nn.normalization import BatchNorm
 from repro.nn.pooling import MaxPool2D
@@ -22,7 +21,6 @@ def build_mlp(
     input_dim: int,
     num_classes: int,
     hidden_sizes: Sequence[int] = (64,),
-    dropout: float = 0.0,
     seed: SeedLike = None,
 ) -> Sequential:
     """Build a ReLU multi-layer perceptron classifier.
@@ -31,8 +29,6 @@ def build_mlp(
         input_dim: flattened input dimensionality.
         num_classes: output class count.
         hidden_sizes: widths of the hidden layers, in order.
-        dropout: dropout rate applied after each hidden activation
-            (0 disables dropout layers entirely).
         seed: seed or generator for all weight initializers.
 
     Returns:
@@ -43,17 +39,19 @@ def build_mlp(
             f"input_dim and num_classes must be positive, got "
             f"{input_dim}, {num_classes}"
         )
-    rngs = spawn_generators(seed, len(hidden_sizes) + 1 + len(hidden_sizes))
-    rng_iter = iter(rngs)
+    # Spawning advances a passed-in generator's child counter, so the
+    # count, one unused generator per hidden layer included, is part of
+    # the model's bits.
+    rngs = spawn_generators(seed, 2 * len(hidden_sizes) + 1)
     layers = []
     previous = int(input_dim)
-    for width in hidden_sizes:
-        layers.append(Dense(previous, int(width), seed=next(rng_iter)))
+    for rng, width in zip(rngs, hidden_sizes):
+        layers.append(Dense(previous, int(width), seed=rng))
         layers.append(ReLU())
-        if dropout > 0.0:
-            layers.append(Dropout(dropout, seed=next(rng_iter)))
         previous = int(width)
-    layers.append(Dense(previous, int(num_classes), seed=next(rng_iter)))
+    layers.append(
+        Dense(previous, int(num_classes), seed=rngs[len(hidden_sizes)])
+    )
     return Sequential(layers)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.conv_utils import as_rows, col2im, conv_output_size, im2col
-from repro.nn.initializers import Initializer, he_normal, zeros_init
+from repro.nn.initializers import he_normal, zeros_init
 from repro.nn.layer import Layer
 from repro.rng import SeedLike, ensure_generator
 
@@ -18,7 +18,8 @@ __all__ = ["Conv2D"]
 class Conv2D(Layer):
     """2-D convolution over NCHW inputs.
 
-    The kernel has shape ``(out_channels, in_channels, kh, kw)``.
+    The kernel has shape ``(out_channels, in_channels, kh, kw)`` and
+    starts He normal; the per-filter bias ``b`` starts at zero.
     Forward computes ``im2col(x) @ W_flat + b`` so both passes reduce to
     dense matrix algebra. Inputs may be in any memory order; the output
     and the input gradient are fresh arrays of NCHW shape over
@@ -34,8 +35,6 @@ class Conv2D(Layer):
         kernel_size: square kernel size, or ``(kh, kw)`` tuple.
         stride: spatial stride.
         padding: symmetric zero padding.
-        weight_init: kernel initializer (default He normal).
-        bias: include per-filter additive bias.
         seed: seed or generator for the initializer.
     """
 
@@ -46,8 +45,6 @@ class Conv2D(Layer):
         kernel_size,
         stride: int = 1,
         padding: int = 0,
-        weight_init: Initializer = he_normal,
-        bias: bool = True,
         seed: SeedLike = None,
     ) -> None:
         super().__init__()
@@ -70,13 +67,11 @@ class Conv2D(Layer):
         self.kernel_w = kw
         self.stride = int(stride)
         self.padding = int(padding)
-        self.use_bias = bool(bias)
         rng = ensure_generator(seed)
         self._register(
-            "W", weight_init((self.out_channels, self.in_channels, kh, kw), rng)
+            "W", he_normal((self.out_channels, self.in_channels, kh, kw), rng)
         )
-        if self.use_bias:
-            self._register("b", zeros_init((self.out_channels,), rng))
+        self._register("b", zeros_init((self.out_channels,), rng))
         # 1x1, stride 1, unpadded: im2col and col2im are reshapes.
         self._pointwise = (kh, kw, self.stride, self.padding) == (1, 1, 1, 0)
         self._cols: Optional[np.ndarray] = None
@@ -110,8 +105,7 @@ class Conv2D(Layer):
         # The GEMM result is a fresh array the caller owns: its rows are
         # pixels, so it is the channels-last memory of the output.
         out = np.matmul(cols, w_flat.T, out=np.empty((rows, self.out_channels)))
-        if self.use_bias:
-            out += self.params["b"]
+        out += self.params["b"]
         if training:
             # Same-step cache: cols is the "cols" scratch (k x k) or the
             # caller's own input (1x1), backward() consumes it before
@@ -156,8 +150,7 @@ class Conv2D(Layer):
             self._cols,
             out=self.grads["W"].reshape(self.out_channels, -1),
         )
-        if self.use_bias:
-            np.sum(grad_flat, axis=0, out=self.grads["b"])
+        np.sum(grad_flat, axis=0, out=self.grads["b"])
         if not input_grad:
             return None
         w_flat = self.params["W"].reshape(self.out_channels, -1)

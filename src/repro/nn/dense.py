@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.initializers import Initializer, he_normal, zeros_init
+from repro.nn.initializers import he_normal, zeros_init
 from repro.nn.layer import Layer
 from repro.rng import SeedLike, ensure_generator
 
@@ -17,12 +17,12 @@ __all__ = ["Dense"]
 class Dense(Layer):
     """Affine transform ``y = x @ W + b``.
 
+    ``W`` of shape ``(in_features, out_features)`` starts He normal and
+    ``b`` at zero.
+
     Args:
         in_features: input dimensionality.
         out_features: output dimensionality.
-        weight_init: initializer for ``W`` of shape
-            ``(in_features, out_features)``; defaults to He normal.
-        bias: whether to include the additive bias term.
         seed: seed or generator used by the weight initializer.
     """
 
@@ -30,8 +30,6 @@ class Dense(Layer):
         self,
         in_features: int,
         out_features: int,
-        weight_init: Initializer = he_normal,
-        bias: bool = True,
         seed: SeedLike = None,
     ) -> None:
         super().__init__()
@@ -42,11 +40,9 @@ class Dense(Layer):
             )
         self.in_features = int(in_features)
         self.out_features = int(out_features)
-        self.use_bias = bool(bias)
         rng = ensure_generator(seed)
-        self._register("W", weight_init((self.in_features, self.out_features), rng))
-        if self.use_bias:
-            self._register("b", zeros_init((self.out_features,), rng))
+        self._register("W", he_normal((self.in_features, self.out_features), rng))
+        self._register("b", zeros_init((self.out_features,), rng))
         self._inputs: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
@@ -59,8 +55,7 @@ class Dense(Layer):
         # instead of differentiating an earlier batch.
         self._inputs = inputs if training else None
         out = inputs @ self.params["W"]
-        if self.use_bias:
-            out += self.params["b"]
+        out += self.params["b"]
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -71,11 +66,7 @@ class Dense(Layer):
         if self._inputs is None:
             raise RuntimeError("backward called before forward(training=True)")
         np.matmul(self._inputs.T, grad_output, out=self.grads["W"])
-        if self.use_bias:
-            np.sum(grad_output, axis=0, out=self.grads["b"])
+        np.sum(grad_output, axis=0, out=self.grads["b"])
 
     def __repr__(self) -> str:
-        return (
-            f"Dense(in={self.in_features}, out={self.out_features}, "
-            f"bias={self.use_bias})"
-        )
+        return f"Dense(in={self.in_features}, out={self.out_features})"

@@ -1,31 +1,20 @@
 """Weight initializers for :mod:`repro.nn` layers.
 
-Each initializer is a plain function ``(shape, rng) -> ndarray`` so
-layers can accept them as first-class values. The fan-in / fan-out
-computation follows the usual convention: for a dense weight of shape
-``(in, out)`` fan-in is ``in``; for a convolution kernel of shape
-``(out_channels, in_channels, kh, kw)`` fan-in is
+Each initializer is a plain function ``(shape, rng) -> ndarray``:
+``Dense`` and ``Conv2D`` start their weights He normal and their
+biases at zero. The fan-in follows the usual convention: for a dense
+weight of shape ``(in, out)`` it is ``in``; for a convolution kernel of
+shape ``(out_channels, in_channels, kh, kw)`` it is
 ``in_channels * kh * kw``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = [
-    "Initializer",
-    "compute_fans",
-    "xavier_uniform",
-    "xavier_normal",
-    "he_uniform",
-    "he_normal",
-    "zeros_init",
-    "constant_init",
-]
-
-Initializer = Callable[[Sequence[int], np.random.Generator], np.ndarray]
+__all__ = ["compute_fans", "he_normal", "zeros_init"]
 
 
 def compute_fans(shape: Sequence[int]) -> Tuple[int, int]:
@@ -47,27 +36,6 @@ def compute_fans(shape: Sequence[int]) -> Tuple[int, int]:
     return fan_in, fan_out
 
 
-def xavier_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier uniform initialization, suited to tanh/sigmoid nets."""
-    fan_in, fan_out = compute_fans(shape)
-    limit = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
-def xavier_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal initialization."""
-    fan_in, fan_out = compute_fans(shape)
-    std = float(np.sqrt(2.0 / (fan_in + fan_out)))
-    return rng.normal(0.0, std, size=shape).astype(np.float64)
-
-
-def he_uniform(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming uniform initialization, suited to ReLU nets."""
-    fan_in, _ = compute_fans(shape)
-    limit = float(np.sqrt(6.0 / fan_in))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
-
-
 def he_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
     """He/Kaiming normal initialization."""
     fan_in, _ = compute_fans(shape)
@@ -76,16 +44,6 @@ def he_normal(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
 
 
 def zeros_init(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-    """All-zeros initialization (the default for biases)."""
+    """All-zeros initialization (every bias)."""
     del rng
     return np.zeros(shape, dtype=np.float64)
-
-
-def constant_init(value: float) -> Initializer:
-    """Return an initializer filling the tensor with ``value``."""
-
-    def _init(shape: Sequence[int], rng: np.random.Generator) -> np.ndarray:
-        del rng
-        return np.full(shape, float(value), dtype=np.float64)
-
-    return _init

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 
-__all__ = ["SoftmaxCrossEntropy", "MeanSquaredError"]
+__all__ = ["SoftmaxCrossEntropy"]
 
 
 class SoftmaxCrossEntropy:
@@ -23,26 +23,17 @@ class SoftmaxCrossEntropy:
     ``(softmax(logits) - onehot) / batch``.
     """
 
-    def __init__(self, label_smoothing: float = 0.0) -> None:
-        if not 0.0 <= label_smoothing < 1.0:
-            raise ShapeError(
-                f"label_smoothing must be in [0, 1), got {label_smoothing}"
-            )
-        self.label_smoothing = float(label_smoothing)
-
     @staticmethod
     def _softmax(logits: np.ndarray) -> np.ndarray:
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
         return exp / exp.sum(axis=1, keepdims=True)
 
-    def _target_distribution(self, labels: np.ndarray, classes: int) -> np.ndarray:
+    @staticmethod
+    def _target_distribution(labels: np.ndarray, classes: int) -> np.ndarray:
         batch = labels.shape[0]
         onehot = np.zeros((batch, classes), dtype=np.float64)
         onehot[np.arange(batch), labels] = 1.0
-        if self.label_smoothing > 0.0:
-            smooth = self.label_smoothing
-            onehot = onehot * (1.0 - smooth) + smooth / classes
         return onehot
 
     def loss(self, logits: np.ndarray, labels: np.ndarray) -> float:
@@ -85,26 +76,3 @@ class SoftmaxCrossEntropy:
         log_probs = np.log(np.clip(probs, 1e-300, None))
         value = float(-(target * log_probs).sum(axis=1).mean())
         return value, probs, target
-
-
-class MeanSquaredError:
-    """Mean squared error over all elements: ``mean((y - t)^2)``."""
-
-    def loss(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        """Return the mean squared error."""
-        value, _ = self.loss_and_grad(outputs, targets)
-        return value
-
-    def loss_and_grad(
-        self, outputs: np.ndarray, targets: np.ndarray
-    ) -> Tuple[float, np.ndarray]:
-        """Return ``(mean loss, d loss / d outputs)``."""
-        targets = np.asarray(targets, dtype=np.float64)
-        if outputs.shape != targets.shape:
-            raise ShapeError(
-                f"outputs {outputs.shape} and targets {targets.shape} differ"
-            )
-        diff = outputs - targets
-        value = float(np.mean(diff**2))
-        grad = 2.0 * diff / diff.size
-        return value, grad

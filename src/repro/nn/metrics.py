@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.errors import ShapeError
 
-__all__ = ["accuracy", "top_k_accuracy", "confusion_matrix"]
+__all__ = ["accuracy"]
 
 
 def accuracy(logits_or_preds: np.ndarray, labels: np.ndarray) -> float:
@@ -32,41 +32,3 @@ def accuracy(logits_or_preds: np.ndarray, labels: np.ndarray) -> float:
     if labels.size == 0:
         return 0.0
     return float(np.mean(preds == labels))
-
-
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Fraction of samples whose label is within the top-``k`` scores."""
-    logits = np.asarray(logits)
-    labels = np.asarray(labels)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-D, got {logits.shape}")
-    if k <= 0:
-        raise ShapeError(f"k must be positive, got {k}")
-    if labels.size == 0:
-        return 0.0
-    k = min(k, logits.shape[1])
-    top = np.argpartition(-logits, kth=k - 1, axis=1)[:, :k]
-    return float(np.mean(np.any(top == labels[:, None], axis=1)))
-
-
-def confusion_matrix(
-    preds: np.ndarray, labels: np.ndarray, num_classes: int
-) -> np.ndarray:
-    """Return the ``(num_classes, num_classes)`` confusion matrix.
-
-    Entry ``[i, j]`` counts samples with true class ``i`` predicted as
-    class ``j``.
-    """
-    preds = np.asarray(preds)
-    if preds.ndim == 2:
-        preds = preds.argmax(axis=1)
-    labels = np.asarray(labels)
-    if preds.shape != labels.shape:
-        raise ShapeError(
-            f"predictions {preds.shape} and labels {labels.shape} differ"
-        )
-    if num_classes <= 0:
-        raise ShapeError(f"num_classes must be positive, got {num_classes}")
-    matrix = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(matrix, (labels.astype(np.int64), preds.astype(np.int64)), 1)
-    return matrix

@@ -10,7 +10,7 @@ flat vectors, exactly matching Eq. (18) of the paper.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -99,14 +99,6 @@ class Sequential:
         """Total scalar parameter count across all layers."""
         return sum(layer.parameter_count for layer in self.layers)
 
-    def parameter_bytes(self, bits_per_parameter: int = 32) -> int:
-        """Size of one model payload in bytes at the given precision.
-
-        Used to derive the communication payload ``C_model`` of Eq. (7)
-        from an actual model.
-        """
-        return self.parameter_count * bits_per_parameter // 8
-
     def named_parameters(self) -> Iterable:
         """Yield ``(layer_index, name, array)`` for every parameter."""
         for idx, layer in enumerate(self.layers):
@@ -165,23 +157,11 @@ class Sequential:
             param[...] = flat[offset : offset + size].reshape(param.shape)
             offset += size
 
-    def get_flat_grads(self) -> np.ndarray:
-        """Concatenate every gradient buffer into one flat vector."""
-        chunks = []
-        for idx, layer in enumerate(self.layers):
-            for name in sorted(layer.params):
-                chunks.append(layer.grads[name].ravel())
-        if not chunks:
-            return np.zeros(0, dtype=np.float64)
-        return np.concatenate(chunks).astype(np.float64, copy=False)
-
     def sgd_step(self, learning_rate: float) -> None:
-        """Apply one in-place vanilla SGD step: ``p -= lr * g``.
+        """Apply one in-place gradient step: ``p -= lr * g``.
 
-        Fused fast path for the federated local update (HELCFL Eq. 3):
-        bitwise identical to ``Sgd(learning_rate).step(model)`` with zero
-        weight decay, but without constructing an optimizer or staging
-        flat vectors.
+        The federated local update (HELCFL Eq. 3), parameter by
+        parameter in place, with no flat vectors staged.
         """
         rate = float(learning_rate)
         for layer in self.layers:
@@ -249,19 +229,6 @@ class Sequential:
     ) -> np.ndarray:
         """Return argmax class ids for ``inputs``."""
         return self.predict(inputs, batch_size=batch_size).argmax(axis=1)
-
-    def apply(self, fn: Callable[[Layer], None]) -> None:
-        """Call ``fn`` on every layer (e.g. to tweak dropout rates)."""
-        for layer in self.layers:
-            fn(layer)
-
-    def summary(self) -> str:
-        """Return a human-readable multi-line architecture summary."""
-        lines = [f"Sequential({len(self.layers)} layers, "
-                 f"{self.parameter_count} parameters)"]
-        for idx, layer in enumerate(self.layers):
-            lines.append(f"  [{idx:2d}] {layer!r}")
-        return "\n".join(lines)
 
     def __repr__(self) -> str:
         return (

@@ -21,9 +21,8 @@ class BatchNorm(Layer):
     inference time.
 
     Note on federated aggregation: ``gamma`` and ``beta`` are trainable
-    parameters and participate in FedAvg; the running statistics are
-    buffers, exposed through :meth:`get_buffers` / :meth:`set_buffers`
-    so the server can broadcast consistent statistics when desired.
+    parameters and participate in FedAvg; the running statistics
+    ``running_mean`` / ``running_var`` are local buffers.
 
     Args:
         num_features: channel count ``c``.
@@ -82,8 +81,8 @@ class BatchNorm(Layer):
             # Unbiased variance for the running estimate (framework
             # convention), biased variance for the normalization itself.
             # The running statistics are updated IN PLACE: external
-            # aliases (worker-resident views, get_buffers callers, the
-            # shared-memory path) must keep observing the live arrays.
+            # aliases (worker-resident views, the shared-memory path)
+            # must keep observing the live arrays.
             unbiased = var * count / max(count - 1, 1)
             self.running_mean[...] = (
                 1.0 - self.momentum
@@ -128,27 +127,6 @@ class BatchNorm(Layer):
         ) * self._broadcast(inv_std, ndim)
         del count
         return grad_input
-
-    # ------------------------------------------------------------------
-    def get_buffers(self) -> dict:
-        """Return copies of the (non-trainable) running statistics."""
-        return {
-            "running_mean": self.running_mean.copy(),
-            "running_var": self.running_var.copy(),
-        }
-
-    def set_buffers(self, buffers: dict) -> None:
-        """Overwrite the running statistics from :meth:`get_buffers` output.
-
-        Written in place so external aliases of the running-stat arrays
-        stay valid (matching :meth:`forward`'s in-place updates).
-        """
-        self.running_mean[...] = np.asarray(
-            buffers["running_mean"], dtype=np.float64
-        )
-        self.running_var[...] = np.asarray(
-            buffers["running_var"], dtype=np.float64
-        )
 
     def __repr__(self) -> str:
         return f"BatchNorm(features={self.num_features}, momentum={self.momentum})"

@@ -7,20 +7,28 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.conv_utils import (
-    col2im,
-    conv_output_size,
-    im2col,
-    pad_input,
-    zeros_channels_last,
-)
+from repro.nn.conv_utils import conv_output_size, pad_input, zeros_channels_last
 from repro.nn.layer import Layer
 
-__all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
+__all__ = ["MaxPool2D", "GlobalAvgPool2D"]
 
 
-class _Pool2D(Layer):
-    """Shared plumbing for windowed pooling layers."""
+class MaxPool2D(Layer):
+    """Max pooling over spatial windows.
+
+    The input is read through one strided view per window offset, in
+    whatever memory order it arrives (no unfolded copy); the output and
+    the input gradient are channels-last in memory. A NaN is a window's
+    maximum, as ``argmax`` has it; a window whose maximum is zero yields
+    whichever of its signed zeros ``np.maximum`` keeps.
+
+    Args:
+        pool_size: window size (int or ``(h, w)``).
+        stride: window stride; defaults to the window height.
+        padding: symmetric zero padding (padded zeros participate in
+            the max, matching common framework semantics for
+            non-negative activations).
+    """
 
     def __init__(self, pool_size, stride: Optional[int] = None, padding: int = 0):
         super().__init__()
@@ -40,40 +48,6 @@ class _Pool2D(Layer):
         self.pool_w = pw
         self.stride = int(stride)
         self.padding = int(padding)
-
-    def _unfold(self, inputs: np.ndarray) -> Tuple[np.ndarray, int, int, int, int]:
-        """Return per-channel windows ``(rows, window)`` plus geometry."""
-        if inputs.ndim != 4:
-            raise ShapeError(f"pooling expects NCHW input, got {inputs.shape}")
-        n, c, h, w = inputs.shape
-        # Treat channels as independent single-channel images so each
-        # window row covers exactly one channel.
-        reshaped = inputs.reshape(n * c, 1, h, w)
-        cols, out_h, out_w = im2col(
-            reshaped, self.pool_h, self.pool_w, self.stride, self.padding
-        )
-        return cols, n, c, out_h, out_w
-
-
-class MaxPool2D(_Pool2D):
-    """Max pooling over spatial windows.
-
-    The input is read through one strided view per window offset, in
-    whatever memory order it arrives (no unfolded copy); the output and
-    the input gradient are channels-last in memory. A NaN is a window's
-    maximum, as ``argmax`` has it; a window whose maximum is zero yields
-    whichever of its signed zeros ``np.maximum`` keeps.
-
-    Args:
-        pool_size: window size (int or ``(h, w)``).
-        stride: window stride; defaults to the window height.
-        padding: symmetric zero padding (padded zeros participate in
-            the max, matching common framework semantics for
-            non-negative activations).
-    """
-
-    def __init__(self, pool_size, stride: Optional[int] = None, padding: int = 0):
-        super().__init__(pool_size, stride, padding)
         self._rank: Optional[np.ndarray] = None
         self._input_shape: Optional[Tuple[int, int, int, int]] = None
 
@@ -124,44 +98,6 @@ class MaxPool2D(_Pool2D):
             first = self._rank == self.pool_h * self.pool_w - k
             target += np.where(first, grad_output, 0.0)
         return padded[:, :, pad : pad + h, pad : pad + w]
-
-
-class AvgPool2D(_Pool2D):
-    """Average pooling over spatial windows."""
-
-    def __init__(self, pool_size, stride: Optional[int] = None, padding: int = 0):
-        super().__init__(pool_size, stride, padding)
-        self._geometry: Optional[Tuple[int, int, int, int, int, int]] = None
-
-    def forward(self, inputs: np.ndarray, training: bool = False) -> np.ndarray:
-        cols, n, c, out_h, out_w = self._unfold(inputs)
-        out = cols.mean(axis=1)
-        if training:
-            self._geometry = (n, c, inputs.shape[2], inputs.shape[3], out_h, out_w)
-        else:
-            # See MaxPool2D.forward: stale caches must not survive an
-            # inference pass.
-            self._geometry = None
-        return out.reshape(n, c, out_h, out_w)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._geometry is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        n, c, h, w, out_h, out_w = self._geometry
-        rows = n * c * out_h * out_w
-        window = self.pool_h * self.pool_w
-        grad_cols = np.repeat(
-            grad_output.reshape(rows, 1) / float(window), window, axis=1
-        )
-        grad_images = col2im(
-            grad_cols,
-            (n * c, 1, h, w),
-            self.pool_h,
-            self.pool_w,
-            self.stride,
-            self.padding,
-        )
-        return grad_images.reshape(n, c, h, w)
 
 
 class GlobalAvgPool2D(Layer):

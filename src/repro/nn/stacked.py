@@ -36,8 +36,8 @@ from repro.nn.model import Sequential
 
 __all__ = ["is_stackable", "stacked_local_update"]
 
-# (W offset, W shape, b offset or None) per Dense layer, None per ReLU.
-_Layout = List[Optional[Tuple[int, Tuple[int, int], Optional[int]]]]
+# (W offset, W shape, b offset) per Dense layer, None per ReLU.
+_Layout = List[Optional[Tuple[int, Tuple[int, int], int]]]
 
 
 def is_stackable(model: Sequential) -> bool:
@@ -69,22 +69,18 @@ def _flat_layout(model: Sequential) -> _Layout:
         shape = (layer.in_features, layer.out_features)
         weight_offset = offset
         offset += shape[0] * shape[1]
-        bias_offset = offset if layer.use_bias else None
-        if layer.use_bias:
-            offset += shape[1]
-        layout.append((weight_offset, shape, bias_offset))
+        layout.append((weight_offset, shape, offset))
+        offset += shape[1]
     return layout
 
 
-def _dense_views(flat: np.ndarray, entry) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+def _dense_views(flat: np.ndarray, entry) -> Tuple[np.ndarray, np.ndarray]:
     """``(W, b)`` views into ``flat`` of shape ``(P,)`` or ``(g, P)``."""
     weight_offset, shape, bias_offset = entry
     lead = flat.shape[:-1]
     weight = flat[..., weight_offset : weight_offset + shape[0] * shape[1]]
     weight = weight.reshape(lead + shape)
-    bias = None
-    if bias_offset is not None:
-        bias = flat[..., bias_offset : bias_offset + shape[1]]
+    bias = flat[..., bias_offset : bias_offset + shape[1]]
     return weight, bias
 
 
@@ -196,8 +192,7 @@ def stacked_local_update(
             weight, bias = _dense_views(current, entry)
             cache.append(activation)
             activation = np.matmul(activation, weight)
-            if bias is not None:
-                activation += bias[..., None, :]
+            activation += bias[..., None, :]
         losses, grad = _softmax_cross_entropy(activation, target)
 
         # Backward, writing each dW / db into its columns of ``grads``.
@@ -209,8 +204,7 @@ def stacked_local_update(
             weight, _ = _dense_views(current, entry)
             weight_grad, bias_grad = _dense_views(grads, entry)
             np.matmul(cache[index].swapaxes(1, 2), grad, out=weight_grad)
-            if bias_grad is not None:
-                np.sum(grad, axis=1, out=bias_grad)
+            np.sum(grad, axis=1, out=bias_grad)
             if index > 0:  # nothing consumes the gradient w.r.t. the data
                 grad = np.matmul(grad, weight.swapaxes(-1, -2))
 

@@ -7,6 +7,7 @@ import pytest
 from repro.campaign import CampaignSpec
 from repro.campaign.spec import RunSpec
 from repro.errors import ConfigurationError
+from repro.experiments.runner import build_environment
 from tests.campaign.conftest import TINY_SETTINGS, tiny_campaign
 
 
@@ -127,6 +128,34 @@ class TestValidation:
     def test_unknown_spec_fields_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown fields"):
             CampaignSpec.from_dict({"name": "x", "retries": 3})
+
+
+class TestNonFiniteOverrides:
+    """Campaign JSON decodes ``NaN`` and ``Infinity``: a run built from
+    such an override fails with the field named, not at chance accuracy
+    or with a misleading partition error."""
+
+    def load_run(self, tmp_path, settings):
+        spec = tiny_campaign(seeds=(0,), overrides=({"settings": settings},))
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_dict()))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        return CampaignSpec.load(str(path)).expand()[0]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_dirichlet_alpha(self, tmp_path, value):
+        run = self.load_run(
+            tmp_path, {"noniid_kind": "dirichlet", "dirichlet_alpha": value}
+        )
+        with pytest.raises(ConfigurationError, match="dirichlet_alpha"):
+            run.build_settings()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["class_separation", "noise_std"])
+    def test_task_scale(self, tmp_path, field, value):
+        run = self.load_run(tmp_path, {field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            build_environment(run.build_settings(), iid=run.iid)
 
 
 class TestSerialization:

@@ -67,45 +67,6 @@ class TestSubset:
         with pytest.raises(DataError):
             dataset(5).subset([10])
 
-    def test_shuffled_preserves_multiset(self):
-        ds = dataset(30)
-        shuffled = ds.shuffled(seed=1)
-        assert sorted(shuffled.labels.tolist()) == sorted(ds.labels.tolist())
-
-    def test_shuffled_deterministic(self):
-        ds = dataset(30)
-        a = ds.shuffled(seed=2)
-        b = ds.shuffled(seed=2)
-        assert np.array_equal(a.inputs, b.inputs)
-
-    def test_concat(self):
-        a, b = dataset(5, seed=0), dataset(7, seed=1)
-        merged = a.concat(b)
-        assert len(merged) == 12
-        assert np.array_equal(merged.inputs[:5], a.inputs)
-
-    def test_concat_empty(self):
-        a = dataset(5)
-        empty = ArrayDataset(np.zeros((0, 3)), np.zeros(0, dtype=int))
-        assert len(a.concat(empty)) == 5
-        assert len(empty.concat(a)) == 5
-
-
-class TestBatches:
-    def test_covers_all_samples(self):
-        ds = dataset(10)
-        seen = sum(len(y) for _, y in ds.batches(3))
-        assert seen == 10
-
-    def test_batch_size_respected(self):
-        ds = dataset(10)
-        sizes = [len(y) for _, y in ds.batches(4)]
-        assert sizes == [4, 4, 2]
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(DataError):
-            list(dataset().batches(0))
-
 
 class TestTrainTestSplit:
     def test_sizes(self):

@@ -15,7 +15,6 @@ class TestGeneration:
         assert len(task.train) == 500
         assert len(task.test) == 100
         assert task.train.inputs.shape[1:] == (3, 8, 8)
-        assert task.input_dim == 3 * 8 * 8
 
     def test_balanced_classes(self):
         task = make_synthetic_image_task(

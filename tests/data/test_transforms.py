@@ -3,29 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data.transforms import flatten_images, normalize_images, one_hot
+from repro.data.transforms import flatten_images
 from repro.errors import DataError
-
-
-class TestNormalize:
-    def test_zero_mean_unit_std(self):
-        x = np.random.default_rng(0).normal(5.0, 3.0, size=(100, 4))
-        out = normalize_images(x)
-        assert abs(out.mean()) < 1e-12
-        assert abs(out.std() - 1.0) < 1e-12
-
-    def test_explicit_stats(self):
-        x = np.array([2.0, 4.0])
-        out = normalize_images(x, mean=2.0, std=2.0)
-        assert np.allclose(out, [0.0, 1.0])
-
-    def test_zero_std_guard(self):
-        out = normalize_images(np.ones(5))
-        assert np.allclose(out, 0.0)
-
-    def test_empty_array(self):
-        out = normalize_images(np.zeros(0))
-        assert out.size == 0
 
 
 class TestFlatten:
@@ -40,27 +19,3 @@ class TestFlatten:
     def test_unbatched_raises(self):
         with pytest.raises(DataError):
             flatten_images(np.zeros(5))
-
-
-class TestOneHot:
-    def test_values(self):
-        out = one_hot(np.array([0, 2]), 3)
-        assert np.array_equal(out, [[1, 0, 0], [0, 0, 1]])
-
-    def test_rows_sum_to_one(self):
-        labels = np.random.default_rng(1).integers(0, 5, size=20)
-        assert np.all(one_hot(labels, 5).sum(axis=1) == 1.0)
-
-    def test_out_of_range_raises(self):
-        with pytest.raises(DataError):
-            one_hot(np.array([3]), 3)
-        with pytest.raises(DataError):
-            one_hot(np.array([-1]), 3)
-
-    def test_2d_labels_raise(self):
-        with pytest.raises(DataError):
-            one_hot(np.zeros((2, 2), dtype=int), 3)
-
-    def test_invalid_classes(self):
-        with pytest.raises(DataError):
-            one_hot(np.array([0]), 0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.stats import bootstrap_ci, mean_std, moving_average, paired_gap
+from repro.analysis.stats import mean_std, paired_gap
 from repro.campaign import STATUS_PENDING, CampaignManifest
 from repro.errors import ConfigurationError
 from repro.experiments.multiseed import run_multiseed
@@ -24,32 +24,6 @@ class TestStats:
     def test_empty_raises(self):
         with pytest.raises(ConfigurationError):
             mean_std([])
-
-    def test_bootstrap_ci_contains_mean(self):
-        values = [0.5, 0.55, 0.6, 0.58, 0.52]
-        low, high = bootstrap_ci(values, seed=0)
-        mean, _ = mean_std(values)
-        assert low <= mean <= high
-
-    def test_bootstrap_ci_narrows_with_confidence(self):
-        values = list(range(20))
-        low90, high90 = bootstrap_ci(values, confidence=0.9, seed=0)
-        low99, high99 = bootstrap_ci(values, confidence=0.99, seed=0)
-        assert (high99 - low99) >= (high90 - low90)
-
-    def test_bootstrap_validation(self):
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci([], seed=0)
-        with pytest.raises(ConfigurationError):
-            bootstrap_ci([1.0], confidence=1.5)
-
-    def test_moving_average_smooths(self):
-        smoothed = moving_average([0.0, 10.0, 0.0, 10.0], window=2)
-        assert smoothed == [0.0, 5.0, 5.0, 5.0]
-
-    def test_moving_average_window_one_identity(self):
-        values = [3.0, 1.0, 2.0]
-        assert moving_average(values, window=1) == values
 
     def test_paired_gap(self):
         mean, std, wins = paired_gap([2.0, 3.0, 4.0], [1.0, 1.0, 5.0])

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.runner import build_environment
 from repro.experiments.settings import ExperimentSettings
+
+NON_FINITE = [float("nan"), float("inf")]
 
 
 class TestDefaults:
@@ -56,6 +59,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ExperimentSettings(num_users=0)
 
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+    def test_non_finite_dirichlet_alpha_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="dirichlet_alpha"):
+            ExperimentSettings.quick(noniid_kind="dirichlet", dirichlet_alpha=value)
+
+    @pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "field", ["class_separation", "within_class_std", "noise_std"]
+    )
+    def test_non_finite_task_scale_rejected(self, field, value):
+        """A NaN or infinite scale used to train to chance accuracy."""
+        settings = ExperimentSettings.quick(**{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            build_environment(settings, iid=True)
+
 
 class TestBuilders:
     def test_fleet_spec_propagates(self):
@@ -88,13 +106,12 @@ class TestBuilders:
         iid = s.build_partitions(task.train, iid=True)
         non = s.build_partitions(task.train, iid=False)
         assert len(iid) == len(non) == s.num_users
-        from repro.data.partition import partition_label_distribution
 
-        iid_dist = partition_label_distribution(iid, s.num_classes)
-        non_dist = partition_label_distribution(non, s.num_classes)
-        assert (non_dist > 0).sum(axis=1).mean() < (
-            iid_dist > 0
-        ).sum(axis=1).mean()
+        def classes_per_user(partitions):
+            counts = [p.class_counts(s.num_classes) for p in partitions]
+            return sum(int((c > 0).sum()) for c in counts) / len(counts)
+
+        assert classes_per_user(non) < classes_per_user(iid)
 
     def test_build_model_mlp(self):
         s = ExperimentSettings.quick()

@@ -146,24 +146,6 @@ class TestStackedParity:
         )
         assert not np.array_equal(rows[0], global_params)
 
-    def test_dense_without_bias(self):
-        rng = np.random.default_rng(1)
-        model = Sequential(
-            [Dense(4, 6, bias=False, seed=1), ReLU(), Dense(6, 3, seed=2)]
-        )
-        assert is_stackable(model)
-        clients = make_clients(rng, [2, 5, 2], 4, 3)
-        spec = LocalUpdateSpec(local_steps=2)
-        global_params = model.get_flat_params().copy()
-        want_rows, want_losses = per_client_loop(
-            model.clone(), spec, 1, 0.3, global_params, clients
-        )
-        rows, losses = run_train_clients(
-            model, spec, 1, 0.3, global_params, clients
-        )
-        assert np.array_equal(rows, want_rows)
-        assert np.array_equal(losses, want_losses)
-
     def test_trains_into_a_slice_of_a_larger_matrix(self):
         # The pool backends hand each chunk its rows of the round matrix.
         rng = np.random.default_rng(2)

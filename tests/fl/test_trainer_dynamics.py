@@ -8,9 +8,19 @@ from repro.data.dataset import ArrayDataset
 from repro.fl.server import FederatedServer
 from repro.fl.strategy import FullParticipation
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
-from repro.network.channel import FixedChannel, RayleighFadingChannel
+from repro.network.channel import RayleighFadingChannel
 from repro.nn.architectures import build_mlp
 from tests.conftest import make_heterogeneous_devices
+
+
+class FixedGain:
+    """A channel model whose every draw is the same gain."""
+
+    def __init__(self, gain):
+        self.gain = gain
+
+    def sample_gain(self):
+        return self.gain
 
 
 def make_setup(num_devices=4, seed=0):
@@ -42,7 +52,7 @@ class TestFadingChannels:
 
     def test_fixed_channel_keeps_delays_constant(self):
         server, devices = make_setup()
-        models = {d.device_id: FixedChannel(1.0) for d in devices}
+        models = {d.device_id: FixedGain(1.0) for d in devices}
         trainer = FederatedTrainer(
             server=server,
             devices=devices,

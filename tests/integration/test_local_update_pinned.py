@@ -1,15 +1,20 @@
-"""Cross-commit pins of the runs that train outside ``FederatedTrainer``.
+"""Cross-commit pins of every quick-profile scheme's local update and run.
 
-Separated learning, the semi-asynchronous trainer and personalization
-each drive :func:`repro.fl.client.train_clients` themselves instead of
-going through an execution backend, so the trainer's golden and trace
-pins never see them. This file pins their bytes across commits: the
-sha256 of ``history.to_json()`` of SL (quick profile, IID and non-IID)
-and of semi-async runs (MLP and CNN, non-IID shards, two local steps,
-``async/<model>/<updates>``), and of a personalization report (MLP and
-CNN, untrained global model).
+The paper's six synchronous schemes (``helcfl``, ``helcfl-nodvfs``,
+``classic``, ``fedcs``, ``fedl`` and ``full``) train through
+``FederatedTrainer``; separated learning, the semi-asynchronous trainer
+and personalization drive :func:`repro.fl.client.train_clients`
+themselves instead of going through an execution backend, so the
+trainer's golden and trace pins never see them. This file pins their
+bytes across commits: the sha256 of ``history.to_json()`` of each
+scheme and of SL (quick profile, IID and non-IID,
+``<scheme>/quick/<regime>``), of semi-async runs (MLP and CNN, non-IID
+shards, two local steps, ``async/<model>/<updates>``), and of a
+personalization report (MLP and CNN, untrained global model).
 
-Every digest but ``personalization/cnn`` was recorded on the commit
+The six schemes' digests were recorded on the commit before
+``repro.nn`` lost its optimizers, schedules and unused layers. Every
+other digest but ``personalization/cnn`` was recorded on the commit
 where each of these loops still kept its own ``LocalTrainer`` (and SL
 one model clone per user). ``personalization/cnn`` was recorded once
 personalization scored the global model with its own BatchNorm
@@ -37,7 +42,46 @@ from repro.fl.server import FederatedServer
 
 SEED = 7
 
+# The paper's synchronous schemes, each run at ``<scheme>/quick/<regime>``.
+SCHEMES = ("helcfl", "helcfl-nodvfs", "classic", "fedcs", "fedl", "full")
+
 PINNED = {
+    "helcfl/quick/iid": (
+        "5acad6394cb1a1a05db550e001833eec03ca68abbdc7000a88bc94caef3e684c"
+    ),
+    "helcfl/quick/noniid": (
+        "b677a3bee811e679fb3ec870b5e46d383d0c038f865226e54572fc4135c20183"
+    ),
+    "helcfl-nodvfs/quick/iid": (
+        "2588cb3424ca161e87cb155943e5202330bd67a4e01eaab350f7f691dfa28d62"
+    ),
+    "helcfl-nodvfs/quick/noniid": (
+        "c09e3640e368177941c30bad617c0de466ffbdb4c5f4e2df9b5a67cc6eeccc82"
+    ),
+    "classic/quick/iid": (
+        "ceab5c56a73af96874d3c95de904b93969a627732a0c6d6ecc91f7e1b3dc608d"
+    ),
+    "classic/quick/noniid": (
+        "c2b05cdec257803d242ef587b78738297ddca54cc4a3aed8949c6bb23c5c3269"
+    ),
+    "fedcs/quick/iid": (
+        "38d48dbf6663ec4403f1ed2082533de2e66f3c2064dabbb43f439eb44edc0a12"
+    ),
+    "fedcs/quick/noniid": (
+        "77760c270fc6e57142e4f143596c8437d4ee49fa58aed3db9411fccac52f3f20"
+    ),
+    "fedl/quick/iid": (
+        "d6aa55946d380d6e648e448a5a54542d18e343c135bf061403aec942243b6ae6"
+    ),
+    "fedl/quick/noniid": (
+        "d5dc66d6dad842b44f1be5fbdd57e040ab31bb9a9e7bd4a02c94a0b5f3cda6ac"
+    ),
+    "full/quick/iid": (
+        "953e05d6b230e14719349a176273f1f990a5e2954c526d69ae41810cef21ed21"
+    ),
+    "full/quick/noniid": (
+        "221e3b59c5577878a904320f54e185834419866942ffb43fd4124716f7d36f6d"
+    ),
     "sl/quick/iid": (
         "7b48c9cdb74e5b3964a92e8e7c838dc75b830cfd10be9e8dc6a63fb59c5621da"
     ),
@@ -75,8 +119,8 @@ def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def sl_digest(settings: ExperimentSettings, iid: bool) -> str:
-    return sha256(run_strategy("sl", settings, iid=iid).to_json())
+def run_digest(name: str, settings: ExperimentSettings, iid: bool) -> str:
+    return sha256(run_strategy(name, settings, iid=iid).to_json())
 
 
 def async_digest(model: str, updates: int) -> str:
@@ -121,14 +165,14 @@ def personalization_digest(model: str) -> str:
 
 def digest(case: str) -> str:
     kind, *rest = case.split("/")
-    if kind == "sl":
+    if kind == "sl" or kind in SCHEMES:
         profile, regime = rest
         settings = (
             ExperimentSettings.quick(seed=SEED)
             if profile == "quick"
             else ExperimentSettings(seed=SEED)
         )
-        return sl_digest(settings, iid=regime == "iid")
+        return run_digest(kind, settings, iid=regime == "iid")
     if kind == "async":
         return async_digest(rest[0], int(rest[1]))
     return personalization_digest(rest[0])

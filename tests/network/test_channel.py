@@ -1,47 +1,10 @@
-"""Tests for channel-gain models."""
+"""Tests for the Rayleigh fading channel model."""
 
 import numpy as np
 import pytest
 
 from repro.errors import NetworkError
-from repro.network.channel import (
-    FixedChannel,
-    PathLossChannel,
-    RayleighFadingChannel,
-)
-
-
-class TestFixed:
-    def test_constant(self):
-        channel = FixedChannel(1.5)
-        assert channel.sample_gain() == 1.5
-        assert channel.sample_gain() == 1.5
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(NetworkError):
-            FixedChannel(0.0)
-
-
-class TestPathLoss:
-    def test_reference_distance_gain_one(self):
-        channel = PathLossChannel(distance_m=1.0, exponent=3.0)
-        assert channel.sample_gain() == pytest.approx(1.0)
-
-    def test_gain_decreases_with_distance(self):
-        near = PathLossChannel(distance_m=10.0).sample_gain()
-        far = PathLossChannel(distance_m=100.0).sample_gain()
-        assert far < near
-
-    def test_power_law(self):
-        """Squared amplitude gain follows (d0/d)^exponent."""
-        channel = PathLossChannel(distance_m=10.0, exponent=2.0)
-        assert channel.sample_gain() ** 2 == pytest.approx(0.01)
-
-    def test_validation(self):
-        with pytest.raises(NetworkError):
-            PathLossChannel(distance_m=0.0)
-        with pytest.raises(NetworkError):
-            PathLossChannel(distance_m=1.0, exponent=0.0)
+from repro.network.channel import RayleighFadingChannel
 
 
 class TestRayleigh:

@@ -1,16 +1,19 @@
-"""Numeric gradient checking used by the test suite.
+"""Numeric gradient checking for the :mod:`repro.nn` tests.
 
 The central-difference gradient is compared against a layer's analytic
-backward pass; every layer in :mod:`repro.nn` is validated this way.
+backward pass; every layer in :mod:`repro.nn` is validated this way,
+most through :class:`MeanSquaredError` against a random target.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
-__all__ = ["numeric_gradient", "relative_error"]
+from repro.errors import ShapeError
+
+__all__ = ["MeanSquaredError", "numeric_gradient", "relative_error"]
 
 
 def numeric_gradient(
@@ -56,3 +59,26 @@ def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-8) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.abs(a) + np.abs(b), floor)
     return float(np.max(np.abs(a - b) / denom))
+
+
+class MeanSquaredError:
+    """Mean squared error over all elements: ``mean((y - t)^2)``."""
+
+    def loss(self, outputs: np.ndarray, targets: np.ndarray) -> float:
+        """Return the mean squared error."""
+        value, _ = self.loss_and_grad(outputs, targets)
+        return value
+
+    def loss_and_grad(
+        self, outputs: np.ndarray, targets: np.ndarray
+    ) -> Tuple[float, np.ndarray]:
+        """Return ``(mean loss, d loss / d outputs)``."""
+        targets = np.asarray(targets, dtype=np.float64)
+        if outputs.shape != targets.shape:
+            raise ShapeError(
+                f"outputs {outputs.shape} and targets {targets.shape} differ"
+            )
+        diff = outputs - targets
+        value = float(np.mean(diff**2))
+        grad = 2.0 * diff / diff.size
+        return value, grad

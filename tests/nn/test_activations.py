@@ -1,12 +1,10 @@
-"""Tests for activation layers, including numeric gradient checks."""
+"""Tests for the ReLU layer, including a numeric gradient check."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.nn.activations import LeakyReLU, ReLU, Sigmoid, Softmax, Tanh
-from repro.nn.gradcheck import numeric_gradient, relative_error
-from repro.nn.losses import MeanSquaredError
+from repro.nn.activations import ReLU
+from tests.nn.gradcheck import MeanSquaredError, numeric_gradient, relative_error
 
 
 def check_layer_gradient(layer, x, tol=1e-6):
@@ -39,57 +37,17 @@ class TestReLU:
         with pytest.raises(RuntimeError):
             ReLU().backward(np.ones((2, 2)))
 
-
-class TestLeakyReLU:
-    def test_forward_values(self):
-        layer = LeakyReLU(slope=0.1)
-        x = np.array([[-2.0, 3.0]])
-        out = layer.forward(x)
-        assert np.allclose(out, [[-0.2, 3.0]])
-
-    def test_gradient(self):
-        x = np.random.default_rng(2).normal(size=(5, 3)) + 0.05
-        check_layer_gradient(LeakyReLU(0.2), x)
-
-    def test_negative_slope_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LeakyReLU(slope=-0.1)
-
-
-class TestSigmoid:
-    def test_range(self):
-        out = Sigmoid().forward(np.linspace(-30, 30, 11)[None, :])
-        assert np.all(out > 0) and np.all(out < 1)
-
-    def test_extreme_values_stable(self):
-        out = Sigmoid().forward(np.array([[-1000.0, 1000.0]]))
-        assert np.isfinite(out).all()
-        assert out[0, 0] < 1e-10 and out[0, 1] > 1 - 1e-10
-
-    def test_gradient(self):
-        x = np.random.default_rng(3).normal(size=(4, 4))
-        check_layer_gradient(Sigmoid(), x)
-
-
-class TestTanh:
-    def test_zero_maps_to_zero(self):
-        assert Tanh().forward(np.zeros((1, 3)))[0, 0] == 0.0
-
-    def test_gradient(self):
-        x = np.random.default_rng(4).normal(size=(3, 6))
-        check_layer_gradient(Tanh(), x)
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self):
-        out = Softmax().forward(np.random.default_rng(5).normal(size=(6, 9)))
-        assert np.allclose(out.sum(axis=1), 1.0)
-
-    def test_shift_invariance(self):
-        sm = Softmax()
-        x = np.random.default_rng(6).normal(size=(2, 5))
-        assert np.allclose(sm.forward(x), sm.forward(x + 100.0))
-
-    def test_gradient(self):
-        x = np.random.default_rng(7).normal(size=(3, 5))
-        check_layer_gradient(Softmax(), x)
+    @pytest.mark.parametrize("layout", ["dense", "nchw", "channels_last"])
+    def test_gradient_by_layout(self, layout):
+        rng = np.random.default_rng(2)
+        if layout == "dense":
+            x = rng.normal(size=(5, 6))
+        else:
+            x = rng.normal(size=(2, 3, 4, 4))
+        if layout == "channels_last":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        # Keep every input clear of the kink at zero.
+        x = np.where(np.abs(x) < 0.05, 0.5, x)
+        relu = ReLU()
+        assert np.array_equal(relu.forward(x), np.where(x > 0, x, 0.0))
+        check_layer_gradient(relu, x)

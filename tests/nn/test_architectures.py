@@ -5,9 +5,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn.architectures import Fire, build_cnn, build_mlp, build_mini_squeezenet
-from repro.nn.gradcheck import numeric_gradient, relative_error
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
-from repro.nn.optimizers import Sgd
+from repro.nn.losses import SoftmaxCrossEntropy
+from tests.nn.gradcheck import MeanSquaredError, numeric_gradient, relative_error
 
 
 class TestMlp:
@@ -15,10 +14,13 @@ class TestMlp:
         model = build_mlp(12, 5, hidden_sizes=(16, 8), seed=0)
         assert model.forward(np.zeros((3, 12))).shape == (3, 5)
 
-    def test_dropout_layers_present(self):
-        model = build_mlp(4, 2, hidden_sizes=(8,), dropout=0.5, seed=0)
-        names = [type(l).__name__ for l in model.layers]
-        assert "Dropout" in names
+    def test_spawns_two_generators_per_hidden_layer_plus_one(self):
+        """The spawn count moves a passed-in generator's later children,
+        so it is part of every model's bits."""
+        rng = np.random.default_rng(5)
+        build_mlp(4, 2, hidden_sizes=(8, 6), seed=rng)
+        reference = np.random.default_rng(5).spawn(6)[5]
+        assert rng.spawn(1)[0].random() == reference.random()
 
     def test_no_hidden_layers(self):
         model = build_mlp(4, 2, hidden_sizes=(), seed=0)
@@ -39,12 +41,11 @@ class TestMlp:
         y = (x[:, 0] + x[:, 1] > 0).astype(int)
         model = build_mlp(2, 2, hidden_sizes=(8,), seed=0)
         loss = SoftmaxCrossEntropy()
-        opt = Sgd(0.5)
         for _ in range(200):
             logits = model.forward(x, training=True)
             _, grad = loss.loss_and_grad(logits, y)
             model.backward(grad)
-            opt.step(model)
+            model.sgd_step(0.5)
         acc = np.mean(model.predict_classes(x) == y)
         assert acc > 0.95
 
@@ -144,7 +145,6 @@ class TestMiniSqueezeNet:
         y = (x[:, 0].mean(axis=(1, 2)) > 0).astype(int)
         model = build_mini_squeezenet((3, 8, 8), 2, seed=0)
         loss = SoftmaxCrossEntropy()
-        opt = Sgd(0.3)
         first = None
         for step in range(60):
             logits = model.forward(x, training=True)
@@ -152,5 +152,5 @@ class TestMiniSqueezeNet:
             if first is None:
                 first = value
             model.backward(grad)
-            opt.step(model)
+            model.sgd_step(0.3)
         assert value < first

@@ -128,12 +128,12 @@ class TestKernels:
 
 class TestLayers:
     @EXAMPLES
-    @given(geometry(), st.integers(1, 5), st.booleans(), st.booleans())
-    def test_conv2d(self, case, out_channels, bias, warm):
+    @given(geometry(), st.integers(1, 5), st.booleans())
+    def test_conv2d(self, case, out_channels, warm):
         kernel = (case["kh"], case["kw"])
         layer = Conv2D(
             case["c"], out_channels, kernel, stride=case["stride"],
-            padding=case["padding"], bias=bias, seed=case["seed"],
+            padding=case["padding"], seed=case["seed"],
         )
         oracle = conv_nchw.as_oracle(Sequential([layer])).layers[0]
         rng = np.random.default_rng(case["seed"])

@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.conv import Conv2D
-from repro.nn.gradcheck import numeric_gradient, relative_error
-from repro.nn.losses import MeanSquaredError
+from tests.nn.gradcheck import MeanSquaredError, numeric_gradient, relative_error
 
 
 class TestForward:
@@ -23,13 +22,13 @@ class TestForward:
         assert layer.forward(np.zeros((1, 1, 8, 8))).shape == (1, 4, 4, 4)
 
     def test_identity_kernel(self):
-        layer = Conv2D(1, 1, 1, bias=False, seed=0)
+        layer = Conv2D(1, 1, 1, seed=0)
         layer.params["W"][...] = 1.0
         x = np.random.default_rng(0).normal(size=(1, 1, 4, 4))
         assert np.allclose(layer.forward(x), x)
 
     def test_known_sum_kernel(self):
-        layer = Conv2D(1, 1, 2, bias=False, seed=0)
+        layer = Conv2D(1, 1, 2, seed=0)
         layer.params["W"][...] = 1.0
         x = np.arange(9, dtype=float).reshape(1, 1, 3, 3)
         out = layer.forward(x)
@@ -111,3 +110,65 @@ class TestBackward:
     def test_backward_before_forward_raises(self):
         with pytest.raises(RuntimeError):
             Conv2D(1, 1, 1, seed=0).backward(np.zeros((1, 1, 2, 2)))
+
+
+CONV_GRID = [
+    (kernel, stride, padding)
+    for kernel in [1, 3, (1, 3), (3, 2)]
+    for stride in [1, 2]
+    for padding in [0, 1]
+]
+CONV_IDS = [f"k{k}-s{s}-p{p}" for k, s, p in CONV_GRID]
+
+
+def loop_conv(x, weights, bias, stride, padding):
+    """Cross-correlation by explicit loops over output pixels."""
+    n, _, h, w = x.shape
+    filters, _, kh, kw = weights.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    out = np.empty((n, filters, out_h, out_w))
+    for i in range(out_h):
+        for j in range(out_w):
+            field = padded[:, :, i * stride : i * stride + kh, j * stride : j * stride + kw]
+            out[:, :, i, j] = np.tensordot(field, weights, axes=([1, 2, 3], [1, 2, 3]))
+    return out + bias[None, :, None, None]
+
+
+class TestGeometryGrid:
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_GRID, ids=CONV_IDS)
+    def test_forward_matches_loop_convolution(self, kernel, stride, padding):
+        rng = np.random.default_rng(0)
+        layer = Conv2D(2, 3, kernel, stride=stride, padding=padding, seed=0)
+        layer.params["b"][...] = rng.normal(size=3)
+        x = rng.normal(size=(2, 2, 5, 6))
+        expected = loop_conv(x, layer.params["W"], layer.params["b"], stride, padding)
+        assert np.allclose(layer.forward(x), expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride,padding", CONV_GRID, ids=CONV_IDS)
+    def test_gradients_numeric(self, kernel, stride, padding):
+        rng = np.random.default_rng(1)
+        layer = Conv2D(2, 3, kernel, stride=stride, padding=padding, seed=1)
+        x = rng.normal(size=(2, 2, 5, 6))
+        out = layer.forward(x, training=True)
+        target = rng.normal(size=out.shape)
+        loss = MeanSquaredError()
+        _, grad_out = loss.loss_and_grad(out, target)
+        grad_input = layer.backward(grad_out)
+
+        def scalar(z):
+            return loss.loss(layer.forward(z, training=False), target)
+
+        assert relative_error(grad_input, numeric_gradient(scalar, x.copy())) < 1e-5
+        for name in ("W", "b"):
+            param = layer.params[name]
+
+            def scalar_param(value, param=param):
+                param[...] = value
+                return loss.loss(layer.forward(x, training=False), target)
+
+            start = param.copy()
+            numeric = numeric_gradient(scalar_param, start.copy())
+            param[...] = start
+            assert relative_error(layer.grads[name], numeric) < 1e-5

@@ -100,3 +100,85 @@ class TestCol2Im:
         # Correct shape would be (1*2*2, 1*2*2) = (4, 4).
         with pytest.raises(ShapeError):
             col2im(np.zeros((3, 4)), (1, 1, 3, 3), 2, 2, 1, 0)
+
+
+# Every kernel shape, stride and padding the conv stack can be built
+# with, over an input whose height and width differ.
+GEOMETRIES = [
+    (kernel, stride, padding)
+    for kernel in [(1, 1), (2, 2), (3, 3), (1, 3), (3, 2)]
+    for stride in [1, 2]
+    for padding in [0, 1]
+]
+GEOMETRY_IDS = [f"k{kh}x{kw}-s{s}-p{p}" for (kh, kw), s, p in GEOMETRIES]
+INPUT_SHAPE = (2, 3, 5, 6)
+
+
+def loop_fields(x, kh, kw, stride, padding):
+    """Every receptive field, one row each, by explicit loops."""
+    n, c, h, w = x.shape
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    padded[:, :, padding : padding + h, padding : padding + w] = x
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    rows = []
+    for b in range(n):
+        for i in range(out_h):
+            for j in range(out_w):
+                top, left = i * stride, j * stride
+                rows.append(padded[b, :, top : top + kh, left : left + kw].ravel())
+    return np.array(rows), out_h, out_w
+
+
+def loop_scatter(cols, shape, kh, kw, stride, padding):
+    """Add every row of ``cols`` back onto its receptive field."""
+    n, c, h, w = shape
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    out_h = conv_output_size(h, kh, stride, padding)
+    out_w = conv_output_size(w, kw, stride, padding)
+    row = 0
+    for b in range(n):
+        for i in range(out_h):
+            for j in range(out_w):
+                top, left = i * stride, j * stride
+                padded[b, :, top : top + kh, left : left + kw] += cols[row].reshape(
+                    c, kh, kw
+                )
+                row += 1
+    return padded[:, :, padding : padding + h, padding : padding + w]
+
+
+class TestGeometryGrid:
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_im2col_matches_loop_gather(self, kernel, stride, padding, layout):
+        x = np.random.default_rng(0).normal(size=INPUT_SHAPE)
+        if layout == "channels_last":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        kh, kw = kernel
+        cols, out_h, out_w = im2col(x, kh, kw, stride, padding)
+        expected, exp_h, exp_w = loop_fields(x, kh, kw, stride, padding)
+        assert (out_h, out_w) == (exp_h, exp_w)
+        assert np.array_equal(cols, expected)
+
+    @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_col2im_matches_loop_scatter(self, kernel, stride, padding):
+        kh, kw = kernel
+        _, out_h, out_w = im2col(np.zeros(INPUT_SHAPE), kh, kw, stride, padding)
+        rows = INPUT_SHAPE[0] * out_h * out_w
+        cols = np.random.default_rng(1).normal(size=(rows, INPUT_SHAPE[1] * kh * kw))
+        image = col2im(cols, INPUT_SHAPE, kh, kw, stride, padding)
+        expected = loop_scatter(cols, INPUT_SHAPE, kh, kw, stride, padding)
+        assert image.shape == INPUT_SHAPE
+        assert np.allclose(image, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES, ids=GEOMETRY_IDS)
+    def test_adjoint(self, kernel, stride, padding):
+        rng = np.random.default_rng(2)
+        kh, kw = kernel
+        x = rng.normal(size=INPUT_SHAPE)
+        cols, _, _ = im2col(x, kh, kw, stride, padding)
+        y = rng.normal(size=cols.shape)
+        lhs = float(np.sum(cols * y))
+        rhs = float(np.sum(x * col2im(y, INPUT_SHAPE, kh, kw, stride, padding)))
+        assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))

@@ -5,8 +5,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn.dense import Dense
-from repro.nn.gradcheck import numeric_gradient, relative_error
-from repro.nn.losses import MeanSquaredError
+from tests.nn.gradcheck import MeanSquaredError, numeric_gradient, relative_error
 
 
 class TestForward:
@@ -20,11 +19,6 @@ class TestForward:
     def test_output_shape(self):
         layer = Dense(5, 8, seed=0)
         assert layer.forward(np.zeros((4, 5))).shape == (4, 8)
-
-    def test_no_bias(self):
-        layer = Dense(3, 2, bias=False, seed=0)
-        assert "b" not in layer.params
-        assert np.allclose(layer.forward(np.zeros((1, 3))), 0.0)
 
     def test_wrong_input_dim_raises(self):
         with pytest.raises(ShapeError):

@@ -3,7 +3,7 @@
 Covers the out-buffer variants (``get_flat_params(out=)``,
 ``im2col(out=)``, ``col2im(padded_out=)``), the fused
 ``Sequential.sgd_step``, the in-place BatchNorm running-statistic
-updates, the Dropout rate-0 sentinel, the empty-input ``predict`` fix,
+updates, the empty-input ``predict`` fix,
 and that scratch-buffer reuse leaves layer outputs bitwise unchanged.
 """
 
@@ -12,14 +12,13 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.nn.activations import ReLU
+from repro.nn.architectures import build_cnn, build_mini_squeezenet, build_mlp
 from repro.nn.conv import Conv2D
 from repro.nn.conv_utils import col2im, im2col
 from repro.nn.dense import Dense
-from repro.nn.dropout import Dropout
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.normalization import BatchNorm
-from repro.nn.optimizers import Sgd
 from repro.nn.reshape import Flatten
 
 RNG = np.random.default_rng(11)
@@ -34,6 +33,13 @@ def make_model(seed=5):
             Dense(2 * 4 * 4, 3, seed=seed + 1),
         ]
     )
+
+
+def reference_step(model, learning_rate):
+    """One gradient step written out: ``param -= lr * grad``."""
+    for layer in model.layers:
+        for name, param in layer.params.items():
+            param -= learning_rate * layer.grads[name]
 
 
 class TestGetFlatParamsOut:
@@ -66,7 +72,7 @@ class TestGetFlatParamsOut:
 
 
 class TestFusedSgdStep:
-    def test_bitwise_matches_sgd_optimizer(self):
+    def test_bitwise_matches_reference_step(self):
         inputs = RNG.normal(size=(6, 1, 4, 4))
         labels = RNG.integers(0, 3, size=6)
         loss = SoftmaxCrossEntropy()
@@ -74,17 +80,53 @@ class TestFusedSgdStep:
         assert np.array_equal(
             fused.get_flat_params(), reference.get_flat_params()
         )
-        optimizer = Sgd(0.05)
         for _ in range(3):
             for model in (fused, reference):
                 out = model.forward(inputs, training=True)
                 _, grad = loss.loss_and_grad(out, labels)
                 model.backward(grad)
             fused.sgd_step(0.05)
-            optimizer.step(reference)
+            reference_step(reference, 0.05)
         assert np.array_equal(
             fused.get_flat_params(), reference.get_flat_params()
         )
+
+
+ARCHITECTURES = {
+    "mlp": (lambda: build_mlp(48, 3, hidden_sizes=(8, 6), seed=2), (6, 48)),
+    "cnn": (lambda: build_cnn((3, 4, 4), 3, channels=(4,), dense_width=8, seed=3), (6, 3, 4, 4)),
+    "mini_squeezenet": (
+        lambda: build_mini_squeezenet((3, 8, 8), 3, width_multiplier=0.25, seed=4),
+        (6, 3, 8, 8),
+    ),
+}
+
+
+class TestSgdStepPerArchitecture:
+    @pytest.mark.parametrize("learning_rate", [0.0, 0.05])
+    @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+    def test_bitwise_matches_reference_step(self, arch, learning_rate):
+        build, input_shape = ARCHITECTURES[arch]
+        inputs = np.random.default_rng(12).normal(size=input_shape)
+        labels = np.arange(input_shape[0]) % 3
+        loss = SoftmaxCrossEntropy()
+        fused, reference = build(), build()
+        start = fused.get_flat_params()
+        arrays = [id(param) for _, _, param in fused.named_parameters()]
+        for _ in range(2):
+            for model in (fused, reference):
+                out = model.forward(inputs, training=True)
+                _, grad = loss.loss_and_grad(out, labels)
+                model.backward(grad)
+            fused.sgd_step(learning_rate)
+            reference_step(reference, learning_rate)
+        after = fused.get_flat_params()
+        assert np.array_equal(after, reference.get_flat_params())
+        assert [id(param) for _, _, param in fused.named_parameters()] == arrays
+        if learning_rate == 0.0:
+            assert np.array_equal(after, start)
+        else:
+            assert not np.array_equal(after, start)
 
 
 class TestImColOutBuffers:
@@ -163,40 +205,6 @@ class TestBatchNormInPlaceStats:
         assert layer.running_mean is mean_alias
         assert layer.running_var is var_alias
         assert not np.array_equal(mean_alias, np.zeros(3))
-
-    def test_set_buffers_updates_in_place(self):
-        layer = BatchNorm(2)
-        mean_alias = layer.running_mean
-        layer.set_buffers(
-            {"running_mean": np.array([1.0, 2.0]), "running_var": np.array([3.0, 4.0])}
-        )
-        assert layer.running_mean is mean_alias
-        assert np.array_equal(mean_alias, [1.0, 2.0])
-
-
-class TestDropoutZeroRateSentinel:
-    def test_no_mask_array_allocated(self):
-        layer = Dropout(0.0)
-        batch = RNG.normal(size=(4, 5))
-        out = layer.forward(batch, training=True)
-        assert out is batch
-        assert layer._mask is not None
-        assert layer._mask.size == 0  # sentinel, not a ones array
-
-    def test_backward_is_identity(self):
-        layer = Dropout(0.0)
-        batch = RNG.normal(size=(4, 5))
-        layer.forward(batch, training=True)
-        grad = RNG.normal(size=(4, 5))
-        assert layer.backward(grad) is grad
-
-    def test_inference_then_backward_still_raises(self):
-        layer = Dropout(0.0)
-        batch = RNG.normal(size=(4, 5))
-        layer.forward(batch, training=True)
-        layer.forward(batch, training=False)
-        with pytest.raises(RuntimeError):
-            layer.backward(batch)
 
 
 class TestEmptyPredict:

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.initializers import (
-    compute_fans,
-    constant_init,
-    he_normal,
-    he_uniform,
-    xavier_normal,
-    xavier_uniform,
-    zeros_init,
-)
+from repro.nn.initializers import compute_fans, he_normal, zeros_init
 
 
 class TestComputeFans:
@@ -30,37 +22,16 @@ class TestComputeFans:
 
 
 class TestDistributions:
-    @pytest.mark.parametrize(
-        "init", [xavier_uniform, xavier_normal, he_uniform, he_normal]
-    )
-    def test_shape_and_dtype(self, init):
+    def test_shape_and_dtype(self):
         rng = np.random.default_rng(0)
-        weights = init((64, 32), rng)
+        weights = he_normal((64, 32), rng)
         assert weights.shape == (64, 32)
         assert weights.dtype == np.float64
-
-    def test_xavier_uniform_bounds(self):
-        rng = np.random.default_rng(0)
-        weights = xavier_uniform((100, 100), rng)
-        limit = np.sqrt(6.0 / 200)
-        assert np.all(np.abs(weights) <= limit)
-
-    def test_he_uniform_bounds(self):
-        rng = np.random.default_rng(0)
-        weights = he_uniform((100, 100), rng)
-        limit = np.sqrt(6.0 / 100)
-        assert np.all(np.abs(weights) <= limit)
 
     def test_he_normal_std(self):
         rng = np.random.default_rng(0)
         weights = he_normal((400, 400), rng)
         expected = np.sqrt(2.0 / 400)
-        assert abs(weights.std() - expected) < 0.1 * expected
-
-    def test_xavier_normal_std(self):
-        rng = np.random.default_rng(0)
-        weights = xavier_normal((400, 400), rng)
-        expected = np.sqrt(2.0 / 800)
         assert abs(weights.std() - expected) < 0.1 * expected
 
     def test_deterministic_given_generator_seed(self):
@@ -69,12 +40,31 @@ class TestDistributions:
         assert np.array_equal(a, b)
 
 
+# (shape, fan_in, fan_out) for dense weights and conv kernels.
+FAN_CASES = [
+    ((256, 128), 256, 128),
+    ((64, 32, 3, 3), 32 * 9, 64 * 9),
+    ((128, 16, 1, 1), 16, 128),
+    ((32, 8, 3, 2), 8 * 6, 32 * 6),
+]
+
+
+class TestHeNormalShapes:
+    @pytest.mark.parametrize("shape,fan_in,fan_out", FAN_CASES)
+    def test_fans(self, shape, fan_in, fan_out):
+        assert compute_fans(shape) == (fan_in, fan_out)
+
+    @pytest.mark.parametrize("shape,fan_in,fan_out", FAN_CASES)
+    def test_std_follows_fan_in(self, shape, fan_in, fan_out):
+        del fan_out
+        weights = he_normal(shape, np.random.default_rng(1))
+        assert weights.shape == shape
+        expected = np.sqrt(2.0 / fan_in)
+        assert abs(weights.std() - expected) < 0.1 * expected
+        assert abs(weights.mean()) < 0.1 * expected
+
+
 class TestConstants:
     def test_zeros(self):
         rng = np.random.default_rng(0)
         assert np.all(zeros_init((3, 3), rng) == 0.0)
-
-    def test_constant(self):
-        rng = np.random.default_rng(0)
-        init = constant_init(1.5)
-        assert np.all(init((2, 2), rng) == 1.5)

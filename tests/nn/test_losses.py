@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn.gradcheck import numeric_gradient, relative_error
-from repro.nn.losses import MeanSquaredError, SoftmaxCrossEntropy
+from repro.nn.losses import SoftmaxCrossEntropy
+from tests.nn.gradcheck import MeanSquaredError, numeric_gradient, relative_error
 
 
 class TestSoftmaxCrossEntropy:
@@ -49,23 +49,6 @@ class TestSoftmaxCrossEntropy:
         assert np.isfinite(value)
         assert np.isfinite(grad).all()
 
-    def test_label_smoothing_raises_floor(self):
-        plain = SoftmaxCrossEntropy()
-        smooth = SoftmaxCrossEntropy(label_smoothing=0.1)
-        logits = np.full((1, 5), -100.0)
-        logits[0, 0] = 100.0
-        labels = np.array([0])
-        assert smooth.loss(logits, labels) > plain.loss(logits, labels)
-
-    def test_smoothing_gradient_numeric(self):
-        loss = SoftmaxCrossEntropy(label_smoothing=0.2)
-        rng = np.random.default_rng(2)
-        logits = rng.normal(size=(4, 5))
-        labels = rng.integers(0, 5, size=4)
-        _, analytic = loss.loss_and_grad(logits, labels)
-        numeric = numeric_gradient(lambda z: loss.loss(z, labels), logits.copy())
-        assert relative_error(analytic, numeric) < 1e-6
-
     def test_bad_shapes_raise(self):
         loss = SoftmaxCrossEntropy()
         with pytest.raises(ShapeError):
@@ -79,6 +62,33 @@ class TestSoftmaxCrossEntropy:
             loss.loss_and_grad(np.zeros((2, 3)), np.array([0, 3]))
         with pytest.raises(ShapeError):
             loss.loss_and_grad(np.zeros((2, 3)), np.array([-1, 0]))
+
+
+LOGIT_SHAPES = [(1, 2), (3, 5), (4, 3), (8, 10)]
+
+
+class TestSoftmaxCrossEntropyShapes:
+    @pytest.mark.parametrize("batch,classes", LOGIT_SHAPES)
+    def test_gradient_numeric(self, batch, classes):
+        loss = SoftmaxCrossEntropy()
+        rng = np.random.default_rng(batch * classes)
+        logits = rng.normal(size=(batch, classes))
+        labels = rng.integers(0, classes, size=batch)
+        _, analytic = loss.loss_and_grad(logits, labels)
+        numeric = numeric_gradient(lambda z: loss.loss(z, labels), logits.copy())
+        assert relative_error(analytic, numeric) < 1e-6
+
+    @pytest.mark.parametrize("batch,classes", LOGIT_SHAPES)
+    def test_row_shift_invariant(self, batch, classes):
+        loss = SoftmaxCrossEntropy()
+        rng = np.random.default_rng(batch + classes)
+        logits = rng.normal(size=(batch, classes))
+        labels = rng.integers(0, classes, size=batch)
+        shift = rng.normal(scale=50.0, size=(batch, 1))
+        value, grad = loss.loss_and_grad(logits, labels)
+        shifted_value, shifted_grad = loss.loss_and_grad(logits + shift, labels)
+        assert abs(value - shifted_value) < 1e-9
+        assert np.allclose(grad, shifted_grad, rtol=0.0, atol=1e-12)
 
 
 class TestMeanSquaredError:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.nn.metrics import accuracy, confusion_matrix, top_k_accuracy
+from repro.nn.metrics import accuracy
 
 
 class TestAccuracy:
@@ -23,58 +23,3 @@ class TestAccuracy:
     def test_mismatch_raises(self):
         with pytest.raises(ShapeError):
             accuracy(np.array([0, 1]), np.array([0]))
-
-
-class TestTopK:
-    def test_top1_equals_accuracy(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(20, 5))
-        labels = rng.integers(0, 5, size=20)
-        assert top_k_accuracy(logits, labels, k=1) == pytest.approx(
-            accuracy(logits, labels)
-        )
-
-    def test_top_all_is_one(self):
-        rng = np.random.default_rng(1)
-        logits = rng.normal(size=(10, 4))
-        labels = rng.integers(0, 4, size=10)
-        assert top_k_accuracy(logits, labels, k=4) == 1.0
-
-    def test_monotone_in_k(self):
-        rng = np.random.default_rng(2)
-        logits = rng.normal(size=(50, 6))
-        labels = rng.integers(0, 6, size=50)
-        values = [top_k_accuracy(logits, labels, k=k) for k in range(1, 7)]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-
-    def test_invalid_k(self):
-        with pytest.raises(ShapeError):
-            top_k_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), k=0)
-
-
-class TestConfusionMatrix:
-    def test_diagonal_for_perfect(self):
-        labels = np.array([0, 1, 2, 2])
-        matrix = confusion_matrix(labels, labels, 3)
-        assert np.array_equal(matrix, np.diag([1, 1, 2]))
-
-    def test_off_diagonal(self):
-        preds = np.array([1, 1])
-        labels = np.array([0, 1])
-        matrix = confusion_matrix(preds, labels, 2)
-        assert matrix[0, 1] == 1 and matrix[1, 1] == 1
-
-    def test_sums_to_total(self):
-        rng = np.random.default_rng(3)
-        preds = rng.integers(0, 4, size=100)
-        labels = rng.integers(0, 4, size=100)
-        assert confusion_matrix(preds, labels, 4).sum() == 100
-
-    def test_accepts_logits(self):
-        logits = np.array([[0.9, 0.1], [0.2, 0.8]])
-        matrix = confusion_matrix(logits, np.array([0, 1]), 2)
-        assert matrix[0, 0] == 1 and matrix[1, 1] == 1
-
-    def test_invalid_num_classes(self):
-        with pytest.raises(ShapeError):
-            confusion_matrix(np.array([0]), np.array([0]), 0)

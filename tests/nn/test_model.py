@@ -81,27 +81,6 @@ class TestFlatParams:
         with pytest.raises(ShapeError):
             model.set_flat_params(np.zeros(3))
 
-    def test_flat_grads_shape(self):
-        model = small_model()
-        x = np.random.default_rng(4).normal(size=(3, 4))
-        out = model.forward(x, training=True)
-        model.backward(np.ones_like(out))
-        assert model.get_flat_grads().size == model.parameter_count
-
-    def test_params_and_grads_align(self):
-        """get_flat_params and get_flat_grads use the same ordering."""
-        model = small_model()
-        x = np.random.default_rng(5).normal(size=(3, 4))
-        out = model.forward(x, training=True)
-        model.backward(np.ones_like(out))
-        grads = model.get_flat_grads()
-        # One SGD step through flat vectors must equal per-layer update.
-        expected = model.get_flat_params() - 0.1 * grads
-        for layer in model.layers:
-            for name, param in layer.params.items():
-                param -= 0.1 * layer.grads[name]
-        assert np.allclose(model.get_flat_params(), expected)
-
 
 class TestUtilities:
     def test_clone_is_independent(self):
@@ -121,20 +100,6 @@ class TestUtilities:
         preds = model.predict_classes(x)
         assert preds.shape == (6,)
         assert np.all((preds >= 0) & (preds < 3))
-
-    def test_parameter_bytes(self):
-        model = small_model()
-        assert model.parameter_bytes(32) == model.parameter_count * 4
-
-    def test_summary_mentions_layers(self):
-        text = small_model().summary()
-        assert "Dense" in text and "ReLU" in text
-
-    def test_apply_visits_all_layers(self):
-        model = small_model()
-        visited = []
-        model.apply(lambda layer: visited.append(type(layer).__name__))
-        assert visited == ["Dense", "ReLU", "Dense"]
 
     def test_clone_preserves_batchnorm_buffers(self):
         model = Sequential([Dense(3, 2, seed=0), BatchNorm(2)])

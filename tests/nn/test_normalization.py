@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.gradcheck import numeric_gradient, relative_error
-from repro.nn.losses import MeanSquaredError
+from tests.nn.gradcheck import MeanSquaredError, numeric_gradient, relative_error
 from repro.nn.normalization import BatchNorm
 
 
@@ -114,14 +113,3 @@ class TestBackward:
             numeric = numeric_gradient(scalar, v0.copy())
             layer.params[name][...] = v0
             assert relative_error(layer.grads[name], numeric) < 1e-5
-
-
-class TestBuffers:
-    def test_roundtrip(self):
-        layer = BatchNorm(2)
-        layer.forward(np.random.default_rng(8).normal(size=(32, 2)), training=True)
-        buffers = layer.get_buffers()
-        fresh = BatchNorm(2)
-        fresh.set_buffers(buffers)
-        assert np.array_equal(fresh.running_mean, layer.running_mean)
-        assert np.array_equal(fresh.running_var, layer.running_var)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ShapeError
-from repro.nn.gradcheck import numeric_gradient, relative_error
-from repro.nn.losses import MeanSquaredError
-from repro.nn.pooling import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from tests.nn.gradcheck import MeanSquaredError, numeric_gradient, relative_error
+from repro.nn.pooling import GlobalAvgPool2D, MaxPool2D
 
 
 def gradient_check(layer, x, tol=1e-6):
@@ -61,20 +60,6 @@ class TestMaxPool:
             MaxPool2D(2).forward(np.zeros((4, 4)))
 
 
-class TestAvgPool:
-    def test_values(self):
-        x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-        assert AvgPool2D(2).forward(x)[0, 0, 0, 0] == 2.5
-
-    def test_gradient_numeric(self):
-        x = np.random.default_rng(4).normal(size=(2, 3, 4, 4))
-        gradient_check(AvgPool2D(2), x)
-
-    def test_stride_override(self):
-        out = AvgPool2D(2, stride=1).forward(np.zeros((1, 1, 4, 4)))
-        assert out.shape == (1, 1, 3, 3)
-
-
 class TestGlobalAvgPool:
     def test_values(self):
         x = np.arange(8, dtype=float).reshape(1, 2, 2, 2)
@@ -91,3 +76,50 @@ class TestGlobalAvgPool:
     def test_non_4d_raises(self):
         with pytest.raises(ShapeError):
             GlobalAvgPool2D().forward(np.zeros((2, 3)))
+
+
+POOL_GRID = [
+    (pool, stride, padding)
+    for pool in [2, 3, (2, 3)]
+    for stride in [None, 1, 2]
+    for padding in [0, 1]
+]
+POOL_IDS = [f"k{k}-s{s}-p{p}" for k, s, p in POOL_GRID]
+
+
+def distinct_values(shape, seed):
+    """Half-integers of both signs, all distinct: no ties, no zeros."""
+    size = int(np.prod(shape))
+    order = np.random.default_rng(seed).permutation(size)
+    return (order - size / 2 + 0.5).astype(float).reshape(shape)
+
+
+def loop_max_pool(x, pool_h, pool_w, stride, padding):
+    """Window maxima by explicit loops; padded zeros take part."""
+    n, c, h, w = x.shape
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out_h = (h + 2 * padding - pool_h) // stride + 1
+    out_w = (w + 2 * padding - pool_w) // stride + 1
+    out = np.empty((n, c, out_h, out_w))
+    for i in range(out_h):
+        for j in range(out_w):
+            window = padded[
+                :, :, i * stride : i * stride + pool_h, j * stride : j * stride + pool_w
+            ]
+            out[:, :, i, j] = window.max(axis=(2, 3))
+    return out
+
+
+class TestMaxPoolGrid:
+    @pytest.mark.parametrize("pool,stride,padding", POOL_GRID, ids=POOL_IDS)
+    def test_forward_matches_loop(self, pool, stride, padding):
+        pool_h, pool_w = (pool, pool) if isinstance(pool, int) else pool
+        x = distinct_values((2, 3, 6, 7), seed=0)
+        out = MaxPool2D(pool, stride=stride, padding=padding).forward(x)
+        expected = loop_max_pool(x, pool_h, pool_w, stride or pool_h, padding)
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("pool,stride,padding", POOL_GRID, ids=POOL_IDS)
+    def test_gradient_numeric(self, pool, stride, padding):
+        x = distinct_values((1, 2, 6, 7), seed=1)
+        gradient_check(MaxPool2D(pool, stride=stride, padding=padding), x)

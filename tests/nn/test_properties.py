@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn.activations import ReLU, Softmax
+from repro.nn.activations import ReLU
 from repro.nn.architectures import build_mlp
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.metrics import accuracy
@@ -56,14 +56,6 @@ class TestSoftmaxProperties:
         _, grad = SoftmaxCrossEntropy().loss_and_grad(logits, labels)
         assert np.allclose(grad.sum(axis=1), 0.0, atol=1e-10)
 
-    @given(_logits_labels())
-    @settings(max_examples=50, deadline=None)
-    def test_softmax_layer_simplex(self, data):
-        logits, _ = data
-        out = Softmax().forward(logits)
-        assert np.all(out >= 0)
-        assert np.allclose(out.sum(axis=1), 1.0)
-
 
 class TestReluProperties:
     @given(
@@ -107,11 +99,12 @@ class TestFlatParamProperties:
     )
     @settings(max_examples=25, deadline=None)
     def test_scaling_flat_scales_output_of_linear_model(self, seed, scale):
-        # A bias-free single-layer model is linear in its parameters.
+        # A single Dense layer is linear in its parameters, W and b
+        # together.
         from repro.nn.dense import Dense
         from repro.nn.model import Sequential
 
-        model = Sequential([Dense(4, 3, bias=False, seed=seed)])
+        model = Sequential([Dense(4, 3, seed=seed)])
         x = np.random.default_rng(0).normal(size=(3, 4))
         base = model.forward(x)
         model.set_flat_params(model.get_flat_params() * scale)

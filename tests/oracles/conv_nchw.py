@@ -23,7 +23,7 @@ import numpy as np
 from repro.errors import ConfigurationError, ShapeError
 from repro.nn import activations, conv, pooling
 from repro.nn.architectures import fire
-from repro.nn.initializers import Initializer, he_normal, zeros_init
+from repro.nn.initializers import he_normal, zeros_init
 from repro.nn.layer import Layer
 from repro.nn.model import Sequential
 from repro.rng import SeedLike, ensure_generator, spawn_generators
@@ -206,8 +206,6 @@ class Conv2D(OracleLayer):
         kernel_size: square kernel size, or ``(kh, kw)`` tuple.
         stride: spatial stride.
         padding: symmetric zero padding.
-        weight_init: kernel initializer (default He normal).
-        bias: include per-filter additive bias.
         seed: seed or generator for the initializer.
     """
 
@@ -218,8 +216,6 @@ class Conv2D(OracleLayer):
         kernel_size,
         stride: int = 1,
         padding: int = 0,
-        weight_init: Initializer = he_normal,
-        bias: bool = True,
         seed: SeedLike = None,
     ) -> None:
         super().__init__()
@@ -242,13 +238,11 @@ class Conv2D(OracleLayer):
         self.kernel_w = kw
         self.stride = int(stride)
         self.padding = int(padding)
-        self.use_bias = bool(bias)
         rng = ensure_generator(seed)
         self._register(
-            "W", weight_init((self.out_channels, self.in_channels, kh, kw), rng)
+            "W", he_normal((self.out_channels, self.in_channels, kh, kw), rng)
         )
-        if self.use_bias:
-            self._register("b", zeros_init((self.out_channels,), rng))
+        self._register("b", zeros_init((self.out_channels,), rng))
         self._cols: Optional[np.ndarray] = None
         self._input_shape: Optional[Tuple[int, int, int, int]] = None
 
@@ -286,8 +280,7 @@ class Conv2D(OracleLayer):
             w_flat.T,
             out=self._scratch_buffer("mm", (rows, self.out_channels)),
         )
-        if self.use_bias:
-            out += self.params["b"]
+        out += self.params["b"]
         if training:
             # Same-step cache: backward() consumes self._cols before the
             # next forward() can overwrite the "cols" scratch buffer, and
@@ -322,8 +315,7 @@ class Conv2D(OracleLayer):
             self._cols,
             out=self.grads["W"].reshape(self.out_channels, -1),
         )
-        if self.use_bias:
-            np.sum(grad_flat, axis=0, out=self.grads["b"])
+        np.sum(grad_flat, axis=0, out=self.grads["b"])
         grad_cols = np.matmul(
             grad_flat,
             w_flat,
@@ -559,7 +551,6 @@ def _oracle_layer(layer: Layer) -> Layer:
             (layer.kernel_h, layer.kernel_w),
             stride=layer.stride,
             padding=layer.padding,
-            bias=layer.use_bias,
         )
         return _copy_params(layer, twin)
     if isinstance(layer, fire.Fire):
