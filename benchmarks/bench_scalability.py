@@ -59,9 +59,10 @@ from repro.experiments.costmodel import run_cost_model_study
 from repro.experiments.runner import build_environment, run_strategy
 from repro.experiments.settings import ExperimentSettings
 from repro.fl.execution import BACKEND_NAMES
-from repro.obs import RunObserver
+from repro.obs import CollectingSink, JsonlTraceSink, RunObserver, self_time_rows
+from repro.obs.analysis import compute_run_stats, load_trace
 
-TIMER_STAGES = ("selection", "frequency_assignment", "run_round", "aggregation")
+TIMER_STAGES = ("selection", "frequency_assignment", "local_updates", "aggregation")
 
 SCALABILITY_SCHEMA = "repro.bench.scalability/v1"
 
@@ -173,21 +174,18 @@ def run_backend_study(
 
     Returns:
         Mapping from backend name to ``(wall_seconds, history,
-        metrics)``, where ``metrics`` is the run's
-        :class:`repro.obs.MetricsRegistry` carrying the per-stage
-        timer breakdown (selection / frequency assignment / run_round
-        / aggregation).
+        events)``, where ``events`` is the run's trace: its stage
+        spans carry the per-stage breakdown (selection / frequency
+        assignment / local updates / aggregation).
     """
     settings = _backend_settings(num_users=num_users, rounds=rounds)
     env = build_environment(settings, iid=True)
     results = {}
     for name in backends:
-        if snapshot_prefix is not None:
-            observer = RunObserver.to_path(f"{snapshot_prefix}-{name}.trace.jsonl")
-        else:
-            observer = RunObserver()
+        trace_path = None if snapshot_prefix is None else f"{snapshot_prefix}-{name}.trace.jsonl"
+        sink = CollectingSink() if trace_path is None else JsonlTraceSink(trace_path)
         start = time.perf_counter()
-        try:
+        with RunObserver(sink=sink) as observer:
             history = run_strategy(
                 "helcfl",
                 settings,
@@ -197,35 +195,27 @@ def run_backend_study(
                 workers=workers,
                 observer=observer,
             )
-        finally:
-            if snapshot_prefix is not None:
-                observer.close()
-        results[name] = (
-            time.perf_counter() - start,
-            history,
-            observer.metrics,
-        )
-        if snapshot_prefix is not None:
-            from repro.obs.analysis import compute_run_stats, load_trace
-
-            trace_path = f"{snapshot_prefix}-{name}.trace.jsonl"
-            stats = compute_run_stats(
-                load_trace(trace_path).events, source=trace_path
-            )
-            with open(
-                f"{snapshot_prefix}-{name}.json", "w", encoding="utf-8"
-            ) as handle:
+        wall = time.perf_counter() - start
+        events = sink.events if trace_path is None else load_trace(trace_path).events
+        results[name] = (wall, history, events)
+        if trace_path is not None:
+            stats = compute_run_stats(events, source=trace_path)
+            with open(f"{snapshot_prefix}-{name}.json", "w", encoding="utf-8") as handle:
                 handle.write(stats.to_json() + "\n")
     return results
 
 
-def _format_stage_breakdown(metrics) -> str:
-    """One-line per-stage timer totals for a backend run."""
-    parts = []
-    for stage in TIMER_STAGES:
-        stat = metrics.timer_stat(stage)
-        parts.append(f"{stage} {stat.total_s:6.3f}s")
-    return "  ".join(parts)
+def _stage_totals(events) -> dict:
+    """Span name -> ``(count, total seconds)`` over a run's trace."""
+    return {row[0]: row[1:3] for row in self_time_rows(events)}
+
+
+def _format_stage_breakdown(events) -> str:
+    """One-line per-stage span totals for a backend run."""
+    totals = _stage_totals(events)
+    return "  ".join(
+        f"{stage} {totals.get(stage, (0, 0.0))[1]:6.3f}s" for stage in TIMER_STAGES
+    )
 
 
 def test_backend_scaling(benchmark):
@@ -235,16 +225,16 @@ def test_backend_scaling(benchmark):
     serial_records = serial_history.records
     print()
     print("  backend study (Q=100, C=0.1, 3 rounds):")
-    for name, (wall, history, metrics) in results.items():
+    for name, (wall, history, events) in results.items():
         speedup = serial_time / wall if wall > 0 else float("inf")
         print(
             f"    {name:8s}: {wall:6.2f}s  speedup {speedup:4.2f}x  "
             f"final acc {100 * history.final_accuracy:.2f}%"
         )
-        print(f"      timers: {_format_stage_breakdown(metrics)}")
-        # The run_round timer must have fired once per round — the
-        # observability layer sees every backend the same way.
-        assert metrics.timer_stat("run_round").count == len(history.records)
+        print(f"      timers: {_format_stage_breakdown(events)}")
+        # One local_updates span per round — the observability layer
+        # sees every backend the same way.
+        assert _stage_totals(events)["local_updates"][0] == len(history.records)
         # Bitwise parity: identical selection, loss, and accuracy
         # trajectories no matter how execution was scheduled.
         assert len(history.records) == len(serial_records)
@@ -632,12 +622,12 @@ def _main() -> int:
             print(f"wrote {args.snapshot}-{name}.json")
     serial_time, serial_history, _ = results["serial"]
     print(f"cores available: {os.cpu_count()}")
-    for name, (wall, history, metrics) in results.items():
+    for name, (wall, history, events) in results.items():
         print(
             f"{name:8s}: {wall:6.2f}s  speedup {serial_time / wall:4.2f}x  "
             f"final acc {100 * history.final_accuracy:.2f}%"
         )
-        print(f"  timers: {_format_stage_breakdown(metrics)}")
+        print(f"  timers: {_format_stage_breakdown(events)}")
     if args.backend != "serial":
         _, other, _ = results[args.backend]
         same = all(

@@ -22,7 +22,7 @@ import numpy as np
 from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError, SelectionError
-from repro.fl.strategy import SelectionStrategy
+from repro.fl.strategy import SelectionStrategy, check_link
 from repro.network.tdma import simulate_tdma_round
 from repro.sequential import rank_by
 from repro.rng import (
@@ -98,15 +98,12 @@ class FedCsSelection(SelectionStrategy):
         candidate_fraction: Optional[float] = None,
         seed: SeedLike = None,
     ) -> None:
-        if round_deadline_s <= 0:
+        # Written so that NaN fails it (``nan <= 0`` is False).
+        if not round_deadline_s > 0:
             raise ConfigurationError(
                 f"round_deadline_s must be positive, got {round_deadline_s}"
             )
-        if payload_bits <= 0 or bandwidth_hz <= 0:
-            raise ConfigurationError(
-                "payload_bits and bandwidth_hz must be positive, got "
-                f"{payload_bits} and {bandwidth_hz}"
-            )
+        check_link(payload_bits, bandwidth_hz)
         if max_users is not None and max_users <= 0:
             raise ConfigurationError(
                 f"max_users must be positive when set, got {max_users}"

@@ -328,15 +328,12 @@ def _observer_from(args: argparse.Namespace):
 
 
 def _finish_trace(observer, args: argparse.Namespace) -> None:
-    """Close the trace sink and report where the events went."""
+    """Close the trace sink and report where the events went (the
+    per-stage breakdown is ``--report``'s span self-time table)."""
     if observer is None:
         return
     observer.close()
-    print(f"saved trace to {args.trace} "
-          f"({observer.metrics.counter('events_emitted'):.0f} events)")
-    print("timer breakdown:")
-    for line in observer.metrics.format_timers().splitlines():
-        print(f"  {line}")
+    print(f"saved trace to {args.trace} ({observer.sink.events_written} events)")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

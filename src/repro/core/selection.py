@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.utility import utility_scores
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
-from repro.fl.strategy import SelectionStrategy, selection_count
+from repro.fl.strategy import SelectionStrategy, check_link, selection_count
 from repro.sequential import rank_by
 
 __all__ = ["GreedyDecaySelection", "top_utility_positions"]
@@ -101,11 +101,7 @@ class GreedyDecaySelection(SelectionStrategy):
             raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
         if not 0.0 < decay < 1.0:
             raise ConfigurationError(f"decay must be in (0, 1), got {decay}")
-        if payload_bits <= 0 or bandwidth_hz <= 0:
-            raise ConfigurationError(
-                "payload_bits and bandwidth_hz must be positive, got "
-                f"{payload_bits} and {bandwidth_hz}"
-            )
+        check_link(payload_bits, bandwidth_hz)
         self.fraction = float(fraction)
         self.decay = float(decay)
         self.payload_bits = float(payload_bits)

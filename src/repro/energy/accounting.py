@@ -8,14 +8,13 @@ analyses ("which devices pay for training?") and for battery studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 import numpy as np
 
 from repro import wire
 from repro.errors import SerializationError, TrainingError
 from repro.network.tdma import RoundTimeline
-from repro.obs.metrics import MetricsRegistry
 from repro.sequential import sequential_sum
 
 __all__ = ["DeviceEnergy", "EnergyLedger"]
@@ -67,15 +66,9 @@ class EnergyLedger:
         rounds: int64 rounds each device participated in.
         slack_seconds: total idle wait per row.
         rounds_recorded: rounds folded in so far.
-        metrics: optional :class:`repro.obs.MetricsRegistry`; when set
-            (the trainer wires its observer's registry in), every
-            recorded round also bumps the ``energy.compute_joules`` /
-            ``energy.upload_joules`` / ``energy.rounds`` counters and
-            the ``energy.devices`` gauge. Purely observational.
     """
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.metrics = metrics
+    def __init__(self) -> None:
         self.load_state_dict({})  # no rows yet
 
     def _set_columns(self, rounds_recorded: int, *columns: np.ndarray) -> None:
@@ -131,17 +124,6 @@ class EnergyLedger:
         self.slack_seconds[rows] += timeline.slack
         self.rounds[rows] += 1
         self.rounds_recorded += 1
-        if self.metrics is not None:
-            self.metrics.inc(
-                "energy.compute_joules", timeline.total_compute_energy
-            )
-            self.metrics.inc(
-                "energy.upload_joules", timeline.total_upload_energy
-            )
-            self.metrics.inc("energy.rounds")
-            self.metrics.set_gauge(
-                "energy.devices", float(self.device_ids.shape[0])
-            )
 
     def record_rounds(self, timelines: Iterable[RoundTimeline]) -> None:
         """Accumulate a sequence of rounds."""

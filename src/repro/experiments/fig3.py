@@ -59,16 +59,6 @@ class Fig3Result:
     max_frequency_history: TrainingHistory
 
     @property
-    def best_reduction(self) -> Optional[float]:
-        """Largest reduction fraction across the targets."""
-        values = [
-            e.reduction_fraction
-            for e in self.entries
-            if e.reduction_fraction is not None
-        ]
-        return max(values) if values else None
-
-    @property
     def total_energy_reduction(self) -> float:
         """Whole-run energy saving fraction (all rounds)."""
         base = self.max_frequency_history.total_energy

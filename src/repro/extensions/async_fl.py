@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -69,15 +70,24 @@ class SemiAsyncConfig:
             raise ConfigurationError(
                 f"max_updates must be positive, got {self.max_updates}"
             )
-        if self.bandwidth_hz <= 0:
+        # Guards are written so that NaN fails them (``nan <= 0`` is False).
+        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
             raise ConfigurationError(
                 f"bandwidth_hz must be positive, got {self.bandwidth_hz}"
+            )
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError(
+                f"learning_rate must be positive, got {self.learning_rate}"
+            )
+        if self.local_steps <= 0:
+            raise ConfigurationError(
+                f"local_steps must be positive, got {self.local_steps}"
             )
         if not 0.0 < self.mixing_rate <= 1.0:
             raise ConfigurationError(
                 f"mixing_rate must be in (0, 1], got {self.mixing_rate}"
             )
-        if self.staleness_exponent < 0:
+        if not (math.isfinite(self.staleness_exponent) and self.staleness_exponent >= 0):
             raise ConfigurationError(
                 f"staleness_exponent must be >= 0, got {self.staleness_exponent}"
             )
@@ -85,7 +95,7 @@ class SemiAsyncConfig:
             raise ConfigurationError(
                 f"eval_every must be positive, got {self.eval_every}"
             )
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ConfigurationError(
                 f"deadline_s must be positive when set, got {self.deadline_s}"
             )

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
-from repro.fl.strategy import SelectionStrategy, selection_count
+from repro.fl.strategy import SelectionStrategy, check_link, selection_count
 from repro.sequential import rank_by
 from repro.rng import (
     SeedLike,
@@ -73,16 +73,13 @@ class OortSelection(SelectionStrategy):
     ) -> None:
         if not 0.0 < fraction <= 1.0:
             raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
-        if payload_bits <= 0 or bandwidth_hz <= 0:
-            raise ConfigurationError(
-                "payload_bits and bandwidth_hz must be positive, got "
-                f"{payload_bits} and {bandwidth_hz}"
-            )
-        if preferred_round_s is not None and preferred_round_s <= 0:
+        check_link(payload_bits, bandwidth_hz)
+        # Guards are written so that NaN fails them (``nan <= 0`` is False).
+        if preferred_round_s is not None and not preferred_round_s > 0:
             raise ConfigurationError(
                 f"preferred_round_s must be positive, got {preferred_round_s}"
             )
-        if penalty_exponent < 0:
+        if not (math.isfinite(penalty_exponent) and penalty_exponent >= 0):
             raise ConfigurationError(
                 f"penalty_exponent must be >= 0, got {penalty_exponent}"
             )

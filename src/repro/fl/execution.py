@@ -44,7 +44,7 @@ reused buffer, the pools fold each chunk as ``map`` yields it, and
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import (
@@ -156,10 +156,10 @@ class ExecutionBackend:
 
     Attributes:
         observer: optional :class:`repro.obs.RunObserver`; when set
-            (the trainer binds its own), :meth:`run_round` records its
-            wall-clock duration under the ``"run_round"`` timer and
-            counts trained clients, making backend overhead
-            measurable. Purely observational — results are unaffected.
+            (the trainer binds its own) and its spans are active,
+            :meth:`run_round` emits one ``task`` span per trained
+            client, making backend overhead measurable. Purely
+            observational — results are unaffected.
     """
 
     name = "base"
@@ -254,19 +254,15 @@ class ExecutionBackend:
         self._sample_tasks = observer is not None and observer.spans_active
         self._task_samples = []
         try:
-            timer = nullcontext() if observer is None else observer.timer("run_round")
-            with timer:
-                losses = self._run(
-                    round_index, global_params, selected, learning_rate, sink or kept
-                )
-            if observer is not None:
-                observer.metrics.inc("clients_trained", float(len(selected)))
-                if self._task_samples:
-                    chunks = [
-                        (ids[start:stop].tolist(), sample)
-                        for (start, stop), sample in self._task_samples
-                    ]
-                    observer.emit_batch(*task_span_batch(round_index, chunks))
+            losses = self._run(
+                round_index, global_params, selected, learning_rate, sink or kept
+            )
+            if self._task_samples:
+                chunks = [
+                    (ids[start:stop].tolist(), sample)
+                    for (start, stop), sample in self._task_samples
+                ]
+                observer.emit_batch(*task_span_batch(round_index, chunks))
         finally:
             self._sample_tasks = False
             self._task_samples = []

@@ -25,13 +25,14 @@ by ``population.device_ids``.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Dict, Sequence
 
 import numpy as np
 
 from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
-from repro.errors import SelectionError
+from repro.errors import ConfigurationError, SelectionError
 from repro.sequential import rank_by
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "FullParticipation",
     "MaxFrequencyPolicy",
     "selection_count",
+    "check_link",
     "over_selection_extras_population",
 ]
 
@@ -59,6 +61,18 @@ def selection_count(num_users: int, fraction: float) -> int:
     if not 0.0 < fraction <= 1.0:
         raise SelectionError(f"fraction must be in (0, 1], got {fraction}")
     return min(num_users, max(int(num_users * fraction), 1))
+
+
+def check_link(payload_bits: float, bandwidth_hz: float) -> None:
+    """Refuse a payload ``C_model`` or bandwidth ``Z`` that is not a
+    positive finite number (NaN included), naming the field.
+
+    Raises:
+        ConfigurationError: for the first bad value.
+    """
+    for name, value in (("payload_bits", payload_bits), ("bandwidth_hz", bandwidth_hz)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
 def over_selection_extras_population(

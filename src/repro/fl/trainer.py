@@ -15,8 +15,8 @@ convergence exits, and records everything into a
 Inside :meth:`FederatedTrainer.run` a round is a fixed sequence of
 private stage methods, each reading and writing one ``RoundState``
 that points at the run's ``RunState`` (what survives from round to
-round). A stage that owns a span opens it, and its timer, through
-``FederatedTrainer._stage``.
+round). A stage that owns a span opens it through
+``FederatedTrainer._stage``; the span is the stage's only timer.
 """
 
 from __future__ import annotations
@@ -275,23 +275,6 @@ class RoundState:
     test_accuracy: Optional[float] = None
 
 
-class _TimedSpan:
-    """An open span and the timer its ``with`` block runs under."""
-
-    __slots__ = ("_timer", "_span")
-
-    def __init__(self, timer, span) -> None:
-        self._timer = timer
-        self._span = span
-
-    def __enter__(self) -> None:
-        self._timer.__enter__()
-
-    def __exit__(self, *exc_info) -> None:
-        self._span.end()
-        self._timer.__exit__(*exc_info)
-
-
 class _Eq18Fold(RowSink):
     """The trainer's row sink: FedAvg (Eq. 18) while the rows are hot.
 
@@ -369,9 +352,9 @@ class FederatedTrainer:
             lifetimes (use them as context managers).
         observer: a :class:`repro.obs.RunObserver` receiving the run's
             typed events (selection, frequency assignment, timeline,
-            battery drops, aggregation, evaluation, run stop) and
-            aggregating stage timers. ``None`` (the default) observes
-            into a private registry with tracing off. Observation is
+            battery drops, aggregation, evaluation, run stop) and one
+            ``round-<j>/<stage>`` span per stage, which time it.
+            ``None`` (the default) means tracing off. Observation is
             read-only: enabling it leaves the returned history bitwise
             identical.
         faults: an optional :class:`repro.faults.FaultPlan` (or a
@@ -401,9 +384,8 @@ class FederatedTrainer:
     Attributes:
         ledger: an :class:`repro.energy.EnergyLedger` accumulating
             per-device energy across the run (reset by :meth:`run`).
-        observer: the bound :class:`repro.obs.RunObserver`; its
-            ``metrics`` carry the run's timers and counters even when
-            tracing is off.
+        observer: the bound :class:`repro.obs.RunObserver` (a
+            discarding one when none was given).
         population: the fleet snapshot every run reads (see above).
         last_checkpoint: the
             :class:`~repro.fl.checkpoint.TrainerCheckpoint` captured
@@ -466,7 +448,7 @@ class FederatedTrainer:
         # Function-local: repro.energy's package init imports repro.fl.
         from repro.energy.accounting import EnergyLedger
 
-        return EnergyLedger(metrics=self.observer.metrics)
+        return EnergyLedger()
 
     def _apply_battery(
         self, active, timeline: RoundTimeline, status_by_id: Dict[int, str]
@@ -551,7 +533,6 @@ class FederatedTrainer:
                     reassigned_frequencies=state.reassigned,
                 )
             )
-            self.observer.metrics.inc("rounds_degraded")
 
     def _capture_checkpoint(self, run: RunState) -> TrainerCheckpoint:
         """Freeze every piece of cross-round state after ``run.round_index``."""
@@ -814,18 +795,14 @@ class FederatedTrainer:
         return True
 
     # -- one round: the stages, in execution order -----------------------
-    def _stage(self, state: RoundState, name: str, timer: str = ""):
-        """The ``with`` target of one stage: its ``round-<j>/<name>``
-        span, inside the ``timer`` it is timed under when it has one."""
-        span = self.observer.span(
+    def _stage(self, state: RoundState, name: str):
+        """The ``with`` target of one stage: its ``round-<j>/<name>`` span."""
+        return self.observer.span(
             name,
             span_id=round_span_id(state.round_index, name),
             parent_id=round_span_id(state.round_index),
             round_index=state.round_index,
         )
-        if not timer:
-            return span
-        return _TimedSpan(self.observer.timer(timer), span)
 
     def _position(self, device_id: int) -> Optional[int]:
         """``device_id``'s position in the fleet, or ``None``."""
@@ -849,7 +826,7 @@ class FederatedTrainer:
         round_index = state.round_index
         population = self.population
         margin = self.config.over_select_margin
-        with self._stage(state, "selection", timer="selection"):
+        with self._stage(state, "selection"):
             positions = self.selection.select_population(
                 round_index, population
             )
@@ -880,7 +857,7 @@ class FederatedTrainer:
 
     def _assign(self, state: RoundState, stage: str) -> None:
         """Schedule the active devices under ``stage``'s span."""
-        with self._stage(state, stage, timer="frequency_assignment"):
+        with self._stage(state, stage):
             state.frequencies = self.frequency_policy.assign(
                 state.active,
                 self.server.payload_bits,
@@ -912,9 +889,6 @@ class FederatedTrainer:
                         magnitude=injected.magnitude,
                     )
                 )
-            observer.metrics.inc(
-                "faults_injected", float(len(faults.injected))
-            )
         if not faults.drop_before:
             return
         keep = [device_id not in faults.drop_before for device_id in state.selected_ids]
@@ -926,7 +900,6 @@ class FederatedTrainer:
             # stale frequencies.
             state.active_population = self.population.take(state.positions[keep])
             self._assign(state, "frequency_reassignment")
-            observer.metrics.inc("frequency_reassignments")
             state.reassigned = True
 
     def _simulate(self, state: RoundState) -> None:
@@ -960,7 +933,6 @@ class FederatedTrainer:
     def _settle(self, state: RoundState) -> None:
         """Batteries, each client's final status and the integrated set,
         all read off the timeline before anything is trained."""
-        observer = self.observer
         faults = state.faults
         status_by_id = state.timeline.outcomes()
         state.battery_dropped = self._apply_battery(
@@ -989,14 +961,6 @@ class FederatedTrainer:
         state.integrating = integrating
         state.dropped_ids = selected_with(OUTCOME_DROPPED)
         state.timeout_ids = selected_with(OUTCOME_TIMEOUT)
-        if state.dropped_ids:
-            observer.metrics.inc(
-                "clients_dropped", float(len(state.dropped_ids))
-            )
-        if state.timeout_ids:
-            observer.metrics.inc(
-                "clients_timeout", float(len(state.timeout_ids))
-            )
 
     def _train(self, state: RoundState) -> None:
         """Local updates through the backend, each trained block folded
@@ -1047,7 +1011,7 @@ class FederatedTrainer:
         )
         self.ledger.record_round(state.timeline)
         if integrated:
-            with self._stage(state, "aggregation", timer="aggregation"):
+            with self._stage(state, "aggregation"):
                 self.server.model.set_flat_params(state.aggregated)
         self.observer.emit(
             AggregationEvent(
@@ -1092,8 +1056,6 @@ class FederatedTrainer:
             cumulative_energy=run.cumulative_energy,
         )
         observer.emit(TimelineEvent(round_index=round_index, **state.totals))
-        observer.metrics.inc("rounds")
-        observer.metrics.inc("clients_selected", float(len(state.selected_ids)))
 
     def _evaluate(self, state: RoundState) -> None:
         """Train loss over the integrated updates; test-set evaluation."""
@@ -1124,7 +1086,6 @@ class FederatedTrainer:
                 test_accuracy=state.test_accuracy,
             )
         )
-        self.observer.metrics.inc("evaluations")
         if config.keep_best_model and (
             self.best_model_params is None
             or state.test_accuracy > self.best_model_accuracy
@@ -1173,10 +1134,8 @@ class FederatedTrainer:
                 and self.checkpoint_path is not None
                 and state.round_index % every == 0
             ):
-                with self.observer.timer("checkpoint"):
-                    save_checkpoint(
-                        self.checkpoint_path,
-                        self._capture_checkpoint(state.run),
-                        state.run.history_log,
-                    )
-                self.observer.metrics.inc("checkpoints_written")
+                save_checkpoint(
+                    self.checkpoint_path,
+                    self._capture_checkpoint(state.run),
+                    state.run.history_log,
+                )

@@ -252,16 +252,6 @@ class RoundTimeline:
             )
         )
 
-    def ids_with_outcome(self, outcome: str) -> Tuple[int, ...]:
-        """Device ids with the given outcome, in timeline order."""
-        matching = self.outcome_codes == CLIENT_OUTCOMES.index(outcome)
-        return tuple(self.device_ids[matching].tolist())
-
-    @property
-    def completed_ids(self) -> Tuple[int, ...]:
-        """Devices whose upload reached the server, in grant order."""
-        return self.ids_with_outcome(OUTCOME_OK)
-
 
 def _id_aligned(
     values: Dict[int, float], ids: List[int], absent: float

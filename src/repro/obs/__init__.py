@@ -2,11 +2,12 @@
 
 The training loop is instrumented against this package: every
 observable step emits a typed event (:mod:`repro.obs.events`) through
-a pluggable sink (:mod:`repro.obs.sinks`) while wall-clock timers and
-counters aggregate into an in-memory registry
-(:mod:`repro.obs.metrics`). A :class:`RunObserver` bundles the two
-into the single optional handle the trainer, the execution backends,
-and the energy ledger accept.
+a pluggable sink (:mod:`repro.obs.sinks`), and every stage runs inside
+a timing span (:mod:`repro.obs.spans`) whose start/end events go to
+the same sink. That trace is the one record of a run: counts are
+event counts, stage times are span self-times. A :class:`RunObserver`
+is the single optional handle the trainer and the execution backends
+accept.
 
 Tracing defaults off (events are discarded) and is strictly
 read-only: a traced run's :class:`~repro.fl.history.TrainingHistory`
@@ -14,15 +15,15 @@ is bitwise identical to the untraced run's.
 
 Typical use::
 
-    from repro.obs import JsonlTraceSink, RunObserver
+    from repro.obs import CollectingSink, RunObserver, self_time_rows
 
-    with RunObserver(sink=JsonlTraceSink("run.jsonl")) as observer:
-        trainer = FederatedTrainer(..., observer=observer)
-        history = trainer.run()
-    print(observer.metrics.format_timers())
+    observer = RunObserver(sink=CollectingSink())
+    history = FederatedTrainer(..., observer=observer).run()
+    for name, count, total_s, self_s, *_ in self_time_rows(observer.sink.events):
+        print(f"{name:22s} {count:4d} {total_s:8.3f}s {self_s:8.3f}s")
 
 From the CLI the same is ``python -m repro run helcfl --trace
-run.jsonl``; validate a trace with ``python -m repro.obs.validate
+run.jsonl --report``; validate a trace with ``python -m repro.obs.validate
 run.jsonl``. Analyze a finished trace with ``python -m repro
 trace-report run.jsonl`` (or diff two runs with ``python -m repro
 trace-compare``); the underlying analytics live in
@@ -61,7 +62,6 @@ from repro.obs.events import (
     TimelineEvent,
     WorkerResourceEvent,
 )
-from repro.obs.metrics import MetricsRegistry, TimerStat
 from repro.obs.observer import RunObserver, configure_logging
 from repro.obs.spans import (
     NOOP_SPAN,
@@ -109,8 +109,6 @@ __all__ = [
     "TaskSample",
     "begin_task_sample",
     "end_task_sample",
-    "MetricsRegistry",
-    "TimerStat",
     "RunObserver",
     "configure_logging",
     "EVENT_SCHEMAS",

@@ -1,18 +1,18 @@
-"""The run observer: one handle bundling trace sink + metrics.
+"""The run observer: the one handle a run's telemetry goes through.
 
-:class:`RunObserver` is what the trainer, the execution backends, and
-the energy ledger are instrumented against. It pairs an
-:class:`~repro.obs.sinks.EventSink` (the qualitative event trace) with
-a :class:`~repro.obs.metrics.MetricsRegistry` (the quantitative
-counters/gauges/timers), so call sites need a single optional
-argument.
+:class:`RunObserver` is what the trainer and the execution backends
+are instrumented against. It wraps an
+:class:`~repro.obs.sinks.EventSink` and opens the timing spans
+(:mod:`repro.obs.spans`) whose start/end events go to that same sink,
+so the trace is the single record of what a run did and how long each
+stage took: counts are event counts, stage times are span self-times
+(:func:`repro.obs.analysis.self_time_rows`).
 
-The default observer (no sink given) discards every event but still
-aggregates metrics — the cost is a few dict updates per round, far
-below the training work, and it keeps the instrumentation
-branch-free. Observation is strictly read-only with respect to the
-run: enabling tracing leaves the produced
-:class:`~repro.fl.history.TrainingHistory` bitwise identical.
+The default observer (no sink given) discards every event and opens
+no-op spans, which keeps the instrumentation branch-free. Observation
+is strictly read-only with respect to the run: enabling tracing
+leaves the produced :class:`~repro.fl.history.TrainingHistory`
+bitwise identical.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import sys
 from typing import Optional, Union
 
 from repro.obs.events import Event
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sinks import EventSink, JsonlTraceSink, NullSink
 from repro.obs.spans import NOOP_SPAN, Span
 
@@ -35,8 +34,6 @@ class RunObserver:
     Args:
         sink: event destination; ``None`` discards events (tracing
             off, the default).
-        metrics: registry to aggregate into; ``None`` creates a fresh
-            one (exposed as ``observer.metrics``).
         spans_enabled: whether :meth:`span` produces live spans
             (requires tracing too); False compiles every span to the
             shared no-op.
@@ -48,12 +45,10 @@ class RunObserver:
     def __init__(
         self,
         sink: Optional[EventSink] = None,
-        metrics: Optional[MetricsRegistry] = None,
         spans_enabled: bool = True,
         parent_span_id: str = "",
     ) -> None:
         self.sink = sink if sink is not None else NullSink()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.spans_enabled = bool(spans_enabled)
         self.parent_span_id = str(parent_span_id)
 
@@ -101,19 +96,13 @@ class RunObserver:
         )
 
     def emit(self, event: Event) -> None:
-        """Forward one event to the sink and count it."""
+        """Forward one event to the sink."""
         self.sink.emit(event)
-        self.metrics.inc("events_emitted")
 
     def emit_batch(self, rows: int, parts) -> None:
-        """Forward a column batch to the sink and count its events
-        (see :meth:`repro.obs.sinks.EventSink.emit_batch`)."""
+        """Forward a column batch to the sink (see
+        :meth:`repro.obs.sinks.EventSink.emit_batch`)."""
         self.sink.emit_batch(rows, parts)
-        self.metrics.inc("events_emitted", float(rows * len(parts)))
-
-    def timer(self, name: str):
-        """Context manager timing its body into ``metrics``."""
-        return self.metrics.timer(name)
 
     def close(self) -> None:
         """Close the sink (idempotent)."""

@@ -151,7 +151,6 @@ class Span:
                     pid=os.getpid(),
                 )
             )
-        observer.metrics.inc("spans_opened")
 
     @property
     def closed(self) -> bool:

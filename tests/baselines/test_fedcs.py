@@ -127,6 +127,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             FedCsSelection(1.0, 0.0, BANDWIDTH)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("round_deadline_s", float("nan")),
+            ("payload_bits", float("nan")),
+            ("payload_bits", float("inf")),
+            ("bandwidth_hz", float("nan")),
+            ("bandwidth_hz", float("inf")),
+        ],
+    )
+    def test_non_finite_value_rejected_by_name(self, field, value):
+        kwargs = dict(round_deadline_s=1.0, payload_bits=PAYLOAD, bandwidth_hz=BANDWIDTH)
+        kwargs[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            FedCsSelection(**kwargs)
+
     def test_invalid_max_users(self):
         with pytest.raises(ConfigurationError):
             FedCsSelection(1.0, PAYLOAD, BANDWIDTH, max_users=0)

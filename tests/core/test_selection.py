@@ -163,6 +163,14 @@ class TestGreedyDecay:
         with pytest.raises(ConfigurationError):
             GreedyDecaySelection(0.1, 0.7, 0.0, BANDWIDTH)
 
+    @pytest.mark.parametrize("field", ["payload_bits", "bandwidth_hz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_link_rejected_by_name(self, field, value):
+        link = {"payload_bits": PAYLOAD, "bandwidth_hz": BANDWIDTH}
+        link[field] = value
+        with pytest.raises(ConfigurationError, match=field):
+            GreedyDecaySelection(0.1, 0.7, **link)
+
     def test_full_fraction_selects_everyone(self):
         devices = make_heterogeneous_devices(5)
         strat = strategy(fraction=1.0)

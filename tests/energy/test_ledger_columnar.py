@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.energy.accounting import DeviceEnergy, EnergyLedger
 from repro.errors import SerializationError
 from repro.network.tdma import RoundTimeline, simulate_tdma_round
-from repro.obs.metrics import MetricsRegistry
 from tests.conftest import make_heterogeneous_devices
 from tests.oracles.ledger_objects import ObjectLedger
 
@@ -135,15 +134,6 @@ class TestView:
         assert ledger.slack_seconds.tolist() == [5.0, 7.0, 1.0]
         assert ledger.rounds.tolist() == [1, 2, 1]
         assert ledger.rounds.dtype == np.int64
-
-    def test_metrics_gauge_counts_rows(self):
-        metrics = MetricsRegistry()
-        ledger = EnergyLedger(metrics=metrics)
-        ledger.record_round(timeline_of([1, 2], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]))
-        ledger.record_round(timeline_of([2, 3], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]))
-        snapshot = metrics.snapshot()
-        assert snapshot["gauges"]["energy.devices"] == 3.0
-        assert snapshot["counters"]["energy.rounds"] == 2
 
 
 GOOD = {"compute_joules": 1.0, "upload_joules": 2.0, "slack_seconds": 0.5, "rounds": 2}

@@ -44,10 +44,21 @@ class TestConfig:
             {"staleness_exponent": -1.0},
             {"eval_every": 0},
             {"deadline_s": 0.0},
+            {"staleness_exponent": float("nan")},
+            {"staleness_exponent": float("inf")},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"learning_rate": -1.0},
+            {"learning_rate": 0.0},
+            {"bandwidth_hz": float("nan")},
+            {"bandwidth_hz": float("inf")},
+            {"local_steps": 0},
+            {"deadline_s": float("nan")},
         ],
     )
     def test_invalid_configs(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        (field,) = kwargs
+        with pytest.raises(ConfigurationError, match=field):
             SemiAsyncConfig(**kwargs)
 
 

@@ -136,8 +136,16 @@ class TestValidation:
             {"preferred_round_s": 0.0},
             {"penalty_exponent": -1.0},
             {"exploration_fraction": 1.5},
+            {"payload_bits": float("nan")},
+            {"payload_bits": float("inf")},
+            {"bandwidth_hz": float("nan")},
+            {"bandwidth_hz": float("inf")},
+            {"preferred_round_s": float("nan")},
+            {"penalty_exponent": float("nan")},
+            {"penalty_exponent": float("inf")},
         ],
     )
     def test_invalid_parameters(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        (field,) = kwargs
+        with pytest.raises(ConfigurationError, match=field):
             strategy(**kwargs)

@@ -69,9 +69,10 @@ def assert_same_round(timeline: RoundTimeline, loop: tdma_loop.LoopTimeline):
         assert getattr(timeline, name) == getattr(loop, name), name
         assert repr(getattr(timeline, name)) == repr(getattr(loop, name)), name
     assert timeline.outcomes() == {e.device_id: e.outcome for e in entries}
-    assert timeline.completed_ids == tuple(
+    completed = timeline.outcome_codes == CLIENT_OUTCOMES.index(OUTCOME_OK)
+    assert timeline.device_ids[completed].tolist() == [
         e.device_id for e in entries if e.outcome == OUTCOME_OK
-    )
+    ]
     # The lazily built view, field for field.
     assert timeline.users == entries
     assert repr(timeline.users) == repr(entries)
@@ -232,7 +233,7 @@ class TestQueuedRuns:
         timeline, loop = self.simulate_both(population, kwargs, 0.5)
         assert_same_round(timeline, loop)
         assert sum(folded) > 250
-        assert timeline.ids_with_outcome("timeout")
+        assert "timeout" in timeline.outcomes().values()
 
 
 class TestDifferential:
@@ -314,7 +315,7 @@ class TestUsersView:
         assert RoundTimeline() == RoundTimeline()
         assert len(RoundTimeline().users) == 0
         assert RoundTimeline().outcomes() == {}
-        assert RoundTimeline().completed_ids == ()
+        assert RoundTimeline().outcome_codes.size == 0
 
     def test_view_is_cached_entry_objects(self):
         population = DevicePopulation.from_spec(None, [40, 80, 20], seed=1)

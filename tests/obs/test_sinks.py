@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import SerializationError
 from repro.obs import (
+    NOOP_SPAN,
     CollectingSink,
     JsonlTraceSink,
     NullSink,
@@ -135,11 +136,12 @@ class TestJsonlCloseSemantics:
 
 
 class TestRunObserver:
-    def test_default_observer_discards_but_counts(self):
+    def test_default_observer_discards(self):
         observer = RunObserver()
         assert not observer.tracing
+        assert isinstance(observer.sink, NullSink)
         observer.emit(EVENT)
-        assert observer.metrics.counter("events_emitted") == 1.0
+        assert observer.span("stage") is NOOP_SPAN
 
     def test_tracing_flag_with_real_sink(self):
         observer = RunObserver(sink=CollectingSink())
@@ -154,10 +156,4 @@ class TestRunObserver:
         path = tmp_path / "trace.jsonl"
         with RunObserver.to_path(str(path)) as observer:
             observer.emit(EVENT)
-        assert len(path.read_text().splitlines()) == 1
-
-    def test_timer_delegates_to_metrics(self):
-        observer = RunObserver()
-        with observer.timer("stage"):
-            pass
-        assert observer.metrics.timer_stat("stage").count == 1
+        assert len(path.read_text().splitlines()) == observer.sink.events_written == 1

@@ -352,23 +352,50 @@ class TestStopReasons:
 
 
 class TestRunMetrics:
-    def test_stage_timers_and_counters(self):
+    """What a run did, counted from its trace alone."""
+
+    STAGES = ("selection", "frequency_assignment", "local_updates", "aggregation")
+
+    @pytest.fixture(scope="class")
+    def traced(self):
         server, devices = make_setup()
-        observer = RunObserver()
-        history = make_trainer(server, devices, observer=observer, rounds=3).run()
-        metrics = observer.metrics
-        rounds = len(history)
-        for stage in ("selection", "frequency_assignment", "run_round",
-                      "aggregation"):
-            assert metrics.timer_stat(stage).count == rounds, stage
-        assert metrics.counter("rounds") == rounds
-        assert metrics.counter("clients_trained") == sum(
-            len(r.selected_ids) for r in history.records
+        observer = RunObserver(sink=CollectingSink())
+        trainer = make_trainer(server, devices, observer=observer, rounds=3, eval_every=2)
+        history = trainer.run()
+        return history, observer.sink, trainer.ledger
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_one_stage_span_per_round(self, traced, stage):
+        history, sink, _ = traced
+        rounds = [
+            e.round_index for e in sink.of_kind("span_start") if e.name == stage
+        ]
+        assert rounds == [r.round_index for r in history.records]
+
+    def test_rounds_are_timeline_events(self, traced):
+        history, sink, _ = traced
+        assert len(sink.of_kind("timeline")) == len(history) == 3
+
+    def test_evaluations_are_eval_events(self, traced):
+        history, sink, _ = traced
+        evaluated = [r.round_index for r in history.records if r.test_accuracy is not None]
+        assert [e.round_index for e in sink.of_kind("eval")] == evaluated == [2, 3]
+
+    def test_trained_clients_are_task_spans(self, traced):
+        history, sink, _ = traced
+        tasks = [e for e in sink.of_kind("span_start") if e.name == "task"]
+        assert len(tasks) == sum(len(r.selected_ids) for r in history.records)
+
+    def test_energy_is_the_timeline_sum(self, traced):
+        history, sink, ledger = traced
+        timelines = sink.of_kind("timeline")
+        assert [e.compute_energy for e in timelines] == [
+            r.compute_energy for r in history.records
+        ]
+        assert [e.upload_energy for e in timelines] == [
+            r.upload_energy for r in history.records
+        ]
+        assert sum(e.compute_energy for e in timelines) == pytest.approx(
+            float(ledger.compute_joules.sum())
         )
-        assert metrics.counter("evaluations") == sum(
-            1 for r in history.records if r.test_accuracy is not None
-        )
-        assert metrics.counter("energy.rounds") == rounds
-        assert metrics.counter("energy.compute_joules") == pytest.approx(
-            sum(r.compute_energy for r in history.records)
-        )
+        assert ledger.rounds_recorded == len(timelines)

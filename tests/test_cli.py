@@ -189,6 +189,26 @@ class TestTraceAnalyticsCommands:
         assert "Run summary" in out
         assert "Per-round" in out
 
+    def test_run_trace_summary_counts_and_stage_rows(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The event count ``run --trace`` prints is the validator's, and
+        ``--report``'s span self-time table has a row per round stage."""
+        import re
+
+        from repro.obs import validate_trace
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "helcfl", "--quick", "--rounds", "2",
+                     "--trace", "t.jsonl", "--report"]) == 0
+        out = capsys.readouterr().out
+        printed = re.search(r"^saved trace to t\.jsonl \((\d+) events\)$", out, re.M)
+        assert printed and int(printed.group(1)) == validate_trace("t.jsonl")
+        table = out.split("Span self-time", 1)[1].split("\n\n", 1)[0]
+        rows = {line.split()[0]: line.split()[1] for line in table.splitlines()[3:]}
+        for stage in ("selection", "frequency_assignment", "local_updates", "aggregation"):
+            assert rows[stage] == "2", stage
+
     def test_run_report_flag_requires_trace(self, capsys):
         assert main(["run", "helcfl", "--quick", "--report"]) == 2
         assert "--report requires --trace" in capsys.readouterr().err
