@@ -164,6 +164,8 @@ def run_backend_study(
 ):
     """Time one identical training run per backend; return the results.
 
+    Each backend runs once untimed before its timed run.
+
     Args:
         snapshot_prefix: when set, each backend's run is traced to
             ``{prefix}-{backend}.trace.jsonl`` and its analytics
@@ -182,6 +184,12 @@ def run_backend_study(
     env = build_environment(settings, iid=True)
     results = {}
     for name in backends:
+        # One untimed run first: otherwise the first backend alone pays
+        # the cold caches and lazy imports, and the ratio measures the
+        # order of the runs.
+        run_strategy(
+            "helcfl", settings, iid=True, environment=env, backend=name, workers=workers
+        )
         trace_path = None if snapshot_prefix is None else f"{snapshot_prefix}-{name}.trace.jsonl"
         sink = CollectingSink() if trace_path is None else JsonlTraceSink(trace_path)
         start = time.perf_counter()

@@ -172,21 +172,33 @@ def make_synthetic_image_task(
             )
             styles = np.tensordot(codes, style_bank, axes=(1, 0))
             noise = rng.normal(0.0, noise_std, size=(n,) + image_shape)
-            inputs[cursor : cursor + n] = prototypes[cls] + styles + noise
+            # ``(P_k + S z) + eps`` written straight into the class's rows.
+            rows = inputs[cursor : cursor + n]
+            np.add(prototypes[cls], styles, out=rows)
+            rows += noise
             labels[cursor : cursor + n] = cls
             cursor += n
+        # Rebinding frees a class's temporaries only once the next
+        # class's exist, so malloc reuses their pages rather than trimming
+        # and faulting them in again per class; the last ones go here,
+        # before the permuted gather needs its second full-size buffer.
+        del codes, styles, noise, rows
         order = rng.permutation(total)
         return ArrayDataset(inputs[order], labels[order])
 
+    # Standardize with the training split's statistics, in place: the
+    # same two roundings per element as ``(x - mean) / std``. The
+    # statistics read no draws, so taking them before the test split
+    # exists keeps every bit and keeps that split out of the peak that
+    # ``std``'s full-size temporary sets.
     train = _generate(train_size)
-    test = _generate(test_size)
-
-    # Standardize with the training split's statistics.
     mean = train.inputs.mean()
     std = train.inputs.std()
     std = std if std > 0 else 1.0
-    train = ArrayDataset((train.inputs - mean) / std, train.labels)
-    test = ArrayDataset((test.inputs - mean) / std, test.labels)
+    test = _generate(test_size)
+    for split in (train, test):
+        split.inputs -= mean
+        split.inputs /= std
 
     return SyntheticImageTask(
         train=train,

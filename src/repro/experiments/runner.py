@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Union
 from repro.baselines.registry import build_strategy, strategy_labels
 from repro.baselines.sl import SeparatedLearningRunner
 from repro.data.dataset import ArrayDataset
-from repro.data.synthetic import SyntheticImageTask
 from repro.data.transforms import flatten_images
 from repro.devices.device import UserDevice
 from repro.devices.fleet import make_fleet
@@ -62,7 +61,6 @@ class Environment:
     Attributes:
         settings: the generating settings.
         iid: whether partitions are IID.
-        task: the synthetic dataset.
         test: the evaluation split (flattened if the model needs it).
         partitions: per-user local datasets.
         devices: the heterogeneous fleet (one device per partition).
@@ -72,7 +70,6 @@ class Environment:
 
     settings: ExperimentSettings
     iid: bool
-    task: SyntheticImageTask
     test: ArrayDataset
     partitions: List[ArrayDataset]
     devices: List[UserDevice]
@@ -102,7 +99,6 @@ def build_environment(settings: ExperimentSettings, iid: bool) -> Environment:
     return Environment(
         settings=settings,
         iid=iid,
-        task=task,
         test=test,
         partitions=partitions,
         devices=devices,

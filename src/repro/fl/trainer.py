@@ -76,6 +76,18 @@ __all__ = ["TrainerConfig", "FederatedTrainer"]
 _LOGGER = logging.getLogger("repro.fl.trainer")
 
 
+# (field, minimum, may be None) of every integer count in TrainerConfig.
+_COUNT_FIELDS = (
+    ("rounds", 1, False),
+    ("local_steps", 1, False),
+    ("eval_every", 1, False),
+    ("over_select_margin", 0, False),
+    ("batch_size", 1, True),
+    ("convergence_patience", 1, True),
+    ("checkpoint_every", 1, True),
+)
+
+
 @dataclass
 class TrainerConfig:
     """Knobs of one federated training run.
@@ -151,8 +163,17 @@ class TrainerConfig:
     checkpoint_every: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.rounds <= 0:
-            raise ConfigurationError(f"rounds must be positive, got {self.rounds}")
+        # Counts are Python ints: a float or NaN would slip past a range
+        # check and break the round arithmetic mid-run.
+        for name, minimum, optional in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if optional and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                when = " when set" if optional else ""
+                raise ConfigurationError(
+                    f"{name} must be an integer >= {minimum}{when}, got {value!r}"
+                )
         # Guards are written so that NaN fails them (``nan <= 0`` is False).
         if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
             raise ConfigurationError(
@@ -162,10 +183,6 @@ class TrainerConfig:
             raise ConfigurationError(
                 f"learning_rate must be positive, got {self.learning_rate}"
             )
-        if self.eval_every <= 0:
-            raise ConfigurationError(
-                f"eval_every must be positive, got {self.eval_every}"
-            )
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ConfigurationError(
                 f"deadline_s must be positive when set, got {self.deadline_s}"
@@ -173,11 +190,6 @@ class TrainerConfig:
         if self.target_accuracy is not None and not 0.0 < self.target_accuracy <= 1.0:
             raise ConfigurationError(
                 f"target_accuracy must be in (0, 1], got {self.target_accuracy}"
-            )
-        if self.convergence_patience is not None and self.convergence_patience <= 0:
-            raise ConfigurationError(
-                "convergence_patience must be positive when set, got "
-                f"{self.convergence_patience}"
             )
         if not self.convergence_min_delta >= 0:
             raise ConfigurationError(
@@ -188,16 +200,6 @@ class TrainerConfig:
             raise ConfigurationError(
                 "round_deadline_s must be positive when set, got "
                 f"{self.round_deadline_s}"
-            )
-        if self.over_select_margin < 0:
-            raise ConfigurationError(
-                "over_select_margin must be non-negative, got "
-                f"{self.over_select_margin}"
-            )
-        if self.checkpoint_every is not None and self.checkpoint_every <= 0:
-            raise ConfigurationError(
-                "checkpoint_every must be positive when set, got "
-                f"{self.checkpoint_every}"
             )
 
     def local_update_spec(self) -> LocalUpdateSpec:

@@ -12,6 +12,7 @@ from repro.data.partition import (
     shard_noniid_partition,
 )
 from repro.errors import PartitionError
+from tests.oracles.data_copies import subset_partitions
 
 
 def labelled_dataset(n=200, classes=10, seed=0):
@@ -241,3 +242,56 @@ class TestPartitionGrid:
         # The first size % num_users users hold the extra samples.
         assert sizes == sorted(sizes, reverse=True)
         assert_exact_cover(parts, ds)
+
+
+PARTITIONERS = {
+    "iid": (iid_partition, dict(num_users=7)),
+    "shard": (shard_noniid_partition, dict(num_users=5, shards_per_user=3)),
+    "dirichlet": (dirichlet_partition, dict(num_users=6, alpha=0.7)),
+}
+
+
+def partition(kind, dataset, seed):
+    partitioner, kwargs = PARTITIONERS[kind]
+    return partitioner(dataset, seed=seed, **kwargs)
+
+
+def image_dataset(n=203, seed=0):
+    """An uneven-size, 4-D float dataset (so shards and splits differ)."""
+    rng = np.random.default_rng(seed)
+    return ArrayDataset(rng.normal(size=(n, 3, 2, 2)), rng.integers(0, 10, size=n))
+
+
+class TestOneGather:
+    """Each user's rows are a view of one gathered matrix, equal bit for
+    bit to the per-user ``subset`` copies the partitioners used to make
+    (``tests/oracles/data_copies.py``)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", sorted(PARTITIONERS))
+    def test_equals_subset_copies(self, kind, seed):
+        ds = image_dataset(seed=seed + 10)
+        parts = partition(kind, ds, seed)
+        want = subset_partitions(ds, kind, seed=seed, **PARTITIONERS[kind][1])
+        assert len(parts) == len(want)
+        for got, ref in zip(parts, want):
+            assert got.inputs.dtype == ref.inputs.dtype
+            assert got.inputs.shape == ref.inputs.shape
+            assert got.inputs.tobytes() == ref.inputs.tobytes()
+            assert got.labels.tobytes() == ref.labels.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(PARTITIONERS))
+    def test_rows_contiguous_and_disjoint(self, kind):
+        ds = image_dataset(seed=4)
+        parts = partition(kind, ds, 3)
+        for part in parts:
+            assert part.inputs.flags.c_contiguous
+            assert not np.shares_memory(part.inputs, ds.inputs)
+        # One gather: every user's rows live in the same matrix.
+        matrix = parts[0].inputs.base
+        assert matrix is not None
+        assert all(part.inputs.base is matrix for part in parts)
+        for i, left in enumerate(parts):
+            for right in parts[i + 1 :]:
+                assert not np.shares_memory(left.inputs, right.inputs)
+                assert not np.shares_memory(left.labels, right.labels)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data.synthetic import make_synthetic_image_task
 from repro.errors import ConfigurationError
+from tests.oracles.data_copies import synthetic_task
 
 
 class TestGeneration:
@@ -52,6 +53,36 @@ class TestGeneration:
             train_size=100, test_size=20, image_shape=(1, 6, 6), seed=0
         )
         assert task.train.inputs.shape[1:] == (1, 6, 6)
+
+
+class TestInPlaceArithmetic:
+    """Writing each class into place and standardizing in place keeps
+    every bit of the out-of-place generator (``tests/oracles``)."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(train_size=503, test_size=97, seed=0),
+            dict(num_classes=3, train_size=100, test_size=31, seed=5),
+            dict(train_size=200, test_size=40, image_shape=(1, 5, 3), seed=9),
+            # All-zero inputs: std is 0 and the divisor falls back to 1.
+            dict(
+                train_size=40,
+                test_size=20,
+                class_separation=0.0,
+                within_class_std=0.0,
+                noise_std=0.0,
+                seed=2,
+            ),
+        ],
+    )
+    def test_equals_out_of_place_generator(self, kwargs):
+        task = make_synthetic_image_task(**kwargs)
+        train, test = synthetic_task(**kwargs)
+        for got, want in ((task.train, train), (task.test, test)):
+            assert got.inputs.shape == want.inputs.shape
+            assert got.inputs.tobytes() == want.inputs.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
 
 
 class TestLearnability:

@@ -7,6 +7,8 @@ from repro.baselines.classic import RandomSelection
 from repro.data.dataset import ArrayDataset
 from repro.devices.battery import Battery
 from repro.errors import ConfigurationError, TrainingError
+from repro.experiments.runner import run_strategy
+from repro.experiments.settings import ExperimentSettings
 from repro.fl.server import FederatedServer
 from repro.fl.strategy import FullParticipation
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
@@ -73,6 +75,65 @@ class TestConfigValidation:
     def test_infinite_rate_is_refused(self, name):
         with pytest.raises(ConfigurationError, match=name):
             TrainerConfig(**{name: float("inf")})
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("rounds", 2.5),
+            ("rounds", True),
+            ("rounds", float("nan")),
+            ("local_steps", 1.5),
+            ("local_steps", 0),
+            ("eval_every", 1.5),
+            ("eval_every", float("nan")),
+            ("over_select_margin", 1.5),
+            ("over_select_margin", -1),
+            ("over_select_margin", False),
+            ("checkpoint_every", 1.5),
+            ("checkpoint_every", True),
+            ("convergence_patience", 2.0),
+            ("convergence_patience", float("nan")),
+            ("batch_size", 8.0),
+            ("batch_size", 0),
+        ],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        """A float, NaN or bool count used to pass the range check."""
+        with pytest.raises(ConfigurationError, match=name):
+            TrainerConfig(**{name: value})
+
+    def test_integer_counts_accepted(self):
+        config = TrainerConfig(
+            rounds=2,
+            local_steps=3,
+            eval_every=2,
+            over_select_margin=0,
+            checkpoint_every=1,
+            convergence_patience=1,
+            batch_size=1,
+        )
+        assert (config.rounds, config.local_steps, config.batch_size) == (2, 3, 1)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"eval_every": 1.5},
+            {"eval_every": float("nan")},
+            {"rounds": 2.5},
+            {"local_steps": 1.5},
+            {"over_select_margin": 1.5},
+        ],
+    )
+    def test_run_strategy_refuses_fractional_counts(self, overrides):
+        """Through the experiment runner, before any round runs."""
+        (name,) = overrides
+        with pytest.raises(ConfigurationError, match=name):
+            run_strategy(
+                "helcfl",
+                ExperimentSettings.quick(rounds=4),
+                True,
+                config_overrides=overrides,
+            )
 
 
 class TestRun:
