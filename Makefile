@@ -38,12 +38,9 @@ bench-artifacts:
 	  benchmarks/bench_fig3.py --benchmark-only -s
 
 examples:
-	python examples/quickstart.py
-	python examples/slack_timeline.py
-	python examples/energy_saving.py
-	python examples/compare_strategies.py
-	python examples/custom_strategy.py
-	python examples/battery_shutdown.py
-	python examples/sync_vs_async.py
+	@for example in examples/*.py; do \
+		echo "== $$example"; \
+		PYTHONPATH=src python "$$example" || exit 1; \
+	done
 
 all: install test check bench

@@ -13,7 +13,7 @@ operation. Asserts the paper's qualitative shape:
 import pytest
 
 from benchmarks.conftest import run_sweep
-from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig3 import derive_fig3
 from repro.experiments.reporting import format_fig3_table
 
 
@@ -39,14 +39,8 @@ def _check_shape(result):
 @pytest.mark.parametrize("iid", [True, False], ids=["iid", "noniid"])
 def test_fig3_dvfs_energy_reduction(benchmark, full_settings, sweep_cache, iid):
     sweep = run_sweep(full_settings, iid, sweep_cache)
-    histories = {
-        "helcfl": sweep.histories["helcfl"],
-        "helcfl-nodvfs": sweep.histories["helcfl-nodvfs"],
-    }
     result = benchmark.pedantic(
-        lambda: run_fig3(full_settings, iid=iid, histories=histories),
-        rounds=1,
-        iterations=1,
+        lambda: derive_fig3(sweep), rounds=1, iterations=1
     )
     _check_shape(result)
     print()

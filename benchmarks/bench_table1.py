@@ -13,8 +13,8 @@ paper's qualitative shape:
 import pytest
 
 from benchmarks.conftest import run_sweep
-from repro.experiments.reporting import format_table1
-from repro.experiments.table1 import run_table1
+from repro.experiments.reporting import format_speedups, format_table1
+from repro.experiments.table1 import derive_table1
 
 
 def _check_shape(table):
@@ -40,18 +40,9 @@ def _check_shape(table):
 def test_table1_delay_to_accuracy(benchmark, full_settings, sweep_cache, iid):
     sweep = run_sweep(full_settings, iid, sweep_cache)
     table = benchmark.pedantic(
-        lambda: run_table1(full_settings, iid=iid, fig2=sweep),
-        rounds=1,
-        iterations=1,
+        lambda: derive_table1(sweep), rounds=1, iterations=1
     )
     _check_shape(table)
     print()
     print(format_table1(table))
-    for target in table.targets:
-        for versus in ("classic", "fedcs", "fedl"):
-            speedup = table.speedup(target, versus=versus)
-            if speedup is not None:
-                print(
-                    f"  HELCFL speedup vs {versus} at "
-                    f"{100 * target:.1f}%: {speedup:.0f}%"
-                )
+    print(format_speedups(table))

@@ -10,19 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.fig2 import run_fig2
+from repro.experiments.fig2 import PAPER_STRATEGIES, run_fig2
 from repro.experiments.settings import ExperimentSettings
-
-# Strategies needed across all three experiment benches: the Fig. 2 set
-# plus the no-DVFS ablation pair required by Fig. 3.
-SWEEP_STRATEGIES = (
-    "helcfl",
-    "helcfl-nodvfs",
-    "classic",
-    "fedcs",
-    "fedl",
-    "sl",
-)
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +22,7 @@ def full_settings() -> ExperimentSettings:
 
 @pytest.fixture(scope="session")
 def sweep_cache():
-    """Session cache: regime -> Fig2Result over SWEEP_STRATEGIES."""
+    """Session cache: regime -> Fig2Result over PAPER_STRATEGIES."""
     return {}
 
 
@@ -41,5 +30,5 @@ def run_sweep(settings: ExperimentSettings, iid: bool, cache: dict):
     """Run (or fetch) the full strategy sweep for one regime."""
     key = ("iid" if iid else "noniid", settings.seed)
     if key not in cache:
-        cache[key] = run_fig2(settings, iid=iid, strategies=SWEEP_STRATEGIES)
+        cache[key] = run_fig2(settings, iid=iid, strategies=PAPER_STRATEGIES)
     return cache[key]

@@ -13,10 +13,12 @@ Usage::
 """
 
 from repro.experiments import (
+    FIG3_STRATEGIES,
     ExperimentSettings,
     build_environment,
+    derive_fig3,
     format_fig3_table,
-    run_fig3,
+    run_fig2,
 )
 
 
@@ -25,7 +27,8 @@ def main() -> None:
     # genuinely queues (that queueing slack is what Algorithm 3 converts
     # into energy savings).
     settings = ExperimentSettings.quick(seed=0, rounds=60, fraction=0.5)
-    result = run_fig3(settings, iid=True)
+    sweep = run_fig2(settings, iid=True, strategies=FIG3_STRATEGIES)
+    result = derive_fig3(sweep)
 
     print(format_fig3_table(result))
 

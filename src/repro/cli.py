@@ -6,6 +6,7 @@ Commands:
 * ``fig2`` — regenerate a Fig. 2 panel (accuracy comparison);
 * ``table1`` — regenerate a Table I half (delay to accuracy);
 * ``fig3`` — regenerate a Fig. 3 panel (DVFS energy reduction);
+* ``report`` — the full evaluation, both regimes, as one text report;
 * ``trace-report`` — analyze a recorded JSONL trace;
 * ``trace-compare`` — diff two traces, non-zero exit on regression;
 * ``campaign`` — run/inspect/compare declarative multi-run campaigns
@@ -13,8 +14,9 @@ Commands:
   out/ --resume`` continues a killed campaign bitwise identically);
 * ``info`` — print the resolved experiment settings.
 
-Every command accepts ``--quick`` (20 users, fast) or ``--full``
-(paper scale, default), ``--seed``, ``--rounds``, and ``--noniid``.
+``run``, ``fig2``, ``table1``, ``fig3``, ``report`` and ``info`` take
+``--quick`` (20 users, fast; paper scale otherwise), ``--seed`` and
+``--rounds``; each command declares only the flags it reads.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from typing import List, Optional
 
 from repro.baselines.registry import strategy_labels
 from repro.errors import ReproError
-from repro.experiments.fig2 import run_fig2
-from repro.experiments.fig3 import run_fig3
+from repro.experiments import export
+from repro.experiments.fig2 import DEFAULT_FIG2_STRATEGIES, run_fig2
+from repro.experiments.fig3 import FIG3_STRATEGIES, derive_fig3
 from repro.experiments.reporting import (
     format_fig2_table,
     format_fig3_table,
@@ -35,7 +38,7 @@ from repro.experiments.reporting import (
 )
 from repro.experiments.runner import STRATEGY_NAMES, run_strategy
 from repro.experiments.settings import ExperimentSettings
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import derive_table1
 from repro.fl.execution import BACKEND_NAMES
 from repro.obs import report as trace_analytics
 from repro.version import PAPER_TITLE, PAPER_VENUE, __version__
@@ -43,65 +46,54 @@ from repro.version import PAPER_TITLE, PAPER_VENUE, __version__
 __all__ = ["main", "build_parser"]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--quick",
+_FLAGS = {
+    "--quick": dict(
         action="store_true",
         help="small fast profile (20 users) instead of the paper scale",
-    )
-    parser.add_argument("--seed", type=int, default=7, help="master seed")
-    parser.add_argument(
-        "--rounds", type=int, default=None, help="override FL round count"
-    )
-    parser.add_argument(
-        "--noniid",
+    ),
+    "--seed": dict(type=int, default=7, help="master seed"),
+    "--rounds": dict(type=int, default=None, help="override FL round count"),
+    "--noniid": dict(
         action="store_true",
         help="use the paper's label-shard non-IID partition",
-    )
-    parser.add_argument(
-        "--output",
+    ),
+    "--output": dict(
         type=str,
         default=None,
         help="also save the artifact as a JSON document at this path",
-    )
-    parser.add_argument(
-        "--backend",
+    ),
+    "--backend": dict(
         choices=BACKEND_NAMES,
         default="serial",
         help="client-execution backend fanning local updates across "
         "workers (results are identical for every backend at a fixed "
         "seed)",
-    )
-    parser.add_argument(
-        "--workers",
+    ),
+    "--workers": dict(
         type=int,
         default=None,
         help="worker count for the thread/process backends "
         "(default: CPU count)",
-    )
-    parser.add_argument(
-        "--trace",
+    ),
+    "--trace": dict(
         type=str,
         default=None,
         metavar="PATH",
         help="stream per-round trace events (selection, frequencies, "
         "timeline, battery drops, aggregation, eval, stop reason) as "
         "JSON lines to PATH; tracing never changes results",
-    )
-    parser.add_argument(
-        "--no-spans",
+    ),
+    "--no-spans": dict(
         action="store_true",
         help="omit span/resource telemetry events from the trace "
         "(simulation events only); results are identical either way",
-    )
-    parser.add_argument(
-        "--log-level",
+    ),
+    "--log-level": dict(
         choices=("debug", "info", "warning", "error"),
         default=None,
         help="enable library logging on stderr at this level",
-    )
-    parser.add_argument(
-        "--faults",
+    ),
+    "--faults": dict(
         type=str,
         default=None,
         metavar="PLAN",
@@ -109,16 +101,27 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "dropouts, stragglers, channel outages, battery deaths) into "
         "every FL run; see examples/fault_plan.json. An empty plan is "
         "bitwise identical to running without one",
-    )
-    parser.add_argument(
-        "--round-deadline",
+    ),
+    "--round-deadline": dict(
         type=float,
         default=None,
         metavar="SECONDS",
         help="hard per-round deadline in simulated seconds: clients "
         "that cannot finish by it are cut off and excluded from "
         "aggregation",
-    )
+    ),
+}
+"""Every flag the training commands share; ``run`` and the artifact
+commands declare all of them, ``report`` and ``info`` only the ones
+they read."""
+
+_REPORT_FLAGS = ("--quick", "--seed", "--rounds", "--output", "--log-level")
+_INFO_FLAGS = ("--quick", "--seed", "--rounds", "--noniid")
+
+
+def _add_flags(parser: argparse.ArgumentParser, names=tuple(_FLAGS)) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=STRATEGY_NAMES,
         help="scheme to train",
     )
-    _add_common(run_parser)
+    _add_flags(run_parser)
     run_parser.add_argument(
         "--report",
         action="store_true",
@@ -151,13 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("table1", "training delay to desired accuracy (paper Table I)"),
         ("fig3", "DVFS energy reduction (paper Fig. 3)"),
     ):
-        artifact_parser = sub.add_parser(name, help=help_text)
-        _add_common(artifact_parser)
+        _add_flags(sub.add_parser(name, help=help_text))
 
     report_parser = sub.add_parser(
         "report", help="run the full evaluation (both regimes) and print it"
     )
-    _add_common(report_parser)
+    _add_flags(report_parser, _REPORT_FLAGS)
 
     trace_report = sub.add_parser(
         "trace-report",
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_analytics.add_threshold_flags(campaign_compare)
 
     info_parser = sub.add_parser("info", help="print resolved settings")
-    _add_common(info_parser)
+    _add_flags(info_parser, _INFO_FLAGS)
     return parser
 
 
@@ -369,9 +371,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{100 * history.coverage(settings.num_users):.0f}%"
     )
     if args.output:
-        from repro.experiments.export import save_history
-
-        save_history(history, args.output)
+        export.save_history(history, args.output)
         print(f"saved history to {args.output}")
     if args.report:
         print()
@@ -379,68 +379,40 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_fig2(args: argparse.Namespace) -> int:
+_ARTIFACTS = {
+    # command: (schemes swept, derivation from the sweep, formatter, saver)
+    "fig2": (
+        DEFAULT_FIG2_STRATEGIES, lambda fig2: fig2, format_fig2_table,
+        export.save_fig2,
+    ),
+    "table1": (
+        DEFAULT_FIG2_STRATEGIES, derive_table1, format_table1,
+        export.save_table1,
+    ),
+    "fig3": (FIG3_STRATEGIES, derive_fig3, format_fig3_table, export.save_fig3),
+}
+
+
+def _cmd_artifact(args: argparse.Namespace) -> int:
+    """One Fig. 2 sweep, then the command's artifact read off it."""
+    strategies, derive, render, save = _ARTIFACTS[args.command]
     settings = _settings_from(args)
     observer = _observer_from(args)
     try:
-        result = run_fig2(
+        fig2 = run_fig2(
             settings,
             iid=not args.noniid,
+            strategies=strategies,
             observer=observer,
             **_backend_kwargs(args),
             **_chaos_kwargs(args),
         )
     finally:
         _finish_trace(observer, args)
-    print(format_fig2_table(result))
+    result = derive(fig2)
+    print(render(result))
     if args.output:
-        from repro.experiments.export import save_fig2
-
-        save_fig2(result, args.output)
-        print(f"saved artifact to {args.output}")
-    return 0
-
-
-def _cmd_table1(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
-    observer = _observer_from(args)
-    try:
-        table = run_table1(
-            settings,
-            iid=not args.noniid,
-            observer=observer,
-            **_backend_kwargs(args),
-            **_chaos_kwargs(args),
-        )
-    finally:
-        _finish_trace(observer, args)
-    print(format_table1(table))
-    if args.output:
-        from repro.experiments.export import save_table1
-
-        save_table1(table, args.output)
-        print(f"saved artifact to {args.output}")
-    return 0
-
-
-def _cmd_fig3(args: argparse.Namespace) -> int:
-    settings = _settings_from(args)
-    observer = _observer_from(args)
-    try:
-        result = run_fig3(
-            settings,
-            iid=not args.noniid,
-            observer=observer,
-            **_backend_kwargs(args),
-            **_chaos_kwargs(args),
-        )
-    finally:
-        _finish_trace(observer, args)
-    print(format_fig3_table(result))
-    if args.output:
-        from repro.experiments.export import save_fig3
-
-        save_fig3(result, args.output)
+        save(result, args.output)
         print(f"saved artifact to {args.output}")
     return 0
 
@@ -461,17 +433,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
         from repro.obs import configure_logging
 
         configure_logging(args.log_level.upper())
-    if args.trace:
-        print(
-            "note: --trace is not supported by 'report'; ignoring",
-            file=sys.stderr,
-        )
-    if args.faults or args.round_deadline is not None:
-        print(
-            "note: --faults/--round-deadline are not supported by "
-            "'report'; ignoring",
-            file=sys.stderr,
-        )
     settings = _settings_from(args)
     text = generate_report(settings)
     print(text)
@@ -582,9 +543,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "fig2": _cmd_fig2,
-    "table1": _cmd_table1,
-    "fig3": _cmd_fig3,
+    "fig2": _cmd_artifact,
+    "table1": _cmd_artifact,
+    "fig3": _cmd_artifact,
     "report": _cmd_report,
     "trace-report": trace_analytics.run,
     "trace-compare": trace_analytics.run,

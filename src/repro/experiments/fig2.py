@@ -4,6 +4,11 @@ Runs every scheme on the same environment (identical data, partition,
 fleet, and model initialization) for both the IID and non-IID settings
 and collects the accuracy-versus-round curves, plus the paper's
 "highest accuracy" improvement summary (Section VII-B).
+
+:func:`run_fig2` is the only sweep that trains for an artifact: Table I
+and Fig. 3 are read off its result
+(:func:`~repro.experiments.table1.derive_table1`,
+:func:`~repro.experiments.fig3.derive_fig3`).
 """
 
 from __future__ import annotations
@@ -17,7 +22,12 @@ from repro.experiments.settings import ExperimentSettings
 from repro.fl.execution import open_backend
 from repro.fl.history import TrainingHistory
 
-__all__ = ["Fig2Result", "run_fig2", "DEFAULT_FIG2_STRATEGIES"]
+__all__ = [
+    "Fig2Result",
+    "run_fig2",
+    "DEFAULT_FIG2_STRATEGIES",
+    "PAPER_STRATEGIES",
+]
 
 DEFAULT_FIG2_STRATEGIES: Tuple[str, ...] = (
     "helcfl",
@@ -26,6 +36,17 @@ DEFAULT_FIG2_STRATEGIES: Tuple[str, ...] = (
     "fedl",
     "sl",
 )
+
+PAPER_STRATEGIES: Tuple[str, ...] = (
+    "helcfl",
+    "helcfl-nodvfs",
+    "classic",
+    "fedcs",
+    "fedl",
+    "sl",
+)
+"""The whole Section VII sweep: the Fig. 2 schemes plus the no-DVFS
+twin Fig. 3 compares HELCFL with."""
 
 
 @dataclass

@@ -5,22 +5,26 @@ traditional TDMA behaviour). Because Algorithm 3 changes only device
 operating frequencies — never the selection or the training math — the
 two runs have *identical* accuracy trajectories, and the comparison
 isolates exactly the energy effect the paper plots: joules spent until
-each desired accuracy was reached, with and without DVFS.
+each desired accuracy was reached, with and without DVFS. Both runs
+come from one Fig. 2 sweep over :data:`FIG3_STRATEGIES` (or any sweep
+that includes them, such as :data:`~repro.experiments.fig2.PAPER_STRATEGIES`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro import wire
 from repro.errors import ConfigurationError
-from repro.experiments.runner import build_environment, run_strategy
-from repro.experiments.settings import ExperimentSettings
-from repro.fl.execution import open_backend
+from repro.experiments.fig2 import Fig2Result
+from repro.experiments.table1 import DEFAULT_TARGET_FRACTIONS, derive_table1
 from repro.fl.history import TrainingHistory
 
-__all__ = ["Fig3Entry", "Fig3Result", "run_fig3"]
+__all__ = ["Fig3Entry", "Fig3Result", "derive_fig3", "FIG3_STRATEGIES"]
+
+FIG3_STRATEGIES: Tuple[str, ...] = ("helcfl", "helcfl-nodvfs")
+"""The two runs Fig. 3 compares: Algorithm 3, then max frequency."""
 
 
 @wire.record
@@ -70,86 +74,41 @@ class Fig3Result:
 wire.record(Fig3Result, mutable=True)
 
 
-def run_fig3(
-    settings: Optional[ExperimentSettings] = None,
-    iid: bool = True,
+def derive_fig3(
+    fig2: Fig2Result,
     targets: Optional[Sequence[float]] = None,
-    target_fractions: Sequence[float] = (0.75, 0.85, 0.95),
-    histories: Optional[Dict[str, TrainingHistory]] = None,
-    backend=None,
-    workers: Optional[int] = None,
-    observer=None,
-    faults=None,
-    config_overrides: Optional[Dict] = None,
+    target_fractions: Sequence[float] = DEFAULT_TARGET_FRACTIONS,
 ) -> Fig3Result:
-    """Reproduce one panel of Fig. 3.
+    """One panel of Fig. 3, read off a Fig. 2 sweep (same regime).
 
     Args:
-        settings: experiment settings (paper defaults when None).
-        iid: partition regime.
-        targets: explicit absolute accuracy levels; derived from the
-            DVFS run's ceiling via ``target_fractions`` when None.
+        fig2: a sweep that ran both :data:`FIG3_STRATEGIES`.
+        targets: explicit absolute accuracy levels; when None, Table
+            I's levels: ``target_fractions`` of the DVFS run's ceiling.
         target_fractions: ceiling fractions when ``targets`` is None.
-        histories: optionally reuse runs keyed ``"helcfl"`` and
-            ``"helcfl-nodvfs"`` (e.g. from a Fig. 2 sweep that included
-            both).
-        backend: client-execution backend (instance or name) for fresh
-            runs; shared by both runs when given by name.
-        workers: pool size when ``backend`` is given by name.
-        observer: optional :class:`repro.obs.RunObserver` shared by
-            both fresh runs.
-        faults: optional :class:`repro.faults.FaultPlan` applied to
-            both fresh runs (ignored when ``histories`` is supplied).
-        config_overrides: keyword overrides for both fresh runs'
-            trainer config (ignored when ``histories`` is supplied).
-
-    Returns:
-        The panel's :class:`Fig3Result`.
     """
-    settings = settings or ExperimentSettings()
-    if histories is None:
-        environment = build_environment(settings, iid=iid)
-        with open_backend(backend, workers=workers) as shared:
-            histories = {
-                name: run_strategy(
-                    name,
-                    settings,
-                    iid=iid,
-                    environment=environment,
-                    backend=shared,
-                    observer=observer,
-                    faults=faults,
-                    config_overrides=config_overrides,
-                )
-                for name in ("helcfl", "helcfl-nodvfs")
-            }
-    for key in ("helcfl", "helcfl-nodvfs"):
-        if key not in histories:
+    for key in FIG3_STRATEGIES:
+        if key not in fig2.histories:
             raise ConfigurationError(f"fig 3 needs a {key!r} history")
-    dvfs = histories["helcfl"]
-    maxf = histories["helcfl-nodvfs"]
-
-    if targets is None:
-        ceiling = dvfs.best_accuracy
-        targets = tuple(round(f * ceiling, 4) for f in target_fractions)
+    dvfs, maxf = (fig2.histories[key] for key in FIG3_STRATEGIES)
     entries: List[Fig3Entry] = []
-    for target in targets:
-        with_dvfs = dvfs.energy_to_accuracy(float(target))
-        without = maxf.energy_to_accuracy(float(target))
+    for target in derive_table1(fig2, targets, target_fractions).targets:
+        with_dvfs = dvfs.energy_to_accuracy(target)
+        without = maxf.energy_to_accuracy(target)
         if with_dvfs is None or without is None or without <= 0:
             reduction = None
         else:
             reduction = (without - with_dvfs) / without
         entries.append(
             Fig3Entry(
-                target=float(target),
+                target=target,
                 energy_with_dvfs=with_dvfs,
                 energy_without_dvfs=without,
                 reduction_fraction=reduction,
             )
         )
     return Fig3Result(
-        iid=iid,
+        iid=fig2.iid,
         entries=entries,
         dvfs_history=dvfs,
         max_frequency_history=maxf,

@@ -1,37 +1,30 @@
 """One-command reproduction report.
 
-:func:`generate_report` runs the paper's complete evaluation — Fig. 2,
-Table I, and Fig. 3 for both partition regimes — on one shared
-environment per regime and renders everything as a single text
-document, the programmatic equivalent of EXPERIMENTS.md's measured
-sections. Exposed on the CLI as ``python -m repro report``.
+:func:`generate_report` runs the paper's complete evaluation — one
+Fig. 2 sweep over :data:`~repro.experiments.fig2.PAPER_STRATEGIES` per
+partition regime, with Table I and Fig. 3 read off it — and renders
+everything as a single text document, the programmatic equivalent of
+EXPERIMENTS.md's measured sections. Exposed on the CLI as
+``python -m repro report``.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.experiments.fig2 import run_fig2
-from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig2 import PAPER_STRATEGIES, run_fig2
+from repro.experiments.fig3 import derive_fig3
 from repro.experiments.reporting import (
     format_fig2_table,
     format_fig3_table,
+    format_speedups,
     format_table1,
 )
 from repro.experiments.settings import ExperimentSettings
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import derive_table1
 from repro.version import PAPER_TITLE, PAPER_VENUE, __version__
 
 __all__ = ["generate_report"]
-
-_REPORT_STRATEGIES = (
-    "helcfl",
-    "helcfl-nodvfs",
-    "classic",
-    "fedcs",
-    "fedl",
-    "sl",
-)
 
 
 def generate_report(
@@ -60,40 +53,19 @@ def generate_report(
         "=" * 72,
     ]
     for iid in regimes:
-        regime = "IID" if iid else "Non-IID"
-        lines.append("")
-        lines.append(f"--- {regime} setting ---")
-
-        sweep = run_fig2(settings, iid=iid, strategies=_REPORT_STRATEGIES)
-        lines.append("")
-        lines.append(format_fig2_table(sweep))
-
-        table = run_table1(settings, iid=iid, fig2=sweep)
-        lines.append("")
-        lines.append(format_table1(table))
-        for target in table.targets:
-            speedups = []
-            for versus in ("classic", "fedcs", "fedl"):
-                value = table.speedup(target, versus=versus)
-                speedups.append(
-                    f"{versus}: "
-                    + (f"{value:.0f}%" if value is not None else "x")
-                )
-            lines.append(
-                f"  HELCFL speedup @ {100 * target:.1f}%  "
-                + "  ".join(speedups)
-            )
-
-        fig3 = run_fig3(
-            settings,
-            iid=iid,
-            histories={
-                "helcfl": sweep.histories["helcfl"],
-                "helcfl-nodvfs": sweep.histories["helcfl-nodvfs"],
-            },
-        )
-        lines.append("")
-        lines.append(format_fig3_table(fig3))
+        sweep = run_fig2(settings, iid=iid, strategies=PAPER_STRATEGIES)
+        table = derive_table1(sweep)
+        lines += [
+            "",
+            f"--- {'IID' if iid else 'Non-IID'} setting ---",
+            "",
+            format_fig2_table(sweep),
+            "",
+            format_table1(table),
+            format_speedups(table),
+            "",
+            format_fig3_table(derive_fig3(sweep)),
+        ]
     lines.append("")
     lines.append("=" * 72)
     lines.append("see EXPERIMENTS.md for the paper-vs-measured reading guide")

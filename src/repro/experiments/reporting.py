@@ -13,7 +13,12 @@ from repro.experiments.fig2 import Fig2Result
 from repro.experiments.fig3 import Fig3Result
 from repro.experiments.table1 import Table1Result
 
-__all__ = ["format_fig2_table", "format_table1", "format_fig3_table"]
+__all__ = [
+    "format_fig2_table",
+    "format_table1",
+    "format_speedups",
+    "format_fig3_table",
+]
 
 
 def _label(name: str) -> str:
@@ -58,6 +63,23 @@ def format_table1(result: Table1Result) -> str:
     for name, delays in result.rows():
         cells = "  ".join(f"{_fmt_minutes(d):>8}" for d in delays)
         lines.append(f"  {_label(name):<18}  {cells}")
+    return "\n".join(lines)
+
+
+def format_speedups(result: Table1Result) -> str:
+    """HELCFL's paper-style speedup over each FL baseline, one line per
+    target of a Table I half ("x" where either scheme never got there)."""
+    lines = []
+    for target in result.targets:
+        cells = []
+        for versus in ("classic", "fedcs", "fedl"):
+            value = result.speedup(target, versus=versus)
+            cells.append(
+                f"{versus}: " + (f"{value:.0f}%" if value is not None else "x")
+            )
+        lines.append(
+            f"  HELCFL speedup @ {100 * target:.1f}%  " + "  ".join(cells)
+        )
     return "\n".join(lines)
 
 

@@ -2,10 +2,11 @@
 
 For each desired accuracy level, reports each scheme's simulated
 training delay until its test accuracy first reached the level, with
-``None`` standing for the paper's "✗" (never reached). Accuracy levels
-default to fractions of HELCFL's achieved ceiling, because the
-synthetic task's absolute accuracy scale differs from CIFAR-10 (see
-EXPERIMENTS.md); explicit absolute targets can be passed instead.
+``None`` standing for the paper's "✗" (never reached). The table is
+read off the Fig. 2 runs. Accuracy levels default to fractions of
+HELCFL's achieved ceiling, because the synthetic task's absolute
+accuracy scale differs from CIFAR-10 (see EXPERIMENTS.md); explicit
+absolute targets can be passed instead.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.fig2 import DEFAULT_FIG2_STRATEGIES, Fig2Result, run_fig2
-from repro.experiments.settings import ExperimentSettings
+from repro.experiments.fig2 import Fig2Result
 
-__all__ = ["Table1Result", "run_table1", "DEFAULT_TARGET_FRACTIONS"]
+__all__ = ["Table1Result", "derive_table1", "DEFAULT_TARGET_FRACTIONS"]
 
 # Fractions of the reference (HELCFL) ceiling standing in for the
 # paper's absolute levels (60/70/80% IID; 40/50/60% non-IID).
@@ -66,64 +66,30 @@ class Table1Result:
         ]
 
 
-def run_table1(
-    settings: Optional[ExperimentSettings] = None,
-    iid: bool = True,
+def derive_table1(
+    fig2: Fig2Result,
     targets: Optional[Sequence[float]] = None,
     target_fractions: Sequence[float] = DEFAULT_TARGET_FRACTIONS,
-    fig2: Optional[Fig2Result] = None,
-    strategies: Sequence[str] = DEFAULT_FIG2_STRATEGIES,
-    backend=None,
-    workers: Optional[int] = None,
-    observer=None,
-    faults=None,
-    config_overrides: Optional[Dict] = None,
 ) -> Table1Result:
-    """Reproduce one half of Table I.
+    """One half of Table I, read off a Fig. 2 sweep (same regime).
 
     Args:
-        settings: experiment settings (paper defaults when None).
-        iid: IID (top half) or non-IID (bottom half).
+        fig2: the sweep; every scheme it ran gets a row, and it must
+            include ``helcfl``.
         targets: explicit absolute accuracy levels; when None they are
-            derived as ``target_fractions`` of HELCFL's best accuracy.
+            ``target_fractions`` of HELCFL's best accuracy.
         target_fractions: ceiling fractions used when ``targets`` is
             None.
-        fig2: an existing Fig. 2 result to reuse (the table needs the
-            same runs; passing it avoids retraining).
-        strategies: schemes to include when running fresh.
-        backend: client-execution backend (instance or name) for fresh
-            runs (see :func:`~repro.experiments.fig2.run_fig2`).
-        workers: pool size when ``backend`` is given by name.
-        observer: optional :class:`repro.obs.RunObserver` forwarded to
-            the fresh Fig. 2 runs.
-        faults: optional :class:`repro.faults.FaultPlan` forwarded to
-            the fresh Fig. 2 runs (ignored when ``fig2`` is supplied).
-        config_overrides: trainer-config overrides forwarded to the
-            fresh Fig. 2 runs (ignored when ``fig2`` is supplied).
-
-    Returns:
-        The :class:`Table1Result` for this regime.
     """
-    settings = settings or ExperimentSettings()
-    if fig2 is None:
-        fig2 = run_fig2(
-            settings, iid=iid, strategies=strategies, backend=backend,
-            workers=workers, observer=observer, faults=faults,
-            config_overrides=config_overrides,
-        )
-    histories = fig2.histories
-    if "helcfl" not in histories:
+    if "helcfl" not in fig2.histories:
         raise ConfigurationError("table 1 requires a 'helcfl' run as reference")
-
     if targets is None:
-        ceiling = histories["helcfl"].best_accuracy
+        ceiling = fig2.histories["helcfl"].best_accuracy
         targets = tuple(round(f * ceiling, 4) for f in target_fractions)
     else:
         targets = tuple(float(t) for t in targets)
-
-    delays: Dict[str, Dict[float, Optional[float]]] = {}
-    for name, history in histories.items():
-        delays[name] = {
-            target: history.time_to_accuracy(target) for target in targets
-        }
-    return Table1Result(iid=iid, targets=targets, delays=delays)
+    delays: Dict[str, Dict[float, Optional[float]]] = {
+        name: {target: history.time_to_accuracy(target) for target in targets}
+        for name, history in fig2.histories.items()
+    }
+    return Table1Result(iid=fig2.iid, targets=targets, delays=delays)

@@ -195,6 +195,49 @@ def _top_devices(stats: RunStats, top_devices: int):
     return ordered[:top_devices]
 
 
+_FAIRNESS = "Fairness (Jain index, Eq. 20 selection pressure)"
+_MARKDOWN_TITLES = {_FAIRNESS: "Fairness"}
+"""Section titles the markdown format shortens."""
+
+
+def _sections(stats: RunStats, top_devices: int, span_timing) -> List[tuple]:
+    """Every section the table and markdown formats draw, in order, as
+    ``(title, header, rows)``; a ``None`` header marks a name/value
+    list."""
+    sections = [
+        ("Run summary", None, _summary_rows(stats)),
+        ("DVFS energy attribution (Eq. 5 counterfactual)", None, _dvfs_rows(stats)),
+        (_FAIRNESS, None, _fairness_rows(stats)),
+    ]
+    if (
+        stats.fault_counts
+        or stats.drop_causes
+        or stats.degraded_rounds
+        or stats.battery_drop_rounds
+    ):
+        sections.append(("Faults & degradation", None, _fault_rows(stats)))
+    if stats.spans.spans_total:
+        sections.append(
+            ("Span tree (structural, deterministic)", None, _span_rows(stats))
+        )
+    if span_timing:
+        sections.append((
+            "Span self-time (wall clock, from trace telemetry)",
+            _SPAN_TIMING_HEADER,
+            [_span_timing_row(r) for r in span_timing],
+        ))
+    sections.append(
+        ("Per-round", _ROUND_HEADER, [_round_row(r) for r in stats.rounds])
+    )
+    shown = _top_devices(stats, top_devices)
+    sections.append((
+        f"Top {len(shown)} devices by energy",
+        _DEVICE_HEADER,
+        [_device_row(d) for d in shown],
+    ))
+    return sections
+
+
 def _text_table(header, rows) -> List[str]:
     widths = [
         max(len(str(header[i])), *(len(row[i]) for row in rows))
@@ -213,57 +256,14 @@ def _text_table(header, rows) -> List[str]:
     return lines
 
 
-def _render_table(stats: RunStats, top_devices: int, span_timing) -> str:
-    out: List[str] = []
-
-    def section(title: str, rows: List[tuple]) -> None:
-        out.append(title)
-        out.append("-" * len(title))
+def _text_section(title: str, header, rows) -> List[str]:
+    lines = [title, "-" * len(title)]
+    if header is None:
         width = max(len(name) for name, _ in rows)
-        for name, value in rows:
-            out.append(f"  {name:{width}s}  {value}")
-        out.append("")
-
-    section("Run summary", _summary_rows(stats))
-    section("DVFS energy attribution (Eq. 5 counterfactual)",
-            _dvfs_rows(stats))
-    section("Fairness (Jain index, Eq. 20 selection pressure)",
-            _fairness_rows(stats))
-    if (
-        stats.fault_counts
-        or stats.drop_causes
-        or stats.degraded_rounds
-        or stats.battery_drop_rounds
-    ):
-        section("Faults & degradation", _fault_rows(stats))
-    if stats.spans.spans_total:
-        section("Span tree (structural, deterministic)", _span_rows(stats))
-    if span_timing:
-        title = "Span self-time (wall clock, from trace telemetry)"
-        out.append(title)
-        out.append("-" * len(title))
-        out.extend(
-            _text_table(
-                _SPAN_TIMING_HEADER,
-                [_span_timing_row(r) for r in span_timing],
-            )
-        )
-        out.append("")
-
-    out.append("Per-round")
-    out.append("---------")
-    out.extend(
-        _text_table(_ROUND_HEADER, [_round_row(r) for r in stats.rounds])
-    )
-    out.append("")
-
-    shown = _top_devices(stats, top_devices)
-    title = f"Top {len(shown)} devices by energy"
-    out.append(title)
-    out.append("-" * len(title))
-    out.extend(_text_table(_DEVICE_HEADER, [_device_row(d) for d in shown]))
-    out.append("")
-    return "\n".join(out)
+        lines.extend(f"  {name:{width}s}  {value}" for name, value in rows)
+    else:
+        lines.extend(_text_table(header, rows))
+    return lines + [""]
 
 
 def _md_table(header, rows) -> List[str]:
@@ -276,54 +276,8 @@ def _md_table(header, rows) -> List[str]:
     return lines
 
 
-def _render_markdown(stats: RunStats, top_devices: int, span_timing) -> str:
-    out: List[str] = [f"# Trace report: {stats.label or stats.source or 'run'}", ""]
-
-    def section(title: str, rows: List[tuple]) -> None:
-        out.append(f"## {title}")
-        out.append("")
-        out.extend(
-            _md_table(("metric", "value"), [(n, v) for n, v in rows])
-        )
-        out.append("")
-
-    section("Run summary", _summary_rows(stats))
-    section("DVFS energy attribution (Eq. 5 counterfactual)",
-            _dvfs_rows(stats))
-    section("Fairness", _fairness_rows(stats))
-    if (
-        stats.fault_counts
-        or stats.drop_causes
-        or stats.degraded_rounds
-        or stats.battery_drop_rounds
-    ):
-        section("Faults & degradation", _fault_rows(stats))
-    if stats.spans.spans_total:
-        section("Span tree (structural, deterministic)", _span_rows(stats))
-    if span_timing:
-        out.append("## Span self-time (wall clock, from trace telemetry)")
-        out.append("")
-        out.extend(
-            _md_table(
-                _SPAN_TIMING_HEADER,
-                [_span_timing_row(r) for r in span_timing],
-            )
-        )
-        out.append("")
-
-    out.append("## Per-round")
-    out.append("")
-    out.extend(
-        _md_table(_ROUND_HEADER, [_round_row(r) for r in stats.rounds])
-    )
-    out.append("")
-
-    shown = _top_devices(stats, top_devices)
-    out.append(f"## Top {len(shown)} devices by energy")
-    out.append("")
-    out.extend(_md_table(_DEVICE_HEADER, [_device_row(d) for d in shown]))
-    out.append("")
-    return "\n".join(out)
+def _md_section(title: str, header, rows) -> List[str]:
+    return [f"## {title}", "", *_md_table(header or ("metric", "value"), rows), ""]
 
 
 def render_report(
@@ -360,6 +314,13 @@ def render_report(
         )
     if fmt == "json":
         return stats.to_json()
+    sections = _sections(stats, top_devices, span_timing)
     if fmt == "markdown":
-        return _render_markdown(stats, top_devices, span_timing)
-    return _render_table(stats, top_devices, span_timing)
+        out = [f"# Trace report: {stats.label or stats.source or 'run'}", ""]
+        for title, header, rows in sections:
+            out.extend(_md_section(_MARKDOWN_TITLES.get(title, title), header, rows))
+    else:
+        out = []
+        for title, header, rows in sections:
+            out.extend(_text_section(title, header, rows))
+    return "\n".join(out)

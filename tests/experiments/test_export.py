@@ -16,9 +16,9 @@ from repro.experiments.export import (
     save_table1,
 )
 from repro.experiments.fig2 import run_fig2
-from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig3 import derive_fig3
 from repro.experiments.settings import ExperimentSettings
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import derive_table1
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +28,9 @@ def settings():
 
 @pytest.fixture(scope="module")
 def fig2(settings):
-    return run_fig2(settings, iid=True, strategies=("helcfl", "classic"))
+    return run_fig2(
+        settings, iid=True, strategies=("helcfl", "helcfl-nodvfs", "classic")
+    )
 
 
 class TestHistoryRoundTrip:
@@ -51,16 +53,16 @@ class TestFig2RoundTrip:
 
 
 class TestTable1RoundTrip:
-    def test_roundtrip(self, tmp_path, settings, fig2):
-        table = run_table1(settings, iid=True, fig2=fig2)
+    def test_roundtrip(self, tmp_path, fig2):
+        table = derive_table1(fig2)
         path = tmp_path / "table1.json"
         save_table1(table, path)
         restored = load_table1(path)
         assert restored.targets == table.targets
         assert restored.delays == table.delays
 
-    def test_none_delays_preserved(self, tmp_path, settings, fig2):
-        table = run_table1(settings, iid=True, targets=(0.9999,), fig2=fig2)
+    def test_none_delays_preserved(self, tmp_path, fig2):
+        table = derive_table1(fig2, targets=(0.9999,))
         path = tmp_path / "table1x.json"
         save_table1(table, path)
         restored = load_table1(path)
@@ -68,8 +70,8 @@ class TestTable1RoundTrip:
 
 
 class TestFig3RoundTrip:
-    def test_roundtrip(self, tmp_path, settings):
-        result = run_fig3(settings, iid=True)
+    def test_roundtrip(self, tmp_path, fig2):
+        result = derive_fig3(fig2)
         path = tmp_path / "fig3.json"
         save_fig3(result, path)
         restored = load_fig3(path)

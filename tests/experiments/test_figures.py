@@ -1,17 +1,17 @@
-"""Tests for the Fig. 2 / Table I / Fig. 3 experiment runners."""
+"""Tests for the Fig. 2 sweep and the Table I / Fig. 3 derivations."""
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.fig2 import Fig2Result, run_fig2
-from repro.experiments.fig3 import run_fig3
+from repro.experiments.fig3 import FIG3_STRATEGIES, derive_fig3
 from repro.experiments.reporting import (
     format_fig2_table,
     format_fig3_table,
     format_table1,
 )
 from repro.experiments.settings import ExperimentSettings
-from repro.experiments.table1 import run_table1
+from repro.experiments.table1 import derive_table1
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +22,12 @@ def settings():
 @pytest.fixture(scope="module")
 def fig2(settings):
     return run_fig2(settings, iid=True)
+
+
+@pytest.fixture(scope="module")
+def twins(settings):
+    """The two runs Fig. 3 compares, swept like any Fig. 2 panel."""
+    return run_fig2(settings, iid=True, strategies=FIG3_STRATEGIES)
 
 
 class TestFig2:
@@ -57,58 +63,71 @@ class TestFig2:
 
 
 class TestTable1:
-    def test_reuses_fig2_histories(self, settings, fig2):
-        table = run_table1(settings, iid=True, fig2=fig2)
+    def test_reuses_fig2_histories(self, fig2):
+        table = derive_table1(fig2)
         assert set(table.delays) == set(fig2.histories)
+        assert table.iid is fig2.iid
 
-    def test_targets_derived_from_helcfl_ceiling(self, settings, fig2):
-        table = run_table1(settings, iid=True, fig2=fig2)
+    def test_targets_derived_from_helcfl_ceiling(self, fig2):
+        table = derive_table1(fig2)
         ceiling = fig2.histories["helcfl"].best_accuracy
         assert all(t <= ceiling + 1e-9 for t in table.targets)
 
-    def test_explicit_targets(self, settings, fig2):
-        table = run_table1(settings, iid=True, targets=(0.2, 0.3), fig2=fig2)
+    def test_explicit_targets(self, fig2):
+        table = derive_table1(fig2, targets=(0.2, 0.3))
         assert table.targets == (0.2, 0.3)
 
-    def test_helcfl_reaches_own_targets(self, settings, fig2):
-        table = run_table1(settings, iid=True, fig2=fig2)
+    def test_helcfl_reaches_own_targets(self, fig2):
+        table = derive_table1(fig2)
         for target in table.targets:
             assert table.delays["helcfl"][target] is not None
 
-    def test_speedup_none_when_unreachable(self, settings, fig2):
-        table = run_table1(settings, iid=True, targets=(0.999,), fig2=fig2)
+    def test_speedup_none_when_unreachable(self, fig2):
+        table = derive_table1(fig2, targets=(0.999,))
         assert table.speedup(0.999, versus="classic") is None
 
-    def test_speedup_invalid_target_raises(self, settings, fig2):
-        table = run_table1(settings, iid=True, fig2=fig2)
+    def test_speedup_invalid_target_raises(self, fig2):
+        table = derive_table1(fig2)
         with pytest.raises(ConfigurationError):
             table.speedup(12345.0)
 
-    def test_requires_helcfl_reference(self, settings):
+    def test_requires_helcfl_reference(self):
         bad = Fig2Result(iid=True, histories={})
         with pytest.raises(ConfigurationError):
-            run_table1(settings, iid=True, fig2=bad)
+            derive_table1(bad)
 
 
 class TestFig3:
-    def test_reduction_positive_somewhere(self, settings):
-        result = run_fig3(settings, iid=True)
+    def test_reduction_positive_somewhere(self, twins):
+        result = derive_fig3(twins)
         assert result.total_energy_reduction > 0.0
 
-    def test_identical_accuracy_trajectories(self, settings):
-        result = run_fig3(settings, iid=True)
+    def test_reads_the_sweep_runs(self, twins):
+        result = derive_fig3(twins)
+        assert result.iid is twins.iid
+        assert result.dvfs_history is twins.histories["helcfl"]
+        assert result.max_frequency_history is twins.histories["helcfl-nodvfs"]
+
+    def test_targets_match_table1(self, twins):
+        table = derive_table1(twins)
+        assert [e.target for e in derive_fig3(twins).entries] == list(
+            table.targets
+        )
+
+    def test_identical_accuracy_trajectories(self, twins):
+        result = derive_fig3(twins)
         dvfs_acc = [r.test_accuracy for r in result.dvfs_history.records]
         max_acc = [
             r.test_accuracy for r in result.max_frequency_history.records
         ]
         assert dvfs_acc == max_acc
 
-    def test_entries_cover_targets(self, settings):
-        result = run_fig3(settings, iid=True, targets=(0.2, 0.3, 0.4))
+    def test_entries_cover_targets(self, twins):
+        result = derive_fig3(twins, targets=(0.2, 0.3, 0.4))
         assert [e.target for e in result.entries] == [0.2, 0.3, 0.4]
 
-    def test_reduction_consistent_with_energies(self, settings):
-        result = run_fig3(settings, iid=True)
+    def test_reduction_consistent_with_energies(self, twins):
+        result = derive_fig3(twins)
         for entry in result.entries:
             if entry.reduction_fraction is not None:
                 expected = (
@@ -116,9 +135,9 @@ class TestFig3:
                 ) / entry.energy_without_dvfs
                 assert entry.reduction_fraction == pytest.approx(expected)
 
-    def test_missing_history_raises(self, settings):
-        with pytest.raises(ConfigurationError):
-            run_fig3(settings, iid=True, histories={"helcfl": None})
+    def test_missing_history_raises(self, fig2):
+        with pytest.raises(ConfigurationError, match="helcfl-nodvfs"):
+            derive_fig3(fig2)
 
 
 class TestReporting:
@@ -126,12 +145,12 @@ class TestReporting:
         text = format_fig2_table(fig2)
         assert "HELCFL" in text and "FedCS" in text and "IID" in text
 
-    def test_table1_format_uses_x_for_unreachable(self, settings, fig2):
-        table = run_table1(settings, iid=True, targets=(0.9999,), fig2=fig2)
+    def test_table1_format_uses_x_for_unreachable(self, fig2):
+        table = derive_table1(fig2, targets=(0.9999,))
         text = format_table1(table)
         assert "x" in text
 
-    def test_fig3_format_has_saving_column(self, settings):
-        result = run_fig3(settings, iid=True)
+    def test_fig3_format_has_saving_column(self, twins):
+        result = derive_fig3(twins)
         text = format_fig3_table(result)
         assert "saving" in text and "%" in text

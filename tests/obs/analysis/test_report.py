@@ -1,5 +1,6 @@
 """Tests for report rendering: formats, content, and determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -91,3 +92,47 @@ class TestDeterminism:
             assert render_report(serial, fmt=fmt) == render_report(
                 other, fmt=fmt
             )
+
+
+SPAN_TIMING = [
+    ("run", 1, 0.5, 0.125, 2048.0, 0.25, 0.0625),
+    ("round", 5, 0.375, 0.0625, 1024.0, 0.125, 0.03125),
+]
+"""Fixed self-time rows: real ones are wall clock and never compare."""
+
+PINNED_RENDERINGS = {
+    ("clean", "table"): "3fd6e4e83465e0086b27eeb0fbc294cfde6d95ae7116850ca45dbc65af1afe5a",
+    ("clean", "markdown"): "3af65a5024e080ac7cd9194d7e908b8d4b031bc963dd2ff5615cc611098ba2f7",
+    ("chaos", "table"): "60f8231b7b215cbbb73eaddefd9dba6088eafedd381974cb244b7b897e7b96a2",
+    ("chaos", "markdown"): "04dbb76a837eee1129adbcfa14df1fbfe945d1245fb6de8dfa6219d62ce359e0",
+}
+"""sha256 of each rendering; every section is drawn in the chaos run."""
+
+
+@pytest.fixture(scope="module")
+def chaos_stats(tmp_path_factory):
+    from repro.faults import DropoutFault, FaultPlan
+
+    path = tmp_path_factory.mktemp("report") / "chaos.jsonl"
+    plan = FaultPlan(
+        seed=6,
+        faults=(
+            DropoutFault(
+                phase="before_compute", device_id=5, rounds=(2,),
+                probability=1.0,
+            ),
+        ),
+    )
+    run_traced_helcfl(path, faults=plan)
+    return compute_run_stats(load_trace(str(path)).events, source="chaos.jsonl")
+
+
+@pytest.mark.parametrize("run,fmt", sorted(PINNED_RENDERINGS))
+def test_renderings_are_pinned(stats, chaos_stats, run, fmt):
+    if run == "clean":
+        text = render_report(stats, fmt=fmt)
+    else:
+        text = render_report(chaos_stats, fmt=fmt, top_devices=3,
+                             span_timing=SPAN_TIMING)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == PINNED_RENDERINGS[run, fmt]

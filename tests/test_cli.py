@@ -39,6 +39,32 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "helcfl", "--backend", "gpu"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "--trace", "x"],
+            ["report", "--quick", "--rounds", "1", "--faults", "p"],
+            *(
+                ["report", "--quick", "--rounds", "1", *flag]
+                for flag in (["--noniid"], ["--backend", "thread"],
+                             ["--workers", "2"], ["--trace", "x"],
+                             ["--no-spans"], ["--round-deadline", "9"])
+            ),
+            *(
+                ["info", *flag]
+                for flag in (["--output", "x"], ["--backend", "thread"],
+                             ["--workers", "2"], ["--no-spans"],
+                             ["--log-level", "info"], ["--faults", "p"],
+                             ["--round-deadline", "9"])
+            ),
+        ],
+    )
+    def test_commands_reject_flags_they_do_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_info(self, capsys):
