@@ -2,7 +2,11 @@
 
 Regenerates both panels of the paper's Fig. 3: training energy spent to
 reach each accuracy target with Algorithm 3 versus max-frequency
-operation. Asserts the paper's qualitative shape:
+operation. The max-frequency side is the HELCFL run replayed at
+``f_max``; per regime, the bench also trains the ``helcfl-nodvfs`` twin
+and asserts the replay equals it record for record (the 300-round
+check of the quick-profile test in ``tests/experiments/test_figures.py``).
+Asserts the paper's qualitative shape:
 
 * DVFS reduces energy at every reachable target (paper: up to 58.25%);
 * accuracy trajectories are bit-identical (frequency scaling never
@@ -14,6 +18,7 @@ import pytest
 
 from benchmarks.conftest import run_sweep
 from repro.experiments.fig3 import derive_fig3
+from repro.experiments.runner import run_strategy
 from repro.experiments.reporting import format_fig3_table
 
 
@@ -43,5 +48,9 @@ def test_fig3_dvfs_energy_reduction(benchmark, full_settings, sweep_cache, iid):
         lambda: derive_fig3(sweep), rounds=1, iterations=1
     )
     _check_shape(result)
+    twin = run_strategy(
+        "helcfl-nodvfs", full_settings, iid, environment=sweep.environment
+    )
+    assert result.max_frequency_history == twin
     print()
     print(format_fig3_table(result))

@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Fig. 3 scenario: how much energy does Algorithm 3's DVFS save?
 
-Runs HELCFL twice on identical everything — once with the DVFS
-frequency-determination (Algorithm 3), once at max frequency (the
-traditional TDMA FL behaviour) — and reports the energy spent to reach
-each accuracy target plus the per-round frequency assignments of one
-example round.
+Runs HELCFL with the DVFS frequency-determination (Algorithm 3), replays
+the same rounds with every device at max frequency (the traditional
+TDMA FL behaviour), and reports the energy spent to reach each accuracy
+target plus the per-round frequency assignments of one example round.
 
 Usage::
 
@@ -13,9 +12,7 @@ Usage::
 """
 
 from repro.experiments import (
-    FIG3_STRATEGIES,
     ExperimentSettings,
-    build_environment,
     derive_fig3,
     format_fig3_table,
     run_fig2,
@@ -27,14 +24,13 @@ def main() -> None:
     # genuinely queues (that queueing slack is what Algorithm 3 converts
     # into energy savings).
     settings = ExperimentSettings.quick(seed=0, rounds=60, fraction=0.5)
-    sweep = run_fig2(settings, iid=True, strategies=FIG3_STRATEGIES)
+    sweep = run_fig2(settings, iid=True, strategies=("helcfl",))
     result = derive_fig3(sweep)
 
     print(format_fig3_table(result))
 
     # Show what Algorithm 3 actually did in one round.
-    environment = build_environment(settings, iid=True)
-    devices = {d.device_id: d for d in environment.devices}
+    devices = {d.device_id: d for d in sweep.environment.devices}
     record = result.dvfs_history.records[0]
     print("\nRound 1 frequency assignments (Algorithm 3):")
     print("  device   assigned f      f_max    fraction")

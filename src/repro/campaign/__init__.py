@@ -22,11 +22,10 @@ Typical usage::
     python -m repro campaign watch out/                        # live
     python -m repro campaign compare ref/aggregate.json out/aggregate.json
 
-The in-process :func:`~repro.experiments.sweep.run_sweep` and
-:func:`~repro.experiments.multiseed.run_multiseed` have no campaign
-mode: a crash-safe sweep is a spec with one ``overrides`` entry per
-grid point, and a crash-safe multi-seed study is a spec's ``seeds`` x
-``strategies`` axes.
+A parameter sweep is a spec with one ``overrides`` entry per grid
+point. The in-process :func:`~repro.experiments.multiseed.run_multiseed`
+has no campaign mode: a crash-safe multi-seed study is a spec's
+``seeds`` x ``strategies`` axes.
 """
 
 from repro.campaign.aggregate import (

@@ -29,8 +29,8 @@ from typing import List, Optional
 from repro.baselines.registry import strategy_labels
 from repro.errors import ReproError
 from repro.experiments import export
-from repro.experiments.fig2 import DEFAULT_FIG2_STRATEGIES, run_fig2
-from repro.experiments.fig3 import FIG3_STRATEGIES, derive_fig3
+from repro.experiments.fig2 import PAPER_STRATEGIES, run_fig2
+from repro.experiments.fig3 import derive_fig3
 from repro.experiments.reporting import (
     format_fig2_table,
     format_fig3_table,
@@ -111,11 +111,12 @@ _FLAGS = {
         "aggregation",
     ),
 }
-"""Every flag the training commands share; ``run`` and the artifact
-commands declare all of them, ``report`` and ``info`` only the ones
-they read."""
+"""Every flag the training commands share; ``run``, ``fig2`` and
+``table1`` declare all of them, ``fig3``, ``report`` and ``info`` only
+the ones they read."""
 
-_REPORT_FLAGS = ("--quick", "--seed", "--rounds", "--output", "--log-level")
+_FIG3_FLAGS = tuple(f for f in _FLAGS if f not in ("--faults", "--round-deadline"))
+_REPORT_FLAGS = ("--quick", "--seed", "--rounds", "--log-level")
 _INFO_FLAGS = ("--quick", "--seed", "--rounds", "--noniid")
 
 
@@ -152,14 +153,24 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("fig2", "accuracy comparison of all schemes (paper Fig. 2)"),
         ("table1", "training delay to desired accuracy (paper Table I)"),
-        ("fig3", "DVFS energy reduction (paper Fig. 3)"),
     ):
         _add_flags(sub.add_parser(name, help=help_text))
+    # Fig. 3's max-frequency side replays the HELCFL run's rounds, which
+    # a fault or a deadline cut would have changed: no chaos flags.
+    fig3_parser = sub.add_parser("fig3", help="DVFS energy reduction (paper Fig. 3)")
+    _add_flags(fig3_parser, _FIG3_FLAGS)
+    fig3_parser.set_defaults(faults=None, round_deadline=None)
 
     report_parser = sub.add_parser(
         "report", help="run the full evaluation (both regimes) and print it"
     )
     _add_flags(report_parser, _REPORT_FLAGS)
+    report_parser.add_argument(
+        "--output",
+        type=str,
+        default=None,
+        help="also write the text report to this path",
+    )
 
     trace_report = sub.add_parser(
         "trace-report",
@@ -381,15 +392,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 _ARTIFACTS = {
     # command: (schemes swept, derivation from the sweep, formatter, saver)
-    "fig2": (
-        DEFAULT_FIG2_STRATEGIES, lambda fig2: fig2, format_fig2_table,
-        export.save_fig2,
-    ),
-    "table1": (
-        DEFAULT_FIG2_STRATEGIES, derive_table1, format_table1,
-        export.save_table1,
-    ),
-    "fig3": (FIG3_STRATEGIES, derive_fig3, format_fig3_table, export.save_fig3),
+    "fig2": (PAPER_STRATEGIES, lambda fig2: fig2, format_fig2_table, export.save_fig2),
+    "table1": (PAPER_STRATEGIES, derive_table1, format_table1, export.save_table1),
+    "fig3": (("helcfl",), derive_fig3, format_fig3_table, export.save_fig3),
 }
 
 

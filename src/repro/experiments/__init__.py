@@ -9,14 +9,15 @@
 * :mod:`repro.experiments.table1` — training delay to desired accuracy
   (Table I), derived from a Fig. 2 result.
 * :mod:`repro.experiments.fig3` — DVFS energy reduction (Fig. 3),
-  derived from a Fig. 2 result that includes the no-DVFS twin.
+  derived from a Fig. 2 result's HELCFL run and its max-frequency
+  replay.
 * :mod:`repro.experiments.reporting` — text tables mirroring the
   paper's presentation.
 """
 
 from repro.experiments.fig1 import Fig1Result, run_fig1
 from repro.experiments.fig2 import PAPER_STRATEGIES, Fig2Result, run_fig2
-from repro.experiments.fig3 import FIG3_STRATEGIES, Fig3Result, derive_fig3
+from repro.experiments.fig3 import Fig3Result, derive_fig3, max_frequency_history
 from repro.experiments.reporting import (
     format_fig2_table,
     format_fig3_table,
@@ -40,7 +41,7 @@ __all__ = [
     "derive_table1",
     "Fig3Result",
     "derive_fig3",
-    "FIG3_STRATEGIES",
+    "max_frequency_history",
     "format_fig2_table",
     "format_table1",
     "format_fig3_table",

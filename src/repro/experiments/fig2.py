@@ -13,40 +13,20 @@ and Fig. 3 are read off its result
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import build_environment, run_strategy
+from repro.experiments.runner import Environment, build_environment, run_strategy
 from repro.experiments.settings import ExperimentSettings
 from repro.fl.execution import open_backend
 from repro.fl.history import TrainingHistory
 
-__all__ = [
-    "Fig2Result",
-    "run_fig2",
-    "DEFAULT_FIG2_STRATEGIES",
-    "PAPER_STRATEGIES",
-]
+__all__ = ["Fig2Result", "run_fig2", "PAPER_STRATEGIES"]
 
-DEFAULT_FIG2_STRATEGIES: Tuple[str, ...] = (
-    "helcfl",
-    "classic",
-    "fedcs",
-    "fedl",
-    "sl",
-)
-
-PAPER_STRATEGIES: Tuple[str, ...] = (
-    "helcfl",
-    "helcfl-nodvfs",
-    "classic",
-    "fedcs",
-    "fedl",
-    "sl",
-)
-"""The whole Section VII sweep: the Fig. 2 schemes plus the no-DVFS
-twin Fig. 3 compares HELCFL with."""
+PAPER_STRATEGIES: Tuple[str, ...] = ("helcfl", "classic", "fedcs", "fedl", "sl")
+"""The whole Section VII sweep: HELCFL and the four baselines. Fig. 3's
+max-frequency side is a replay of the HELCFL run, not a scheme."""
 
 
 @dataclass
@@ -56,10 +36,17 @@ class Fig2Result:
     Attributes:
         iid: whether this is the IID panel of Fig. 2.
         histories: training history per strategy name.
+        environment: the data and fleet every run shared, kept in
+            memory for derivations that replay the cost model
+            (:func:`~repro.experiments.fig3.derive_fig3`); ``None`` for
+            a loaded artifact.
     """
 
     iid: bool
     histories: Dict[str, TrainingHistory]
+    environment: Optional[Environment] = field(
+        default=None, compare=False, repr=False
+    )
 
     def best_accuracies(self) -> Dict[str, float]:
         """Highest test accuracy per strategy."""
@@ -98,7 +85,7 @@ class Fig2Result:
 def run_fig2(
     settings: Optional[ExperimentSettings] = None,
     iid: bool = True,
-    strategies: Sequence[str] = DEFAULT_FIG2_STRATEGIES,
+    strategies: Sequence[str] = PAPER_STRATEGIES,
     backend=None,
     workers: Optional[int] = None,
     observer=None,
@@ -143,4 +130,4 @@ def run_fig2(
                 faults=faults if name != "sl" else None,
                 config_overrides=config_overrides,
             )
-    return Fig2Result(iid=iid, histories=histories)
+    return Fig2Result(iid=iid, histories=histories, environment=environment)

@@ -55,7 +55,8 @@ def format_fig2_table(result: Fig2Result) -> str:
 def format_table1(result: Table1Result) -> str:
     """Render a Table I half exactly in the paper's layout."""
     regime = "IID" if result.iid else "Non-IID"
-    header_targets = "  ".join(f"{100 * t:5.1f}%" for t in result.targets)
+    # Each target header is as wide as the delay cells under it.
+    header_targets = "  ".join(f"{100 * t:7.2f}%" for t in result.targets)
     lines = [
         f"Table I ({regime} setting): training delay to desired accuracy",
         f"  {'scheme':<18}  {header_targets}",
@@ -78,7 +79,7 @@ def format_speedups(result: Table1Result) -> str:
                 f"{versus}: " + (f"{value:.0f}%" if value is not None else "x")
             )
         lines.append(
-            f"  HELCFL speedup @ {100 * target:.1f}%  " + "  ".join(cells)
+            f"  HELCFL speedup @ {100 * target:.2f}%  " + "  ".join(cells)
         )
     return "\n".join(lines)
 

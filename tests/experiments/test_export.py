@@ -29,7 +29,7 @@ def settings():
 @pytest.fixture(scope="module")
 def fig2(settings):
     return run_fig2(
-        settings, iid=True, strategies=("helcfl", "helcfl-nodvfs", "classic")
+        settings, iid=True, strategies=("helcfl", "classic")
     )
 
 

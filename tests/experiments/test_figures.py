@@ -1,17 +1,23 @@
 """Tests for the Fig. 2 sweep and the Table I / Fig. 3 derivations."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.fig2 import Fig2Result, run_fig2
-from repro.experiments.fig3 import FIG3_STRATEGIES, derive_fig3
+from repro.experiments.fig3 import derive_fig3, max_frequency_history
 from repro.experiments.reporting import (
     format_fig2_table,
     format_fig3_table,
     format_table1,
 )
 from repro.experiments.settings import ExperimentSettings
-from repro.experiments.table1 import derive_table1
+from repro.experiments.table1 import Table1Result, derive_table1
+from repro.faults import FaultPlan
+
+FAULT_PLAN = Path(__file__).resolve().parents[2] / "examples" / "fault_plan.json"
 
 
 @pytest.fixture(scope="module")
@@ -22,12 +28,6 @@ def settings():
 @pytest.fixture(scope="module")
 def fig2(settings):
     return run_fig2(settings, iid=True)
-
-
-@pytest.fixture(scope="module")
-def twins(settings):
-    """The two runs Fig. 3 compares, swept like any Fig. 2 panel."""
-    return run_fig2(settings, iid=True, strategies=FIG3_STRATEGIES)
 
 
 class TestFig2:
@@ -98,36 +98,36 @@ class TestTable1:
 
 
 class TestFig3:
-    def test_reduction_positive_somewhere(self, twins):
-        result = derive_fig3(twins)
+    def test_reduction_positive_somewhere(self, fig2):
+        result = derive_fig3(fig2)
         assert result.total_energy_reduction > 0.0
 
-    def test_reads_the_sweep_runs(self, twins):
-        result = derive_fig3(twins)
-        assert result.iid is twins.iid
-        assert result.dvfs_history is twins.histories["helcfl"]
-        assert result.max_frequency_history is twins.histories["helcfl-nodvfs"]
+    def test_reads_the_sweep_runs(self, fig2):
+        result = derive_fig3(fig2)
+        assert result.iid is fig2.iid
+        assert result.dvfs_history is fig2.histories["helcfl"]
+        assert result.max_frequency_history.label == "HELCFL (no DVFS)"
 
-    def test_targets_match_table1(self, twins):
-        table = derive_table1(twins)
-        assert [e.target for e in derive_fig3(twins).entries] == list(
+    def test_targets_match_table1(self, fig2):
+        table = derive_table1(fig2)
+        assert [e.target for e in derive_fig3(fig2).entries] == list(
             table.targets
         )
 
-    def test_identical_accuracy_trajectories(self, twins):
-        result = derive_fig3(twins)
+    def test_identical_accuracy_trajectories(self, fig2):
+        result = derive_fig3(fig2)
         dvfs_acc = [r.test_accuracy for r in result.dvfs_history.records]
         max_acc = [
             r.test_accuracy for r in result.max_frequency_history.records
         ]
         assert dvfs_acc == max_acc
 
-    def test_entries_cover_targets(self, twins):
-        result = derive_fig3(twins, targets=(0.2, 0.3, 0.4))
+    def test_entries_cover_targets(self, fig2):
+        result = derive_fig3(fig2, targets=(0.2, 0.3, 0.4))
         assert [e.target for e in result.entries] == [0.2, 0.3, 0.4]
 
-    def test_reduction_consistent_with_energies(self, twins):
-        result = derive_fig3(twins)
+    def test_reduction_consistent_with_energies(self, fig2):
+        result = derive_fig3(fig2)
         for entry in result.entries:
             if entry.reduction_fraction is not None:
                 expected = (
@@ -136,8 +136,50 @@ class TestFig3:
                 assert entry.reduction_fraction == pytest.approx(expected)
 
     def test_missing_history_raises(self, fig2):
-        with pytest.raises(ConfigurationError, match="helcfl-nodvfs"):
+        without = {k: v for k, v in fig2.histories.items() if k != "helcfl"}
+        with pytest.raises(ConfigurationError, match="helcfl"):
+            derive_fig3(Fig2Result(fig2.iid, without, fig2.environment))
+
+    def test_missing_environment_raises(self, fig2):
+        # A Fig. 2 artifact loaded from disk has no fleet to replay.
+        with pytest.raises(ConfigurationError, match="environment"):
+            derive_fig3(Fig2Result(fig2.iid, fig2.histories))
+
+    @pytest.mark.parametrize(
+        "chaos",
+        [
+            {"faults": FaultPlan.load(str(FAULT_PLAN))},
+            {"config_overrides": {"round_deadline_s": 1.0}},
+            # Leaves the timeline alone but loses the device's update.
+            {"faults": FaultPlan.from_dict(
+                {"faults": [{"type": "battery_death", "rounds": [2]}]}
+            )},
+        ],
+        ids=["fault_plan", "deadline", "battery_death"],
+    )
+    def test_degraded_rounds_refused(self, settings, chaos):
+        # A degraded round has no max-frequency replay: the twin would
+        # have degraded differently (or the cause is not recorded).
+        fig2 = run_fig2(settings, iid=True, strategies=("helcfl",), **chaos)
+        with pytest.raises(ConfigurationError, match=r"round \d+ of 'HELCFL'"):
             derive_fig3(fig2)
+
+
+@pytest.mark.parametrize("iid", [True, False], ids=["iid", "noniid"])
+def test_max_frequency_history_equals_trained_twin(iid):
+    # Algorithm 3 changes only frequencies: replaying the HELCFL run at
+    # f_max gives the trained no-DVFS run, every record to the bit.
+    fig2 = run_fig2(
+        ExperimentSettings.quick(seed=7),
+        iid=iid,
+        strategies=("helcfl", "helcfl-nodvfs"),
+    )
+    trained = fig2.histories["helcfl-nodvfs"]
+    replayed = max_frequency_history(fig2.histories["helcfl"], fig2.environment)
+    # Every RoundRecord, the label and the stop reason; the JSON also
+    # pins each round's frequency key order.
+    assert replayed == trained
+    assert replayed.to_json() == trained.to_json()
 
 
 class TestReporting:
@@ -150,7 +192,25 @@ class TestReporting:
         text = format_table1(table)
         assert "x" in text
 
-    def test_fig3_format_has_saving_column(self, twins):
-        result = derive_fig3(twins)
+    def test_table1_headers_align_with_delay_cells(self):
+        table = Table1Result(
+            iid=True,
+            targets=(0.0675, 0.1, 0.5),
+            delays={
+                "helcfl": {0.0675: 7.2, 0.1: 700.0, 0.5: None},
+                "helcfl-nodvfs": {0.0675: 7.2, 0.1: None, 0.5: 61.0},
+            },
+        )
+        header, *rows = format_table1(table).splitlines()[1:]
+        assert "6.75%" in header
+
+        def cell_ends(line):
+            return [m.end() for m in re.finditer(r"\S+", line)][-3:]
+
+        for row in rows:
+            assert cell_ends(row) == cell_ends(header)
+
+    def test_fig3_format_has_saving_column(self, fig2):
+        result = derive_fig3(fig2)
         text = format_fig3_table(result)
         assert "saving" in text and "%" in text

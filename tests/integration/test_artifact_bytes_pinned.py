@@ -30,7 +30,7 @@ PINNED = {
         "97c140fa570b47066fe3a5389e06d9b6a099f32b239f998612d17920db06c52c",
     ),
     "table1": (
-        "c7238d0bdc074fcff88de3f9cd4d88f58132941641dca07bf6f15e70cb6ffb34",
+        "66f956327b5ff68157eee0feb49fd25139985905af40b3c43cd3163cd2c0e940",
         "ae96991b883fc688e74b286c0768163276c4539acda1ffdd578a3cc1e31bf07f",
     ),
     "fig3": (
@@ -38,7 +38,7 @@ PINNED = {
         "8ec6c98438d8a6eebe6f8f92271d7c27a7cd5698c0913cf35d7ab65d57c9acdb",
     ),
     "report": (
-        "57b88b5a3e427bed134984ed6487aeacbb31f9cdf12572cc67529292718c9dec",
+        "4747d85dc2fc35b9ca6f309b87aa5dd4db3885bef4a2d02d7a1aded289b5b427",
         None,
     ),
 }

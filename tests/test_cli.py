@@ -44,6 +44,8 @@ class TestParser:
         [
             ["info", "--trace", "x"],
             ["report", "--quick", "--rounds", "1", "--faults", "p"],
+            ["fig3", "--quick", "--rounds", "1", "--faults", "p"],
+            ["fig3", "--quick", "--rounds", "1", "--round-deadline", "9"],
             *(
                 ["report", "--quick", "--rounds", "1", *flag]
                 for flag in (["--noniid"], ["--backend", "thread"],
@@ -64,6 +66,14 @@ class TestParser:
             main(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_report_help_says_output_is_the_text_report(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "--help"])
+        assert exit_info.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--output OUTPUT also write the text report to this path" in out
+        assert "JSON" not in out
 
 
 class TestCommands:
