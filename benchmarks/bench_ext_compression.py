@@ -16,27 +16,13 @@ cheaper than either alone in communication-heavy regimes.
 import pytest
 
 from repro.compression.pipeline import CompressionPipeline
-from repro.core.framework import build_helcfl_trainer
-from repro.experiments.runner import build_environment
+from repro.experiments.runner import build_environment, build_trainer
 from repro.experiments.settings import ExperimentSettings
-from repro.fl.server import FederatedServer
 
 
 def run_variant(settings, environment, compression, dvfs):
-    model = settings.build_model(flattened=True)
-    server = FederatedServer(
-        model,
-        test_dataset=environment.test,
-        payload_bits=settings.payload_bits,
-    )
-    trainer = build_helcfl_trainer(
-        server,
-        environment.devices,
-        fraction=settings.fraction,
-        decay=settings.decay,
-        config=settings.trainer_config(),
-        dvfs=dvfs,
-    )
+    name = "helcfl" if dvfs else "helcfl-nodvfs"
+    trainer = build_trainer(name, settings, environment)
     trainer.compression = compression
     return trainer.run()
 

@@ -12,10 +12,8 @@ channels versus per-round Rayleigh fading (same mean gain) and checks:
   matched max-frequency run) survives fading.
 """
 
-from repro.core.framework import build_helcfl_trainer
-from repro.experiments.runner import build_environment
+from repro.experiments.runner import build_environment, build_trainer
 from repro.experiments.settings import ExperimentSettings
-from repro.fl.server import FederatedServer
 from repro.network.channel import RayleighFadingChannel
 
 
@@ -24,20 +22,8 @@ def run_fading_study():
     environment = build_environment(settings, iid=True)
 
     def run(models, dvfs):
-        model = settings.build_model(flattened=True)
-        server = FederatedServer(
-            model,
-            test_dataset=environment.test,
-            payload_bits=settings.payload_bits,
-        )
-        trainer = build_helcfl_trainer(
-            server,
-            environment.devices,
-            fraction=settings.fraction,
-            decay=settings.decay,
-            config=settings.trainer_config(),
-            dvfs=dvfs,
-        )
+        name = "helcfl" if dvfs else "helcfl-nodvfs"
+        trainer = build_trainer(name, settings, environment)
         trainer.channel_models = dict(models or {})
         return trainer.run()
 

@@ -14,28 +14,19 @@ Usage::
     python examples/battery_shutdown.py
 """
 
-from repro.core.framework import build_helcfl_trainer
 from repro.devices.battery import Battery
-from repro.experiments import ExperimentSettings, build_environment
-from repro.fl.server import FederatedServer
+from repro.experiments import ExperimentSettings, build_environment, build_trainer
 
 
 def run_with_batteries(settings, environment, capacity_joules, dvfs):
     # Fresh batteries each run.
     for device in environment.devices:
         device.battery = Battery(capacity_joules)
-    model = settings.build_model(flattened=True)
-    server = FederatedServer(
-        model, test_dataset=environment.test, payload_bits=settings.payload_bits
-    )
-    trainer = build_helcfl_trainer(
-        server,
-        environment.devices,
-        fraction=settings.fraction,
-        decay=settings.decay,
-        config=settings.trainer_config(enforce_battery=True),
-        dvfs=dvfs,
-        label="HELCFL" if dvfs else "HELCFL (no DVFS)",
+    trainer = build_trainer(
+        "helcfl" if dvfs else "helcfl-nodvfs",
+        settings,
+        environment,
+        config_overrides={"enforce_battery": True},
     )
     return trainer.run()
 

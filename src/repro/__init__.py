@@ -5,7 +5,8 @@ The package implements the paper's full system from scratch on numpy:
 
 * :mod:`repro.core` — the contribution: utility-driven greedy-decay
   user selection (Algorithm 2) and DVFS-enabled frequency
-  determination (Algorithm 3), assembled by Algorithm 1.
+  determination (Algorithm 3), assembled by Algorithm 1
+  (``repro.experiments.build_trainer("helcfl", ...)``).
 * :mod:`repro.nn` — a neural-network library (the training substrate).
 * :mod:`repro.data` — the synthetic CIFAR-10-like task and the paper's
   IID / non-IID partitioners.
@@ -29,7 +30,6 @@ from repro.core import (
     GreedyDecaySelection,
     HelcflDvfsPolicy,
     analyze_slack,
-    build_helcfl_trainer,
     determine_frequencies,
 )
 from repro.errors import ReproError
@@ -42,5 +42,4 @@ __all__ = [
     "HelcflDvfsPolicy",
     "determine_frequencies",
     "analyze_slack",
-    "build_helcfl_trainer",
 ]

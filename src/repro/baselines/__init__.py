@@ -13,8 +13,8 @@
 
 from repro.baselines.classic import RandomSelection
 from repro.baselines.fedcs import FedCsSelection, fedcs_deadline_for_count
-from repro.baselines.fedl import FedlClosedFormPolicy, fedl_optimal_frequency
-from repro.baselines.registry import available_strategies, build_strategy
+from repro.baselines.fedl import FedlClosedFormPolicy
+from repro.baselines.registry import build_strategy
 from repro.baselines.sl import SeparatedLearningRunner
 
 __all__ = [
@@ -22,8 +22,6 @@ __all__ = [
     "FedCsSelection",
     "fedcs_deadline_for_count",
     "FedlClosedFormPolicy",
-    "fedl_optimal_frequency",
     "SeparatedLearningRunner",
-    "available_strategies",
     "build_strategy",
 ]

@@ -19,37 +19,17 @@ differ.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.devices.cpu import DvfsCpu
 from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from repro.fl.strategy import FrequencyPolicy
 
-__all__ = ["fedl_optimal_frequency", "FedlClosedFormPolicy"]
-
-
-def fedl_optimal_frequency(cpu: DvfsCpu, kappa: float) -> float:
-    """The closed-form frequency ``(kappa/alpha)^(1/3)``, clamped.
-
-    Args:
-        cpu: the device CPU (provides ``alpha`` and the clamp range).
-        kappa: delay price in joules/second, must be positive.
-
-    Returns:
-        The optimal operating frequency within ``[f_min, f_max]``.
-
-    Note:
-        The unclamped optimum is independent of ``|D|``: dataset size
-        scales both cost terms identically, so it cancels.
-    """
-    if kappa <= 0:
-        raise ConfigurationError(f"kappa must be positive, got {kappa}")
-    unclamped = (kappa / cpu.switched_capacitance) ** (1.0 / 3.0)
-    return cpu.clamp(unclamped)
+__all__ = ["FedlClosedFormPolicy"]
 
 
 class FedlClosedFormPolicy(FrequencyPolicy):
@@ -62,8 +42,13 @@ class FedlClosedFormPolicy(FrequencyPolicy):
     """
 
     def __init__(self, kappa: float = 0.2) -> None:
-        if kappa <= 0:
-            raise ConfigurationError(f"kappa must be positive, got {kappa}")
+        # Tested as "inside" so NaN, which fails every comparison, is
+        # refused along with +inf: a NaN frequency would end the run
+        # mid-round, and +inf would pin every device at f_max.
+        if not 0 < kappa < math.inf:
+            raise ConfigurationError(
+                f"kappa must be positive and finite, got {kappa}"
+            )
         self.kappa = float(kappa)
 
     def assign(
@@ -77,8 +62,8 @@ class FedlClosedFormPolicy(FrequencyPolicy):
     ) -> Dict[int, float]:
         del selected, payload_bits, bandwidth_hz, round_index
         # Fleets share a handful of capacitance values, so evaluate the
-        # cube root once per distinct one with Python's scalar ``**``
-        # (:func:`fedl_optimal_frequency`'s exact op) and broadcast.
+        # cube root ``(kappa / alpha)^(1/3)`` once per distinct one with
+        # Python's scalar ``**`` and broadcast.
         cap = population.switched_capacitance
         unique, inverse = np.unique(cap, return_inverse=True)
         table = np.fromiter(

@@ -8,9 +8,6 @@ Names (case-insensitive):
 * ``"classic"`` — random selection at max frequency (Classic FL [9]).
 * ``"fedcs"`` — deadline-greedy selection at max frequency [10].
 * ``"fedl"`` — random selection + closed-form frequency [12].
-* ``"full"`` — every user every round at max frequency: the
-  communication-unconstrained upper bound the paper's Section I setup
-  rules out (an idealized reference, not one of the paper's schemes).
 
 ``"sl"`` (separated learning) is not a selection strategy — it has no
 server round — and is handled by
@@ -37,14 +34,9 @@ from repro.fl.strategy import (
 )
 from repro.rng import SeedLike
 
-__all__ = ["available_strategies", "build_strategy"]
+__all__ = ["build_strategy"]
 
-_STRATEGIES = ("helcfl", "helcfl-nodvfs", "classic", "fedcs", "fedl", "full")
-
-
-def available_strategies() -> Tuple[str, ...]:
-    """Names accepted by :func:`build_strategy` (excludes ``"sl"``)."""
-    return _STRATEGIES
+_STRATEGIES = ("helcfl", "helcfl-nodvfs", "classic", "fedcs", "fedl")
 
 
 def build_strategy(
@@ -62,7 +54,8 @@ def build_strategy(
     """Build the selection strategy and frequency policy for ``name``.
 
     Args:
-        name: one of :func:`available_strategies`.
+        name: one of ``helcfl``, ``helcfl-nodvfs``, ``classic``,
+            ``fedcs``, ``fedl``.
         devices: the population (FedCS derives its deadline from it).
         fraction: selection fraction ``C``.
         payload_bits: model payload ``C_model``.
@@ -117,10 +110,6 @@ def build_strategy(
             RandomSelection(fraction, seed=seed),
             FedlClosedFormPolicy(kappa=fedl_kappa),
         )
-    if key == "full":
-        from repro.fl.strategy import FullParticipation
-
-        return FullParticipation(), MaxFrequencyPolicy()
     raise ConfigurationError(
         f"unknown strategy {name!r}; expected one of {_STRATEGIES} (or 'sl' "
         "via repro.experiments.runner)"
@@ -135,6 +124,5 @@ def strategy_labels() -> Dict[str, str]:
         "classic": "Classic FL",
         "fedcs": "FedCS",
         "fedl": "FEDL",
-        "full": "Full participation",
         "sl": "SL",
     }

@@ -30,7 +30,6 @@ has no campaign mode: a crash-safe multi-seed study is a spec's
 
 from repro.campaign.aggregate import (
     AGGREGATE_SCHEMA,
-    aggregate_campaign,
     compare_campaigns,
     load_aggregate,
     write_aggregate,
@@ -67,7 +66,6 @@ __all__ = [
     "RunProgress",
     "RunSpec",
     "RunStatus",
-    "aggregate_campaign",
     "compare_campaigns",
     "execute_run",
     "load_aggregate",

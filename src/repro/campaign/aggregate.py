@@ -29,7 +29,6 @@ from repro.obs.analysis import CompareThresholds, RunStats, compare_stats
 
 __all__ = [
     "AGGREGATE_SCHEMA",
-    "aggregate_campaign",
     "write_aggregate",
     "load_aggregate",
     "compare_campaigns",
@@ -127,11 +126,6 @@ def _aggregate(manifest: CampaignManifest) -> _Aggregate:
         for strategy, stats_list in sorted(by_strategy.items())
     }
     return _Aggregate(manifest.spec.name, tuple(runs), summary)
-
-
-def aggregate_campaign(manifest: CampaignManifest) -> dict:
-    """The aggregate document of a campaign whose runs are all done."""
-    return _aggregate(manifest).to_dict()
 
 
 def write_aggregate(manifest: CampaignManifest) -> str:

@@ -37,7 +37,6 @@ REP013    span lifecycle — every ``observer.span(...)`` open reaches
 from repro.checks.engine import (
     CheckReport,
     check_paths,
-    check_source,
     iter_python_files,
 )
 from repro.checks.findings import SEVERITIES, Finding
@@ -49,7 +48,6 @@ __all__ = [
     "SEVERITIES",
     "CheckReport",
     "check_paths",
-    "check_source",
     "iter_python_files",
     "ModuleSummary",
     "ProjectIndex",

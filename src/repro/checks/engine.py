@@ -18,12 +18,9 @@ guaranteed to reproduce the cold run's findings bit for bit (the
 :class:`CheckReport` JSON contains no cache metadata; cache counters
 live on the report object only).
 
-:func:`check_paths` is the CLI's workhorse; :func:`check_source` is
-the in-memory variant the checker's own tests use (it can impersonate
-any module/test classification, and builds a single-module index so
-dataflow rules run too). Unparsable files surface as ``REP000``
-findings rather than crashing the run, so one syntax error doesn't
-hide every other finding.
+:func:`check_paths` is the CLI's workhorse. Unparsable files surface
+as ``REP000`` findings rather than crashing the run, so one syntax
+error doesn't hide every other finding.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ __all__ = [
     "CheckReport",
     "DEFAULT_CACHE_PATH",
     "check_paths",
-    "check_source",
     "iter_python_files",
 ]
 
@@ -170,48 +166,6 @@ def _run_rules(ctx: ModuleContext, rules: Sequence[Rule]):
             else:
                 kept.append(finding)
     return kept, silenced
-
-
-def check_source(
-    source: str,
-    path: str = "<string>",
-    *,
-    module: Optional[str] = None,
-    is_test: bool = False,
-    rules: Optional[Sequence[str]] = None,
-) -> CheckReport:
-    """Check one in-memory source blob (the checker's own test API).
-
-    The blob gets a single-module :class:`ProjectIndex` built from
-    itself, so dataflow rules resolve the blob's own functions and
-    classes (cross-file behavior is exercised via :func:`check_paths`
-    on a temporary tree).
-
-    Args:
-        source: Python source text.
-        path: reported path for findings.
-        module: dotted module name to impersonate (scopes domain
-            rules); ``None`` leaves path-based classification.
-        is_test: classify the blob as test/benchmark code.
-        rules: restrict to these rule ids.
-    """
-    rule_objs = get_rules(rules)
-    try:
-        ctx = build_context(path, source, module=module, is_test=is_test)
-    except SyntaxError as exc:
-        return CheckReport(
-            findings=(_syntax_finding(path, exc),), files_checked=1
-        )
-    summary = summarize_module(
-        ctx.tree, ctx.module, path, is_package=path.endswith("__init__.py")
-    )
-    ctx = dataclasses.replace(ctx, index=ProjectIndex([summary]))
-    kept, silenced = _run_rules(ctx, rule_objs)
-    return CheckReport(
-        findings=tuple(sorted(kept)),
-        suppressed=tuple(sorted(silenced)),
-        files_checked=1,
-    )
 
 
 # -- incremental cache ----------------------------------------------------

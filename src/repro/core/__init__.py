@@ -5,9 +5,11 @@
   greedy-decay user selection;
 * :mod:`repro.core.frequency` — Algorithm 3, DVFS-enabled operating
   frequency determination;
-* :mod:`repro.core.slack` — slack-time analysis (Section VI-A, Fig. 1);
-* :mod:`repro.core.framework` — Algorithm 1, the assembled HELCFL
-  trainer.
+* :mod:`repro.core.slack` — slack-time analysis (Section VI-A, Fig. 1).
+
+Algorithm 1 is :func:`repro.experiments.runner.build_trainer`'s
+``"helcfl"`` trainer: greedy-decay selection and Algorithm 3 around the
+synchronous FedAvg round loop of :class:`~repro.fl.trainer.FederatedTrainer`.
 """
 
 from repro.core.frequency import (
@@ -15,13 +17,11 @@ from repro.core.frequency import (
     determine_frequencies,
     determine_frequencies_population,
 )
-from repro.core.framework import build_helcfl_trainer
 from repro.core.selection import GreedyDecaySelection, top_utility_positions
 from repro.core.slack import SlackReport, analyze_slack
-from repro.core.utility import decayed_utility, utility_scores
+from repro.core.utility import utility_scores
 
 __all__ = [
-    "decayed_utility",
     "utility_scores",
     "GreedyDecaySelection",
     "top_utility_positions",
@@ -30,5 +30,4 @@ __all__ = [
     "HelcflDvfsPolicy",
     "SlackReport",
     "analyze_slack",
-    "build_helcfl_trainer",
 ]

@@ -29,41 +29,7 @@ import numpy as np
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 
-__all__ = ["decayed_utility", "utility_scores"]
-
-
-def decayed_utility(
-    appearance_count: int,
-    compute_delay: float,
-    upload_delay: float,
-    decay: float,
-) -> float:
-    """Evaluate Eq. (20) for one user.
-
-    Args:
-        appearance_count: ``alpha_q``, times the user has been selected.
-        compute_delay: ``T_q^cal`` at the device's max frequency.
-        upload_delay: ``T_q^com``.
-        decay: the decay coefficient ``eta`` in ``(0, 1)``.
-
-    Returns:
-        The utility ``eta^alpha / (T_cal + T_com)``.
-
-    Raises:
-        ConfigurationError: for parameters outside their domains.
-    """
-    if not 0.0 < decay < 1.0:
-        raise ConfigurationError(f"decay eta must be in (0, 1), got {decay}")
-    if appearance_count < 0:
-        raise ConfigurationError(
-            f"appearance_count must be non-negative, got {appearance_count}"
-        )
-    total_delay = compute_delay + upload_delay
-    if total_delay <= 0:
-        raise ConfigurationError(
-            f"total delay must be positive, got {total_delay}"
-        )
-    return decay**appearance_count / total_delay
+__all__ = ["utility_scores"]
 
 
 def _alpha_array(
@@ -106,7 +72,7 @@ def decay_powers(decay: float, alphas: np.ndarray) -> np.ndarray:
     """``eta^alpha`` per device, bitwise-equal to Python's scalar ``**``.
 
     Counters are small non-negative ints, so the powers are looked up
-    in a table of Python-scalar ``eta ** k`` (what :func:`decayed_utility`
+    in a table of Python-scalar ``eta ** k`` (what the scalar Eq. 20
     computes) — exactness by construction rather than by trusting a
     numpy pow kernel. The table is memoized and sized to the power of two
     above ``max alpha``, at most ``_TABLE_CAP`` entries: a run evaluates

@@ -18,6 +18,7 @@ remain met.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,21 +52,17 @@ class DvfsCpu:
         switched_capacitance: float = 2e-28,
         frequency_levels: Optional[Sequence[float]] = None,
     ) -> None:
-        if f_min <= 0 or f_max <= 0:
-            raise DeviceError(
-                f"frequencies must be positive, got f_min={f_min}, f_max={f_max}"
-            )
+        for name, value in (
+            ("f_min", f_min),
+            ("f_max", f_max),
+            ("cycles_per_sample", cycles_per_sample),
+            ("switched_capacitance", switched_capacitance),
+        ):
+            # Tested as "inside" so NaN is rejected along with +inf.
+            if not 0.0 < value < math.inf:
+                raise DeviceError(f"{name} must be finite and positive, got {value}")
         if f_min > f_max:
             raise DeviceError(f"f_min={f_min} exceeds f_max={f_max}")
-        if cycles_per_sample <= 0:
-            raise DeviceError(
-                f"cycles_per_sample must be positive, got {cycles_per_sample}"
-            )
-        if switched_capacitance <= 0:
-            raise DeviceError(
-                "switched_capacitance must be positive, got "
-                f"{switched_capacitance}"
-            )
         self.f_min = float(f_min)
         self.f_max = float(f_max)
         self.cycles_per_sample = float(cycles_per_sample)

@@ -9,6 +9,7 @@ setting) or drawn per-user for extra heterogeneity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -23,11 +24,14 @@ from repro.rng import SeedLike, ensure_generator
 __all__ = ["FleetSpec", "make_fleet"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FleetSpec:
     """Parameters describing a heterogeneous user population.
 
-    Defaults reproduce the paper's Section VII-A settings.
+    Defaults reproduce the paper's Section VII-A settings. Every
+    physical constant is checked here, once: ``DevicePopulation.from_spec``
+    fills its columns from a spec without the per-device checks of
+    :class:`DvfsCpu` and :class:`Radio`.
 
     Attributes:
         f_min_hz: common lowest CPU frequency (paper: 0.3 GHz).
@@ -60,8 +64,26 @@ class FleetSpec:
     battery_capacity_j: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.f_min_hz <= 0:
-            raise DeviceError(f"f_min_hz must be positive, got {self.f_min_hz}")
+        low, high = self.channel_gain_range
+        constants = {
+            "f_min_hz": self.f_min_hz,
+            "f_max_low_hz": self.f_max_low_hz,
+            "f_max_high_hz": self.f_max_high_hz,
+            "cycles_per_sample": self.cycles_per_sample,
+            "switched_capacitance": self.switched_capacitance,
+            "transmit_power_w": self.transmit_power_w,
+            "channel_gain_range[0]": low,
+            "channel_gain_range[1]": high,
+            "noise_power_w": self.noise_power_w,
+        }
+        if self.battery_capacity_j is not None:
+            constants["battery_capacity_j"] = self.battery_capacity_j
+        for name, value in constants.items():
+            # Tested as "inside" so NaN is rejected along with +inf.
+            if not 0.0 < value < math.inf:
+                raise DeviceError(
+                    f"{name} must be finite and positive, got {value}"
+                )
         if self.f_max_low_hz < self.f_min_hz:
             raise DeviceError(
                 f"f_max_low_hz ({self.f_max_low_hz}) below f_min_hz "
@@ -72,8 +94,7 @@ class FleetSpec:
                 f"f_max_high_hz ({self.f_max_high_hz}) below f_max_low_hz "
                 f"({self.f_max_low_hz})"
             )
-        low, high = self.channel_gain_range
-        if low <= 0 or high < low:
+        if high < low:
             raise DeviceError(
                 f"channel_gain_range must be 0 < low <= high, got "
                 f"{self.channel_gain_range}"

@@ -36,15 +36,14 @@ class Radio:
         channel_gain: float = 1.0,
         noise_power: float = 1e-2,
     ) -> None:
-        if transmit_power <= 0:
-            raise DeviceError(
-                f"transmit_power must be positive, got {transmit_power}"
-            )
-        # Tested as "inside" so NaN is rejected along with +inf.
-        if not 0.0 < channel_gain < math.inf:
-            raise DeviceError(f"channel_gain must be finite and positive, got {channel_gain}")
-        if noise_power <= 0:
-            raise DeviceError(f"noise_power must be positive, got {noise_power}")
+        for name, value in (
+            ("transmit_power", transmit_power),
+            ("channel_gain", channel_gain),
+            ("noise_power", noise_power),
+        ):
+            # Tested as "inside" so NaN is rejected along with +inf.
+            if not 0.0 < value < math.inf:
+                raise DeviceError(f"{name} must be finite and positive, got {value}")
         self.transmit_power = float(transmit_power)
         self.channel_gain = float(channel_gain)
         self.noise_power = float(noise_power)

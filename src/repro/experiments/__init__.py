@@ -23,7 +23,12 @@ from repro.experiments.reporting import (
     format_fig3_table,
     format_table1,
 )
-from repro.experiments.runner import STRATEGY_NAMES, build_environment, run_strategy
+from repro.experiments.runner import (
+    STRATEGY_NAMES,
+    build_environment,
+    build_trainer,
+    run_strategy,
+)
 from repro.experiments.settings import ExperimentSettings
 from repro.experiments.table1 import Table1Result, derive_table1
 
@@ -31,6 +36,7 @@ __all__ = [
     "ExperimentSettings",
     "STRATEGY_NAMES",
     "build_environment",
+    "build_trainer",
     "run_strategy",
     "Fig1Result",
     "run_fig1",

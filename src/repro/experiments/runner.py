@@ -49,7 +49,6 @@ STRATEGY_NAMES = (
     "classic",
     "fedcs",
     "fedl",
-    "full",
     "sl",
 )
 

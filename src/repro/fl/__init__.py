@@ -26,7 +26,6 @@ from repro.fl.server import FederatedServer
 from repro.fl.shm import SharedArrayPool, SharedMemoryProcessPoolBackend
 from repro.fl.strategy import (
     FrequencyPolicy,
-    FullParticipation,
     MaxFrequencyPolicy,
     SelectionStrategy,
     selection_count,
@@ -53,7 +52,6 @@ __all__ = [
     "FederatedServer",
     "SelectionStrategy",
     "FrequencyPolicy",
-    "FullParticipation",
     "MaxFrequencyPolicy",
     "selection_count",
     "FederatedTrainer",

@@ -173,8 +173,8 @@ def train_clients(
     """Run the local update (Eq. 3) of every device in ``devices``.
 
     The one training primitive: every execution backend calls it for a
-    whole selection or for one chunk of it, and separated learning, the
-    semi-asynchronous trainer and personalization call it directly.
+    whole selection or for one chunk of it, and separated learning and
+    the semi-asynchronous trainer call it directly.
     Client ``i`` starts from ``start_params`` — the broadcast vector
     shared by all, or row ``i`` of a per-client start matrix. Rows do
     not depend on which other clients share the call, so any chunking

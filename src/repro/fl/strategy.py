@@ -38,7 +38,6 @@ from repro.sequential import rank_by
 __all__ = [
     "SelectionStrategy",
     "FrequencyPolicy",
-    "FullParticipation",
     "MaxFrequencyPolicy",
     "selection_count",
     "check_link",
@@ -203,16 +202,6 @@ class FrequencyPolicy:
                 with ``selected``; the shipped policies read only it.
         """
         raise NotImplementedError
-
-
-class FullParticipation(SelectionStrategy):
-    """Select every user every round (ideal unconstrained FL)."""
-
-    def select_population(
-        self, round_index: int, population: DevicePopulation
-    ) -> np.ndarray:
-        del round_index
-        return np.arange(len(population), dtype=np.int64)
 
 
 class MaxFrequencyPolicy(FrequencyPolicy):

@@ -1,11 +1,18 @@
-"""Tests for FEDL's closed-form frequency policy."""
+"""Tests for FEDL's closed-form frequency policy.
+
+``TestClosedForm`` checks the scalar reference in
+:mod:`tests.oracles.closed_forms`; ``TestPolicy`` checks ``src/``.
+"""
+
+import math
 
 import pytest
 
-from repro.baselines.fedl import FedlClosedFormPolicy, fedl_optimal_frequency
+from repro.baselines.fedl import FedlClosedFormPolicy
 from repro.devices.cpu import DvfsCpu
 from repro.errors import ConfigurationError
 from tests.conftest import assign, make_heterogeneous_devices
+from tests.oracles.closed_forms import fedl_optimal_frequency
 
 
 def cpu(f_min=0.3e9, f_max=2.0e9, alpha=2e-28):
@@ -45,9 +52,12 @@ class TestClosedForm:
         freqs = [fedl_optimal_frequency(c, k) for k in (0.01, 0.1, 1.0)]
         assert freqs[0] <= freqs[1] <= freqs[2]
 
-    def test_invalid_kappa(self):
-        with pytest.raises(ConfigurationError):
-            fedl_optimal_frequency(cpu(), kappa=0.0)
+    def test_policy_matches_the_scalar_form(self):
+        devices = make_heterogeneous_devices(8, seed=4)
+        freqs = assign(FedlClosedFormPolicy(kappa=0.3), devices, 1e6, 2e6)
+        assert freqs == {
+            d.device_id: fedl_optimal_frequency(d.cpu, 0.3) for d in devices
+        }
 
 
 class TestPolicy:
@@ -78,6 +88,7 @@ class TestPolicy:
             if device.cpu.f_max < 1.0e9:
                 assert freqs[device.device_id] == pytest.approx(device.cpu.f_max)
 
-    def test_invalid_kappa(self):
-        with pytest.raises(ConfigurationError):
-            FedlClosedFormPolicy(kappa=-1.0)
+    @pytest.mark.parametrize("kappa", (-1.0, 0.0, math.nan, math.inf))
+    def test_invalid_kappa(self, kappa):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            FedlClosedFormPolicy(kappa=kappa)

@@ -8,7 +8,6 @@ from repro.campaign import (
     AGGREGATE_SCHEMA,
     CampaignManifest,
     CampaignPool,
-    aggregate_campaign,
     compare_campaigns,
     load_aggregate,
     write_aggregate,
@@ -16,6 +15,11 @@ from repro.campaign import (
 from repro.errors import ConfigurationError, SerializationError
 from repro.obs.analysis import CompareThresholds
 from tests.campaign.conftest import tiny_campaign
+
+
+def aggregate_campaign(manifest):
+    """The campaign's aggregate document, as ``campaign compare`` reads it."""
+    return load_aggregate(write_aggregate(manifest))
 
 
 @pytest.fixture(scope="module")

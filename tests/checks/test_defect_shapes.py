@@ -10,7 +10,8 @@ import textwrap
 
 import pytest
 
-from repro.checks import ALL_RULES, check_source
+from repro.checks import ALL_RULES
+from tests.checks.source import check_source
 
 QUANTIZER = "repro.compression.quantization"
 FL = "repro.fl.fixture"

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.checks import check_paths, check_source, get_rules
+from repro.checks import check_paths, get_rules
 from repro.checks.context import build_context, parse_suppressions
 from repro.checks.findings import Finding
 from repro.errors import ConfigurationError
+from tests.checks.source import check_source
 
 BAD_RNG = "import random\n"
 

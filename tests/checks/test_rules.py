@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.checks import ALL_RULES, check_paths, check_source
+from repro.checks import ALL_RULES, check_paths
 from tests.checks.test_crossfile import write_tree
+from tests.checks.source import check_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -8,9 +8,9 @@ from repro.data.dataset import ArrayDataset
 from repro.errors import ConfigurationError
 from repro.fl.server import FederatedServer
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
-from repro.fl.strategy import FullParticipation
 from repro.nn.architectures import build_mlp
 from tests.conftest import make_heterogeneous_devices
+from tests.full_participation import FullParticipation
 
 
 class TestPipeline:

@@ -158,9 +158,10 @@ class TestDecayPowers:
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
             import numpy as np
             from repro.core.selection import GreedyDecaySelection
-            from repro.core.utility import decay_powers, decayed_utility
+            from repro.core.utility import decay_powers
             from repro.devices.fleet import FleetSpec
             from repro.devices.population import DevicePopulation
+            from tests.oracles.closed_forms import decayed_utility
 
             decay = 1 - 2**-40
             alphas = np.array([2**40, 3, 2**16, 2**16 - 1, 2**62, 0])
@@ -188,7 +189,7 @@ class TestDecayPowers:
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+            [str(REPO_ROOT / "src"), str(REPO_ROOT), env.get("PYTHONPATH", "")]
         )
         result = subprocess.run(
             [sys.executable, "-c", script],

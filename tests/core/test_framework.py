@@ -1,74 +1,59 @@
-"""Tests for the assembled HELCFL framework (Algorithm 1)."""
+"""Tests for the assembled HELCFL framework (Algorithm 1):
+``build_trainer("helcfl" | "helcfl-nodvfs", ...)``."""
 
-import numpy as np
+import pytest
 
-from repro.core.framework import build_helcfl_trainer
 from repro.core.frequency import HelcflDvfsPolicy
 from repro.core.selection import GreedyDecaySelection
-from repro.data.dataset import ArrayDataset
-from repro.fl.server import FederatedServer
+from repro.experiments.runner import build_environment, build_trainer
+from repro.experiments.settings import ExperimentSettings
 from repro.fl.strategy import MaxFrequencyPolicy
-from repro.fl.trainer import TrainerConfig
-from repro.nn.architectures import build_mlp
-from tests.conftest import make_heterogeneous_devices
 
 
-def setup(num_devices=6, seed=0):
-    devices = make_heterogeneous_devices(num_devices, seed=seed)
-    rng = np.random.default_rng(seed)
-    test = ArrayDataset(
-        rng.normal(size=(40, 4)), rng.integers(0, 3, size=40)
-    )
-    model = build_mlp(4, 3, hidden_sizes=(8,), seed=seed)
-    server = FederatedServer(model, test_dataset=test, payload_bits=1e6)
-    return server, devices
+@pytest.fixture(scope="module")
+def settings():
+    return ExperimentSettings.quick(seed=1, rounds=8, fraction=0.5, decay=0.8)
+
+
+@pytest.fixture(scope="module")
+def environment(settings):
+    return build_environment(settings, iid=True)
 
 
 class TestBuilder:
-    def test_wires_greedy_decay_and_dvfs(self):
-        server, devices = setup()
-        trainer = build_helcfl_trainer(server, devices, fraction=0.5, decay=0.8)
+    def test_wires_greedy_decay_and_dvfs(self, settings, environment):
+        trainer = build_trainer("helcfl", settings, environment)
         assert isinstance(trainer.selection, GreedyDecaySelection)
         assert isinstance(trainer.frequency_policy, HelcflDvfsPolicy)
         assert trainer.selection.fraction == 0.5
         assert trainer.selection.decay == 0.8
 
-    def test_dvfs_false_uses_max_frequency(self):
-        server, devices = setup()
-        trainer = build_helcfl_trainer(server, devices, dvfs=False)
+    def test_dvfs_false_uses_max_frequency(self, settings, environment):
+        trainer = build_trainer("helcfl-nodvfs", settings, environment)
         assert isinstance(trainer.frequency_policy, MaxFrequencyPolicy)
 
-    def test_label_passed_through(self):
-        server, devices = setup()
-        trainer = build_helcfl_trainer(server, devices, label="my-run")
-        assert trainer.label == "my-run"
+    def test_label_passed_through(self, settings, environment):
+        assert build_trainer("helcfl", settings, environment).label == "HELCFL"
+        assert (
+            build_trainer("helcfl-nodvfs", settings, environment).label
+            == "HELCFL (no DVFS)"
+        )
 
 
 class TestEndToEnd:
-    def test_run_produces_history(self):
-        server, devices = setup()
-        config = TrainerConfig(rounds=5, bandwidth_hz=2e6, learning_rate=0.2)
-        trainer = build_helcfl_trainer(
-            server, devices, fraction=0.5, config=config
+    def test_run_produces_history(self, settings, environment):
+        trainer = build_trainer(
+            "helcfl", settings, environment, config_overrides={"rounds": 5}
         )
         history = trainer.run()
         assert len(history) == 5
         assert history.total_time > 0
         assert history.total_energy > 0
 
-    def test_dvfs_saves_energy_at_same_accuracy(self):
+    def test_dvfs_saves_energy_at_same_accuracy(self, settings, environment):
         """The whole point of Algorithm 3 inside Algorithm 1."""
-        config = TrainerConfig(rounds=8, bandwidth_hz=2e6, learning_rate=0.2)
-
-        server_a, devices = setup(seed=1)
-        with_dvfs = build_helcfl_trainer(
-            server_a, devices, fraction=0.5, config=config, dvfs=True
-        ).run()
-
-        server_b, _ = setup(seed=1)
-        without = build_helcfl_trainer(
-            server_b, devices, fraction=0.5, config=config, dvfs=False
-        ).run()
+        with_dvfs = build_trainer("helcfl", settings, environment).run()
+        without = build_trainer("helcfl-nodvfs", settings, environment).run()
 
         # Selection and training math identical -> same accuracy curve.
         acc_a = [r.test_accuracy for r in with_dvfs.records]

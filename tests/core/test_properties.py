@@ -1,9 +1,12 @@
 """Property-based tests for the core HELCFL algorithms."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import frequency as frequency_module
 from repro.core.frequency import determine_frequencies
 from repro.core.selection import GreedyDecaySelection
 from repro.core.utility import decay_powers
@@ -12,10 +15,15 @@ from repro.devices.fleet import FleetSpec, make_fleet
 from repro.devices.population import DevicePopulation
 from repro.fl.strategy import selection_count
 from repro.network.tdma import simulate_tdma_round
+from repro.sequential import MIN_RUN
 from tests.conftest import make_heterogeneous_devices, selected_ids
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
+
+MAX_DEVICES = 96
+"""Fleets of up to this many devices queue well past ``MIN_RUN`` users
+in a row, so Algorithm 3's generated inputs reach ``queued_run``."""
 
 
 class TestSelectionProperties:
@@ -133,7 +141,7 @@ class TestCoverageProperty:
 
 class TestFrequencyProperties:
     @given(
-        count=st.integers(1, 10),
+        count=st.integers(1, MAX_DEVICES),
         seed=st.integers(0, 300),
         payload=st.floats(min_value=1e5, max_value=2e7),
     )
@@ -146,7 +154,7 @@ class TestFrequencyProperties:
         assert opt.total_energy <= base.total_energy + 1e-9
         assert opt.round_delay <= base.round_delay + 1e-9
 
-    @given(count=st.integers(2, 10), seed=st.integers(0, 300))
+    @given(count=st.integers(2, MAX_DEVICES), seed=st.integers(0, 300))
     @settings(max_examples=40, deadline=None)
     def test_assigned_frequencies_sorted_with_compute_order(self, count, seed):
         """Every determined frequency is at most the device's f_max and
@@ -171,36 +179,52 @@ class TestFrequencyProperties:
         opt_order = [e.device_id for e in opt.users]
         assert base_order == opt_order
 
-    @given(
-        sizes=st.lists(st.integers(1, 200), min_size=1, max_size=12),
-        seed=st.integers(0, 300),
-        payload=st.floats(min_value=1e5, max_value=2e7),
-        gain_low=st.floats(min_value=1e-8, max_value=1.0),
-        quantize=st.booleans(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_no_device_spends_more_compute_energy_than_at_f_max(
-        self, sizes, seed, payload, gain_low, quantize
-    ):
+    def test_no_device_spends_more_compute_energy_than_at_f_max(self):
         """Per device, not only in total: Algorithm 3 (clamped, with
-        and without ladder snapping) never costs a device more compute
-        energy (Eq. 5) than running at its own ``f_max``."""
-        partitions = [
-            ArrayDataset(np.zeros((size, 1)), np.zeros(size, dtype=int))
-            for size in sizes
-        ]
-        spec = FleetSpec(
-            channel_gain_range=(gain_low, 1.0),
-            frequency_levels=(0.3, 0.55, 0.8, 1.0) if quantize else None,
+        and without ladder snapping) keeps every frequency in the
+        device's ``[f_min, f_max]`` (on its ladder when snapping) and
+        never costs a device more compute energy (Eq. 5) than running
+        at its own ``f_max``. Long queues are folded by ``queued_run``;
+        the spy shows the generated fleets reach it."""
+        queued_runs = []
+        real_queued_run = frequency_module.queued_run
+
+        def spy(*args, **kwargs):
+            queued_runs.append(args[2])
+            return real_queued_run(*args, **kwargs)
+
+        @given(
+            count=st.integers(1, MAX_DEVICES),
+            seed=st.integers(0, 300),
+            payload=st.floats(min_value=1e5, max_value=2e7),
+            gain_low=st.floats(min_value=1e-8, max_value=1.0),
+            quantize=st.booleans(),
         )
-        devices = make_fleet(partitions, spec, seed=seed)
-        freqs = determine_frequencies(
-            devices, payload, BANDWIDTH, clamp=True, quantize=quantize
-        )
-        for device in devices:
-            assert device.compute_energy(freqs[device.device_id]) <= (
-                device.compute_energy()
+        @settings(max_examples=60, deadline=None)
+        def check(count, seed, payload, gain_low, quantize):
+            sizes = np.random.default_rng(seed).integers(1, 201, size=count)
+            partitions = [
+                ArrayDataset(np.zeros((size, 1)), np.zeros(size, dtype=int))
+                for size in sizes.tolist()
+            ]
+            spec = FleetSpec(
+                channel_gain_range=(gain_low, 1.0),
+                frequency_levels=(0.3, 0.55, 0.8, 1.0) if quantize else None,
             )
+            devices = make_fleet(partitions, spec, seed=seed)
+            freqs = determine_frequencies(
+                devices, payload, BANDWIDTH, clamp=True, quantize=quantize
+            )
+            for device in devices:
+                freq = freqs[device.device_id]
+                assert device.cpu.f_min <= freq <= device.cpu.f_max
+                if quantize:
+                    assert freq in device.cpu.frequency_levels.tolist()
+                assert device.compute_energy(freq) <= device.compute_energy()
+
+        with mock.patch.object(frequency_module, "queued_run", spy):
+            check()
+        assert queued_runs and min(queued_runs) >= MIN_RUN
 
     @given(seed=st.integers(0, 300))
     @settings(max_examples=30, deadline=None)

@@ -1,14 +1,21 @@
-"""Tests for the HELCFL utility function (Eq. 20)."""
+"""Tests for the HELCFL utility function (Eq. 20).
+
+The value tests of ``TestDecayedUtility`` and ``TestUtilityProperties``
+check the scalar reference in :mod:`tests.oracles.closed_forms` that
+the population scores are compared with; the rest check
+``utility_scores``, which owns the parameter checks.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.utility import decayed_utility, utility_scores
+from repro.core.utility import utility_scores
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from tests.conftest import make_device, make_heterogeneous_devices
+from tests.oracles.closed_forms import decayed_utility
 
 PAYLOAD = 1e6
 BANDWIDTH = 2e6
@@ -39,18 +46,20 @@ class TestDecayedUtility:
         assert fast > slow
 
     def test_invalid_decay(self):
-        with pytest.raises(ConfigurationError):
-            decayed_utility(0, 1.0, 1.0, decay=1.0)
-        with pytest.raises(ConfigurationError):
-            decayed_utility(0, 1.0, 1.0, decay=0.0)
+        population = DevicePopulation.from_devices([make_device()])
+        for decay in (1.0, 0.0):
+            with pytest.raises(ConfigurationError):
+                utility_scores(population, {}, PAYLOAD, BANDWIDTH, decay)
 
     def test_negative_appearance_rejected(self):
         with pytest.raises(ConfigurationError):
-            decayed_utility(-1, 1.0, 1.0, 0.5)
+            scores_of([make_device()], {0: -1})
 
     def test_zero_delay_rejected(self):
+        # No samples to train and no bits to upload: T_cal + T_com = 0.
+        population = DevicePopulation.from_devices([make_device(num_samples=0)])
         with pytest.raises(ConfigurationError):
-            decayed_utility(0, 0.0, 0.0, 0.5)
+            utility_scores(population, {}, 0.0, BANDWIDTH, 0.5)
 
 
 def scores_of(devices, counts):

@@ -122,6 +122,12 @@ class TestValidation:
         with pytest.raises(DeviceError):
             cpu(alpha=-1e-28)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["f_min", "f_max", "pi", "alpha"])
+    def test_non_finite_constants_rejected(self, name, value):
+        with pytest.raises(DeviceError, match="finite and positive"):
+            cpu(**{name: value})
+
     def test_negative_samples_rejected(self):
         with pytest.raises(DeviceError):
             cpu().cycles_for(-1)

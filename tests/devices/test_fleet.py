@@ -6,6 +6,7 @@ import pytest
 from repro.data.dataset import ArrayDataset
 from repro.data.partition import iid_partition
 from repro.devices.fleet import FleetSpec, make_fleet
+from repro.devices.population import DevicePopulation
 from repro.errors import DeviceError
 
 
@@ -44,6 +45,52 @@ class TestSpecValidation:
             FleetSpec(frequency_levels=(0.25, 0.5))
         with pytest.raises(DeviceError):
             FleetSpec(frequency_levels=(0.0, 1.0))
+
+
+CONSTANTS = (
+    "f_min_hz",
+    "f_max_low_hz",
+    "f_max_high_hz",
+    "cycles_per_sample",
+    "switched_capacitance",
+    "transmit_power_w",
+    "noise_power_w",
+    "battery_capacity_j",
+    "channel_gain_range[0]",
+    "channel_gain_range[1]",
+)
+
+CONSTRUCTORS = {
+    "make_fleet": lambda spec: make_fleet(partitions(num_users=4), spec, seed=0),
+    "from_spec": lambda spec: DevicePopulation.from_spec(spec, [20, 30], seed=0),
+}
+
+
+def spec_with(field, value):
+    """A spec whose ``field`` is ``value``, every other field valid."""
+    if field.startswith("channel_gain_range"):
+        gains = [1.0, 1.0]
+        gains[int(field[-2])] = value
+        return FleetSpec(channel_gain_range=tuple(gains))
+    return FleetSpec(**{field: value})
+
+
+class TestNonFiniteConstants:
+    """Neither constructor checks a spec's values again, so a bad
+    constant must stop at the spec, before any energy is computed."""
+
+    @pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("field", CONSTANTS)
+    def test_refused_before_any_device_is_built(self, field, value, constructor):
+        name = field.split("[")[0]
+        with pytest.raises(DeviceError, match=rf"{name}.* must be finite and positive"):
+            CONSTRUCTORS[constructor](spec_with(field, value))
+
+    def test_spec_cannot_be_changed_after_its_check(self):
+        spec = FleetSpec()
+        with pytest.raises(AttributeError):
+            spec.switched_capacitance = float("nan")
 
 
 class TestMakeFleet:

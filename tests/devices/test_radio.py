@@ -65,6 +65,12 @@ class TestValidation:
         with pytest.raises(DeviceError, match="finite and positive"):
             Radio(channel_gain=gain)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["transmit_power", "noise_power"])
+    def test_non_finite_power(self, name, value):
+        with pytest.raises(DeviceError, match="finite and positive"):
+            Radio(**{name: value})
+
     def test_non_positive_noise(self):
         with pytest.raises(DeviceError):
             Radio(noise_power=0.0)

@@ -49,43 +49,3 @@ class TestRunFig1:
         with pytest.raises(ConfigurationError):
             run_fig1(samples_per_user=0)
 
-
-class TestFullParticipationStrategy:
-    def test_registry_builds_full(self):
-        from repro.baselines.registry import build_strategy
-        from repro.fl.strategy import FullParticipation, MaxFrequencyPolicy
-        from tests.conftest import make_heterogeneous_devices
-
-        selection, policy = build_strategy(
-            "full",
-            devices=make_heterogeneous_devices(4),
-            fraction=0.1,
-            payload_bits=1e6,
-            bandwidth_hz=2e6,
-        )
-        assert isinstance(selection, FullParticipation)
-        assert isinstance(policy, MaxFrequencyPolicy)
-
-    def test_full_runs_and_uses_everyone(self):
-        from repro.experiments.runner import run_strategy
-        from repro.experiments.settings import ExperimentSettings
-
-        settings = ExperimentSettings.quick(seed=41, rounds=4)
-        history = run_strategy("full", settings, iid=True)
-        assert history.coverage(settings.num_users) == 1.0
-        assert all(
-            len(r.selected_ids) == settings.num_users
-            for r in history.records
-        )
-
-    def test_full_costs_more_energy_per_round_than_helcfl(self):
-        from repro.experiments.runner import build_environment, run_strategy
-        from repro.experiments.settings import ExperimentSettings
-
-        settings = ExperimentSettings.quick(seed=41, rounds=4)
-        env = build_environment(settings, iid=True)
-        full = run_strategy("full", settings, iid=True, environment=env)
-        helcfl = run_strategy("helcfl", settings, iid=True, environment=env)
-        assert (
-            full.records[0].round_energy > helcfl.records[0].round_energy
-        )

@@ -35,11 +35,11 @@ from repro.faults import (
 )
 from repro.fl.execution import create_backend
 from repro.fl.server import FederatedServer
-from repro.fl.strategy import FullParticipation
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
 from repro.obs import CollectingSink, RunObserver
 from tests.conftest import make_heterogeneous_devices
+from tests.full_participation import FullParticipation
 
 BACKENDS = ["serial", "thread", "process", "process+shm"]
 

@@ -18,10 +18,10 @@ import numpy as np
 from repro.data.dataset import ArrayDataset
 from repro.devices.battery import Battery
 from repro.fl.server import FederatedServer
-from repro.fl.strategy import FullParticipation
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
 from tests.conftest import make_heterogeneous_devices
+from tests.full_participation import FullParticipation
 
 
 class RecordingSelection(FullParticipation):

@@ -25,11 +25,11 @@ from repro.faults import BatteryDeathFault, DropoutFault, FaultPlan
 from repro.fl.aggregation import fedavg_aggregate
 from repro.fl.execution import create_backend
 from repro.fl.server import FederatedServer
-from repro.fl.strategy import FullParticipation
 from repro.fl.trainer import FederatedTrainer, TrainerConfig, _Eq18Fold
 from repro.nn.architectures import build_mini_squeezenet, build_mlp
 from repro.obs import CollectingSink, RunObserver
 from tests.conftest import make_device, make_heterogeneous_devices
+from tests.full_participation import FullParticipation
 
 DEVICES = 10
 IMAGE = (1, 4, 4)

@@ -6,11 +6,11 @@ import pytest
 from repro.devices.population import DevicePopulation
 from repro.fl.strategy import (
     FrequencyPolicy,
-    FullParticipation,
     MaxFrequencyPolicy,
     SelectionStrategy,
 )
 from tests.conftest import assign, make_heterogeneous_devices
+from tests.full_participation import FullParticipation
 
 
 class NoOpSelection(SelectionStrategy):

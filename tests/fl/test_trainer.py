@@ -10,10 +10,10 @@ from repro.errors import ConfigurationError, TrainingError
 from repro.experiments.runner import run_strategy
 from repro.experiments.settings import ExperimentSettings
 from repro.fl.server import FederatedServer
-from repro.fl.strategy import FullParticipation
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
 from tests.conftest import make_heterogeneous_devices
+from tests.full_participation import FullParticipation
 
 
 def make_setup(num_devices=5, seed=0):

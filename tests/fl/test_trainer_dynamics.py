@@ -6,11 +6,11 @@ import pytest
 from repro.baselines.classic import RandomSelection
 from repro.data.dataset import ArrayDataset
 from repro.fl.server import FederatedServer
-from repro.fl.strategy import FullParticipation
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.network.channel import RayleighFadingChannel
 from repro.nn.architectures import build_mlp
 from tests.conftest import make_heterogeneous_devices
+from tests.full_participation import FullParticipation
 
 
 class FixedGain:

@@ -1,11 +1,10 @@
 """The everything-on integration test.
 
 Exercises every optional trainer feature simultaneously — HELCFL
-selection wrapped in battery gating, Algorithm 3 DVFS, update
-quantization, per-round Rayleigh fading, battery enforcement, a plateau
-convergence exit, and the energy ledger — on a Dirichlet non-IID
-partition. If the features compose incorrectly anywhere, this is where
-it surfaces.
+greedy-decay selection, Algorithm 3 DVFS, update quantization,
+per-round Rayleigh fading, battery enforcement, a plateau convergence
+exit, and the energy ledger — on a Dirichlet non-IID partition. If the
+features compose incorrectly anywhere, this is where it surfaces.
 """
 
 import numpy as np
@@ -17,46 +16,39 @@ from repro.core.selection import GreedyDecaySelection
 from repro.devices.battery import Battery
 from repro.experiments.runner import build_environment
 from repro.experiments.settings import ExperimentSettings
-from repro.extensions.battery_aware import BatteryAwareSelection
 from repro.fl.server import FederatedServer
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.network.channel import RayleighFadingChannel
 
+SETTINGS = ExperimentSettings.quick(
+    seed=31, rounds=25, fraction=0.4, noniid_kind="dirichlet",
+    dirichlet_alpha=0.3,
+)
 
-@pytest.fixture(scope="module")
-def history_and_trainer():
-    settings = ExperimentSettings.quick(
-        seed=31, rounds=25, fraction=0.4, noniid_kind="dirichlet",
-        dirichlet_alpha=0.3,
-    )
+
+def build_everything_on(settings):
+    """A fresh environment with finite batteries, and the trainer."""
     environment = build_environment(settings, iid=False)
-
     for device in environment.devices:
         per_round = device.compute_energy() + device.upload_energy(
             settings.payload_bits, settings.bandwidth_hz
         )
         device.battery = Battery(capacity_joules=30.0 * per_round)
-
     model = settings.build_model(flattened=True)
     server = FederatedServer(
         model,
         test_dataset=environment.test,
         payload_bits=settings.payload_bits,
     )
-    selection = BatteryAwareSelection(
-        GreedyDecaySelection(
+    return FederatedTrainer(
+        server=server,
+        devices=environment.devices,
+        selection=GreedyDecaySelection(
             settings.fraction,
             settings.decay,
             settings.payload_bits,
             settings.bandwidth_hz,
         ),
-        environment.devices,
-        min_level=0.05,
-    )
-    trainer = FederatedTrainer(
-        server=server,
-        devices=environment.devices,
-        selection=selection,
         frequency_policy=HelcflDvfsPolicy(),
         config=TrainerConfig(
             rounds=25,
@@ -75,8 +67,12 @@ def history_and_trainer():
         },
         label="everything-on",
     )
-    history = trainer.run()
-    return history, trainer, settings
+
+
+@pytest.fixture(scope="module")
+def history_and_trainer():
+    trainer = build_everything_on(SETTINGS)
+    return trainer.run(), trainer, SETTINGS
 
 
 class TestEverythingOn:
@@ -135,51 +131,6 @@ class TestEverythingOn:
     def test_deterministic_end_to_end(self, history_and_trainer):
         """The whole stack is reproducible despite every stochastic
         feature being active (all draws are seeded)."""
-        history, trainer, settings = history_and_trainer
-        del trainer
-        # Rebuild the identical trainer and compare.
-        environment = build_environment(settings, iid=False)
-        for device in environment.devices:
-            per_round = device.compute_energy() + device.upload_energy(
-                settings.payload_bits, settings.bandwidth_hz
-            )
-            device.battery = Battery(capacity_joules=30.0 * per_round)
-        model = settings.build_model(flattened=True)
-        server = FederatedServer(
-            model,
-            test_dataset=environment.test,
-            payload_bits=settings.payload_bits,
-        )
-        selection = BatteryAwareSelection(
-            GreedyDecaySelection(
-                settings.fraction,
-                settings.decay,
-                settings.payload_bits,
-                settings.bandwidth_hz,
-            ),
-            environment.devices,
-            min_level=0.05,
-        )
-        rerun = FederatedTrainer(
-            server=server,
-            devices=environment.devices,
-            selection=selection,
-            frequency_policy=HelcflDvfsPolicy(),
-            config=TrainerConfig(
-                rounds=25,
-                bandwidth_hz=settings.bandwidth_hz,
-                learning_rate=settings.learning_rate,
-                enforce_battery=True,
-                convergence_patience=20,
-                convergence_min_delta=1e-6,
-            ),
-            compression=CompressionPipeline.quantized(bits=10),
-            channel_models={
-                d.device_id: RayleighFadingChannel(
-                    mean_gain=1.0, seed=500 + d.device_id
-                )
-                for d in environment.devices
-            },
-            label="everything-on",
-        ).run()
+        history, _, settings = history_and_trainer
+        rerun = build_everything_on(settings).run()
         assert rerun.to_json() == history.to_json()

@@ -1,26 +1,22 @@
 """Cross-commit pins of every quick-profile scheme's local update and run.
 
-The paper's six synchronous schemes (``helcfl``, ``helcfl-nodvfs``,
-``classic``, ``fedcs``, ``fedl`` and ``full``) train through
-``FederatedTrainer``; separated learning, the semi-asynchronous trainer
-and personalization drive :func:`repro.fl.client.train_clients`
-themselves instead of going through an execution backend, so the
-trainer's golden and trace pins never see them. This file pins their
-bytes across commits: the sha256 of ``history.to_json()`` of each
-scheme and of SL (quick profile, IID and non-IID,
-``<scheme>/quick/<regime>``), of semi-async runs (MLP and CNN, non-IID
-shards, two local steps, ``async/<model>/<updates>``), and of a
-personalization report (MLP and CNN, untrained global model).
+The paper's five synchronous schemes (``helcfl``, ``helcfl-nodvfs``,
+``classic``, ``fedcs`` and ``fedl``) train through
+``FederatedTrainer``; separated learning and the semi-asynchronous
+trainer drive :func:`repro.fl.client.train_clients` themselves instead
+of going through an execution backend, so the trainer's golden and
+trace pins never see them. This file pins their bytes across commits:
+the sha256 of ``history.to_json()`` of each scheme and of SL (quick
+profile, IID and non-IID, ``<scheme>/quick/<regime>``) and of
+semi-async runs (MLP and CNN, non-IID shards, two local steps,
+``async/<model>/<updates>``).
 
-The six schemes' digests were recorded on the commit before
-``repro.nn`` lost its optimizers, schedules and unused layers. Every
-other digest but ``personalization/cnn`` was recorded on the commit
-where each of these loops still kept its own ``LocalTrainer`` (and SL
-one model clone per user). ``personalization/cnn`` was recorded once
-personalization scored the global model with its own BatchNorm
-statistics instead of those the previous users' fine-tuning had left in
-a shared copy. A mismatch means a trained row, a loss, an accuracy or
-the order of a total moved; regenerate only if that was intended::
+The five schemes' digests were recorded on the commit before
+``repro.nn`` lost its optimizers, schedules and unused layers; the
+others on the commit where each of these loops still kept its own
+``LocalTrainer`` (and SL one model clone per user). A mismatch means a
+trained row, a loss, an accuracy or the order of a total moved;
+regenerate only if that was intended::
 
     PYTHONPATH=src:. python tests/integration/test_local_update_pinned.py
 
@@ -30,20 +26,18 @@ the command above prints them too, for a check by hand.
 """
 
 import hashlib
-import json
 
 import pytest
 
 from repro.experiments.runner import build_environment, run_strategy
 from repro.experiments.settings import ExperimentSettings
 from repro.extensions.async_fl import SemiAsyncConfig, SemiAsyncTrainer
-from repro.extensions.personalization import evaluate_personalization
 from repro.fl.server import FederatedServer
 
 SEED = 7
 
 # The paper's synchronous schemes, each run at ``<scheme>/quick/<regime>``.
-SCHEMES = ("helcfl", "helcfl-nodvfs", "classic", "fedcs", "fedl", "full")
+SCHEMES = ("helcfl", "helcfl-nodvfs", "classic", "fedcs", "fedl")
 
 PINNED = {
     "helcfl/quick/iid": (
@@ -76,12 +70,6 @@ PINNED = {
     "fedl/quick/noniid": (
         "d5dc66d6dad842b44f1be5fbdd57e040ab31bb9a9e7bd4a02c94a0b5f3cda6ac"
     ),
-    "full/quick/iid": (
-        "953e05d6b230e14719349a176273f1f990a5e2954c526d69ae41810cef21ed21"
-    ),
-    "full/quick/noniid": (
-        "221e3b59c5577878a904320f54e185834419866942ffb43fd4124716f7d36f6d"
-    ),
     "sl/quick/iid": (
         "7b48c9cdb74e5b3964a92e8e7c838dc75b830cfd10be9e8dc6a63fb59c5621da"
     ),
@@ -93,12 +81,6 @@ PINNED = {
     ),
     "async/cnn/40": (
         "50bf3d8e66eb1120463d99ccc2b2c49d7d2e5bab22ffe046250d454daa9dd38b"
-    ),
-    "personalization/mlp": (
-        "fa988657b847920b452d2221686e74e5b9b7b50a549edf0aced942c450cf49f6"
-    ),
-    "personalization/cnn": (
-        "9080919d078b76851e9f988ab34b87b420ee68ccc07d2edb6ff20461f7a74e65"
     ),
 }
 
@@ -142,27 +124,6 @@ def async_digest(model: str, updates: int) -> str:
     return sha256(history.to_json())
 
 
-def personalization_digest(model: str) -> str:
-    settings = ExperimentSettings.quick(seed=SEED, model=model)
-    environment = build_environment(settings, iid=False)
-    report = evaluate_personalization(
-        settings.build_model(flattened=settings.uses_flat_inputs),
-        environment.devices,
-        fine_tune_steps=3,
-        max_users=12,
-        seed=SEED,
-    )
-    return sha256(
-        json.dumps(
-            [
-                report.global_accuracies,
-                report.personalized_accuracies,
-                report.device_ids,
-            ]
-        )
-    )
-
-
 def digest(case: str) -> str:
     kind, *rest = case.split("/")
     if kind == "sl" or kind in SCHEMES:
@@ -173,9 +134,7 @@ def digest(case: str) -> str:
             else ExperimentSettings(seed=SEED)
         )
         return run_digest(kind, settings, iid=regime == "iid")
-    if kind == "async":
-        return async_digest(rest[0], int(rest[1]))
-    return personalization_digest(rest[0])
+    return async_digest(rest[0], int(rest[1]))
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))

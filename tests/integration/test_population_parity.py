@@ -7,8 +7,8 @@ seeded random fleets, selection sets, over-selection padding,
 frequency assignments and TDMA timelines must match it to the last
 bit, with and without a seeded fault plan, on every execution
 backend. Every other shipped selection strategy must rank the same
-users its object ``select`` body picked, on the whole fleet and on the
-sub-populations a wrapping strategy hands on.
+users its object ``select`` body picked, on the whole fleet and on
+random sub-populations of it.
 """
 
 import numpy as np
@@ -27,10 +27,8 @@ from repro.baselines.fedcs import FedCsSelection, fedcs_deadline_for_count
 from repro.core.selection import GreedyDecaySelection
 from repro.core.utility import utility_scores
 from repro.data.dataset import ArrayDataset
-from repro.devices.battery import Battery
 from repro.devices.fleet import FleetSpec, make_fleet
 from repro.devices.population import DevicePopulation
-from repro.extensions.battery_aware import BatteryAwareSelection
 from repro.extensions.oort import OortSelection
 from repro.faults import (
     ChannelFault,
@@ -256,47 +254,6 @@ class TestStrategyParity:
             feedback,
         )
         assert strategy.ever_selected == ever_selected
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("round_budget", (False, True))
-    def test_battery_gate_around_greedy_decay(self, seed, round_budget):
-        devices = random_fleet(seed)
-        rng = np.random.default_rng(seed + 3)
-        for device in devices:
-            if rng.random() < 0.8:
-                capacity = 4.0 * (
-                    device.compute_energy()
-                    + device.upload_energy(PAYLOAD, BANDWIDTH)
-                )
-                device.battery = Battery(
-                    capacity, charge_joules=float(rng.uniform(0, capacity))
-                )
-        budget = dict(
-            require_round_budget=round_budget,
-            payload_bits=PAYLOAD,
-            bandwidth_hz=BANDWIDTH,
-        )
-        strategy = BatteryAwareSelection(
-            GreedyDecaySelection(0.2, 0.6, PAYLOAD, BANDWIDTH),
-            devices,
-            min_level=0.4,
-            **budget,
-        )
-        counts = {}
-        assert_strategy_parity(
-            seed,
-            devices,
-            strategy,
-            lambda view: oracle.battery_gate_select(
-                view,
-                lambda eligible: oracle.greedy_decay_select(
-                    eligible, counts, 0.2, PAYLOAD, BANDWIDTH, 0.6
-                ),
-                0.4,
-                **budget,
-            ),
-        )
-        assert strategy.inner.appearance_counts == counts
 
 
 class TestFrequencyParity:

@@ -22,7 +22,6 @@ from repro.data.dataset import ArrayDataset
 from repro.devices.battery import Battery
 from repro.fl.execution import create_backend
 from repro.fl.server import FederatedServer
-from repro.fl.strategy import FullParticipation
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
 from repro.obs import (
@@ -33,6 +32,7 @@ from repro.obs import (
     validate_event,
 )
 from tests.conftest import make_heterogeneous_devices
+from tests.full_participation import FullParticipation
 
 
 def make_setup(num_devices=5, seed=0):

@@ -6,14 +6,13 @@ ops — with none of ``src/``'s array machinery. ``src/`` has exactly one
 scheduler (over :class:`~repro.devices.DevicePopulation`); every parity
 test asserts it is bitwise equal to this file.
 
-The other shipped strategies — random, FedCS, Oort, the battery gate —
-are here as the object ``select(round, devices)`` bodies they had
+The other shipped strategies — random, FedCS, Oort — are here as the object ``select(round, devices)`` bodies they had
 before they ranked population positions; each takes its RNG and
 cross-round state as arguments.
 """
 
 import math
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.devices.device import UserDevice
 from repro.network.tdma import RoundTimeline
@@ -247,30 +246,3 @@ def oort_select(
         chosen.extend(ranked[:remaining])
     ever_selected.update(d.device_id for d in chosen)
     return chosen
-
-
-def battery_gate_select(
-    devices: Sequence[UserDevice],
-    inner: Callable[[Sequence[UserDevice]], List[UserDevice]],
-    min_level: float,
-    require_round_budget: bool = False,
-    payload_bits: Optional[float] = None,
-    bandwidth_hz: Optional[float] = None,
-) -> List[UserDevice]:
-    """The battery gate: ``inner`` over the eligible devices, or over
-    everyone when nobody is eligible."""
-
-    def eligible(device: UserDevice) -> bool:
-        battery = device.battery
-        if battery is None:
-            return True
-        if battery.level < min_level:
-            return False
-        if require_round_budget:
-            worst_case = device.compute_energy() + device.upload_energy(
-                payload_bits, bandwidth_hz
-            )
-            return battery.can_afford(worst_case)
-        return True
-
-    return inner([d for d in devices if eligible(d)] or list(devices))

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.fl.history import TrainingHistory
 
 
 class TestParser:
@@ -126,20 +129,18 @@ class TestCommands:
             ["run", "helcfl", "--quick", "--rounds", "3", "--output",
              str(path)]
         ) == 0
-        from repro.experiments.export import load_history
-
-        history = load_history(path)
-        assert len(history) == 3
+        document = json.loads(path.read_text())
+        assert document["schema"] == "repro.history"
+        assert len(TrainingHistory.from_dict(document["payload"])) == 3
 
     def test_fig2_with_output(self, capsys, tmp_path):
         path = tmp_path / "fig2.json"
         assert main(
             ["fig2", "--quick", "--rounds", "3", "--output", str(path)]
         ) == 0
-        from repro.experiments.export import load_fig2
-
-        result = load_fig2(path)
-        assert "helcfl" in result.histories
+        document = json.loads(path.read_text())
+        assert document["schema"] == "repro.fig2"
+        assert "helcfl" in document["payload"]["histories"]
 
 
 class TestTraceAnalyticsCommands:

@@ -33,7 +33,6 @@ from repro.campaign.runner import truncate_trace
 from repro.campaign.watch import line_round, scan_trace_progress
 from repro.errors import ConfigurationError, ReproError, SerializationError
 from repro.experiments import export
-from repro.experiments.export import load_history
 from repro.faults import FAULT_TYPES, FaultPlan, FaultSpec
 from repro.energy.accounting import EnergyLedger
 from repro.fl.checkpoint import (
@@ -388,10 +387,6 @@ def mid_stream(text):
     return "{0}\n{1}\n{0}\n".format(json.dumps(EVENT), text)
 
 
-def artifact(schema):
-    return lambda payload: {"schema": schema, "version": 1, "payload": payload}
-
-
 def trace_doc(read, **at):
     return Doc(
         SerializationError,
@@ -529,56 +524,6 @@ DOCS = {
         num_at=("runs", 0, "seed"),
         int_at=("runs", 0, "seed"),
         required_at=("runs", 0, "strategy"),
-    ),
-    "export artifact": Doc(
-        SerializationError,
-        HISTORY.to_dict(),
-        load_history,
-        wrap=artifact("repro.history"),
-        list_at=("records", 0, "selected_ids"),
-        num_at=("records", 0, "slack"),
-        int_at=("records", 1, "round_index"),
-        required_at=("records", 0, "frequencies"),
-    ),
-    "export fig2": Doc(
-        SerializationError,
-        {"iid": True, "histories": {"helcfl": HISTORY.to_dict()}},
-        export.load_fig2,
-        wrap=artifact("repro.fig2"),
-        list_at=("histories", "helcfl", "records"),
-        num_at=("histories", "helcfl", "records", 0, "slack"),
-        int_at=("histories", "helcfl", "records", 1, "round_index"),
-        required_at=("iid",),
-    ),
-    # ``delays`` is the one hand-checked field: TestExportArtifacts.
-    "export table1": Doc(
-        SerializationError,
-        {"iid": False, "targets": [0.5, 0.75],
-         "delays": {"helcfl": {"0.5": 12.5, "0.75": None}}},
-        export.load_table1,
-        wrap=artifact("repro.table1"),
-        list_at=("targets",),
-        required_at=("delays",),
-    ),
-    "export fig3": Doc(
-        SerializationError,
-        {
-            "iid": True,
-            "entries": [
-                {"target": 0.5, "energy_with_dvfs": 1.5,
-                 "energy_without_dvfs": 2.0, "reduction_fraction": 0.25},
-                {"target": 0.9, "energy_with_dvfs": None,
-                 "energy_without_dvfs": None, "reduction_fraction": None},
-            ],
-            "dvfs_history": HISTORY.to_dict(),
-            "max_frequency_history": HISTORY.to_dict(),
-        },
-        export.load_fig3,
-        wrap=artifact("repro.fig3"),
-        list_at=("entries",),
-        num_at=("entries", 0, "target"),
-        int_at=("dvfs_history", "records", 0, "round_index"),
-        required_at=("entries", 1, "reduction_fraction"),
     ),
     "trace (load_trace)": trace_doc(
         load_trace, list_at=("selected_ids",), required_at=("selected_ids",)
@@ -885,33 +830,6 @@ class TestHostileTraceLines:
 
 
 class TestExportArtifacts:
-    """What the envelope and Table I's hand-checked ``delays`` refuse."""
-
-    def write(self, tmp_path, **changes):
-        doc = DOCS["export table1"]
-        document = dict(doc.wrap(doc.good), **changes)
-        path = tmp_path / "table1.json"
-        path.write_text(json.dumps(document))
-        return path
-
-    def test_version_is_read_back(self, tmp_path):
-        path = self.write(tmp_path, version=2)
-        with pytest.raises(SerializationError, match=f"{path} has version 2"):
-            export.load_table1(path)
-
-    @pytest.mark.parametrize(
-        "delays",
-        ({"helcfl": [1]}, {"helcfl": {"soon": 1.0}}, {"helcfl": {"0.5": "x"}},
-         {"helcfl": {"0.5": [1]}}),
-    )
-    def test_misshaped_delays_name_the_file_and_path(self, tmp_path, delays):
-        good = DOCS["export table1"].good
-        path = self.write(tmp_path, payload=dict(good, delays=delays))
-        with pytest.raises(BAD) as caught:
-            export.load_table1(path)
-        assert type(caught.value) is SerializationError
-        assert f"{path}.payload.delays" in str(caught.value)
-
     def test_files_are_written_atomically(self, tmp_path, monkeypatch):
         def refuse(source, target):
             raise OSError("disk full")
@@ -952,6 +870,12 @@ def redump(cls):
     return lambda path, out: cls.load(str(path)).save(str(out))
 
 
+def rewrap(cls):
+    """An artifact envelope re-written as ``export`` writes it (no
+    trailing newline); the library no longer reads artifacts back."""
+    return lambda path, out: out.write_text(cls.load(str(path)).to_json())
+
+
 def retrace(path, out):
     assert validate_trace(str(path)) == len(load_trace(str(path)))
     lines = [json.dumps(e.to_dict()) for e in load_trace(str(path)).events]
@@ -974,10 +898,10 @@ PARENT_FILES = {
         SpanSummary.load(str(path)).to_json() + "\n"
     ),
     "trace.jsonl": retrace,
-    "export_history.json": resave(export.load_history, export.save_history),
-    "export_fig2.json": resave(export.load_fig2, export.save_fig2),
-    "export_table1.json": resave(export.load_table1, export.save_table1),
-    "export_fig3.json": resave(export.load_fig3, export.save_fig3),
+    "export_history.json": rewrap(export._HistoryFile),
+    "export_fig2.json": rewrap(export._Fig2File),
+    "export_table1.json": rewrap(export._Table1File),
+    "export_fig3.json": rewrap(export._Fig3File),
 }
 
 
