@@ -22,6 +22,16 @@ def build(name, **kwargs):
 
 
 class TestRegistry:
+    def test_available_names(self):
+        """The registry builds every scheme the runner names but SL
+        (which the runner trains itself); ``full`` is not one."""
+        for name in STRATEGY_NAMES:
+            if name != "sl":
+                selection, policy = build(name)
+                assert selection is not None and policy is not None
+        with pytest.raises(ConfigurationError, match="unknown strategy 'full'"):
+            build("full")
+
     def test_helcfl(self):
         selection, policy = build("helcfl")
         assert isinstance(selection, GreedyDecaySelection)

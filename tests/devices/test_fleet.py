@@ -77,10 +77,11 @@ def spec_with(field, value):
 
 class TestNonFiniteConstants:
     """Neither constructor checks a spec's values again, so a bad
-    constant must stop at the spec, before any energy is computed."""
+    constant must stop at the spec, before any energy is computed.
+    Zero is the boundary: each constant must be strictly positive."""
 
     @pytest.mark.parametrize("constructor", sorted(CONSTRUCTORS))
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
     @pytest.mark.parametrize("field", CONSTANTS)
     def test_refused_before_any_device_is_built(self, field, value, constructor):
         name = field.split("[")[0]

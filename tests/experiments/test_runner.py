@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DeviceError
 from repro.experiments.runner import (
     STRATEGY_NAMES,
     build_environment,
@@ -72,6 +72,31 @@ class TestRunStrategy:
     def test_unknown_strategy_raises(self, quick_settings):
         with pytest.raises(ConfigurationError):
             run_strategy("bogus", quick_settings, iid=True)
+
+    def test_full_participation_is_not_a_scheme(self, quick_settings):
+        assert "full" not in STRATEGY_NAMES
+        with pytest.raises(ConfigurationError, match="full"):
+            run_strategy("full", quick_settings, iid=True)
+
+    # Each constant once ran training to a NaN/inf round energy or a
+    # raw numpy OverflowError; the fleet's spec now refuses it first.
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("switched_capacitance", -1e-28),
+            ("switched_capacitance", float("nan")),
+            ("switched_capacitance", float("inf")),
+            ("transmit_power_w", float("inf")),
+            ("noise_power_w", -1.0),
+            ("cycles_per_sample", float("nan")),
+            ("channel_gain", float("nan")),
+            ("f_max_high_hz", float("nan")),
+        ],
+    )
+    def test_bad_physical_constant_stops_before_round_one(self, field, value):
+        settings = ExperimentSettings.quick(seed=11, rounds=2, **{field: value})
+        with pytest.raises(DeviceError, match="must be finite and positive"):
+            run_strategy("helcfl", settings, iid=True)
 
     def test_labels_applied(self, quick_settings, iid_env):
         history = run_strategy(

@@ -192,6 +192,23 @@ class TestStrategyParity:
         )
 
     @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("fraction", (0.2, 0.5))
+    def test_greedy_decay_on_sub_populations(self, seed, fraction):
+        """Appearance counts carry across rounds whose views differ in
+        size and order; ``N`` is rounded from each view's size."""
+        strategy = GreedyDecaySelection(fraction, 0.6, PAYLOAD, BANDWIDTH)
+        counts = {}
+        assert_strategy_parity(
+            seed,
+            random_fleet(seed),
+            strategy,
+            lambda view: oracle.greedy_decay_select(
+                view, counts, fraction, PAYLOAD, BANDWIDTH, 0.6
+            ),
+        )
+        assert strategy.appearance_counts == counts
+
+    @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(
         "candidate_fraction,max_users", ((None, None), (0.5, None), (None, 3))
     )

@@ -10,14 +10,16 @@ an assigned frequency, a round total, a ledger float or a checkpoint
 key moved — regenerate only if that was intended:
 ``PYTHONPATH=src:. python tests/integration/test_schedule_loop_digest.py``.
 
-``OBJECT_CASES`` pin the same loop for every other shipped strategy
-(random, FedCS, FEDL's policy, Oort with losses fed back) on a
-``make_fleet`` object fleet. Their digests were recorded on the commit
-before those strategies ranked population positions, where each had
-only ``select(round, devices)``: the recording run swapped
-:func:`select_positions` for "call ``select(round_index, devices)``
-and map each picked device to its fleet position", and ran this loop
-otherwise unchanged.
+``OBJECT_CASES`` pin the same loop for every shipped strategy
+(greedy decay, random, FedCS, FEDL's policy, Oort with losses fed back)
+on a ``make_fleet`` object fleet. ``greedy_decay`` took over from the
+removed battery gate's greedy-decay case; its digest was recorded when
+the gate went and is the same on the commit before. The other
+digests were recorded on the commit before those strategies ranked
+population positions, where each had only ``select(round, devices)``:
+the recording run swapped :func:`select_positions` for "call
+``select(round_index, devices)`` and map each picked device to its
+fleet position", and ran this loop otherwise unchanged.
 """
 
 import hashlib
@@ -180,6 +182,14 @@ OBJECT_CASES = {
         HelcflDvfsPolicy(),
         False,
         "75639171cee5d2c00e9835dadd37e465133d7fdecb9fd38318dff2d1af50cd45",
+    ),
+    "greedy_decay": (
+        lambda devices: GreedyDecaySelection(
+            FRACTION, DECAY, PAYLOAD, BANDWIDTH
+        ),
+        HelcflDvfsPolicy(),
+        False,
+        "a58b3af4c47cca6e019507b1cbd0d425ab37f6fcedc591393819a7c7c6067bb9",
     ),
     "oort_losses": (
         lambda devices: OortSelection(FRACTION, PAYLOAD, BANDWIDTH, seed=9),

@@ -21,6 +21,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "bogus"])
 
+    def test_full_participation_is_not_a_choice(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "full"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'full'" in capsys.readouterr().err
+
     def test_common_flags(self):
         args = build_parser().parse_args(
             ["run", "helcfl", "--quick", "--seed", "3", "--rounds", "5",
