@@ -4,7 +4,7 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	pytest tests/ --durations=15
+	PYTHONPATH=src pytest tests/ --durations=15
 
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
@@ -31,10 +31,10 @@ campaign-smoke:
 	PYTHONPATH=src python -m repro campaign status artifacts/campaign-smoke
 
 bench:
-	pytest benchmarks/ --benchmark-only -s
+	PYTHONPATH=src pytest benchmarks/ --benchmark-only -s
 
 bench-artifacts:
-	pytest benchmarks/bench_fig2.py benchmarks/bench_table1.py \
+	PYTHONPATH=src pytest benchmarks/bench_fig2.py benchmarks/bench_table1.py \
 	  benchmarks/bench_fig3.py --benchmark-only -s
 
 examples:

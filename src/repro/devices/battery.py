@@ -9,6 +9,8 @@ shutdown occurs", Section I).
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import DeviceError
 
 __all__ = ["Battery"]
@@ -23,9 +25,9 @@ class Battery:
     """
 
     def __init__(self, capacity_joules: float, charge_joules: float | None = None):
-        if capacity_joules <= 0:
+        if not 0 < capacity_joules < math.inf:
             raise DeviceError(
-                f"capacity_joules must be positive, got {capacity_joules}"
+                f"capacity_joules must be positive and finite, got {capacity_joules}"
             )
         self.capacity_joules = float(capacity_joules)
         if charge_joules is None:

@@ -10,18 +10,19 @@ where each chunk runs:
 
 * :class:`SerialBackend` — the whole selection as one chunk, in the
   calling thread;
-* :class:`ThreadPoolBackend` — chunks across a thread pool with one
-  scratch model per worker thread; numpy releases the GIL inside BLAS
-  calls, so the matmul-heavy forward/backward passes genuinely overlap;
-* :class:`ProcessPoolBackend` — chunks across a process pool whose
-  workers each build their own scratch model and cache the device
-  datasets at pool start-up, so a chunk only ships its device ids, the
-  learning rate and the broadcast vector;
+* :class:`ThreadPoolBackend` — one chunk per worker thread, each with
+  its own scratch model; numpy releases the GIL inside BLAS calls, so
+  the matmul-heavy forward/backward passes genuinely overlap;
+* :class:`ProcessPoolBackend` — one chunk per worker process, forked
+  at ``bind`` with the model and the bound datasets; a round sends each
+  worker one task (ids, learning rate, broadcast vector) over its own
+  pipe and reads one reply (trained rows and losses);
 * ``SharedMemoryProcessPoolBackend`` (:mod:`repro.fl.shm`, registry
-  name ``"process+shm"``) — the process pool plus
-  :class:`~repro.fl.shm.SharedArrayPool`: broadcast and trained
-  parameter vectors travel through ``multiprocessing.shared_memory``
-  blocks, so a round pickles only scalars and device ids per chunk.
+  name ``"process+shm"``) — the same workers, with the broadcast and
+  trained vectors in ``multiprocessing.shared_memory`` blocks.
+
+Pools cut at most one chunk per worker, balanced by ``|D_q|``
+(:func:`_chunk_bounds`).
 
 All backends are *bitwise equivalent*: a client's trained vector
 depends only on the broadcast vector, its own dataset and (for
@@ -37,16 +38,21 @@ in selection order, and returns a :class:`RoundResult` of id, weight
 with no object per client. By default the rows are kept as its
 ``params``; the trainer passes its Eq. 18 fold instead, so no ``(N, P)``
 update matrix is kept: the serial backend trains block by block into one
-reused buffer, the pools fold each chunk as ``map`` yields it, and
-``process+shm`` folds straight from its shared result block.
+reused buffer, and the pools fold each chunk as soon as it arrives,
+while later chunks still train (``process+shm`` straight from its shared
+result block).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
+import signal
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
+from multiprocessing.reduction import ForkingPickler
 from typing import (
     Dict,
     Iterator,
@@ -255,7 +261,7 @@ class ExecutionBackend:
         self._task_samples = []
         try:
             losses = self._run(
-                round_index, global_params, selected, learning_rate, sink or kept
+                round_index, global_params, selected, learning_rate, sink or kept, samples
             )
             if self._task_samples:
                 chunks = [
@@ -276,20 +282,18 @@ class ExecutionBackend:
         selected: Sequence[UserDevice],
         learning_rate: float,
         sink: RowSink,
+        samples: np.ndarray,
     ) -> np.ndarray:
-        """Train ``selected`` into ``sink``; return the losses."""
+        """Train ``selected`` (``|D_q|`` in ``samples``) into ``sink``; return the losses."""
         raise NotImplementedError
 
-    def _collect(self, selected, chunks, results, sink: RowSink) -> np.ndarray:
-        """Hand each pool chunk's ``(rows, losses, sample)`` to ``sink``
-        in map (= selection) order, not completion order, so the fold
-        and the span sequence are deterministic; return the losses."""
-        losses = np.empty(len(selected))
-        for (start, stop), (rows, chunk_losses, sample) in zip(chunks, results):
-            sink.take(start, rows)
-            losses[start:stop] = chunk_losses
-            self._record_chunk(start, stop, sample)
-        return losses
+    def _take_chunk(self, sink, losses, start, stop, rows, chunk_losses, sample) -> None:
+        """Hand a pool chunk to ``sink``; pools call it in selection order,
+        not completion order, so the fold and the span sequence are
+        deterministic."""
+        sink.take(start, rows)
+        losses[start:stop] = chunk_losses
+        self._record_chunk(start, stop, sample)
 
     def _record_chunk(self, start: int, stop: int, sample: Optional[TaskSample]) -> None:
         """Keep the measurement of clients ``start:stop`` for ``run_round`` to emit."""
@@ -334,22 +338,27 @@ def _train_chunk(
     return losses, (end_task_sample(token) if token is not None else None)
 
 
-def _chunk_bounds(
-    task_count: int, workers: Optional[int]
-) -> List[Tuple[int, int]]:
-    """``(start, stop)`` of each contiguous chunk a pool round submits.
+def _chunk_bounds(samples: np.ndarray, workers: int) -> List[Tuple[int, int]]:
+    """``(start, stop)`` of the contiguous chunk each pool worker trains.
 
-    One client per task pays one queue round trip per client, which
-    dominates a 10^4-client round. Chunking preserves result order, so
-    backend parity is unaffected; small rounds keep one client per
-    task so no worker sits idle behind a batch.
+    At most ``workers`` chunks, none empty, together covering the
+    selection in order. Training cost grows with ``|D_q|``, so the cut
+    balances ``samples``: client ``i`` joins chunk ``k`` when the midpoint
+    of its samples in the running total lies in the ``k``-th of
+    ``workers`` equal parts, and a chunk holds at most one part plus one
+    client's samples. Rows do not depend on the cut, so backend parity
+    is unaffected.
     """
-    pool_size = workers or os.cpu_count() or 1
-    size = max(1, min(64, task_count // (pool_size * 4)))
-    return [
-        (start, min(start + size, task_count))
-        for start in range(0, task_count, size)
-    ]
+    weights = np.asarray(samples, dtype=np.float64)
+    if not weights.size:
+        return []
+    if not weights.sum() > 0:
+        weights = np.ones(weights.size)
+    ends = np.cumsum(weights)
+    parts = (ends - weights / 2) * (workers / ends[-1])
+    cuts = np.searchsorted(parts, np.arange(1, workers)).tolist()
+    bounds = zip([0, *cuts], [*cuts, weights.size])
+    return [(start, stop) for start, stop in bounds if stop > start]
 
 
 def _check_workers(workers: Optional[int]) -> Optional[int]:
@@ -373,7 +382,7 @@ class SerialBackend(ExecutionBackend):
         del devices
         self._scratch = model_template.clone()
 
-    def _run(self, round_index, global_params, selected, learning_rate, sink):
+    def _run(self, round_index, global_params, selected, learning_rate, sink, samples):
         losses, sample = _train_chunk(
             self._scratch,
             self._spec,
@@ -389,7 +398,7 @@ class SerialBackend(ExecutionBackend):
 
 
 class ThreadPoolBackend(ExecutionBackend):
-    """Chunks of the selection fan out across a thread pool.
+    """One chunk of the selection per thread of a thread pool.
 
     Each worker thread lazily clones its own scratch model
     (thread-local), so concurrent chunks never share layer buffers,
@@ -434,7 +443,7 @@ class ThreadPoolBackend(ExecutionBackend):
             self._local.scratch = scratch
         return scratch
 
-    def _run(self, round_index, global_params, selected, learning_rate, sink):
+    def _run(self, round_index, global_params, selected, learning_rate, sink, samples):
         if self._pool is None:
             raise TrainingError("ThreadPoolBackend is closed; re-bind it")
         sampling = self._sample_tasks
@@ -455,36 +464,158 @@ class ThreadPoolBackend(ExecutionBackend):
             )
             return rows, losses, sample
 
-        chunks = _chunk_bounds(len(selected), self.workers)
-        return self._collect(selected, chunks, self._pool.map(task, chunks), sink)
+        bounds = _chunk_bounds(samples, self.workers or os.cpu_count() or 1)
+        losses = np.empty(len(selected))
+        for (start, stop), chunk in zip(bounds, self._pool.map(task, bounds)):
+            self._take_chunk(sink, losses, start, stop, *chunk)
+        return losses
 
 
-# -- process-pool worker plumbing (module level for picklability) ------
-_WORKER_STATE: dict = {}
+# -- process-pool workers -------------------------------------------------
+def _worker_loop(pipe, inherited, scratch, spec, datasets, transport, log_level) -> None:
+    """One worker process: train one chunk per task until the ``None`` sentinel.
 
-
-def _process_worker_init(
-    model: Sequential,
-    spec: LocalUpdateSpec,
-    datasets,
-    log_level=None,
-):
-    """Build one worker's scratch model and dataset cache.
-
-    The writes below are the deliberate process-pool initializer
-    pattern: each pool *process* runs this exactly once, before any
-    task, so its copy of ``_WORKER_STATE`` is populated single-threaded
-    and never mutated again. ``log_level`` re-applies the parent's
-    logging configuration inside the worker process, so warnings
-    raised during local updates reach stderr instead of vanishing.
+    All but the tasks arrives once, at fork. ``inherited`` are the
+    parent's pipe ends a fork copies (this worker's own too); closed, a
+    dead parent reads as end-of-file. Ctrl-C is the parent's to handle,
+    and a failure goes back as the reply.
     """
+    for end in inherited:
+        end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     if log_level is not None:
         from repro.obs import configure_logging
 
         configure_logging(log_level)
-    _WORKER_STATE["scratch"] = model
-    _WORKER_STATE["spec"] = spec
-    _WORKER_STATE["datasets"] = datasets
+    try:
+        for task in iter(pipe.recv, None):
+            try:
+                reply = True, _worker_task(task, scratch, spec, datasets, transport)
+            except Exception as error:
+                reply = False, error
+            try:
+                _send_reply(pipe, reply)
+            except Exception as error:  # the reply does not pickle; no byte was sent
+                _send_reply(pipe, (False, TrainingError(f"worker reply does not pickle: {error!r}")))
+    except (EOFError, OSError):
+        pass  # the parent is gone
+
+
+def _send_reply(pipe, reply) -> None:
+    """Send ``reply``, its arrays' bytes as raw messages after it: a row
+    block copied into a pickle and out again costs four times as much."""
+    buffers: list = []
+    head = pickle.dumps(reply, protocol=5, buffer_callback=buffers.append)
+    pipe.send((head, [buffer.raw().nbytes for buffer in buffers]))
+    for buffer in buffers:
+        pipe.send_bytes(buffer.raw())
+
+
+def _recv_reply(pipe):
+    """The reply :func:`_send_reply` sent; its arrays are writable."""
+    head, sizes = pipe.recv()
+    buffers = [np.empty(size, dtype=np.uint8) for size in sizes]
+    for buffer in buffers:
+        pipe.recv_bytes_into(buffer)
+    return pickle.loads(head, buffers=buffers)
+
+
+def _worker_task(task, scratch, spec, datasets, transport):
+    """Train one task's chunk into the reply ``(rows or None, losses, sample)``.
+
+    ``shipped`` holds the datasets of devices that joined after ``bind``;
+    the chunk's views of the transport die with the call.
+    """
+    round_index, learning_rate, params, first_slot, device_ids, shipped, sample = task
+    clients = [
+        _WorkerClient(i, shipped[i] if i in shipped else datasets[i]) for i in device_ids
+    ]
+    start_params, rows, replied = transport.open(params, first_slot, len(clients))
+    losses, taken = _train_chunk(
+        scratch, spec, round_index, learning_rate, start_params, clients, rows, sample
+    )
+    return replied, losses, taken
+
+
+class _Workers:
+    """``count`` worker processes, forked once, each on its own pipe.
+
+    A round sends worker ``k`` exactly one task and reads exactly one
+    reply; the parent runs no thread of its own.
+    """
+
+    def __init__(self, count: int, state: tuple) -> None:
+        self._pipes: list = []
+        self._processes: List[multiprocessing.Process] = []
+        for _ in range(count):
+            ours, theirs = multiprocessing.Pipe()
+            process = multiprocessing.Process(
+                target=_worker_loop,
+                args=(theirs, (*self._pipes, ours), *state),
+                name="repro-client",
+                daemon=True,
+            )
+            process.start()
+            theirs.close()
+            self._pipes.append(ours)
+            self._processes.append(process)
+
+    def __len__(self) -> int:
+        return len(self._processes)
+
+    def round(self, tasks: Sequence[tuple], take) -> None:
+        """Send task ``k`` to worker ``k``; hand each reply to ``take(k, reply)``.
+
+        Replies are handed over in worker order as they arrive, and all
+        are read even after a failure, so the pipes stay in step; the
+        first failure (the worker's, or ``take``'s) is raised after the
+        last reply. A worker that died, or an exchange cut short
+        (Ctrl-C), ends the set: every worker is reaped, the set is empty.
+        """
+        payloads = [ForkingPickler.dumps(task).tobytes() for task in tasks]
+        failure, k = None, 0
+        try:
+            for k, payload in enumerate(payloads):
+                self._pipes[k].send_bytes(payload)
+            for k in range(len(payloads)):
+                ok, reply = _recv_reply(self._pipes[k])
+                if failure is None:
+                    try:
+                        if not ok:
+                            raise reply
+                        take(k, reply)
+                    except Exception as error:
+                        failure = error
+        except (EOFError, OSError):
+            dead = self._processes[k]
+            self.close(terminate=True)
+            raise TrainingError(
+                f"client worker pid {dead.pid} died (exit code {dead.exitcode})"
+            ) from None
+        except BaseException:
+            self.close(terminate=True)  # the pipes are out of step
+            raise
+        if failure is not None:
+            raise failure
+
+    def close(self, terminate: bool = False) -> None:
+        """Stop and reap every worker: the sentinel (SIGTERM after a grace
+        period), or SIGTERM at once if ``terminate``."""
+        for pipe, process in zip(self._pipes, self._processes):
+            if terminate:
+                process.terminate()
+                continue
+            try:
+                pipe.send(None)
+            except OSError:
+                pass  # already dead: the join reaps it
+        for pipe, process in zip(self._pipes, self._processes):
+            process.join(timeout=10.0)
+            if process.exitcode is None:
+                process.terminate()
+                process.join()
+            pipe.close()
+        self._pipes, self._processes = [], []
 
 
 class _WorkerClient(NamedTuple):
@@ -499,117 +630,111 @@ def _chunk_clients(
 ) -> Tuple[List[int], Dict[int, ArrayDataset]]:
     """A chunk as a pool task carries it: ids, plus unbound datasets.
 
-    Devices bound at pool start-up travel as their id alone; one that
-    joined later ships its dataset with the task.
+    Devices bound at ``bind`` travel as their id alone; one that joined
+    later ships its dataset with the task.
     """
-    return (
-        [device.device_id for device in devices],
-        {
-            device.device_id: device.dataset
-            for device in devices
-            if device.device_id not in known_ids
-        },
-    )
+    ids = [device.device_id for device in devices]
+    return ids, {d.device_id: d.dataset for d in devices if d.device_id not in known_ids}
 
 
-def _worker_clients(
-    device_ids: Sequence[int],
-    shipped: Dict[int, ArrayDataset],
-    datasets: Dict[int, ArrayDataset],
-) -> List[_WorkerClient]:
-    """Resolve a task's device ids against the worker's dataset cache."""
-    return [
-        _WorkerClient(
-            device_id,
-            shipped[device_id] if device_id in shipped else datasets[device_id],
-        )
-        for device_id in device_ids
-    ]
+class _PickledRows:
+    """A ``process`` worker's transport: the broadcast vector comes with
+    the task and the trained rows go back pickled in the reply."""
 
-
-def _process_worker_run(task):
-    """Train one chunk; returns ``(rows, losses, sample)``."""
-    round_index, learning_rate, global_params, device_ids, shipped, sample = task
-    clients = _worker_clients(device_ids, shipped, _WORKER_STATE["datasets"])
-    rows = np.empty((len(clients), np.size(global_params)))
-    # The resource sample is taken in the *worker* process, then rides
-    # home with the result for the parent to emit. The trained rows are
-    # pickled back: the zero-copy route is repro.fl.shm.
-    losses, taken = _train_chunk(
-        _WORKER_STATE["scratch"],
-        _WORKER_STATE["spec"],
-        round_index,
-        learning_rate,
-        global_params,
-        clients,
-        rows,
-        sample,
-    )
-    return rows, losses, taken
+    @staticmethod
+    def open(global_params, first_slot, count):
+        """The start vector, the chunk's rows, and what the reply carries."""
+        rows = np.empty((count, np.size(global_params)))
+        return global_params, rows, rows
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Chunks of the selection fan out across a process pool.
+    """One chunk of the selection per worker process.
 
-    The pool initializer ships the model template, the local-update
-    spec, and every bound device's dataset to each worker exactly once;
-    a round's tasks then carry only device ids, the learning rate and
-    the broadcast vector, one task per contiguous chunk. Devices that
-    appear at run time without having been bound fall back to shipping
-    their dataset with the task.
+    ``bind`` forks the workers with the model template, the local-update
+    spec and every bound device's dataset; a round's tasks then carry
+    only device ids, the learning rate and the broadcast vector, one
+    contiguous chunk per worker. Devices that appear at run time without
+    having been bound fall back to shipping their dataset with the task.
+
+    A worker that raises leaves the backend usable: the round raises its
+    error once every other reply is in. A worker that dies ends the
+    backend: the round raises :class:`TrainingError` naming its pid and
+    exit code, and every worker is reaped.
 
     Args:
-        workers: pool size; ``None`` uses ``os.cpu_count()``.
+        workers: number of worker processes; ``None`` uses ``os.cpu_count()``.
         log_level: when given, each worker process re-applies this
-            logging level at pool start-up so worker-side warnings
+            logging level when it starts, so worker-side warnings
             surface on stderr.
     """
 
     name = "process"
 
-    def __init__(
-        self, workers: Optional[int] = None, log_level=None
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None, log_level=None) -> None:
         super().__init__()
         self.workers = _check_workers(workers)
         self.log_level = log_level
-        self._pool = None
+        self._pool: Optional[_Workers] = None
         self._known_ids: set = set()
 
     def _bind(self, model_template, spec, devices) -> None:
-        from concurrent.futures import ProcessPoolExecutor
-
         self.close()
         datasets = {d.device_id: d.dataset for d in devices}
         self._known_ids = set(datasets)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_process_worker_init,
-            initargs=(model_template.clone(), spec, datasets, self.log_level),
+        transport = self._transport(model_template.parameter_count)
+        self._pool = _Workers(
+            self.workers or os.cpu_count() or 1,
+            (model_template.clone(), spec, datasets, transport, self.log_level),
         )
+
+    def _transport(self, param_count: int):
+        """The workers' side of the parameter traffic."""
+        return _PickledRows()
+
+    def _send_params(self, global_params: np.ndarray, count: int):
+        """What a task carries for the broadcast vector of ``count`` clients."""
+        return global_params
+
+    def _rows(self, start: int, stop: int, replied, sink: RowSink) -> np.ndarray:
+        """The trained rows of clients ``start:stop``, as the reply brought them."""
+        return replied
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.close()
             self._pool = None
 
-    def _run(self, round_index, global_params, selected, learning_rate, sink):
+    def _run(self, round_index, global_params, selected, learning_rate, sink, samples):
         if self._pool is None:
-            raise TrainingError("ProcessPoolBackend is closed; re-bind it")
-        chunks = _chunk_bounds(len(selected), self.workers)
+            raise TrainingError(f"{type(self).__name__} is closed; re-bind it")
+        bounds = _chunk_bounds(samples, len(self._pool))
+        params = self._send_params(global_params, len(selected))
         tasks = [
             (
                 round_index,
                 learning_rate,
-                global_params,
+                params,
+                start,
                 *_chunk_clients(selected[start:stop], self._known_ids),
                 self._sample_tasks,
             )
-            for start, stop in chunks
+            for start, stop in bounds
         ]
-        return self._collect(
-            selected, chunks, self._pool.map(_process_worker_run, tasks), sink
-        )
+        losses = np.empty(len(selected))
+
+        def take(k: int, reply) -> None:
+            start, stop = bounds[k]
+            rows, chunk_losses, sample = reply
+            rows = self._rows(start, stop, rows, sink)
+            self._take_chunk(sink, losses, start, stop, rows, chunk_losses, sample)
+
+        try:
+            self._pool.round(tasks, take)
+        finally:
+            if not len(self._pool):  # the workers are gone: release the rest too
+                self.close()
+        return losses
 
 
 # ----------------------------------------------------------------------

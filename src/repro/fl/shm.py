@@ -1,28 +1,26 @@
 """Zero-copy shared-memory transport for the process-pool backend.
 
 :class:`ProcessPoolBackend` pickles the broadcast flat vector into every
-task and pickles every trained vector back — ``2 * Q * P * 8`` bytes of
-serialization per round for ``Q`` selected clients and ``P`` parameters.
-This module removes both copies:
+task and sends every trained vector back through a pipe — ``2 * Q * P *
+8`` bytes through pipes per round for ``Q`` selected clients and ``P``
+parameters. This module removes both and keeps the rest of that backend
+(workers, chunks, failure handling):
 
-* the trainer writes the broadcast vector once into a shared
+* the parent writes the broadcast vector once per round into a shared
   ``multiprocessing.shared_memory`` block; workers map it read-only;
-* each worker trains one contiguous chunk of the selection and writes
+* each worker trains its contiguous chunk of the selection and writes
   the results directly into that chunk's slot range of a shared result
   block;
 * a task therefore carries only scalars and device ids —
   ``(round_index, learning_rate, result_block_name, first_slot,
-  device_ids, ...)`` — and a result only the chunk's losses.
-
-Datasets stay resident in worker state across rounds exactly as in the
-plain process pool.
+  device_ids, ...)`` — and a reply only the chunk's losses.
 
 Lifecycle: :class:`SharedArrayPool` creates the broadcast block when the
 backend binds, grows the result block on demand (generation-numbered
 names, old generations unlinked immediately), and unlinks everything on
-``close()``. ``__del__`` and an ``atexit`` hook unlink best-effort so an
-abandoned backend cannot leak ``/dev/shm`` segments past interpreter
-exit.
+``close()`` — also when a dead worker closed the backend. ``__del__``
+and an ``atexit`` hook unlink best-effort so an abandoned backend cannot
+leak ``/dev/shm`` segments past interpreter exit.
 """
 
 from __future__ import annotations
@@ -31,23 +29,13 @@ import atexit
 import itertools
 import os
 from multiprocessing import shared_memory
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from repro.devices.device import UserDevice
 from repro.errors import ConfigurationError, TrainingError
-from repro.fl.execution import (
-    ExecutionBackend,
-    LocalUpdateSpec,
-    _check_workers,
-    _chunk_bounds,
-    _chunk_clients,
-    _KeptRows,
-    _train_chunk,
-    _worker_clients,
-)
-from repro.nn.model import Sequential
+from repro.fl.client import RowSink
+from repro.fl.execution import ProcessPoolBackend, _KeptRows
 
 __all__ = ["SharedArrayPool", "SharedMemoryProcessPoolBackend"]
 
@@ -184,121 +172,58 @@ class SharedArrayPool:
             pass
 
 
-# -- worker plumbing (module level for picklability) -------------------
-_SHM_WORKER_STATE: dict = {}
+class _SharedRows:
+    """A ``process+shm`` worker's transport: the broadcast vector and the
+    trained rows stay in the parent's shared blocks.
 
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach (and cache) a parent-owned shared block by name.
-
-    Attaching normally registers the segment with the resource tracker,
+    Attaching normally registers a segment with the resource tracker,
     which would make worker exits unlink (or warn about) blocks they
     merely mapped (CPython issue bpo-38119). The parent alone owns
     unlinking, so registration is suppressed for the duration of the
     attach (Python 3.13's ``track=False``, backported by monkeypatch).
     """
-    cache = _SHM_WORKER_STATE["segments"]
-    segment = cache.get(name)
-    if segment is None:
-        from multiprocessing import resource_tracker
 
-        original_register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original_register
-        cache[name] = segment
-    return segment
+    def __init__(self, broadcast_name: str, param_count: int) -> None:
+        self.broadcast_name = broadcast_name
+        self.param_count = param_count
+        self._segments: dict = {}
 
+    def _attach(self, name: str) -> shared_memory.SharedMemory:
+        """Map (once) the parent-owned block ``name``; forget superseded ones."""
+        segment = self._segments.get(name)
+        if segment is None:
+            from multiprocessing import resource_tracker
 
-def _prune_stale_results(current_name: str) -> None:
-    """Drop cached mappings of superseded result-block generations."""
-    cache = _SHM_WORKER_STATE["segments"]
-    stale = [
-        name
-        for name in cache
-        if name != current_name
-        and name != _SHM_WORKER_STATE["broadcast_name"]
-    ]
-    for name in stale:
-        try:
-            cache.pop(name).close()
-        except Exception:
-            pass
+            original_register = resource_tracker.register
+            resource_tracker.register = lambda *args, **kwargs: None
+            try:
+                segment = shared_memory.SharedMemory(name=name)
+            finally:
+                resource_tracker.register = original_register
+            for stale in set(self._segments) - {self.broadcast_name}:
+                self._segments.pop(stale).close()
+            self._segments[name] = segment
+        return segment
 
-
-def _shm_worker_init(
-    model: Sequential,
-    spec: LocalUpdateSpec,
-    datasets: dict,
-    broadcast_name: str,
-    param_count: int,
-    log_level=None,
-) -> None:
-    """Build one worker's scratch model, dataset cache, and shm state.
-
-    Deliberate process-pool initializer pattern: each pool *process*
-    runs this exactly once, before any task, so its copy of
-    ``_SHM_WORKER_STATE`` is populated single-threaded. ``log_level``
-    re-applies the parent's logging configuration so worker-side
-    warnings surface on stderr.
-    """
-    if log_level is not None:
-        from repro.obs import configure_logging
-
-        configure_logging(log_level)
-    _SHM_WORKER_STATE["scratch"] = model
-    _SHM_WORKER_STATE["spec"] = spec
-    _SHM_WORKER_STATE["datasets"] = datasets
-    _SHM_WORKER_STATE["broadcast_name"] = broadcast_name
-    _SHM_WORKER_STATE["param_count"] = param_count
-    _SHM_WORKER_STATE["segments"] = {}
+    def open(self, result_name: str, first_slot: int, count: int):
+        """The broadcast vector (read-only), the chunk's result rows, and
+        no rows for the reply: they are already in the result block."""
+        size = self.param_count
+        global_params = np.ndarray(
+            (size,), dtype=np.float64, buffer=self._attach(self.broadcast_name).buf
+        )
+        global_params.flags.writeable = False
+        rows = np.ndarray(
+            (count, size),
+            dtype=np.float64,
+            buffer=self._attach(result_name).buf,
+            offset=first_slot * size * _FLOAT_BYTES,
+        )
+        return global_params, rows, None
 
 
-def _shm_worker_run(task):
-    """Train one chunk; parameters move only through shared memory."""
-    (
-        round_index,
-        learning_rate,
-        result_name,
-        first_slot,
-        device_ids,
-        shipped,
-        sample,
-    ) = task
-    state = _SHM_WORKER_STATE
-    clients = _worker_clients(device_ids, shipped, state["datasets"])
-    count = state["param_count"]
-    broadcast = _attach_segment(state["broadcast_name"])
-    global_params = np.ndarray(
-        (count,), dtype=np.float64, buffer=broadcast.buf
-    )
-    global_params.flags.writeable = False
-    result = _attach_segment(result_name)
-    _prune_stale_results(result_name)
-    slots = np.ndarray(
-        (len(clients), count),
-        dtype=np.float64,
-        buffer=result.buf,
-        offset=first_slot * count * _FLOAT_BYTES,
-    )
-    # The resource sample is taken in the *worker* process and returns
-    # with the chunk's losses; parameters stay in shared memory.
-    return _train_chunk(
-        state["scratch"],
-        state["spec"],
-        round_index,
-        learning_rate,
-        global_params,
-        clients,
-        slots,
-        sample,
-    )
-
-
-class SharedMemoryProcessPoolBackend(ExecutionBackend):
-    """Process pool whose parameter traffic runs through shared memory.
+class SharedMemoryProcessPoolBackend(ProcessPoolBackend):
+    """The process pool whose parameter traffic runs through shared memory.
 
     Bitwise equivalent to every other backend: workers read the exact
     broadcast float64 vector the parent wrote and the parent reads back
@@ -306,88 +231,33 @@ class SharedMemoryProcessPoolBackend(ExecutionBackend):
     history and ledger.
 
     Args:
-        workers: pool size; ``None`` uses ``os.cpu_count()``.
+        workers: number of worker processes; ``None`` uses ``os.cpu_count()``.
         log_level: when given, each worker process re-applies this
-            logging level at pool start-up.
+            logging level when it starts.
     """
 
     name = "process+shm"
 
-    def __init__(
-        self, workers: Optional[int] = None, log_level=None
-    ) -> None:
-        super().__init__()
-        self.workers = _check_workers(workers)
-        self.log_level = log_level
-        self._pool = None
+    def __init__(self, workers: Optional[int] = None, log_level=None) -> None:
+        super().__init__(workers, log_level)
         self._shm: Optional[SharedArrayPool] = None
-        self._known_ids: set = set()
 
-    def _bind(
-        self,
-        model_template: Sequential,
-        spec: LocalUpdateSpec,
-        devices: Sequence[UserDevice],
-    ) -> None:
-        from concurrent.futures import ProcessPoolExecutor
+    def _transport(self, param_count: int) -> _SharedRows:
+        self._shm = SharedArrayPool(param_count)
+        return _SharedRows(self._shm.broadcast_name, param_count)
 
-        self.close()
-        datasets = {d.device_id: d.dataset for d in devices}
-        self._known_ids = set(datasets)
-        self._shm = SharedArrayPool(model_template.parameter_count)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_shm_worker_init,
-            initargs=(
-                model_template.clone(),
-                spec,
-                datasets,
-                self._shm.broadcast_name,
-                self._shm.param_count,
-                self.log_level,
-            ),
-        )
+    def _send_params(self, global_params: np.ndarray, count: int) -> str:
+        self._shm.broadcast_view()[...] = np.asarray(global_params, dtype=np.float64).ravel()
+        return self._shm.ensure_result_slots(count)
+
+    def _rows(self, start: int, stop: int, replied, sink: RowSink) -> np.ndarray:
+        rows = self._shm.result_view(stop)[start:stop]
+        # A sink that keeps rows gets a copy: the shared block is reused
+        # next round. The trainer's fold reads it in place.
+        return rows.copy() if isinstance(sink, _KeptRows) else rows
 
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        super().close()
         if self._shm is not None:
             self._shm.close()
             self._shm = None
-
-    def _run(self, round_index, global_params, selected, learning_rate, sink):
-        if self._pool is None:
-            raise TrainingError(
-                "SharedMemoryProcessPoolBackend is closed; re-bind it"
-            )
-        if not selected:
-            return np.empty(0)
-        shm = self._shm
-        shm.broadcast_view()[...] = np.asarray(
-            global_params, dtype=np.float64
-        ).ravel()
-        result_name = shm.ensure_result_slots(len(selected))
-        bounds = _chunk_bounds(len(selected), self.workers)
-        tasks = [
-            (
-                round_index,
-                learning_rate,
-                result_name,
-                start,
-                *_chunk_clients(selected[start:stop], self._known_ids),
-                self._sample_tasks,
-            )
-            for start, stop in bounds
-        ]
-        view = shm.result_view(len(selected))
-        # A sink that keeps rows gets a copy: the shared block is reused
-        # next round. The trainer's fold reads it in place.
-        copy = isinstance(sink, _KeptRows)
-        results = (
-            (view[start:stop].copy() if copy else view[start:stop], *chunk)
-            for (start, stop), chunk in zip(
-                bounds, self._pool.map(_shm_worker_run, tasks)
-            )
-        )
-        return self._collect(selected, bounds, results, sink)

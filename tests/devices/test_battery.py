@@ -56,3 +56,9 @@ class TestBattery:
             Battery(10.0).drain(-1.0)
         with pytest.raises(DeviceError):
             Battery(10.0).recharge(-1.0)
+
+    @pytest.mark.parametrize("capacity", [float("inf"), float("nan"), -1.0])
+    def test_non_finite_or_negative_capacity_rejected(self, capacity):
+        # An infinite capacity would read as a NaN level (inf / inf).
+        with pytest.raises(DeviceError, match="positive and finite"):
+            Battery(capacity)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.classic import RandomSelection
 from repro.data.dataset import ArrayDataset
@@ -15,6 +17,7 @@ from repro.fl.execution import (
     RoundResult,
     SerialBackend,
     ThreadPoolBackend,
+    _chunk_bounds,
     create_backend,
 )
 from repro.fl.server import FederatedServer
@@ -152,6 +155,45 @@ class TestRegistry:
             SerialBackend().run_round(1, np.zeros(3), [], 0.1)
 
 
+class TestChunkBounds:
+    """At most one contiguous chunk per worker, balanced by ``|D_q|``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(st.integers(0, 500), min_size=1, max_size=60),
+        workers=st.integers(1, 8),
+    )
+    def test_contiguous_covering_and_balanced(self, samples, workers):
+        bounds = _chunk_bounds(np.array(samples), workers)
+        assert len(bounds) <= workers
+        assert all(stop > start for start, stop in bounds)
+        assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+        assert bounds[-1][1] == len(samples)
+        weights = np.array(samples, dtype=float) if sum(samples) else np.ones(len(samples))
+        share = weights.sum() / workers
+        for start, stop in bounds:
+            assert weights[start:stop].sum() <= share + weights.max()
+
+    def test_empty_selection_has_no_chunk(self):
+        assert _chunk_bounds(np.empty(0, np.int64), 3) == []
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_fewer_clients_than_workers(self, count):
+        bounds = _chunk_bounds(np.full(count, 40), 3)
+        assert bounds == [(i, i + 1) for i in range(count)]
+
+    def test_cut_follows_samples_not_counts(self):
+        # One client holds half the samples: it trains alone.
+        assert _chunk_bounds(np.array([90, 10, 10, 10, 10, 10, 10, 10, 10, 10]), 2) == [
+            (0, 1),
+            (1, 10),
+        ]
+        assert _chunk_bounds(np.full(12, 7), 3) == [(0, 4), (4, 8), (8, 12)]
+
+    def test_empty_datasets_split_by_count(self):
+        assert _chunk_bounds(np.zeros(4, np.int64), 2) == [(0, 2), (2, 4)]
+
+
 def make_setup(num_devices=10, seed=3, fleet="equal"):
     devices = make_heterogeneous_devices(num_devices, seed=seed)
     if fleet == "dirichlet":
@@ -213,9 +255,9 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("make_backend", POOLS)
     def test_unequal_shard_parity(self, make_backend):
-        # A Dirichlet fleet, large enough that pool chunks hold three
-        # clients: each chunk groups its clients by shard size, and the
-        # serial backend groups the whole selection.
+        # A Dirichlet fleet, cut into one chunk per worker by |D_q|:
+        # each chunk groups its clients by shard size, and the serial
+        # backend groups the whole selection.
         kwargs = dict(fleet="dirichlet", num_devices=60, local_steps=2)
         serial = run_with_backend(SerialBackend(), **kwargs)
         pooled = run_with_backend(make_backend(workers=2), **kwargs)
@@ -246,6 +288,27 @@ class TestBackendParity:
         backend.close()
         with pytest.raises(TrainingError):
             backend.run_round(1, server.broadcast(), devices[:2], 0.1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["process", "process+shm"])
+    def test_rounds_equal_serial_bit_for_bit(self, name, workers):
+        # Round 2 selects fewer clients than there are workers.
+        server, devices = make_setup(num_devices=12, fleet="dirichlet")
+        spec = LocalUpdateSpec(seed=7)
+        serial = SerialBackend()
+        serial.bind(server.model, spec, devices)
+        params = server.broadcast()
+        with create_backend(name, workers=workers) as backend:
+            backend.bind(server.model, spec, devices)
+            for round_index, selected in enumerate(
+                (devices, devices[5:7], devices[::-2]), start=1
+            ):
+                want = serial.run_round(round_index, params, selected, 0.2)
+                got = backend.run_round(round_index, params, selected, 0.2)
+                assert got.device_ids.tolist() == want.device_ids.tolist()
+                assert got.losses.tobytes() == want.losses.tobytes()
+                assert np.stack(got.params).tobytes() == np.stack(want.params).tobytes()
+                params = np.mean(want.params, axis=0)
 
     def test_process_backend_handles_unbound_device(self):
         # A device that joins after bind ships its dataset with the task.
@@ -278,11 +341,14 @@ class TestTaskSpans:
         ]
         assert set(ends) == set(samples) == {e.span_id for e in starts}
         # Devices of one chunk share its pid and tile its interval with
-        # equal shares; 40 devices over 2 workers make chunks of 5
-        # (serial: one chunk of 40).
-        size = 40 if name == "serial" else 5
-        for first in range(0, 40, size):
-            chunk = starts[first : first + size]
+        # equal shares; a pool cuts one chunk per worker (serial: one
+        # chunk of 40).
+        weights = np.array([d.num_samples for d in devices])
+        bounds = [(0, 40)] if name == "serial" else _chunk_bounds(weights, 2)
+        assert len(bounds) == (1 if name == "serial" else 2)
+        for first, stop in bounds:
+            size = stop - first
+            chunk = starts[first:stop]
             shares = [ends[e.span_id].duration_s for e in chunk]
             assert len({e.pid for e in chunk}) == 1
             assert shares == [shares[0]] * size

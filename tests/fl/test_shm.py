@@ -2,12 +2,16 @@
 
 Covers the :class:`~repro.fl.shm.SharedArrayPool` unit behaviour, the
 backend's shared-segment lifecycle (everything unlinked on ``close()``,
-re-bindable afterwards, no leak when a worker raises mid-round), and
-bitwise parity against the serial backend — with and without a seeded
-fault plan — down to the energy ledger.
+re-bindable afterwards, no leak when a worker raises mid-round), what
+both process backends do when a worker raises or dies, and bitwise
+parity against the serial backend — with and without a seeded fault
+plan — down to the energy ledger.
 """
 
-from multiprocessing import shared_memory
+import os
+import signal
+import time
+from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
 import pytest
@@ -34,6 +38,39 @@ def segment_exists(name):
         return False
     segment.close()
     return True
+
+
+def own_children():
+    """Pids of this process's children, zombies included; multiprocessing's
+    resource tracker, which lives until the interpreter exits, excepted."""
+    tracker = getattr(resource_tracker._resource_tracker, "_pid", None)
+    children = set()
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and int(entry) != tracker:
+            try:
+                with open(f"/proc/{entry}/stat", encoding="ascii", errors="replace") as handle:
+                    parent = int(handle.read().rsplit(")", 1)[-1].split()[1])
+            except OSError:
+                continue  # exited while we were looking
+            if parent == os.getpid():
+                children.add(int(entry))
+    return children
+
+
+def own_segments():
+    """Shared-memory segments named after this process."""
+    return {name for name in os.listdir("/dev/shm") if name.startswith(f"repro{os.getpid()}x")}
+
+
+def wait_until_dead(pid, timeout_s=10.0):
+    """Wait until ``pid`` is a zombie: dead, its pipe ends closed, not reaped."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as handle:
+            if handle.read().rsplit(")", 1)[-1].split()[0] == "Z":
+                return
+        time.sleep(0.01)
+    raise AssertionError(f"pid {pid} still alive after {timeout_s} s")
 
 
 def make_setup(num_devices=8, seed=3):
@@ -206,6 +243,70 @@ class TestBackendLifecycle:
             ]
         finally:
             backend.close()
+
+
+PROCESS_BACKENDS = ["process", "process+shm"]
+
+
+@pytest.mark.skipif(
+    not (os.path.isdir("/proc") and os.path.isdir("/dev/shm")),
+    reason="reads children from /proc and segments from /dev/shm",
+)
+class TestWorkerFailures:
+    @pytest.mark.parametrize("name", PROCESS_BACKENDS)
+    def test_killed_worker_raises_and_leaves_nothing(self, name):
+        children, segments = own_children(), own_segments()
+        server, devices = make_setup(num_devices=4)
+        backend = create_backend(name, workers=2)
+        try:
+            backend.bind(server.model, LocalUpdateSpec(), devices)
+            backend.run_round(1, server.broadcast(), devices, 0.1)
+            victim = backend._pool._processes[1].pid
+            os.kill(victim, signal.SIGKILL)
+            wait_until_dead(victim)
+            with pytest.raises(TrainingError, match=rf"pid {victim} died \(exit code -9\)"):
+                backend.run_round(2, server.broadcast(), devices, 0.1)
+            assert own_children() - children == set()
+            assert own_segments() - segments == set()
+            with pytest.raises(TrainingError, match="closed"):
+                backend.run_round(3, server.broadcast(), devices, 0.1)
+        finally:
+            backend.close()
+
+    @pytest.mark.parametrize("name", PROCESS_BACKENDS)
+    def test_round_after_a_failed_round_equals_serial(self, name):
+        server, devices = make_setup(num_devices=6)
+        spec = LocalUpdateSpec(seed=7)
+        serial = SerialBackend()
+        serial.bind(server.model, spec, devices)
+        empty = make_device(device_id=99, num_samples=0)
+        with create_backend(name, workers=2) as backend:
+            backend.bind(server.model, spec, devices)
+            with pytest.raises(TrainingError, match="empty dataset"):
+                backend.run_round(1, server.broadcast(), [empty, *devices], 0.2)
+            want = serial.run_round(2, server.broadcast(), devices, 0.2)
+            got = backend.run_round(2, server.broadcast(), devices, 0.2)
+        assert got.losses.tobytes() == want.losses.tobytes()
+        assert np.stack(got.params).tobytes() == np.stack(want.params).tobytes()
+
+    @pytest.mark.parametrize("name", PROCESS_BACKENDS)
+    def test_first_failure_in_selection_order_is_raised(self, name):
+        # The |D_q| cut puts the two failing clients in different chunks:
+        # an empty dataset (TrainingError) and a 5-feature one (ShapeError).
+        server, devices = make_setup(num_devices=2)
+        empty = make_device(device_id=99, num_samples=0)
+        wide = make_device(device_id=98, input_dim=5)
+        with create_backend(name, workers=2) as backend:
+            backend.bind(server.model, LocalUpdateSpec(), devices)
+            for selected, expected in (
+                ([empty, *devices, wide], TrainingError),
+                ([wide, *devices, empty], ValueError),
+            ):
+                with pytest.raises(Exception) as raised:
+                    backend.run_round(1, server.broadcast(), selected, 0.1)
+                assert isinstance(raised.value, expected)
+                assert isinstance(raised.value, TrainingError) == (expected is TrainingError)
+            assert len(backend.run_round(2, server.broadcast(), devices, 0.1)) == 2
 
 
 class TestParity:

@@ -26,6 +26,12 @@ SETTINGS = ExperimentSettings.quick(
 )
 
 
+BATTERY_ROUNDS = 8.0
+"""Battery capacity in worst-case rounds (``f_max`` compute plus a full
+upload). A device is selected about 10 times in the 25 rounds, so
+batteries run out in the second half and updates are dropped."""
+
+
 def build_everything_on(settings):
     """A fresh environment with finite batteries, and the trainer."""
     environment = build_environment(settings, iid=False)
@@ -33,7 +39,7 @@ def build_everything_on(settings):
         per_round = device.compute_energy() + device.upload_energy(
             settings.payload_bits, settings.bandwidth_hz
         )
-        device.battery = Battery(capacity_joules=30.0 * per_round)
+        device.battery = Battery(capacity_joules=BATTERY_ROUNDS * per_round)
     model = settings.build_model(flattened=True)
     server = FederatedServer(
         model,
@@ -120,6 +126,14 @@ class TestEverythingOn:
         history, _, _ = history_and_trainer
         delays = {round(r.round_delay, 9) for r in history.records}
         assert len(delays) > 1
+
+    def test_batteries_run_out(self, history_and_trainer):
+        """Battery enforcement drops updates, not only drains charge."""
+        history, trainer, _ = history_and_trainer
+        dropped = {i for record in history.records for i in record.dropped_ids}
+        assert dropped
+        batteries = {d.device_id: d.battery for d in trainer.devices}
+        assert all(batteries[i].is_depleted for i in dropped)
 
     def test_ledger_populated(self, history_and_trainer):
         history, trainer, _ = history_and_trainer
