@@ -185,13 +185,17 @@ class GreedyDecaySelection(SelectionStrategy):
         argmax-and-remove loop (lines 14-19).
         """
         del round_index
-        scores = self.scores(population)
+        alpha = self._alpha_for(population)
+        scores = utility_scores(
+            population, alpha, self.payload_bits, self.bandwidth_hz, self.decay
+        )
         count = selection_count(len(population), self.fraction)
         positions = top_utility_positions(
             scores, population.device_ids, count
         )
-        # Algorithm 2 line 18: bump the winners' counters.
-        self._alpha_for(population)[positions] += 1
+        # Algorithm 2 line 18: bump the winners' counters (``alpha`` is
+        # a view of them).
+        alpha[positions] += 1
         return positions
 
     def __repr__(self) -> str:

@@ -98,9 +98,11 @@ def utility_scores(
 ) -> np.ndarray:
     """Evaluate Eq. (20) for every device (Algorithm 2, lines 8-10).
 
-    Delays are computed at each device's maximum CPU frequency, as
-    Algorithm 2 lines 3-4 prescribe. The whole population is evaluated
-    as one array expression.
+    Delays are taken at each device's maximum CPU frequency, as
+    Algorithm 2 lines 3-4 prescribe; they are the population's cached
+    :meth:`~repro.devices.DevicePopulation.max_frequency_delay` column,
+    computed once per link. The whole population is evaluated as one
+    array expression.
 
     Args:
         population: the users ``V`` as a
@@ -119,11 +121,5 @@ def utility_scores(
     if not 0.0 < decay < 1.0:
         raise ConfigurationError(f"decay eta must be in (0, 1), got {decay}")
     alphas = _alpha_array(population, appearance_counts)
-    total_delay = population.compute_delay() + population.upload_delay(
-        payload_bits, bandwidth_hz
-    )
-    # Tested as "inside" so NaN, which fails every comparison, is
-    # rejected along with +inf: either would poison the ranking.
-    if not ((total_delay > 0) & (total_delay < np.inf)).all():
-        raise ConfigurationError("total delay must be finite and positive")
+    total_delay = population.max_frequency_delay(payload_bits, bandwidth_hz)
     return decay_powers(decay, alphas) / total_delay

@@ -33,13 +33,13 @@ that is numpy.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.devices.device import UserDevice
 from repro.devices.fleet import FleetSpec
-from repro.errors import DeviceError, FrequencyRangeError
+from repro.errors import ConfigurationError, DeviceError, FrequencyRangeError
 from repro.rng import SeedLike, ensure_generator
 
 __all__ = ["DevicePopulation"]
@@ -88,6 +88,11 @@ class DevicePopulation:
         noise_power: background noise power ``N0`` in watts.
         log2_snr1: cached ``log2(1 + p h²/N0)`` per device, computed
             with ``math.log2`` for bitwise parity with ``Radio``.
+
+    The Eq. (9) delay at ``f_max``, Algorithm 2's Eq. (20) denominator,
+    is cached too, per ``(payload_bits, bandwidth_hz)``, on first
+    :meth:`max_frequency_delay`; :meth:`set_channel_gains` drops it and
+    :meth:`take` children start without it.
     """
 
     def __init__(
@@ -149,6 +154,7 @@ class DevicePopulation:
             self.ladder_sizes = np.zeros(size, dtype=np.int64)
         self._refresh_log2_snr1()
         self._position_by_id: Optional[dict] = None
+        self._fmax_delay: Optional[Tuple[Tuple[float, float], np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -289,6 +295,7 @@ class DevicePopulation:
             setattr(child, name, getattr(self, name)[idx])
         child.ladder = None if self.ladder is None else self.ladder[idx]
         child._position_by_id = None
+        child._fmax_delay = None
         return child
 
     def position_of(self, device_id: int) -> int:
@@ -312,8 +319,10 @@ class DevicePopulation:
         """Update channel gains (per-round fading) and refresh Eq. (6).
 
         Only the touched devices' cached ``log2(1 + snr)`` terms are
-        recomputed (with ``math.log2``, keeping radio parity).
+        recomputed (with ``math.log2``, keeping radio parity); the cached
+        :meth:`max_frequency_delay` column is dropped.
         """
+        self._fmax_delay = None
         for position, gain in zip(positions, gains):
             value = float(gain)
             # Tested as "inside" so NaN is rejected along with +inf.
@@ -396,6 +405,31 @@ class DevicePopulation:
         return self.transmit_power * self.upload_delay(
             payload_bits, bandwidth_hz
         )
+
+    def max_frequency_delay(
+        self, payload_bits: float, bandwidth_hz: float
+    ) -> np.ndarray:
+        """Eq. (9) ``T_q`` per device at ``f_max`` (Algorithm 2, lines 3-4).
+
+        It depends only on the device and its link, so it is computed
+        once per ``(payload_bits, bandwidth_hz)`` and kept as a
+        read-only column until :meth:`set_channel_gains` moves a gain.
+
+        Raises:
+            ConfigurationError: if a delay is not finite and positive
+                (NaN or +inf would poison the Eq. 20 ranking).
+        """
+        key = (float(payload_bits), float(bandwidth_hz))
+        cached = self._fmax_delay
+        if cached is None or cached[0] != key:
+            delay = self.compute_delay() + self.upload_delay(*key)
+            # Tested as "inside" so NaN, which fails every comparison,
+            # is rejected along with +inf.
+            if not ((delay > 0) & (delay < np.inf)).all():
+                raise ConfigurationError("total delay must be finite and positive")
+            delay.flags.writeable = False
+            self._fmax_delay = cached = (key, delay)
+        return cached[1]
 
     def total_delay(
         self,

@@ -45,6 +45,8 @@ result block).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import multiprocessing
 import os
 import pickle
@@ -472,16 +474,56 @@ class ThreadPoolBackend(ExecutionBackend):
 
 
 # -- process-pool workers -------------------------------------------------
+# OpenBLAS's set-threads symbol under the names numpy's wheels have
+# shipped it (scipy-openblas, then the older 64-bit-integer build).
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_setter():
+    """The set-threads function of the OpenBLAS numpy uses, or ``None``.
+
+    Looked up through numpy's own extension module, whose dependencies
+    hold the BLAS it was linked against. Resolved in the parent before
+    the fork, so a worker pays only the call.
+    """
+    try:
+        from numpy._core import _multiarray_umath as linked
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as linked
+    try:
+        library = ctypes.CDLL(linked.__file__)
+    except OSError:
+        return None
+    for name in _BLAS_THREAD_SETTERS:
+        setter = getattr(library, name, None)
+        if setter is not None:
+            setter.argtypes = (ctypes.c_int,)
+            setter.restype = None
+            return setter
+    return None
+
+
 def _worker_loop(pipe, inherited, scratch, spec, datasets, transport, log_level) -> None:
     """One worker process: train one chunk per task until the ``None`` sentinel.
 
     All but the tasks arrives once, at fork. ``inherited`` are the
     parent's pipe ends a fork copies (this worker's own too); closed, a
     dead parent reads as end-of-file. Ctrl-C is the parent's to handle,
-    and a failure goes back as the reply.
+    and a failure goes back as the reply. BLAS runs on one thread: the
+    workers already share out the cores, and a forked OpenBLAS keeps
+    the parent's thread count.
     """
     for end in inherited:
         end.close()
+    set_blas_threads = _blas_thread_setter()
+    if set_blas_threads is not None:
+        set_blas_threads(1)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if log_level is not None:
         from repro.obs import configure_logging
@@ -547,6 +589,7 @@ class _Workers:
     def __init__(self, count: int, state: tuple) -> None:
         self._pipes: list = []
         self._processes: List[multiprocessing.Process] = []
+        _blas_thread_setter()  # resolved once, here, for every fork
         for _ in range(count):
             ours, theirs = multiprocessing.Pipe()
             process = multiprocessing.Process(

@@ -277,6 +277,36 @@ class RoundState:
     test_accuracy: Optional[float] = None
 
 
+def _check_positions(round_index: int, positions: np.ndarray, size: int) -> None:
+    """Refuse a selection that repeats a population position or names
+    one outside ``[0, size)``: the device would be trained, uploaded
+    and aggregated twice, or a negative index would wrap around."""
+    if positions.ndim != 1 or positions.dtype.kind not in "iu":
+        raise TrainingError(
+            f"selection in round {round_index} is not a 1-D array of "
+            f"integer positions (dtype {positions.dtype}, shape {positions.shape})"
+        )
+    outside = (positions < 0) | (positions >= size)
+    if outside.any():
+        entry = int(np.flatnonzero(outside)[0])
+        raise TrainingError(
+            f"selection in round {round_index} names position "
+            f"{int(positions[entry])} (entry {entry}), outside the "
+            f"{size} devices"
+        )
+    seen = np.zeros(size, dtype=bool)
+    seen[positions] = True
+    if np.count_nonzero(seen) != positions.size:
+        taken = set()
+        for entry, position in enumerate(positions.tolist()):
+            if position in taken:
+                raise TrainingError(
+                    f"selection in round {round_index} repeats position "
+                    f"{position} (entry {entry})"
+                )
+            taken.add(position)
+
+
 class _Eq18Fold(RowSink):
     """The trainer's row sink: FedAvg (Eq. 18) while the rows are hot.
 
@@ -836,6 +866,7 @@ class FederatedTrainer:
             raise TrainingError(
                 f"selection produced no users in round {round_index}"
             )
+        _check_positions(round_index, positions, len(population))
         state.target_count = len(positions)
         if margin > 0:
             extra_positions = over_selection_extras_population(

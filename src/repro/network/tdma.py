@@ -36,16 +36,26 @@ identical to the unperturbed simulation.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import repeat
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
-from repro.errors import NetworkError
+from repro.errors import FrequencyRangeError, NetworkError
 from repro.sequential import MIN_RUN, queued_run, rank_by, rows, sequential_sum
 
 __all__ = [
@@ -262,6 +272,64 @@ def _id_aligned(
     )
 
 
+_NOT_A_FREQUENCY = (str, bytes, bool, np.bool_)
+
+
+def _in_population_order(keys: Collection, device_ids: np.ndarray) -> bool:
+    """Whether ``keys`` are exactly ``device_ids``, in order.
+
+    ``struct`` packs integer keys in C; a key it cannot pack as an
+    int64 (a float, a str, an id past int64) means no.
+    """
+    if len(keys) != device_ids.shape[0]:
+        return False
+    try:
+        packed = struct.pack(f"{len(keys)}q", *keys)
+    except struct.error:
+        return False
+    return packed == device_ids.tobytes()
+
+
+def _frequency_column(values: Collection, device_ids: np.ndarray) -> np.ndarray:
+    """``values``, aligned with ``device_ids``, as a float64 column.
+
+    ``struct`` packs plain numbers in C and refuses a str (which
+    ``np.fromiter`` would parse) or ``None``; a bool packs as 0.0 or
+    1.0, so only values up to 1.0 have their type looked at.
+
+    Raises:
+        FrequencyRangeError: for a str, bytes or bool value.
+    """
+    try:
+        column = np.frombuffer(
+            struct.pack(f"{len(values)}d", *values), dtype=np.float64
+        )
+        suspects = np.flatnonzero(column <= 1.0).tolist()
+    except struct.error:
+        column = None
+        suspects = range(len(values))
+    if suspects:
+        listed = list(values)
+        for position in suspects:
+            if isinstance(listed[position], _NOT_A_FREQUENCY):
+                raise FrequencyRangeError(
+                    f"frequency must be a number, got {listed[position]!r} "
+                    f"for device {int(device_ids[position])}"
+                )
+    if column is None:
+        # ``None`` reads as NaN, which the range check refuses.
+        column = np.fromiter(values, dtype=np.float64, count=len(values))
+    return column
+
+
+def _last_end(ends: np.ndarray) -> float:
+    """``max(ends.tolist())``: a NaN, which ``max`` keeps only in first
+    place, sends the column through the list."""
+    if np.isnan(ends).any():
+        return max(ends.tolist())
+    return float(ends.max())
+
+
 def _members(keys: Iterable[int], device_ids: np.ndarray) -> np.ndarray:
     """Boolean mask of the ``device_ids`` that appear in ``keys``."""
     return np.isin(device_ids, np.fromiter(keys, dtype=np.int64))
@@ -332,7 +400,13 @@ def simulate_tdma_round(
         bandwidth_hz: the MEC system's resource blocks ``Z`` in Hz.
         frequencies: mapping from device id to operating frequency;
             missing devices run at their ``f_max``. Frequencies are
-            validated against each device's range.
+            validated against each device's range. A map whose keys
+            are the round's ids in population order (Algorithm 3's
+            population-aligned column, zipped with the slice's ids) is
+            read as a column: one comparison of its packed keys with
+            ``population.device_ids``, then its values in C. Any other
+            map (chain order, a subset, ids outside the round, keys
+            that are not ints) is read id by id, to the same bits.
         payloads: optional per-device payload override in bits (e.g.
             compressed updates); missing devices use ``payload_bits``.
         population: the selected set as a
@@ -379,7 +453,7 @@ def simulate_tdma_round(
             positive, or a ``drop_during`` progress outside ``(0, 1]``
             (the message names the first offending device id).
         FrequencyRangeError: if an assigned frequency is out of range
-            or not finite.
+            or not finite, or is a str or bool rather than a number.
     """
     if population is None:
         if not devices:
@@ -406,15 +480,23 @@ def simulate_tdma_round(
     # population order, perturbation multipliers applied.
     size = len(population)
     device_ids = population.device_ids
-    ids = device_ids.tolist()
-    if frequencies:
-        freqs = np.fromiter(
-            map(frequencies.get, ids, population.f_max.tolist()),
-            dtype=np.float64,
-            count=size,
-        )
-    else:
+    # A frequency map keyed by the round's ids in population order is
+    # read as a column; any other id-keyed argument is aligned id by id,
+    # on an id list built only then.
+    in_order = bool(frequencies) and _in_population_order(frequencies, device_ids)
+    ids = None
+    keyed = (payloads, compute_scale, drop_during, upload_scale)
+    if (frequencies and not in_order) or any(keyed):
+        ids = device_ids.tolist()
+    if not frequencies:
         freqs = population.f_max
+    elif in_order:
+        freqs = _frequency_column(frequencies.values(), device_ids)
+    else:
+        freqs = _frequency_column(
+            list(map(frequencies.get, ids, population.f_max.tolist())),
+            device_ids,
+        )
     freqs = population.validate_frequencies(freqs)
     compute_delay = population.cycles / freqs
     compute_energy = population.compute_energy(freqs)
@@ -556,8 +638,8 @@ def simulate_tdma_round(
     if deadline_hit:
         round_delay = deadline
     else:
-        completed_ends = upload_end[codes == _CODE_OK].tolist()
-        round_delay = max(completed_ends or upload_end.tolist())
+        completed_ends = upload_end[codes == _CODE_OK]
+        round_delay = _last_end(completed_ends if completed_ends.size else upload_end)
 
     # Left-to-right totals in entry order, as the per-user loop summed
     # its entries.

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.utility import utility_scores
+from repro.devices.fleet import FleetSpec
 from repro.devices.population import DevicePopulation
 from repro.errors import ConfigurationError
 from tests.conftest import make_device, make_heterogeneous_devices
@@ -104,6 +105,99 @@ class TestUtilityScores:
         counts = {0: 25, 1: 0}
         scores = scores_of([fast, slow], counts)
         assert scores[1] > scores[0]
+
+
+def fleet(size=12, seed=3):
+    return DevicePopulation.from_spec(
+        FleetSpec(channel_gain_range=(0.5, 2.0)),
+        np.arange(20, 20 + 7 * size, 7),
+        seed=seed,
+    )
+
+
+def rebuilt(population, gains):
+    """A fresh population of the same devices with ``gains``."""
+    return DevicePopulation(
+        population.device_ids,
+        population.f_min,
+        population.f_max,
+        population.cycles_per_sample,
+        population.switched_capacitance,
+        population.num_samples,
+        population.transmit_power,
+        gains,
+        population.noise_power,
+    )
+
+
+def scores(population, payload=PAYLOAD, bandwidth=BANDWIDTH):
+    counts = np.arange(len(population)) % 3
+    return utility_scores(population, counts, payload, bandwidth, 0.8)
+
+
+class TestCachedMaxFrequencyDelay:
+    """Eq. (20)'s denominator is the population's cached f_max delay:
+    computed once per link, dropped with a channel change, never
+    carried into a ``take`` child or read under another link."""
+
+    def test_computed_once_and_read_only(self):
+        population = fleet()
+        delay = population.max_frequency_delay(PAYLOAD, BANDWIDTH)
+        assert population.max_frequency_delay(PAYLOAD, BANDWIDTH) is delay
+        assert not delay.flags.writeable
+        assert np.array_equal(
+            delay, population.total_delay(PAYLOAD, BANDWIDTH)
+        )
+
+    @given(
+        moves=st.lists(
+            st.tuples(st.integers(0, 11), st.floats(0.1, 5.0)), min_size=1, max_size=6
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_channel_change_equals_fresh_population(self, moves):
+        population = fleet()
+        scores(population)  # fills the cache
+        positions, gains = zip(*moves)
+        population.set_channel_gains(positions, gains)
+        fresh = rebuilt(population, population.channel_gain.copy())
+        assert scores(population).tobytes() == scores(fresh).tobytes()
+
+    def test_take_child_does_not_inherit(self):
+        population = fleet()
+        scores(population)
+        child = population.take([7, 2, 5])
+        fresh = rebuilt(child, child.channel_gain.copy())
+        assert scores(child).tobytes() == scores(fresh).tobytes()
+        child.set_channel_gains([0], [0.25])  # the child's link only
+        fresh = rebuilt(child, child.channel_gain.copy())
+        assert scores(child).tobytes() == scores(fresh).tobytes()
+        assert scores(population).tobytes() == scores(fleet()).tobytes()
+
+    @pytest.mark.parametrize(
+        "payload, bandwidth", [(2 * PAYLOAD, BANDWIDTH), (PAYLOAD, 3 * BANDWIDTH)]
+    )
+    def test_other_link_is_not_served_the_cache(self, payload, bandwidth):
+        population = fleet()
+        scores(population)
+        fresh = fleet()
+        assert (
+            scores(population, payload, bandwidth).tobytes()
+            == scores(fresh, payload, bandwidth).tobytes()
+        )
+        assert scores(population).tobytes() == scores(fleet()).tobytes()
+
+    @pytest.mark.parametrize(
+        "payload, bandwidth",
+        [(np.inf, BANDWIDTH), (np.nan, BANDWIDTH), (PAYLOAD, np.nan)],
+    )
+    def test_nan_or_inf_delay_raises_every_time(self, payload, bandwidth):
+        population = fleet()
+        scores(population)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                scores(population, payload, bandwidth)
+        assert scores(population).tobytes() == scores(fleet()).tobytes()
 
 
 class TestUtilityProperties:

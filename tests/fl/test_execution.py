@@ -1,5 +1,7 @@
 """Tests for the pluggable client-execution backends."""
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,9 @@ from repro.fl.execution import (
     RoundResult,
     SerialBackend,
     ThreadPoolBackend,
+    _blas_thread_setter,
     _chunk_bounds,
+    _Workers,
     create_backend,
 )
 from repro.fl.server import FederatedServer
@@ -320,6 +324,51 @@ class TestBackendParity:
             assert [u.device_id for u in updates] == [d.device_id for d in devices]
         finally:
             backend.close()
+
+
+def blas_thread_getter():
+    """The get-threads twin of the OpenBLAS setter the workers call, or
+    ``None`` when numpy's BLAS exports no such setter."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        return None
+    try:
+        from numpy._core import _multiarray_umath as linked
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as linked
+    getter = getattr(
+        ctypes.CDLL(linked.__file__), setter.__name__.replace("_set_", "_get_")
+    )
+    getter.argtypes = ()
+    getter.restype = ctypes.c_int
+    return getter
+
+
+class _ReportBlasThreads:
+    """A worker transport that answers every task with the worker's
+    BLAS thread count, as the task's error."""
+
+    @staticmethod
+    def open(global_params, first_slot, count):
+        raise RuntimeError(f"threads={blas_thread_getter()()}")
+
+
+class TestWorkerBlasThreads:
+    """A forked OpenBLAS keeps the parent's thread count; each worker
+    sets its own to one, and the parent's stays as it was."""
+
+    def test_worker_runs_one_blas_thread(self):
+        getter = blas_thread_getter()
+        if getter is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS set-threads symbol")
+        before = getter()
+        workers = _Workers(2, (None, None, {}, _ReportBlasThreads(), None))
+        try:
+            with pytest.raises(RuntimeError, match="^threads=1$"):
+                workers.round([(1, 0.1, None, 0, (), {}, None)] * 2, lambda k, reply: None)
+        finally:
+            workers.close()
+        assert getter() == before
 
 
 class TestTaskSpans:

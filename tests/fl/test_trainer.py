@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError, TrainingError
 from repro.experiments.runner import run_strategy
 from repro.experiments.settings import ExperimentSettings
 from repro.fl.server import FederatedServer
+from repro.fl.strategy import SelectionStrategy
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
 from tests.conftest import make_heterogeneous_devices
@@ -219,6 +220,59 @@ class TestRun:
         assert [r.test_accuracy for r in h1.records] == [
             r.test_accuracy for r in h2.records
         ]
+
+
+class FixedPositions(SelectionStrategy):
+    """Returns the same positions every round, however wrong."""
+
+    def __init__(self, positions):
+        self.positions = positions
+
+    def select_population(self, round_index, population):
+        return np.asarray(self.positions)
+
+
+class TestSelectionPositions:
+    """A strategy's positions index the fleet once each: a repeat would
+    train, upload and aggregate one device twice and give it two ledger
+    rows; a negative position would wrap around to the last device."""
+
+    @staticmethod
+    def trainer(positions):
+        server, devices = make_setup()
+        return FederatedTrainer(
+            server=server,
+            devices=devices,
+            selection=FixedPositions(positions),
+            config=TrainerConfig(rounds=2, bandwidth_hz=2e6),
+        )
+
+    @pytest.mark.parametrize(
+        "positions, message",
+        [
+            ([0, 0, 1], "round 1 repeats position 0 \\(entry 1\\)"),
+            ([2, 1, 3, 1], "round 1 repeats position 1 \\(entry 3\\)"),
+            ([0, 0, -1], "round 1 names position -1 \\(entry 2\\), outside the 5"),
+            ([4, 5], "round 1 names position 5 \\(entry 1\\), outside the 5"),
+            ([1.0, 2.0], "round 1 is not a 1-D array of integer positions"),
+            ([[0, 1]], "round 1 is not a 1-D array of integer positions"),
+        ],
+    )
+    def test_refused_before_anything_runs(self, positions, message):
+        trainer = self.trainer(positions)
+        before = trainer.server.broadcast().copy()
+        with pytest.raises(TrainingError, match=message):
+            trainer.run()
+        assert np.array_equal(trainer.server.broadcast(), before)
+
+    def test_distinct_positions_run(self):
+        trainer = self.trainer([4, 0, 2])
+        history = trainer.run()
+        assert [record.selected_ids for record in history.records] == [
+            (4, 0, 2),
+            (4, 0, 2),
+        ]
+        assert trainer.ledger.rounds.tolist() == [2, 2, 2]
 
 
 class TestBatteryInjection:

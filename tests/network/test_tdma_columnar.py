@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.devices.fleet import FleetSpec
 from repro.devices.population import DevicePopulation
-from repro.errors import NetworkError
+from repro.errors import FrequencyRangeError, NetworkError
 from repro.network import tdma
 from repro.network.tdma import (
     CLIENT_OUTCOMES,
@@ -389,3 +389,166 @@ class TestPerturbationValidation:
     def test_sub_unit_multipliers_stay_legal(self):
         timeline = self.simulate(upload_scale={0: 0.5})
         assert timeline.total_upload_energy < self.simulate().total_upload_energy
+
+
+@st.composite
+def frequency_maps(draw):
+    """A round's population (a ``take`` of a fleet, so its ids are in
+    no particular order) and a frequency map in one of the shapes
+    callers pass: Algorithm 3's column keyed in population order, the
+    trainer's chain order, a subset, ids outside the round, or a key
+    that is not an int."""
+    fleet_size = draw(st.integers(1, 40))
+    spec = FleetSpec(channel_gain_range=(0.5, 2.0))
+    sizes = draw(
+        st.lists(st.integers(20, 200), min_size=fleet_size, max_size=fleet_size)
+    )
+    fleet = DevicePopulation.from_spec(spec, sizes, seed=draw(st.integers(0, 2**16)))
+    positions = draw(
+        st.lists(
+            st.integers(0, fleet_size - 1), min_size=1, max_size=fleet_size, unique=True
+        )
+    )
+    population = fleet.take(positions)
+    ids = population.device_ids.tolist()
+    shares = draw(
+        st.lists(st.floats(0.0, 1.0), min_size=len(ids), max_size=len(ids))
+    )
+    column = population.f_min + np.array(shares) * (population.f_max - population.f_min)
+    in_order = dict(zip(ids, column.tolist()))
+    chain = draw(st.permutations(ids))
+    shape = draw(
+        st.sampled_from(("in_order", "chain", "subset", "outside", "non_int_key"))
+    )
+    if shape == "in_order":
+        frequencies = in_order
+    elif shape == "chain":
+        frequencies = {device_id: in_order[device_id] for device_id in chain}
+    elif shape == "subset":
+        kept = chain[: draw(st.integers(1, len(chain)))]
+        frequencies = {device_id: in_order[device_id] for device_id in kept}
+    elif shape == "outside":
+        # Ids past the fleet, with values no device could run at.
+        frequencies = dict(in_order)
+        for extra in range(draw(st.integers(1, 3))):
+            frequencies[fleet_size + extra] = draw(
+                st.sampled_from((float("nan"), -1.0, 1e30))
+            )
+        if draw(st.booleans()):
+            frequencies = {key: frequencies[key] for key in reversed(frequencies)}
+    else:
+        # One id's key replaced: "7" and 7.5 match no device; 7.0
+        # equals id 7, so dict lookup finds it.
+        victim = draw(st.sampled_from(ids))
+        key = draw(st.sampled_from((str(victim), victim + 0.5, float(victim))))
+        frequencies = {
+            (key if device_id == victim else device_id): value
+            for device_id, value in in_order.items()
+        }
+    return population, frequencies
+
+
+class TestFrequencyMaps:
+    """``frequencies`` keyed in population order is read as a column;
+    every other map is aligned id by id, to the same bits."""
+
+    @given(frequency_maps(), st.sampled_from((1e6, 2e7)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_event_loop(self, case, payload_bits):
+        population, frequencies = case
+        assert_same_round(
+            simulate_tdma_round(
+                (), payload_bits, BANDWIDTH, frequencies, population=population
+            ),
+            tdma_loop.simulate_population(
+                population, payload_bits, BANDWIDTH, frequencies
+            ),
+        )
+
+    def test_only_a_population_order_map_is_read_as_a_column(self, monkeypatch):
+        verdicts = []
+
+        def spying(keys, device_ids):
+            verdicts.append(in_population_order(keys, device_ids))
+            return verdicts[-1]
+
+        in_population_order = tdma._in_population_order
+        monkeypatch.setattr(tdma, "_in_population_order", spying)
+        population = DevicePopulation.from_spec(None, [40, 80, 20, 60], seed=1).take(
+            [2, 0, 3]
+        )
+        ids = population.device_ids.tolist()
+        column = dict(zip(ids, population.f_min.tolist()))
+        for frequencies in (
+            column,
+            dict(reversed(column.items())),
+            {**column, 9: 1e9},
+            {float(key): value for key, value in column.items()},
+        ):
+            simulate_tdma_round(
+                (), PAYLOAD, BANDWIDTH, frequencies, population=population
+            )
+        assert verdicts == [True, False, False, False]
+
+    def test_integer_values_read_as_their_floats(self):
+        population = DevicePopulation.from_spec(None, [40, 80, 20], seed=1)
+        ids = population.device_ids.tolist()
+        hertz = [int(f) for f in population.f_max.tolist()]
+        as_ints = simulate_tdma_round(
+            (), PAYLOAD, BANDWIDTH, dict(zip(ids, hertz)), population=population
+        )
+        as_floats = simulate_tdma_round(
+            (), PAYLOAD, BANDWIDTH, dict(zip(ids, map(float, hertz))), population=population
+        )
+        assert as_ints == as_floats
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_nan_payload_round_delay_equals_event_loop(self, position):
+        # ``max`` over a list keeps a NaN only in first place.
+        population = DevicePopulation.from_spec(None, [40, 80, 20, 60], seed=1)
+        payloads = {int(population.device_ids[position]): float("nan")}
+        timeline = simulate_tdma_round(
+            (), PAYLOAD, BANDWIDTH, payloads=payloads, population=population
+        )
+        loop = tdma_loop.simulate_population(
+            population, PAYLOAD, BANDWIDTH, payloads=payloads
+        )
+        assert timeline.upload_end.tobytes() == loop.columnar().upload_end.tobytes()
+        assert repr(timeline.round_delay) == repr(loop.round_delay)
+
+
+class TestFrequencyValues:
+    """A frequency is a number: ``np.fromiter`` would parse ``"1e9"``
+    and read ``True`` as 1 Hz, so str and bool values are refused on
+    both the column read and the id-by-id read."""
+
+    @staticmethod
+    def simulate(value, in_order):
+        population = DevicePopulation.from_spec(None, [40, 80, 20], seed=1)
+        ids = population.device_ids.tolist()
+        frequencies = dict(zip(ids, population.f_max.tolist())) if in_order else {}
+        frequencies[ids[1]] = value
+        return simulate_tdma_round(
+            (), PAYLOAD, BANDWIDTH, frequencies, population=population
+        )
+
+    @pytest.mark.parametrize("in_order", [True, False])
+    @pytest.mark.parametrize(
+        "value", ["1e9", np.str_("1e9"), b"1e9", True, False, np.True_]
+    )
+    def test_str_and_bool_refused(self, value, in_order):
+        with pytest.raises(FrequencyRangeError, match="must be a number.*device 1"):
+            self.simulate(value, in_order)
+
+    @pytest.mark.parametrize("in_order", [True, False])
+    @pytest.mark.parametrize("value", [None, float("nan")])
+    def test_none_and_nan_stay_out_of_range(self, value, in_order):
+        with pytest.raises(FrequencyRangeError, match="outside"):
+            self.simulate(value, in_order)
+
+    @pytest.mark.parametrize("in_order", [True, False])
+    def test_numpy_scalars_accepted(self, in_order):
+        population = DevicePopulation.from_spec(None, [40, 80, 20], seed=1)
+        value = float(population.f_max[1])
+        expected = self.simulate(value, in_order)
+        assert self.simulate(np.float64(value), in_order) == expected
