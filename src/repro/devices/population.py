@@ -390,10 +390,15 @@ class DevicePopulation:
         payload_bits: Union[float, np.ndarray],
         bandwidth_hz: float,
     ) -> np.ndarray:
-        """Eq. (7) per device; ``payload_bits`` may be per-device."""
+        """Eq. (7) per device; ``payload_bits`` may be per-device.
+
+        Raises:
+            DeviceError: if a payload is not finite and non-negative.
+        """
         payload = np.asarray(payload_bits, dtype=np.float64)
-        if np.any(payload < 0):
-            raise DeviceError("payload must be non-negative")
+        # One pass, tested as "inside" so NaN is rejected with +-inf.
+        if not ((payload >= 0.0) & (payload < np.inf)).all():
+            raise DeviceError("payload must be finite and non-negative")
         return payload / self.upload_rate(bandwidth_hz)
 
     def upload_energy(
@@ -416,6 +421,8 @@ class DevicePopulation:
         read-only column until :meth:`set_channel_gains` moves a gain.
 
         Raises:
+            DeviceError: if ``payload_bits`` is not finite and
+                non-negative.
             ConfigurationError: if a delay is not finite and positive
                 (NaN or +inf would poison the Eq. 20 ranking).
         """

@@ -65,8 +65,11 @@ class Radio:
 
     def upload_delay(self, payload_bits: float, bandwidth_hz: float) -> float:
         """Eq. (7): seconds to upload ``payload_bits`` (``C_model``)."""
-        if payload_bits < 0:
-            raise DeviceError(f"payload must be non-negative, got {payload_bits}")
+        # Tested as "inside" so NaN is rejected along with +inf.
+        if not 0.0 <= payload_bits < math.inf:
+            raise DeviceError(
+                f"payload must be finite and non-negative, got {payload_bits}"
+            )
         rate = self.upload_rate(bandwidth_hz)
         return payload_bits / rate
 

@@ -9,7 +9,10 @@ with equally sized shards at once, from one shared start vector or from
 one start row per client: inputs are stacked to ``(g, n, d)``,
 forward / softmax cross-entropy / backward are 3-D ``np.matmul`` calls
 and axis-wise reductions, and gradients land directly in a ``(g, P)``
-matrix laid out like :meth:`Sequential.get_flat_params`.
+matrix laid out like :meth:`Sequential.get_flat_params`. ReLU is
+:func:`~repro.nn.activations.rectify` in place on the pass's own
+pre-activation, its mask ``out > 0`` taken after; the loss reads only
+each row's label probability and builds no one-hot target.
 
 The result is bit-for-bit the per-client
 :meth:`repro.fl.client.LocalTrainer.train`: ``np.matmul`` on stacked
@@ -30,7 +33,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.activations import ReLU
+from repro.nn.activations import ReLU, rectify
 from repro.nn.dense import Dense
 from repro.nn.model import Sequential
 
@@ -85,20 +88,19 @@ def _dense_views(flat: np.ndarray, entry) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _softmax_cross_entropy(
-    logits: np.ndarray, target: np.ndarray
+    logits: np.ndarray, hot: Tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-client mean loss ``(g,)`` and logit gradient ``(g, n, c)``.
 
     The operations of ``SoftmaxCrossEntropy.loss_and_grad`` with the
-    class axis moved from 1 to 2.
+    class axis moved from 1 to 2; ``hot`` indexes each row's label
+    entry, the only one the loss reads and the gradient moves by 1.
     """
     shifted = logits - logits.max(axis=2, keepdims=True)
     exp = np.exp(shifted, out=shifted)
     probs = exp / exp.sum(axis=2, keepdims=True)
-    log_probs = np.log(np.clip(probs, 1e-300, None))
-    log_probs *= target
-    losses = -log_probs.sum(axis=2).mean(axis=1)
-    probs -= target
+    losses = -np.log(np.maximum(probs[hot], 1e-300)).mean(axis=-1)
+    probs[hot] -= 1.0
     probs /= logits.shape[1]
     return losses, probs
 
@@ -133,8 +135,8 @@ def stacked_local_update(
         that step's update (as ``LocalTrainer.train`` reports it).
 
     Raises:
-        ShapeError: for inconsistent shapes or labels outside the
-            model's class range.
+        ShapeError: for inconsistent shapes, labels that are not of an
+            integer dtype or labels outside the model's class range.
     """
     layout = _flat_layout(model)
     dense = [entry for entry in layout if entry is not None]
@@ -164,16 +166,17 @@ def stacked_local_update(
             f"out must be float64 of shape {(clients, param_count)} with "
             f"contiguous rows, got shape {out.shape} dtype {out.dtype}"
         )
+    if labels.dtype.kind not in "iu":
+        raise ShapeError(
+            f"labels must be integer class ids, got dtype {labels.dtype}"
+        )
     classes = dense[-1][1][1]
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= classes:
         raise ShapeError(
             f"labels must lie in [0, {classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
-    target = np.zeros((clients, samples, classes), dtype=np.float64)
-    target[
-        np.arange(clients)[:, None], np.arange(samples)[None, :], labels
-    ] = 1.0
+    hot = (np.arange(clients)[:, None], np.arange(samples)[None, :], labels)
 
     rate = float(learning_rate)
     current = start_params  # (P,) or (g, P) at the first step, then ``out``
@@ -185,21 +188,22 @@ def stacked_local_update(
         activation = inputs
         for entry in layout:
             if entry is None:
-                mask = activation > 0
-                cache.append(mask)
-                activation = np.where(mask, activation, 0.0)
+                # A ReLU follows a Dense or a ReLU, so ``activation`` is
+                # this pass's own array, never ``inputs``.
+                activation = rectify(activation, out=activation)
+                cache.append(activation > 0)
                 continue
             weight, bias = _dense_views(current, entry)
             cache.append(activation)
             activation = np.matmul(activation, weight)
             activation += bias[..., None, :]
-        losses, grad = _softmax_cross_entropy(activation, target)
+        losses, grad = _softmax_cross_entropy(activation, hot)
 
         # Backward, writing each dW / db into its columns of ``grads``.
         for index in range(len(layout) - 1, -1, -1):
             entry = layout[index]
             if entry is None:
-                grad = grad * cache[index]
+                grad *= cache[index]
                 continue
             weight, _ = _dense_views(current, entry)
             weight_grad, bias_grad = _dense_views(grads, entry)

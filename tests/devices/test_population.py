@@ -167,6 +167,27 @@ class TestCostModel:
         with pytest.raises(DeviceError):
             population.upload_delay(-1.0, BANDWIDTH)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_payload(self, bad):
+        devices = make_heterogeneous_devices(3)
+        population = DevicePopulation.from_devices(devices)
+        per_device = np.array([PAYLOAD, bad, PAYLOAD])
+        for payload in (bad, per_device):
+            with pytest.raises(DeviceError, match="finite"):
+                population.upload_delay(payload, BANDWIDTH)
+            with pytest.raises(DeviceError, match="finite"):
+                population.upload_energy(payload, BANDWIDTH)
+        with pytest.raises(DeviceError, match="finite"):
+            population.max_frequency_delay(bad, BANDWIDTH)
+        with pytest.raises(DeviceError, match="finite"):
+            devices[0].upload_delay(bad, BANDWIDTH)
+        # A refused payload leaves nothing cached.
+        assert population.max_frequency_delay(PAYLOAD, BANDWIDTH).tobytes() == (
+            DevicePopulation.from_devices(devices)
+            .max_frequency_delay(PAYLOAD, BANDWIDTH)
+            .tobytes()
+        )
+
 
 class TestFrequencyHandling:
     def test_validate_rejects_out_of_range(self):

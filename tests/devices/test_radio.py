@@ -82,3 +82,11 @@ class TestValidation:
     def test_negative_payload(self):
         with pytest.raises(DeviceError):
             Radio().upload_delay(-1.0, 2e6)
+
+    @pytest.mark.parametrize("payload", [math.inf, -math.inf, math.nan])
+    def test_non_finite_payload(self, payload):
+        # ``NaN < 0`` is False, so a sign test alone would let NaN through.
+        with pytest.raises(DeviceError, match="finite"):
+            Radio().upload_delay(payload, 2e6)
+        with pytest.raises(DeviceError, match="finite"):
+            Radio().upload_energy(payload, 2e6)

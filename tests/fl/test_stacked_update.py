@@ -282,6 +282,65 @@ class TestFallBackToTheLoop:
         self.check(model, LocalUpdateSpec(local_steps=2), clients)
 
 
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf on purpose
+class TestSignedZeroAndNanPreActivations:
+    """Dense weights that feed each ReLU exact zeros and NaNs: the
+    in-place ``rectify`` and its after-the-fact mask must keep the
+    per-client loop's bits, NaN payloads and the sign of zero included.
+
+    A zero weight column gives a zero pre-activation; with a ``-0.0``
+    bias it would be ``-0.0`` on a BLAS that sums ``-0.0`` products to
+    ``-0.0`` (OpenBLAS gives ``+0.0``). A NaN weight gives a NaN one,
+    and an ``inf`` weight behind a rectified NaN gives ``0 * inf``.
+    """
+
+    @staticmethod
+    def model(nan_logits=False):
+        model = build_mlp(4, 3, hidden_sizes=(6, 5), seed=11)
+        first, second, last = model.layers[0], model.layers[2], model.layers[4]
+        first.params["W"][:, :2] = 0.0
+        first.params["b"][:2] = [0.0, -0.0]
+        first.params["W"][1, 2] = np.nan
+        second.params["W"][2, 0] = np.inf
+        if nan_logits:  # every softmax row, loss and gradient NaN
+            last.params["W"][0, 1] = np.nan
+        return model
+
+    def test_the_weights_give_zero_and_nan_pre_activations(self):
+        model = self.model()
+        inputs = make_clients(np.random.default_rng(0), [5], 4, 3)[0].dataset.inputs
+        first = inputs @ model.layers[0].params["W"] + model.layers[0].params["b"]
+        assert (first[:, :2] == 0.0).all()
+        assert not np.signbit(first[:, 0]).any()
+        assert np.isnan(first[:, 2]).all()
+        hidden = np.fmax(first, 0.0) + 0.0
+        second = hidden @ model.layers[2].params["W"] + model.layers[2].params["b"]
+        assert np.isnan(second[:, 0]).all()
+
+    @pytest.mark.parametrize("nan_logits", [False, True])
+    @pytest.mark.parametrize("steps", [1, 2])
+    @pytest.mark.parametrize("start", STARTS)
+    def test_rows_and_losses_keep_the_per_client_bits(
+        self, start, steps, nan_logits
+    ):
+        model = self.model(nan_logits)
+        spec = LocalUpdateSpec(local_steps=steps)
+        clients = make_clients(np.random.default_rng(1), [5, 5, 5, 3], 4, 3)
+        begin = starts_for(start, model.get_flat_params().copy(), clients)
+        want_rows, want_losses = per_client_loop(
+            model.clone(), spec, 1, 0.5, begin, clients
+        )
+        rows, losses = run_train_clients(model, spec, 1, 0.5, begin, clients)
+        assert np.isnan(rows).any()
+        assert np.isnan(losses).all() == nan_logits
+        assert np.array_equal(bits(rows), bits(want_rows))
+        assert np.array_equal(bits(losses), bits(want_losses))
+
+
 class TestStartMatrix:
     """Each client starts from its own row; the stacked path gathers
     the rows of a shard-size group and trains them in one pass."""
@@ -360,6 +419,22 @@ class TestErrors:
         clients[1].dataset.labels[0] = -1
         with pytest.raises(ShapeError):
             self.run(clients)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+    def test_kernel_rejects_non_integer_labels(self, dtype):
+        clients = make_clients(self.rng, [3, 3], 4, 3)
+        inputs = np.stack([c.dataset.inputs for c in clients])
+        labels = np.stack([c.dataset.labels for c in clients]).astype(dtype)
+        with pytest.raises(ShapeError, match="integer"):
+            stacked_local_update(
+                self.model,
+                inputs,
+                labels,
+                self.global_params,
+                0.1,
+                1,
+                np.empty((2, self.global_params.size)),
+            )
 
     def test_wrong_input_width(self):
         clients = make_clients(self.rng, [3, 3], 4, 3)

@@ -9,6 +9,7 @@ each long run of waiting users with ``repro.sequential.queued_run``;
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.devices.fleet import FleetSpec
 from repro.devices.population import DevicePopulation
-from repro.errors import FrequencyRangeError, NetworkError
+from repro.errors import DeviceError, FrequencyRangeError, NetworkError
 from repro.network import tdma
 from repro.network.tdma import (
     CLIENT_OUTCOMES,
@@ -502,19 +503,21 @@ class TestFrequencyMaps:
         )
         assert as_ints == as_floats
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("position", range(4))
-    def test_nan_payload_round_delay_equals_event_loop(self, position):
-        # ``max`` over a list keeps a NaN only in first place.
+    def test_non_finite_payload_is_refused(self, position, bad):
         population = DevicePopulation.from_spec(None, [40, 80, 20, 60], seed=1)
-        payloads = {int(population.device_ids[position]): float("nan")}
-        timeline = simulate_tdma_round(
-            (), PAYLOAD, BANDWIDTH, payloads=payloads, population=population
-        )
-        loop = tdma_loop.simulate_population(
-            population, PAYLOAD, BANDWIDTH, payloads=payloads
-        )
-        assert timeline.upload_end.tobytes() == loop.columnar().upload_end.tobytes()
-        assert repr(timeline.round_delay) == repr(loop.round_delay)
+        payloads = {int(population.device_ids[position]): bad}
+        with pytest.raises(DeviceError, match="finite"):
+            simulate_tdma_round(
+                (), PAYLOAD, BANDWIDTH, payloads=payloads, population=population
+            )
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_payload_bits_is_refused(self, bad):
+        population = DevicePopulation.from_spec(None, [40, 80, 20, 60], seed=1)
+        with pytest.raises(DeviceError, match="finite"):
+            simulate_tdma_round((), bad, BANDWIDTH, population=population)
 
 
 class TestFrequencyValues:

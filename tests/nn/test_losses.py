@@ -56,6 +56,20 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ShapeError):
             loss.loss_and_grad(np.zeros((2, 3)), np.array([0]))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([0.9, 2.5]), np.array([0.0, 2.0]), np.array([True, False])],
+        ids=["fractional", "integral-float", "bool"],
+    )
+    def test_non_integer_labels_raise(self, labels):
+        # Cast to int, a float label would be truncated (0.9 read as
+        # class 0) and a bool read as class 1 or 0.
+        loss = SoftmaxCrossEntropy()
+        with pytest.raises(ShapeError, match="integer"):
+            loss.loss(np.zeros((2, 3)), labels)
+        with pytest.raises(ShapeError, match="integer"):
+            loss.loss_and_grad(np.zeros((2, 3)), labels)
+
     def test_out_of_range_labels_raise(self):
         loss = SoftmaxCrossEntropy()
         with pytest.raises(ShapeError):
