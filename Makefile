@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-artifacts examples lint check check-cold report campaign-smoke all
+.PHONY: install test bench bench-artifacts examples lint check report campaign-smoke all
 
 install:
 	pip install -e . --no-build-isolation
@@ -14,10 +14,6 @@ lint:
 	fi
 
 check:
-	PYTHONPATH=src python -m repro.checks src tests benchmarks examples --cache
-
-check-cold:
-	rm -f .repro-checks-cache.json
 	PYTHONPATH=src python -m repro.checks src tests benchmarks examples
 
 report:

@@ -154,7 +154,9 @@ class FedCsSelection(SelectionStrategy):
         """
         del round_index
         candidates = self._candidates(population)
-        delays = population.total_delay(self.payload_bits, self.bandwidth_hz)
+        delays = population.max_frequency_delay(
+            self.payload_bits, self.bandwidth_hz
+        )
         ranked = candidates[
             rank_by(delays[candidates], population.device_ids[candidates])
         ]

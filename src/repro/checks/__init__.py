@@ -10,8 +10,8 @@ then :mod:`repro.checks.project` condenses every file into a
 lightweight call graph), and the cross-file dataflow rules re-visit
 each file with the whole project in view. Runnable as
 ``python -m repro.checks [paths]`` with JSON, human, and GitHub-
-annotation output, an incremental content-hash cache (``--cache``),
-and inline ``# repro: allow[<rule-id>] justification`` suppressions.
+annotation output and inline ``# repro: allow[<rule-id>]
+justification`` suppressions.
 
 Shipped rules:
 

@@ -11,11 +11,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.checks.engine import (
-    DEFAULT_CACHE_PATH,
-    CheckReport,
-    check_paths,
-)
+from repro.checks.engine import CheckReport, check_paths
 from repro.checks.rules import ALL_RULES
 from repro.errors import ConfigurationError
 
@@ -79,19 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        nargs="?",
-        const=DEFAULT_CACHE_PATH,
-        default=None,
-        help=(
-            "incremental cache file (default when given without an "
-            f"argument: {DEFAULT_CACHE_PATH}); unchanged files are "
-            "served from the cache, and warm runs reproduce cold-run "
-            "reports byte for byte"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print every rule id, title, and rationale, then exit",
@@ -142,9 +125,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else None
     )
     try:
-        report = check_paths(
-            args.paths, rules=rule_ids, cache_path=args.cache
-        )
+        report = check_paths(args.paths, rules=rule_ids)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

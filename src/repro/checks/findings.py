@@ -45,7 +45,7 @@ class Finding:
             raise ConfigurationError(f"line must be non-negative, got {self.line}")
 
     def to_dict(self) -> dict:
-        """JSON-friendly form used by ``--format json`` and the cache."""
+        """JSON-friendly form used by ``--format json``."""
         return {
             "path": self.path,
             "line": self.line,
@@ -54,18 +54,6 @@ class Finding:
             "severity": self.severity,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        """Inverse of :meth:`to_dict` (incremental-cache rehydration)."""
-        return cls(
-            path=data["path"],
-            line=data["line"],
-            col=data["col"],
-            rule_id=data["rule"],
-            message=data["message"],
-            severity=data["severity"],
-        )
 
     def render(self) -> str:
         """One-line human form, ``path:line:col: RULE message``."""

@@ -10,7 +10,7 @@ This module builds the cross-file facts the :class:`DataflowRule`
 family (REP008, REP009, REP011) consumes:
 
 * :func:`summarize_module` condenses one parsed file into a
-  serializable :class:`ModuleSummary` — import resolution, per-function
+  :class:`ModuleSummary` — import resolution, per-function
   signatures, and derived dataflow facts (scratch-buffer escapes,
   shared-memory ownership, RNG provenance);
 * :class:`ProjectIndex` aggregates summaries into a project-wide symbol
@@ -19,18 +19,12 @@ family (REP008, REP009, REP011) consumes:
   ``return f(...)`` edges with a cycle guard);
 * :class:`FunctionAnalysis` is the single-pass, order-aware local
   dataflow walk both the summarizer and the rules share (the rules keep
-  the AST nodes for findings; the summary keeps only JSON-able facts).
-
-Summaries are content-addressed: :attr:`ProjectIndex.fingerprint`
-hashes every summary, so the engine's incremental cache can prove that
-a warm run sees the very same project the cold run saw.
+  the AST nodes for findings; the summary keeps only plain facts).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -97,11 +91,10 @@ _NO_FACTS = Facts()
 
 @dataclass(frozen=True)
 class FunctionSummary:
-    """Serializable cross-file facts about one function or method.
+    """Cross-file facts about one function or method.
 
     Attributes:
         qualname: name within the module (``"Pool.close"`` for methods).
-        lineno: definition line.
         params: positional-or-keyword parameter names, ``self`` removed.
         return_calls: resolved callees whose result the function
             returns (the call-graph edges the index chases).
@@ -113,37 +106,11 @@ class FunctionSummary:
     """
 
     qualname: str
-    lineno: int
     params: Tuple[str, ...] = ()
     return_calls: Tuple[str, ...] = ()
     returns_scratch: bool = False
     returns_shm: bool = False
     rng_origin: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        """JSON-able form (cache representation)."""
-        return {
-            "qualname": self.qualname,
-            "lineno": self.lineno,
-            "params": list(self.params),
-            "return_calls": list(self.return_calls),
-            "returns_scratch": self.returns_scratch,
-            "returns_shm": self.returns_shm,
-            "rng_origin": self.rng_origin,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionSummary":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            qualname=data["qualname"],
-            lineno=data["lineno"],
-            params=tuple(data["params"]),
-            return_calls=tuple(data["return_calls"]),
-            returns_scratch=data["returns_scratch"],
-            returns_shm=data["returns_shm"],
-            rng_origin=data["rng_origin"],
-        )
 
 
 @dataclass(frozen=True)
@@ -153,7 +120,6 @@ class ModuleSummary:
     Attributes:
         module: dotted module name, or a ``<file:...>`` pseudo-name for
             files outside any package (examples, scripts).
-        path: source path the summary was built from.
         imports: local name → resolved dotted target.
         functions: qualname → :class:`FunctionSummary`.
         classes: class name → method-name tuple.
@@ -162,41 +128,10 @@ class ModuleSummary:
     """
 
     module: str
-    path: str
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
     classes: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     shm_owner_classes: Tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        """JSON-able form (cache representation)."""
-        return {
-            "module": self.module,
-            "path": self.path,
-            "imports": dict(self.imports),
-            "functions": {
-                name: fn.to_dict() for name, fn in self.functions.items()
-            },
-            "classes": {name: list(m) for name, m in self.classes.items()},
-            "shm_owner_classes": list(self.shm_owner_classes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleSummary":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            imports=dict(data["imports"]),
-            functions={
-                name: FunctionSummary.from_dict(fn)
-                for name, fn in data["functions"].items()
-            },
-            classes={
-                name: tuple(m) for name, m in data["classes"].items()
-            },
-            shm_owner_classes=tuple(data["shm_owner_classes"]),
-        )
 
 
 def _collect_imports(tree: ast.Module, module: str, is_package: bool) -> Dict[str, str]:
@@ -716,7 +651,6 @@ def build_resolver(
 def _summarize_function(
     analysis: FunctionAnalysis, class_name: Optional[str]
 ) -> FunctionSummary:
-    node = analysis.node
     qualname = (
         f"{class_name}.{analysis.name}" if class_name else analysis.name
     )
@@ -738,7 +672,6 @@ def _summarize_function(
             return_calls.append(facts.call_target)
     return FunctionSummary(
         qualname=qualname,
-        lineno=node.lineno,
         params=tuple(analysis.params),
         return_calls=tuple(dict.fromkeys(return_calls)),
         returns_scratch=returns_scratch,
@@ -760,7 +693,7 @@ def summarize_module(
         module: dotted module name; ``None`` files get a stable
             ``<file:path>`` pseudo-name so their local symbols still
             resolve.
-        path: source path (reported in findings and the cache).
+        path: source path (names a ``None`` module's pseudo-module).
         is_package: whether the file is a package ``__init__``.
     """
     key = module if module is not None else f"<file:{path}>"
@@ -785,7 +718,6 @@ def summarize_module(
                 shm_owners.append(class_name)
     return ModuleSummary(
         module=key,
-        path=path,
         imports=resolver.imports,
         functions=functions,
         classes=classes,
@@ -890,28 +822,3 @@ class ProjectIndex:
             if origin:
                 return origin
         return None
-
-    # -- identity -------------------------------------------------------
-    @property
-    def fingerprint(self) -> str:
-        """Content hash over every summary (cache validity token).
-
-        Line numbers are excluded: shifting a definition down a line
-        changes no cross-file fact, so comment-only edits must not
-        invalidate every other file's phase-2 results.
-        """
-
-        def _strip(summary: ModuleSummary) -> dict:
-            data = summary.to_dict()
-            for fn in data["functions"].values():
-                fn.pop("lineno", None)
-            return data
-
-        payload = json.dumps(
-            {
-                module: _strip(summary)
-                for module, summary in self.modules.items()
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.devices.device import UserDevice
 from repro.devices.fleet import FleetSpec
+from repro.devices.radio import zero_rate_message
 from repro.errors import ConfigurationError, DeviceError, FrequencyRangeError
 from repro.rng import SeedLike, ensure_generator
 
@@ -321,6 +322,10 @@ class DevicePopulation:
         Only the touched devices' cached ``log2(1 + snr)`` terms are
         recomputed (with ``math.log2``, keeping radio parity); the cached
         :meth:`max_frequency_delay` column is dropped.
+
+        Raises:
+            DeviceError: if a gain is not finite and positive, or its
+                ``log2(1 + snr)`` rounds to 0 (a zero upload rate).
         """
         self._fmax_delay = None
         for position, gain in zip(positions, gains):
@@ -328,12 +333,15 @@ class DevicePopulation:
             # Tested as "inside" so NaN is rejected along with +inf.
             if not 0.0 < value < math.inf:
                 raise DeviceError(f"channel_gain must be finite and positive, got {value}")
-            self.channel_gain[position] = value
             snr = (
                 self.transmit_power[position] * value**2
                 / self.noise_power[position]
             )
-            self.log2_snr1[position] = math.log2(1.0 + snr)
+            log2_snr1 = math.log2(1.0 + snr)
+            if log2_snr1 == 0.0:
+                raise DeviceError(zero_rate_message(value))
+            self.channel_gain[position] = value
+            self.log2_snr1[position] = log2_snr1
 
     def _refresh_log2_snr1(self) -> None:
         snr = self.snr
@@ -342,6 +350,10 @@ class DevicePopulation:
             dtype=np.float64,
             count=snr.shape[0],
         )
+        zero = self.log2_snr1 == 0.0
+        if zero.any():
+            position = int(np.flatnonzero(zero)[0])
+            raise DeviceError(zero_rate_message(self.channel_gain[position]))
 
     # ------------------------------------------------------------------
     # Cost model, Eqs. (4)–(9), vectorized

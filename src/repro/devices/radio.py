@@ -21,6 +21,14 @@ from repro.errors import DeviceError
 __all__ = ["Radio"]
 
 
+def zero_rate_message(gain: float) -> str:
+    """Why a gain whose Eq. (6) rate rounds to 0 is refused."""
+    return (
+        f"channel_gain {gain} gives a zero upload rate: "
+        "1 + p h^2 / N0 rounds to 1"
+    )
+
+
 class Radio:
     """A user device's uplink radio.
 
@@ -47,6 +55,8 @@ class Radio:
         self.transmit_power = float(transmit_power)
         self.channel_gain = float(channel_gain)
         self.noise_power = float(noise_power)
+        if math.log2(1.0 + self.snr) == 0.0:
+            raise DeviceError(zero_rate_message(self.channel_gain))
 
     @property
     def snr(self) -> float:

@@ -142,7 +142,9 @@ class OortSelection(SelectionStrategy):
 
     def utilities(self, population: DevicePopulation) -> np.ndarray:
         """The Oort score of every device, aligned with population order."""
-        delays = population.total_delay(self.payload_bits, self.bandwidth_hz)
+        delays = population.max_frequency_delay(
+            self.payload_bits, self.bandwidth_hz
+        )
         preferred = self.preferred_round_s
         if preferred is None:
             preferred = float(np.sort(delays)[delays.shape[0] // 2])

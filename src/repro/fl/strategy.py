@@ -108,7 +108,7 @@ def over_selection_extras_population(
     pool = np.flatnonzero(mask)
     if pool.size == 0 or margin == 0:
         return pool[:0]
-    delays = population.total_delay(payload_bits, bandwidth_hz)
+    delays = population.max_frequency_delay(payload_bits, bandwidth_hz)
     order = rank_by(delays[pool], population.device_ids[pool])
     return pool[order[:margin]]
 

@@ -131,17 +131,10 @@ class TestGithubFormat:
         assert "::error" not in result.stdout
 
 
-class TestCacheFlag:
-    def test_warm_run_reproduces_cold_report(self, tmp_path):
-        snippet = tmp_path / "snippet.py"
-        snippet.write_text("import random\n", encoding="utf-8")
-        cache = tmp_path / "cache.json"
-        cold = run_cli(
-            str(snippet), "--format", "json", "--cache", str(cache)
-        )
-        assert cache.exists()
-        warm = run_cli(
-            str(snippet), "--format", "json", "--cache", str(cache)
-        )
-        assert cold.returncode == warm.returncode == 1
-        assert cold.stdout == warm.stdout
+class TestRemovedFlags:
+    def test_cache_flag_is_a_usage_error(self, tmp_path):
+        snippet = tmp_path / "x.py"
+        snippet.write_text("x = 1\n", encoding="utf-8")
+        result = run_cli("--cache", str(snippet))
+        assert result.returncode == 2
+        assert "--cache" in result.stderr

@@ -320,6 +320,35 @@ class TestViewsAndUpdates:
         with pytest.raises(DeviceError):
             population.set_channel_gains((0,), (0.0,))
 
+    def test_set_channel_gains_rejects_zero_rate(self):
+        """A finite gain whose ``1 + snr`` rounds to 1 is refused before
+        it can make Eq. (7) divide by a zero rate."""
+        population = DevicePopulation.from_spec(None, [40, 80, 20], seed=1)
+        before = (population.channel_gain.copy(), population.log2_snr1.copy())
+        with pytest.raises(DeviceError, match="zero upload rate"):
+            population.set_channel_gains([0], [1e-200])
+        assert np.array_equal(population.channel_gain, before[0])
+        assert np.array_equal(population.log2_snr1, before[1])
+        delay = population.max_frequency_delay(PAYLOAD, BANDWIDTH)
+        assert np.isfinite(delay).all()
+
+    def test_construction_rejects_zero_rate(self):
+        population = DevicePopulation.from_spec(None, [40, 80, 20], seed=1)
+        gains = population.channel_gain.copy()
+        gains[1] = 1e-200
+        with pytest.raises(DeviceError, match="zero upload rate"):
+            DevicePopulation(
+                population.device_ids,
+                population.f_min,
+                population.f_max,
+                population.cycles_per_sample,
+                population.switched_capacitance,
+                population.num_samples,
+                population.transmit_power,
+                gains,
+                population.noise_power,
+            )
+
     @pytest.mark.parametrize("gain", [float("nan"), float("inf"), -1.0])
     def test_set_channel_gains_rejects_non_finite(self, gain):
         """NaN passes ``value <= 0`` and would poison ``log2_snr1``."""

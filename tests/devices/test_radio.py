@@ -65,6 +65,18 @@ class TestValidation:
         with pytest.raises(DeviceError, match="finite and positive"):
             Radio(channel_gain=gain)
 
+    @pytest.mark.parametrize("gain", [1e-200, 1e-9])
+    def test_gain_with_zero_upload_rate(self, gain):
+        """A finite positive gain whose ``1 + snr`` rounds to 1 would
+        make Eq. (7) divide by a zero rate."""
+        with pytest.raises(DeviceError, match="zero upload rate"):
+            Radio(channel_gain=gain)
+
+    def test_smallest_nonzero_rate_is_accepted(self):
+        # snr = 2**-52 is the least that survives 1 + snr.
+        radio = Radio(0.2, math.sqrt(2.0**-52 * 1e-2 / 0.2), 1e-2)
+        assert 0.0 < radio.upload_delay(1e6, 2e6) < math.inf
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["transmit_power", "noise_power"])
     def test_non_finite_power(self, name, value):

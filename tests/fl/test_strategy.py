@@ -1,14 +1,20 @@
 """Tests for strategy base classes and built-ins."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from repro.baselines.fedcs import FedCsSelection
 from repro.devices.population import DevicePopulation
+from repro.extensions.oort import OortSelection
 from repro.fl.strategy import (
     FrequencyPolicy,
     MaxFrequencyPolicy,
     SelectionStrategy,
+    over_selection_extras_population,
 )
+from repro.sequential import rank_by
 from tests.conftest import assign, make_heterogeneous_devices
 from tests.full_participation import FullParticipation
 
@@ -78,3 +84,85 @@ class TestMaxFrequencyPolicy:
         devices = make_heterogeneous_devices(4)
         freqs = assign(MaxFrequencyPolicy(), devices, 1e6, 2e6)
         assert set(freqs) == {d.device_id for d in devices}
+
+
+class TestCachedDelayColumnReaders:
+    """Over-selection, FedCS and Oort rank by the cached Eq. (9) column
+    ``max_frequency_delay``, which equals ``total_delay`` bit for bit."""
+
+    PAYLOAD = 1e6
+    BANDWIDTH = 2e6
+
+    @staticmethod
+    def population(seed=3):
+        sizes = np.random.default_rng(seed).integers(5, 60, size=200)
+        return DevicePopulation.from_spec(None, sizes, seed=seed)
+
+    def reference(self, population):
+        return population.total_delay(self.PAYLOAD, self.BANDWIDTH)
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    def test_column_is_bit_equal_to_total_delay(self, seed):
+        population = self.population(seed)
+        column = population.max_frequency_delay(self.PAYLOAD, self.BANDWIDTH)
+        reference = self.reference(population)
+        assert np.array_equal(column.view(np.uint64), reference.view(np.uint64))
+        assert not column.flags.writeable
+
+    def test_over_selection_extras_match_the_reference(self):
+        population = self.population()
+        selected = np.arange(0, 200, 3)
+        with patch.object(
+            DevicePopulation, "total_delay", side_effect=AssertionError
+        ):
+            extras = over_selection_extras_population(
+                population, selected, 25, self.PAYLOAD, self.BANDWIDTH
+            )
+        reference = self.reference(population)
+        pool = np.setdiff1d(np.arange(200), selected)
+        expected = pool[rank_by(reference[pool], population.device_ids[pool])]
+        assert np.array_equal(extras, expected[:25])
+
+    def fedcs(self, population):
+        strat = FedCsSelection(
+            0.5, self.PAYLOAD, self.BANDWIDTH, candidate_fraction=0.5, seed=4
+        )
+        return strat.select_population(1, population)
+
+    def oort(self, population):
+        strat = OortSelection(
+            0.2, self.PAYLOAD, self.BANDWIDTH, seed=4, penalty_exponent=2.0
+        )
+        strat.observe_losses({7: 0.5, 11: 2.0, 150: 3.5})
+        return strat.utilities(population)
+
+    @pytest.mark.parametrize("reader", ["fedcs", "oort"])
+    def test_readers_match_the_reference(self, reader):
+        cached = self.population()
+        with patch.object(
+            DevicePopulation, "total_delay", side_effect=AssertionError
+        ):
+            got = getattr(self, reader)(cached)
+        # The same reader over a population whose column is replaced
+        # by the total_delay reference.
+        recomputed = self.population()
+        recomputed.max_frequency_delay = lambda p, b: recomputed.total_delay(
+            p, b
+        )
+        expected = getattr(self, reader)(recomputed)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        column = cached.max_frequency_delay(self.PAYLOAD, self.BANDWIDTH)
+        assert np.array_equal(column, self.reference(cached))
+
+    def test_oort_utilities_leave_the_column_unchanged(self):
+        population = self.population()
+        column = population.max_frequency_delay(self.PAYLOAD, self.BANDWIDTH)
+        before = column.copy()
+        strat = OortSelection(
+            0.2, self.PAYLOAD, self.BANDWIDTH, seed=0, penalty_exponent=2.0
+        )
+        strat.utilities(population)
+        assert population.max_frequency_delay(
+            self.PAYLOAD, self.BANDWIDTH
+        ) is column
+        assert np.array_equal(column, before)
