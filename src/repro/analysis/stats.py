@@ -1,9 +1,11 @@
-"""Small statistics helpers used by the multi-seed experiment runner.
+"""Small statistics helpers over per-seed metric values.
 
 Single-seed comparisons of FL schemes can land inside evaluation noise
 (a 1 000-sample test set has ~1.5 pp accuracy noise); these helpers
 summarize repeated runs so claims like "HELCFL >= Classic FL" can be
-made with seeds-worth of evidence.
+made with seeds-worth of evidence. A multi-seed study is one
+:func:`~repro.experiments.fig2.run_fig2` per seed; read a metric off
+each result's ``histories[name]`` and pass the per-seed lists here.
 """
 
 from __future__ import annotations

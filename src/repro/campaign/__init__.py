@@ -23,9 +23,9 @@ Typical usage::
     python -m repro campaign compare ref/aggregate.json out/aggregate.json
 
 A parameter sweep is a spec with one ``overrides`` entry per grid
-point. The in-process :func:`~repro.experiments.multiseed.run_multiseed`
-has no campaign mode: a crash-safe multi-seed study is a spec's
-``seeds`` x ``strategies`` axes.
+point. A crash-safe multi-seed study is a spec's ``seeds`` x
+``strategies`` axes; in-process it is one
+:func:`~repro.experiments.fig2.run_fig2` per seed.
 """
 
 from repro.campaign.aggregate import (

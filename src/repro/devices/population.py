@@ -325,9 +325,11 @@ class DevicePopulation:
 
         Raises:
             DeviceError: if a gain is not finite and positive, or its
-                ``log2(1 + snr)`` rounds to 0 (a zero upload rate).
+                ``log2(1 + snr)`` rounds to 0 (a zero upload rate). Every
+                gain is checked before any is written, so a refused call
+                changes nothing.
         """
-        self._fmax_delay = None
+        updates = []
         for position, gain in zip(positions, gains):
             value = float(gain)
             # Tested as "inside" so NaN is rejected along with +inf.
@@ -340,6 +342,9 @@ class DevicePopulation:
             log2_snr1 = math.log2(1.0 + snr)
             if log2_snr1 == 0.0:
                 raise DeviceError(zero_rate_message(value))
+            updates.append((position, value, log2_snr1))
+        self._fmax_delay = None
+        for position, value, log2_snr1 in updates:
             self.channel_gain[position] = value
             self.log2_snr1[position] = log2_snr1
 

@@ -46,22 +46,40 @@ class Radio:
     ) -> None:
         for name, value in (
             ("transmit_power", transmit_power),
-            ("channel_gain", channel_gain),
             ("noise_power", noise_power),
         ):
             # Tested as "inside" so NaN is rejected along with +inf.
             if not 0.0 < value < math.inf:
                 raise DeviceError(f"{name} must be finite and positive, got {value}")
         self.transmit_power = float(transmit_power)
-        self.channel_gain = float(channel_gain)
         self.noise_power = float(noise_power)
-        if math.log2(1.0 + self.snr) == 0.0:
-            raise DeviceError(zero_rate_message(self.channel_gain))
+        self.channel_gain = channel_gain
+
+    @property
+    def channel_gain(self) -> float:
+        """Amplitude channel gain ``h``.
+
+        Raises:
+            DeviceError: on assigning a gain that is not finite and
+                positive, or whose ``log2(1 + snr)`` rounds to 0 (a zero
+                upload rate); the old gain is kept.
+        """
+        return self._channel_gain
+
+    @channel_gain.setter
+    def channel_gain(self, gain: float) -> None:
+        value = float(gain)
+        # Tested as "inside" so NaN is rejected along with +inf.
+        if not 0.0 < value < math.inf:
+            raise DeviceError(f"channel_gain must be finite and positive, got {value}")
+        if math.log2(1.0 + self.transmit_power * value**2 / self.noise_power) == 0.0:
+            raise DeviceError(zero_rate_message(value))
+        self._channel_gain = value
 
     @property
     def snr(self) -> float:
         """Signal-to-noise ratio ``p * h^2 / N0``."""
-        return self.transmit_power * self.channel_gain**2 / self.noise_power
+        return self.transmit_power * self._channel_gain**2 / self.noise_power
 
     def upload_rate(self, bandwidth_hz: float) -> float:
         """Eq. (6): achievable uplink rate in bits/second.

@@ -97,7 +97,7 @@ def run_fig2(
     Args:
         settings: experiment settings (paper defaults when None).
         iid: which panel — IID (left) or non-IID (right).
-        strategies: scheme names to run.
+        strategies: distinct scheme names to run.
         backend: client-execution backend (instance or name); a named
             pooled backend is created once and shared by every
             strategy's run.
@@ -114,7 +114,17 @@ def run_fig2(
 
     Returns:
         The panel's :class:`Fig2Result`.
+
+    Raises:
+        ConfigurationError: for no strategies, or a strategy named
+            twice (it would train twice and keep one history).
     """
+    if not strategies:
+        raise ConfigurationError("need at least one strategy")
+    if len(set(strategies)) != len(strategies):
+        raise ConfigurationError(
+            f"strategies must be distinct, got {tuple(strategies)}"
+        )
     settings = settings or ExperimentSettings()
     environment = build_environment(settings, iid=iid)
     histories: Dict[str, TrainingHistory] = {}

@@ -636,10 +636,13 @@ class FederatedTrainer:
                 continue
             device = self.devices[position]
             if gain == gain and gain != device.radio.channel_gain:
-                device.radio.channel_gain = moved[position] = gain
+                moved[position] = gain
             if charge == charge and device.battery is not None:
                 device.battery.charge_joules = charge
+        # The population validates every gain before a radio moves.
         self.population.set_channel_gains(list(moved), list(moved.values()))
+        for position, gain in moved.items():
+            self.devices[position].radio.channel_gain = gain
         if run.plateau is not None and checkpoint.plateau is not None:
             run.plateau.load_state_dict(checkpoint.plateau)
         self.best_model_params = (
@@ -850,8 +853,8 @@ class FederatedTrainer:
             position = self._position(device_id)
             if position is not None:
                 gain = float(model.sample_gain())
-                self.devices[position].radio.channel_gain = gain
                 self.population.set_channel_gains((position,), (gain,))
+                self.devices[position].radio.channel_gain = gain
 
     def _select(self, state: RoundState) -> None:
         """``Gamma_j`` (plus over-selected extras) and its population slice."""

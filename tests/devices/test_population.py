@@ -324,11 +324,11 @@ class TestViewsAndUpdates:
         """A finite gain whose ``1 + snr`` rounds to 1 is refused before
         it can make Eq. (7) divide by a zero rate."""
         population = DevicePopulation.from_spec(None, [40, 80, 20], seed=1)
-        before = (population.channel_gain.copy(), population.log2_snr1.copy())
+        before = (population.channel_gain.tobytes(), population.log2_snr1.tobytes())
         with pytest.raises(DeviceError, match="zero upload rate"):
-            population.set_channel_gains([0], [1e-200])
-        assert np.array_equal(population.channel_gain, before[0])
-        assert np.array_equal(population.log2_snr1, before[1])
+            population.set_channel_gains([1, 0], [2.0, 1e-200])
+        assert population.channel_gain.tobytes() == before[0]
+        assert population.log2_snr1.tobytes() == before[1]
         delay = population.max_frequency_delay(PAYLOAD, BANDWIDTH)
         assert np.isfinite(delay).all()
 
@@ -351,12 +351,13 @@ class TestViewsAndUpdates:
 
     @pytest.mark.parametrize("gain", [float("nan"), float("inf"), -1.0])
     def test_set_channel_gains_rejects_non_finite(self, gain):
-        """NaN passes ``value <= 0`` and would poison ``log2_snr1``."""
+        """NaN passes ``value <= 0`` and would poison ``log2_snr1``; the
+        valid gain beside the refused one is not written either."""
         population = DevicePopulation.from_devices(
             make_heterogeneous_devices(4)
         )
-        before = (population.channel_gain.copy(), population.log2_snr1.copy())
+        before = (population.channel_gain.tobytes(), population.log2_snr1.tobytes())
         with pytest.raises(DeviceError, match="finite and positive"):
-            population.set_channel_gains([3], [gain])
-        assert np.array_equal(population.channel_gain, before[0])
-        assert np.array_equal(population.log2_snr1, before[1])
+            population.set_channel_gains([0, 3], [2.0, gain])
+        assert population.channel_gain.tobytes() == before[0]
+        assert population.log2_snr1.tobytes() == before[1]

@@ -77,6 +77,15 @@ class TestValidation:
         radio = Radio(0.2, math.sqrt(2.0**-52 * 1e-2 / 0.2), 1e-2)
         assert 0.0 < radio.upload_delay(1e6, 2e6) < math.inf
 
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf"), 0.0, 1e-200])
+    def test_refused_gain_assignment_keeps_old_gain(self, gain):
+        radio = Radio(0.2, 1.5, 1e-2)
+        delay = radio.upload_delay(1e6, 2e6)
+        with pytest.raises(DeviceError):
+            radio.channel_gain = gain
+        assert radio.channel_gain == 1.5
+        assert radio.upload_delay(1e6, 2e6) == delay
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["transmit_power", "noise_power"])
     def test_non_finite_power(self, name, value):

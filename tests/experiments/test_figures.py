@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import fig2 as fig2_module
 from repro.experiments.fig2 import Fig2Result, run_fig2
 from repro.experiments.fig3 import derive_fig3, max_frequency_history
 from repro.experiments.reporting import (
@@ -60,6 +61,23 @@ class TestFig2:
     def test_unknown_reference_raises(self, fig2):
         with pytest.raises(ConfigurationError):
             fig2.improvements_over_baselines(reference="nope")
+
+    @pytest.mark.parametrize(
+        "strategies, match",
+        [((), "at least one"), (("helcfl", "helcfl"), "distinct")],
+        ids=["empty", "repeated"],
+    )
+    def test_strategies_refused_before_build(self, monkeypatch, strategies, match):
+        # A repeated name would train twice and keep one history.
+        def build_environment(*args, **kwargs):
+            raise AssertionError("built an environment")
+
+        monkeypatch.setattr(fig2_module, "build_environment", build_environment)
+        with pytest.raises(ConfigurationError, match=match):
+            run_fig2(
+                ExperimentSettings.quick(num_users=6, rounds=1),
+                strategies=strategies,
+            )
 
 
 class TestTable1:
@@ -165,12 +183,15 @@ class TestFig3:
             derive_fig3(fig2)
 
 
-@pytest.mark.parametrize("iid", [True, False], ids=["iid", "noniid"])
-def test_max_frequency_history_equals_trained_twin(iid):
+@pytest.mark.parametrize(
+    "iid, seed", [(True, 7), (False, 7), (True, 3)], ids=["iid", "noniid", "iid-seed3"]
+)
+def test_max_frequency_history_equals_trained_twin(iid, seed):
     # Algorithm 3 changes only frequencies: replaying the HELCFL run at
     # f_max gives the trained no-DVFS run, every record to the bit.
+    # benchmarks/bench_multiseed.py reads its DVFS saving off this replay.
     fig2 = run_fig2(
-        ExperimentSettings.quick(seed=7),
+        ExperimentSettings.quick(seed=seed),
         iid=iid,
         strategies=("helcfl", "helcfl-nodvfs"),
     )

@@ -1,98 +1,72 @@
-"""Tests for the multi-seed runner and analysis stats."""
+"""Tests for multi-seed studies: one Fig. 2 sweep per seed."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.stats import mean_std, paired_gap
 from repro.campaign import STATUS_PENDING, CampaignManifest
-from repro.errors import ConfigurationError
-from repro.experiments.multiseed import run_multiseed
+from repro.experiments.fig2 import run_fig2
 from repro.experiments.settings import ExperimentSettings
 from tests.campaign.conftest import campaign_histories, tiny_campaign
 
 SIZE = {"num_users": 6, "rounds": 4, "train_size": 96, "test_size": 32}
+SEEDS = (0, 1, 2)
+STRATEGIES = ("helcfl", "classic")
 
 
-class TestStats:
-    def test_mean_std(self):
-        mean, std = mean_std([1.0, 2.0, 3.0])
-        assert mean == pytest.approx(2.0)
-        assert std == pytest.approx(1.0)
-
-    def test_single_value_std_zero(self):
-        assert mean_std([5.0]) == (5.0, 0.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ConfigurationError):
-            mean_std([])
-
-    def test_paired_gap(self):
-        mean, std, wins = paired_gap([2.0, 3.0, 4.0], [1.0, 1.0, 5.0])
-        assert mean == pytest.approx(2.0 / 3.0)
-        assert wins == pytest.approx(2.0 / 3.0)
-        assert std > 0
-
-    def test_paired_gap_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            paired_gap([1.0], [1.0, 2.0])
+@pytest.fixture(scope="module")
+def sweep():
+    # The multi-seed idiom: a tuple of Fig2Results, one run_fig2 per seed.
+    settings = ExperimentSettings.quick(**SIZE)
+    return tuple(
+        run_fig2(replace(settings, seed=seed), strategies=STRATEGIES)
+        for seed in SEEDS
+    )
 
 
-class TestMultiSeed:
-    @pytest.fixture(scope="class")
-    def result(self):
-        settings = ExperimentSettings.quick(rounds=15)
-        return run_multiseed(
-            ("helcfl", "classic"), settings, iid=True, seeds=(0, 1, 2)
-        )
+def per_seed(sweep, strategy, metric):
+    return [getattr(result.histories[strategy], metric) for result in sweep]
 
-    def test_one_history_per_seed(self, result):
-        assert len(result.histories["helcfl"]) == 3
-        assert len(result.histories["classic"]) == 3
 
-    def test_metric_extraction(self, result):
-        values = result.metric("helcfl", "best_accuracy")
-        assert len(values) == 3
-        assert all(0.0 <= v <= 1.0 for v in values)
+def test_seeds_produce_different_runs(sweep):
+    # Each seed re-derives data, partition, fleet and model init.
+    assert len(set(per_seed(sweep, "helcfl", "total_energy"))) == len(SEEDS)
 
-    def test_summary_shape(self, result):
-        summary = result.summary("total_energy")
-        assert set(summary) == {"helcfl", "classic"}
-        for mean, std in summary.values():
-            assert mean > 0 and std >= 0
 
-    def test_gap_is_paired(self, result):
-        mean, std, wins = result.gap("helcfl", "classic", "total_time")
-        assert wins is not None and 0.0 <= wins <= 1.0
-        del mean, std
+def test_one_history_per_strategy_per_seed(sweep):
+    assert len(sweep) == len(SEEDS)
+    for result in sweep:
+        assert tuple(result.histories) == STRATEGIES
+        for history in result.histories.values():
+            assert len(history.records) == SIZE["rounds"]
 
-    def test_seeds_produce_different_runs(self, result):
-        energies = result.metric("helcfl", "total_energy")
-        assert len(set(energies)) == 3
 
-    def test_time_to_accuracy_per_seed(self, result):
-        times = result.time_to_accuracy("helcfl", 0.05)
-        assert len(times) == 3
+def test_summary_over_seeds(sweep):
+    for strategy in STRATEGIES:
+        energies = per_seed(sweep, strategy, "total_energy")
+        mean, std = mean_std(energies)
+        assert mean == pytest.approx(sum(energies) / len(SEEDS))
+        assert mean > 0 and std > 0
 
-    def test_unknown_strategy_raises(self, result):
-        with pytest.raises(ConfigurationError):
-            result.metric("nope", "best_accuracy")
-        with pytest.raises(ConfigurationError):
-            result.metric("helcfl", "nope")
 
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_multiseed((), seeds=(0,))
-        with pytest.raises(ConfigurationError):
-            run_multiseed(("helcfl",), seeds=())
+def test_gap_is_paired_by_seed(sweep):
+    helcfl = per_seed(sweep, "helcfl", "total_time")
+    classic = per_seed(sweep, "classic", "total_time")
+    mean, _, wins = paired_gap(helcfl, classic)
+    gaps = [a - b for a, b in zip(helcfl, classic)]
+    assert mean == pytest.approx(sum(gaps) / len(SEEDS))
+    assert wins == sum(g > 0 for g in gaps) / len(SEEDS)
 
-    def test_repeated_strategy_rejected(self):
-        # Both "helcfl" entries appended to one list: 4 histories for
-        # 2 seeds, so histories[s][i] no longer ran seeds[i].
-        with pytest.raises(ConfigurationError, match="distinct"):
-            run_multiseed(
-                ("helcfl", "helcfl"),
-                ExperimentSettings.quick(num_users=6, rounds=1),
-                seeds=(0, 1),
-            )
+
+def test_time_to_accuracy_per_seed(sweep):
+    for result in sweep:
+        history = result.histories["helcfl"]
+        # Reachable targets give a time within the run; an unreachable
+        # one gives None on every seed.
+        time = history.time_to_accuracy(history.best_accuracy)
+        assert 0 < time <= history.total_time
+        assert history.time_to_accuracy(1.01) is None
 
 
 class TestCampaignRouting:
@@ -109,12 +83,14 @@ class TestCampaignRouting:
         )
 
     def in_process(self):
-        result = run_multiseed(
-            self.STRATEGIES, ExperimentSettings.quick(**SIZE), seeds=self.SEEDS
-        )
+        settings = ExperimentSettings.quick(**SIZE)
+        results = [
+            run_fig2(replace(settings, seed=seed), strategies=self.STRATEGIES)
+            for seed in self.SEEDS
+        ]
         return {
-            f"s{seed}-{strategy}-c0-f0": result.histories[strategy][i].to_json()
-            for i, seed in enumerate(self.SEEDS)
+            f"s{seed}-{strategy}-c0-f0": result.histories[strategy].to_json()
+            for seed, result in zip(self.SEEDS, results)
             for strategy in self.STRATEGIES
         }
 

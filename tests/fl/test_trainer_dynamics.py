@@ -1,10 +1,13 @@
 """Tests for trainer extensions: fading channels and the energy ledger."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.baselines.classic import RandomSelection
 from repro.data.dataset import ArrayDataset
+from repro.errors import DeviceError
 from repro.fl.server import FederatedServer
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.network.channel import RayleighFadingChannel
@@ -83,6 +86,27 @@ class TestFadingChannels:
             return trainer.run().to_json()
 
         assert run_once() == run_once()
+
+    @pytest.mark.parametrize("gain", [float("nan"), 0.0, 1e-200])
+    def test_refused_faded_gain_moves_nothing(self, gain):
+        server, devices = make_setup()
+        models = {devices[0].device_id: FixedGain(2.0), devices[1].device_id: FixedGain(gain)}
+        trainer = FederatedTrainer(
+            server=server,
+            devices=devices,
+            selection=FullParticipation(),
+            config=TrainerConfig(rounds=2, bandwidth_hz=2e6, learning_rate=0.1),
+            channel_models=models,
+        )
+        kept = devices[1].radio.channel_gain
+        with pytest.raises(DeviceError):
+            trainer.run()
+        population = trainer.population
+        assert devices[1].radio.channel_gain == kept
+        assert population.channel_gain[1] == kept
+        assert population.log2_snr1[1] == math.log2(1.0 + devices[1].radio.snr)
+        # The gain drawn before the refused one moved both sides.
+        assert devices[0].radio.channel_gain == population.channel_gain[0] == 2.0
 
     def test_unmapped_devices_keep_static_gain(self):
         server, devices = make_setup()

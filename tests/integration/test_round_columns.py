@@ -27,7 +27,7 @@ import pytest
 
 from repro.devices.battery import Battery
 from repro.devices.population import DevicePopulation
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DeviceError
 from repro.experiments.runner import build_environment, build_trainer
 from repro.experiments.settings import ExperimentSettings
 from repro.fl.execution import RoundResult, SerialBackend, create_backend
@@ -112,6 +112,25 @@ class TestRunStartPopulation:
         assert env.devices[0].radio.channel_gain == gains[0]
         assert env.devices[1].radio.channel_gain == kept
         assert_same_population(population, DevicePopulation.from_devices(trainer.devices))
+
+    def test_refused_checkpoint_gain_moves_nothing(self):
+        env = build_environment(settings(), iid=True)
+        first = build_trainer("helcfl", settings(), env)
+        first.run()
+        checkpoint = first.last_checkpoint
+        gains = checkpoint.channel_gains.copy()
+        gains[0] *= 1.5  # valid, but it lands beside a refused one
+        gains[2] = -1.0
+        checkpoint = dataclasses.replace(
+            checkpoint, round_index=1, channel_gains=gains, records=checkpoint.history[:1]
+        )
+        radios = [d.radio.channel_gain for d in env.devices]
+        trainer = build_trainer("helcfl", settings(), env)
+        want = DevicePopulation.from_devices(trainer.devices)
+        with pytest.raises(DeviceError, match="finite and positive"):
+            run_start_population(trainer, checkpoint)
+        assert [d.radio.channel_gain for d in env.devices] == radios
+        assert_same_population(trainer.population, want)
 
     def test_battery_fleet(self):
         env = build_environment(settings(), iid=True)
