@@ -7,10 +7,10 @@ for future rounds. Ties are broken deterministically by device id so
 runs are reproducible.
 
 The ranking itself runs over a :class:`~repro.devices.DevicePopulation`
-as an O(Q) value-partition (``np.argpartition`` via ``np.partition`` of
-the N-th largest score) instead of a full sort, and reproduces the
-full ``sorted(key=(-score, id))`` ranking — descending utility, ties by
-ascending device id — bit for bit.
+as one O(Q) ``np.argpartition`` at the N-th largest score instead of a
+full sort (entries tied with that score cost two more scans), and
+reproduces the full ``sorted(key=(-score, id))`` ranking — descending
+utility, ties by ascending device id — bit for bit.
 """
 
 from __future__ import annotations
@@ -39,18 +39,19 @@ def top_utility_positions(
     Args:
         scores: per-device utilities, aligned with ``device_ids``.
         device_ids: unique device ids (the deterministic tie-break).
-        count: how many to take (must not exceed the population).
+        count: how many to take, an integer in ``[1, size]``.
 
     Raises:
-        ConfigurationError: for ``count`` above the population size, or
-            a NaN score — NaN has no rank, and ``np.partition`` would
-            silently return fewer than ``count`` positions.
+        ConfigurationError: for a ``count`` that is not such an integer
+            (a bool is not), or a NaN score — NaN has no rank, and
+            ``np.argpartition`` would silently misplace it.
     """
     size = scores.shape[0]
-    if count > size:
-        raise ConfigurationError(
-            f"cannot take top {count} of {size} devices"
-        )
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+        raise ConfigurationError(f"count must be an integer, got {count!r}")
+    count = int(count)  # ``size - count`` overflows a uint8 ``count``
+    if not 1 <= count <= size:
+        raise ConfigurationError(f"cannot take top {count} of {size} devices")
     if np.isnan(scores).any():
         raise ConfigurationError(
             f"cannot rank a NaN utility (position {int(np.isnan(scores).argmax())})"
@@ -58,17 +59,21 @@ def top_utility_positions(
     if count == size:
         return rank_by(-scores, device_ids)
     # The count-th largest value bounds the winners: everything
-    # strictly above it is in, the remaining slots go to the smallest
-    # ids among the entries equal to it.
-    kth = np.partition(scores, size - count)[size - count]
-    above = np.flatnonzero(scores > kth)
-    need = count - above.shape[0]
-    if need > 0:
-        ties = np.flatnonzero(scores == kth)
-        ties = ties[np.argsort(device_ids[ties])][:need]
-        chosen = np.concatenate((above, ties))
+    # strictly above it is in. When no other entry equals it (a ±0.0
+    # pair counts as equal), the partition's tail is exactly the
+    # winners; otherwise the remaining slots go to the smallest ids
+    # among the entries equal to it. Either way ``chosen`` lists the
+    # entries above it in position order, then the tied ones.
+    cut = size - count
+    part = np.argpartition(scores, cut)
+    kth = scores[part[cut]]
+    if np.count_nonzero(scores == kth) == 1:
+        chosen = np.concatenate((np.sort(part[cut + 1:]), part[cut:cut + 1]))
     else:
-        chosen = above
+        above = np.flatnonzero(scores > kth)
+        ties = np.flatnonzero(scores == kth)
+        ties = ties[np.argsort(device_ids[ties])][: count - above.shape[0]]
+        chosen = np.concatenate((above, ties))
     return chosen[rank_by(-scores[chosen], device_ids[chosen])]
 
 

@@ -74,6 +74,11 @@ class TestFromDevices:
         with pytest.raises(DeviceError):
             DevicePopulation.from_devices([])
 
+    def test_repeated_id_rejected(self):
+        devices = [make_device(device_id=i, seed=i) for i in (4, 9, 2, 9, 4)]
+        with pytest.raises(DeviceError, match="device id 4 appears more than once"):
+            DevicePopulation.from_devices(devices)
+
     def test_len_and_repr(self):
         population = DevicePopulation.from_devices(
             make_heterogeneous_devices(4)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.energy.accounting import DeviceEnergy, EnergyLedger
-from repro.errors import SerializationError
+from repro.errors import SerializationError, TrainingError
 from repro.network.tdma import RoundTimeline, simulate_tdma_round
 from tests.conftest import make_heterogeneous_devices
 from tests.oracles.ledger_objects import ObjectLedger
@@ -234,3 +234,107 @@ class TestColumnState:
         with pytest.raises(SerializationError, match="energy-ledger"):
             fresh.load_column_state(state)
         assert fresh.device_ids.shape == (0,)
+
+
+class TestRepeatedIds:
+    """A round that lists a device twice is refused and changes nothing:
+    the fancy ``+=`` would add once for it, and the rows would no longer
+    be one per device."""
+
+    # Ids in the table's window, and ids that put the ledger on its
+    # sorted index.
+    @pytest.fixture(params=[0, 2**40], ids=["table", "sorted"])
+    def base(self, request):
+        return request.param
+
+    def test_repeat_in_a_fresh_ledger(self, base):
+        ledger = EnergyLedger()
+        with pytest.raises(TrainingError, match=f"device {base + 1} twice"):
+            ledger.record_round(timeline_of([base + 1, base + 1], [1.0, 2.0], [0, 0], [0, 0]))
+        assert ledger.state_dict() == {"rounds_recorded": 0, "devices": {}}
+        assert ledger.device_ids.shape == (0,)
+
+    @pytest.mark.parametrize("refused", [[7, 7], [3, 7, 7]])
+    def test_repeat_of_a_known_id(self, base, refused):
+        ledger = EnergyLedger()
+        ledger.record_round(timeline_of([base + 7], [1.0], [0.5], [0.0]))
+        before = json.dumps(ledger.state_dict())
+        size = len(refused)
+        with pytest.raises(TrainingError, match=f"device {base + 7} twice"):
+            ledger.record_round(
+                timeline_of([base + i for i in refused], [1.0] * size, [0.5] * size, [0.0] * size)
+            )
+        assert json.dumps(ledger.state_dict()) == before
+        assert ledger.device_ids.tolist() == [base + 7]
+        # The refused round left the lookup intact as well.
+        ledger.record_round(timeline_of([base + 7, base + 3], [1.0, 1.0], [0.5, 0.5], [0, 0]))
+        assert ledger.devices[base + 7] == DeviceEnergy(base + 7, 2.0, 1.0, 2, 0.0)
+        assert ledger.devices[base + 3] == DeviceEnergy(base + 3, 1.0, 0.5, 1, 0.0)
+
+
+class TestLookupModes:
+    """Rows are found through an id table while every id is in
+    ``[0, 2**20)`` and through a sorted index after the first id outside;
+    the ledger equals the object ledger across the switch."""
+
+    @staticmethod
+    def dense_round(rng, size=6, top=12):
+        ids = rng.permutation(top)[:size]
+        return timeline_of(ids, *(rng.random(size) * 10.0 ** rng.integers(-3, 3) for _ in range(3)))
+
+    def test_switch_to_the_sorted_index_midway(self):
+        rng = np.random.default_rng(50)
+        ledger, oracle = EnergyLedger(), ObjectLedger()
+        rounds = [self.dense_round(rng) for _ in range(3)]
+        rounds.append(timeline_of([4, 2**62, 30], [1.5, 2.5, 0.25], [0.5, 1.0, 2.0], [0, 1, 0]))
+        rounds += [self.dense_round(rng, top=40) for _ in range(3)]
+        for index, timeline in enumerate(rounds):
+            ledger.record_round(timeline)
+            oracle.record_round(timeline)
+            assert (ledger._table is None) == (index >= 3)
+            assert_same_ledger(ledger, oracle)
+
+    def test_reloaded_in_table_mode_continues_bit_equal(self):
+        rng = np.random.default_rng(51)
+        kept = EnergyLedger()
+        for _ in range(3):
+            kept.record_round(self.dense_round(rng))
+        reloaded_ledger = EnergyLedger()
+        reloaded_ledger.load_column_state(json.loads(json.dumps(kept.column_state())))
+        assert reloaded_ledger._table is not None
+        for _ in range(4):
+            timeline = self.dense_round(rng, top=60)
+            kept.record_round(timeline)
+            reloaded_ledger.record_round(timeline)
+        for name in ("device_ids", "compute_joules", "upload_joules", "rounds", "slack_seconds"):
+            got, want = getattr(reloaded_ledger, name), getattr(kept, name)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
+        assert json.dumps(reloaded_ledger.state_dict()) == json.dumps(kept.state_dict())
+        for name in ("total_joules", "total_compute_joules", "total_upload_joules"):
+            assert repr(getattr(reloaded_ledger, name)) == repr(getattr(kept, name))
+
+    def test_loaded_ids_pick_the_mode(self):
+        table, index = EnergyLedger(), EnergyLedger()
+        table.load_state_dict({"devices": {"3": GOOD, "0": GOOD}})
+        index.load_state_dict({"devices": {"3": GOOD, "-1": GOOD}})
+        assert table._table.tolist() == [2, 0, 0, 1]
+        assert index._table is None and index._sorted_ids.tolist() == [-1, 3]
+
+    def test_table_grows_by_doubling_up_to_the_window(self):
+        ledger = EnergyLedger()
+        sizes = []
+        for device_id in (5, 6, 100, 2**20 - 1):
+            ledger.record_round(timeline_of([device_id], [1.0], [1.0], [0.0]))
+            sizes.append(ledger._table.shape[0])
+        assert sizes == [6, 12, 101, 2**20]
+        assert ledger.device_ids.tolist() == [5, 6, 100, 2**20 - 1]
+
+    @pytest.mark.parametrize("far", [2**20, 2**40, -1])
+    def test_ids_outside_the_window_allocate_no_table(self, far):
+        ledger = EnergyLedger()
+        ledger.record_round(timeline_of([0, far], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]))
+        assert ledger._table is None
+        ledger.record_round(timeline_of([far, 1], [1.0, 2.0], [0.0, 0.0], [0.0, 0.0]))
+        assert ledger._table is None
+        assert ledger.device_ids.tolist() == [0, far, 1]
+        assert ledger.compute_joules.tolist() == [1.0, 3.0, 2.0]

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from repro.baselines.classic import RandomSelection
+from repro.core.selection import GreedyDecaySelection
 from repro.data.dataset import ArrayDataset
 from repro.devices.battery import Battery
-from repro.errors import ConfigurationError, TrainingError
+from repro.errors import ConfigurationError, DeviceError, TrainingError
 from repro.experiments.runner import run_strategy
 from repro.experiments.settings import ExperimentSettings
 from repro.fl.server import FederatedServer
 from repro.fl.strategy import SelectionStrategy
 from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
-from tests.conftest import make_heterogeneous_devices
+from tests.conftest import make_device, make_heterogeneous_devices
 from tests.full_participation import FullParticipation
 
 
@@ -207,6 +208,19 @@ class TestRun:
                 server=server,
                 devices=[],
                 selection=FullParticipation(),
+            )
+
+    def test_repeated_device_id_rejected(self):
+        """Two devices under id 1 would train twice but be booked once
+        in the energy ledger."""
+        server, _ = make_setup()
+        devices = [make_device(device_id=i, seed=k) for k, i in enumerate((0, 1, 1, 2))]
+        with pytest.raises(DeviceError, match="device id 1 "):
+            FederatedTrainer(
+                server=server,
+                devices=devices,
+                selection=GreedyDecaySelection(1.0, 0.9, 1e6, 2e6),
+                config=TrainerConfig(rounds=2, bandwidth_hz=2e6, learning_rate=0.2),
             )
 
     def test_same_seed_reproducible(self):
