@@ -34,6 +34,7 @@ from repro.campaign.manifest import (
 from repro.campaign.runner import execute_run
 from repro.campaign.spec import RunSpec
 from repro.errors import ConfigurationError
+from repro.fl.execution import _pin_one_blas_thread
 
 __all__ = [
     "CAMPAIGN_TRACE_FILE",
@@ -68,7 +69,12 @@ def worker_main(
     observability settings, carried across the process boundary so the
     worker logs at the requested level and its run span links back to
     the pool's attempt span.
+
+    BLAS runs on one thread: the pool's workers already share out the
+    cores, and OpenBLAS would otherwise start one thread per core in
+    each of them.
     """
+    _pin_one_blas_thread()
     try:
         execute_run(
             RunSpec.from_dict(run_payload),

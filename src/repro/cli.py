@@ -72,8 +72,9 @@ _FLAGS = {
     "--workers": dict(
         type=int,
         default=None,
-        help="worker count for the thread/process backends "
-        "(default: CPU count)",
+        help="chunks the thread/process backends train at once; the "
+        "calling process trains one, so N - 1 threads or processes are "
+        "started (default: CPU count)",
     ),
     "--trace": dict(
         type=str,

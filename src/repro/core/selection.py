@@ -62,13 +62,14 @@ def top_utility_positions(
     # strictly above it is in. When no other entry equals it (a ±0.0
     # pair counts as equal), the partition's tail is exactly the
     # winners; otherwise the remaining slots go to the smallest ids
-    # among the entries equal to it. Either way ``chosen`` lists the
-    # entries above it in position order, then the tied ones.
+    # among the entries equal to it. ``chosen`` is then the winners in
+    # no particular order: the ids are unique, so no two winners share
+    # a (score, id) key and the final ranking does not depend on it.
     cut = size - count
     part = np.argpartition(scores, cut)
     kth = scores[part[cut]]
     if np.count_nonzero(scores == kth) == 1:
-        chosen = np.concatenate((np.sort(part[cut + 1:]), part[cut:cut + 1]))
+        chosen = part[cut:]
     else:
         above = np.flatnonzero(scores > kth)
         ties = np.flatnonzero(scores == kth)

@@ -10,19 +10,24 @@ where each chunk runs:
 
 * :class:`SerialBackend` — the whole selection as one chunk, in the
   calling thread;
-* :class:`ThreadPoolBackend` — one chunk per worker thread, each with
-  its own scratch model; numpy releases the GIL inside BLAS calls, so
-  the matmul-heavy forward/backward passes genuinely overlap;
-* :class:`ProcessPoolBackend` — one chunk per worker process, forked
-  at ``bind`` with the model and the bound datasets; a round sends each
-  worker one task (ids, learning rate, broadcast vector) over its own
-  pipe and reads one reply (trained rows and losses);
+* :class:`ThreadPoolBackend` — one chunk per thread, each with its own
+  scratch model; numpy releases the GIL inside BLAS calls, so the
+  matmul-heavy forward/backward passes genuinely overlap;
+* :class:`ProcessPoolBackend` — one chunk per process, the workers
+  forked at ``bind`` with the model and the bound datasets; a round
+  sends each worker one task (ids, learning rate, broadcast vector) over
+  its own pipe and reads one reply (trained rows and losses);
 * ``SharedMemoryProcessPoolBackend`` (:mod:`repro.fl.shm`, registry
   name ``"process+shm"``) — the same workers, with the broadcast and
   trained vectors in ``multiprocessing.shared_memory`` blocks.
 
-Pools cut at most one chunk per worker, balanced by ``|D_q|``
-(:func:`_chunk_bounds`).
+A pool of ``workers=W`` cuts at most ``W`` chunks, balanced by
+``|D_q|`` (:func:`_chunk_bounds`), and trains them at once: the calling
+thread trains the first chunk itself, straight into the round's sink,
+while ``W - 1`` threads or forked processes train the rest. ``W = 1``
+therefore starts no thread and forks no process. The first chunk runs
+under the caller's BLAS thread setting; forked workers pin theirs to
+one thread.
 
 All backends are *bitwise equivalent*: a client's trained vector
 depends only on the broadcast vector, its own dataset and (for
@@ -37,10 +42,11 @@ in selection order, and returns a :class:`RoundResult` of id, weight
 (``|D_q|``) and loss columns, read off the trainer's population slice
 with no object per client. By default the rows are kept as its
 ``params``; the trainer passes its Eq. 18 fold instead, so no ``(N, P)``
-update matrix is kept: the serial backend trains block by block into one
-reused buffer, and the pools fold each chunk as soon as it arrives,
-while later chunks still train (``process+shm`` straight from its shared
-result block).
+update matrix is kept: the first chunk trains block by block into the
+sink's reused buffer, so each block is folded while it is still in
+cache; a pool folds each later chunk once it and every chunk before it
+are in, while the chunks after it still train (``process+shm`` straight
+from its shared result block).
 """
 
 from __future__ import annotations
@@ -289,6 +295,24 @@ class ExecutionBackend:
         """Train ``selected`` (``|D_q|`` in ``samples``) into ``sink``; return the losses."""
         raise NotImplementedError
 
+    def _train_first(
+        self, scratch, round_index, global_params, devices, learning_rate, sink, losses
+    ) -> None:
+        """Train ``devices``, the selection's first chunk, in the calling
+        thread, each block straight into ``sink``."""
+        chunk_losses, sample = _train_chunk(
+            scratch,
+            self._spec,
+            round_index,
+            learning_rate,
+            global_params,
+            devices,
+            sink,
+            self._sample_tasks,
+        )
+        losses[: len(devices)] = chunk_losses
+        self._record_chunk(0, len(devices), sample)
+
     def _take_chunk(self, sink, losses, start, stop, rows, chunk_losses, sample) -> None:
         """Hand a pool chunk to ``sink``; pools call it in selection order,
         not completion order, so the fold and the span sequence are
@@ -341,7 +365,7 @@ def _train_chunk(
 
 
 def _chunk_bounds(samples: np.ndarray, workers: int) -> List[Tuple[int, int]]:
-    """``(start, stop)`` of the contiguous chunk each pool worker trains.
+    """``(start, stop)`` of the contiguous chunks a pool of ``workers`` trains.
 
     At most ``workers`` chunks, none empty, together covering the
     selection in order. Training cost grows with ``|D_q|``, so the cut
@@ -371,6 +395,11 @@ def _check_workers(workers: Optional[int]) -> Optional[int]:
     return workers
 
 
+def _chunk_count(workers: Optional[int]) -> int:
+    """How many chunks a pool of ``workers`` trains at once (``None``: one per core)."""
+    return workers or os.cpu_count() or 1
+
+
 class SerialBackend(ExecutionBackend):
     """The whole selection as one chunk on one shared scratch model."""
 
@@ -385,30 +414,27 @@ class SerialBackend(ExecutionBackend):
         self._scratch = model_template.clone()
 
     def _run(self, round_index, global_params, selected, learning_rate, sink, samples):
-        losses, sample = _train_chunk(
-            self._scratch,
-            self._spec,
-            round_index,
-            learning_rate,
-            global_params,
-            selected,
-            sink,
-            self._sample_tasks,
+        losses = np.empty(len(selected))
+        self._train_first(
+            self._scratch, round_index, global_params, selected, learning_rate, sink, losses
         )
-        self._record_chunk(0, len(selected), sample)
         return losses
 
 
 class ThreadPoolBackend(ExecutionBackend):
-    """One chunk of the selection per thread of a thread pool.
+    """One chunk of the selection per thread.
 
-    Each worker thread lazily clones its own scratch model
-    (thread-local), so concurrent chunks never share layer buffers,
-    and trains its chunk into rows of its own. numpy's BLAS kernels
-    drop the GIL, which is where the overlap comes from.
+    The calling thread trains the first chunk straight into the sink;
+    a pool of ``workers - 1`` threads trains the others, each into rows
+    of its own, which are taken in selection order once the first chunk
+    is done. Every thread lazily clones its own scratch model
+    (thread-local), so concurrent chunks never share layer buffers.
+    numpy's BLAS kernels drop the GIL, which is where the overlap comes
+    from.
 
     Args:
-        workers: pool size; ``None`` uses ``os.cpu_count()``.
+        workers: chunks trained at once; ``None`` uses ``os.cpu_count()``.
+            ``1`` starts no thread.
     """
 
     name = "thread"
@@ -428,9 +454,11 @@ class ThreadPoolBackend(ExecutionBackend):
         self.close()
         self._template = model_template.clone()
         self._local = threading.local()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-client"
-        )
+        threads = _chunk_count(self.workers) - 1
+        if threads:  # an executor of no thread is refused
+            self._pool = ThreadPoolExecutor(
+                max_workers=threads, thread_name_prefix="repro-client"
+            )
 
     def close(self) -> None:
         if self._pool is not None:
@@ -446,13 +474,14 @@ class ThreadPoolBackend(ExecutionBackend):
         return scratch
 
     def _run(self, round_index, global_params, selected, learning_rate, sink, samples):
-        if self._pool is None:
+        from concurrent.futures import wait
+
+        if self._local is None:
             raise TrainingError("ThreadPoolBackend is closed; re-bind it")
         sampling = self._sample_tasks
         size = np.size(global_params)
 
-        def task(bounds: Tuple[int, int]):
-            start, stop = bounds
+        def task(start: int, stop: int):
             rows = np.empty((stop - start, size))
             losses, sample = _train_chunk(
                 self._scratch(),
@@ -466,10 +495,26 @@ class ThreadPoolBackend(ExecutionBackend):
             )
             return rows, losses, sample
 
-        bounds = _chunk_bounds(samples, self.workers or os.cpu_count() or 1)
         losses = np.empty(len(selected))
-        for (start, stop), chunk in zip(bounds, self._pool.map(task, bounds)):
-            self._take_chunk(sink, losses, start, stop, *chunk)
+        bounds = _chunk_bounds(samples, _chunk_count(self.workers))
+        if not bounds:
+            return losses
+        (_, own), rest = bounds[0], bounds[1:]
+        futures = [self._pool.submit(task, start, stop) for start, stop in rest]
+        try:
+            self._train_first(
+                self._scratch(),
+                round_index,
+                global_params,
+                selected[:own],
+                learning_rate,
+                sink,
+                losses,
+            )
+            for (start, stop), future in zip(rest, futures):
+                self._take_chunk(sink, losses, start, stop, *future.result())
+        finally:
+            wait(futures)  # no thread outlives its round
         return losses
 
 
@@ -509,6 +554,18 @@ def _blas_thread_setter():
     return None
 
 
+def _pin_one_blas_thread() -> None:
+    """Run this process's BLAS on one thread, where the setter is found.
+
+    For a process that shares the cores out with its siblings: a forked
+    OpenBLAS keeps the parent's thread count, so each would otherwise
+    start one BLAS thread per core.
+    """
+    set_blas_threads = _blas_thread_setter()
+    if set_blas_threads is not None:
+        set_blas_threads(1)
+
+
 def _worker_loop(pipe, inherited, scratch, spec, datasets, transport, log_level) -> None:
     """One worker process: train one chunk per task until the ``None`` sentinel.
 
@@ -516,14 +573,11 @@ def _worker_loop(pipe, inherited, scratch, spec, datasets, transport, log_level)
     parent's pipe ends a fork copies (this worker's own too); closed, a
     dead parent reads as end-of-file. Ctrl-C is the parent's to handle,
     and a failure goes back as the reply. BLAS runs on one thread: the
-    workers already share out the cores, and a forked OpenBLAS keeps
-    the parent's thread count.
+    workers and the parent already share out the cores.
     """
     for end in inherited:
         end.close()
-    set_blas_threads = _blas_thread_setter()
-    if set_blas_threads is not None:
-        set_blas_threads(1)
+    _pin_one_blas_thread()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if log_level is not None:
         from repro.obs import configure_logging
@@ -582,13 +636,16 @@ def _worker_task(task, scratch, spec, datasets, transport):
 class _Workers:
     """``count`` worker processes, forked once, each on its own pipe.
 
-    A round sends worker ``k`` exactly one task and reads exactly one
-    reply; the parent runs no thread of its own.
+    A round sends worker ``k`` exactly one task, trains the parent's own
+    chunk, and reads exactly one reply from each worker. ``closed`` is
+    set once the set is stopped: by :meth:`close`, or by a round that
+    found a worker dead or was cut short. ``count`` may be zero.
     """
 
     def __init__(self, count: int, state: tuple) -> None:
         self._pipes: list = []
         self._processes: List[multiprocessing.Process] = []
+        self.closed = False
         _blas_thread_setter()  # resolved once, here, for every fork
         for _ in range(count):
             ours, theirs = multiprocessing.Pipe()
@@ -606,20 +663,27 @@ class _Workers:
     def __len__(self) -> int:
         return len(self._processes)
 
-    def round(self, tasks: Sequence[tuple], take) -> None:
-        """Send task ``k`` to worker ``k``; hand each reply to ``take(k, reply)``.
+    def round(self, tasks: Sequence[tuple], take, own) -> None:
+        """Send task ``k`` to worker ``k``, call ``own()``, then hand each
+        reply to ``take(k, reply)``.
 
-        Replies are handed over in worker order as they arrive, and all
-        are read even after a failure, so the pipes stay in step; the
-        first failure (the worker's, or ``take``'s) is raised after the
-        last reply. A worker that died, or an exchange cut short
-        (Ctrl-C), ends the set: every worker is reaped, the set is empty.
+        ``own`` trains the parent's chunk while the workers train
+        theirs. Replies are handed over in worker order, and all are
+        read even after a failure, so the pipes stay in step; the first
+        failure (``own``'s, a worker's, or ``take``'s) is raised after
+        the last reply. A worker that died, or an exchange cut short
+        once a task is out (Ctrl-C), ends the set: every worker is
+        reaped and ``closed`` is set.
         """
         payloads = [ForkingPickler.dumps(task).tobytes() for task in tasks]
         failure, k = None, 0
         try:
             for k, payload in enumerate(payloads):
                 self._pipes[k].send_bytes(payload)
+            try:
+                own()
+            except Exception as error:
+                failure = error
             for k in range(len(payloads)):
                 ok, reply = _recv_reply(self._pipes[k])
                 if failure is None:
@@ -636,7 +700,8 @@ class _Workers:
                 f"client worker pid {dead.pid} died (exit code {dead.exitcode})"
             ) from None
         except BaseException:
-            self.close(terminate=True)  # the pipes are out of step
+            if payloads:
+                self.close(terminate=True)  # the pipes are out of step
             raise
         if failure is not None:
             raise failure
@@ -644,6 +709,7 @@ class _Workers:
     def close(self, terminate: bool = False) -> None:
         """Stop and reap every worker: the sentinel (SIGTERM after a grace
         period), or SIGTERM at once if ``terminate``."""
+        self.closed = True
         for pipe, process in zip(self._pipes, self._processes):
             if terminate:
                 process.terminate()
@@ -692,21 +758,24 @@ class _PickledRows:
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """One chunk of the selection per worker process.
+    """One chunk of the selection per process.
 
-    ``bind`` forks the workers with the model template, the local-update
-    spec and every bound device's dataset; a round's tasks then carry
-    only device ids, the learning rate and the broadcast vector, one
-    contiguous chunk per worker. Devices that appear at run time without
-    having been bound fall back to shipping their dataset with the task.
+    ``bind`` forks ``workers - 1`` workers with the model template, the
+    local-update spec and every bound device's dataset; a round's tasks
+    then carry only device ids, the learning rate and the broadcast
+    vector, one contiguous chunk per worker, and the parent trains the
+    first chunk itself while the workers train theirs. Devices that
+    appear at run time without having been bound fall back to shipping
+    their dataset with the task.
 
-    A worker that raises leaves the backend usable: the round raises its
-    error once every other reply is in. A worker that dies ends the
-    backend: the round raises :class:`TrainingError` naming its pid and
-    exit code, and every worker is reaped.
+    A failing chunk leaves the backend usable: the round raises the
+    first error in selection order once every reply is in. A worker
+    that dies ends the backend: the round raises :class:`TrainingError`
+    naming its pid and exit code, and every worker is reaped.
 
     Args:
-        workers: number of worker processes; ``None`` uses ``os.cpu_count()``.
+        workers: chunks trained at once; ``None`` uses ``os.cpu_count()``.
+            ``1`` forks no worker.
         log_level: when given, each worker process re-applies this
             logging level when it starts, so worker-side warnings
             surface on stderr.
@@ -719,16 +788,19 @@ class ProcessPoolBackend(ExecutionBackend):
         self.workers = _check_workers(workers)
         self.log_level = log_level
         self._pool: Optional[_Workers] = None
+        self._scratch: Optional[Sequential] = None
         self._known_ids: set = set()
 
     def _bind(self, model_template, spec, devices) -> None:
         self.close()
         datasets = {d.device_id: d.dataset for d in devices}
         self._known_ids = set(datasets)
-        transport = self._transport(model_template.parameter_count)
+        # The parent's scratch; each forked worker trains on its own copy.
+        self._scratch = model_template.clone()
+        forked = _chunk_count(self.workers) - 1
+        transport = self._transport(model_template.parameter_count) if forked else None
         self._pool = _Workers(
-            self.workers or os.cpu_count() or 1,
-            (model_template.clone(), spec, datasets, transport, self.log_level),
+            forked, (self._scratch, spec, datasets, transport, self.log_level)
         )
 
     def _transport(self, param_count: int):
@@ -736,11 +808,13 @@ class ProcessPoolBackend(ExecutionBackend):
         return _PickledRows()
 
     def _send_params(self, global_params: np.ndarray, count: int):
-        """What a task carries for the broadcast vector of ``count`` clients."""
+        """What a task carries for the broadcast vector, with ``count``
+        clients in the workers' chunks."""
         return global_params
 
     def _rows(self, start: int, stop: int, replied, sink: RowSink) -> np.ndarray:
-        """The trained rows of clients ``start:stop``, as the reply brought them."""
+        """The trained rows of slots ``start:stop`` (the workers' clients,
+        counted from the first one), as the reply brought them."""
         return replied
 
     def close(self) -> None:
@@ -751,31 +825,45 @@ class ProcessPoolBackend(ExecutionBackend):
     def _run(self, round_index, global_params, selected, learning_rate, sink, samples):
         if self._pool is None:
             raise TrainingError(f"{type(self).__name__} is closed; re-bind it")
-        bounds = _chunk_bounds(samples, len(self._pool))
-        params = self._send_params(global_params, len(selected))
+        losses = np.empty(len(selected))
+        bounds = _chunk_bounds(samples, len(self._pool) + 1)
+        if not bounds:
+            return losses
+        (_, own), forked = bounds[0], bounds[1:]
+        # Worker slots count from the first client after the parent's chunk.
+        params = self._send_params(global_params, len(selected) - own) if forked else None
         tasks = [
             (
                 round_index,
                 learning_rate,
                 params,
-                start,
+                start - own,
                 *_chunk_clients(selected[start:stop], self._known_ids),
                 self._sample_tasks,
             )
-            for start, stop in bounds
+            for start, stop in forked
         ]
-        losses = np.empty(len(selected))
+        train_own = functools.partial(
+            self._train_first,
+            self._scratch,
+            round_index,
+            global_params,
+            selected[:own],
+            learning_rate,
+            sink,
+            losses,
+        )
 
         def take(k: int, reply) -> None:
-            start, stop = bounds[k]
+            start, stop = forked[k]
             rows, chunk_losses, sample = reply
-            rows = self._rows(start, stop, rows, sink)
+            rows = self._rows(start - own, stop - own, rows, sink)
             self._take_chunk(sink, losses, start, stop, rows, chunk_losses, sample)
 
         try:
-            self._pool.round(tasks, take)
+            self._pool.round(tasks, take, train_own)
         finally:
-            if not len(self._pool):  # the workers are gone: release the rest too
+            if self._pool.closed:  # the workers are gone: release the rest too
                 self.close()
         return losses
 

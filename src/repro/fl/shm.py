@@ -1,24 +1,31 @@
 """Zero-copy shared-memory transport for the process-pool backend.
 
-:class:`ProcessPoolBackend` pickles the broadcast flat vector into every
-task and sends every trained vector back through a pipe — ``2 * Q * P *
-8`` bytes through pipes per round for ``Q`` selected clients and ``P``
-parameters. This module removes both and keeps the rest of that backend
-(workers, chunks, failure handling):
+:class:`ProcessPoolBackend` trains the first chunk of a selection in
+the parent and sends the rest to its forked workers: it pickles the
+broadcast flat vector into every worker's task and sends every row the
+workers train back through a pipe — ``(W - 1) * P * 8 + Q' * P * 8``
+bytes through pipes per round, for ``W`` chunks, ``P`` parameters and
+the ``Q'`` selected clients outside the parent's chunk. This module
+removes both and keeps the rest of that backend (workers, chunks,
+failure handling):
 
 * the parent writes the broadcast vector once per round into a shared
   ``multiprocessing.shared_memory`` block; workers map it read-only;
 * each worker trains its contiguous chunk of the selection and writes
   the results directly into that chunk's slot range of a shared result
-  block;
+  block, which holds the ``Q'`` workers' clients and nothing of the
+  parent's chunk (the parent trains that straight into the round's
+  sink);
 * a task therefore carries only scalars and device ids —
   ``(round_index, learning_rate, result_block_name, first_slot,
   device_ids, ...)`` — and a reply only the chunk's losses.
 
+With ``workers=1`` nothing is forked and no block is created.
+
 Lifecycle: :class:`SharedArrayPool` creates the broadcast block when the
-backend binds, grows the result block on demand (generation-numbered
-names, old generations unlinked immediately), and unlinks everything on
-``close()`` — also when a dead worker closed the backend. ``__del__``
+backend binds and forks a worker, grows the result block on demand
+(generation-numbered names, old generations unlinked immediately), and
+unlinks everything on ``close()`` — also when a dead worker closed the backend. ``__del__``
 and an ``atexit`` hook unlink best-effort so an abandoned backend cannot
 leak ``/dev/shm`` segments past interpreter exit.
 """
@@ -58,7 +65,8 @@ class SharedArrayPool:
 
     One *broadcast block* holds the global flat vector (written by the
     parent each round, mapped read-only by workers). One *result block*
-    holds ``slots`` contiguous flat vectors, one per selected client;
+    holds ``slots`` contiguous flat vectors, one per client the workers
+    train;
     it is created lazily at the first round and regrown (fresh
     generation name, old block unlinked) when a round selects more
     clients than any round before.
@@ -231,7 +239,9 @@ class SharedMemoryProcessPoolBackend(ProcessPoolBackend):
     history and ledger.
 
     Args:
-        workers: number of worker processes; ``None`` uses ``os.cpu_count()``.
+        workers: chunks trained at once, the parent's included; ``None``
+            uses ``os.cpu_count()``. ``1`` forks no worker and maps no
+            shared block.
         log_level: when given, each worker process re-applies this
             logging level when it starts.
     """

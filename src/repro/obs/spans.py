@@ -257,8 +257,8 @@ def begin_task_sample() -> Tuple[float, float, float, float]:
     """Start a task measurement; returns an opaque token.
 
     Call in the process actually running the task (pool worker,
-    thread, or the parent for the serial backend) immediately before
-    the local update, and close with :func:`end_task_sample`.
+    thread, or the parent for a selection's first chunk) immediately
+    before the local update, and close with :func:`end_task_sample`.
     """
     _, user0, sys0 = rusage_snapshot()
     return (time.time(), time.perf_counter(), user0, sys0)

@@ -7,6 +7,7 @@ the frontier from the manifest). Both must end with an aggregate
 byte-identical to an uninterrupted campaign's.
 """
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -16,6 +17,7 @@ import time
 import pytest
 
 import repro
+from repro.campaign import pool as pool_module
 from repro.campaign import (
     STATUS_DONE,
     STATUS_FAILED,
@@ -24,7 +26,9 @@ from repro.campaign import (
     write_aggregate,
 )
 from repro.errors import ConfigurationError
-from tests.campaign.conftest import TINY_SETTINGS, tiny_campaign
+from repro.fl.execution import _blas_thread_setter
+from tests.blas import blas_thread_getter
+from tests.campaign.conftest import TINY_SETTINGS, tiny_campaign, tiny_run
 
 # Enough rounds that a worker is still training when the kill lands.
 KILL_SETTINGS = dict(TINY_SETTINGS, rounds=8)
@@ -111,6 +115,43 @@ class TestPoolBasics:
             CampaignPool(manifest, max_retries=-1)
         with pytest.raises(ConfigurationError, match="run_timeout_s"):
             CampaignPool(manifest, run_timeout_s=0)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the child inherits the test's stand-in run by fork",
+)
+class TestWorkerBlasThreads:
+    """A forked OpenBLAS keeps the parent's thread count; a campaign
+    worker sets its own to one before its run, and the parent's stays
+    as it was."""
+
+    def test_worker_runs_one_blas_thread(self, tmp_path, monkeypatch):
+        getter = blas_thread_getter()
+        if getter is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS set-threads symbol")
+        before = getter()
+        _blas_thread_setter()(2)  # a parent that would hand its workers two
+        try:
+            if getter() != 2:
+                pytest.skip("this OpenBLAS runs on one thread at most")
+
+            def report_threads(run, run_dir, **kwargs):
+                with open(os.path.join(run_dir, "threads"), "w") as handle:
+                    handle.write(str(getter()))
+
+            monkeypatch.setattr(pool_module, "execute_run", report_threads)
+            worker = multiprocessing.get_context("fork").Process(
+                target=pool_module.worker_main,
+                args=(tiny_run().to_dict(), str(tmp_path), False),
+            )
+            worker.start()
+            worker.join()
+            assert worker.exitcode == 0
+            assert (tmp_path / "threads").read_text() == "1"
+            assert getter() == 2
+        finally:
+            _blas_thread_setter()(before)
 
 
 class TestWorkerKill:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.selection import top_utility_positions
 from repro.errors import ConfigurationError
-from repro.sequential import ARGSORT_MIN
+from repro.sequential import ARGSORT_MIN, rank_by
 
 SIZES = (1, 2, 7, ARGSORT_MIN - 1, ARGSORT_MIN, 3000)
 TIE_PRONE = np.array([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf])
@@ -87,6 +87,19 @@ class TestAgainstFullSort:
         assert top_utility_positions(scores, ids, count).tolist() == full_sort(
             scores, ids, count
         )
+
+
+class TestRankingIgnoresInputOrder:
+    @given(ranked_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_shuffled_winners_rank_identically(self, case, shuffle_seed):
+        """(score, id) keys are unique, so the winners' final ranking is
+        the same whatever order the partition leaves them in."""
+        scores, ids, count = case
+        chosen = np.asarray(full_sort(scores, ids, count))
+        shuffled = np.random.default_rng(shuffle_seed).permutation(chosen)
+        ranked = shuffled[rank_by(-scores[shuffled], ids[shuffled])]
+        assert ranked.tolist() == chosen.tolist()
 
 
 class TestCountMustBeAnIntegerInRange:

@@ -1,6 +1,7 @@
 """Tests for the pluggable client-execution backends."""
 
-import ctypes
+import os
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from repro.fl.execution import (
     RoundResult,
     SerialBackend,
     ThreadPoolBackend,
-    _blas_thread_setter,
     _chunk_bounds,
     _Workers,
     create_backend,
@@ -30,7 +30,8 @@ from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
 from repro.obs import RunObserver
 from repro.obs.sinks import CollectingSink
-from tests.conftest import make_heterogeneous_devices
+from tests.blas import blas_thread_getter
+from tests.conftest import make_device, make_heterogeneous_devices
 
 
 def make_update(device_id=0, weight=10.0, loss=1.5):
@@ -241,6 +242,7 @@ class TestBackendParity:
     """Thread and process pools reproduce the serial run bitwise."""
 
     POOLS = [ThreadPoolBackend, ProcessPoolBackend, SharedMemoryProcessPoolBackend]
+    POOL_NAMES = ["thread", "process", "process+shm"]
 
     @staticmethod
     def assert_same_history(serial, pooled):
@@ -294,16 +296,19 @@ class TestBackendParity:
             backend.run_round(1, server.broadcast(), devices[:2], 0.1)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("name", ["process", "process+shm"])
+    @pytest.mark.parametrize("name", POOL_NAMES)
     def test_rounds_equal_serial_bit_for_bit(self, name, workers):
-        # Round 2 selects fewer clients than there are workers.
+        # The last two devices join after bind. Round 1 puts them in the
+        # last chunk, a forked one whenever there are two chunks; round 2
+        # selects fewer clients than there are workers; round 3 puts one
+        # of them first, in the caller's chunk.
         server, devices = make_setup(num_devices=12, fleet="dirichlet")
         spec = LocalUpdateSpec(seed=7)
         serial = SerialBackend()
         serial.bind(server.model, spec, devices)
         params = server.broadcast()
         with create_backend(name, workers=workers) as backend:
-            backend.bind(server.model, spec, devices)
+            backend.bind(server.model, spec, devices[:-2])
             for round_index, selected in enumerate(
                 (devices, devices[5:7], devices[::-2]), start=1
             ):
@@ -315,33 +320,78 @@ class TestBackendParity:
                 params = np.mean(want.params, axis=0)
 
     def test_process_backend_handles_unbound_device(self):
-        # A device that joins after bind ships its dataset with the task.
+        # A device that joins after bind ships its dataset with the task;
+        # the last client of a selection is always in the last chunk.
         server, devices = make_setup(num_devices=4)
-        backend = ProcessPoolBackend(workers=1)
-        backend.bind(server.model, LocalUpdateSpec(), devices[:2])
+        backend = ProcessPoolBackend(workers=2)
+        backend.bind(server.model, LocalUpdateSpec(), devices[:3])
+        weights = np.array([d.num_samples for d in devices])
+        assert _chunk_bounds(weights, 2)[-1][0] > 0
         try:
             updates = backend.run_round(1, server.broadcast(), devices, 0.1)
             assert [u.device_id for u in updates] == [d.device_id for d in devices]
         finally:
             backend.close()
 
+    def test_one_thread_worker_starts_no_executor(self):
+        server, devices = make_setup()
+        with ThreadPoolBackend(workers=1) as backend:
+            backend.bind(server.model, LocalUpdateSpec(), devices)
+            assert backend._pool is None
+            assert len(backend.run_round(1, server.broadcast(), devices, 0.1)) == len(devices)
 
-def blas_thread_getter():
-    """The get-threads twin of the OpenBLAS setter the workers call, or
-    ``None`` when numpy's BLAS exports no such setter."""
-    setter = _blas_thread_setter()
-    if setter is None:
-        return None
-    try:
-        from numpy._core import _multiarray_umath as linked
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as linked
-    getter = getattr(
-        ctypes.CDLL(linked.__file__), setter.__name__.replace("_set_", "_get_")
-    )
-    getter.argtypes = ()
-    getter.restype = ctypes.c_int
-    return getter
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("name", POOL_NAMES)
+    def test_first_chunk_failure_is_raised_after_the_replies(self, name, workers):
+        # An empty dataset first fails the caller's chunk while every
+        # other chunk trains; the next round must read this round's
+        # replies no more, so it equals serial.
+        server, devices = make_setup(num_devices=9, fleet="dirichlet")
+        spec = LocalUpdateSpec(seed=7)
+        serial = SerialBackend()
+        serial.bind(server.model, spec, devices)
+        empty = make_device(device_id=99, num_samples=0)
+        with create_backend(name, workers=workers) as backend:
+            backend.bind(server.model, spec, devices)
+            selected = [empty, *devices]
+            weights = np.array([d.num_samples for d in selected])
+            assert len(_chunk_bounds(weights, workers)) == workers
+            with pytest.raises(TrainingError, match="empty dataset"):
+                backend.run_round(1, server.broadcast(), selected, 0.2)
+            if name != "thread":
+                assert len(backend._pool) == workers - 1
+            want = serial.run_round(2, server.broadcast(), devices, 0.2)
+            got = backend.run_round(2, server.broadcast(), devices, 0.2)
+        assert got.losses.tobytes() == want.losses.tobytes()
+        assert np.stack(got.params).tobytes() == np.stack(want.params).tobytes()
+
+    def test_thread_round_outlives_none_of_its_threads(self):
+        # The caller's chunk fails at once; the round still waits for a
+        # pool thread that is slow to read its last client's dataset.
+        server, devices = make_setup(num_devices=4)
+        slow = _SlowClient(devices[-1])
+        with ThreadPoolBackend(workers=2) as backend:
+            backend.bind(server.model, LocalUpdateSpec(), devices)
+            selected = [make_device(device_id=99, num_samples=0), *devices[:-1], slow]
+            with pytest.raises(TrainingError, match="empty dataset"):
+                backend.run_round(1, server.broadcast(), selected, 0.1)
+            assert slow.read
+
+
+class _SlowClient:
+    """A device whose dataset takes a while to read."""
+
+    def __init__(self, device) -> None:
+        self.device_id = device.device_id
+        self.num_samples = device.num_samples
+        self._dataset = device.dataset
+        self.read = False
+
+    @property
+    def dataset(self):
+        time.sleep(0.3)
+        self.read = True
+        return self._dataset
 
 
 class _ReportBlasThreads:
@@ -365,7 +415,9 @@ class TestWorkerBlasThreads:
         workers = _Workers(2, (None, None, {}, _ReportBlasThreads(), None))
         try:
             with pytest.raises(RuntimeError, match="^threads=1$"):
-                workers.round([(1, 0.1, None, 0, (), {}, None)] * 2, lambda k, reply: None)
+                workers.round(
+                    [(1, 0.1, None, 0, (), {}, None)] * 2, lambda k, reply: None, lambda: None
+                )
         finally:
             workers.close()
         assert getter() == before
@@ -391,10 +443,11 @@ class TestTaskSpans:
         assert set(ends) == set(samples) == {e.span_id for e in starts}
         # Devices of one chunk share its pid and tile its interval with
         # equal shares; a pool cuts one chunk per worker (serial: one
-        # chunk of 40).
+        # chunk of 40), and the first is measured in the calling process.
         weights = np.array([d.num_samples for d in devices])
         bounds = [(0, 40)] if name == "serial" else _chunk_bounds(weights, 2)
         assert len(bounds) == (1 if name == "serial" else 2)
+        assert starts[0].pid == os.getpid()
         for first, stop in bounds:
             size = stop - first
             chunk = starts[first:stop]

@@ -2,8 +2,10 @@
 
 Covers the :class:`~repro.fl.shm.SharedArrayPool` unit behaviour, the
 backend's shared-segment lifecycle (everything unlinked on ``close()``,
-re-bindable afterwards, no leak when a worker raises mid-round), what
-both process backends do when a worker raises or dies, and bitwise
+re-bindable afterwards, no leak when a worker raises mid-round), how
+many workers both process backends fork (one fewer than their chunks:
+the parent trains the first) and what they do when a worker raises or
+dies or the parent's chunk is interrupted, and bitwise
 parity against the serial backend — with and without a seeded fault
 plan — down to the energy ledger.
 """
@@ -71,6 +73,18 @@ def wait_until_dead(pid, timeout_s=10.0):
                 return
         time.sleep(0.01)
     raise AssertionError(f"pid {pid} still alive after {timeout_s} s")
+
+
+class Interrupting:
+    """A client whose dataset read is a Ctrl-C, in whichever process
+    trains it."""
+
+    device_id = 77
+    num_samples = 40
+
+    @property
+    def dataset(self):
+        raise KeyboardInterrupt
 
 
 def make_setup(num_devices=8, seed=3):
@@ -184,7 +198,7 @@ class TestSharedArrayPool:
 class TestBackendLifecycle:
     def test_close_unlinks_segments(self):
         server, devices = make_setup(num_devices=4)
-        backend = SharedMemoryProcessPoolBackend(workers=1)
+        backend = SharedMemoryProcessPoolBackend(workers=2)
         backend.bind(server.model, LocalUpdateSpec(), devices)
         broadcast = backend._shm.broadcast_name
         backend.run_round(1, server.broadcast(), devices, 0.1)
@@ -233,16 +247,28 @@ class TestBackendLifecycle:
             assert len(backend.run_round(1, server.broadcast(), [], 0.1)) == 0
 
     def test_unbound_device_ships_its_dataset(self):
+        # The last client of a selection is always in the last chunk, a
+        # worker's.
         server, devices = make_setup(num_devices=4)
-        backend = SharedMemoryProcessPoolBackend(workers=1)
-        backend.bind(server.model, LocalUpdateSpec(), devices[:2])
+        spec = LocalUpdateSpec(seed=7)
+        serial = SerialBackend()
+        serial.bind(server.model, spec, devices)
+        backend = SharedMemoryProcessPoolBackend(workers=2)
+        backend.bind(server.model, spec, devices[:2])
         try:
-            updates = backend.run_round(1, server.broadcast(), devices, 0.1)
-            assert [u.device_id for u in updates] == [
-                d.device_id for d in devices
-            ]
+            got = backend.run_round(1, server.broadcast(), devices, 0.1)
+            want = serial.run_round(1, server.broadcast(), devices, 0.1)
+            assert got.device_ids.tolist() == [d.device_id for d in devices]
+            assert np.stack(got.params).tobytes() == np.stack(want.params).tobytes()
         finally:
             backend.close()
+
+    def test_one_worker_maps_no_segment(self):
+        server, devices = make_setup(num_devices=4)
+        with SharedMemoryProcessPoolBackend(workers=1) as backend:
+            backend.bind(server.model, LocalUpdateSpec(), devices)
+            backend.run_round(1, server.broadcast(), devices, 0.1)
+            assert backend._shm is None
 
 
 PROCESS_BACKENDS = ["process", "process+shm"]
@@ -257,7 +283,7 @@ class TestWorkerFailures:
     def test_killed_worker_raises_and_leaves_nothing(self, name):
         children, segments = own_children(), own_segments()
         server, devices = make_setup(num_devices=4)
-        backend = create_backend(name, workers=2)
+        backend = create_backend(name, workers=3)
         try:
             backend.bind(server.model, LocalUpdateSpec(), devices)
             backend.run_round(1, server.broadcast(), devices, 0.1)
@@ -272,6 +298,45 @@ class TestWorkerFailures:
                 backend.run_round(3, server.broadcast(), devices, 0.1)
         finally:
             backend.close()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", PROCESS_BACKENDS)
+    def test_forks_one_worker_fewer_than_chunks(self, name, workers):
+        # The parent trains the first chunk: W chunks, W - 1 children,
+        # and nothing left after close.
+        children, segments = own_children(), own_segments()
+        server, devices = make_setup(num_devices=6)
+        backend = create_backend(name, workers=workers)
+        try:
+            backend.bind(server.model, LocalUpdateSpec(), devices)
+            assert len(own_children() - children) == workers - 1
+            backend.run_round(1, server.broadcast(), devices, 0.1)
+            assert len(own_children() - children) == workers - 1
+            assert bool(own_segments() - segments) == (name == "process+shm" and workers > 1)
+        finally:
+            backend.close()
+        assert own_children() - children == set()
+        assert own_segments() - segments == set()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", PROCESS_BACKENDS)
+    def test_interrupt_in_the_parents_chunk_stops_the_workers(self, name, workers):
+        # Ctrl-C while the parent trains leaves the workers' replies
+        # unread: the pipes are out of step, so the workers go. With no
+        # worker nothing is out of step, and the backend stays usable.
+        children, segments = own_children(), own_segments()
+        server, devices = make_setup(num_devices=4)
+        with create_backend(name, workers=workers) as backend:
+            backend.bind(server.model, LocalUpdateSpec(), devices)
+            with pytest.raises(KeyboardInterrupt):
+                backend.run_round(1, server.broadcast(), [Interrupting(), *devices], 0.1)
+            assert own_children() - children == set()
+            assert own_segments() - segments == set()
+            if workers > 1:
+                with pytest.raises(TrainingError, match="closed"):
+                    backend.run_round(2, server.broadcast(), devices, 0.1)
+            else:
+                assert len(backend.run_round(2, server.broadcast(), devices, 0.1)) == 4
 
     @pytest.mark.parametrize("name", PROCESS_BACKENDS)
     def test_round_after_a_failed_round_equals_serial(self, name):

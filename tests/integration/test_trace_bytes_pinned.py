@@ -14,10 +14,11 @@ The checkpoint digests were re-recorded once, for checkpoint version 2
 (the history moved out of the state into the append-only log, and the
 fleet-sized maps became columns); the trace digests did not move.
 
-The thread backend runs one worker so the fake clock is read in a
-fixed order. A pool cuts one chunk per worker, so that worker trains
-the whole selection as one chunk, as the serial backend does: both
-chaos scenarios pin the same bytes. If a digest changes on purpose,
+The thread backend runs with ``workers=1`` so the fake clock is read in
+a fixed order: a pool cuts one chunk per worker and trains the first in
+the calling thread, so that thread trains the whole selection as one
+chunk, as the serial backend does, and both chaos scenarios pin the
+same bytes. If a digest changes on purpose,
 regenerate with::
 
     PYTHONPATH=src:. python tests/integration/test_trace_bytes_pinned.py
