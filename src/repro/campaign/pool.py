@@ -25,6 +25,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, Optional
 
+from repro.blas import set_blas_threads
 from repro.campaign.manifest import (
     STATUS_DONE,
     STATUS_FAILED,
@@ -34,7 +35,6 @@ from repro.campaign.manifest import (
 from repro.campaign.runner import execute_run
 from repro.campaign.spec import RunSpec
 from repro.errors import ConfigurationError
-from repro.fl.execution import _pin_one_blas_thread
 
 __all__ = [
     "CAMPAIGN_TRACE_FILE",
@@ -74,7 +74,7 @@ def worker_main(
     cores, and OpenBLAS would otherwise start one thread per core in
     each of them.
     """
-    _pin_one_blas_thread()
+    set_blas_threads(1)
     try:
         execute_run(
             RunSpec.from_dict(run_payload),

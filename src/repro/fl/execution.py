@@ -25,9 +25,9 @@ A pool of ``workers=W`` cuts at most ``W`` chunks, balanced by
 ``|D_q|`` (:func:`_chunk_bounds`), and trains them at once: the calling
 thread trains the first chunk itself, straight into the round's sink,
 while ``W - 1`` threads or forked processes train the rest. ``W = 1``
-therefore starts no thread and forks no process. The first chunk runs
-under the caller's BLAS thread setting; forked workers pin theirs to
-one thread.
+therefore starts no thread and forks no process. Forked workers run
+BLAS on one thread (:mod:`repro.blas`), and so does the parent while
+they train; the thread pool's chunks run under the caller's setting.
 
 All backends are *bitwise equivalent*: a client's trained vector
 depends only on the broadcast vector, its own dataset and (for
@@ -51,13 +51,12 @@ from its shared result block).
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import multiprocessing
 import os
 import pickle
 import signal
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from multiprocessing.reduction import ForkingPickler
@@ -74,6 +73,7 @@ from typing import (
 
 import numpy as np
 
+from repro.blas import blas_threads, one_blas_thread, set_blas_threads
 from repro.data.dataset import ArrayDataset
 from repro.devices.device import UserDevice
 from repro.devices.population import DevicePopulation
@@ -519,53 +519,6 @@ class ThreadPoolBackend(ExecutionBackend):
 
 
 # -- process-pool workers -------------------------------------------------
-# OpenBLAS's set-threads symbol under the names numpy's wheels have
-# shipped it (scipy-openblas, then the older 64-bit-integer build).
-_BLAS_THREAD_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-@functools.lru_cache(maxsize=None)
-def _blas_thread_setter():
-    """The set-threads function of the OpenBLAS numpy uses, or ``None``.
-
-    Looked up through numpy's own extension module, whose dependencies
-    hold the BLAS it was linked against. Resolved in the parent before
-    the fork, so a worker pays only the call.
-    """
-    try:
-        from numpy._core import _multiarray_umath as linked
-    except ImportError:  # numpy < 2
-        from numpy.core import _multiarray_umath as linked
-    try:
-        library = ctypes.CDLL(linked.__file__)
-    except OSError:
-        return None
-    for name in _BLAS_THREAD_SETTERS:
-        setter = getattr(library, name, None)
-        if setter is not None:
-            setter.argtypes = (ctypes.c_int,)
-            setter.restype = None
-            return setter
-    return None
-
-
-def _pin_one_blas_thread() -> None:
-    """Run this process's BLAS on one thread, where the setter is found.
-
-    For a process that shares the cores out with its siblings: a forked
-    OpenBLAS keeps the parent's thread count, so each would otherwise
-    start one BLAS thread per core.
-    """
-    set_blas_threads = _blas_thread_setter()
-    if set_blas_threads is not None:
-        set_blas_threads(1)
-
-
 def _worker_loop(pipe, inherited, scratch, spec, datasets, transport, log_level) -> None:
     """One worker process: train one chunk per task until the ``None`` sentinel.
 
@@ -577,7 +530,7 @@ def _worker_loop(pipe, inherited, scratch, spec, datasets, transport, log_level)
     """
     for end in inherited:
         end.close()
-    _pin_one_blas_thread()
+    set_blas_threads(1)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     if log_level is not None:
         from repro.obs import configure_logging
@@ -646,7 +599,7 @@ class _Workers:
         self._pipes: list = []
         self._processes: List[multiprocessing.Process] = []
         self.closed = False
-        _blas_thread_setter()  # resolved once, here, for every fork
+        blas_threads()  # the lookup resolved once, here, for every fork
         for _ in range(count):
             ours, theirs = multiprocessing.Pipe()
             process = multiprocessing.Process(
@@ -668,7 +621,8 @@ class _Workers:
         reply to ``take(k, reply)``.
 
         ``own`` trains the parent's chunk while the workers train
-        theirs. Replies are handed over in worker order, and all are
+        theirs, on one BLAS thread as they do; the parent's setting is
+        restored after it. Replies are handed over in worker order, and all are
         read even after a failure, so the pipes stay in step; the first
         failure (``own``'s, a worker's, or ``take``'s) is raised after
         the last reply. A worker that died, or an exchange cut short
@@ -681,7 +635,8 @@ class _Workers:
             for k, payload in enumerate(payloads):
                 self._pipes[k].send_bytes(payload)
             try:
-                own()
+                with one_blas_thread() if payloads else nullcontext():
+                    own()
             except Exception as error:
                 failure = error
             for k in range(len(payloads)):

@@ -17,6 +17,7 @@ import time
 import pytest
 
 import repro
+from repro.blas import blas_threads, set_blas_threads
 from repro.campaign import pool as pool_module
 from repro.campaign import (
     STATUS_DONE,
@@ -26,8 +27,6 @@ from repro.campaign import (
     write_aggregate,
 )
 from repro.errors import ConfigurationError
-from repro.fl.execution import _blas_thread_setter
-from tests.blas import blas_thread_getter
 from tests.campaign.conftest import TINY_SETTINGS, tiny_campaign, tiny_run
 
 # Enough rounds that a worker is still training when the kill lands.
@@ -127,18 +126,17 @@ class TestWorkerBlasThreads:
     as it was."""
 
     def test_worker_runs_one_blas_thread(self, tmp_path, monkeypatch):
-        getter = blas_thread_getter()
-        if getter is None:
+        before = blas_threads()
+        if before is None:
             pytest.skip("numpy's BLAS exports no OpenBLAS set-threads symbol")
-        before = getter()
-        _blas_thread_setter()(2)  # a parent that would hand its workers two
+        set_blas_threads(2)  # a parent that would hand its workers two
         try:
-            if getter() != 2:
+            if blas_threads() != 2:
                 pytest.skip("this OpenBLAS runs on one thread at most")
 
             def report_threads(run, run_dir, **kwargs):
                 with open(os.path.join(run_dir, "threads"), "w") as handle:
-                    handle.write(str(getter()))
+                    handle.write(str(blas_threads()))
 
             monkeypatch.setattr(pool_module, "execute_run", report_threads)
             worker = multiprocessing.get_context("fork").Process(
@@ -149,9 +147,9 @@ class TestWorkerBlasThreads:
             worker.join()
             assert worker.exitcode == 0
             assert (tmp_path / "threads").read_text() == "1"
-            assert getter() == 2
+            assert blas_threads() == 2
         finally:
-            _blas_thread_setter()(before)
+            set_blas_threads(before)
 
 
 class TestWorkerKill:

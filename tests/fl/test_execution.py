@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.classic import RandomSelection
+from repro.blas import blas_threads, one_blas_thread, set_blas_threads
 from repro.data.dataset import ArrayDataset
 from repro.data.partition import dirichlet_partition
 from repro.errors import ConfigurationError, TrainingError
@@ -30,7 +31,6 @@ from repro.fl.trainer import FederatedTrainer, TrainerConfig
 from repro.nn.architectures import build_mlp
 from repro.obs import RunObserver
 from repro.obs.sinks import CollectingSink
-from tests.blas import blas_thread_getter
 from tests.conftest import make_device, make_heterogeneous_devices
 
 
@@ -400,27 +400,63 @@ class _ReportBlasThreads:
 
     @staticmethod
     def open(global_params, first_slot, count):
-        raise RuntimeError(f"threads={blas_thread_getter()()}")
+        raise RuntimeError(f"threads={blas_threads()}")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """The parent's OpenBLAS on two threads for the test, then as before."""
+    before = blas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS set-threads symbol")
+    set_blas_threads(2)
+    try:
+        if blas_threads() != 2:
+            pytest.skip("this OpenBLAS runs on one thread at most")
+        yield
+    finally:
+        set_blas_threads(before)
 
 
 class TestWorkerBlasThreads:
     """A forked OpenBLAS keeps the parent's thread count; each worker
-    sets its own to one, and the parent's stays as it was."""
+    sets its own to one, and the parent trains its chunk on one thread
+    while the workers train, then goes back to its own count."""
 
-    def test_worker_runs_one_blas_thread(self):
-        getter = blas_thread_getter()
-        if getter is None:
-            pytest.skip("numpy's BLAS exports no OpenBLAS set-threads symbol")
-        before = getter()
+    TASK = (1, 0.1, None, 0, (), {}, None)
+
+    def test_worker_runs_one_blas_thread(self, two_blas_threads):
+        seen = []
         workers = _Workers(2, (None, None, {}, _ReportBlasThreads(), None))
         try:
             with pytest.raises(RuntimeError, match="^threads=1$"):
                 workers.round(
-                    [(1, 0.1, None, 0, (), {}, None)] * 2, lambda k, reply: None, lambda: None
+                    [self.TASK] * 2, lambda k, reply: None, lambda: seen.append(blas_threads())
                 )
+            # No task out: the parent's chunk runs at its own count.
+            workers.round([], lambda k, reply: None, lambda: seen.append(blas_threads()))
         finally:
             workers.close()
-        assert getter() == before
+        assert seen == [1, 2]
+        assert blas_threads() == 2
+
+    def test_parent_count_comes_back_after_a_failing_chunk(self, two_blas_threads):
+        def fail():
+            raise ValueError("chunk 0")
+
+        workers = _Workers(1, (None, None, {}, _ReportBlasThreads(), None))
+        try:
+            with pytest.raises(ValueError, match="chunk 0"):
+                workers.round([self.TASK], lambda k, reply: None, fail)
+        finally:
+            workers.close()
+        assert blas_threads() == 2
+
+    def test_one_blas_thread_restores_the_count(self):
+        before = blas_threads()
+        with one_blas_thread():
+            assert blas_threads() in (None, 1)
+        assert blas_threads() == before
 
 
 class TestTaskSpans:
