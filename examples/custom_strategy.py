@@ -8,10 +8,10 @@ Shows the plugin surface a downstream user works against: subclass
 hand it to the trainer, and compare against HELCFL on identical
 conditions.
 
-The example strategy is "loss-proportional" sampling — an Oort-style
+The example strategy is "loss-proportional" sampling — a
 statistical-utility heuristic that prefers users whose data the global
-model currently fits worst (estimated from the previous round's local
-losses).
+model currently fits worst. It scores them itself, with the global
+model's loss on their local data.
 
 Usage::
 
@@ -38,8 +38,7 @@ class LossProportionalSelection(SelectionStrategy):
     Before each round, the strategy scores every user by the global
     model's loss on (a sample of) their local data, then samples the
     round's participants proportionally. High-loss users — whose data
-    the model handles worst — are favoured, an Oort-like statistical
-    utility.
+    the model handles worst — are favoured.
 
     The population carries the devices' resource columns only; the
     local datasets the scores need are looked up by

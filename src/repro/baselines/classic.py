@@ -50,7 +50,7 @@ class RandomSelection(SelectionStrategy):
 
     def load_state_dict(self, state: Dict) -> None:
         """Resume the selection stream exactly where it froze."""
-        self._rng = restore_generator(state["rng"])
+        self._rng = restore_generator(state.get("rng"))
 
     def select_population(
         self, round_index: int, population: DevicePopulation

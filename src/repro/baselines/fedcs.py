@@ -131,7 +131,7 @@ class FedCsSelection(SelectionStrategy):
 
     def load_state_dict(self, state: Dict) -> None:
         """Resume the candidate-sampling stream where it froze."""
-        self._rng = restore_generator(state["rng"])
+        self._rng = restore_generator(state.get("rng"))
 
     def _candidates(self, population: DevicePopulation) -> np.ndarray:
         """The round's polled candidate positions (resource-request step)."""

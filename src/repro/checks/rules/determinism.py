@@ -15,9 +15,8 @@ histories) holds only because every stochastic component draws from a
   (an unseeded call draws OS entropy; a seeded one forks the seed
   universe).
 
-Oort (Lai et al.) and FedCS (arXiv:1804.08333) reimplementations both
-failed to reproduce published numbers because of exactly this kind of
-RNG drift.
+FedCS (arXiv:1804.08333) reimplementations failed to reproduce
+published numbers because of exactly this kind of RNG drift.
 """
 
 from __future__ import annotations

@@ -23,7 +23,17 @@ Practical guards the paper leaves implicit:
 
 With clamping, the recursion tracks the *actual* upload-finish time
 (computed via the true queueing dynamics) rather than the idealized
-``T_q``, so the assignment stays optimal when clamps bind.
+``T_q``, so Algorithm 3 never lengthens the round when clamps bind.
+
+It is energy-optimal at that round delay only when the ``f_max``
+channel is busy from the first grant on. Where the channel idles, the
+earlier users could start later too: Eq. (11) charges nothing for
+waiting. An as-late-as-possible pass (same grant order; each user
+finishes computing when its upload must start for the uploads to end
+at the ``f_max`` round end ``T``) lengthened no round and used 40.4 %
+less compute energy than Algorithm 3 over a 300-round HELCFL run at the
+default profile (seed 7, IID), and 0.0 % less at
+``ExperimentSettings.paper_scale``, whose channel never idles.
 
 :func:`determine_frequencies_population` is the implementation: the
 O(Q) inputs of the recursion — Eq. (4) delays at ``f_max``, the sort

@@ -15,17 +15,22 @@ utility, ties by ascending device id — bit for bit.
 
 from __future__ import annotations
 
+import re
 from typing import Dict
 
 import numpy as np
 
 from repro.core.utility import utility_scores
 from repro.devices.population import DevicePopulation
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SelectionError
 from repro.fl.strategy import SelectionStrategy, check_link, selection_count
 from repro.sequential import rank_by
 
 __all__ = ["GreedyDecaySelection", "top_utility_positions"]
+
+# A device id as state_dict writes it: str(int), no sign on 0.
+_DEVICE_ID = re.compile(r"0|-?[1-9][0-9]{0,18}")
+_INT64 = np.iinfo(np.int64)
 
 
 def top_utility_positions(
@@ -141,11 +146,30 @@ class GreedyDecaySelection(SelectionStrategy):
         }
 
     def load_state_dict(self, state: Dict) -> None:
-        """Restore the counters; the next round aligns them."""
+        """Restore the counters; the next round aligns them.
+
+        Raises:
+            SelectionError: ``state`` (read from a checkpoint file) is
+                not what :meth:`state_dict` writes: int64 device ids in
+                canonical decimal, non-negative int64 ``int`` counts.
+        """
         counts = state.get("appearance_counts", {})
-        self._set_counters(
-            {int(device_id): int(count) for device_id, count in counts.items()}
-        )
+        if set(state) - {"appearance_counts"} or not isinstance(counts, dict):
+            raise SelectionError(f"malformed greedy-decay state {state!r:.200}")
+        restored: Dict[int, int] = {}
+        for key, count in counts.items():
+            if not (
+                isinstance(key, str)
+                and _DEVICE_ID.fullmatch(key)
+                and _INT64.min <= int(key) <= _INT64.max
+                and type(count) is int
+                and 0 <= count <= _INT64.max
+            ):
+                raise SelectionError(
+                    f"malformed appearance count {key!r}: {count!r:.100}"
+                )
+            restored[int(key)] = count
+        self._set_counters(restored)
 
     def _alpha_for(self, population: DevicePopulation) -> np.ndarray:
         """``alpha_q`` aligned with ``population``, as a writable view."""

@@ -131,7 +131,7 @@ class RoundResult:
     trained rows when ``run_round`` kept them, ``None`` when they went
     to a sink. Iterating yields one :class:`ClientUpdate` per client,
     built on demand. The trainer keeps the clients it integrated as
-    one, for the strategy's loss feedback and the round's train loss.
+    one, for the round's train loss.
     """
 
     round_index: int

@@ -147,8 +147,8 @@ class SelectionStrategy(abc.ABC):
         when resuming, so a resumed run selects exactly the users an
         uninterrupted one would have. Stateless strategies (the base)
         return ``{}``; every strategy with cross-round state (counters,
-        RNG streams, loss tables) must override *both* methods or
-        resumed runs silently diverge.
+        RNG streams) must override *both* methods or resumed runs
+        silently diverge.
         """
         return {}
 
@@ -164,15 +164,6 @@ class SelectionStrategy(abc.ABC):
                 f"{type(self).__name__} cannot restore selection state "
                 f"with keys {sorted(state)}"
             )
-
-    def observe_losses(self, losses: Dict[int, float]) -> None:
-        """Feedback hook: the trainer reports each round's client losses.
-
-        Called once per round with a mapping from device id to the
-        loss observed in that device's local update. The base
-        implementation ignores the feedback; statistical-utility
-        strategies (e.g. the Oort extension) override it.
-        """
 
 
 class FrequencyPolicy:

@@ -1021,8 +1021,8 @@ class FederatedTrainer:
         state.aggregated = fold.result()
 
     def _aggregate(self, state: RoundState) -> None:
-        """Settle's events, the ledger, strategy feedback, and installing
-        the Eq. 18 vector."""
+        """Settle's events, the ledger, and installing the Eq. 18
+        vector."""
         if state.battery_dropped:
             self.observer.emit(
                 BatteryDropEvent(
@@ -1038,13 +1038,6 @@ class FederatedTrainer:
         ):
             self._emit_degradation(state)
         integrated = state.integrated
-        # Feedback hook for statistical-utility strategies (e.g. the
-        # Oort extension): report the observed losses of the clients
-        # the server actually integrated — updates it never saw must
-        # not shape future selection.
-        self.selection.observe_losses(
-            dict(zip(integrated.device_ids.tolist(), integrated.losses.tolist()))
-        )
         self.ledger.record_round(state.timeline)
         if integrated:
             with self._stage(state, "aggregation"):

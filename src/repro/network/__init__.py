@@ -8,7 +8,6 @@ savings.
 """
 
 from repro.network.channel import RayleighFadingChannel
-from repro.network.ofdma import simulate_ofdma_round
 from repro.network.tdma import RoundTimeline, UserTimeline, simulate_tdma_round
 
 __all__ = [
@@ -16,5 +15,4 @@ __all__ = [
     "UserTimeline",
     "RoundTimeline",
     "simulate_tdma_round",
-    "simulate_ofdma_round",
 ]

@@ -17,6 +17,8 @@ from typing import Union
 
 import numpy as np
 
+from repro.errors import SerializationError
+
 __all__ = [
     "SeedLike",
     "ensure_generator",
@@ -112,11 +114,27 @@ def restore_generator(state: dict) -> np.random.Generator:
     The restored generator continues the stream from exactly where the
     snapshot was taken: the next draw matches what the original
     generator would have produced.
+
+    Raises:
+        SerializationError: ``state`` is not a dict, names no concrete
+            :class:`numpy.random.BitGenerator` subclass, or holds a
+            state that bit generator refuses (a snapshot read from a
+            checkpoint file is outside input).
     """
-    name = state.get("bit_generator")
-    bit_generator_cls = getattr(np.random, str(name), None)
-    if bit_generator_cls is None:
-        raise ValueError(f"unknown bit generator {name!r} in state snapshot")
-    bit_generator = bit_generator_cls()
-    bit_generator.state = state
+    name = state.get("bit_generator") if isinstance(state, dict) else None
+    bit_generator_cls = getattr(np.random, name, None) if isinstance(name, str) else None
+    if not (
+        isinstance(bit_generator_cls, type)
+        and issubclass(bit_generator_cls, np.random.BitGenerator)
+    ):
+        raise SerializationError(
+            f"generator snapshot names no numpy bit generator: {state!r:.200}"
+        )
+    try:
+        bit_generator = bit_generator_cls()
+        bit_generator.state = state
+    except (KeyError, TypeError, ValueError, OverflowError, NotImplementedError) as exc:
+        raise SerializationError(
+            f"malformed {name} state in generator snapshot: {exc}"
+        ) from exc
     return np.random.Generator(bit_generator)

@@ -1,16 +1,12 @@
-"""Regression tests for battery-round accounting semantics.
+"""Regression test for battery-round accounting semantics.
 
-Two bugs were fixed in :class:`repro.fl.trainer.FederatedTrainer`:
+``train_loss`` in :class:`repro.fl.trainer.FederatedTrainer` was once
+sample-weighted over every selected device, including battery-dropped
+ones. It must be the weighted mean over the post-drop ``RoundResult``
+actually aggregated.
 
-1. Selection strategies observed training losses *before* the battery
-   step, so Oort-style utilities learned from updates the server never
-   integrated.  ``observe_losses`` must see only surviving updates.
-2. ``train_loss`` was sample-weighted over every selected device,
-   including battery-dropped ones.  It must be the weighted mean over
-   the post-drop ``RoundResult`` actually aggregated.
-
-Both tests pin the fixed behaviour with one device whose battery can
-never afford a round, so it trains but is always dropped.
+The tests pin that with one device whose battery can never afford a
+round, so it trains but is always dropped.
 """
 
 import numpy as np
@@ -24,18 +20,6 @@ from tests.conftest import make_heterogeneous_devices
 from tests.full_participation import FullParticipation
 
 
-class RecordingSelection(FullParticipation):
-    """Full participation that records every ``observe_losses`` payload."""
-
-    def __init__(self):
-        super().__init__()
-        self.observed = []
-
-    def observe_losses(self, losses):
-        """Capture the loss mapping handed back by the trainer."""
-        self.observed.append(dict(losses))
-
-
 def make_depleted_setup(num_devices=3, seed=1):
     """Build a server/device fleet where device 0 is always dropped."""
     devices = make_heterogeneous_devices(num_devices, seed=seed)
@@ -47,9 +31,9 @@ def make_depleted_setup(num_devices=3, seed=1):
     return server, devices
 
 
-def run_trainer(server, devices, selection, rounds=2):
-    """Run a short battery-enforced training loop and return its history."""
-    trainer = FederatedTrainer(
+def build_trainer(server, devices, selection, rounds=2):
+    """A short battery-enforced training loop."""
+    return FederatedTrainer(
         server=server,
         devices=devices,
         selection=selection,
@@ -60,38 +44,34 @@ def run_trainer(server, devices, selection, rounds=2):
             enforce_battery=True,
         ),
     )
-    return trainer.run()
 
 
-class TestObserveLossesAfterBattery:
-    def test_dropped_devices_never_observed(self):
-        server, devices = make_depleted_setup()
-        selection = RecordingSelection()
-        history = run_trainer(server, devices, selection)
-        assert all(r.dropped_ids == (0,) for r in history.records)
-        assert len(selection.observed) == len(history.records)
-        surviving = {d.device_id for d in devices[1:]}
-        for losses in selection.observed:
-            assert set(losses) == surviving
-
-    def test_all_survivors_observed_without_drops(self):
-        server, devices = make_depleted_setup()
-        devices[0].battery = None  # no depletion anywhere
-        selection = RecordingSelection()
-        history = run_trainer(server, devices, selection)
-        everyone = {d.device_id for d in devices}
-        assert all(r.dropped_ids == () for r in history.records)
-        for losses in selection.observed:
-            assert set(losses) == everyone
+def run_trainer(server, devices, selection, rounds=2):
+    """Run a short battery-enforced training loop and return its history."""
+    return build_trainer(server, devices, selection, rounds).run()
 
 
 class TestTrainLossOverSurvivors:
     def test_train_loss_excludes_dropped_updates(self):
         server, devices = make_depleted_setup()
-        selection = RecordingSelection()
-        history = run_trainer(server, devices, selection)
+        trainer = build_trainer(server, devices, FullParticipation())
+        observed = []
+        aggregate = trainer._aggregate
+
+        def recording(state):
+            integrated = state.integrated
+            observed.append(
+                dict(zip(integrated.device_ids.tolist(), integrated.losses.tolist()))
+            )
+            aggregate(state)
+
+        trainer._aggregate = recording
+        history = trainer.run()
+        assert all(r.dropped_ids == (0,) for r in history.records)
+        assert len(observed) == len(history.records)
         weights = {d.device_id: float(d.num_samples) for d in devices}
-        for record, losses in zip(history.records, selection.observed):
+        for record, losses in zip(history.records, observed):
+            assert set(losses) == {d.device_id for d in devices[1:]}
             total = sum(weights[i] for i in losses)
             expected = sum(
                 losses[i] * weights[i] for i in losses

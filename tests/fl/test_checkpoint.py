@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from repro import wire
+from repro.baselines.classic import RandomSelection
+from repro.baselines.fedcs import FedCsSelection
+from repro.core.selection import GreedyDecaySelection
 from repro.energy.accounting import EnergyLedger
-from repro.errors import ConfigurationError, SerializationError
+from repro.errors import ConfigurationError, SelectionError, SerializationError
 from repro.experiments.runner import build_environment, build_trainer
 from repro.experiments.settings import ExperimentSettings
 from repro.fl.checkpoint import (
@@ -321,6 +324,66 @@ class TestHostileHistoryLog:
         save_checkpoint(path, make_checkpoint(0, records=[]))
         assert load_checkpoint(path).history == ()
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
+
+
+def greedy_decay():
+    return GreedyDecaySelection(0.5, 0.7, 1e6, 2e6)
+
+
+def random_selection():
+    return RandomSelection(0.5, seed=0)
+
+
+# name -> (strategy, hostile selection_state, refusal). The checksum
+# covers only the state, so a crafted file carries any of these.
+HOSTILE_SELECTION_STATES = {
+    "negative_count": (greedy_decay, {"appearance_counts": {"3": -5}}, SelectionError),
+    "float_count": (greedy_decay, {"appearance_counts": {"3": 2.7}}, SelectionError),
+    "bool_count": (greedy_decay, {"appearance_counts": {"3": True}}, SelectionError),
+    "aliased_ids": (
+        greedy_decay,
+        {"appearance_counts": {"3": 1, "03": 2}},
+        SelectionError,
+    ),
+    "non_numeric_id": (greedy_decay, {"appearance_counts": {"x": 1}}, SelectionError),
+    "legacy_rng_function": (
+        random_selection,
+        {"rng": {"bit_generator": "seed"}},
+        SerializationError,
+    ),
+    "missing_generator_state": (
+        random_selection,
+        {"rng": {"bit_generator": "PCG64"}},
+        SerializationError,
+    ),
+    "negative_pcg64_state": (
+        random_selection,
+        {
+            "rng": {
+                "bit_generator": "PCG64",
+                "state": {"state": -1, "inc": 1},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        },
+        SerializationError,
+    ),
+    "missing_rng": (random_selection, {}, SerializationError),
+    "fedcs_missing_rng": (
+        lambda: FedCsSelection(1.0, 1e6, 2e6, seed=0),
+        {},
+        SerializationError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_SELECTION_STATES))
+def test_hostile_selection_state_is_refused(name):
+    build, state, error = HOSTILE_SELECTION_STATES[name]
+    strategy = build()
+    strategy.reset()
+    with pytest.raises(error):
+        strategy.load_state_dict(state)
 
 
 class TestTrainerCheckpointing:

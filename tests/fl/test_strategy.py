@@ -7,7 +7,6 @@ import pytest
 
 from repro.baselines.fedcs import FedCsSelection
 from repro.devices.population import DevicePopulation
-from repro.extensions.oort import OortSelection
 from repro.fl.strategy import (
     FrequencyPolicy,
     MaxFrequencyPolicy,
@@ -37,11 +36,6 @@ class TestBases:
 
     def test_reset_is_noop_by_default(self):
         NoOpSelection().reset()
-
-    def test_observe_losses_is_noop_by_default(self):
-        # The trainer calls the hook unconditionally every round; the
-        # base class must accept and ignore the feedback.
-        NoOpSelection().observe_losses({0: 1.0, 1: 0.5})
 
     def test_assign_accepts_round_index_keyword(self):
         devices = make_heterogeneous_devices(3)
@@ -87,7 +81,7 @@ class TestMaxFrequencyPolicy:
 
 
 class TestCachedDelayColumnReaders:
-    """Over-selection, FedCS and Oort rank by the cached Eq. (9) column
+    """Over-selection and FedCS rank by the cached Eq. (9) column
     ``max_frequency_delay``, which equals ``total_delay`` bit for bit."""
 
     PAYLOAD = 1e6
@@ -129,40 +123,19 @@ class TestCachedDelayColumnReaders:
         )
         return strat.select_population(1, population)
 
-    def oort(self, population):
-        strat = OortSelection(
-            0.2, self.PAYLOAD, self.BANDWIDTH, seed=4, penalty_exponent=2.0
-        )
-        strat.observe_losses({7: 0.5, 11: 2.0, 150: 3.5})
-        return strat.utilities(population)
-
-    @pytest.mark.parametrize("reader", ["fedcs", "oort"])
-    def test_readers_match_the_reference(self, reader):
+    def test_fedcs_matches_the_reference(self):
         cached = self.population()
         with patch.object(
             DevicePopulation, "total_delay", side_effect=AssertionError
         ):
-            got = getattr(self, reader)(cached)
-        # The same reader over a population whose column is replaced
+            got = self.fedcs(cached)
+        # The same selection over a population whose column is replaced
         # by the total_delay reference.
         recomputed = self.population()
         recomputed.max_frequency_delay = lambda p, b: recomputed.total_delay(
             p, b
         )
-        expected = getattr(self, reader)(recomputed)
+        expected = self.fedcs(recomputed)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
         column = cached.max_frequency_delay(self.PAYLOAD, self.BANDWIDTH)
         assert np.array_equal(column, self.reference(cached))
-
-    def test_oort_utilities_leave_the_column_unchanged(self):
-        population = self.population()
-        column = population.max_frequency_delay(self.PAYLOAD, self.BANDWIDTH)
-        before = column.copy()
-        strat = OortSelection(
-            0.2, self.PAYLOAD, self.BANDWIDTH, seed=0, penalty_exponent=2.0
-        )
-        strat.utilities(population)
-        assert population.max_frequency_delay(
-            self.PAYLOAD, self.BANDWIDTH
-        ) is column
-        assert np.array_equal(column, before)

@@ -29,7 +29,6 @@ from repro.core.utility import utility_scores
 from repro.data.dataset import ArrayDataset
 from repro.devices.fleet import FleetSpec, make_fleet
 from repro.devices.population import DevicePopulation
-from repro.extensions.oort import OortSelection
 from repro.faults import (
     ChannelFault,
     DropoutFault,
@@ -163,10 +162,9 @@ def round_views(seed, size, rounds=8):
             yield round_index, rng.permutation(size)[:count]
 
 
-def assert_strategy_parity(seed, devices, strategy, expected_for, feedback=None):
+def assert_strategy_parity(seed, devices, strategy, expected_for):
     """``strategy`` ranks each round's view exactly as ``expected_for``
-    (the object body, given the view's devices) picks; ``feedback``
-    gets each round's picked ids after both have chosen."""
+    (the object body, given the view's devices) picks."""
     population = DevicePopulation.from_devices(devices)
     for round_index, view in round_views(seed, len(devices)):
         sub = population.take(view)
@@ -176,8 +174,6 @@ def assert_strategy_parity(seed, devices, strategy, expected_for, feedback=None)
         ]
         positions = strategy.select_population(round_index, sub)
         assert sub.device_ids[positions].tolist() == expected
-        if feedback is not None:
-            feedback(expected, round_index)
 
 
 class TestStrategyParity:
@@ -237,40 +233,6 @@ class TestStrategyParity:
                 candidate_fraction=candidate_fraction,
             ),
         )
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("preferred,exponent", ((None, 1.0), (30.0, 2.5)))
-    def test_oort_with_losses_fed_back(self, seed, preferred, exponent):
-        kwargs = dict(
-            fraction=0.25,
-            payload_bits=PAYLOAD,
-            bandwidth_hz=BANDWIDTH,
-            preferred_round_s=preferred,
-            penalty_exponent=exponent,
-        )
-        strategy = OortSelection(seed=seed, **kwargs)
-        rng = ensure_generator(seed)
-        last_losses, ever_selected = {}, set()
-        loss_rng = np.random.default_rng(seed + 9)
-
-        def feedback(picked_ids, round_index):
-            losses = {
-                device_id: float(loss_rng.uniform(0.1, 3.0))
-                for device_id in picked_ids
-            }
-            strategy.observe_losses(losses)
-            last_losses.update(losses)
-
-        assert_strategy_parity(
-            seed,
-            random_fleet(seed),
-            strategy,
-            lambda view: oracle.oort_select(
-                rng, view, last_losses, ever_selected, **kwargs
-            ),
-            feedback,
-        )
-        assert strategy.ever_selected == ever_selected
 
 
 class TestFrequencyParity:

@@ -201,14 +201,16 @@ def test_round_result_matches_per_client_records(backend_name):
             return result
 
         backend.run_round = recording
-        observe = trainer.selection.observe_losses
-        trainer.selection.observe_losses = lambda losses: (
-            observed.append(dict(losses)),
-            observe(losses),
-        )
+        aggregate = trainer._aggregate
+
+        def integrating(state):
+            observed.append(state.integrated)
+            aggregate(state)
+
+        trainer._aggregate = integrating
         trainer.run()
-    assert len(calls) == config.rounds
-    for (round_index, params, devices, rate, result), losses in zip(calls, observed):
+    assert len(calls) == len(observed) == config.rounds
+    for (round_index, params, devices, rate, result), integrated in zip(calls, observed):
         assert isinstance(result, RoundResult)
         ids, weights, want = per_client_records(trainer, params, devices, rate, round_index)
         assert result.device_ids.tolist() == ids
@@ -217,7 +219,8 @@ def test_round_result_matches_per_client_records(backend_name):
         assert result.losses.tolist() == want
         assert result.params is None
         # Every selected client is integrated here, in selection order.
-        assert losses == dict(zip(ids, want))
+        assert integrated.device_ids.tolist() == ids
+        assert integrated.losses.tolist() == want
 
 
 @pytest.mark.parametrize("backend_name", ["serial", "thread", "process+shm"])

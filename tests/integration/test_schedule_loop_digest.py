@@ -11,7 +11,7 @@ key moved — regenerate only if that was intended:
 ``PYTHONPATH=src:. python tests/integration/test_schedule_loop_digest.py``.
 
 ``OBJECT_CASES`` pin the same loop for every shipped strategy
-(greedy decay, random, FedCS, FEDL's policy, Oort with losses fed back)
+(greedy decay, random, FedCS, FEDL's policy)
 on a ``make_fleet`` object fleet. ``greedy_decay`` took over from the
 removed battery gate's greedy-decay case; its digest was recorded when
 the gate went and is the same on the commit before. The other
@@ -40,7 +40,6 @@ from repro.data.dataset import ArrayDataset
 from repro.devices.fleet import FleetSpec, make_fleet
 from repro.devices.population import DevicePopulation
 from repro.energy.accounting import EnergyLedger
-from repro.extensions.oort import OortSelection
 from repro.network.tdma import simulate_tdma_round
 
 NUM_USERS = 5000
@@ -128,27 +127,16 @@ def fedcs_deadline(devices):
     return fedcs_deadline_for_count(devices, PAYLOAD, BANDWIDTH, 12)
 
 
-def fed_back_losses(device_ids, round_index):
-    """A deterministic stand-in for each selected client's loss."""
-    return {
-        device_id: 0.25 + ((device_id * 37 + round_index * 11) % 17) / 4.0
-        for device_id in device_ids
-    }
-
-
-# name -> (build(devices) -> selection, frequency policy,
-#          feed losses back, digest)
+# name -> (build(devices) -> selection, frequency policy, digest)
 OBJECT_CASES = {
     "random": (
         lambda devices: RandomSelection(FRACTION, seed=5),
         HelcflDvfsPolicy(),
-        False,
         "0cd6913c7b05889c9f1e2ab5f30fb61fdf4936d9ff7b2653c2eac2e418fbc0e9",
     ),
     "random_fedl": (
         lambda devices: RandomSelection(FRACTION, seed=6),
         FedlClosedFormPolicy(),
-        False,
         "3b167a1323c1ef1f48430987ee136e82ff10b05701bee41914589698da9a7b9d",
     ),
     "fedcs_all_candidates": (
@@ -156,7 +144,6 @@ OBJECT_CASES = {
             fedcs_deadline(devices), PAYLOAD, BANDWIDTH, seed=8
         ),
         HelcflDvfsPolicy(),
-        False,
         "7bbd2e4e7e6b08d9414e74f0f428952dd010affc2270b9aaa062bf57f72d5bed",
     ),
     "fedcs_candidates": (
@@ -168,7 +155,6 @@ OBJECT_CASES = {
             seed=8,
         ),
         HelcflDvfsPolicy(),
-        False,
         "b12b669c1f64c04f9a381baffb0ef1a5ae4d802f2cab2475532b38429de0798e",
     ),
     "fedcs_max_users": (
@@ -180,7 +166,6 @@ OBJECT_CASES = {
             seed=8,
         ),
         HelcflDvfsPolicy(),
-        False,
         "75639171cee5d2c00e9835dadd37e465133d7fdecb9fd38318dff2d1af50cd45",
     ),
     "greedy_decay": (
@@ -188,20 +173,13 @@ OBJECT_CASES = {
             FRACTION, DECAY, PAYLOAD, BANDWIDTH
         ),
         HelcflDvfsPolicy(),
-        False,
         "a58b3af4c47cca6e019507b1cbd0d425ab37f6fcedc591393819a7c7c6067bb9",
-    ),
-    "oort_losses": (
-        lambda devices: OortSelection(FRACTION, PAYLOAD, BANDWIDTH, seed=9),
-        HelcflDvfsPolicy(),
-        True,
-        "56320819afc610fe28aeb9a40a99c6e037bb242c2b5658ba1c333e2779b0a676",
     ),
 }
 
 
 def object_loop_digest(name: str, seed: int = 7) -> str:
-    build, policy, feedback, _ = OBJECT_CASES[name]
+    build, policy, _ = OBJECT_CASES[name]
     devices = object_fleet(seed)
     population = DevicePopulation.from_devices(devices)
     selection = build(devices)
@@ -224,10 +202,6 @@ def object_loop_digest(name: str, seed: int = 7) -> str:
             (), PAYLOAD, BANDWIDTH, frequencies, population=selected
         )
         ledger.record_round(timeline)
-        if feedback:
-            selection.observe_losses(
-                fed_back_losses(selected.device_ids.tolist(), round_index)
-            )
         digest.update(positions.tobytes())
         digest.update(json.dumps(list(frequencies.items())).encode("ascii"))
         digest.update(

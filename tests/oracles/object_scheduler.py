@@ -6,13 +6,13 @@ ops — with none of ``src/``'s array machinery. ``src/`` has exactly one
 scheduler (over :class:`~repro.devices.DevicePopulation`); every parity
 test asserts it is bitwise equal to this file.
 
-The other shipped strategies — random, FedCS, Oort — are here as the object ``select(round, devices)`` bodies they had
-before they ranked population positions; each takes its RNG and
-cross-round state as arguments.
+The other shipped strategies — random and FedCS — are here as the
+object ``select(round, devices)`` bodies they had before they ranked
+population positions; each takes its RNG and cross-round state as
+arguments.
 """
 
-import math
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.devices.device import UserDevice
 from repro.network.tdma import RoundTimeline
@@ -197,52 +197,3 @@ def fedcs_select(
         else:
             break
     return selected or [ranked[0]]
-
-
-def oort_select(
-    rng,
-    devices: Sequence[UserDevice],
-    last_losses: Mapping[int, float],
-    ever_selected: Set[int],
-    fraction: float,
-    payload_bits: float,
-    bandwidth_hz: float,
-    preferred_round_s: Optional[float] = None,
-    penalty_exponent: float = 1.0,
-    exploration_fraction: float = 0.2,
-) -> List[UserDevice]:
-    """Oort: explore unseen devices, then rank the rest by loss-weighted
-    data volume with a system-speed penalty. Mutates ``ever_selected``."""
-    count = min(len(devices), max(int(len(devices) * fraction), 1))
-    if preferred_round_s is None:
-        delays = sorted(d.total_delay(payload_bits, bandwidth_hz) for d in devices)
-        preferred = delays[len(delays) // 2]
-    else:
-        preferred = preferred_round_s
-
-    def utility(device: UserDevice) -> float:
-        last_loss = last_losses.get(device.device_id)
-        stat = device.num_samples * (last_loss if last_loss is not None else 1.0)
-        delay = device.total_delay(payload_bits, bandwidth_hz)
-        if delay > preferred and penalty_exponent > 0:
-            stat *= math.pow(preferred / delay, penalty_exponent)
-        return stat
-
-    unexplored = [d for d in devices if d.device_id not in ever_selected]
-    explore_slots = min(
-        len(unexplored), max(0, int(round(exploration_fraction * count)))
-    )
-    if not last_losses:
-        explore_slots = min(len(unexplored), count)
-    chosen: List[UserDevice] = []
-    if explore_slots:
-        picks = rng.choice(len(unexplored), size=explore_slots, replace=False)
-        chosen.extend(unexplored[int(i)] for i in sorted(picks))
-    remaining = count - len(chosen)
-    if remaining > 0:
-        chosen_ids = {d.device_id for d in chosen}
-        candidates = [d for d in devices if d.device_id not in chosen_ids]
-        ranked = sorted(candidates, key=lambda d: (-utility(d), d.device_id))
-        chosen.extend(ranked[:remaining])
-    ever_selected.update(d.device_id for d in chosen)
-    return chosen
