@@ -30,6 +30,19 @@ class TestEquations:
         radio = Radio(0.2, 1.0, 1e-2)
         assert radio.upload_rate(4e6) == pytest.approx(2 * radio.upload_rate(2e6))
 
+    @pytest.mark.parametrize("share", [2, 4, 8])
+    def test_sub_band_scales_upload_delay_and_energy(self, share):
+        """Eqs. (6)-(8): a user granted ``Z / share`` of the band, as in
+        an OFDMA split, uploads ``share`` times as long and spends
+        ``share`` times the energy of a whole-band TDMA slot."""
+        radio = Radio(0.2, 1.0, 1e-2)
+        assert radio.upload_delay(1e6, 2e6 / share) == pytest.approx(
+            share * radio.upload_delay(1e6, 2e6)
+        )
+        assert radio.upload_energy(1e6, 2e6 / share) == pytest.approx(
+            share * radio.upload_energy(1e6, 2e6)
+        )
+
     def test_rate_increases_with_gain(self):
         weak = Radio(0.2, 0.5, 1e-2)
         strong = Radio(0.2, 2.0, 1e-2)

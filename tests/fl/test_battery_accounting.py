@@ -51,32 +51,54 @@ def run_trainer(server, devices, selection, rounds=2):
     return build_trainer(server, devices, selection, rounds).run()
 
 
+def run_recording_integrated(server, devices):
+    """Run the loop; return its history and, per round, the
+    ``{device id: loss}`` of the updates ``_aggregate`` integrated."""
+    trainer = build_trainer(server, devices, FullParticipation())
+    observed = []
+    aggregate = trainer._aggregate
+
+    def recording(state):
+        integrated = state.integrated
+        observed.append(
+            dict(zip(integrated.device_ids.tolist(), integrated.losses.tolist()))
+        )
+        aggregate(state)
+
+    trainer._aggregate = recording
+    history = trainer.run()
+    assert len(observed) == len(history.records)
+    return history, observed
+
+
+def assert_train_loss_over(devices, history, observed, integrated_ids):
+    weights = {d.device_id: float(d.num_samples) for d in devices}
+    for record, losses in zip(history.records, observed):
+        assert set(losses) == integrated_ids
+        total = sum(weights[i] for i in losses)
+        expected = sum(
+            losses[i] * weights[i] for i in losses
+        ) / total
+        assert record.train_loss == expected
+
+
 class TestTrainLossOverSurvivors:
     def test_train_loss_excludes_dropped_updates(self):
         server, devices = make_depleted_setup()
-        trainer = build_trainer(server, devices, FullParticipation())
-        observed = []
-        aggregate = trainer._aggregate
-
-        def recording(state):
-            integrated = state.integrated
-            observed.append(
-                dict(zip(integrated.device_ids.tolist(), integrated.losses.tolist()))
-            )
-            aggregate(state)
-
-        trainer._aggregate = recording
-        history = trainer.run()
+        history, observed = run_recording_integrated(server, devices)
         assert all(r.dropped_ids == (0,) for r in history.records)
-        assert len(observed) == len(history.records)
-        weights = {d.device_id: float(d.num_samples) for d in devices}
-        for record, losses in zip(history.records, observed):
-            assert set(losses) == {d.device_id for d in devices[1:]}
-            total = sum(weights[i] for i in losses)
-            expected = sum(
-                losses[i] * weights[i] for i in losses
-            ) / total
-            assert record.train_loss == expected
+        assert_train_loss_over(
+            devices, history, observed, {d.device_id for d in devices[1:]}
+        )
+
+    def test_train_loss_covers_everyone_without_drops(self):
+        server, devices = make_depleted_setup()
+        devices[0].battery = None  # no depletion anywhere
+        history, observed = run_recording_integrated(server, devices)
+        assert all(r.dropped_ids == () for r in history.records)
+        assert_train_loss_over(
+            devices, history, observed, {d.device_id for d in devices}
+        )
 
     def test_dropped_loss_actually_changes_the_mean(self):
         # Guard against the old bug silently matching: round 1 trains

@@ -10,6 +10,7 @@ from repro import wire
 from repro.baselines.classic import RandomSelection
 from repro.baselines.fedcs import FedCsSelection
 from repro.core.selection import GreedyDecaySelection
+from repro.devices.population import DevicePopulation
 from repro.energy.accounting import EnergyLedger
 from repro.errors import ConfigurationError, SelectionError, SerializationError
 from repro.experiments.runner import build_environment, build_trainer
@@ -27,6 +28,7 @@ from repro.fl.execution import create_backend
 from repro.fl.history import RoundRecord
 from repro.fl.trainer import TrainerConfig
 from repro.wire import decode_array, encode_array
+from tests.full_participation import FullParticipation
 from tests.kill import run_killed_after
 from tests.oracles.checkpoint_v1 import save_checkpoint_v1
 
@@ -334,18 +336,32 @@ def random_selection():
     return RandomSelection(0.5, seed=0)
 
 
+def fedcs_selection():
+    return FedCsSelection(1.0, 1e6, 2e6, candidate_fraction=0.5, seed=0)
+
+
 # name -> (strategy, hostile selection_state, refusal). The checksum
 # covers only the state, so a crafted file carries any of these.
 HOSTILE_SELECTION_STATES = {
     "negative_count": (greedy_decay, {"appearance_counts": {"3": -5}}, SelectionError),
     "float_count": (greedy_decay, {"appearance_counts": {"3": 2.7}}, SelectionError),
     "bool_count": (greedy_decay, {"appearance_counts": {"3": True}}, SelectionError),
-    "aliased_ids": (
-        greedy_decay,
-        {"appearance_counts": {"3": 1, "03": 2}},
+    "aliased_ids": (greedy_decay, {"appearance_counts": {"3": 1, "03": 2}}, SelectionError),
+    "non_numeric_id": (greedy_decay, {"appearance_counts": {"x": 1}}, SelectionError),
+    "signed_id": (greedy_decay, {"appearance_counts": {"+3": 1}}, SelectionError),
+    "padded_id": (greedy_decay, {"appearance_counts": {" 3": 1}}, SelectionError),
+    "negative_zero_id": (greedy_decay, {"appearance_counts": {"-0": 1}}, SelectionError),
+    "id_past_int64": (greedy_decay, {"appearance_counts": {str(2**63): 1}}, SelectionError),
+    "count_past_int64": (greedy_decay, {"appearance_counts": {"3": 2**63}}, SelectionError),
+    "string_count": (greedy_decay, {"appearance_counts": {"3": "1"}}, SelectionError),
+    "null_count": (greedy_decay, {"appearance_counts": {"3": None}}, SelectionError),
+    "counts_not_a_dict": (greedy_decay, {"appearance_counts": [["3", 1]]}, SelectionError),
+    "unknown_key": (greedy_decay, {"appearance_counts": {}, "rng": {}}, SelectionError),
+    "state_for_a_stateless_strategy": (
+        FullParticipation,
+        {"appearance_counts": {}},
         SelectionError,
     ),
-    "non_numeric_id": (greedy_decay, {"appearance_counts": {"x": 1}}, SelectionError),
     "legacy_rng_function": (
         random_selection,
         {"rng": {"bit_generator": "seed"}},
@@ -369,9 +385,10 @@ HOSTILE_SELECTION_STATES = {
         SerializationError,
     ),
     "missing_rng": (random_selection, {}, SerializationError),
-    "fedcs_missing_rng": (
-        lambda: FedCsSelection(1.0, 1e6, 2e6, seed=0),
-        {},
+    "fedcs_missing_rng": (fedcs_selection, {}, SerializationError),
+    "fedcs_generator_class": (
+        fedcs_selection,
+        {"rng": {"bit_generator": "Generator"}},
         SerializationError,
     ),
 }
@@ -384,6 +401,60 @@ def test_hostile_selection_state_is_refused(name):
     strategy.reset()
     with pytest.raises(error):
         strategy.load_state_dict(state)
+
+
+@pytest.mark.parametrize(
+    "build", [greedy_decay, random_selection, fedcs_selection]
+)
+def test_own_selection_state_resumes_the_picks(build):
+    population = DevicePopulation.from_spec(
+        None, np.random.default_rng(2).integers(5, 60, size=40), seed=2
+    )
+    strategy = build()
+    strategy.reset()
+    for round_index in range(3):
+        strategy.select_population(round_index, population)
+    state = json.loads(json.dumps(strategy.state_dict()))
+    resumed = build()
+    resumed.reset()
+    resumed.load_state_dict(state)
+    for round_index in range(3, 6):
+        assert np.array_equal(
+            resumed.select_population(round_index, population),
+            strategy.select_population(round_index, population),
+        )
+
+
+def craft_selection_state(path, selection_state):
+    """Write ``selection_state`` into the checkpoint at ``path`` with a
+    matching checksum, as a crafted file would."""
+    document = json.loads(open(path).read())
+    document["state"]["selection_state"] = selection_state
+    canonical = json.dumps(document["state"], sort_keys=True, separators=(",", ":"))
+    document["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    with open(path, "w") as handle:
+        json.dump(document, handle)
+
+
+@pytest.mark.parametrize(
+    "strategy,selection_state,error",
+    [
+        ("helcfl", {"appearance_counts": {"3": -5}}, SelectionError),
+        ("classic", {"rng": {"bit_generator": "seed"}}, SerializationError),
+        ("fedcs", {}, SerializationError),
+    ],
+    ids=["helcfl", "classic", "fedcs"],
+)
+def test_resume_refuses_a_crafted_selection_state(
+    strategy, selection_state, error, tmp_path
+):
+    path = str(tmp_path / "checkpoint.json")
+    run_killed_after(make_trainer(strategy=strategy, checkpoint_path=path), 2)
+    craft_selection_state(path, selection_state)
+    checkpoint = load_checkpoint(path)
+    assert checkpoint.selection_state == selection_state
+    with pytest.raises(error):
+        make_trainer(strategy=strategy).run(resume_from=checkpoint)
 
 
 class TestTrainerCheckpointing:

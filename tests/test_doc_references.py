@@ -12,6 +12,8 @@ import inspect
 import re
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = [
     ROOT / name
@@ -23,15 +25,14 @@ DOTTED = re.compile(r"\brepro(?:\.\w+)+")
 BENCH = re.compile(r"\bbench_\w+\.py\b")
 
 
-def references(pattern):
-    """``(doc, line number, match)`` for each ``pattern`` match inside
-    a backticked span of the docs."""
-    for doc in DOCS:
-        lines = doc.read_text(encoding="utf-8").splitlines()
-        for number, line in enumerate(lines, start=1):
-            for span in CODE_SPAN.findall(line):
-                for match in pattern.findall(span):
-                    yield f"{doc.relative_to(ROOT)}:{number}", match
+def references(doc, pattern):
+    """``(line number, match)`` for each ``pattern`` match inside a
+    backticked span of ``doc``."""
+    lines = doc.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, start=1):
+        for span in CODE_SPAN.findall(line):
+            for match in pattern.findall(span):
+                yield number, match
 
 
 def resolve(dotted):
@@ -46,20 +47,32 @@ def resolve(dotted):
     return target
 
 
-def test_dotted_names_resolve():
+def doc_name(doc):
+    return str(doc.relative_to(ROOT))
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=doc_name)
+def test_dotted_names_resolve(doc):
     stale = []
-    for where, dotted in references(DOTTED):
+    for number, dotted in references(doc, DOTTED):
         try:
             resolve(dotted)
         except (ImportError, AttributeError) as exc:
-            stale.append(f"{where}: {dotted} ({exc})")
+            stale.append(f"{doc_name(doc)}:{number}: {dotted} ({exc})")
     assert not stale, "\n".join(stale)
 
 
-def test_named_benchmarks_exist():
+@pytest.mark.parametrize("doc", DOCS, ids=doc_name)
+def test_named_benchmarks_exist(doc):
     missing = [
-        f"{where}: {name}"
-        for where, name in references(BENCH)
+        f"{doc_name(doc)}:{number}: {name}"
+        for number, name in references(doc, BENCH)
         if not (ROOT / "benchmarks" / name).is_file()
     ]
     assert not missing, "\n".join(missing)
+
+
+def test_the_docs_name_code_and_benchmarks():
+    # An extraction that finds nothing would pass every case above.
+    for pattern in (DOTTED, BENCH):
+        assert any(next(references(doc, pattern), None) for doc in DOCS)
