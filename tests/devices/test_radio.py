@@ -32,9 +32,10 @@ class TestEquations:
 
     @pytest.mark.parametrize("share", [2, 4, 8])
     def test_sub_band_scales_upload_delay_and_energy(self, share):
-        """Eqs. (6)-(8): a user granted ``Z / share`` of the band, as in
-        an OFDMA split, uploads ``share`` times as long and spends
-        ``share`` times the energy of a whole-band TDMA slot."""
+        """Eqs. (6)-(8): a user granted ``Z / share`` of the band, as
+        when ``share`` users upload at once, takes ``share`` times as
+        long and spends ``share`` times the energy of a whole-band
+        TDMA slot."""
         radio = Radio(0.2, 1.0, 1e-2)
         assert radio.upload_delay(1e6, 2e6 / share) == pytest.approx(
             share * radio.upload_delay(1e6, 2e6)
